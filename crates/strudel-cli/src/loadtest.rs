@@ -36,7 +36,6 @@ struct Options {
     pipeline_depth: usize,
     seed: u64,
     out: String,
-    threaded: bool,
 }
 
 impl Default for Options {
@@ -50,7 +49,6 @@ impl Default for Options {
             pipeline_depth: 8,
             seed: 42,
             out: "BENCH_serve.json".to_string(),
-            threaded: false,
         }
     }
 }
@@ -82,7 +80,6 @@ fn parse_options(rest: &[String]) -> Result<Options, AnyError> {
             "--pipeline-depth" => o.pipeline_depth = value()?.parse::<usize>()?.max(2),
             "--seed" => o.seed = value()?.parse()?,
             "--out" => o.out = value()?.clone(),
-            "--threaded" => o.threaded = true,
             s => return Err(format!("unknown argument {s}").into()),
         }
     }
@@ -105,11 +102,6 @@ pub fn run(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let dynamic = s.dynamic_site_with(strudel::site::CacheConfig::default())?;
     let config = strudel::serve::ServerConfig {
         threads: opts.threads,
-        mode: if opts.threaded {
-            strudel::serve::ServeMode::Threaded
-        } else {
-            strudel::serve::ServeMode::Event
-        },
         ..Default::default()
     };
     let server = strudel::serve::Server::bind_with(dynamic, "127.0.0.1:0", config)?;
@@ -133,21 +125,13 @@ fn drive(addr: SocketAddr, opts: &Options) -> Result<String, AnyError> {
     let urls = crawl(addr, opts.max_urls)?;
     eprintln!("discovered {} urls", urls.len());
 
-    // Pipelining is an event-mode feature: threaded mode answers one
-    // request per connection and closes, so the burst check only applies
-    // to the event loop.
     let depth = opts.pipeline_depth.min(urls.len().max(2));
-    let pipeline = if opts.threaded {
-        eprintln!("pipelining: skipped (threaded mode closes per request)");
-        "null".to_string()
-    } else {
-        let garbled = pipeline_check(addr, &urls, depth)?;
-        if garbled != 0 {
-            return Err(format!("{garbled} pipelined responses dropped or garbled").into());
-        }
-        eprintln!("pipelining: {depth} requests on one connection, in order, 0 garbled");
-        format!("{{\"depth\":{depth},\"garbled\":0}}")
-    };
+    let garbled = pipeline_check(addr, &urls, depth)?;
+    if garbled != 0 {
+        return Err(format!("{garbled} pipelined responses dropped or garbled").into());
+    }
+    eprintln!("pipelining: {depth} requests on one connection, in order, 0 garbled");
+    let pipeline = format!("{{\"depth\":{depth},\"garbled\":0}}");
 
     let cum = zipf_cumulative(urls.len(), opts.zipf_s);
     let mut runs = Vec::new();
@@ -206,13 +190,12 @@ fn drive(addr: SocketAddr, opts: &Options) -> Result<String, AnyError> {
     );
     Ok(format!(
         concat!(
-            "{{\"benchmark\":\"serve_loadtest\",\"mode\":\"{}\",",
+            "{{\"benchmark\":\"serve_loadtest\",",
             "\"zipf_s\":{},\"duration_ms\":{},\"urls\":{},",
             "\"pipeline\":{},",
             "\"layer_self_us\":{{{}}},",
             "\"runs\":[{}]}}\n"
         ),
-        if opts.threaded { "threaded" } else { "event" },
         opts.zipf_s,
         opts.duration.as_millis(),
         urls.len(),

@@ -10,7 +10,7 @@
 //! strudel-cli query   <data.(ddl|bin|pdb)> <q.struql> [--profile [--json]]
 //!                                                 run an ad-hoc query, print DDL
 //! strudel-cli serve   <site.spec> [addr]          click-time evaluation over HTTP
-//!     [--threads N] [--cache-entries N] [--cache-bytes N] [--threaded] [--data FILE]
+//!     [--threads N] [--cache-entries N] [--cache-bytes N] [--data FILE]
 //!     [--page-cache N] [--group-commit-window MS]
 //!     [--trace-sample-rate F] [--trace-slow-ms N]
 //! strudel-cli trace   <http://host:port/page/...>  fetch a page from a traced
@@ -19,7 +19,7 @@
 //!                                                  tree with per-layer self-times
 //! strudel-cli loadtest <site.spec>                zipfian load against the server
 //!     [--conns A,B] [--duration-ms N] [--zipf S] [--threads N] [--max-urls N]
-//!     [--pipeline-depth N] [--seed N] [--out FILE] [--threaded]
+//!     [--pipeline-depth N] [--seed N] [--out FILE]
 //! strudel-cli store   import <data.(ddl|bin)> <store.pdb>   seed a paged store
 //! strudel-cli store   info <store.pdb>            revision, pages, WAL, contents
 //! strudel-cli store   compact <store.pdb>         checkpoint + rewrite minimal
@@ -35,7 +35,7 @@
 //! Observability flags:
 //!
 //! * `--profile` records one line per applied condition (rows in/out, the
-//!   physical strategy, path-cache hits/misses, per-worker chunk timings).
+//!   physical strategy, path-cache hits/misses).
 //!   `query` prints the table to stderr so stdout stays pipeable DDL;
 //!   `explain` appends it to the plans. With `--json` the profile is
 //!   printed to stdout as a JSON document instead.
@@ -75,7 +75,7 @@ fn main() -> ExitCode {
         Some("store") if args.len() >= 2 => cmd_store(&args[1], &args[2..]),
         Some("demo") if args.len() == 2 => cmd_demo(Path::new(&args[1])),
         _ => {
-            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE] [--page-cache N]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N] [--threaded]\n                       [--data FILE] [--page-cache N] [--group-commit-window MS]\n                       [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli loadtest <site.spec> [--conns A,B] [--duration-ms N] [--zipf S] [--threads N]\n                       [--max-urls N] [--pipeline-depth N] [--seed N] [--out FILE] [--threaded]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
+            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE] [--page-cache N]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N]\n                       [--data FILE] [--page-cache N] [--group-commit-window MS]\n                       [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli loadtest <site.spec> [--conns A,B] [--duration-ms N] [--zipf S] [--threads N]\n                       [--max-urls N] [--pipeline-depth N] [--seed N] [--out FILE]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
             return ExitCode::from(2);
         }
     };
@@ -178,8 +178,8 @@ fn load_system(spec_path: &Path) -> Result<(Strudel, spec::Spec), AnyError> {
 }
 
 /// `rest` holds everything after the spec path: an optional `--jobs N`
-/// flag (worker threads for evaluation, construction and rendering;
-/// defaults to the machine's available parallelism), `--timings`
+/// flag (render workers: threads rendering pages once the site graph is
+/// built; defaults to the machine's available parallelism), `--timings`
 /// (print a phase-breakdown JSON object instead of the summary line),
 /// `--data FILE` (mount a paged graph store as an extra source) and
 /// `--page-cache N` (cap that store's page cache at N pages).
@@ -247,7 +247,7 @@ fn cmd_build(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let t = std::time::Instant::now();
     let site = s.publish(&roots, &out)?;
     println!(
-        "built {} pages ({} bytes) in {:?} with {} jobs -> {}",
+        "built {} pages ({} bytes) in {:?} with {} render workers -> {}",
         site.pages.len(),
         site.total_bytes(),
         t.elapsed(),
@@ -409,7 +409,6 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
             "--threads" => config.threads = flag_value("--threads")?.max(1),
             "--cache-entries" => cache.max_entries = flag_value("--cache-entries")?,
             "--cache-bytes" => cache.max_bytes = flag_value("--cache-bytes")?,
-            "--threaded" => config.mode = strudel::serve::ServeMode::Threaded,
             "--data" => data = Some(it.next().ok_or("--data needs a file")?.clone()),
             "--page-cache" => tune.page_cache = Some(flag_value("--page-cache")?),
             "--group-commit-window" => {

@@ -3,10 +3,9 @@
 //! When an evaluation runs with profiling enabled, the evaluator records
 //! one [`CondProfile`] per applied condition: the relation cardinalities
 //! around the physical operator, which strategy the operator chose (hash
-//! probe vs. scan vs. in-place semi-join, …), how the regular-path memo
-//! cache behaved, and how the row loop was chunked across workers. The CLI
-//! renders the list as an aligned table ([`render_profile_table`]) and as
-//! JSON ([`render_profile_json`]).
+//! probe vs. scan vs. in-place semi-join, …) and how the regular-path memo
+//! cache behaved. The CLI renders the list as an aligned table
+//! ([`render_profile_table`]) and as JSON ([`render_profile_json`]).
 
 use crate::json;
 
@@ -27,15 +26,10 @@ pub struct CondProfile {
     pub rows_out: u64,
     /// Wall-clock time applying the condition, microseconds.
     pub elapsed_us: u64,
-    /// Path-cache (memo) hits while applying this condition, including
-    /// per-worker caches.
+    /// Path-cache (memo) hits while applying this condition.
     pub cache_hits: u64,
     /// Path-cache misses likewise.
     pub cache_misses: u64,
-    /// Per-worker chunk timings `(worker, microseconds)` for row loops the
-    /// parallel pool chunked; empty when the operator ran on the calling
-    /// thread.
-    pub chunks: Vec<(usize, u64)>,
 }
 
 /// Renders profiles as an aligned human-readable table.
@@ -49,19 +43,9 @@ pub fn render_profile_table(profile: &[CondProfile]) -> String {
         "rows out",
         "us",
         "cache h/m",
-        "chunks",
     ];
-    let mut rows: Vec<[String; 9]> = Vec::with_capacity(profile.len());
+    let mut rows: Vec<[String; 8]> = Vec::with_capacity(profile.len());
     for (i, p) in profile.iter().enumerate() {
-        let chunks = if p.chunks.is_empty() {
-            "-".to_string()
-        } else {
-            p.chunks
-                .iter()
-                .map(|(w, us)| format!("w{w}:{us}us"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
         rows.push([
             i.to_string(),
             p.block.clone(),
@@ -71,7 +55,6 @@ pub fn render_profile_table(profile: &[CondProfile]) -> String {
             p.rows_out.to_string(),
             p.elapsed_us.to_string(),
             format!("{}/{}", p.cache_hits, p.cache_misses),
-            chunks,
         ]);
     }
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -110,17 +93,11 @@ pub fn render_profile_json(profile: &[CondProfile]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let chunks = p
-            .chunks
-            .iter()
-            .map(|(w, us)| format!("{{\"worker\":{w},\"us\":{us}}}"))
-            .collect::<Vec<_>>()
-            .join(",");
         out.push_str(&format!(
             concat!(
                 "{{\"block\":\"{}\",\"condition\":\"{}\",\"strategy\":\"{}\",",
                 "\"rows_in\":{},\"rows_out\":{},\"elapsed_us\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"chunks\":[{}]}}"
+                "\"cache_hits\":{},\"cache_misses\":{}}}"
             ),
             json::escape(&p.block),
             json::escape(&p.condition),
@@ -130,7 +107,6 @@ pub fn render_profile_json(profile: &[CondProfile]) -> String {
             p.elapsed_us,
             p.cache_hits,
             p.cache_misses,
-            chunks,
         ));
     }
     out.push(']');
@@ -161,7 +137,6 @@ mod tests {
                 elapsed_us: 310,
                 cache_hits: 2,
                 cache_misses: 1,
-                chunks: vec![(0, 160), (1, 150)],
             },
         ]
     }
@@ -174,7 +149,7 @@ mod tests {
         assert!(lines[0].contains("strategy"));
         assert_eq!(lines.len(), 4); // header, rule, two rows
         assert!(lines[2].contains("collection-scan"));
-        assert!(lines[3].contains("w0:160us w1:150us"));
+        assert!(lines[3].ends_with("2/1"));
         // Alignment: "rows in" column starts at the same offset everywhere.
         let col = lines[0].find("rows in").unwrap();
         assert_eq!(&lines[2][col - 2..col], "  ");
@@ -187,7 +162,7 @@ mod tests {
         assert!(j.ends_with(']'));
         assert!(j.contains("\"strategy\":\"arc-forward\""));
         assert!(j.contains("\"rows_out\":4000"));
-        assert!(j.contains("{\"worker\":1,\"us\":150}"));
+        assert!(j.ends_with("\"cache_hits\":2,\"cache_misses\":1}]"));
         assert_eq!(render_profile_json(&[]), "[]");
     }
 }

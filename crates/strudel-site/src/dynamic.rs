@@ -395,9 +395,8 @@ impl<'g> DynamicSite<'g> {
         }
     }
 
-    /// Aggregated hit/miss/invalidation counters of the regular-path memo
-    /// cache these options evaluate with (main cache plus every per-worker
-    /// cache; see [`strudel_struql::PathCache::stats`]).
+    /// Hit/miss/invalidation counters of the regular-path memo cache these
+    /// options evaluate with (see [`strudel_struql::PathCache::stats`]).
     pub fn path_cache_stats(&self) -> strudel_struql::PathCacheStats {
         self.opts.path_cache.stats()
     }
@@ -408,11 +407,6 @@ impl<'g> DynamicSite<'g> {
     /// each link clause's first evaluation.
     pub fn plan_cache_stats(&self) -> strudel_struql::PlanCacheStats {
         self.opts.plan_cache.stats()
-    }
-
-    /// The effective `jobs` setting clause evaluations run with.
-    pub fn jobs(&self) -> usize {
-        self.opts.jobs
     }
 
     /// Number of live cache entries.

@@ -231,16 +231,6 @@ impl Bindings {
         self.len = 0;
     }
 
-    /// Moves every row of `other` (which must have the same schema) to the
-    /// end of this relation. This is the ordered-merge step of parallel
-    /// evaluation: per-chunk output relations concatenated in chunk order
-    /// reproduce the sequential row order exactly.
-    pub fn append(&mut self, other: Bindings) {
-        debug_assert_eq!(self.vars, other.vars, "append of mismatched schemas");
-        self.data.extend(other.data);
-        self.len += other.len;
-    }
-
     /// Sorts the rows into the canonical relation order: columns compared
     /// in variable-name order (so the order is a property of the *schema*,
     /// not of the column positions a particular plan happened to produce),

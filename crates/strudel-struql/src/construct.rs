@@ -569,194 +569,6 @@ pub fn apply_block(
     emit_aggregates(block, &plans.collect_syms, agg, out, table, stats)
 }
 
-/// Minimum rows per partition before block construction is split across
-/// worker threads; below this the sequential path wins.
-const PAR_MIN_CONSTRUCT_ROWS: usize = 512;
-
-/// A link/collect target resolved to concrete values by a gather worker,
-/// awaiting replay against the graph and table.
-enum TargetVal {
-    /// Arguments of a Skolem application to instantiate at replay time.
-    Skolem(Vec<Value>),
-    /// A finished value.
-    Val(Value),
-    /// A value to fold into the aggregate accumulator.
-    Agg(Value),
-}
-
-/// One row's construction actions, resolved to values only — no graph or
-/// table access — so rows can be gathered in parallel.
-struct RowActions {
-    /// Argument vectors, one per `CREATE` plan.
-    creates: Vec<Vec<Value>>,
-    /// Per `LINK` plan: source Skolem arguments, the label value when the
-    /// label is a bound variable (`None` for pre-interned literals —
-    /// variable labels are interned at replay time, in row order, so symbol
-    /// numbering matches the sequential pass exactly), and the target.
-    links: Vec<(Vec<Value>, Option<Value>, TargetVal)>,
-    /// One target per `COLLECT` plan.
-    collects: Vec<TargetVal>,
-}
-
-fn gather_row(plans: &BlockPlans<'_>, row: &[Value]) -> RowActions {
-    let gather_args =
-        |p: &SkPlan<'_>| -> Vec<Value> { p.cols.iter().map(|&c| row[c].clone()).collect() };
-    let gather_target = |tp: &TargetPlan<'_>| match tp {
-        TargetPlan::Skolem(p) => TargetVal::Skolem(gather_args(p)),
-        TargetPlan::Col(c) => TargetVal::Val(row[*c].clone()),
-        TargetPlan::Lit(v) => TargetVal::Val(v.clone()),
-        TargetPlan::Agg(c) => TargetVal::Agg(row[*c].clone()),
-    };
-    RowActions {
-        creates: plans.creates.iter().map(&gather_args).collect(),
-        links: plans
-            .links
-            .iter()
-            .map(|lp| {
-                let label = match &lp.label {
-                    LabelPlan::Lit(_) => None,
-                    LabelPlan::Col(c, _) => Some(row[*c].clone()),
-                };
-                (gather_args(&lp.from), label, gather_target(&lp.to))
-            })
-            .collect(),
-        collects: plans.collects.iter().map(&gather_target).collect(),
-    }
-}
-
-/// Like [`apply_block`], but with the per-row value resolution (Skolem
-/// argument vectors, link labels and targets, collect values) gathered in
-/// parallel over contiguous row partitions. The partitions are then
-/// *replayed* against the graph and table on the calling thread, in row
-/// order — the replay performs exactly the same `instantiate`/`emit` calls
-/// in exactly the same order as the sequential pass, so Skolem node
-/// numbering, derivation counts, symbol interning and error behaviour are
-/// all byte-identical to [`apply_block`] at any worker count.
-pub fn apply_block_jobs(
-    block: &Block,
-    bindings: &Bindings,
-    out: &mut Graph,
-    table: &mut SkolemTable,
-    stats: &mut ConstructStats,
-    jobs: usize,
-) -> Result<()> {
-    let workers = if jobs <= 1 {
-        1
-    } else {
-        jobs.min(bindings.len() / PAR_MIN_CONSTRUCT_ROWS).max(1)
-    };
-    if workers <= 1 {
-        return apply_block(block, bindings, out, table, stats);
-    }
-    if block.creates.is_empty() && block.links.is_empty() && block.collects.is_empty() {
-        return Ok(());
-    }
-
-    let plans = block_plans(block, bindings, out)?;
-
-    // Phase 1 (parallel): gather every row's actions — pure value cloning,
-    // no shared mutable state.
-    let chunk = bindings.len().div_ceil(workers);
-    let plans_ref = &plans;
-    let parts: Vec<Vec<RowActions>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..bindings.len())
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(bindings.len());
-                scope.spawn(move || {
-                    (start..end)
-                        .map(|i| gather_row(plans_ref, bindings.row(i)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("construction worker panicked"))
-            .collect()
-    });
-
-    // Phase 2 (sequential): replay the partitions in row order.
-    let mut agg = AggAcc::default();
-    for ra in parts.into_iter().flatten() {
-        for (create_idx, args) in ra.creates.into_iter().enumerate() {
-            let (_, created) =
-                table.instantiate_tracked(out, plans.creates[create_idx].name, &args);
-            if created {
-                stats.nodes_created += 1;
-            }
-        }
-
-        for (link_idx, (from_args, label_val, to_val)) in ra.links.into_iter().enumerate() {
-            let lp = &plans.links[link_idx];
-            let (from, created) = table.instantiate_tracked(out, lp.from.name, &from_args);
-            if created {
-                stats.nodes_created += 1;
-            }
-            let label = match (&lp.label, label_val) {
-                (LabelPlan::Lit(sym), _) => *sym,
-                (LabelPlan::Col(_, v), Some(value)) => match value.text() {
-                    Some(t) => out.sym(&t),
-                    None => {
-                        return Err(StruqlError::eval(format!(
-                            "link label variable `{v}` is bound to non-label value {value}"
-                        )))
-                    }
-                },
-                (LabelPlan::Col(..), None) => unreachable!("gathered from Col"),
-            };
-            let to: Value = match to_val {
-                TargetVal::Skolem(args) => {
-                    let TargetPlan::Skolem(p) = &lp.to else {
-                        unreachable!("gathered from Skolem")
-                    };
-                    let (oid, created) = table.instantiate_tracked(out, p.name, &args);
-                    if created {
-                        stats.nodes_created += 1;
-                    }
-                    Value::Node(oid)
-                }
-                TargetVal::Val(v) => v,
-                TargetVal::Agg(v) => {
-                    agg.links
-                        .entry((link_idx, from, label))
-                        .or_default()
-                        .insert(v);
-                    continue;
-                }
-            };
-            if table.emit_edge(out, from, label, to)? {
-                stats.edges_created += 1;
-            }
-        }
-
-        for (coll_idx, tv) in ra.collects.into_iter().enumerate() {
-            let value: Value = match tv {
-                TargetVal::Skolem(args) => {
-                    let TargetPlan::Skolem(p) = &plans.collects[coll_idx] else {
-                        unreachable!("gathered from Skolem")
-                    };
-                    let (oid, created) = table.instantiate_tracked(out, p.name, &args);
-                    if created {
-                        stats.nodes_created += 1;
-                    }
-                    Value::Node(oid)
-                }
-                TargetVal::Val(v) => v,
-                TargetVal::Agg(v) => {
-                    agg.collects.entry(coll_idx).or_default().insert(v);
-                    continue;
-                }
-            };
-            if table.emit_collect(out, plans.collect_syms[coll_idx], value)? {
-                stats.collected += 1;
-            }
-        }
-    }
-
-    emit_aggregates(block, &plans.collect_syms, agg, out, table, stats)
-}
-
 /// Withdraws a block's construction clauses for a retracted bindings
 /// relation: the exact mirror of [`apply_block`], decrementing the
 /// derivation counts taken when the same rows were applied. Edges,
@@ -781,44 +593,15 @@ pub fn retract_block(
         return Ok(());
     }
 
-    let create_plans: Vec<SkPlan<'_>> = block
-        .creates
-        .iter()
-        .map(|sk| SkPlan::of(bindings, sk))
-        .collect::<Result<_>>()?;
-    let link_plans: Vec<LinkPlan<'_>> = block
+    let plans = block_plans(block, bindings, out)?;
+    if plans
         .links
         .iter()
-        .map(|link| {
-            Ok(LinkPlan {
-                from: SkPlan::of(bindings, &link.from)?,
-                label: match &link.label {
-                    LabelTerm::Lit(s) => LabelPlan::Lit(out.sym(s)),
-                    LabelTerm::Var(v) => LabelPlan::Col(
-                        bindings.col(v).ok_or_else(|| {
-                            StruqlError::eval(format!("link label variable `{v}` unbound"))
-                        })?,
-                        v,
-                    ),
-                },
-                to: TargetPlan::of(bindings, &link.to, "link target")?,
-            })
-        })
-        .collect::<Result<_>>()?;
-    let collect_syms: Vec<Sym> = block
-        .collects
-        .iter()
-        .map(|c| out.ensure_collection(&c.name))
-        .collect();
-    let coll_plans: Vec<TargetPlan<'_>> = block
-        .collects
-        .iter()
-        .map(|c| TargetPlan::of(bindings, &c.arg, "collect argument"))
-        .collect::<Result<_>>()?;
-    if link_plans
-        .iter()
         .any(|lp| matches!(lp.to, TargetPlan::Agg(_)))
-        || coll_plans.iter().any(|cp| matches!(cp, TargetPlan::Agg(_)))
+        || plans
+            .collects
+            .iter()
+            .any(|cp| matches!(cp, TargetPlan::Agg(_)))
     {
         return Err(StruqlError::eval(
             "aggregate constructions cannot be retracted incrementally",
@@ -829,7 +612,7 @@ pub fn retract_block(
     for row_idx in 0..bindings.len() {
         let row = bindings.row(row_idx);
 
-        for lp in &link_plans {
+        for lp in &plans.links {
             let from = lp.from.resolve_existing(table, row, &mut args)?;
             let label = match &lp.label {
                 LabelPlan::Lit(sym) => *sym,
@@ -870,7 +653,7 @@ pub fn retract_block(
             }
         }
 
-        for (coll_idx, cp) in coll_plans.iter().enumerate() {
+        for (coll_idx, cp) in plans.collects.iter().enumerate() {
             let skolem = match cp {
                 TargetPlan::Skolem(p) => Some(p.resolve_existing(table, row, &mut args)?),
                 _ => None,
@@ -881,7 +664,7 @@ pub fn retract_block(
                 TargetPlan::Lit(v) => v.clone(),
                 TargetPlan::Agg(_) => unreachable!("rejected above"),
             };
-            if table.retract_collect(out, collect_syms[coll_idx], &value)? {
+            if table.retract_collect(out, plans.collect_syms[coll_idx], &value)? {
                 stats.collect_removed += 1;
             }
             if let Some(s) = skolem {
@@ -891,7 +674,7 @@ pub fn retract_block(
             }
         }
 
-        for plan in &create_plans {
+        for plan in &plans.creates {
             let oid = plan.resolve_existing(table, row, &mut args)?;
             if table.release_node(out, oid)? {
                 stats.nodes_removed += 1;

@@ -47,15 +47,15 @@
 use crate::analyze::analyze;
 use crate::ast::*;
 use crate::binding::Bindings;
-use crate::construct::{apply_block_jobs, ConstructStats, SkolemTable};
+use crate::construct::{apply_block, ConstructStats, SkolemTable};
 use crate::error::{Result, StruqlError};
 use crate::optimize::{eligible, multiplier, vars_of, GraphStats, Optimizer};
 use crate::plan::{choose_op, replan_suffix, PhysOp, PhysicalPlan, PlanCache, PlanNode};
 use crate::pred::PredicateRegistry;
 use crate::rpe::Nfa;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::graph::{CacheStamp, GraphReader};
 use strudel_graph::{Graph, Oid, Sym, Value};
@@ -68,10 +68,6 @@ type RevAdj = FxHashMap<Value, Vec<(Oid, Sym)>>;
 /// Row-independent arc-edge matches grouped by (label value, edges),
 /// where each edge carries the target to bind (if any).
 type ArcLabelGroups = Vec<(Value, Vec<(Oid, Option<Value>)>)>;
-
-/// Minimum rows a parallel worker must receive before an operator is
-/// chunked across threads; smaller inputs stay on the calling thread.
-const PAR_MIN_CHUNK: usize = 128;
 
 pub use crate::optimize::Optimizer as OptimizerChoice;
 
@@ -88,9 +84,9 @@ pub struct EvalOptions {
     /// Record per-block plan descriptions in the stats.
     pub explain: bool,
     /// Record a per-condition execution profile ([`EvalStats::profile`]):
-    /// rows in/out, strategy chosen, path-cache hits/misses and per-worker
-    /// chunk timings. Off by default; the disabled path costs one branch
-    /// per *condition*, never per row.
+    /// rows in/out, strategy chosen and path-cache hits/misses. Off by
+    /// default; the disabled path costs one branch per *condition*, never
+    /// per row.
     pub profile: bool,
     /// Memo caches for regular-path work, shared by every evaluation using
     /// (a clone of) these options and invalidated by graph mutation.
@@ -111,11 +107,6 @@ pub struct EvalOptions {
     /// produce more than `adapt_factor ×` its estimated rows (and at least
     /// 128 rows, with ≥ 2 conditions left) before the suffix is re-planned.
     pub adapt_factor: f64,
-    /// Worker threads for data-parallel operators. `1` runs every operator
-    /// on the calling thread (the unchanged sequential path); higher values
-    /// chunk large row loops across a scoped thread pool. The output is
-    /// byte-identical at every setting.
-    pub jobs: usize,
 }
 
 impl Default for EvalOptions {
@@ -131,7 +122,6 @@ impl Default for EvalOptions {
             use_plan_cache: true,
             adaptive: true,
             adapt_factor: 8.0,
-            jobs: default_jobs(),
         }
     }
 }
@@ -144,29 +134,6 @@ impl EvalOptions {
             ..Default::default()
         }
     }
-
-    /// Options evaluating with the given worker count, otherwise defaults.
-    pub fn with_jobs(jobs: usize) -> Self {
-        EvalOptions {
-            jobs: jobs.max(1),
-            ..Default::default()
-        }
-    }
-}
-
-/// The default worker count: the `STRUDEL_JOBS` environment variable when
-/// set (CI forces the parallel paths across the whole test suite with
-/// `STRUDEL_JOBS=2`), else 1 — parallelism is opt-in for library callers;
-/// the CLI passes `available_parallelism` explicitly via `--jobs`.
-fn default_jobs() -> usize {
-    static JOBS: OnceLock<usize> = OnceLock::new();
-    *JOBS.get_or_init(|| {
-        std::env::var("STRUDEL_JOBS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or(1)
-    })
 }
 
 /// Evaluator-lifetime memo caches for regular-path-expression work.
@@ -185,13 +152,9 @@ pub struct PathCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    /// Per-worker caches handed out to parallel operator workers, kept here
-    /// so they stay warm across conditions, blocks and evaluations.
-    workers: Mutex<Vec<Arc<PathCache>>>,
 }
 
-/// A snapshot of [`PathCache`] counters, aggregated over the cache itself
-/// and every per-worker cache it has handed out.
+/// A snapshot of [`PathCache`] counters.
 #[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathCacheStats {
     /// Memo lookups answered from the cache.
@@ -203,48 +166,24 @@ pub struct PathCacheStats {
 }
 
 impl PathCache {
-    /// Drops all cached state, including the per-worker caches (useful for
-    /// benchmarks isolating cold costs). Counters are kept: they report
-    /// cache behaviour over the cache's whole lifetime.
+    /// Drops all cached state (useful for benchmarks isolating cold costs).
+    /// Counters are kept: they report cache behaviour over the cache's
+    /// whole lifetime.
     pub fn clear(&self) {
         *self.lock() = PathCacheInner::default();
-        for w in self.workers().iter() {
-            *w.lock() = PathCacheInner::default();
-        }
     }
 
-    /// Aggregated hit/miss/invalidation counters: this cache plus every
-    /// per-worker cache.
+    /// The hit/miss/invalidation counters.
     pub fn stats(&self) -> PathCacheStats {
-        let mut s = PathCacheStats {
+        PathCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-        };
-        for w in self.workers().iter() {
-            s.hits += w.hits.load(Ordering::Relaxed);
-            s.misses += w.misses.load(Ordering::Relaxed);
-            s.invalidations += w.invalidations.load(Ordering::Relaxed);
         }
-        s
-    }
-
-    /// The cache for worker slot `i`, created on first use. Worker caches
-    /// never hand out workers of their own — parallel operators do not nest.
-    fn worker(&self, i: usize) -> Arc<PathCache> {
-        let mut ws = self.workers();
-        while ws.len() <= i {
-            ws.push(Arc::new(PathCache::default()));
-        }
-        Arc::clone(&ws[i])
     }
 
     fn lock(&self) -> MutexGuard<'_, PathCacheInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn workers(&self) -> MutexGuard<'_, Vec<Arc<PathCache>>> {
-        self.workers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -346,7 +285,7 @@ impl Query {
         opts: &EvalOptions,
     ) -> Result<EvalStats> {
         let analyzed = analyze(self, &opts.predicates)?;
-        let mut ev = Ev::new(input, opts, opts.path_cache.as_ref());
+        let mut ev = Ev::new(input, opts);
         ev.stats.warnings = analyzed.warnings;
         let arc_vars = arc_vars_of(&analyzed.query);
         ev.eval_block(
@@ -377,7 +316,7 @@ impl Query {
             .into_iter()
             .cloned()
             .collect();
-        let mut ev = Ev::new(input, opts, opts.path_cache.as_ref());
+        let mut ev = Ev::new(input, opts);
         let arc_vars = arc_vars_of(&analyzed.query);
         let plan = plan_for(opts, &conds, &FxHashSet::default(), input);
         ev.eval_conditions(&conds, &plan, Bindings::unit(), &arc_vars)
@@ -468,7 +407,7 @@ pub fn evaluate_conditions(
     start: Bindings,
     opts: &EvalOptions,
 ) -> Result<Bindings> {
-    let mut ev = Ev::new(input, opts, opts.path_cache.as_ref());
+    let mut ev = Ev::new(input, opts);
     let mut arc_vars = FxHashSet::default();
     for cond in conds {
         if let Condition::Edge {
@@ -527,10 +466,6 @@ fn arc_vars_of(q: &Query) -> FxHashSet<String> {
 struct Ev<'g> {
     graph: &'g Graph,
     opts: &'g EvalOptions,
-    /// The path cache this evaluator consults: the shared cache from the
-    /// options on the calling thread, a per-worker cache inside parallel
-    /// operator workers (so workers never contend on one mutex).
-    path_cache: &'g PathCache,
     stats: EvalStats,
     /// The operator tag of the most recently executed plan node. Written
     /// unconditionally (a pointer store), read only when profiling.
@@ -540,38 +475,28 @@ struct Ev<'g> {
     /// nodes (empty-relation short-circuit) carry `None`. Recorded only when
     /// [`EvalOptions::explain`] is set.
     last_exec: Vec<(PlanNode, Option<u64>)>,
-    /// Per-worker `(worker, µs)` chunk timings of the most recent operator;
-    /// written by pool workers only when profiling is on.
-    chunk_us: Mutex<Vec<(usize, u64)>>,
 }
 
 impl<'g> Ev<'g> {
-    fn new(graph: &'g Graph, opts: &'g EvalOptions, path_cache: &'g PathCache) -> Self {
+    fn new(graph: &'g Graph, opts: &'g EvalOptions) -> Self {
         Ev {
             graph,
             opts,
-            path_cache,
             stats: EvalStats::default(),
             strategy: "",
             last_exec: Vec::new(),
-            chunk_us: Mutex::new(Vec::new()),
         }
     }
 
-    fn chunk_sink(&self) -> MutexGuard<'_, Vec<(usize, u64)>> {
-        self.chunk_us.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Locks this evaluator's path cache, clearing it first if the graph
-    /// (or its universe) has changed since the entries were computed.
+    /// Locks the options' path cache, clearing it first if the graph (or
+    /// its universe) has changed since the entries were computed.
     fn cache(&self) -> MutexGuard<'_, PathCacheInner> {
-        let mut c = self.path_cache.lock();
+        let path_cache = &self.opts.path_cache;
+        let mut c = path_cache.lock();
         let stamp = self.graph.cache_stamp();
         if c.stamp != Some(stamp) {
             if c.stamp.is_some() {
-                self.path_cache
-                    .invalidations
-                    .fetch_add(1, Ordering::Relaxed);
+                path_cache.invalidations.fetch_add(1, Ordering::Relaxed);
             }
             *c = PathCacheInner {
                 stamp: Some(stamp),
@@ -582,11 +507,11 @@ impl<'g> Ev<'g> {
     }
 
     fn cache_hit(&self) {
-        self.path_cache.hits.fetch_add(1, Ordering::Relaxed);
+        self.opts.path_cache.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     fn cache_miss(&self) {
-        self.path_cache.misses.fetch_add(1, Ordering::Relaxed);
+        self.opts.path_cache.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The compiled automaton for `rpe`, from the cache.
@@ -666,159 +591,6 @@ impl<'g> Ev<'g> {
         Value::Str(self.graph.universe().interner().resolve(sym))
     }
 
-    // ---- data-parallel row drivers ----
-
-    /// Worker count for an input of `rows` rows: capped so every chunk has
-    /// at least [`PAR_MIN_CHUNK`] rows (below that, thread startup dominates
-    /// the row loop), and 1 when the options are sequential.
-    fn jobs_for(&self, rows: usize) -> usize {
-        if self.opts.jobs <= 1 {
-            1
-        } else {
-            self.opts.jobs.min(rows / PAR_MIN_CHUNK).max(1)
-        }
-    }
-
-    /// Runs a per-row emitter over `input`, chunked across a scoped worker
-    /// pool when the options ask for parallelism.
-    ///
-    /// `emit` must append to the output exactly what the sequential loop
-    /// would emit for that row (each output row may only depend on its input
-    /// row and row-independent captured state). Every chunk writes its own
-    /// relation with `proto`'s schema and the chunks are concatenated in
-    /// chunk order, so the merged slab is byte-identical to a sequential
-    /// pass. Workers evaluate through their own [`Ev`] with a per-worker
-    /// path cache (validated by the same graph stamp) and a fresh `scratch`;
-    /// scratches only memoize deterministic per-row state, so they cannot
-    /// influence the output.
-    fn run_rows<S, MS, F>(
-        &self,
-        input: &Bindings,
-        proto: Bindings,
-        make_scratch: MS,
-        emit: F,
-    ) -> Bindings
-    where
-        MS: Fn() -> S + Sync,
-        F: for<'e> Fn(&Ev<'e>, &mut S, &[Value], &mut Bindings) + Sync,
-    {
-        let jobs = self.jobs_for(input.len());
-        if jobs <= 1 {
-            let mut out = proto;
-            let mut scratch = make_scratch();
-            for row in input.rows() {
-                emit(self, &mut scratch, row, &mut out);
-            }
-            return out;
-        }
-        let chunk = input.len().div_ceil(jobs);
-        let graph = self.graph;
-        let opts = self.opts;
-        let profiling = opts.profile;
-        let chunk_sink = &self.chunk_us;
-        let mut parts = std::thread::scope(|scope| {
-            let proto = &proto;
-            let make_scratch = &make_scratch;
-            let emit = &emit;
-            let handles: Vec<_> = (0..input.len())
-                .step_by(chunk)
-                .enumerate()
-                .map(|(wi, start)| {
-                    let end = (start + chunk).min(input.len());
-                    let wcache = self.path_cache.worker(wi);
-                    scope.spawn(move || {
-                        let t = Timer::start_if(profiling);
-                        let ev = Ev::new(graph, opts, &wcache);
-                        let mut out = proto.clone();
-                        let mut scratch = make_scratch();
-                        for i in start..end {
-                            emit(&ev, &mut scratch, input.row(i), &mut out);
-                        }
-                        if profiling {
-                            chunk_sink
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((wi, t.elapsed_us()));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("evaluation worker panicked"))
-                .collect::<Vec<Bindings>>()
-        });
-        let mut out = parts.remove(0);
-        for part in parts {
-            out.append(part);
-        }
-        out
-    }
-
-    /// Applies a pure row filter in place, computing the keep mask in
-    /// parallel chunks when the options ask for it. Compaction always runs
-    /// in row order against the mask, so the surviving rows and their order
-    /// match the sequential filter exactly.
-    fn par_retain<S, MS, F>(&self, b: &mut Bindings, make_scratch: MS, keep: F)
-    where
-        MS: Fn() -> S + Sync,
-        F: for<'e> Fn(&Ev<'e>, &mut S, &[Value]) -> bool + Sync,
-    {
-        let jobs = self.jobs_for(b.len());
-        if jobs <= 1 {
-            let mut scratch = make_scratch();
-            b.retain_rows(|row| keep(self, &mut scratch, row));
-            return;
-        }
-        let chunk = b.len().div_ceil(jobs);
-        let graph = self.graph;
-        let opts = self.opts;
-        let profiling = opts.profile;
-        let chunk_sink = &self.chunk_us;
-        let mask: Vec<bool> = {
-            let input = &*b;
-            std::thread::scope(|scope| {
-                let make_scratch = &make_scratch;
-                let keep = &keep;
-                let handles: Vec<_> = (0..input.len())
-                    .step_by(chunk)
-                    .enumerate()
-                    .map(|(wi, start)| {
-                        let end = (start + chunk).min(input.len());
-                        let wcache = self.path_cache.worker(wi);
-                        scope.spawn(move || {
-                            let t = Timer::start_if(profiling);
-                            let ev = Ev::new(graph, opts, &wcache);
-                            let mut scratch = make_scratch();
-                            let kept = (start..end)
-                                .map(|i| keep(&ev, &mut scratch, input.row(i)))
-                                .collect::<Vec<bool>>();
-                            if profiling {
-                                chunk_sink
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .push((wi, t.elapsed_us()));
-                            }
-                            kept
-                        })
-                    })
-                    .collect();
-                let mut mask = Vec::with_capacity(input.len());
-                for h in handles {
-                    mask.extend(h.join().expect("evaluation worker panicked"));
-                }
-                mask
-            })
-        };
-        let mut i = 0;
-        b.retain_rows(|_| {
-            let k = mask[i];
-            i += 1;
-            k
-        });
-    }
-
     fn eval_block(
         &mut self,
         block: &Block,
@@ -858,14 +630,7 @@ impl<'g> Ev<'g> {
             bindings
         };
         let construct_before = self.stats.construct;
-        apply_block_jobs(
-            block,
-            &bindings,
-            out,
-            table,
-            &mut self.stats.construct,
-            self.opts.jobs,
-        )?;
+        apply_block(block, &bindings, out, table, &mut self.stats.construct)?;
         if self.opts.profile {
             self.stats.block_construct.push((
                 block.id.to_string(),
@@ -917,15 +682,12 @@ impl<'g> Ev<'g> {
                 tspan.attr_u64("est_rows", (node.est_mult * rows_in as f64).max(1.0) as u64);
             }
             if self.opts.profile {
-                let before = self.path_cache.stats();
+                let before = self.opts.path_cache.stats();
                 let t = Timer::start();
                 self.strategy = "";
-                self.chunk_sink().clear();
                 b = self.execute_op(node.op, cond, b, arc_vars)?;
                 let elapsed_us = t.elapsed_us();
-                let after = self.path_cache.stats();
-                let mut chunks = std::mem::take(&mut *self.chunk_sink());
-                chunks.sort_unstable();
+                let after = self.opts.path_cache.stats();
                 self.stats.profile.push(CondProfile {
                     block: String::new(),
                     condition: cond.to_string(),
@@ -935,7 +697,6 @@ impl<'g> Ev<'g> {
                     elapsed_us,
                     cache_hits: after.hits.saturating_sub(before.hits),
                     cache_misses: after.misses.saturating_sub(before.misses),
-                    chunks,
                 });
             } else {
                 b = self.execute_op(node.op, cond, b, arc_vars)?;
@@ -1173,20 +934,15 @@ impl<'g> Ev<'g> {
                     "active-domain expansion of `{var}` exceeded max_rows"
                 )));
             }
-            let mut proto = Bindings::with_vars(b.vars().to_vec());
-            proto.add_var(var);
-            proto.reserve_rows(b.len().saturating_mul(domain.len()));
-            let domain = &domain;
-            b = self.run_rows(
-                &b,
-                proto,
-                || (),
-                |_, _, row, out| {
-                    for v in domain {
-                        out.push_row_extend(row, [v.clone()]);
-                    }
-                },
-            );
+            let mut out = Bindings::with_vars(b.vars().to_vec());
+            out.add_var(var);
+            out.reserve_rows(b.len().saturating_mul(domain.len()));
+            for row in b.rows() {
+                for v in &domain {
+                    out.push_row_extend(row, [v.clone()]);
+                }
+            }
+            b = out;
         }
         Ok(b)
     }
@@ -1206,11 +962,7 @@ impl<'g> Ev<'g> {
             )));
         };
         let col = input.col(v).expect("bound");
-        self.par_retain(
-            &mut input,
-            || (),
-            |_, _, row| coll.is_some_and(|c| c.contains(&row[col])) != negated,
-        );
+        input.retain_rows(|row| coll.is_some_and(|c| c.contains(&row[col])) != negated);
         Ok(input)
     }
 
@@ -1244,20 +996,14 @@ impl<'g> Ev<'g> {
                 .filter(|v| !coll.is_some_and(|c| c.contains(v)))
                 .collect()
         };
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
-        proto.add_var(v);
-        proto.reserve_rows(input.len().saturating_mul(domain.len()));
-        let domain = &domain;
-        let out = self.run_rows(
-            &input,
-            proto,
-            || (),
-            |_, _, row, out| {
-                for item in domain {
-                    out.push_row_extend(row, [item.clone()]);
-                }
-            },
-        );
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(v);
+        out.reserve_rows(input.len().saturating_mul(domain.len()));
+        for row in input.rows() {
+            for item in &domain {
+                out.push_row_extend(row, [item.clone()]);
+            }
+        }
         Ok(out)
     }
 
@@ -1304,18 +1050,12 @@ impl<'g> Ev<'g> {
             (lhs.as_var().expect("unbound side is a var"), rhs)
         };
         let slot = TermSlot::of(&input, bound_term)?;
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
-        proto.add_var(var);
-        proto.reserve_rows(input.len());
-        let slot = &slot;
-        let out = self.run_rows(
-            &input,
-            proto,
-            || (),
-            |_, _, row, out| {
-                out.push_row_extend(row, [slot.value(row).clone()]);
-            },
-        );
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(var);
+        out.reserve_rows(input.len());
+        for row in input.rows() {
+            out.push_row_extend(row, [slot.value(row).clone()]);
+        }
         Ok(out)
     }
 
@@ -1339,12 +1079,7 @@ impl<'g> Ev<'g> {
         let mut b = self.expand_active(input, &need, arc_vars)?;
         let ls = TermSlot::of(&b, lhs)?;
         let rs = TermSlot::of(&b, rhs)?;
-        let (ls, rs) = (&ls, &rs);
-        self.par_retain(
-            &mut b,
-            || (),
-            |_, _, row| compare(ls.value(row), op, rs.value(row)),
-        );
+        b.retain_rows(|row| compare(ls.value(row), op, rs.value(row)));
         Ok(b)
     }
 
@@ -1366,32 +1101,21 @@ impl<'g> Ev<'g> {
         };
         let col = input.col(var).expect("bound");
         let vals: Vec<Value> = set.iter().map(Literal::to_value).collect();
-        let vals = &vals;
-        self.par_retain(
-            &mut input,
-            || (),
-            |_, _, row| vals.iter().any(|v| v.coerced_eq(&row[col])) != negated,
-        );
+        input.retain_rows(|row| vals.iter().any(|v| v.coerced_eq(&row[col])) != negated);
         Ok(input)
     }
 
     /// `v IN {…}` enumeration: binds `v` to each set element.
     fn in_expand(&mut self, var: &str, set: &[Literal], input: Bindings) -> Result<Bindings> {
         let vals: Vec<Value> = set.iter().map(Literal::to_value).collect();
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
-        proto.add_var(var);
-        proto.reserve_rows(input.len().saturating_mul(vals.len()));
-        let vals = &vals;
-        let out = self.run_rows(
-            &input,
-            proto,
-            || (),
-            |_, _, row, out| {
-                for v in vals {
-                    out.push_row_extend(row, [v.clone()]);
-                }
-            },
-        );
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(var);
+        out.reserve_rows(input.len().saturating_mul(vals.len()));
+        for row in input.rows() {
+            for v in &vals {
+                out.push_row_extend(row, [v.clone()]);
+            }
+        }
         Ok(out)
     }
 
@@ -1415,24 +1139,18 @@ impl<'g> Ev<'g> {
             .map(|a| TermSlot::of(&b, a))
             .collect::<Result<_>>()?;
         let preds = &self.opts.predicates;
-        let unknown = AtomicBool::new(false);
-        let slots = &slots;
-        let unknown_ref = &unknown;
-        self.par_retain(
-            &mut b,
-            || (),
-            |_, _, row| {
-                let refs: Vec<&Value> = slots.iter().map(|s| s.value(row)).collect();
-                match preds.apply(name, &refs) {
-                    Some(holds) => holds != negated,
-                    None => {
-                        unknown_ref.store(true, Ordering::Relaxed);
-                        false
-                    }
+        let mut unknown = false;
+        b.retain_rows(|row| {
+            let refs: Vec<&Value> = slots.iter().map(|s| s.value(row)).collect();
+            match preds.apply(name, &refs) {
+                Some(holds) => holds != negated,
+                None => {
+                    unknown = true;
+                    false
                 }
-            },
-        );
-        if unknown.load(Ordering::Relaxed) {
+            }
+        });
+        if unknown {
             return Err(StruqlError::eval(format!("unknown predicate `{name}`")));
         }
         Ok(b)
@@ -1464,11 +1182,11 @@ impl<'g> Ev<'g> {
         let fs = TermSlot::of(&b, from)?;
         let ts = TermSlot::of(&b, to)?;
         let l_col = b.col(l).expect("expanded");
-        let (reader, fs, ts) = (&reader, &fs, &ts);
-        self.par_retain(&mut b, LabelCache::default, |ev, labels, row| {
-            !ev.edge_exists(
-                reader,
-                labels,
+        let mut labels = LabelCache::default();
+        b.retain_rows(|row| {
+            !self.edge_exists(
+                &reader,
+                &mut labels,
                 fs.value(row),
                 Some(&row[l_col]),
                 ts.value(row),
@@ -1491,57 +1209,52 @@ impl<'g> Ev<'g> {
         };
         let to_mode = ToMode::of(&input, to)?;
         let fs = TermSlot::of(&input, from)?;
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
+        let mut out = Bindings::with_vars(input.vars().to_vec());
         if l_col.is_none() {
-            proto.add_var(l);
+            out.add_var(l);
         }
         if let Some(v) = to_unbound_var {
-            proto.add_var(v);
+            out.add_var(v);
         }
         let reader = self.graph.reader();
-        let (reader, fs, to_mode) = (&reader, &fs, &to_mode);
         let emit_target = to_unbound_var.is_some();
-        let out = self.run_rows(
-            &input,
-            proto,
-            LabelCache::default,
-            |ev, labels, row, out| {
-                let Some(n) = fs.value(row).as_node() else {
-                    return;
-                };
-                for (sym, target) in reader.out(n) {
-                    if let Some(c) = l_col {
-                        if !labels.get(ev.graph, *sym).coerced_eq(&row[c]) {
+        let mut labels = LabelCache::default();
+        for row in input.rows() {
+            let Some(n) = fs.value(row).as_node() else {
+                continue;
+            };
+            for (sym, target) in reader.out(n) {
+                if let Some(c) = l_col {
+                    if !labels.get(self.graph, *sym).coerced_eq(&row[c]) {
+                        continue;
+                    }
+                }
+                match &to_mode {
+                    ToMode::Unbound => {}
+                    ToMode::BoundCol(c) => {
+                        if &row[*c] != target {
                             continue;
                         }
                     }
-                    match to_mode {
-                        ToMode::Unbound => {}
-                        ToMode::BoundCol(c) => {
-                            if &row[*c] != target {
-                                continue;
-                            }
-                        }
-                        ToMode::Lit(lv) => {
-                            if !lv.coerced_eq(target) {
-                                continue;
-                            }
-                        }
-                    }
-                    match (l_col.is_some(), emit_target) {
-                        (true, true) => out.push_row_extend(row, [target.clone()]),
-                        (true, false) => out.push_row(row),
-                        (false, true) => out.push_row_extend(
-                            row,
-                            [labels.get(ev.graph, *sym).clone(), target.clone()],
-                        ),
-                        (false, false) => {
-                            out.push_row_extend(row, [labels.get(ev.graph, *sym).clone()])
+                    ToMode::Lit(lv) => {
+                        if !lv.coerced_eq(target) {
+                            continue;
                         }
                     }
                 }
-            },
-        );
+                match (l_col.is_some(), emit_target) {
+                    (true, true) => out.push_row_extend(row, [target.clone()]),
+                    (true, false) => out.push_row(row),
+                    (false, true) => out.push_row_extend(
+                        row,
+                        [labels.get(self.graph, *sym).clone(), target.clone()],
+                    ),
+                    (false, false) => {
+                        out.push_row_extend(row, [labels.get(self.graph, *sym).clone()])
+                    }
+                }
+            }
+        }
         Ok(out)
     }
 
@@ -1556,36 +1269,31 @@ impl<'g> Ev<'g> {
         let l_col = input.col(l);
         let from_var = from.as_var().expect("from is an unbound var here");
         let ts = TermSlot::of(&input, to)?;
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
+        let mut out = Bindings::with_vars(input.vars().to_vec());
         if l_col.is_none() {
-            proto.add_var(l);
+            out.add_var(l);
         }
-        proto.add_var(from_var);
-        let ts = &ts;
-        let out = self.run_rows(
-            &input,
-            proto,
-            LabelCache::default,
-            |ev, labels, row, out| {
-                let incoming: &[(Oid, Sym)] = match ts.value(row) {
-                    Value::Node(n) => idx.edges_to_node(*n),
-                    atomic => idx.edges_to_value(atomic),
-                };
-                for (src, sym) in incoming {
-                    if let Some(c) = l_col {
-                        if !labels.get(ev.graph, *sym).coerced_eq(&row[c]) {
-                            continue;
-                        }
-                        out.push_row_extend(row, [Value::Node(*src)]);
-                    } else {
-                        out.push_row_extend(
-                            row,
-                            [labels.get(ev.graph, *sym).clone(), Value::Node(*src)],
-                        );
+        out.add_var(from_var);
+        let mut labels = LabelCache::default();
+        for row in input.rows() {
+            let incoming: &[(Oid, Sym)] = match ts.value(row) {
+                Value::Node(n) => idx.edges_to_node(*n),
+                atomic => idx.edges_to_value(atomic),
+            };
+            for (src, sym) in incoming {
+                if let Some(c) = l_col {
+                    if !labels.get(self.graph, *sym).coerced_eq(&row[c]) {
+                        continue;
                     }
+                    out.push_row_extend(row, [Value::Node(*src)]);
+                } else {
+                    out.push_row_extend(
+                        row,
+                        [labels.get(self.graph, *sym).clone(), Value::Node(*src)],
+                    );
                 }
-            },
-        );
+            }
+        }
         Ok(out)
     }
 
@@ -1620,14 +1328,14 @@ impl<'g> Ev<'g> {
         // `x -> l -> x` with one unbound variable on both ends binds it to
         // self-loop sources only, in a single column.
         let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
-        proto.add_var(from_var);
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(from_var);
         if l_col.is_none() {
-            proto.add_var(l);
+            out.add_var(l);
         }
         if !same_var {
             if let ToState::Unbound(v) = to_state {
-                proto.add_var(v);
+                out.add_var(v);
             }
         }
         let reader = self.graph.reader();
@@ -1635,7 +1343,7 @@ impl<'g> Ev<'g> {
         if let ToState::BoundVar(v) = &to_state {
             // Hash join: joins of two bound variables use strict equality,
             // so a probe table keyed by edge target is exact. The probe
-            // table is built once, sequentially; rows probe it in parallel.
+            // table is built once; every row probes it.
             let tcol = input.col(v).expect("bound");
             let mut by_target: RevAdj = FxHashMap::default();
             for &n in self.graph.nodes() {
@@ -1643,30 +1351,24 @@ impl<'g> Ev<'g> {
                     by_target.entry(target.clone()).or_default().push((n, *sym));
                 }
             }
-            let by_target = &by_target;
-            let out = self.run_rows(
-                &input,
-                proto,
-                LabelCache::default,
-                |ev, labels, row, out| {
-                    let Some(candidates) = by_target.get(&row[tcol]) else {
-                        return;
-                    };
-                    for (n, sym) in candidates {
-                        if let Some(c) = l_col {
-                            if !labels.get(ev.graph, *sym).coerced_eq(&row[c]) {
-                                continue;
-                            }
-                            out.push_row_extend(row, [Value::Node(*n)]);
-                        } else {
-                            out.push_row_extend(
-                                row,
-                                [Value::Node(*n), labels.get(ev.graph, *sym).clone()],
-                            );
+            for row in input.rows() {
+                let Some(candidates) = by_target.get(&row[tcol]) else {
+                    continue;
+                };
+                for (n, sym) in candidates {
+                    if let Some(c) = l_col {
+                        if !labels.get(self.graph, *sym).coerced_eq(&row[c]) {
+                            continue;
                         }
+                        out.push_row_extend(row, [Value::Node(*n)]);
+                    } else {
+                        out.push_row_extend(
+                            row,
+                            [Value::Node(*n), labels.get(self.graph, *sym).clone()],
+                        );
                     }
-                },
-            );
+                }
+            }
             return Ok(out);
         }
         // Row-independent match set (target unbound or a literal).
@@ -1701,45 +1403,32 @@ impl<'g> Ev<'g> {
                 .into_iter()
                 .map(|(sym, es)| (labels.get(self.graph, sym).clone(), es))
                 .collect();
-            let groups = &groups;
-            let out = self.run_rows(
-                &input,
-                proto,
-                || (),
-                |_, _, row, out| {
-                    for (lv, es) in groups {
-                        if !lv.coerced_eq(&row[c]) {
-                            continue;
-                        }
-                        for (n, tv) in es {
-                            match tv {
-                                Some(t) => out.push_row_extend(row, [Value::Node(*n), t.clone()]),
-                                None => out.push_row_extend(row, [Value::Node(*n)]),
-                            }
-                        }
+            for row in input.rows() {
+                for (lv, es) in &groups {
+                    if !lv.coerced_eq(&row[c]) {
+                        continue;
                     }
-                },
-            );
-            Ok(out)
-        } else {
-            proto.reserve_rows(input.len().saturating_mul(matches.len()));
-            let matches = &matches;
-            let out = self.run_rows(
-                &input,
-                proto,
-                LabelCache::default,
-                |ev, labels, row, out| {
-                    for (n, sym, tv) in matches {
-                        let lv = labels.get(ev.graph, *sym).clone();
+                    for (n, tv) in es {
                         match tv {
-                            Some(t) => out.push_row_extend(row, [Value::Node(*n), lv, t.clone()]),
-                            None => out.push_row_extend(row, [Value::Node(*n), lv]),
+                            Some(t) => out.push_row_extend(row, [Value::Node(*n), t.clone()]),
+                            None => out.push_row_extend(row, [Value::Node(*n)]),
                         }
                     }
-                },
-            );
-            Ok(out)
+                }
+            }
+        } else {
+            out.reserve_rows(input.len().saturating_mul(matches.len()));
+            for row in input.rows() {
+                for (n, sym, tv) in &matches {
+                    let lv = labels.get(self.graph, *sym).clone();
+                    match tv {
+                        Some(t) => out.push_row_extend(row, [Value::Node(*n), lv, t.clone()]),
+                        None => out.push_row_extend(row, [Value::Node(*n), lv]),
+                    }
+                }
+            }
         }
+        Ok(out)
     }
 
     /// Whether an edge `from --l?--> to` exists (all values known).
@@ -1787,15 +1476,10 @@ impl<'g> Ev<'g> {
         let reader = self.graph.reader();
         let fs = TermSlot::of(&b, from)?;
         let ts = TermSlot::of(&b, to)?;
-        let (reader, nfa, fs, ts) = (&reader, &nfa, &fs, &ts);
-        self.par_retain(
-            &mut b,
-            || (),
-            |ev, _, row| {
-                let reach = ev.forward_reach(reader, nfa, fs.value(row));
-                !reach.set.contains(ts.value(row))
-            },
-        );
+        b.retain_rows(|row| {
+            let reach = self.forward_reach(&reader, &nfa, fs.value(row));
+            !reach.set.contains(ts.value(row))
+        });
         Ok(b)
     }
 
@@ -1823,22 +1507,17 @@ impl<'g> Ev<'g> {
         let mut b = self.expand_active(input, &need, arc_vars)?;
         let fs = TermSlot::of(&b, from)?;
         let ts = TermSlot::of(&b, to)?;
-        let (reader, fs, ts) = (&reader, &fs, &ts);
-        self.par_retain(
-            &mut b,
-            || (),
-            |_, _, row| {
-                let Some(w) = want else { return true };
-                let Some(n) = fs.value(row).as_node() else {
-                    return true;
-                };
-                let t = ts.value(row);
-                !reader
-                    .out(n)
-                    .iter()
-                    .any(|(sym, target)| *sym == w && target == t)
-            },
-        );
+        b.retain_rows(|row| {
+            let Some(w) = want else { return true };
+            let Some(n) = fs.value(row).as_node() else {
+                return true;
+            };
+            let t = ts.value(row);
+            !reader
+                .out(n)
+                .iter()
+                .any(|(sym, target)| *sym == w && target == t)
+        });
         Ok(b)
     }
 
@@ -1863,69 +1542,51 @@ impl<'g> Ev<'g> {
             match to_mode {
                 ToMode::Unbound => {
                     let to_var = to.as_var().expect("unbound to is a var");
-                    let mut proto = Bindings::with_vars(input.vars().to_vec());
-                    proto.add_var(to_var);
-                    let Some(w) = want else { return Ok(proto) };
-                    let (reader, fs) = (&reader, &fs);
-                    // The per-row target dedup buffer is worker-local
-                    // scratch: it is cleared for every row, so per-worker
-                    // instances emit exactly what one shared one would.
-                    let out = self.run_rows(
-                        &input,
-                        proto,
-                        Vec::new,
-                        |_, emitted: &mut Vec<&Value>, row, out| {
-                            let Some(n) = fs.value(row).as_node() else {
-                                return;
-                            };
-                            emitted.clear();
-                            for (sym, target) in reader.out(n) {
-                                if *sym != w || emitted.contains(&target) {
-                                    continue;
-                                }
-                                emitted.push(target);
-                                out.push_row_extend(row, [target.clone()]);
+                    let mut out = Bindings::with_vars(input.vars().to_vec());
+                    out.add_var(to_var);
+                    let Some(w) = want else { return Ok(out) };
+                    let mut emitted: Vec<&Value> = Vec::new();
+                    for row in input.rows() {
+                        let Some(n) = fs.value(row).as_node() else {
+                            continue;
+                        };
+                        emitted.clear();
+                        for (sym, target) in reader.out(n) {
+                            if *sym != w || emitted.contains(&target) {
+                                continue;
                             }
-                        },
-                    );
+                            emitted.push(target);
+                            out.push_row_extend(row, [target.clone()]);
+                        }
+                    }
                     Ok(out)
                 }
                 ToMode::BoundCol(c) => {
                     let mut input = input;
-                    let (reader, fs) = (&reader, &fs);
-                    self.par_retain(
-                        &mut input,
-                        || (),
-                        |_, _, row| {
-                            let Some(w) = want else { return false };
-                            let Some(n) = fs.value(row).as_node() else {
-                                return false;
-                            };
-                            reader
-                                .out(n)
-                                .iter()
-                                .any(|(sym, target)| *sym == w && target == &row[c])
-                        },
-                    );
+                    input.retain_rows(|row| {
+                        let Some(w) = want else { return false };
+                        let Some(n) = fs.value(row).as_node() else {
+                            return false;
+                        };
+                        reader
+                            .out(n)
+                            .iter()
+                            .any(|(sym, target)| *sym == w && target == &row[c])
+                    });
                     Ok(input)
                 }
                 ToMode::Lit(lv) => {
                     let mut input = input;
-                    let (reader, fs, lv) = (&reader, &fs, &lv);
-                    self.par_retain(
-                        &mut input,
-                        || (),
-                        |_, _, row| {
-                            let Some(w) = want else { return false };
-                            let Some(n) = fs.value(row).as_node() else {
-                                return false;
-                            };
-                            reader
-                                .out(n)
-                                .iter()
-                                .any(|(sym, target)| *sym == w && lv.coerced_eq(target))
-                        },
-                    );
+                    input.retain_rows(|row| {
+                        let Some(w) = want else { return false };
+                        let Some(n) = fs.value(row).as_node() else {
+                            return false;
+                        };
+                        reader
+                            .out(n)
+                            .iter()
+                            .any(|(sym, target)| *sym == w && lv.coerced_eq(target))
+                    });
                     Ok(input)
                 }
             }
@@ -1937,8 +1598,7 @@ impl<'g> Ev<'g> {
     /// path. The plan op recorded whether the probe uses the graph index
     /// (`label-reverse-index`) or the materialized map (`label-hash-join`);
     /// both route through [`Ev::reverse_adjacency`], which makes the same
-    /// choice from the same graph state. The materialized map is built once,
-    /// sequentially, before rows probe it in parallel.
+    /// choice from the same graph state.
     fn label_to_bound(
         &mut self,
         name: &str,
@@ -1951,25 +1611,20 @@ impl<'g> Ev<'g> {
         {
             let adj = self.reverse_adjacency();
             let ts = TermSlot::of(&input, to)?;
-            let mut proto = Bindings::with_vars(input.vars().to_vec());
-            proto.add_var(from_var);
-            let Some(w) = want else { return Ok(proto) };
-            let (adj, ts) = (&adj, &ts);
-            let out = self.run_rows(
-                &input,
-                proto,
-                Vec::new,
-                |_, emitted: &mut Vec<Oid>, row, out| {
-                    emitted.clear();
-                    for (src, sym) in adj.incoming(ts.value(row)) {
-                        if *sym != w || emitted.contains(src) {
-                            continue;
-                        }
-                        emitted.push(*src);
-                        out.push_row_extend(row, [Value::Node(*src)]);
+            let mut out = Bindings::with_vars(input.vars().to_vec());
+            out.add_var(from_var);
+            let Some(w) = want else { return Ok(out) };
+            let mut emitted: Vec<Oid> = Vec::new();
+            for row in input.rows() {
+                emitted.clear();
+                for (src, sym) in adj.incoming(ts.value(row)) {
+                    if *sym != w || emitted.contains(src) {
+                        continue;
                     }
-                },
-            );
+                    emitted.push(*src);
+                    out.push_row_extend(row, [Value::Node(*src)]);
+                }
+            }
             Ok(out)
         }
     }
@@ -2005,14 +1660,14 @@ impl<'g> Ev<'g> {
             // `x -> l -> x` with one unbound variable on both ends
             // binds it to self-loop sources only, in a single column.
             let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
-            let mut proto = Bindings::with_vars(input.vars().to_vec());
-            proto.add_var(from_var);
+            let mut out = Bindings::with_vars(input.vars().to_vec());
+            out.add_var(from_var);
             if !same_var {
                 if let ToState::Unbound(v) = to_state {
-                    proto.add_var(v);
+                    out.add_var(v);
                 }
             }
-            let Some(w) = want else { return Ok(proto) };
+            let Some(w) = want else { return Ok(out) };
             let mut pairs: Vec<(Oid, Value)> = Vec::new();
             let mut emitted: Vec<&Value> = Vec::new();
             for &n in self.graph.nodes() {
@@ -2034,22 +1689,16 @@ impl<'g> Ev<'g> {
                 }
             }
             let emit_target = !same_var && matches!(to_state, ToState::Unbound(_));
-            proto.reserve_rows(input.len().saturating_mul(pairs.len()));
-            let pairs = &pairs;
-            let out = self.run_rows(
-                &input,
-                proto,
-                || (),
-                |_, _, row, out| {
-                    for (n, t) in pairs {
-                        if emit_target {
-                            out.push_row_extend(row, [Value::Node(*n), t.clone()]);
-                        } else {
-                            out.push_row_extend(row, [Value::Node(*n)]);
-                        }
+            out.reserve_rows(input.len().saturating_mul(pairs.len()));
+            for row in input.rows() {
+                for (n, t) in &pairs {
+                    if emit_target {
+                        out.push_row_extend(row, [Value::Node(*n), t.clone()]);
+                    } else {
+                        out.push_row_extend(row, [Value::Node(*n)]);
                     }
-                },
-            );
+                }
+            }
             Ok(out)
         }
     }
@@ -2067,47 +1716,42 @@ impl<'g> Ev<'g> {
         };
         let to_mode = ToMode::of(&input, to)?;
         let fs = TermSlot::of(&input, from)?;
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
+        let mut out = Bindings::with_vars(input.vars().to_vec());
         if let Some(v) = to_unbound_var {
-            proto.add_var(v);
+            out.add_var(v);
         }
         let reader = self.graph.reader();
-        let (reader, fs, to_mode) = (&reader, &fs, &to_mode);
-        // Consecutive rows often share the source value; each worker
-        // remembers its last reach set to skip the cache lock.
-        let out = self.run_rows(
-            &input,
-            proto,
-            || None,
-            |ev, last: &mut Option<(Value, Arc<Reach>)>, row, out| {
-                let f = fs.value(row);
-                let reach = match &*last {
-                    Some((lf, r)) if lf == f => Arc::clone(r),
-                    _ => {
-                        let r = ev.forward_reach(reader, nfa, f);
-                        *last = Some((f.clone(), Arc::clone(&r)));
-                        r
-                    }
-                };
-                match to_mode {
-                    ToMode::Unbound => {
-                        for t in &reach.order {
-                            out.push_row_extend(row, [t.clone()]);
-                        }
-                    }
-                    ToMode::BoundCol(c) => {
-                        if reach.set.contains(&row[*c]) {
-                            out.push_row(row);
-                        }
-                    }
-                    ToMode::Lit(lv) => {
-                        if reach.order.iter().any(|t| lv.coerced_eq(t)) {
-                            out.push_row(row);
-                        }
+        // Consecutive rows often share the source value; remembering the
+        // last reach set skips the cache lock.
+        let mut last: Option<(Value, Arc<Reach>)> = None;
+        for row in input.rows() {
+            let f = fs.value(row);
+            let reach = match &last {
+                Some((lf, r)) if lf == f => Arc::clone(r),
+                _ => {
+                    let r = self.forward_reach(&reader, nfa, f);
+                    last = Some((f.clone(), Arc::clone(&r)));
+                    r
+                }
+            };
+            match &to_mode {
+                ToMode::Unbound => {
+                    for t in &reach.order {
+                        out.push_row_extend(row, [t.clone()]);
                     }
                 }
-            },
-        );
+                ToMode::BoundCol(c) => {
+                    if reach.set.contains(&row[*c]) {
+                        out.push_row(row);
+                    }
+                }
+                ToMode::Lit(lv) => {
+                    if reach.order.iter().any(|t| lv.coerced_eq(t)) {
+                        out.push_row(row);
+                    }
+                }
+            }
+        }
         Ok(out)
     }
 
@@ -2122,30 +1766,25 @@ impl<'g> Ev<'g> {
         let rev = self.reversed_nfa(nfa);
         let reverse_adj = self.reverse_adjacency();
         let ts = TermSlot::of(&input, to)?;
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
-        proto.add_var(from_var);
-        let (rev, reverse_adj, ts) = (&rev, &reverse_adj, &ts);
-        let out = self.run_rows(
-            &input,
-            proto,
-            || None,
-            |ev, last: &mut Option<(Value, Arc<Reach>)>, row, out| {
-                let t = ts.value(row);
-                let sources = match &*last {
-                    Some((lt, r)) if lt == t => Arc::clone(r),
-                    _ => {
-                        let r = ev.backward_reach(rev, reverse_adj, t);
-                        *last = Some((t.clone(), Arc::clone(&r)));
-                        r
-                    }
-                };
-                // Sources are nodes (edges originate at nodes); keep atomics
-                // only when the empty path matched (s == t).
-                for s in &sources.order {
-                    out.push_row_extend(row, [s.clone()]);
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(from_var);
+        let mut last: Option<(Value, Arc<Reach>)> = None;
+        for row in input.rows() {
+            let t = ts.value(row);
+            let sources = match &last {
+                Some((lt, r)) if lt == t => Arc::clone(r),
+                _ => {
+                    let r = self.backward_reach(&rev, &reverse_adj, t);
+                    last = Some((t.clone(), Arc::clone(&r)));
+                    r
                 }
-            },
-        );
+            };
+            // Sources are nodes (edges originate at nodes); keep atomics
+            // only when the empty path matched (s == t).
+            for s in &sources.order {
+                out.push_row_extend(row, [s.clone()]);
+            }
+        }
         Ok(out)
     }
 
@@ -2174,11 +1813,11 @@ impl<'g> Ev<'g> {
         // `x -> rpe -> x` with one unbound variable on both ends binds it
         // to cyclic sources only, in a single column.
         let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
-        let mut proto = Bindings::with_vars(input.vars().to_vec());
-        proto.add_var(from_var);
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(from_var);
         if !same_var {
             if let ToState::Unbound(v) = to_state {
-                proto.add_var(v);
+                out.add_var(v);
             }
         }
         let reader = self.graph.reader();
@@ -2203,22 +1842,16 @@ impl<'g> Ev<'g> {
             }
         }
         let emit_target = !same_var && matches!(to_state, ToState::Unbound(_));
-        proto.reserve_rows(input.len().saturating_mul(pairs.len()));
-        let pairs = &pairs;
-        let out = self.run_rows(
-            &input,
-            proto,
-            || (),
-            |_, _, row, out| {
-                for (f, t) in pairs {
-                    if emit_target {
-                        out.push_row_extend(row, [f.clone(), t.clone()]);
-                    } else {
-                        out.push_row_extend(row, [f.clone()]);
-                    }
+        out.reserve_rows(input.len().saturating_mul(pairs.len()));
+        for row in input.rows() {
+            for (f, t) in &pairs {
+                if emit_target {
+                    out.push_row_extend(row, [f.clone(), t.clone()]);
+                } else {
+                    out.push_row_extend(row, [f.clone()]);
                 }
-            },
-        );
+            }
+        }
         Ok(out)
     }
 

@@ -1,5 +1,5 @@
-//! The event-driven serving mode: one readiness loop owning every socket,
-//! a worker pool owning every page expansion.
+//! The connection layer: one readiness loop owning every socket, a worker
+//! pool owning every page expansion.
 //!
 //! The loop (this module) runs on the thread that called
 //! [`Server::serve`]; it accepts connections, pumps non-blocking reads
@@ -75,8 +75,8 @@ struct Completion {
     status: u64,
 }
 
-/// Runs the event-driven serving mode. See [`Server::serve`] for the
-/// `max_conns` contract.
+/// Runs the event loop. See [`Server::serve`] for the `max_conns`
+/// contract.
 pub(super) fn run(server: &Server<'_>, max_conns: Option<usize>) -> crate::error::Result<()> {
     let io_err = crate::error::StrudelError::Io;
     server.listener.set_nonblocking(true).map_err(io_err)?;

@@ -1,14 +1,12 @@
 //! HTTP/1.1 framing: incremental request-head parsing and response
 //! encoding.
 //!
-//! [`parse_request`] is a pure function of a byte-buffer prefix, so both
-//! serving modes share it: the event loop calls it on a connection's read
-//! buffer after every readiness wakeup (a head split across arbitrary TCP
-//! segment boundaries parses identically to an unsplit one — property
-//! tested), and the threaded mode calls it once the terminator has
-//! accumulated. Only heads matter: requests with bodies are refused, which
-//! keeps pipelined framing trivial (the next request begins right after
-//! `\r\n\r\n`).
+//! [`parse_request`] is a pure function of a byte-buffer prefix: the event
+//! loop calls it on a connection's read buffer after every readiness
+//! wakeup, and a head split across arbitrary TCP segment boundaries parses
+//! identically to an unsplit one (property tested). Only heads matter:
+//! requests with bodies are refused, which keeps pipelined framing trivial
+//! (the next request begins right after `\r\n\r\n`).
 
 use std::time::Duration;
 

@@ -7,27 +7,21 @@
 //! by [`DynamicSite::expand`] — only the roots are precomputed, and the
 //! evaluator's shared cache answers repeat clicks from any worker thread.
 //!
-//! The serving tier has two modes (see [`ServeMode`]):
-//!
-//! * **Event** (default): one readiness loop (`event`) owns every socket
-//!   through a vendored epoll stand-in, driving non-blocking connections
-//!   with HTTP/1.1 keep-alive, request pipelining, whole-request deadlines,
-//!   and admission control; page expansion runs on a scoped worker pool
-//!   over the shared [`DynamicSite`].
-//! * **Threaded**: the original blocking pool (`threaded`) — one worker
-//!   owns one connection for one request, then closes it.
-//!
-//! Both modes share the HTTP framing (`http`), the router (`router`), the
-//! URL scheme (`url`), and the metrics (`metrics`), so `/`, `/stats`,
-//! `/metrics`, `/page/…`, and `/quit` behave identically; the modes differ
-//! only in connection lifecycle.
+//! One readiness loop (`event`) owns every socket through a vendored epoll
+//! stand-in, driving non-blocking connections (`conn`) with HTTP/1.1
+//! keep-alive, request pipelining, whole-request deadlines, and admission
+//! control; page expansion runs on a scoped worker pool over the shared
+//! [`DynamicSite`]. Around it sit the HTTP framing (`http`), the router
+//! (`router`) behind `/`, `/stats`, `/metrics`, `/page/…` and `/quit`, the
+//! URL scheme (`url`), and the metrics (`metrics`).
 
 mod conn;
 mod event;
 mod http;
 mod metrics;
 mod router;
-mod threaded;
+#[doc(hidden)]
+pub mod testing;
 mod url;
 
 pub use self::metrics::ServeStats;
@@ -39,38 +33,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use strudel_site::{Delta, DynamicSite, PageRef};
 
-/// How the server drives its connections.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Event-driven: one readiness loop multiplexes every socket with
-    /// keep-alive, pipelining, and admission control; workers only expand
-    /// pages.
-    #[default]
-    Event,
-    /// Thread-per-connection: a blocking worker reads one request, answers
-    /// it, and closes the connection (no keep-alive).
-    Threaded,
-}
-
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Worker threads answering requests (minimum 1).
     pub threads: usize,
     /// Whole-request deadline: the time allowed from a request's first
-    /// byte until its head completes (and, in threaded mode, the socket
-    /// write timeout).
+    /// byte until its head completes.
     pub request_timeout: Duration,
     /// How long an idle keep-alive connection may rest between requests
-    /// before the server closes it (event mode only).
+    /// before the server closes it.
     pub keepalive_timeout: Duration,
     /// Maximum accepted request-head size in bytes.
     pub max_request_bytes: usize,
     /// Admission control: connections beyond this many already open are
-    /// answered with a static 503 and closed (event mode only).
+    /// answered with a static 503 and closed.
     pub max_connections: usize,
-    /// Connection-handling mode.
-    pub mode: ServeMode,
 }
 
 impl Default for ServerConfig {
@@ -81,7 +59,6 @@ impl Default for ServerConfig {
             keepalive_timeout: Duration::from_secs(5),
             max_request_bytes: 16 * 1024,
             max_connections: 1024,
-            mode: ServeMode::Event,
         }
     }
 }
@@ -161,15 +138,11 @@ impl<'g> Server<'g> {
     /// Serves until `max_conns` connections have been accepted (`None` =
     /// forever) or a request for `/quit` arrives (always honored, so tests
     /// and scripts can stop the server remotely). In-flight requests
-    /// finish before this returns. In event mode one accepted keep-alive
-    /// connection may carry many requests; in threaded mode a connection
-    /// is exactly one request.
+    /// finish before this returns. One accepted keep-alive connection may
+    /// carry many requests.
     pub fn serve(&self, max_conns: Option<usize>) -> Result<()> {
         self.ready.store(true, Ordering::Release);
-        let result = match self.config.mode {
-            ServeMode::Event => event::run(self, max_conns),
-            ServeMode::Threaded => threaded::run(self, max_conns),
-        };
+        let result = event::run(self, max_conns);
         self.ready.store(false, Ordering::Release);
         result
     }
@@ -183,6 +156,7 @@ impl<'g> Server<'g> {
 
 #[cfg(test)]
 mod tests {
+    use super::testing::{demo_site, fetch, with_client};
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -190,96 +164,74 @@ mod tests {
     use strudel_site::CacheConfig;
     use strudel_struql::EvalOptions;
 
-    fn demo_site() -> (strudel_graph::Graph, strudel_struql::Query) {
-        let data = strudel_graph::ddl::parse(
-            r#"
-object a1 in Articles { headline "one" section "world" }
-object a2 in Articles { headline "two" section "world" }
-"#,
-        )
-        .unwrap();
-        let query = strudel_struql::parse_query(
-            r#"CREATE FrontPage()
-               { WHERE Articles(a), a -> l -> v
-                 CREATE Page(a)
-                 LINK Page(a) -> l -> v, FrontPage() -> "Story" -> Page(a) }"#,
-        )
-        .unwrap();
-        (data, query)
-    }
-
-    fn fetch(addr: SocketAddr, path: &str) -> String {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        s.write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .unwrap();
-        let mut buf = String::new();
-        s.read_to_string(&mut buf).unwrap();
-        buf
-    }
-
-    /// Runs one test body against a server in each mode: the routing and
-    /// framing behavior must not depend on the connection layer.
-    fn in_both_modes(test: impl Fn(ServeMode)) {
-        test(ServeMode::Event);
-        test(ServeMode::Threaded);
+    /// The harness itself: a client body that panics must fail the test
+    /// promptly — the panic comes back to the caller with the server
+    /// stopped and joined — rather than leave `serve` blocked forever.
+    #[test]
+    fn client_panic_stops_the_server_and_reaches_the_caller() {
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let server = Server::bind(site, "127.0.0.1:0").unwrap();
+        let started = Instant::now();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_client(&server, |addr| {
+                assert!(fetch(addr, "/").contains("FrontPage"));
+                panic!("client assertion failed");
+            })
+        }));
+        let message = outcome.expect_err("the client's panic must propagate");
+        assert_eq!(
+            message.downcast_ref::<&str>(),
+            Some(&"client assertion failed")
+        );
+        assert!(!server.is_ready(), "serve() must have returned");
+        assert_eq!(server.stats().requests, 2, "`/` and the guard's `/quit`");
+        assert!(started.elapsed() < testing::DEADLINE);
     }
 
     #[test]
     fn serves_roots_pages_and_errors_over_tcp() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            let addr = server.addr().unwrap();
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let server = Server::bind(site, "127.0.0.1:0").unwrap();
 
-            let client = std::thread::spawn(move || {
-                let root = fetch(addr, "/");
-                assert!(root.contains("FrontPage"), "{root}");
-                let front = fetch(addr, "/page/FrontPage");
-                assert!(front.contains("Story"), "{front}");
-                assert!(front.contains("/page/Page/n"), "{front}");
-                // Follow a story link.
-                let href = front
-                    .split("href=\"/page/Page/")
-                    .nth(1)
-                    .map(|s| format!("/page/Page/{}", &s[..s.find('"').unwrap()]))
-                    .expect("a story href");
-                let story = fetch(addr, &href);
-                assert!(story.contains("headline"), "{story}");
-                assert!(fetch(addr, "/page/Bad/%%%").contains("400"));
-                assert!(fetch(addr, "/nope").contains("404"));
-                let stats = fetch(addr, "/stats");
-                assert!(stats.contains("\"requests\""), "{stats}");
-                assert!(stats.contains("\"p50\""), "{stats}");
-                assert!(stats.contains("\"hits\""), "{stats}");
-                let _ = fetch(addr, "/quit");
-            });
-
-            server.serve(None).unwrap();
-            client.join().unwrap();
-            let stats = server.stats();
-            assert!(stats.requests >= 7, "{mode:?}: {stats:?}");
-            assert!(stats.errors >= 2, "{mode:?}: {stats:?}"); // the 400 and the 404
+        with_client(&server, |addr| {
+            let root = fetch(addr, "/");
+            assert!(root.contains("FrontPage"), "{root}");
+            let front = fetch(addr, "/page/FrontPage");
+            assert!(front.contains("Story"), "{front}");
+            assert!(front.contains("/page/Page/n"), "{front}");
+            // Follow a story link.
+            let href = front
+                .split("href=\"/page/Page/")
+                .nth(1)
+                .map(|s| format!("/page/Page/{}", &s[..s.find('"').unwrap()]))
+                .expect("a story href");
+            let story = fetch(addr, &href);
+            assert!(story.contains("headline"), "{story}");
+            assert!(fetch(addr, "/page/Bad/%%%").contains("400"));
+            assert!(fetch(addr, "/nope").contains("404"));
+            let stats = fetch(addr, "/stats");
+            assert!(stats.contains("\"requests\""), "{stats}");
+            assert!(stats.contains("\"p50\""), "{stats}");
+            assert!(stats.contains("\"hits\""), "{stats}");
         });
+
+        let stats = server.stats();
+        assert!(stats.requests >= 7, "{stats:?}");
+        assert!(stats.errors >= 2, "{stats:?}"); // the 400 and the 404
     }
 
     /// `/metrics` over a live server: well-formed Prometheus text
-    /// exposition whose counters agree with the traffic just sent.
+    /// exposition whose counters agree with the traffic just sent, and
+    /// with the `/stats` JSON beside it.
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
         let (data, query) = demo_site();
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
-        let addr = server.addr().unwrap();
 
-        let client = std::thread::spawn(move || {
+        with_client(&server, |addr| {
             assert!(fetch(addr, "/page/FrontPage").contains("Story"));
             assert!(fetch(addr, "/page/FrontPage").contains("Story")); // cache hit
             assert!(fetch(addr, "/nope").contains("404"));
@@ -299,7 +251,6 @@ object a2 in Articles { headline "two" section "world" }
                 ("strudel_request_duration_seconds", "histogram"),
                 ("strudel_uptime_seconds", "gauge"),
                 ("strudel_worker_threads", "gauge"),
-                ("strudel_eval_jobs", "gauge"),
                 ("strudel_accept_errors_total", "counter"),
                 ("strudel_connections_aborted_total", "counter"),
                 ("strudel_admission_rejected_total", "counter"),
@@ -395,7 +346,6 @@ object a2 in Articles { headline "two" section "world" }
             for key in [
                 "\"uptime_seconds\":",
                 "\"threads\":",
-                "\"jobs\":",
                 "\"connections\":",
                 "\"keepalive_reuses\":",
                 "\"admission_rejected\":",
@@ -404,10 +354,31 @@ object a2 in Articles { headline "two" section "world" }
             ] {
                 assert!(stats.contains(key), "{stats}");
             }
-            let _ = fetch(addr, "/quit");
+
+            // The two endpoints read the same counters: /stats parses, and
+            // what it says about the settled traffic above is what
+            // /metrics said. Click-time evaluation has no worker count, so
+            // neither endpoint reports one.
+            let (_, json) = stats.split_once("\r\n\r\n").expect("framed response");
+            let doc = strudel_obs::json::parse(json).expect("valid /stats JSON");
+            let stat = |path: &[&str]| -> f64 {
+                path.iter()
+                    .try_fold(&doc, |v, key| v.get(key))
+                    .and_then(|v| v.as_f64())
+                    .unwrap_or_else(|| panic!("{path:?} in {json}"))
+            };
+            for (path, family) in [
+                (&["threads"][..], "strudel_worker_threads"),
+                (&["errors"][..], "strudel_request_errors_total"),
+                (&["cache", "hits"][..], "strudel_page_cache_hits_total"),
+                (&["cache", "misses"][..], "strudel_page_cache_misses_total"),
+                (&["cache", "entries"][..], "strudel_page_cache_entries"),
+            ] {
+                assert_eq!(stat(path), value_of(family), "{path:?} vs {family}");
+            }
+            assert!(doc.get("jobs").is_none(), "{json}");
+            assert!(!body.contains("jobs"), "{body}");
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
     }
 
     /// End-to-end live update with a *deletion*: serve and warm the cache,
@@ -441,15 +412,10 @@ object a2 in Articles { headline "two" section "world" }
         let snap = {
             let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
             let server = Server::bind(site, "127.0.0.1:0").unwrap();
-            let addr = server.addr().unwrap();
-            let (u1, u2) = (url1.clone(), url2.clone());
-            let client = std::thread::spawn(move || {
-                assert!(fetch(addr, &u1).contains("one"));
-                assert!(fetch(addr, &u2).contains("two"));
-                let _ = fetch(addr, "/quit");
+            with_client(&server, |addr| {
+                assert!(fetch(addr, &url1).contains("one"));
+                assert!(fetch(addr, &url2).contains("two"));
             });
-            server.serve(None).unwrap();
-            client.join().unwrap();
 
             let dropped = server.notify(&Delta::EdgeRemoved {
                 from: a1,
@@ -467,17 +433,12 @@ object a2 in Articles { headline "two" section "world" }
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         site.cache_restore(snap);
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
-        let addr = server.addr().unwrap();
-        let (u1, u2) = (url1.clone(), url2.clone());
-        let client = std::thread::spawn(move || {
-            let story1 = fetch(addr, &u1);
+        with_client(&server, |addr| {
+            let story1 = fetch(addr, &url1);
             assert!(!story1.contains("one"), "{story1}");
             assert!(story1.contains("world"), "{story1}"); // section edge intact
-            assert!(fetch(addr, &u2).contains("two"));
-            let _ = fetch(addr, "/quit");
+            assert!(fetch(addr, &url2).contains("two"));
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
         let d = server.site().stats();
         assert!(d.cache_hits >= 1, "untouched page should stay warm: {d:?}");
         assert!(
@@ -491,158 +452,85 @@ object a2 in Articles { headline "two" section "world" }
     /// used to fall back to the `/` roots page).
     #[test]
     fn split_request_is_reassembled_before_routing() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            let addr = server.addr().unwrap();
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let server = Server::bind(site, "127.0.0.1:0").unwrap();
 
-            let client = std::thread::spawn(move || {
-                let mut s = TcpStream::connect(addr).expect("connect");
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                // First flush stops mid-request-line: no terminator, and even
-                // the path is incomplete.
-                s.write_all(b"GET /page/Fro").unwrap();
-                s.flush().unwrap();
-                std::thread::sleep(Duration::from_millis(80));
-                s.write_all(b"ntPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                    .unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
-                // The FrontPage expansion, not the roots listing.
-                assert!(buf.contains("Story"), "{buf}");
-                assert!(!buf.contains("Site roots"), "{buf}");
-                let _ = fetch(addr, "/quit");
-            });
-            server.serve(None).unwrap();
-            client.join().unwrap();
+        with_client(&server, |addr| {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            // First flush stops mid-request-line: no terminator, and even
+            // the path is incomplete.
+            s.write_all(b"GET /page/Fro").unwrap();
+            s.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(80));
+            s.write_all(b"ntPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
+            // The FrontPage expansion, not the roots listing.
+            assert!(buf.contains("Story"), "{buf}");
+            assert!(!buf.contains("Site roots"), "{buf}");
         });
     }
 
     #[test]
     fn oversized_and_silent_requests_are_rejected() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                threads: 2,
-                request_timeout: Duration::from_millis(150),
-                max_request_bytes: 512,
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            let addr = server.addr().unwrap();
+        let (data, query) = demo_site();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let config = ServerConfig {
+            threads: 2,
+            request_timeout: Duration::from_millis(150),
+            max_request_bytes: 512,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
 
-            let client = std::thread::spawn(move || {
-                // Head larger than the cap.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(1024));
-                s.write_all(huge.as_bytes()).unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.contains("431"), "{mode:?}: {buf}");
+        with_client(&server, |addr| {
+            // Head larger than the cap.
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(1024));
+            s.write_all(huge.as_bytes()).unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.contains("431"), "{buf}");
 
-                // A client that connects and never speaks: per-request timeout.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.contains("408"), "{mode:?}: {buf}");
+            // A client that connects and never speaks: per-request timeout.
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.contains("408"), "{buf}");
 
-                // Non-GET/HEAD methods are refused after full framing.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                s.write_all(b"DELETE / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                    .unwrap();
-                let mut buf = String::new();
-                s.read_to_string(&mut buf).unwrap();
-                assert!(buf.contains("405"), "{mode:?}: {buf}");
-
-                let _ = fetch(addr, "/quit");
-            });
-            server.serve(None).unwrap();
-            client.join().unwrap();
-            assert!(server.stats().errors >= 3, "{mode:?}");
+            // Non-GET/HEAD methods are refused after full framing.
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"DELETE / HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut buf = String::new();
+            s.read_to_string(&mut buf).unwrap();
+            assert!(buf.contains("405"), "{buf}");
         });
+        assert!(server.stats().errors >= 3);
     }
 
-    /// `/healthz` answers ready in both serving modes once the accept loop
-    /// is running, and the server reports not-ready before and after.
+    /// `/healthz` answers ready once the accept loop is running, and the
+    /// server reports not-ready before and after.
     #[test]
-    fn healthz_reports_readiness_in_both_modes() {
-        in_both_modes(|mode| {
-            let (data, query) = demo_site();
-            let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-            let config = ServerConfig {
-                mode,
-                ..ServerConfig::default()
-            };
-            let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-            assert!(!server.is_ready(), "not ready before serve()");
-            let addr = server.addr().unwrap();
-            let client = std::thread::spawn(move || {
-                let resp = fetch(addr, "/healthz");
-                assert!(resp.starts_with("HTTP/1.1 200"), "{mode:?}: {resp}");
-                assert!(resp.contains("text/plain"), "{mode:?}: {resp}");
-                assert!(resp.ends_with("ok\n"), "{mode:?}: {resp}");
-                let _ = fetch(addr, "/quit");
-            });
-            server.serve(None).unwrap();
-            client.join().unwrap();
-            assert!(!server.is_ready(), "not ready after serve() returns");
-        });
-    }
-
-    /// `/debug/traces` over a live traced server: the JSON form carries a
-    /// trace for the page just fetched with spans from several layers, and
-    /// the chrome form is a JSON array of complete events.
-    #[test]
-    fn debug_traces_exposes_request_spans() {
-        strudel_obs::trace::enable(strudel_obs::trace::TraceConfig::default());
+    fn healthz_reports_readiness() {
         let (data, query) = demo_site();
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
-        let addr = server.addr().unwrap();
-        let client = std::thread::spawn(move || {
-            assert!(fetch(addr, "/page/FrontPage").contains("Story"));
-            let resp = fetch(addr, "/debug/traces");
-            let (_, body) = resp.split_once("\r\n\r\n").unwrap();
-            let v = strudel_obs::json::parse(body).expect("valid JSON");
-            let traces = v.get("traces").and_then(|t| t.as_array()).unwrap();
-            let ours = traces
-                .iter()
-                .find(|t| t.get("path").and_then(|p| p.as_str()) == Some("/page/FrontPage"))
-                .expect("a trace for the fetched page");
-            let spans = ours.get("spans").and_then(|s| s.as_array()).unwrap();
-            let cats: std::collections::BTreeSet<&str> = spans
-                .iter()
-                .filter_map(|s| s.get("cat").and_then(|c| c.as_str()))
-                .collect();
-            assert!(cats.contains("serve"), "{cats:?}");
-            assert!(cats.contains("cache"), "{cats:?}");
-            assert!(cats.contains("eval"), "{cats:?}");
-            assert!(cats.contains("render"), "{cats:?}");
-
-            let resp = fetch(addr, "/debug/traces?format=chrome");
-            let (_, body) = resp.split_once("\r\n\r\n").unwrap();
-            let v = strudel_obs::json::parse(body).expect("valid chrome JSON");
-            let events = v.as_array().expect("array of events");
-            assert!(!events.is_empty());
-            for e in events {
-                assert_eq!(e.get("ph").and_then(|p| p.as_str()), Some("X"));
-                assert!(e.get("ts").and_then(|t| t.as_f64()).is_some());
-            }
-            let _ = fetch(addr, "/quit");
+        assert!(!server.is_ready(), "not ready before serve()");
+        with_client(&server, |addr| {
+            let resp = fetch(addr, "/healthz");
+            assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+            assert!(resp.contains("text/plain"), "{resp}");
+            assert!(resp.ends_with("ok\n"), "{resp}");
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
+        assert!(!server.is_ready(), "not ready after serve() returns");
     }
 
     /// The concurrency smoke test: many threads hammer the pool and every
@@ -667,9 +555,8 @@ object a2 in Articles { headline "two" section "world" }
             ..ServerConfig::default()
         };
         let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-        let addr = server.addr().unwrap();
 
-        let client = std::thread::spawn(move || {
+        with_client(&server, |addr| {
             let front = fetch(addr, "/page/FrontPage");
             let mut paths = vec!["/".to_string(), "/page/FrontPage".to_string()];
             for part in front.split("href=\"/page/Page/").skip(1) {
@@ -708,10 +595,7 @@ object a2 in Articles { headline "two" section "world" }
             }
             let stats = fetch(addr, "/stats");
             assert!(stats.contains("\"hits\""), "{stats}");
-            let _ = fetch(addr, "/quit");
         });
-        server.serve(None).unwrap();
-        client.join().unwrap();
 
         let stats = server.stats();
         assert!(stats.requests >= 8 * 12, "{stats:?}");

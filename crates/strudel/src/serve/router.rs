@@ -1,10 +1,9 @@
 //! Routing: mapping a parsed request to `(status, content-type, body)`,
 //! plus the `/stats` JSON and `/metrics` Prometheus payloads.
 //!
-//! Both serving modes call [`Server::route_request`] from worker threads;
-//! everything here is `&self` over the shared [`DynamicSite`] and the
-//! lock-free metrics, so routing needs no coordination with the
-//! connection layer.
+//! The event loop's workers call [`Server::route_request`]; everything
+//! here is `&self` over the shared [`DynamicSite`] and the lock-free
+//! metrics, so routing needs no coordination with the connection layer.
 //!
 //! [`DynamicSite`]: strudel_site::DynamicSite
 
@@ -125,7 +124,7 @@ impl Server<'_> {
     }
 
     /// The `/stats` payload: request counters, latency percentiles,
-    /// server vitals (uptime, worker threads, evaluator jobs), the
+    /// server vitals (uptime, worker threads), the
     /// connection layer's counters and gauges, and the shared evaluator's
     /// cache counters, as JSON.
     fn stats_json(&self) -> String {
@@ -137,7 +136,7 @@ impl Server<'_> {
         format!(
             concat!(
                 "{{\"requests\":{},\"errors\":{},",
-                "\"uptime_seconds\":{},\"threads\":{},\"jobs\":{},",
+                "\"uptime_seconds\":{},\"threads\":{},",
                 "\"latency_us\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
                 "\"connections\":{{\"open\":{},\"idle\":{},\"reading\":{},\"writing\":{},",
                 "\"aborted\":{},\"keepalive_reuses\":{},\"admission_rejected\":{},",
@@ -162,7 +161,6 @@ impl Server<'_> {
             s.errors,
             self.started.elapsed().as_secs(),
             self.config.threads.max(1),
-            self.site.jobs(),
             s.latency_p50_us,
             s.latency_p90_us,
             s.latency_p99_us,
@@ -247,11 +245,6 @@ impl Server<'_> {
             "strudel_worker_threads",
             "Worker threads answering requests.",
             self.config.threads.max(1) as f64,
-        );
-        m.gauge(
-            "strudel_eval_jobs",
-            "Effective evaluator worker count for click-time expansion.",
-            self.site.jobs() as f64,
         );
         m.counter(
             "strudel_accept_errors_total",

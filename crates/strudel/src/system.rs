@@ -63,6 +63,8 @@ pub struct Strudel {
     site_queries: Vec<Query>,
     templates: TemplateSet,
     opts: EvalOptions,
+    /// Page-rendering workers ([`Strudel::set_jobs`]).
+    jobs: usize,
     file_resolver: Option<SharedResolver>,
 }
 
@@ -74,6 +76,7 @@ impl Strudel {
             site_queries: Vec::new(),
             templates: TemplateSet::new(),
             opts: EvalOptions::default(),
+            jobs: 1,
             file_resolver: None,
         }
     }
@@ -89,17 +92,17 @@ impl Strudel {
         &mut self.opts
     }
 
-    /// Sets the worker count used by query evaluation, block construction
-    /// and page rendering (clamped to at least 1; 1 = fully sequential).
-    /// Defaults to the `STRUDEL_JOBS` environment variable, else 1.
+    /// Sets the worker count used by page rendering (clamped to at least
+    /// 1, the default; 1 = the serial generator). Query evaluation and
+    /// block construction always run on the calling thread.
     pub fn set_jobs(&mut self, jobs: usize) -> &mut Self {
-        self.opts.jobs = jobs.max(1);
+        self.jobs = jobs.max(1);
         self
     }
 
     /// The configured worker count (see [`Strudel::set_jobs`]).
     pub fn jobs(&self) -> usize {
-        self.opts.jobs
+        self.jobs
     }
 
     /// The mediator, for advanced source management.
@@ -314,9 +317,9 @@ impl Strudel {
     /// count ([`Strudel::set_jobs`]): at 1 the serial generator runs; above
     /// 1 independent pages render concurrently.
     pub fn generate_site(&mut self, root_skolems: &[&str]) -> Result<GeneratedSite> {
-        let jobs = self.opts.jobs;
         let build = self.build_site()?;
-        self.render_site(&build, root_skolems, (jobs > 1).then_some(jobs), false)
+        let threads = (self.jobs > 1).then_some(self.jobs);
+        self.render_site(&build, root_skolems, threads, false)
     }
 
     /// Like [`Strudel::generate_site`], but records a wall-clock breakdown
@@ -333,12 +336,12 @@ impl Strudel {
             self.mediator.refresh()?;
             phases.add("refresh", t.elapsed_us());
         }
-        let jobs = self.opts.jobs;
         let t = Timer::start();
         let build = self.build_site()?;
         phases.add("evaluate", t.elapsed_us());
         let t = Timer::start();
-        let site = self.render_site(&build, root_skolems, (jobs > 1).then_some(jobs), true)?;
+        let threads = (self.jobs > 1).then_some(self.jobs);
+        let site = self.render_site(&build, root_skolems, threads, true)?;
         phases.add("render", t.elapsed_us());
         Ok((site, phases))
     }

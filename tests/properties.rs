@@ -1198,177 +1198,13 @@ proptest! {
 
 // ------------------------------------------------- parallel determinism ----
 //
-// The data-parallel evaluator must be *byte-identical* to the sequential
-// one: contiguous row chunks merged in chunk order reproduce the exact
-// sequential row order, and parallel construction replays its gathered
-// actions in row order. These properties pin that down at jobs ∈ {1, 2, 4}.
+// Evaluation and construction run on the calling thread; only page
+// rendering takes a worker count (`Strudel::set_jobs`), and it must not
+// change a byte of the output.
 
-/// A graph wide enough that intermediate relations exceed the parallel
-/// chunking threshold, so worker pools really run.
-fn arb_graph_wide() -> impl Strategy<Value = RandGraph> {
-    (30usize..60).prop_flat_map(|n| {
-        proptest::collection::vec((0..n, 0..n, 0u8..3), 60..240)
-            .prop_map(move |edges| RandGraph { n, edges })
-    })
-}
-
-/// The exact row sequence of a bindings relation (order-sensitive).
-fn rows_exact(b: &strudel::struql::Bindings) -> Vec<Vec<String>> {
-    b.rows()
-        .map(|row| row.iter().map(reference::vkey).collect())
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Condition evaluation at jobs ∈ {2, 4} yields the same schema and the
-    /// same rows *in the same order* as the sequential evaluator, across
-    /// edge scans, arc variables, RPE expansions, label-set filters,
-    /// comparisons and negation.
-    #[test]
-    fn parallel_evaluation_matches_sequential(
-        rg in arb_graph_wide(),
-        rk in 0u8..9, ra in 0u8..3, rb in 0u8..3,
-        cmp in 0u8..6, lit in -2i64..5,
-        neg in 0u8..3,
-    ) {
-        use strudel::struql::ast::{CmpOp, Literal, PathStep};
-        use strudel::struql::{evaluate_conditions, Bindings, Condition, Rpe, Term};
-        let g = build_rich(&rg);
-        let labels = ["a", "b", "c"];
-        let l = |i: u8| Rpe::Label(labels[i as usize % 3].to_string());
-        let rpe = match rk % 6 {
-            0 => l(ra),
-            1 => Rpe::AnyLabel,
-            2 => Rpe::Seq(Box::new(l(ra)), Box::new(l(rb))),
-            3 => Rpe::Alt(Box::new(l(ra)), Box::new(l(rb))),
-            4 => Rpe::Star(Box::new(l(ra))),
-            _ => Rpe::Opt(Box::new(l(ra))),
-        };
-        let conds = vec![
-            Condition::Collection { name: "Nodes".into(), arg: Term::var("x"), negated: false },
-            Condition::Edge {
-                from: Term::var("x"),
-                step: PathStep::ArcVar("la".into()),
-                to: Term::var("y"),
-                negated: false,
-            },
-            Condition::Edge {
-                from: Term::var("y"),
-                step: PathStep::Rpe(rpe),
-                to: Term::var("z"),
-                negated: false,
-            },
-            Condition::In {
-                var: "la".into(),
-                set: vec![Literal::Str("a".into()), Literal::Str("b".into())],
-                negated: false,
-            },
-            Condition::Edge {
-                from: Term::var("x"),
-                step: PathStep::Rpe(Rpe::Label(labels[neg as usize % 3].to_string())),
-                to: Term::var("z"),
-                negated: true,
-            },
-            Condition::Edge {
-                from: Term::var("y"),
-                step: PathStep::Rpe(Rpe::Label("val".into())),
-                to: Term::var("v"),
-                negated: false,
-            },
-            Condition::Compare {
-                lhs: Term::var("v"),
-                op: [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
-                    [cmp as usize % 6],
-                rhs: Term::Lit(Literal::Int(lit)),
-            },
-        ];
-        let seq = evaluate_conditions(&conds, &g, Bindings::unit(), &EvalOptions::with_jobs(1))
-            .unwrap();
-        for jobs in [2usize, 4] {
-            let par = evaluate_conditions(
-                &conds, &g, Bindings::unit(), &EvalOptions::with_jobs(jobs)).unwrap();
-            prop_assert_eq!(par.vars(), seq.vars(), "schema at jobs {}", jobs);
-            prop_assert_eq!(rows_exact(&par), rows_exact(&seq), "rows at jobs {}", jobs);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The PR 3 interleaving property holds under parallel evaluation: a
-    /// site maintained with jobs=2 stays equal, step by step, to sequential
-    /// cold rebuilds (and to parallel jobs=4 rebuilds).
-    #[test]
-    fn parallel_incremental_interleaving_equals_rebuild(
-        ops in proptest::collection::vec((0u8..4, 0usize..5, 0u8..3, 0u8..4), 1..16),
-    ) {
-        let q = parse_query(
-            r#"CREATE FrontPage()
-               { WHERE Articles(a), a -> l -> v
-                 CREATE ArticlePage(a)
-                 LINK ArticlePage(a) -> l -> v,
-                      FrontPage() -> "Article" -> ArticlePage(a)
-                 COLLECT Pages(ArticlePage(a))
-                 { WHERE l = "section"
-                   CREATE SectionPage(v)
-                   LINK SectionPage(v) -> "Story" -> ArticlePage(a),
-                        FrontPage() -> "Section" -> SectionPage(v) } }"#,
-        )
-        .unwrap();
-        let labels = ["headline", "section", "topic"];
-        let values = ["world", "sports", "local", "x"];
-
-        let mut data = Graph::standalone();
-        let arts: Vec<_> = (0..5)
-            .map(|i| data.new_node(Some(&format!("art{i}"))))
-            .collect();
-        for &a in &arts[..2] {
-            data.add_to_collection_str("Articles", Value::Node(a));
-            data.add_edge_str(a, "section", Value::str("world")).unwrap();
-        }
-        let mut inc =
-            strudel::site::IncrementalSite::new(&data, &q, EvalOptions::with_jobs(2)).unwrap();
-
-        for (step, &(kind, a, l, v)) in ops.iter().enumerate() {
-            let (node, label) = (arts[a], labels[l as usize]);
-            let val = Value::str(values[v as usize]);
-            match kind {
-                0 => inc.add_edge(&mut data, node, label, val).unwrap(),
-                1 => inc.remove_edge(&mut data, node, label, &val).unwrap(),
-                2 => inc
-                    .add_to_collection(&mut data, "Articles", Value::Node(node))
-                    .unwrap(),
-                _ => inc
-                    .remove_from_collection(&mut data, "Articles", &Value::Node(node))
-                    .unwrap(),
-            }
-            let sequential = q.evaluate(&data, &EvalOptions::with_jobs(1)).unwrap();
-            let parallel = q.evaluate(&data, &EvalOptions::with_jobs(4)).unwrap();
-            prop_assert_eq!(
-                site_signature(&inc.site, &inc.table),
-                site_signature(&sequential.graph, &sequential.table),
-                "maintained (jobs=2) vs sequential rebuild after step {} {:?}",
-                step,
-                (kind, a, l, v)
-            );
-            prop_assert_eq!(
-                site_signature(&parallel.graph, &parallel.table),
-                site_signature(&sequential.graph, &sequential.table),
-                "parallel rebuild (jobs=4) vs sequential after step {}",
-                step
-            );
-        }
-    }
-}
-
-/// The whole pipeline — evaluation, construction, page rendering — gives
-/// byte-identical output at every job count: the site graph prints to the
-/// same DDL and every rendered page is the same string. 150 articles keep
-/// the bindings relations and construction row counts well above the
-/// parallel chunking thresholds, so the worker pools really run.
+/// The whole pipeline gives byte-identical output at every job count: the
+/// site graph prints to the same DDL and every rendered page is the same
+/// string, whether pages render serially or in parallel waves.
 #[test]
 fn parallel_full_build_matches_sequential() {
     let build_at = |jobs: usize| {

@@ -1,43 +1,14 @@
 //! Regression tests for the event-driven serving tier: keep-alive reuse,
 //! pipelining order, connection-layer bugfixes (slow-loris deadline, HEAD
-//! answers, zero-byte aborts, admission control), in both serving modes
-//! where the behavior is mode-independent.
+//! answers, zero-byte aborts, admission control).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-use strudel::serve::{ServeMode, Server, ServerConfig};
+use strudel::serve::testing::{demo_site, fetch, with_client};
+use strudel::serve::{Server, ServerConfig};
 use strudel::site::DynamicSite;
 use strudel::struql::EvalOptions;
-
-fn demo_site() -> (strudel::graph::Graph, strudel::struql::Query) {
-    let data = strudel::graph::ddl::parse(
-        r#"
-object a1 in Articles { headline "one" section "world" }
-object a2 in Articles { headline "two" section "world" }
-"#,
-    )
-    .unwrap();
-    let query = strudel::struql::parse_query(
-        r#"CREATE FrontPage()
-           { WHERE Articles(a), a -> l -> v
-             CREATE Page(a)
-             LINK Page(a) -> l -> v, FrontPage() -> "Story" -> Page(a) }"#,
-    )
-    .unwrap();
-    (data, query)
-}
-
-/// One-shot `Connection: close` fetch; returns the whole response text.
-fn fetch(addr: SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut buf = String::new();
-    s.read_to_string(&mut buf).unwrap();
-    buf
-}
 
 /// Reads one `Content-Length`-framed response off a keep-alive socket.
 /// Leftover bytes (pipelined successors) stay in `carry`.
@@ -68,29 +39,18 @@ fn read_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (String, String
     }
 }
 
-/// Binds a server with `config`, runs `client` against it, returns the
-/// server's final [`strudel::serve::ServeStats`]. The client must end with
-/// a `/quit` fetch (or the returned closure does it).
+/// Binds a server over the demo site with `config`, runs `client` against
+/// it ([`with_client`] stops it afterwards, also when `client` panics), and
+/// returns the server's final [`strudel::serve::ServeStats`].
 fn with_server(
     config: ServerConfig,
-    client: impl FnOnce(SocketAddr) + Send,
+    client: impl FnOnce(SocketAddr),
 ) -> strudel::serve::ServeStats {
     let (data, query) = demo_site();
     let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
     let server = Server::bind_with(site, "127.0.0.1:0", config).unwrap();
-    let addr = server.addr().unwrap();
-    std::thread::scope(|scope| {
-        let serving = scope.spawn(|| server.serve(None).unwrap());
-        client(addr);
-        let _ = fetch(addr, "/quit");
-        serving.join().unwrap();
-    });
+    with_client(&server, client);
     server.stats()
-}
-
-fn both_modes(test: impl Fn(ServeMode)) {
-    test(ServeMode::Event);
-    test(ServeMode::Threaded);
 }
 
 #[test]
@@ -215,108 +175,96 @@ fn admission_control_rejects_with_503_when_full() {
 
 #[test]
 fn slow_loris_is_cut_by_the_whole_request_deadline() {
-    both_modes(|mode| {
-        let config = ServerConfig {
-            threads: 2,
-            request_timeout: Duration::from_millis(300),
-            mode,
-            ..ServerConfig::default()
-        };
-        with_server(config, |addr| {
-            let s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let started = Instant::now();
-            // One byte per 100ms: each read succeeds well inside any
-            // per-read timeout, but the head never completes. The old
-            // server reset its clock on every byte and dribbling kept a
-            // worker forever; the whole-request deadline cuts at ~300ms.
-            let writer = std::thread::spawn(move || {
-                let mut w = s;
-                for b in b"GET /page/FrontPage HT" {
-                    if w.write_all(&[*b]).is_err() {
-                        break; // server hung up: exactly what we want
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
+    let config = ServerConfig {
+        threads: 2,
+        request_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    with_server(config, |addr| {
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let started = Instant::now();
+        // One byte per 100ms: each read succeeds well inside any
+        // per-read timeout, but the head never completes. The old
+        // server reset its clock on every byte and dribbling kept a
+        // worker forever; the whole-request deadline cuts at ~300ms.
+        let writer = std::thread::spawn(move || {
+            let mut w = s;
+            for b in b"GET /page/FrontPage HT" {
+                if w.write_all(&[*b]).is_err() {
+                    break; // server hung up: exactly what we want
                 }
-                let mut resp = String::new();
-                let _ = w.read_to_string(&mut resp);
-                resp
-            });
-            let resp = writer.join().unwrap();
-            let elapsed = started.elapsed();
-            assert!(resp.contains("408"), "{mode:?}: {resp}");
-            assert!(
-                elapsed < Duration::from_millis(1500),
-                "{mode:?}: dribbling held the connection {elapsed:?}"
-            );
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let mut resp = String::new();
+            let _ = w.read_to_string(&mut resp);
+            resp
         });
+        let resp = writer.join().unwrap();
+        let elapsed = started.elapsed();
+        assert!(resp.contains("408"), "{resp}");
+        assert!(
+            elapsed < Duration::from_millis(1500),
+            "dribbling held the connection {elapsed:?}"
+        );
     });
 }
 
 #[test]
 fn head_requests_get_get_headers_without_body() {
-    both_modes(|mode| {
-        let config = ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        };
-        with_server(config, |addr| {
-            let get = fetch(addr, "/page/FrontPage");
-            let (get_head, get_body) = get.split_once("\r\n\r\n").unwrap();
-            let get_len: usize = get_head
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert_eq!(get_body.len(), get_len);
+    with_server(ServerConfig::default(), |addr| {
+        let get = fetch(addr, "/page/FrontPage");
+        let (get_head, get_body) = get.split_once("\r\n\r\n").unwrap();
+        let get_len: usize = get_head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert_eq!(get_body.len(), get_len);
 
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            s.write_all(b"HEAD /page/FrontPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            let mut resp = String::new();
-            s.read_to_string(&mut resp).unwrap();
-            // The GET headers — status, type, and the GET body's length —
-            // with no body following (it was a 405 before this fix).
-            let (head, body) = resp.split_once("\r\n\r\n").unwrap();
-            assert!(head.starts_with("HTTP/1.1 200 OK"), "{mode:?}: {head}");
-            assert!(
-                head.contains(&format!("Content-Length: {get_len}")),
-                "{mode:?}: {head}"
-            );
-            assert!(body.is_empty(), "{mode:?}: HEAD must carry no body");
-        });
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(b"HEAD /page/FrontPage HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).unwrap();
+        // The GET headers — status, type, and the GET body's length —
+        // with no body following (it was a 405 before this fix).
+        let (head, body) = resp.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(
+            head.contains(&format!("Content-Length: {get_len}")),
+            "{head}"
+        );
+        assert!(body.is_empty(), "HEAD must carry no body");
     });
 }
 
 #[test]
 fn zero_byte_connections_are_aborts_not_errors() {
-    both_modes(|mode| {
-        let config = ServerConfig {
-            threads: 2,
-            mode,
-            ..ServerConfig::default()
-        };
-        let stats = with_server(config, |addr| {
-            // Warm request so the error counter has a baseline of zero
-            // alongside real traffic.
-            assert!(fetch(addr, "/").contains("200 OK"));
-            for _ in 0..3 {
-                // Connect and close without sending a byte: the port-scan
-                // shape. These used to be answered 400 and counted as
-                // errors, skewing the error rate.
-                let s = TcpStream::connect(addr).unwrap();
-                drop(s);
-            }
-            std::thread::sleep(Duration::from_millis(200));
-        });
-        assert!(
-            stats.connections_aborted >= 3,
-            "{mode:?}: {stats:?} should count the silent closes"
-        );
-        assert_eq!(stats.errors, 0, "{mode:?}: aborts are not errors {stats:?}");
-        assert_eq!(stats.requests, 2, "{mode:?}: only `/` and `/quit` routed");
-        assert_eq!(stats.accept_errors, 0, "{mode:?}: {stats:?}");
+    let config = ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let stats = with_server(config, |addr| {
+        // Warm request so the error counter has a baseline of zero
+        // alongside real traffic.
+        assert!(fetch(addr, "/").contains("200 OK"));
+        for _ in 0..3 {
+            // Connect and close without sending a byte: the port-scan
+            // shape. These used to be answered 400 and counted as
+            // errors, skewing the error rate.
+            let s = TcpStream::connect(addr).unwrap();
+            drop(s);
+        }
+        std::thread::sleep(Duration::from_millis(200));
     });
+    assert!(
+        stats.connections_aborted >= 3,
+        "{stats:?} should count the silent closes"
+    );
+    assert_eq!(stats.errors, 0, "aborts are not errors {stats:?}");
+    assert_eq!(stats.requests, 2, "only `/` and `/quit` routed");
+    assert_eq!(stats.accept_errors, 0, "{stats:?}");
 }
