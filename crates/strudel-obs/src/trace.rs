@@ -46,7 +46,7 @@ use std::time::Instant;
 pub const INLINE_BYTES: usize = 24;
 
 /// Maximum attributes per span.
-pub const MAX_ATTRS: usize = 4;
+pub const MAX_ATTRS: usize = 6;
 
 /// The layer a span belongs to; every span carries one so per-layer
 /// self-times can be aggregated without parsing names.

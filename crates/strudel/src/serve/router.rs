@@ -323,7 +323,7 @@ impl Server<'_> {
         );
         m.counter(
             "strudel_clause_queries_total",
-            "Seeded clause evaluations run at click time.",
+            "Conjunctions evaluated at click time.",
             d.clause_queries,
         );
         m.counter(

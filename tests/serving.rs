@@ -268,3 +268,59 @@ fn zero_byte_connections_are_aborts_not_errors() {
     assert_eq!(stats.requests, 2, "only `/` and `/quit` routed");
     assert_eq!(stats.accept_errors, 0, "{stats:?}");
 }
+
+/// FNV-1a, 64 bits: a digest that does not depend on the toolchain.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn hub_page_bodies_are_pinned() {
+    use strudel::site::PageRef;
+    use strudel::synth::news;
+
+    // Length and digest of each hub page's body over a 600-article news
+    // site, recorded from the quadratic, `format!`-per-link click path this
+    // one replaced: same graph, same cache state, same bytes.
+    const PINNED: [(&str, usize, u64); 8] = [
+        ("/page/FrontPage", 5927, 0xb252a777ef2a337c),
+        ("/page/SectionPage/sworld", 9983, 0xc0237d4c8577d3ac),
+        ("/page/SectionPage/sus", 9443, 0xb392b0a3935f1a80),
+        ("/page/SectionPage/spolitics", 9817, 0xf06b2a255ff79a1d),
+        ("/page/SectionPage/ssports", 8934, 0x924dde4279b4d190),
+        ("/page/SectionPage/sbusiness", 6259, 0x0ed8eac03119dd7b),
+        ("/page/SectionPage/stech", 9985, 0x2df2d2a6265fd90c),
+        ("/page/SectionPage/sweather", 10533, 0xb775a727b4402068),
+    ];
+
+    let data = strudel::graph::ddl::parse(&news::generate_ddl(600, 14)).unwrap();
+    let query = strudel::struql::parse_query(news::SITE_QUERY).unwrap();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let server = Server::bind_with(site, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let front = PageRef {
+        skolem: "FrontPage".into(),
+        args: Vec::new(),
+    };
+    let sections = news::SECTIONS.iter().map(|s| PageRef {
+        skolem: "SectionPage".into(),
+        args: vec![strudel::graph::Value::str(*s)],
+    });
+    let urls: Vec<String> = std::iter::once(front)
+        .chain(sections)
+        .map(|p| strudel::serve::page_url(&p))
+        .collect();
+    with_client(&server, |addr| {
+        // Cold, then from the page cache.
+        for pass in ["cold", "warm"] {
+            for (url, pinned) in urls.iter().zip(PINNED) {
+                let response = fetch(addr, url);
+                let (head, body) = response.split_once("\r\n\r\n").unwrap();
+                assert!(head.starts_with("HTTP/1.1 200 OK"), "{url}: {head}");
+                let got = (url.as_str(), body.len(), fnv1a(body.as_bytes()));
+                assert_eq!(got, pinned, "{pass}: {got:#x?}");
+            }
+        }
+    });
+}

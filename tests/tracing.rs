@@ -37,6 +37,27 @@ fn debug_traces_exposes_request_spans() {
         assert!(cats.contains("eval"), "{cats:?}");
         assert!(cats.contains("render"), "{cats:?}");
 
+        // The cache span says why a click was slow: one conjunction
+        // evaluated, four binding rows (two articles, two attributes
+        // each) for the two links on the page.
+        let expand = spans
+            .iter()
+            .find(|s| s.get("name").and_then(|n| n.as_str()) == Some("cache.expand"))
+            .and_then(|s| s.get("attrs"))
+            .expect("a cache.expand span with attributes");
+        for (key, want) in [
+            ("misses", 1.0),
+            ("evals", 1.0),
+            ("rows", 4.0),
+            ("links", 2.0),
+        ] {
+            assert_eq!(
+                expand.get(key).and_then(|v| v.as_f64()),
+                Some(want),
+                "{key}"
+            );
+        }
+
         let resp = fetch(addr, "/debug/traces?format=chrome");
         let (_, body) = resp.split_once("\r\n\r\n").unwrap();
         let v = strudel::obs::json::parse(body).expect("valid chrome JSON");
