@@ -326,12 +326,47 @@ impl Graph {
         self.index.is_some()
     }
 
-    /// The graph's index, if indexing is enabled.
+    /// The graph's index, if indexing is enabled — the *full* index: the
+    /// extents are built here, in one pass over the member nodes, if no
+    /// earlier call built them (see [`crate::index`]). The build takes the
+    /// universe's read lock, so do not call this while holding a
+    /// [`GraphReader`] of the same universe: a recursive read may deadlock
+    /// behind a waiting writer. Planning statistics that only need the
+    /// counts — [`Graph::label_cardinality`], [`Graph::label_count`],
+    /// [`Graph::labels`], [`Graph::edge_count`] — do not come through here.
     pub fn index(&self) -> Option<&GraphIndex> {
-        self.index.as_ref()
+        let idx = self.index.as_ref()?;
+        idx.ensure_extents(|add| {
+            let nodes = self.universe.nodes.read();
+            for &n in &self.member_list {
+                add(n, &nodes[n.0 as usize].out);
+            }
+        });
+        Some(idx)
     }
 
-    /// Rebuilds all indexes from the current data.
+    /// Whether the index's extents have been built — by a reverse lookup,
+    /// a degree statistic or [`Graph::rebuild_index`]. `false` on a graph
+    /// that has only been written, planned against and walked forwards.
+    pub fn extents_built(&self) -> bool {
+        self.index.as_ref().is_some_and(GraphIndex::extents_built)
+    }
+
+    /// Number of edges carrying `label`, from the index's counts (`None`
+    /// when unindexed). Never builds the extents.
+    pub fn label_cardinality(&self, label: Sym) -> Option<usize> {
+        self.index.as_ref().map(|i| i.label_cardinality(label))
+    }
+
+    /// Number of distinct labels, from the index's counts (`None` when
+    /// unindexed). Never builds the extents.
+    pub fn label_count(&self) -> Option<usize> {
+        self.index.as_ref().map(GraphIndex::label_count)
+    }
+
+    /// Rebuilds all indexes from the current data: an exact recount of
+    /// every per-graph counter (which between rebuilds only saturate, see
+    /// [`Graph::remove_member`]), then the extents.
     pub fn rebuild_index(&mut self) {
         self.revision += 1;
         let mut idx = GraphIndex::default();
@@ -343,10 +378,12 @@ impl Graph {
                 }
             }
         }
+        self.edge_count = idx.edge_count();
         for (&name, coll) in &self.collections {
             idx.index_collection(name, coll.len());
         }
         self.index = Some(idx);
+        self.index();
     }
 
     // ---- nodes ----
@@ -439,7 +476,7 @@ impl Graph {
         }
         let removed = self.universe.pop_edge(from, label, to)?;
         if removed {
-            self.edge_count -= 1;
+            self.edge_count = self.edge_count.saturating_sub(1);
             if let Some(idx) = &mut self.index {
                 idx.unindex_edge(from, label, to);
             }
@@ -471,6 +508,13 @@ impl Graph {
     /// *into* it from other members — stay in the universe; its outgoing
     /// edges stop counting toward this graph). Returns whether `n` was a
     /// member. The mirror of [`Graph::adopt_node`].
+    ///
+    /// The edge counters *saturate*: another graph of the universe may have
+    /// added edges to `n` since this one counted it (this graph is not
+    /// told), so the node can leave with more edges than it brought. The
+    /// counters only feed the planner's estimates and capacity hints, so
+    /// they stop at zero rather than track per-node what was counted;
+    /// [`Graph::rebuild_index`] recounts exactly.
     pub fn remove_member(&mut self, n: NodeId) -> bool {
         self.revision += 1;
         if !self.members.remove(&n) {
@@ -482,7 +526,7 @@ impl Graph {
             .get(n.0 as usize)
             .map(|s| s.out.as_slice())
             .unwrap_or(&[]);
-        self.edge_count -= out.len();
+        self.edge_count = self.edge_count.saturating_sub(out.len());
         if let Some(idx) = &mut self.index {
             for (label, to) in out {
                 idx.unindex_edge(n, *label, to);
@@ -909,6 +953,81 @@ mod tests {
         assert!(b.index().unwrap().edges_with_label(k).is_empty());
         // The node and its edges are untouched in the owning graph.
         assert_eq!((a.node_count(), a.edge_count()), (1, 1));
+    }
+
+    #[test]
+    fn remove_member_after_foreign_adds_does_not_underflow() {
+        // The data graph / site graph pair of a build: the site adopts a
+        // data node, the data graph keeps writing to it (the site graph is
+        // not told), the node leaves the site with more edges than it
+        // brought. Used to panic in debug and wrap to 2^64 - 2 in release.
+        let uni = Universe::new();
+        let mut data = Graph::new(Arc::clone(&uni));
+        let mut site = Graph::new(Arc::clone(&uni));
+        let n = data.new_node(Some("n"));
+        data.add_edge_str(n, "k", 1i64).unwrap();
+        site.adopt_node(n).unwrap();
+        assert_eq!(site.edge_count(), 1);
+        data.add_edge_str(n, "k", 2i64).unwrap();
+        data.add_edge_str(n, "k", 3i64).unwrap();
+        assert!(site.remove_member(n));
+        let k = uni.interner().get("k").unwrap();
+        assert_eq!(site.edge_count(), 0);
+        assert_eq!(site.label_cardinality(k), Some(0));
+        assert_eq!(site.label_count(), Some(0));
+        assert_eq!(site.index().unwrap().edge_count(), 0);
+        assert_eq!((data.edge_count(), data.label_cardinality(k)), (3, Some(3)));
+    }
+
+    #[test]
+    fn rebuild_index_recounts_after_a_foreign_remove() {
+        // The mirror case: the node leaves with *fewer* edges than this
+        // graph counted for it. The counters stay high (never wrap) until
+        // `rebuild_index` recounts them exactly.
+        let uni = Universe::new();
+        let mut data = Graph::new(Arc::clone(&uni));
+        let mut site = Graph::new(Arc::clone(&uni));
+        let (n, m) = (data.new_node(None), data.new_node(None));
+        data.add_edge_str(n, "k", 1i64).unwrap();
+        data.add_edge_str(n, "k", 2i64).unwrap();
+        data.add_edge_str(m, "k", 3i64).unwrap();
+        site.adopt_node(n).unwrap();
+        site.adopt_node(m).unwrap();
+        assert_eq!(site.edge_count(), 3);
+        data.remove_edge_str(n, "k", &Value::Int(2)).unwrap();
+        assert!(site.remove_member(n));
+        let k = uni.interner().get("k").unwrap();
+        assert_eq!((site.edge_count(), site.label_cardinality(k)), (2, Some(2)));
+        site.rebuild_index();
+        assert_eq!((site.edge_count(), site.label_cardinality(k)), (1, Some(1)));
+        assert_eq!(site.index().unwrap().edges_with_label(k).len(), 1);
+    }
+
+    #[test]
+    fn extents_wait_for_the_first_lookup_that_needs_them() {
+        let mut g = small();
+        let year = g.universe().interner().get("year").unwrap();
+        // Writes, schema scans and the planner's counts do not build them…
+        assert_eq!(g.labels().len(), 3);
+        assert_eq!(
+            (g.label_cardinality(year), g.label_count()),
+            (Some(2), Some(3))
+        );
+        assert!(!g.extents_built());
+        // …the full index does, once, and keeps them current afterwards.
+        assert_eq!(
+            g.index().unwrap().edges_to_value(&Value::Int(1997)).len(),
+            1
+        );
+        assert!(g.extents_built());
+        let p2 = g.nodes()[1];
+        g.add_edge_str(p2, "year", 1997i64).unwrap();
+        assert_eq!(
+            g.index().unwrap().edges_to_value(&Value::Int(1997)).len(),
+            2
+        );
+        g.set_indexing(false);
+        assert!(!g.extents_built() && g.label_cardinality(year).is_none());
     }
 
     #[test]

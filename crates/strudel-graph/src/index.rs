@@ -6,40 +6,107 @@
 //! collection and attribute. In addition, indexes on atomic values are global
 //! to the graph, not built per collection or attribute."
 //!
-//! Maintaining these indexes is expensive (every mutation touches them), but
-//! they let the query processor answer *schema* queries (`scan all attribute
-//! names`) and give the cost-based optimizer the cardinality statistics it
-//! plans with.
+//! The index has two halves with different upkeep. The *counts* — which
+//! labels exist and in what order they first appeared, how many edges carry
+//! each, how many edges there are, how large each collection is — are kept on
+//! every write: they are what the *schema* queries (`scan all attribute
+//! names`) and the cost-based optimizer's cardinality statistics read, and
+//! they cost one small-key hash probe per edge. The *extents* — the edges of
+//! each label, the edges onto each atomic value, the edges into each node —
+//! cost a clone, two hash probes and most of a write's heap traffic per
+//! edge, and only reverse lookups read them; they are built in one pass over
+//! the member nodes the first time one is asked for
+//! ([`crate::graph::Graph::index`]) and maintained edge by edge from then
+//! on. A graph that is only ever written and walked forwards (every site
+//! graph during a build) never pays for them. The paper's full indexing is
+//! preserved — every lookup has the same answer it would have had with the
+//! extents kept from the first write; they are just not built before
+//! somebody asks.
 
 use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::symbol::Sym;
 use crate::value::Value;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use strudel_obs::trace;
 
 /// The complete index set of one graph.
 #[derive(Default, Debug)]
 pub struct GraphIndex {
-    /// Attribute (label) extension index: label → all `(from, to)` edges.
-    label_ext: FxHashMap<Sym, Vec<(NodeId, Value)>>,
+    /// Number of edges carrying each label.
+    label_card: FxHashMap<Sym, usize>,
     /// Creation order of labels, for deterministic schema scans.
     label_order: Vec<Sym>,
+    /// Schema index: collection name → extent cardinality.
+    coll_card: FxHashMap<Sym, usize>,
+    edge_count: usize,
+    /// The extension indexes, unset until the first lookup that needs them.
+    extents: OnceLock<Extents>,
+    /// Degree statistics per label (see [`LabelDegreeStats`]), materialized
+    /// lazily: a label's tallies are first built by scanning its extension
+    /// when the planner asks for them, and kept up to date under add/remove
+    /// from then on (so there are none before there are extents). Behind a
+    /// mutex so the read-side accessors can materialize on a shared
+    /// reference.
+    degree: Mutex<FxHashMap<Sym, LabelDegreeStats>>,
+}
+
+/// The three extension indexes.
+#[derive(Default, Debug)]
+struct Extents {
+    /// Attribute (label) extension index: label → all `(from, to)` edges.
+    label_ext: FxHashMap<Sym, Vec<(NodeId, Value)>>,
     /// Global atomic-value index: value → `(from, label)` of every edge whose
     /// target is that atomic value.
     value_ext: FxHashMap<Value, Vec<(NodeId, Sym)>>,
     /// Reverse adjacency for node targets: node → `(from, label)`.
     in_edges: FxHashMap<NodeId, Vec<(NodeId, Sym)>>,
-    /// Schema index: collection name → extent cardinality.
-    coll_card: FxHashMap<Sym, usize>,
-    edge_count: usize,
-    /// Degree statistics per label (see [`LabelDegreeStats`]), materialized
-    /// lazily: a label's tallies are first built by scanning its extension
-    /// when the planner asks for them, and kept up to date under add/remove
-    /// from then on. Graphs nobody plans against — the *output* graphs that
-    /// construction populates through [`crate::graph::Graph::adopt_node`] —
-    /// therefore pay almost nothing per indexed edge. Behind a mutex so the
-    /// read-side accessors can materialize on a shared reference.
-    degree: Mutex<FxHashMap<Sym, LabelDegreeStats>>,
+}
+
+impl Extents {
+    fn add(&mut self, from: NodeId, label: Sym, to: &Value) {
+        self.label_ext
+            .entry(label)
+            .or_default()
+            .push((from, to.clone()));
+        match to {
+            Value::Node(n) => self.in_edges.entry(*n).or_default().push((from, label)),
+            atomic => self
+                .value_ext
+                .entry(atomic.clone())
+                .or_default()
+                .push((from, label)),
+        }
+    }
+
+    /// Removes one occurrence of an edge, reporting whether the label
+    /// extension held it.
+    fn remove(&mut self, from: NodeId, label: Sym, to: &Value) -> bool {
+        fn take<K: std::hash::Hash + Eq, E>(
+            map: &mut FxHashMap<K, Vec<E>>,
+            key: &K,
+            is_edge: impl Fn(&E) -> bool,
+        ) -> bool {
+            let Some(entries) = map.get_mut(key) else {
+                return false;
+            };
+            let found = entries.iter().position(is_edge);
+            if let Some(pos) = found {
+                entries.remove(pos);
+                if entries.is_empty() {
+                    map.remove(key);
+                }
+            }
+            found.is_some()
+        }
+        match to {
+            Value::Node(n) => take(&mut self.in_edges, n, |(f, l)| *f == from && *l == label),
+            atomic => take(&mut self.value_ext, atomic, |(f, l)| {
+                *f == from && *l == label
+            }),
+        };
+        take(&mut self.label_ext, &label, |(f, t)| *f == from && t == to)
+    }
 }
 
 /// Distinct-endpoint tallies for one label. `srcs.len()` is the label's
@@ -65,89 +132,71 @@ fn value_fingerprint(v: &Value) -> u64 {
     h.finish()
 }
 
+/// Decrements a tally, dropping the key at zero.
+fn untally<K: std::hash::Hash + Eq>(tally: &mut FxHashMap<K, u32>, key: K) {
+    if let Some(n) = tally.get_mut(&key) {
+        *n -= 1;
+        if *n == 0 {
+            tally.remove(&key);
+        }
+    }
+}
+
 impl GraphIndex {
-    /// Records one edge in every applicable index.
+    /// Records one edge: in the counts always, in the extents (and degree
+    /// tallies) only once they exist.
     pub(crate) fn index_edge(&mut self, from: NodeId, label: Sym, to: &Value) {
-        match self.label_ext.entry(label) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().push((from, to.clone()));
-            }
+        match self.label_card.entry(label) {
+            std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += 1,
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(vec![(from, to.clone())]);
+                e.insert(1);
                 self.label_order.push(label);
             }
         }
-        match to {
-            Value::Node(n) => self.in_edges.entry(*n).or_default().push((from, label)),
-            atomic => self
-                .value_ext
-                .entry(atomic.clone())
-                .or_default()
-                .push((from, label)),
-        }
-        if let Some(deg) = self.degree.get_mut().unwrap().get_mut(&label) {
-            *deg.srcs.entry(from).or_insert(0) += 1;
-            *deg.tgts.entry(value_fingerprint(to)).or_insert(0) += 1;
-        }
         self.edge_count += 1;
+        if let Some(ext) = self.extents.get_mut() {
+            ext.add(from, label, to);
+            if let Some(deg) = self.degree.get_mut().unwrap().get_mut(&label) {
+                *deg.srcs.entry(from).or_insert(0) += 1;
+                *deg.tgts.entry(value_fingerprint(to)).or_insert(0) += 1;
+            }
+        }
     }
 
-    /// Removes one occurrence of an edge from every applicable index. The
-    /// mirror of [`GraphIndex::index_edge`]; when a label's extension becomes
-    /// empty the label is also dropped from the schema scan order so indexed
-    /// and unindexed [`crate::graph::Graph::labels`] stay in agreement.
+    /// Removes one occurrence of an edge. The mirror of
+    /// [`GraphIndex::index_edge`]; when a label's last edge goes the label is
+    /// also dropped from the schema scan order so indexed and unindexed
+    /// [`crate::graph::Graph::labels`] stay in agreement.
+    ///
+    /// The counts *saturate*: a graph sharing its universe is not told about
+    /// edges another graph adds to or removes from a common node, so
+    /// [`crate::graph::Graph::remove_member`] can present more edges than
+    /// this index ever counted. Tracking exactly which edges were counted
+    /// would take a per-graph copy of every member's edge list — the extents,
+    /// which this index exists to avoid building — and the counts only feed
+    /// the planner's estimates, so a label's count stops at zero (an edge of
+    /// a label with no counted edges left is not subtracted anywhere:
+    /// `edge_count` stays the sum of the label counts) and
+    /// [`crate::graph::Graph::rebuild_index`] is the exact recount.
     pub(crate) fn unindex_edge(&mut self, from: NodeId, label: Sym, to: &Value) {
-        let mut removed = false;
-        if let Some(ext) = self.label_ext.get_mut(&label) {
-            if let Some(pos) = ext.iter().position(|(f, t)| *f == from && t == to) {
-                ext.remove(pos);
-                self.edge_count -= 1;
-                removed = true;
-            }
-            if ext.is_empty() {
-                self.label_ext.remove(&label);
+        if let Some(card) = self.label_card.get_mut(&label) {
+            *card -= 1;
+            if *card == 0 {
+                self.label_card.remove(&label);
                 self.label_order.retain(|l| *l != label);
             }
+            self.edge_count -= 1;
         }
-        if removed {
-            if let Some(deg) = self.degree.get_mut().unwrap().get_mut(&label) {
-                if let Some(n) = deg.srcs.get_mut(&from) {
-                    *n -= 1;
-                    if *n == 0 {
-                        deg.srcs.remove(&from);
-                    }
-                }
-                let fp = value_fingerprint(to);
-                if let Some(n) = deg.tgts.get_mut(&fp) {
-                    *n -= 1;
-                    if *n == 0 {
-                        deg.tgts.remove(&fp);
-                    }
-                }
+        let Some(ext) = self.extents.get_mut() else {
+            return;
+        };
+        if ext.remove(from, label, to) {
+            let degree = self.degree.get_mut().unwrap();
+            if let Some(deg) = degree.get_mut(&label) {
+                untally(&mut deg.srcs, from);
+                untally(&mut deg.tgts, value_fingerprint(to));
                 if deg.srcs.is_empty() && deg.tgts.is_empty() {
-                    self.degree.get_mut().unwrap().remove(&label);
-                }
-            }
-        }
-        match to {
-            Value::Node(n) => {
-                if let Some(back) = self.in_edges.get_mut(n) {
-                    if let Some(pos) = back.iter().position(|(f, l)| *f == from && *l == label) {
-                        back.remove(pos);
-                    }
-                    if back.is_empty() {
-                        self.in_edges.remove(n);
-                    }
-                }
-            }
-            atomic => {
-                if let Some(back) = self.value_ext.get_mut(atomic) {
-                    if let Some(pos) = back.iter().position(|(f, l)| *f == from && *l == label) {
-                        back.remove(pos);
-                    }
-                    if back.is_empty() {
-                        self.value_ext.remove(atomic);
-                    }
+                    degree.remove(&label);
                 }
             }
         }
@@ -158,6 +207,47 @@ impl GraphIndex {
         self.coll_card.insert(name, cardinality);
     }
 
+    /// Whether the extents have been built (by a lookup that needed them or
+    /// by [`crate::graph::Graph::rebuild_index`]).
+    pub(crate) fn extents_built(&self) -> bool {
+        self.extents.get().is_some()
+    }
+
+    /// Builds the extents unless they exist. `each_member` feeds the builder
+    /// every member node with its out-edges; the label extensions are sized
+    /// from the counts. The one builder: first use and `rebuild_index` both
+    /// come here.
+    pub(crate) fn ensure_extents(
+        &self,
+        each_member: impl FnOnce(&mut dyn FnMut(NodeId, &[(Sym, Value)])),
+    ) {
+        self.extents.get_or_init(|| {
+            let mut tspan = trace::span("graph.extents", trace::Layer::Store);
+            let mut ext = Extents::default();
+            ext.label_ext.reserve(self.label_card.len());
+            for (&label, &card) in &self.label_card {
+                ext.label_ext.insert(label, Vec::with_capacity(card));
+            }
+            each_member(&mut |from, out| {
+                for (label, to) in out {
+                    ext.add(from, *label, to);
+                }
+            });
+            if tspan.is_live() {
+                tspan.attr_u64("edges", self.edge_count as u64);
+                tspan.attr_u64("labels", ext.label_ext.len() as u64);
+                tspan.attr_u64("values", ext.value_ext.len() as u64);
+            }
+            ext
+        });
+    }
+
+    fn extents(&self) -> &Extents {
+        self.extents
+            .get()
+            .expect("Graph::index builds the extents before handing the index out")
+    }
+
     /// All labels appearing in the graph, in first-appearance order
     /// (the schema-scan physical operator reads this).
     pub fn labels(&self) -> Vec<Sym> {
@@ -166,24 +256,27 @@ impl GraphIndex {
 
     /// The extension of a label: every `(from, to)` edge carrying it.
     pub fn edges_with_label(&self, label: Sym) -> &[(NodeId, Value)] {
-        self.label_ext.get(&label).map(Vec::as_slice).unwrap_or(&[])
+        let ext = &self.extents().label_ext;
+        ext.get(&label).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Every edge pointing at the atomic value `v` (the global value index).
     pub fn edges_to_value(&self, v: &Value) -> &[(NodeId, Sym)] {
-        self.value_ext.get(v).map(Vec::as_slice).unwrap_or(&[])
+        let ext = &self.extents().value_ext;
+        ext.get(v).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Every edge pointing at node `n` (reverse adjacency).
     pub fn edges_to_node(&self, n: NodeId) -> &[(NodeId, Sym)] {
-        self.in_edges.get(&n).map(Vec::as_slice).unwrap_or(&[])
+        let ext = &self.extents().in_edges;
+        ext.get(&n).map(Vec::as_slice).unwrap_or(&[])
     }
 
     // ---- statistics for the cost-based optimizer (§2.4, [FLO 97]) ----
 
     /// Number of edges carrying `label`.
     pub fn label_cardinality(&self, label: Sym) -> usize {
-        self.label_ext.get(&label).map(Vec::len).unwrap_or(0)
+        self.label_card.get(&label).copied().unwrap_or(0)
     }
 
     /// Cardinality of a collection extent, if known.
@@ -222,7 +315,7 @@ impl GraphIndex {
         let mut deg = self.degree.lock().unwrap();
         let d = deg.entry(label).or_insert_with(|| {
             let mut d = LabelDegreeStats::default();
-            for (from, to) in self.label_ext.get(&label).map(Vec::as_slice).unwrap_or(&[]) {
+            for (from, to) in self.edges_with_label(label) {
                 *d.srcs.entry(*from).or_insert(0) += 1;
                 *d.tgts.entry(value_fingerprint(to)).or_insert(0) += 1;
             }

@@ -16,7 +16,9 @@
 use crate::ast::{AggFunc, Block, LabelTerm, SkolemTerm, Term};
 use crate::binding::Bindings;
 use crate::error::{Result, StruqlError};
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::{Graph, Oid, Sym, Value};
 
@@ -25,7 +27,8 @@ use strudel_graph::{Graph, Oid, Sym, Value};
 ///
 /// Nested maps (name → args → node) so the hot lookup path hashes the
 /// borrowed `&str` and `&[Value]` directly — no `(String, Vec)` key is
-/// allocated per call; allocations happen only on first instantiation.
+/// allocated per call; allocations happen only on first instantiation, and
+/// a function's name is stored once however many nodes it has.
 /// The table also carries the *derivation counts* behind DRed-style
 /// incremental maintenance: every emitted edge, collection member, and node
 /// reference remembers how many construction-row derivations support it, so
@@ -33,14 +36,15 @@ use strudel_graph::{Graph, Oid, Sym, Value};
 /// zero (multiple rows constructing the same edge keep it alive).
 #[derive(Default, Debug)]
 pub struct SkolemTable {
-    map: FxHashMap<String, FxHashMap<Vec<Value>, Oid>>,
+    map: FxHashMap<Arc<str>, FxHashMap<Vec<Value>, Oid>>,
     /// Reverse lookup for retraction: Skolem node → its application.
-    skolem_of: FxHashMap<Oid, (String, Vec<Value>)>,
+    skolem_of: FxHashMap<Oid, (Arc<str>, Vec<Value>)>,
     count: usize,
     /// Emitted edges with derivation counts (set semantics in the graph: the
-    /// edge exists while its count is positive). Keyed by `(from, label)` so
-    /// duplicate emissions probe without cloning the target value.
-    emitted: FxHashMap<(Oid, Sym), FxHashMap<Value, u32>>,
+    /// edge exists while its count is positive). One flat map keyed by the
+    /// edge itself: an emission is one probe, and a duplicate emission drops
+    /// the key it probed with instead of cloning the target value.
+    emitted: FxHashMap<(Oid, Sym, Value), u32>,
     /// Collection members with derivation counts, keyed by collection.
     collected: FxHashMap<Sym, FxHashMap<Value, u32>>,
     /// Reference counts per output-graph node: one per Skolem resolution,
@@ -70,14 +74,16 @@ impl SkolemTable {
     /// (`YearPage(1997)`), which the HTML generator later uses for stable
     /// file names.
     pub fn instantiate(&mut self, out: &mut Graph, name: &str, args: &[Value]) -> Oid {
-        self.instantiate_tracked(out, name, args).0
+        let (oid, _) = self.resolve_or_create(out, name, args);
+        self.add_refs(oid, 1);
+        oid
     }
 
     /// Like [`SkolemTable::instantiate`], also reporting whether the node
-    /// was created by this call.
-    fn instantiate_tracked(&mut self, out: &mut Graph, name: &str, args: &[Value]) -> (Oid, bool) {
+    /// was created by this call — and *not* taking the resolution's node
+    /// reference: the caller owes one [`SkolemTable::add_refs`] per use.
+    fn resolve_or_create(&mut self, out: &mut Graph, name: &str, args: &[Value]) -> (Oid, bool) {
         if let Some(&oid) = self.map.get(name).and_then(|m| m.get(args)) {
-            *self.node_refs.entry(oid).or_insert(0) += 1;
             return (oid, false);
         }
         let mut label = String::with_capacity(name.len() + 8);
@@ -97,15 +103,22 @@ impl SkolemTable {
         }
         label.push(')');
         let oid = out.new_node(Some(&label));
+        let function = match self.map.get_key_value(name) {
+            Some((known, _)) => Arc::clone(known),
+            None => Arc::from(name),
+        };
         self.map
-            .entry(name.to_string())
+            .entry(Arc::clone(&function))
             .or_default()
             .insert(args.to_vec(), oid);
-        self.skolem_of
-            .insert(oid, (name.to_string(), args.to_vec()));
+        self.skolem_of.insert(oid, (function, args.to_vec()));
         self.count += 1;
-        *self.node_refs.entry(oid).or_insert(0) += 1;
         (oid, true)
+    }
+
+    /// Takes `n` references to a site-graph node.
+    fn add_refs(&mut self, oid: Oid, n: u32) {
+        *self.node_refs.entry(oid).or_insert(0) += n;
     }
 
     /// Looks up an existing application without creating it.
@@ -117,29 +130,33 @@ impl SkolemTable {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[Value], Oid)> {
         self.map.iter().flat_map(|(name, m)| {
             m.iter()
-                .map(move |(args, &oid)| (name.as_str(), args.as_slice(), oid))
+                .map(move |(args, &oid)| (&**name, args.as_slice(), oid))
         })
     }
 
     fn emit_edge(&mut self, out: &mut Graph, from: Oid, label: Sym, to: Value) -> Result<bool> {
         if let Value::Node(n) = &to {
-            *self.node_refs.entry(*n).or_insert(0) += 1;
+            self.add_refs(*n, 1);
         }
-        let support = self.emitted.entry((from, label)).or_default();
-        if let Some(n) = support.get_mut(&to) {
-            *n += 1;
-            return Ok(false);
-        }
-        support.insert(to.clone(), 1);
-        // Linking to an existing node pulls it (and its attributes)
-        // into the output graph — graphs of a database share objects.
-        if let Value::Node(n) = &to {
-            if !out.contains_node(*n) {
-                out.adopt_node(*n)?;
+        match self.emitted.entry((from, label, to)) {
+            Entry::Occupied(mut support) => {
+                *support.get_mut() += 1;
+                Ok(false)
+            }
+            Entry::Vacant(slot) => {
+                let to = slot.key().2.clone();
+                slot.insert(1);
+                // Linking to an existing node pulls it (and its attributes)
+                // into the output graph — graphs of a database share objects.
+                if let Value::Node(n) = &to {
+                    if !out.contains_node(*n) {
+                        out.adopt_node(*n)?;
+                    }
+                }
+                out.add_edge(from, label, to)?;
+                Ok(true)
             }
         }
-        out.add_edge(from, label, to)?;
-        Ok(true)
     }
 
     /// Withdraws one derivation of `from --label--> to`; the edge leaves the
@@ -147,19 +164,15 @@ impl SkolemTable {
     /// edge was physically removed. Errors on a derivation that was never
     /// emitted (an over-retraction — the caller's deltas are inconsistent).
     fn retract_edge(&mut self, out: &mut Graph, from: Oid, label: Sym, to: &Value) -> Result<bool> {
+        let key = (from, label, to.clone());
         let support = self
             .emitted
-            .get_mut(&(from, label))
-            .and_then(|m| m.get_mut(to))
+            .get_mut(&key)
             .ok_or_else(|| StruqlError::eval("retraction of an edge that was never derived"))?;
         *support -= 1;
         let gone = *support == 0;
         if gone {
-            let by_target = self.emitted.get_mut(&(from, label)).expect("present above");
-            by_target.remove(to);
-            if by_target.is_empty() {
-                self.emitted.remove(&(from, label));
-            }
+            self.emitted.remove(&key);
             out.remove_edge(from, label, to)?;
         }
         if let Value::Node(n) = to {
@@ -170,7 +183,7 @@ impl SkolemTable {
 
     fn emit_collect(&mut self, out: &mut Graph, coll: Sym, value: Value) -> Result<bool> {
         if let Value::Node(n) = &value {
-            *self.node_refs.entry(*n).or_insert(0) += 1;
+            self.add_refs(*n, 1);
             if !out.contains_node(*n) {
                 out.adopt_node(*n)?;
             }
@@ -211,15 +224,6 @@ impl SkolemTable {
         Ok(gone)
     }
 
-    /// Looks up the node a Skolem application resolved to, for retraction.
-    fn resolve_existing(&self, name: &str, args: &[Value]) -> Result<Oid> {
-        self.lookup(name, args).ok_or_else(|| {
-            StruqlError::eval(format!(
-                "retraction references uninstantiated Skolem term {name}(..)"
-            ))
-        })
-    }
-
     /// Releases one reference to a site-graph node. When the last reference
     /// goes, the node leaves the graph: a Skolem page is dropped from the
     /// table (so a later re-derivation mints a fresh node) and an adopted
@@ -236,10 +240,10 @@ impl SkolemTable {
         }
         self.node_refs.remove(&n);
         if let Some((name, args)) = self.skolem_of.remove(&n) {
-            if let Some(by_args) = self.map.get_mut(&name) {
+            if let Some(by_args) = self.map.get_mut(&*name) {
                 by_args.remove(&args);
                 if by_args.is_empty() {
-                    self.map.remove(&name);
+                    self.map.remove(&*name);
                 }
             }
             self.count -= 1;
@@ -281,17 +285,29 @@ impl ConstructStats {
     }
 }
 
-/// A Skolem term resolved against a bindings schema: argument variables as
-/// column indexes, so per-row resolution gathers values without name
-/// lookups.
-struct SkPlan<'a> {
+/// One *distinct* Skolem term of a block — `(function, argument columns)`,
+/// however many clauses mention it — resolved against a bindings schema:
+/// argument variables as column indexes, so per-row resolution gathers
+/// values without name lookups.
+///
+/// [`apply_block`] resolves a term through the table at most once per run
+/// of rows with equal argument values: `memo` is the row it last resolved
+/// (or re-validated) at and the node it got, `uses` the resolutions of that
+/// node whose references are still owed to the table. The evaluator sorts
+/// relations by variable name, then value, so where a term's arguments lead
+/// that order its rows are adjacent; where they do not, the memo misses and
+/// costs one comparison.
+struct SkTerm<'a> {
     name: &'a str,
     cols: Vec<usize>,
+    memo: Option<(usize, Oid)>,
+    uses: u32,
 }
 
-impl<'a> SkPlan<'a> {
-    fn of(b: &Bindings, sk: &'a SkolemTerm) -> Result<SkPlan<'a>> {
-        let cols = sk
+impl<'a> SkTerm<'a> {
+    /// The index of `sk` among `terms`, adding it on first appearance.
+    fn index_of(terms: &mut Vec<SkTerm<'a>>, b: &Bindings, sk: &'a SkolemTerm) -> Result<usize> {
+        let cols: Vec<usize> = sk
             .args
             .iter()
             .map(|a| {
@@ -302,30 +318,65 @@ impl<'a> SkPlan<'a> {
                 })
             })
             .collect::<Result<_>>()?;
-        Ok(SkPlan {
-            name: &sk.name,
-            cols,
-        })
+        let known = terms
+            .iter()
+            .position(|t| t.name == sk.name && t.cols == cols);
+        Ok(known.unwrap_or_else(|| {
+            terms.push(SkTerm {
+                name: &sk.name,
+                cols,
+                memo: None,
+                uses: 0,
+            });
+            terms.len() - 1
+        }))
     }
 
+    /// The term's node for row `at` of `rows`, created on first use. Every
+    /// call is one use; the first of a row decides between the memo and the
+    /// table, the rest of that row find `memo.0 == at`.
     fn resolve(
-        &self,
+        &mut self,
         table: &mut SkolemTable,
         out: &mut Graph,
-        row: &[Value],
+        rows: &Bindings,
+        at: usize,
         buf: &mut Vec<Value>,
         stats: &mut ConstructStats,
     ) -> Oid {
+        let row = rows.row(at);
+        if let Some((seen, oid)) = self.memo {
+            if seen == at || {
+                let prev = rows.row(seen);
+                self.cols.iter().all(|&c| prev[c] == row[c])
+            } {
+                self.memo = Some((at, oid));
+                self.uses += 1;
+                return oid;
+            }
+            self.settle(table);
+        }
         buf.clear();
         buf.extend(self.cols.iter().map(|&c| row[c].clone()));
-        let (oid, created) = table.instantiate_tracked(out, self.name, buf);
+        let (oid, created) = table.resolve_or_create(out, self.name, buf);
         if created {
             stats.nodes_created += 1;
         }
+        self.memo = Some((at, oid));
+        self.uses = 1;
         oid
     }
 
-    /// Resolves the application this plan produced when it was applied,
+    /// Pays the table the references of the run that just ended — as many
+    /// as one-by-one resolution would have taken, which is what
+    /// [`retract_block`] later releases one by one.
+    fn settle(&mut self, table: &mut SkolemTable) {
+        if let Some((_, oid)) = self.memo.take() {
+            table.add_refs(oid, std::mem::take(&mut self.uses));
+        }
+    }
+
+    /// Resolves the application this term produced when it was applied,
     /// without creating it (and without taking a node reference).
     fn resolve_existing(
         &self,
@@ -335,7 +386,12 @@ impl<'a> SkPlan<'a> {
     ) -> Result<Oid> {
         buf.clear();
         buf.extend(self.cols.iter().map(|&c| row[c].clone()));
-        table.resolve_existing(self.name, buf)
+        table.lookup(self.name, buf).ok_or_else(|| {
+            StruqlError::eval(format!(
+                "retraction references uninstantiated Skolem term {}(..)",
+                self.name
+            ))
+        })
     }
 }
 
@@ -345,18 +401,24 @@ enum LabelPlan<'a> {
     Col(usize, &'a str),
 }
 
-/// A link target / collect argument resolved against a bindings schema.
-enum TargetPlan<'a> {
-    Skolem(SkPlan<'a>),
+/// A link target / collect argument resolved against a bindings schema
+/// (`Skolem` is an index into [`BlockPlans::terms`]).
+enum TargetPlan {
+    Skolem(usize),
     Col(usize),
     Lit(Value),
     Agg(usize),
 }
 
-impl<'a> TargetPlan<'a> {
-    fn of(b: &Bindings, term: &'a Term, what: &str) -> Result<TargetPlan<'a>> {
+impl TargetPlan {
+    fn of<'a>(
+        terms: &mut Vec<SkTerm<'a>>,
+        b: &Bindings,
+        term: &'a Term,
+        what: &str,
+    ) -> Result<TargetPlan> {
         match term {
-            Term::Skolem(sk) => Ok(TargetPlan::Skolem(SkPlan::of(b, sk)?)),
+            Term::Skolem(sk) => Ok(TargetPlan::Skolem(SkTerm::index_of(terms, b, sk)?)),
             Term::Var(v) => Ok(TargetPlan::Col(b.col(v).ok_or_else(|| {
                 StruqlError::eval(format!("{what} variable `{v}` unbound"))
             })?)),
@@ -369,19 +431,24 @@ impl<'a> TargetPlan<'a> {
 }
 
 struct LinkPlan<'a> {
-    from: SkPlan<'a>,
+    from: usize,
     label: LabelPlan<'a>,
-    to: TargetPlan<'a>,
+    to: TargetPlan,
 }
 
 /// Every construction plan of a block resolved against a bindings schema:
-/// variable references as column indexes, literal link labels pre-interned,
-/// collect collections pre-resolved.
+/// the block's distinct Skolem terms in first-appearance order (clauses
+/// refer to them by index), variable references as column indexes, literal
+/// link labels pre-interned, collect collections pre-resolved, and the
+/// label texts link-label variables have been bound to so far (one
+/// interner round-trip per distinct label, not per row).
 struct BlockPlans<'a> {
-    creates: Vec<SkPlan<'a>>,
+    terms: Vec<SkTerm<'a>>,
+    creates: Vec<usize>,
     links: Vec<LinkPlan<'a>>,
     collect_syms: Vec<Sym>,
-    collects: Vec<TargetPlan<'a>>,
+    collects: Vec<TargetPlan>,
+    labels: FxHashMap<Arc<str>, Sym>,
 }
 
 fn block_plans<'a>(
@@ -389,17 +456,18 @@ fn block_plans<'a>(
     bindings: &Bindings,
     out: &mut Graph,
 ) -> Result<BlockPlans<'a>> {
-    let creates: Vec<SkPlan<'_>> = block
+    let mut terms = Vec::new();
+    let creates: Vec<usize> = block
         .creates
         .iter()
-        .map(|sk| SkPlan::of(bindings, sk))
+        .map(|sk| SkTerm::index_of(&mut terms, bindings, sk))
         .collect::<Result<_>>()?;
     let links: Vec<LinkPlan<'_>> = block
         .links
         .iter()
         .map(|link| {
             Ok(LinkPlan {
-                from: SkPlan::of(bindings, &link.from)?,
+                from: SkTerm::index_of(&mut terms, bindings, &link.from)?,
                 label: match &link.label {
                     LabelTerm::Lit(s) => LabelPlan::Lit(out.sym(s)),
                     LabelTerm::Var(v) => LabelPlan::Col(
@@ -409,7 +477,7 @@ fn block_plans<'a>(
                         v,
                     ),
                 },
-                to: TargetPlan::of(bindings, &link.to, "link target")?,
+                to: TargetPlan::of(&mut terms, bindings, &link.to, "link target")?,
             })
         })
         .collect::<Result<_>>()?;
@@ -418,17 +486,44 @@ fn block_plans<'a>(
         .iter()
         .map(|c| out.ensure_collection(&c.name))
         .collect();
-    let collects: Vec<TargetPlan<'_>> = block
+    let collects: Vec<TargetPlan> = block
         .collects
         .iter()
-        .map(|c| TargetPlan::of(bindings, &c.arg, "collect argument"))
+        .map(|c| TargetPlan::of(&mut terms, bindings, &c.arg, "collect argument"))
         .collect::<Result<_>>()?;
     Ok(BlockPlans {
+        terms,
         creates,
         links,
         collect_syms,
         collects,
+        labels: FxHashMap::default(),
     })
+}
+
+/// The symbol a link's label denotes in `row`.
+fn label_sym(
+    labels: &mut FxHashMap<Arc<str>, Sym>,
+    out: &Graph,
+    label: &LabelPlan<'_>,
+    row: &[Value],
+) -> Result<Sym> {
+    let (c, v) = match label {
+        LabelPlan::Lit(sym) => return Ok(*sym),
+        LabelPlan::Col(c, v) => (*c, v),
+    };
+    let value = &row[c];
+    let text = value.text().ok_or_else(|| {
+        StruqlError::eval(format!(
+            "link label variable `{v}` is bound to non-label value {value}"
+        ))
+    })?;
+    if let Some(sym) = labels.get(&*text) {
+        return Ok(*sym);
+    }
+    let sym = out.sym(&text);
+    labels.insert(text, sym);
+    Ok(sym)
 }
 
 /// The aggregation accumulators of one `apply_block` pass (§5.2 extension):
@@ -481,7 +576,9 @@ fn emit_aggregates(
 }
 
 /// Runs a block's construction clauses over its bindings relation, writing
-/// into `out`.
+/// into `out`: per row the creates, then the links, then the collects, each
+/// Skolem term resolved where it first appears. An error leaves the block
+/// half applied, as it always has, and the table unfit for further use.
 pub fn apply_block(
     block: &Block,
     bindings: &Bindings,
@@ -501,35 +598,34 @@ pub fn apply_block(
 
     // Resolve every variable reference against the bindings schema once —
     // the per-row loop then works with column indexes only.
-    let plans = block_plans(block, bindings, out)?;
+    let BlockPlans {
+        mut terms,
+        creates,
+        links,
+        collect_syms,
+        collects,
+        mut labels,
+    } = block_plans(block, bindings, out)?;
     let mut agg = AggAcc::default();
+    if !links.is_empty() {
+        table.emitted.reserve(bindings.len());
+    }
 
     let mut args: Vec<Value> = Vec::new();
-    for row_idx in 0..bindings.len() {
-        let row = bindings.row(row_idx);
+    for at in 0..bindings.len() {
+        let row = bindings.row(at);
 
-        for plan in &plans.creates {
-            plan.resolve(table, out, row, &mut args, stats);
+        for &term in &creates {
+            terms[term].resolve(table, out, bindings, at, &mut args, stats);
         }
 
-        for (link_idx, lp) in plans.links.iter().enumerate() {
-            let from = lp.from.resolve(table, out, row, &mut args, stats);
-            let label = match &lp.label {
-                LabelPlan::Lit(sym) => *sym,
-                LabelPlan::Col(c, v) => {
-                    let value = &row[*c];
-                    match value.text() {
-                        Some(t) => out.sym(&t),
-                        None => {
-                            return Err(StruqlError::eval(format!(
-                                "link label variable `{v}` is bound to non-label value {value}"
-                            )))
-                        }
-                    }
-                }
-            };
+        for (link_idx, lp) in links.iter().enumerate() {
+            let from = terms[lp.from].resolve(table, out, bindings, at, &mut args, stats);
+            let label = label_sym(&mut labels, out, &lp.label, row)?;
             let to: Value = match &lp.to {
-                TargetPlan::Skolem(p) => Value::Node(p.resolve(table, out, row, &mut args, stats)),
+                TargetPlan::Skolem(term) => {
+                    Value::Node(terms[*term].resolve(table, out, bindings, at, &mut args, stats))
+                }
                 TargetPlan::Col(c) => row[*c].clone(),
                 TargetPlan::Lit(v) => v.clone(),
                 TargetPlan::Agg(c) => {
@@ -547,9 +643,11 @@ pub fn apply_block(
             }
         }
 
-        for (coll_idx, cp) in plans.collects.iter().enumerate() {
+        for (coll_idx, cp) in collects.iter().enumerate() {
             let value: Value = match cp {
-                TargetPlan::Skolem(p) => Value::Node(p.resolve(table, out, row, &mut args, stats)),
+                TargetPlan::Skolem(term) => {
+                    Value::Node(terms[*term].resolve(table, out, bindings, at, &mut args, stats))
+                }
                 TargetPlan::Col(c) => row[*c].clone(),
                 TargetPlan::Lit(v) => v.clone(),
                 TargetPlan::Agg(c) => {
@@ -560,13 +658,16 @@ pub fn apply_block(
                     continue;
                 }
             };
-            if table.emit_collect(out, plans.collect_syms[coll_idx], value)? {
+            if table.emit_collect(out, collect_syms[coll_idx], value)? {
                 stats.collected += 1;
             }
         }
     }
+    for term in &mut terms {
+        term.settle(table);
+    }
 
-    emit_aggregates(block, &plans.collect_syms, agg, out, table, stats)
+    emit_aggregates(block, &collect_syms, agg, out, table, stats)
 }
 
 /// Withdraws a block's construction clauses for a retracted bindings
@@ -593,7 +694,7 @@ pub fn retract_block(
         return Ok(());
     }
 
-    let plans = block_plans(block, bindings, out)?;
+    let mut plans = block_plans(block, bindings, out)?;
     if plans
         .links
         .iter()
@@ -608,62 +709,40 @@ pub fn retract_block(
         ));
     }
 
+    let terms = &plans.terms;
     let mut args: Vec<Value> = Vec::new();
-    for row_idx in 0..bindings.len() {
-        let row = bindings.row(row_idx);
-
+    // A target's value and, when it is a Skolem term, the node whose
+    // resolution reference the apply path took for it.
+    let target = |tp: &TargetPlan, table: &SkolemTable, row: &[Value], args: &mut Vec<Value>| {
+        Ok::<_, StruqlError>(match tp {
+            TargetPlan::Skolem(term) => {
+                let oid = terms[*term].resolve_existing(table, row, args)?;
+                (Value::Node(oid), Some(oid))
+            }
+            TargetPlan::Col(c) => (row[*c].clone(), None),
+            TargetPlan::Lit(v) => (v.clone(), None),
+            TargetPlan::Agg(_) => unreachable!("rejected above"),
+        })
+    };
+    for row in bindings.rows() {
         for lp in &plans.links {
-            let from = lp.from.resolve_existing(table, row, &mut args)?;
-            let label = match &lp.label {
-                LabelPlan::Lit(sym) => *sym,
-                LabelPlan::Col(c, v) => {
-                    let value = &row[*c];
-                    match value.text() {
-                        Some(t) => out.sym(&t),
-                        None => {
-                            return Err(StruqlError::eval(format!(
-                                "link label variable `{v}` is bound to non-label value {value}"
-                            )))
-                        }
-                    }
-                }
-            };
-            let to_skolem = match &lp.to {
-                TargetPlan::Skolem(p) => Some(p.resolve_existing(table, row, &mut args)?),
-                _ => None,
-            };
-            let to: Value = match &lp.to {
-                TargetPlan::Skolem(_) => Value::Node(to_skolem.expect("just resolved")),
-                TargetPlan::Col(c) => row[*c].clone(),
-                TargetPlan::Lit(v) => v.clone(),
-                TargetPlan::Agg(_) => unreachable!("rejected above"),
-            };
+            let from = terms[lp.from].resolve_existing(table, row, &mut args)?;
+            let label = label_sym(&mut plans.labels, out, &lp.label, row)?;
+            let (to, to_skolem) = target(&lp.to, table, row, &mut args)?;
             if table.retract_edge(out, from, label, &to)? {
                 stats.edges_removed += 1;
             }
             // Mirror the Skolem resolution reference the apply path took for
             // the target, then the one it took for the source.
-            if let Some(t) = to_skolem {
-                if table.release_node(out, t)? {
+            for oid in to_skolem.into_iter().chain([from]) {
+                if table.release_node(out, oid)? {
                     stats.nodes_removed += 1;
                 }
-            }
-            if table.release_node(out, from)? {
-                stats.nodes_removed += 1;
             }
         }
 
         for (coll_idx, cp) in plans.collects.iter().enumerate() {
-            let skolem = match cp {
-                TargetPlan::Skolem(p) => Some(p.resolve_existing(table, row, &mut args)?),
-                _ => None,
-            };
-            let value: Value = match cp {
-                TargetPlan::Skolem(_) => Value::Node(skolem.expect("just resolved")),
-                TargetPlan::Col(c) => row[*c].clone(),
-                TargetPlan::Lit(v) => v.clone(),
-                TargetPlan::Agg(_) => unreachable!("rejected above"),
-            };
+            let (value, skolem) = target(cp, table, row, &mut args)?;
             if table.retract_collect(out, plans.collect_syms[coll_idx], &value)? {
                 stats.collect_removed += 1;
             }
@@ -674,8 +753,8 @@ pub fn retract_block(
             }
         }
 
-        for plan in &plans.creates {
-            let oid = plan.resolve_existing(table, row, &mut args)?;
+        for &term in &plans.creates {
+            let oid = terms[term].resolve_existing(table, row, &mut args)?;
             if table.release_node(out, oid)? {
                 stats.nodes_removed += 1;
             }
@@ -803,6 +882,241 @@ mod tests {
         assert!(site.contains_node(d));
         let headline = uni.interner().get("headline").unwrap();
         assert_eq!(site.reader().attr(d, headline), Some(&Value::str("hi")));
+    }
+
+    // ---- construction is the same construction (expected values recorded
+    // from the per-occurrence resolver this file used to have) ----
+
+    fn root_block(src: &str) -> Block {
+        crate::parse::parse_query(src).unwrap().root
+    }
+
+    fn relation(vars: &[&str], rows: &[Vec<Value>]) -> Bindings {
+        let mut b = Bindings::with_vars(vars.iter().map(|v| v.to_string()).collect());
+        for row in rows {
+            b.push_row(row);
+        }
+        b
+    }
+
+    /// The same rows in reverse order (a *different* order from the one
+    /// they were applied in).
+    fn reversed(b: &Bindings) -> Bindings {
+        let mut out = Bindings::with_vars(b.vars().to_vec());
+        for i in (0..b.len()).rev() {
+            out.push_row(b.row(i));
+        }
+        out
+    }
+
+    fn node_names(g: &Graph) -> Vec<String> {
+        g.nodes()
+            .iter()
+            .map(|n| g.node_name(*n).map_or_else(String::new, |s| s.to_string()))
+            .collect()
+    }
+
+    /// The table's applications, in node creation order.
+    fn applications(t: &SkolemTable) -> Vec<(String, Vec<Value>, Oid)> {
+        let mut apps: Vec<_> = t
+            .iter()
+            .map(|(name, args, oid)| (name.to_string(), args.to_vec(), oid))
+            .collect();
+        apps.sort_by_key(|(_, _, oid)| *oid);
+        apps
+    }
+
+    fn created(nodes: u64, edges: u64, collected: u64) -> ConstructStats {
+        ConstructStats {
+            nodes_created: nodes,
+            edges_created: edges,
+            collected,
+            ..ConstructStats::default()
+        }
+    }
+
+    /// Apply-then-retract is the identity: every reference `apply_block`
+    /// took (however it batched them) is one `retract_block` releases.
+    fn assert_retracts_to_empty(
+        block: &Block,
+        rows: &Bindings,
+        g: &mut Graph,
+        t: &mut SkolemTable,
+    ) {
+        let mut stats = ConstructStats::default();
+        retract_block(block, &reversed(rows), g, t, &mut stats).unwrap();
+        assert_eq!(t.len(), 0, "Skolem applications left behind");
+        assert_eq!(t.iter().count(), 0);
+        assert!(g.nodes().is_empty(), "members left: {:?}", node_names(g));
+        assert_eq!(g.edge_count(), 0);
+        assert!(g.edges().is_empty());
+        for &c in g.collection_names() {
+            assert!(g.collection(c).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn one_term_as_create_source_and_target_in_one_row() {
+        let block = root_block(r#"CREATE P(x) LINK P(x) -> "self" -> P(x) COLLECT C(P(x))"#);
+        let rows = relation(&["x"], &[vec![Value::Int(1)], vec![Value::Int(2)]]);
+        let mut g = Graph::standalone();
+        let mut t = SkolemTable::new();
+        let mut stats = ConstructStats::default();
+        apply_block(&block, &rows, &mut g, &mut t, &mut stats).unwrap();
+        assert_eq!(stats, created(2, 2, 2));
+        assert_eq!(node_names(&g), ["P(1)", "P(2)"]);
+        let (p1, p2) = (g.nodes()[0], g.nodes()[1]);
+        assert_eq!(
+            applications(&t),
+            [
+                ("P".to_string(), vec![Value::Int(1)], p1),
+                ("P".to_string(), vec![Value::Int(2)], p2),
+            ]
+        );
+        // create + link source + link target + the edge's node target +
+        // collect argument + the collected node value.
+        assert_eq!((t.node_refs[&p1], t.node_refs[&p2]), (6, 6));
+        let this = g.sym("self");
+        assert!(g.has_edge(p1, this, &Value::Node(p1)));
+        assert!(g.has_edge(p2, this, &Value::Node(p2)));
+        assert_retracts_to_empty(&block, &rows, &mut g, &mut t);
+    }
+
+    #[test]
+    fn runs_of_equal_then_different_then_equal_again_arguments() {
+        // `x` runs 1,1,2,1 while `y` walks over adopted data nodes: the
+        // second run of 1 must find the node of the first.
+        let uni = Universe::new();
+        let mut data = Graph::new(Arc::clone(&uni));
+        let d: Vec<Value> = (0..4)
+            .map(|i| Value::Node(data.new_node(Some(&format!("d{i}")))))
+            .collect();
+        let block = root_block(
+            r#"CREATE P(x), Q(x) LINK P(x) -> "to" -> y, P(x) -> "q" -> Q(x), Q(x) -> "p" -> P(x)"#,
+        );
+        let rows = relation(
+            &["x", "y"],
+            &[
+                vec![Value::Int(1), d[0].clone()],
+                vec![Value::Int(1), d[1].clone()],
+                vec![Value::Int(2), d[2].clone()],
+                vec![Value::Int(1), d[3].clone()],
+            ],
+        );
+        let mut g = Graph::new(Arc::clone(&uni));
+        let mut t = SkolemTable::new();
+        let mut stats = ConstructStats::default();
+        apply_block(&block, &rows, &mut g, &mut t, &mut stats).unwrap();
+        assert_eq!(stats, created(4, 8, 0));
+        assert_eq!(
+            node_names(&g),
+            ["P(1)", "Q(1)", "d0", "d1", "P(2)", "Q(2)", "d2", "d3"]
+        );
+        let apps = applications(&t);
+        let names: Vec<&str> = apps.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, ["P", "Q", "P", "Q"]);
+        assert_eq!(apps[0].1, [Value::Int(1)]);
+        assert_eq!(apps[3].1, [Value::Int(2)]);
+        let p1 = t.lookup("P", &[Value::Int(1)]).unwrap();
+        let p2 = t.lookup("P", &[Value::Int(2)]).unwrap();
+        // Per row: P(x) is create, three link ends and one edge target.
+        assert_eq!((t.node_refs[&p1], t.node_refs[&p2]), (15, 5));
+        let to = g.sym("to");
+        assert_eq!(g.reader().attr_values(p1, to).count(), 3);
+        assert_retracts_to_empty(&block, &rows, &mut g, &mut t);
+    }
+
+    #[test]
+    fn relation_not_grouped_by_the_skolem_arguments() {
+        // Interleaved a, b, a, b: the run memo misses on every row and the
+        // table has to answer.
+        let block = root_block(r#"CREATE P(x) LINK P(x) -> "v" -> y, P(x) -> "next" -> P(y)"#);
+        let (a, b) = (Value::str("a"), Value::str("b"));
+        let rows = relation(
+            &["x", "y"],
+            &[
+                vec![a.clone(), a.clone()],
+                vec![b.clone(), a.clone()],
+                vec![a.clone(), b.clone()],
+                vec![b.clone(), b.clone()],
+            ],
+        );
+        let mut g = Graph::standalone();
+        let mut t = SkolemTable::new();
+        let mut stats = ConstructStats::default();
+        apply_block(&block, &rows, &mut g, &mut t, &mut stats).unwrap();
+        assert_eq!(stats, created(2, 8, 0));
+        assert_eq!(node_names(&g), ["P(a)", "P(b)"]);
+        let (pa, pb) = (g.nodes()[0], g.nodes()[1]);
+        assert_eq!(
+            applications(&t),
+            [
+                ("P".to_string(), vec![a.clone()], pa),
+                ("P".to_string(), vec![b.clone()], pb),
+            ]
+        );
+        let next = g.sym("next");
+        for (from, to) in [(pa, pa), (pa, pb), (pb, pa), (pb, pb)] {
+            assert!(g.has_edge(from, next, &Value::Node(to)));
+        }
+        assert_retracts_to_empty(&block, &rows, &mut g, &mut t);
+    }
+
+    #[test]
+    fn aggregate_link_with_a_skolem_source() {
+        let block = root_block(
+            r#"CREATE S(s) LINK S(s) -> "Story" -> A(a), S(s) -> "StoryCount" -> COUNT(a)"#,
+        );
+        let rows = relation(
+            &["a", "s"],
+            &[
+                vec![Value::Int(1), Value::str("sports")],
+                vec![Value::Int(2), Value::str("sports")],
+                vec![Value::Int(2), Value::str("world")],
+                vec![Value::Int(3), Value::str("sports")],
+            ],
+        );
+        let mut g = Graph::standalone();
+        let mut t = SkolemTable::new();
+        let mut stats = ConstructStats::default();
+        apply_block(&block, &rows, &mut g, &mut t, &mut stats).unwrap();
+        assert_eq!(stats, created(5, 6, 0));
+        assert_eq!(
+            node_names(&g),
+            ["S(sports)", "A(1)", "A(2)", "S(world)", "A(3)"]
+        );
+        assert_eq!(applications(&t).len(), 5);
+        let count = g.sym("StoryCount");
+        let sports = t.lookup("S", &[Value::str("sports")]).unwrap();
+        let world = t.lookup("S", &[Value::str("world")]).unwrap();
+        assert_eq!(g.reader().attr(sports, count), Some(&Value::Int(3)));
+        assert_eq!(g.reader().attr(world, count), Some(&Value::Int(1)));
+        // Aggregates are outside the incremental fragment, as before.
+        let err = retract_block(&block, &rows, &mut g, &mut t, &mut stats).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("aggregate constructions cannot be retracted incrementally"));
+    }
+
+    #[test]
+    fn label_variable_bound_to_a_non_label_value_fails() {
+        let block = root_block(r#"CREATE P(x) LINK P(x) -> l -> x"#);
+        let rows = relation(
+            &["l", "x"],
+            &[
+                vec![Value::str("ok"), Value::Int(1)],
+                vec![Value::Int(7), Value::Int(1)],
+            ],
+        );
+        let mut g = Graph::standalone();
+        let mut t = SkolemTable::new();
+        let mut stats = ConstructStats::default();
+        let err = apply_block(&block, &rows, &mut g, &mut t, &mut stats).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("link label variable `l` is bound to non-label value 7"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -235,6 +235,13 @@ pub struct EvalStats {
     pub plan_replans: u64,
     /// Construction-stage counters.
     pub construct: ConstructStats,
+    /// Wall time of the query stage — executing each block's conditions
+    /// into its bindings relation — in microseconds, summed over blocks.
+    pub query_us: u64,
+    /// Wall time of the construction stage — applying each block's
+    /// `CREATE`/`LINK`/`COLLECT` clauses to its relation — in microseconds,
+    /// summed over blocks.
+    pub construct_us: u64,
     /// Per-block plan descriptions (only when `explain` is set).
     pub plans: Vec<String>,
     /// Analyzer warnings (active-domain fallbacks etc.).
@@ -605,7 +612,9 @@ impl<'g> Ev<'g> {
             let bound: FxHashSet<&str> = parent.vars().iter().map(String::as_str).collect();
             let p = plan_for(self.opts, &block.where_, &bound, self.graph);
             let profiled_from = self.stats.profile.len();
+            let t = Timer::start();
             let bindings = self.eval_conditions(&block.where_, &p, parent.clone(), arc_vars)?;
+            self.stats.query_us += t.elapsed_us();
             for prof in &mut self.stats.profile[profiled_from..] {
                 prof.block = block.id.to_string();
             }
@@ -630,7 +639,9 @@ impl<'g> Ev<'g> {
             bindings
         };
         let construct_before = self.stats.construct;
+        let t = Timer::start();
         apply_block(block, &bindings, out, table, &mut self.stats.construct)?;
+        self.stats.construct_us += t.elapsed_us();
         if self.opts.profile {
             self.stats.block_construct.push((
                 block.id.to_string(),

@@ -86,7 +86,7 @@ impl GraphStats {
         GraphStats {
             nodes: graph.node_count() as f64,
             edges: graph.edge_count() as f64,
-            labels: graph.index().map(|i| i.label_count() as f64).unwrap_or(0.0),
+            labels: graph.label_count().unwrap_or(0) as f64,
             indexed: graph.is_indexed(),
         }
     }
@@ -108,8 +108,10 @@ impl GraphStats {
     /// its real fan-in instead of an optimistic whole-graph average.
     pub fn label_degrees(graph: &Graph, label: &str) -> Option<LabelDegrees> {
         let sym = graph.universe().interner().get(label)?;
+        // A label the graph does not carry has no degrees to ask the full
+        // index (and so its extents) for.
+        let card = graph.label_cardinality(sym).filter(|c| *c > 0)? as f64;
         let idx = graph.index()?;
-        let card = idx.label_cardinality(sym) as f64;
         let src = idx.label_distinct_sources(sym) as f64;
         let tgt = idx.label_distinct_targets(sym) as f64;
         if src <= 0.0 || tgt <= 0.0 {
@@ -140,7 +142,7 @@ pub struct LabelDegrees {
 /// Cardinality of a label's extension, if the index can tell us.
 fn label_card(graph: &Graph, label: &str) -> Option<f64> {
     let sym = graph.universe().interner().get(label)?;
-    graph.index().map(|i| i.label_cardinality(sym) as f64)
+    graph.label_cardinality(sym).map(|c| c as f64)
 }
 
 fn collection_card(graph: &Graph, name: &str) -> Option<f64> {

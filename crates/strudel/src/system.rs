@@ -4,7 +4,7 @@ use crate::error::{Result, StrudelError};
 use std::path::Path;
 use std::sync::Arc;
 use strudel_graph::graph::Universe;
-use strudel_graph::{ddl, Graph, Oid, Value};
+use strudel_graph::{ddl, Graph, Oid, Sym, Value};
 use strudel_obs::{Phases, Timer};
 use strudel_site::{
     verify_graph, verify_schema, CacheConfig, Constraint, DynamicSite, SiteSchema, Verdict,
@@ -297,13 +297,17 @@ impl Strudel {
         for q in &queries {
             stats.push(q.evaluate_into(data, &mut site, &mut table, &opts)?);
         }
-        // Register per-function collections for template selection.
-        let entries: Vec<(String, Oid)> = table
-            .iter()
-            .map(|(name, _, oid)| (name.to_string(), oid))
-            .collect();
-        for (name, oid) in entries {
-            site.add_to_collection_str(&name, Value::Node(oid));
+        // Register per-function collections for template selection. The
+        // table iterates function by function, so a name is interned once
+        // per function, not once per page.
+        let mut function: Option<(&str, Sym)> = None;
+        for (name, _, oid) in table.iter() {
+            let coll = match function {
+                Some((current, sym)) if current == name => sym,
+                _ => site.sym(name),
+            };
+            function = Some((name, coll));
+            site.add_to_collection(coll, Value::Node(oid));
         }
         Ok(SiteBuild {
             graph: site,
@@ -323,9 +327,16 @@ impl Strudel {
     }
 
     /// Like [`Strudel::generate_site`], but records a wall-clock breakdown
-    /// of the pipeline phases (`refresh` → `evaluate` → `render`) and
-    /// per-page render times ([`GeneratedSite::render_us`]) — the data
-    /// behind `strudel-cli build --timings`.
+    /// of the pipeline phases and per-page render times
+    /// ([`GeneratedSite::render_us`]) — the data behind `strudel-cli build
+    /// --timings`. The phases are disjoint and cover the whole call, so
+    /// they add up to its wall time: `refresh` (when the warehouse is
+    /// stale), the paper's two evaluation stages `evaluate.query` and
+    /// `evaluate.construct` ([`EvalStats::query_us`],
+    /// [`EvalStats::construct_us`]), `evaluate` for what else building the
+    /// site graph takes (analysis, planning, registering each function's
+    /// pages as a collection), `render`, and `teardown` — freeing the site
+    /// graph and its derivation table, which every build pays on return.
     pub fn generate_site_timed(
         &mut self,
         root_skolems: &[&str],
@@ -338,11 +349,22 @@ impl Strudel {
         }
         let t = Timer::start();
         let build = self.build_site()?;
-        phases.add("evaluate", t.elapsed_us());
+        let evaluate_us = t.elapsed_us();
+        let query_us: u64 = build.stats.iter().map(|s| s.query_us).sum();
+        let construct_us: u64 = build.stats.iter().map(|s| s.construct_us).sum();
+        phases.add("evaluate.query", query_us);
+        phases.add("evaluate.construct", construct_us);
+        phases.add(
+            "evaluate",
+            evaluate_us.saturating_sub(query_us + construct_us),
+        );
         let t = Timer::start();
         let threads = (self.jobs > 1).then_some(self.jobs);
         let site = self.render_site(&build, root_skolems, threads, true)?;
         phases.add("render", t.elapsed_us());
+        let t = Timer::start();
+        drop(build);
+        phases.add("teardown", t.elapsed_us());
         Ok((site, phases))
     }
 
@@ -396,8 +418,8 @@ impl Strudel {
         Ok(site)
     }
 
-    /// Like [`Strudel::publish`], but returns the phase breakdown
-    /// (`refresh` → `evaluate` → `render` → `write`) alongside the site.
+    /// Like [`Strudel::publish`], but returns the phase breakdown (that of
+    /// [`Strudel::generate_site_timed`], then `write`) alongside the site.
     pub fn publish_timed(
         &mut self,
         root_skolems: &[&str],
@@ -577,15 +599,46 @@ object p3 in Publications { title "StruQL" year 1997 }
         let (site, phases) = s.generate_site_timed(&["RootPage"]).unwrap();
         assert_eq!(site.pages.len(), 4);
         let names: Vec<&str> = phases.entries().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["refresh", "evaluate", "render"]);
+        const BUILD: [&str; 5] = [
+            "evaluate.query",
+            "evaluate.construct",
+            "evaluate",
+            "render",
+            "teardown",
+        ];
+        assert_eq!(names[0], "refresh");
+        assert_eq!(names[1..], BUILD);
         assert_eq!(site.render_us.len(), site.pages.len());
         assert!(phases.to_json().starts_with(r#"{"refresh":"#));
         // A second timed build reuses the fresh warehouse: no refresh phase.
         let (_, phases) = s.generate_site_timed(&["RootPage"]).unwrap();
         let names: Vec<&str> = phases.entries().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["evaluate", "render"]);
+        assert_eq!(names, BUILD);
         // The untimed path stays free of per-page timing.
         assert!(s.generate_site(&["RootPage"]).unwrap().render_us.is_empty());
+    }
+
+    #[test]
+    fn timed_build_phases_add_up_to_the_wall_time() {
+        // Everything `generate_site_timed` does happens inside one of its
+        // phases — evaluation's two stages, rendering, and freeing the site
+        // graph included — so the phases account for the call.
+        let mut s = crate::synth::news::system(2_000, 7, false).unwrap();
+        let wall = std::time::Instant::now();
+        let (site, phases) = s.generate_site_timed(&["FrontPage"]).unwrap();
+        let wall_us = wall.elapsed().as_micros() as f64;
+        assert!(site.pages.len() > 2_000);
+        let of = |name: &str| {
+            let entry = phases.entries().iter().find(|(n, _)| n == name);
+            entry.unwrap_or_else(|| panic!("no phase {name}")).1
+        };
+        assert!(of("evaluate.query") > 0 && of("evaluate.construct") > 0);
+        let covered = phases.total_us() as f64 / wall_us;
+        assert!(
+            (0.97..=1.0).contains(&covered),
+            "phases cover {covered:.3} of the call: {}",
+            phases.to_json()
+        );
     }
 
     #[test]

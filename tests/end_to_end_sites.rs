@@ -235,3 +235,26 @@ fn org_site_integrates_five_source_kinds() {
         "title extracted by the HTML wrapper: {demo}"
     );
 }
+
+#[test]
+fn a_full_build_builds_no_index_extent() {
+    // Building and rendering a site writes the site graph and walks both
+    // graphs forwards; the news query's plans read the index's counts only.
+    // Nothing looks an edge up backwards, so neither graph ever pays for
+    // its label extensions, value index or reverse adjacency.
+    let mut s = news::system(300, 21, false).unwrap();
+    let build = s.build_site().unwrap();
+    let roots = build.pages_of("FrontPage");
+    let templates = news::templates().unwrap();
+    let html = strudel::template::Generator::new(&build.graph, &templates)
+        .generate_parallel(&roots, 2)
+        .unwrap();
+    assert!(html.pages.len() > 300);
+    assert_eq!(html.pages, s.generate_site(&["FrontPage"]).unwrap().pages);
+    assert!(!build.graph.extents_built(), "site graph");
+    assert!(!s.data_graph().unwrap().extents_built(), "data graph");
+    // The counts the planner reads are there all the same.
+    let section = build.graph.sym("section");
+    assert!(s.data_graph().unwrap().label_cardinality(section) >= Some(300));
+    assert!(build.graph.label_cardinality(section) >= Some(600));
+}

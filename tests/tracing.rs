@@ -69,3 +69,80 @@ fn debug_traces_exposes_request_spans() {
         }
     });
 }
+
+/// Restart to first hub page: a reopened store hands out a graph with no
+/// extents, leaf pages never ask for them, and the first page that looks an
+/// edge up backwards builds them — once, however many clicks race for it —
+/// under a `graph.extents` span that says what the wait was.
+#[test]
+fn first_hub_click_after_reopen_builds_the_extents_once_and_names_it() {
+    use strudel::graph::store::{PagedStore, WireValue};
+    use strudel::graph::Value;
+    use strudel::obs::trace::{self, AttrValue};
+    use strudel::site::PageRef;
+    use strudel::synth::news;
+
+    trace::enable(trace::TraceConfig::default());
+    let dir = std::env::temp_dir().join(format!("strudel_it_extents_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("news.pdb");
+    let data = strudel::graph::ddl::parse(&news::generate_ddl(300, 5)).unwrap();
+    let mut store = PagedStore::import(&path, &data).unwrap();
+    let mut txn = store.begin();
+    let extra = txn.add_node(Some("art300"));
+    txn.add_edge(extra, "headline", WireValue::Str("Late edition".into()));
+    txn.add_edge(extra, "section", WireValue::Str("sports".into()));
+    txn.add_to_collection("Articles", WireValue::Node(extra));
+    txn.commit().unwrap();
+    drop(store);
+
+    // Reopen with that commit still in the WAL to replay.
+    let mut store = PagedStore::open(&path).unwrap();
+    let graph = store.graph().unwrap();
+    let query = strudel::struql::parse_query(news::SITE_QUERY).unwrap();
+    let site = DynamicSite::new(graph, &query, EvalOptions::default()).unwrap();
+    let article = graph.nodes()[0];
+    let leaf = PageRef {
+        skolem: "ArticlePage".into(),
+        args: vec![Value::Node(article)],
+    };
+    assert!(!site.expand(&leaf).unwrap().is_empty());
+    assert!(!graph.extents_built(), "a leaf page follows out-edges only");
+
+    let hub = PageRef {
+        skolem: "SectionPage".into(),
+        args: vec![Value::str("sports")],
+    };
+    let gate = std::sync::Barrier::new(2);
+    let click = || {
+        let root = trace::begin_request("test.click").expect("tracing enabled");
+        let trace_id = root.trace_id();
+        let entered = trace::enter(&root.ctx());
+        gate.wait();
+        let links = site.expand(&hub).unwrap();
+        drop(entered);
+        root.finish();
+        (trace_id, links.len())
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(click);
+        (click(), other.join().unwrap())
+    });
+    assert!(graph.extents_built());
+    assert!(a.1 > 30 && a.1 == b.1, "both clicks see the whole hub page");
+    let builds: Vec<_> = trace::snapshot_spans()
+        .into_iter()
+        .filter(|s| s.name == "graph.extents" && [a.0, b.0].contains(&s.trace_id))
+        .collect();
+    assert_eq!(builds.len(), 1, "one build between the two clicks");
+    assert_eq!(builds[0].layer.name(), "store");
+    let attr = |key: &str| match builds[0].attrs.iter().find(|(k, _)| k == key) {
+        Some((_, AttrValue::U64(v))) => *v,
+        other => panic!("no integer attribute {key}: {other:?}"),
+    };
+    assert_eq!(attr("edges"), graph.edge_count() as u64);
+    assert_eq!(attr("labels"), graph.labels().len() as u64);
+    assert!(attr("values") > 300);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
