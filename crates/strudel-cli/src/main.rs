@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE]
-//!                     [--page-cache N]            generate the browsable site
+//!                                                 generate the browsable site
 //! strudel-cli schema  <site.spec>                 print the site schema (DOT)
 //! strudel-cli explain <site.spec> [--profile [--json]]  optimizer plans per block
 //! strudel-cli verify  <site.spec> <constraint>    check a structural constraint
@@ -11,15 +11,11 @@
 //!                                                 run an ad-hoc query, print DDL
 //! strudel-cli serve   <site.spec> [addr]          click-time evaluation over HTTP
 //!     [--threads N] [--cache-entries N] [--cache-bytes N] [--data FILE]
-//!     [--page-cache N] [--group-commit-window MS]
 //!     [--trace-sample-rate F] [--trace-slow-ms N]
 //! strudel-cli trace   <http://host:port/page/...>  fetch a page from a traced
 //!                     | <site.spec> [page-path]    server (or serve one in
 //!                                                  process) and print its span
 //!                                                  tree with per-layer self-times
-//! strudel-cli loadtest <site.spec>                zipfian load against the server
-//!     [--conns A,B] [--duration-ms N] [--zipf S] [--threads N] [--max-urls N]
-//!     [--pipeline-depth N] [--seed N] [--out FILE]
 //! strudel-cli store   import <data.(ddl|bin)> <store.pdb>   seed a paged store
 //! strudel-cli store   info <store.pdb>            revision, pages, WAL, contents
 //! strudel-cli store   compact <store.pdb>         checkpoint + rewrite minimal
@@ -28,9 +24,6 @@
 //!
 //! `--data FILE` registers a paged graph store (crash-recovered on open) as
 //! an extra data source named `store` alongside the spec's sources.
-//! `--page-cache N` caps that store's page cache at N pages and
-//! `--group-commit-window MS` sets how long a group-commit leader waits for
-//! followers before flushing the batch (0 = flush immediately).
 //!
 //! Observability flags:
 //!
@@ -51,7 +44,6 @@
 //! none-reachable Root SecretPage
 //! ```
 
-mod loadtest;
 mod spec;
 
 use std::path::Path;
@@ -71,11 +63,10 @@ fn main() -> ExitCode {
         }
         Some("serve") if args.len() >= 2 => cmd_serve(Path::new(&args[1]), &args[2..]),
         Some("trace") if args.len() >= 2 => cmd_trace(&args[1], &args[2..]),
-        Some("loadtest") if args.len() >= 2 => loadtest::run(Path::new(&args[1]), &args[2..]),
         Some("store") if args.len() >= 2 => cmd_store(&args[1], &args[2..]),
         Some("demo") if args.len() == 2 => cmd_demo(Path::new(&args[1])),
         _ => {
-            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE] [--page-cache N]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N]\n                       [--data FILE] [--page-cache N] [--group-commit-window MS]\n                       [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli loadtest <site.spec> [--conns A,B] [--duration-ms N] [--zipf S] [--threads N]\n                       [--max-urls N] [--pipeline-depth N] [--seed N] [--out FILE]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
+            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N]\n                       [--data FILE] [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
             return ExitCode::from(2);
         }
     };
@@ -180,14 +171,12 @@ fn load_system(spec_path: &Path) -> Result<(Strudel, spec::Spec), AnyError> {
 /// `rest` holds everything after the spec path: an optional `--jobs N`
 /// flag (render workers: threads rendering pages once the site graph is
 /// built; defaults to the machine's available parallelism), `--timings`
-/// (print a phase-breakdown JSON object instead of the summary line),
-/// `--data FILE` (mount a paged graph store as an extra source) and
-/// `--page-cache N` (cap that store's page cache at N pages).
+/// (print a phase-breakdown JSON object instead of the summary line) and
+/// `--data FILE` (mount a paged graph store as an extra source).
 fn cmd_build(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut timings = false;
     let mut data: Option<String> = None;
-    let mut tune = strudel::StoreTuning::default();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -200,16 +189,12 @@ fn cmd_build(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
             }
             "--timings" => timings = true,
             "--data" => data = Some(it.next().ok_or("--data needs a file")?.clone()),
-            "--page-cache" => {
-                let v = it.next().ok_or("--page-cache needs a value")?;
-                tune.page_cache = Some(v.parse().map_err(|e| format!("--page-cache {v}: {e}"))?);
-            }
             s => return Err(format!("unknown argument {s}").into()),
         }
     }
     let (mut s, sp) = load_system(spec_path)?;
     if let Some(store_path) = &data {
-        s.add_store_source_with("store", Path::new(store_path), tune);
+        s.add_store_source("store", Path::new(store_path));
     }
     s.set_jobs(jobs);
     let roots: Vec<&str> = sp.roots.iter().map(String::as_str).collect();
@@ -396,7 +381,6 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let mut config = strudel::serve::ServerConfig::default();
     let mut cache = strudel::site::CacheConfig::default();
     let mut data: Option<String> = None;
-    let mut tune = strudel::StoreTuning::default();
     let mut trace_cfg = strudel::obs::trace::TraceConfig::default();
 
     let mut it = rest.iter();
@@ -410,11 +394,6 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
             "--cache-entries" => cache.max_entries = flag_value("--cache-entries")?,
             "--cache-bytes" => cache.max_bytes = flag_value("--cache-bytes")?,
             "--data" => data = Some(it.next().ok_or("--data needs a file")?.clone()),
-            "--page-cache" => tune.page_cache = Some(flag_value("--page-cache")?),
-            "--group-commit-window" => {
-                let ms = flag_value("--group-commit-window")?;
-                tune.group_commit_window = Some(std::time::Duration::from_millis(ms as u64));
-            }
             "--trace-sample-rate" => {
                 let v = it.next().ok_or("--trace-sample-rate needs a value")?;
                 trace_cfg.sample_rate = v
@@ -429,7 +408,7 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
 
     let (mut s, _) = load_system(spec_path)?;
     if let Some(store_path) = &data {
-        s.add_store_source_with("store", Path::new(store_path), tune);
+        s.add_store_source("store", Path::new(store_path));
     }
     strudel::obs::trace::enable(trace_cfg);
     let dynamic = s.dynamic_site_with(cache)?;
@@ -697,10 +676,9 @@ fn cmd_store(verb: &str, rest: &[String]) -> Result<(), AnyError> {
                 store.dirty_segments(),
             );
             println!(
-                "wal {} bytes, age {}s; group-commit window {:?}",
+                "wal {} bytes, age {}s",
                 store.wal_size(),
                 store.wal_age_seconds(),
-                store.group_commit_window(),
             );
             Ok(())
         }

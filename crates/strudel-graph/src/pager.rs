@@ -205,19 +205,6 @@ impl PageCache {
             self.order.push_back(page);
         }
     }
-
-    fn set_cap(&mut self, cap: usize) {
-        self.cap = cap.max(8);
-        while self.map.len() > self.cap {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                    STORAGE.page_cache_evictions.inc();
-                }
-                None => break,
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for Pager {
@@ -333,11 +320,6 @@ impl Pager {
     /// The file path this pager writes.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Resizes the in-memory page cache (in pages; clamped to at least 8).
-    pub fn set_cache_capacity(&mut self, pages: usize) {
-        self.cache.set_cap(pages);
     }
 
     fn read_page(&mut self, page: u32) -> Result<Vec<u8>> {

@@ -1505,11 +1505,6 @@ impl PagedStore {
         self.wal_limit = bytes;
     }
 
-    /// Caps the pager's in-memory page cache (in pages).
-    pub fn set_page_cache_capacity(&mut self, pages: usize) {
-        self.pager.set_cache_capacity(pages);
-    }
-
     /// The group-commit window (see [`PagedStore::set_group_commit_window`]).
     pub fn group_commit_window(&self) -> Duration {
         self.group_window
@@ -1535,7 +1530,7 @@ impl PagedStore {
     pub fn begin(&mut self) -> Txn<'_> {
         let base_nodes = self.node_count;
         Txn {
-            store: self,
+            sink: Sink::Store(self),
             ops: Vec::new(),
             base_nodes,
             added_nodes: 0,
@@ -1858,19 +1853,28 @@ fn parent_of(path: &Path) -> PathBuf {
     }
 }
 
-/// A buffered transaction on a [`PagedStore`]. Build up ops, then
-/// [`Txn::commit`]; dropping the transaction without committing discards
-/// it entirely.
+/// A buffered transaction, begun on a [`PagedStore`] or on a
+/// [`CommitQueue`]. Build up ops, then [`Txn::commit`]; dropping the
+/// transaction without committing discards it entirely.
 pub struct Txn<'a> {
-    store: &'a mut PagedStore,
+    sink: Sink<'a>,
     ops: Vec<DeltaOp>,
     base_nodes: u32,
     added_nodes: u32,
 }
 
+/// Where a [`Txn`] commits.
+enum Sink<'a> {
+    /// Straight into the store it borrows: one revision, one fsync.
+    Store(&'a mut PagedStore),
+    /// Through the queue's next batch, which rebases the node indexes.
+    Queue(&'a CommitQueue),
+}
+
 impl Txn<'_> {
     /// Creates a node, returning its dense index (usable in later ops of
-    /// this same transaction).
+    /// this same transaction; provisional until commit when the
+    /// transaction began on a [`CommitQueue`]).
     pub fn add_node(&mut self, name: Option<&str>) -> u32 {
         let id = self.base_nodes + self.added_nodes;
         self.added_nodes += 1;
@@ -1931,10 +1935,13 @@ impl Txn<'_> {
         self.ops.is_empty()
     }
 
-    /// Commits the transaction durably, returning the new revision.
+    /// Commits the transaction durably, returning the revision it (or the
+    /// batch it joined) landed as.
     pub fn commit(self) -> Result<u64> {
-        let ops = self.ops;
-        self.store.commit_ops(&ops)
+        match self.sink {
+            Sink::Store(store) => store.commit_ops(&self.ops),
+            Sink::Queue(queue) => queue.commit_ops(self.base_nodes, self.ops),
+        }
     }
 }
 
@@ -2009,10 +2016,10 @@ impl CommitQueue {
     }
 
     /// Starts a transaction against the current revision.
-    pub fn begin(&self) -> QueuedTxn<'_> {
+    pub fn begin(&self) -> Txn<'_> {
         let base_nodes = self.inner.node_count.load(Ordering::Acquire);
-        QueuedTxn {
-            queue: self,
+        Txn {
+            sink: Sink::Queue(self),
             ops: Vec::new(),
             base_nodes,
             added_nodes: 0,
@@ -2190,85 +2197,6 @@ fn rebase_ops(ops: &[DeltaOp], base_nodes: u32, shift: u32) -> Vec<DeltaOp> {
             },
         })
         .collect()
-}
-
-/// A buffered transaction on a [`CommitQueue`] — the concurrent analogue
-/// of [`Txn`]. Node indexes returned by [`QueuedTxn::add_node`] are
-/// provisional; the queue rebases them when the batch commits.
-pub struct QueuedTxn<'a> {
-    queue: &'a CommitQueue,
-    ops: Vec<DeltaOp>,
-    base_nodes: u32,
-    added_nodes: u32,
-}
-
-impl QueuedTxn<'_> {
-    /// Creates a node, returning its provisional dense index (usable in
-    /// later ops of this same transaction).
-    pub fn add_node(&mut self, name: Option<&str>) -> u32 {
-        let id = self.base_nodes + self.added_nodes;
-        self.added_nodes += 1;
-        self.ops.push(DeltaOp::AddNode {
-            name: name.map(str::to_owned),
-        });
-        id
-    }
-
-    /// Adds edge `node --label--> value`.
-    pub fn add_edge(&mut self, node: u32, label: &str, value: WireValue) {
-        self.ops.push(DeltaOp::AddEdge {
-            node,
-            label: label.to_owned(),
-            value,
-        });
-    }
-
-    /// Removes edge `node --label--> value` (no-op if absent).
-    pub fn remove_edge(&mut self, node: u32, label: &str, value: WireValue) {
-        self.ops.push(DeltaOp::RemoveEdge {
-            node,
-            label: label.to_owned(),
-            value,
-        });
-    }
-
-    /// Ensures a collection exists.
-    pub fn ensure_collection(&mut self, name: &str) {
-        self.ops.push(DeltaOp::EnsureCollection {
-            name: name.to_owned(),
-        });
-    }
-
-    /// Adds a value to a collection (created if missing).
-    pub fn add_to_collection(&mut self, collection: &str, value: WireValue) {
-        self.ops.push(DeltaOp::AddToCollection {
-            collection: collection.to_owned(),
-            value,
-        });
-    }
-
-    /// Removes a value from a collection (no-op if absent).
-    pub fn remove_from_collection(&mut self, collection: &str, value: WireValue) {
-        self.ops.push(DeltaOp::RemoveFromCollection {
-            collection: collection.to_owned(),
-            value,
-        });
-    }
-
-    /// Number of ops buffered so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the transaction is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Commits via the queue, returning the revision the batch landed as.
-    pub fn commit(self) -> Result<u64> {
-        self.queue.commit_ops(self.base_nodes, self.ops)
-    }
 }
 
 #[cfg(test)]
@@ -2830,32 +2758,47 @@ object pub2 in Publications {
         cleanup(&p);
     }
 
+    /// Group commit as a count rather than a time ratio: 100 transactions
+    /// from 50 threads released together land in at most 10 revisions. A
+    /// revision is one WAL commit record behind one fsync, so that is at
+    /// least 10 commits per fsync, where committing them one at a time
+    /// takes 100. Read from this store's own revision; the process-wide
+    /// storage counters are shared with every other test in the binary.
     #[test]
     fn concurrent_commits_group_behind_shared_fsyncs() {
+        const THREADS: usize = 50;
+        const PER_THREAD: usize = 2;
         let p = store_path("convoy");
         let mut store = PagedStore::create(&p).unwrap();
+        // No auto-checkpoint: every fsync in the burst is a commit's.
+        store.set_wal_limit(u64::MAX);
         store.set_group_commit_window(Duration::from_millis(2));
+        let start_rev = store.revision();
         let queue = CommitQueue::new(store);
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let q = queue.clone();
-                std::thread::spawn(move || {
-                    for i in 0..25 {
-                        let mut txn = q.begin();
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (queue, barrier) = (&queue, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_THREAD {
+                        let mut txn = queue.begin();
                         let n = txn.add_node(Some(&format!("n{t}_{i}")));
-                        txn.add_edge(n, "t", WireValue::Int(t));
+                        txn.add_edge(n, "t", WireValue::Int(t as i64));
                         txn.add_to_collection("All", WireValue::Node(n));
                         txn.commit().unwrap();
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+                });
+            }
+        });
         let final_rev = queue.with_store(|s| s.revision());
         let mut store = queue.into_store().expect("sole handle");
-        assert!(final_rev <= 100);
+        assert!(
+            final_rev - start_rev <= 10,
+            "{} transactions took {} revisions",
+            THREADS * PER_THREAD,
+            final_rev - start_rev
+        );
         assert_eq!(store.node_count(), 100);
         assert_eq!(
             store.graph().unwrap().collection_str("All").unwrap().len(),

@@ -1182,12 +1182,27 @@ pub fn assemble_tree(spans: &[SpanRecord]) -> Vec<TreeNode> {
 mod tests {
     use super::*;
 
-    fn ensure_enabled() {
+    /// The recorder is one per process and tests run in parallel: a test
+    /// that records holds this shared, the two that reconfigure or disable
+    /// the recorder hold it exclusively.
+    static CONFIG: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    fn record_everything() {
         enable(TraceConfig {
             sample_rate: 1.0,
             slow_ms: 0,
             capacity: 1024,
         });
+    }
+
+    fn ensure_enabled() -> std::sync::RwLockReadGuard<'static, ()> {
+        let shared = CONFIG.read().unwrap_or_else(|e| e.into_inner());
+        record_everything();
+        shared
+    }
+
+    fn reconfiguring() -> std::sync::RwLockWriteGuard<'static, ()> {
+        CONFIG.write().unwrap_or_else(|e| e.into_inner())
     }
 
     fn spans_of(trace_id: u64) -> Vec<SpanRecord> {
@@ -1199,19 +1214,18 @@ mod tests {
 
     #[test]
     fn disabled_paths_are_inert() {
-        // Force-disable for the duration of this check; other tests in the
-        // process may re-enable, so only assert on the guards we create now.
+        let _alone = reconfiguring();
         disable();
         assert!(begin_request("request").is_none());
         let g = span("x", Layer::Eval);
         assert!(!g.is_live());
         assert!(current().is_none());
-        ensure_enabled();
+        record_everything();
     }
 
     #[test]
     fn spans_nest_and_record_attrs() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let mut root = begin_request("request").unwrap();
         root.attr_text("path", "/page/HomePage");
         root.attr_u64("status", 200);
@@ -1258,7 +1272,7 @@ mod tests {
 
     #[test]
     fn explicit_record_span_attaches_to_ctx() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let root = begin_request("request").unwrap();
         let trace_id = root.trace_id();
         let ctx = root.ctx();
@@ -1281,7 +1295,7 @@ mod tests {
 
     #[test]
     fn cross_thread_ctx_parents_correctly() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let root = begin_request("request").unwrap();
         let trace_id = root.trace_id();
         let ctx = root.ctx();
@@ -1300,7 +1314,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_without_orphan_parent_loops() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let cap = stats().ring_capacity;
         let mut root = begin_request("request").unwrap();
         root.attr_text("path", "/wrap");
@@ -1335,6 +1349,7 @@ mod tests {
 
     #[test]
     fn sampling_zero_still_promotes_slow_traces() {
+        let _alone = reconfiguring();
         enable(TraceConfig {
             sample_rate: 0.0,
             slow_ms: 0, // 0 disables slow promotion
@@ -1359,12 +1374,12 @@ mod tests {
         let summary = slow.finish().unwrap();
         assert!(summary.slow);
         assert!(recent_traces().iter().any(|t| t.trace_id == slow_id));
-        ensure_enabled();
+        record_everything();
     }
 
     #[test]
     fn long_names_and_text_truncate_cleanly() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let mut root =
             begin_request("a-very-long-span-name-that-exceeds-the-inline-capacity").unwrap();
         root.attr_text(
@@ -1385,7 +1400,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_sorted_json_array() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let mut root = begin_request("request").unwrap();
         root.attr_text("path", "/chrome");
         {
@@ -1416,7 +1431,7 @@ mod tests {
 
     #[test]
     fn traces_json_is_valid_and_carries_spans() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let mut root = begin_request("request").unwrap();
         root.attr_text("path", "/json-check");
         let trace_id = root.trace_id();
@@ -1438,7 +1453,7 @@ mod tests {
 
     #[test]
     fn stats_track_ring_occupancy() {
-        ensure_enabled();
+        let _recording = ensure_enabled();
         let before = stats();
         let root = begin_request("request").unwrap();
         root.finish().unwrap();

@@ -95,18 +95,10 @@ pub struct EvalOptions {
     /// and validated against the graph revision
     /// ([`strudel_graph::graph::CacheStamp::same_graph`]).
     pub plan_cache: Arc<PlanCache>,
-    /// Whether to consult [`EvalOptions::plan_cache`]. Off compiles a fresh
-    /// plan per conjunction per evaluation (useful for benchmarks isolating
-    /// planning cost); results are identical either way.
-    pub use_plan_cache: bool,
-    /// Re-optimize the remaining plan suffix when an executed node's observed
-    /// rows-out diverges from its estimate by more than
-    /// [`EvalOptions::adapt_factor`] (see [`crate::plan::replan_suffix`]).
+    /// Re-optimize the remaining plan suffix when an executed node produces
+    /// more than 8× its estimated rows (and at least 128 rows, with ≥ 2
+    /// conditions left; see [`crate::plan::replan_suffix`]).
     pub adaptive: bool,
-    /// Divergence factor that triggers adaptive re-optimization: a node must
-    /// produce more than `adapt_factor ×` its estimated rows (and at least
-    /// 128 rows, with ≥ 2 conditions left) before the suffix is re-planned.
-    pub adapt_factor: f64,
 }
 
 impl Default for EvalOptions {
@@ -119,9 +111,7 @@ impl Default for EvalOptions {
             profile: false,
             path_cache: Arc::new(PathCache::default()),
             plan_cache: Arc::new(PlanCache::default()),
-            use_plan_cache: true,
             adaptive: true,
-            adapt_factor: 8.0,
         }
     }
 }
@@ -325,7 +315,9 @@ impl Query {
             .collect();
         let mut ev = Ev::new(input, opts);
         let arc_vars = arc_vars_of(&analyzed.query);
-        let plan = plan_for(opts, &conds, &FxHashSet::default(), input);
+        let plan =
+            opts.plan_cache
+                .get_or_compile(&conds, &FxHashSet::default(), input, opts.optimizer);
         ev.eval_conditions(&conds, &plan, Bindings::unit(), &arc_vars)
     }
 
@@ -426,24 +418,10 @@ pub fn evaluate_conditions(
         }
     }
     let bound: FxHashSet<&str> = start.vars().iter().map(String::as_str).collect();
-    let plan = plan_for(opts, conds, &bound, input);
+    let plan = opts
+        .plan_cache
+        .get_or_compile(conds, &bound, input, opts.optimizer);
     ev.eval_conditions(conds, &plan, start, &arc_vars)
-}
-
-/// The compiled plan for a conjunction: from the shared
-/// [`EvalOptions::plan_cache`] when enabled, else compiled directly.
-fn plan_for(
-    opts: &EvalOptions,
-    conds: &[Condition],
-    bound: &FxHashSet<&str>,
-    graph: &Graph,
-) -> Arc<PhysicalPlan> {
-    if opts.use_plan_cache {
-        opts.plan_cache
-            .get_or_compile(conds, bound, graph, opts.optimizer)
-    } else {
-        Arc::new(PhysicalPlan::compile(conds, bound, graph, opts.optimizer))
-    }
 }
 
 /// The set of arc variables of a query (variables appearing in arc position
@@ -610,7 +588,12 @@ impl<'g> Ev<'g> {
             parent.clone()
         } else {
             let bound: FxHashSet<&str> = parent.vars().iter().map(String::as_str).collect();
-            let p = plan_for(self.opts, &block.where_, &bound, self.graph);
+            let p = self.opts.plan_cache.get_or_compile(
+                &block.where_,
+                &bound,
+                self.graph,
+                self.opts.optimizer,
+            );
             let profiled_from = self.stats.profile.len();
             let t = Timer::start();
             let bindings = self.eval_conditions(&block.where_, &p, parent.clone(), arc_vars)?;
@@ -657,8 +640,8 @@ impl<'g> Ev<'g> {
     /// Executes a compiled plan over `conds`, starting from `start`.
     ///
     /// When [`EvalOptions::adaptive`] is set and an executed node's observed
-    /// rows-out exceeds its estimate by more than
-    /// [`EvalOptions::adapt_factor`], the remaining suffix is re-optimized:
+    /// rows-out exceeds `ADAPT_FACTOR` times its estimate, the remaining
+    /// suffix is re-optimized:
     /// each pending condition's result multiplier is *measured* on a small
     /// sample of the live relation and [`replan_suffix`] reorders what is
     /// left using those measurements. The output relation is canonically
@@ -737,13 +720,14 @@ impl<'g> Ev<'g> {
             // Adaptive re-optimization: only when the estimate was badly
             // wrong on a relation big enough for the divergence to matter,
             // with enough plan left for a different order to pay off.
+            const ADAPT_FACTOR: f64 = 8.0;
             let observed = b.len() as f64;
             let expected = (node.est_mult * rows_in as f64).max(1.0);
             if self.opts.adaptive
                 && replans < 2
                 && nodes.len() - k > 2
                 && b.len() >= 128
-                && observed > expected * self.opts.adapt_factor
+                && observed > expected * ADAPT_FACTOR
             {
                 let remaining: Vec<usize> = nodes[k + 1..].iter().map(|n| n.cond).collect();
                 let measured = self.sample_multipliers(conds, &remaining, &b, arc_vars);

@@ -62,7 +62,7 @@ pub mod synth;
 mod system;
 
 pub use error::{Result, StrudelError};
-pub use system::{SiteBuild, StoreTuning, Strudel};
+pub use system::{SiteBuild, Strudel};
 
 // Re-export the subsystem crates under short names.
 pub use strudel_graph as graph;

@@ -523,12 +523,11 @@ impl EventLoop<'_, '_> {
         }
         conn.state = ConnState::Idle;
         conn.req_started = Instant::now();
-        conn.deadline = Some(conn.req_started + self.server.config.keepalive_timeout);
+        conn.deadline = Some(conn.req_started + self.server.config.request_timeout);
         if conn.has_partial() {
             // Pipelined successor already buffered: it began "arriving"
             // now for deadline purposes.
             conn.state = ConnState::Reading;
-            conn.deadline = Some(conn.req_started + self.server.config.request_timeout);
             conn.trace = trace::begin_request("request");
             self.advance(slot);
         } else {

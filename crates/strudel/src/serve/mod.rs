@@ -39,11 +39,9 @@ pub struct ServerConfig {
     /// Worker threads answering requests (minimum 1).
     pub threads: usize,
     /// Whole-request deadline: the time allowed from a request's first
-    /// byte until its head completes.
+    /// byte until its head completes. An idle keep-alive connection may
+    /// rest this long between requests before the server closes it.
     pub request_timeout: Duration,
-    /// How long an idle keep-alive connection may rest between requests
-    /// before the server closes it.
-    pub keepalive_timeout: Duration,
     /// Maximum accepted request-head size in bytes.
     pub max_request_bytes: usize,
     /// Admission control: connections beyond this many already open are
@@ -56,7 +54,6 @@ impl Default for ServerConfig {
         ServerConfig {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             request_timeout: Duration::from_secs(5),
-            keepalive_timeout: Duration::from_secs(5),
             max_request_bytes: 16 * 1024,
             max_connections: 1024,
         }

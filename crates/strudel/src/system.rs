@@ -42,17 +42,6 @@ impl SiteBuild {
     }
 }
 
-/// Storage tuning applied to a paged-store data source each time the
-/// warehouse refresh (re)opens it. `None` fields keep the store defaults.
-#[derive(Clone, Copy, Default)]
-pub struct StoreTuning {
-    /// Page-cache capacity in pages (`--page-cache`).
-    pub page_cache: Option<usize>,
-    /// Group-commit batching window (`--group-commit-window`, milliseconds
-    /// at the CLI).
-    pub group_commit_window: Option<std::time::Duration>,
-}
-
 /// The STRUDEL system: sources + mediator + site queries + templates.
 ///
 /// Typical use: register sources (and optionally GAV mappings), add one or
@@ -191,25 +180,12 @@ impl Strudel {
     /// the mediated universe, so a rebuilt or restarted server picks up
     /// whatever the last committed revision was without re-wrapping sources.
     pub fn add_store_source(&mut self, name: &str, path: &std::path::Path) {
-        self.add_store_source_with(name, path, StoreTuning::default());
-    }
-
-    /// [`add_store_source`](Self::add_store_source) with explicit storage
-    /// tuning — the CLI's `--page-cache` / `--group-commit-window` flags
-    /// land here and are applied to every (re)open of the store.
-    pub fn add_store_source_with(&mut self, name: &str, path: &std::path::Path, tune: StoreTuning) {
         let path = path.to_path_buf();
         self.mediator.add_source(
             name,
             Box::new(FnSource(move |u: &Arc<Universe>| {
                 let mut store = strudel_graph::store::PagedStore::open(&path)
                     .map_err(strudel_struql::StruqlError::Graph)?;
-                if let Some(pages) = tune.page_cache {
-                    store.set_page_cache_capacity(pages);
-                }
-                if let Some(window) = tune.group_commit_window {
-                    store.set_group_commit_window(window);
-                }
                 let bytes = store
                     .serialize()
                     .map_err(strudel_struql::StruqlError::Graph)?;

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use strudel::graph::{ddl, Graph, Value};
-use strudel::struql::{parse_query, EvalOptions, Optimizer};
+use strudel::struql::{parse_query, EvalOptions, Optimizer, PlanCache};
 
 // ---------------------------------------------------------------- values ----
 
@@ -365,6 +365,18 @@ fn site_signature(g: &Graph, table: &strudel::struql::SkolemTable) -> Vec<String
     out
 }
 
+/// The maintainable (aggregate-free) core of the news site definition.
+const NEWS_CORE_QUERY: &str = r#"CREATE FrontPage()
+   { WHERE Articles(a), a -> l -> v
+     CREATE ArticlePage(a)
+     LINK ArticlePage(a) -> l -> v,
+          FrontPage() -> "Article" -> ArticlePage(a)
+     COLLECT Pages(ArticlePage(a))
+     { WHERE l = "section"
+       CREATE SectionPage(v)
+       LINK SectionPage(v) -> "Story" -> ArticlePage(a),
+            FrontPage() -> "Section" -> SectionPage(v) } }"#;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -375,19 +387,7 @@ proptest! {
     fn insert_delete_interleaving_equals_rebuild(
         ops in proptest::collection::vec((0u8..4, 0usize..5, 0u8..3, 0u8..4), 1..24),
     ) {
-        let q = parse_query(
-            r#"CREATE FrontPage()
-               { WHERE Articles(a), a -> l -> v
-                 CREATE ArticlePage(a)
-                 LINK ArticlePage(a) -> l -> v,
-                      FrontPage() -> "Article" -> ArticlePage(a)
-                 COLLECT Pages(ArticlePage(a))
-                 { WHERE l = "section"
-                   CREATE SectionPage(v)
-                   LINK SectionPage(v) -> "Story" -> ArticlePage(a),
-                        FrontPage() -> "Section" -> SectionPage(v) } }"#,
-        )
-        .unwrap();
+        let q = parse_query(NEWS_CORE_QUERY).unwrap();
         let labels = ["headline", "section", "topic"];
         let values = ["world", "sports", "local", "x"];
 
@@ -465,6 +465,51 @@ fn out_of_fragment_deletions_fall_back_to_rebuild() {
     assert!(
         count_of(&data).coerced_eq(&Value::Int(2)),
         "rebuild sees the deletion"
+    );
+}
+
+/// Incremental maintenance, asserted as the work it does rather than as a
+/// time: one inserted edge costs the same seeded evaluations and derives
+/// the same bindings on a 200-article corpus as on an 800-article one,
+/// while a rebuild examines at least 3× the rows — and the maintained site
+/// equals that rebuild at both sizes.
+#[test]
+fn one_insert_costs_the_same_at_any_corpus_size() {
+    use strudel::synth::news;
+    let q = parse_query(NEWS_CORE_QUERY).unwrap();
+    // (seeded evaluations, new bindings, a rebuild's intermediate rows)
+    let insert_at = |n: usize| {
+        let mut data = ddl::parse(&news::generate_ddl(n, 7)).unwrap();
+        let mut inc =
+            strudel::site::IncrementalSite::new(&data, &q, EvalOptions::default()).unwrap();
+        let before = inc.stats();
+        let article = data.nodes()[0];
+        inc.add_edge(&mut data, article, "tag", Value::Int(1))
+            .unwrap();
+        let after = inc.stats();
+        let rebuilt = q.evaluate(&data, &EvalOptions::default()).unwrap();
+        assert_eq!(
+            site_signature(&inc.site, &inc.table),
+            site_signature(&rebuilt.graph, &rebuilt.table),
+            "maintained site diverges from a rebuild at {n} articles"
+        );
+        (
+            after.seeded_evaluations - before.seeded_evaluations,
+            after.new_bindings - before.new_bindings,
+            rebuilt.stats.intermediate_rows,
+        )
+    };
+    let (seeded_small, derived_small, rebuild_small) = insert_at(200);
+    let (seeded_large, derived_large, rebuild_large) = insert_at(800);
+    assert!(
+        seeded_small >= 1 && derived_small >= 1,
+        "the delta must fire"
+    );
+    assert_eq!(seeded_small, seeded_large);
+    assert_eq!(derived_small, derived_large);
+    assert!(
+        rebuild_large >= 3 * rebuild_small,
+        "rebuild examined {rebuild_small} rows at 200 articles, {rebuild_large} at 800"
     );
 }
 
@@ -1252,9 +1297,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Executing the compiled physical plan — under every optimizer, with
-    /// the plan cache on or off, and with adaptive re-optimization forced
-    /// eager (`adapt_factor = 1.0`) or disabled — is set-equal to the
-    /// tuple-at-a-time reference interpreter.
+    /// the plan cache on (one cache shared by the configurations, so the
+    /// second of them runs a cached plan) or off (a fresh cache each), and
+    /// with adaptive re-optimization enabled or disabled — is set-equal to
+    /// the tuple-at-a-time reference interpreter.
     #[test]
     fn compiled_plans_match_reference(
         rg in arb_graph(),
@@ -1267,12 +1313,14 @@ proptest! {
         let g = build_rich(&rg);
         let conds = lower_conditions(&specs);
         let expect = reference::canon(reference::evaluate(&g, &conds).iter());
+        let shared = std::sync::Arc::new(PlanCache::default());
         for opt in [Optimizer::Naive, Optimizer::Heuristic, Optimizer::CostBased] {
             for (cache, adaptive) in [(true, true), (true, false), (false, true), (false, false)] {
                 let mut opts = EvalOptions::with_optimizer(opt);
-                opts.use_plan_cache = cache;
+                if cache {
+                    opts.plan_cache = shared.clone();
+                }
                 opts.adaptive = adaptive;
-                opts.adapt_factor = 1.0; // replan on any estimate divergence
                 let got = evaluate_conditions(&conds, &g, Bindings::unit(), &opts).unwrap();
                 prop_assert_eq!(
                     engine_row_set(&got),
@@ -1296,9 +1344,13 @@ fn optimizer_and_plan_cache_are_byte_invisible() {
     let build_at = |opt: Optimizer, cache: bool| {
         let mut s = strudel::synth::news::system(60, 7, false).unwrap();
         s.options_mut().optimizer = opt;
-        s.options_mut().use_plan_cache = cache;
         let build = s.build_site().unwrap();
         let graph_ddl = ddl::print(&build.graph);
+        if !cache {
+            // Off: the build behind `generate_site` plans from scratch
+            // instead of running the plans the first build cached.
+            s.options_mut().plan_cache = Default::default();
+        }
         let site = s.generate_site(&["FrontPage"]).unwrap();
         let mut pages: Vec<(String, String)> = site
             .pages
@@ -1364,6 +1416,120 @@ fn plan_cache_hits_then_invalidates() {
     assert!(
         s4.hits > s2.hits,
         "recompiled plan must be reusable: {s4:?}"
+    );
+
+    // "Cache off" is a fresh cache: it compiles for itself and leaves the
+    // shared one alone.
+    let cold = EvalOptions {
+        plan_cache: Default::default(),
+        ..opts.clone()
+    };
+    q.evaluate(&g, &cold).unwrap();
+    assert_eq!(cold.plan_cache.stats().hits, 0);
+    assert!(cold.plan_cache.stats().misses >= 1);
+    assert_eq!(opts.plan_cache.stats(), s4);
+}
+
+/// A hub-skewed graph whose per-label averages mislead the static planner.
+/// `Big` holds only the 10 hubs, whose `a` fan-out (200) dwarfs the label's
+/// average (~1.1, dragged down by 20,000 one-edge fillers), so the row
+/// estimate after the first expansion is off by ~200×. The two follow-up
+/// labels are inverted the same way: `x1` looks cheap (average ~3.6) but
+/// expands the rows that actually flow 30×, `x2` looks expensive (average
+/// 5) but keeps one row in twenty.
+fn skew_graph() -> Graph {
+    let mut g = Graph::standalone();
+    for h in 0..10 {
+        let hub = g.new_node(Some(&format!("hub{h}")));
+        g.add_to_collection_str("Big", Value::Node(hub));
+        for t in 0..200 {
+            let tgt = g.new_node(Some(&format!("t{h}_{t}")));
+            g.add_edge_str(hub, "a", Value::Node(tgt)).unwrap();
+            for u in 0..30 {
+                g.add_edge_str(tgt, "x1", Value::str(format!("u{h}_{t}_{u}")))
+                    .unwrap();
+            }
+            if t % 20 == 0 {
+                g.add_edge_str(tgt, "x2", Value::str("hit")).unwrap();
+            }
+        }
+    }
+    for i in 0..20_000 {
+        let f = g.new_node(Some(&format!("f{i}")));
+        g.add_edge_str(f, "a", Value::str("fa")).unwrap();
+        g.add_edge_str(f, "x1", Value::str("fx")).unwrap();
+        for j in 0..5 {
+            g.add_edge_str(f, "x2", Value::str(format!("w{j}")))
+                .unwrap();
+        }
+    }
+    g
+}
+
+/// Adaptive re-planning, asserted as the count behind the speed-up rather
+/// than as a time: on the skew graph the static cost-based plan runs `x1`
+/// before `x2` and materializes 65,010 intermediate rows; the adaptive run
+/// measures the true multipliers after the first expansion, swaps the two
+/// and materializes 5,110. Both must produce the reference interpreter's
+/// rows. This is the one place a re-planned suffix is compared with
+/// anything: the graphs of `compiled_plans_match_reference` are too small
+/// to reach the 128-row floor, so they never re-plan.
+#[test]
+fn adaptive_replanning_cuts_intermediate_rows_on_skew() {
+    const VARS: [&str; 4] = ["x", "y", "u", "w"];
+    let g = skew_graph();
+    // One Skolem node per binding row, so the rows and the counters come
+    // from the same evaluation.
+    let q = parse_query(
+        r#"WHERE Big(x), x -> "a" -> y, y -> "x1" -> u, y -> "x2" -> w
+           CREATE Row(x, y, u, w)"#,
+    )
+    .unwrap();
+    let run = |adaptive: bool| {
+        let opts = EvalOptions {
+            adaptive,
+            ..Default::default()
+        };
+        let out = q.evaluate(&g, &opts).unwrap();
+        let rows: reference::RowSet = out
+            .table
+            .iter()
+            .map(|(_, args, _)| {
+                let mut row: Vec<(String, String)> = VARS
+                    .iter()
+                    .zip(args)
+                    .map(|(var, v)| (var.to_string(), reference::vkey(v)))
+                    .collect();
+                row.sort();
+                row
+            })
+            .collect();
+        (out.stats, rows)
+    };
+    let (fixed, fixed_rows) = run(false);
+    let (adaptive, adaptive_rows) = run(true);
+
+    let expect = reference::canon(reference::evaluate(&g, &q.root.where_).iter());
+    assert_eq!(expect.len(), 3_000);
+    assert_eq!(
+        fixed_rows, expect,
+        "static plan diverges from the reference"
+    );
+    assert_eq!(
+        adaptive_rows, expect,
+        "re-planned suffix diverges from the reference"
+    );
+
+    assert_eq!(fixed.plan_replans, 0);
+    assert!(
+        adaptive.plan_replans >= 1,
+        "the skew must trigger a re-plan"
+    );
+    assert!(
+        fixed.intermediate_rows >= 5 * adaptive.intermediate_rows,
+        "static {} vs adaptive {} intermediate rows",
+        fixed.intermediate_rows,
+        adaptive.intermediate_rows
     );
 }
 

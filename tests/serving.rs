@@ -1,6 +1,6 @@
 //! Regression tests for the event-driven serving tier: keep-alive reuse,
-//! pipelining order, connection-layer bugfixes (slow-loris deadline, HEAD
-//! answers, zero-byte aborts, admission control).
+//! pipelining order, connection-layer bugfixes (slow-loris deadline, idle
+//! close, HEAD answers, zero-byte aborts, admission control).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -208,6 +208,44 @@ fn slow_loris_is_cut_by_the_whole_request_deadline() {
             "dribbling held the connection {elapsed:?}"
         );
     });
+}
+
+/// A kept-alive connection rests between requests on the same deadline a
+/// request gets: served once, then silent past `request_timeout`, it is
+/// closed with no bytes written (expiry between requests is normal
+/// lifecycle, not a 408) and counts as neither an error nor an abort.
+#[test]
+fn idle_keepalive_connection_is_closed_silently_at_the_deadline() {
+    let config = ServerConfig {
+        threads: 2,
+        request_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let stats = with_server(config, |addr| {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut carry = Vec::new();
+        s.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let (head, _) = read_response(&mut s, &mut carry);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        let rested = Instant::now();
+        // Nothing more is sent: the server hangs up on its own.
+        s.read_to_end(&mut carry).unwrap();
+        let elapsed = rested.elapsed();
+        assert!(
+            carry.is_empty(),
+            "silent close wrote {:?}",
+            String::from_utf8_lossy(&carry)
+        );
+        assert!(
+            elapsed >= Duration::from_millis(250) && elapsed < Duration::from_millis(1500),
+            "idle connection closed after {elapsed:?}"
+        );
+    });
+    assert_eq!(stats.errors, 0, "{stats:?}");
+    assert_eq!(stats.connections_aborted, 0, "{stats:?}");
+    assert_eq!(stats.requests, 2, "only `/` and `/quit` routed");
 }
 
 #[test]
