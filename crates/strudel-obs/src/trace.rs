@@ -878,6 +878,30 @@ impl SpanGuard {
             self.push_attr(key, stage_text(val));
         }
     }
+
+    /// Abandons the span: nothing is recorded and nothing is accounted, as
+    /// if it had never been opened. For work that turns out to belong to a
+    /// span opened elsewhere (a cache probe that declines, so the request
+    /// is handled — and traced — on another thread).
+    pub fn cancel(mut self) {
+        let Some(inner) = self.0.take() else { return };
+        ACTIVE.with(|a| {
+            let mut borrow = a.borrow_mut();
+            let Some(active) = borrow.as_mut() else {
+                return;
+            };
+            if active.frames.last().map(|f| f.span_id) != Some(inner.span_id) {
+                return; // out-of-order: leave the frames as `drop` would
+            }
+            // Spans recorded underneath pass to the enclosing span.
+            let child_ns = active.frames.pop().map_or(0, |f| f.child_ns);
+            match active.frames.last_mut() {
+                Some(f) => f.child_ns += child_ns,
+                None => active.base_child_ns += child_ns,
+            }
+            active.shared.span_count.fetch_sub(1, Ordering::Relaxed);
+        });
+    }
 }
 
 impl Drop for SpanGuard {
@@ -1268,6 +1292,30 @@ mod tests {
         let total: u64 = summary.layer_self_ns.iter().sum();
         assert!(total <= summary.dur_ns + 1_000, "{summary:?}");
         assert!(total >= summary.dur_ns.saturating_sub(summary.dur_ns / 2));
+    }
+
+    #[test]
+    fn cancelled_spans_leave_no_record_and_no_time() {
+        let _recording = ensure_enabled();
+        let root = begin_request("request").unwrap();
+        let trace_id = root.trace_id();
+        {
+            let _enter = enter(&root.ctx());
+            let handle = span("serve.handle", Layer::Serve);
+            span("cache.expand", Layer::Cache).cancel();
+            handle.cancel();
+            // The frames are gone too: the next span hangs off the root.
+            let _s = span("render.page", Layer::Render);
+        }
+        let root_id = root.ctx().shared.root_span;
+        let summary = root.finish().unwrap();
+        assert_eq!(summary.spans, 2);
+        assert_eq!(summary.layer_self_ns[Layer::Cache as usize], 0);
+        let spans = spans_of(trace_id);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(spans.len(), 2, "{names:?}");
+        let page = spans.iter().find(|s| s.name == "render.page").unwrap();
+        assert_eq!(page.parent_id, root_id);
     }
 
     #[test]

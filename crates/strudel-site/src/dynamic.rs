@@ -75,6 +75,54 @@ pub struct OutLink {
     pub target: Target,
 }
 
+/// The out-links of one page as the cache holds them: the link list of each
+/// of the page's clauses, shared with the cache rather than copied, read as
+/// one duplicate-free sequence (a page's links are a set across its
+/// clauses, kept in order of first occurrence).
+#[derive(Clone, Debug)]
+pub struct PageLinks {
+    parts: Vec<Arc<[OutLink]>>,
+    /// Positions, over the concatenated parts and ascending, of the links
+    /// that repeat an earlier one.
+    repeats: Vec<usize>,
+}
+
+impl PageLinks {
+    fn new(parts: Vec<Arc<[OutLink]>>) -> Self {
+        // Each clause's own links are distinct already.
+        let repeats = if parts.iter().filter(|p| !p.is_empty()).count() > 1 {
+            let len = parts.iter().map(|p| p.len()).sum();
+            repeats(parts.iter().flat_map(|p| p.iter()), len)
+        } else {
+            Vec::new()
+        };
+        PageLinks { parts, repeats }
+    }
+
+    /// Number of distinct links.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.len()).sum::<usize>() - self.repeats.len()
+    }
+
+    /// Whether the page has no links.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The distinct links, in the order [`DynamicSite::expand`] returns them.
+    pub fn iter(&self) -> impl Iterator<Item = &OutLink> {
+        let mut repeats = self.repeats.iter().copied().peekable();
+        self.parts
+            .iter()
+            .flat_map(|p| p.iter())
+            .enumerate()
+            .filter_map(move |(at, link)| match repeats.next_if_eq(&at) {
+                Some(_) => None,
+                None => Some(link),
+            })
+    }
+}
+
 /// Counters for the dynamic evaluator.
 #[derive(Default, Clone, Copy, Debug)]
 pub struct DynStats {
@@ -247,17 +295,34 @@ impl LruCache {
         }
     }
 
-    /// Looks up `key`, marking it most-recently used. The links are shared,
-    /// not copied, so the caller can drop the cache lock before reading them.
-    fn get(&mut self, key: &CacheKey) -> Option<Arc<[OutLink]>> {
-        let idx = *self.map.get(key)?;
+    /// Marks a live entry most-recently used and shares its links.
+    fn touch(&mut self, idx: usize) -> Arc<[OutLink]> {
         if self.head != idx {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(Arc::clone(
-            &self.slots[idx].as_ref().expect("mapped slot").links,
-        ))
+        Arc::clone(&self.slots[idx].as_ref().expect("mapped slot").links)
+    }
+
+    /// Looks up `key`, marking it most-recently used. The links are shared,
+    /// not copied, so the caller can drop the cache lock before reading them.
+    fn get(&mut self, key: &CacheKey) -> Option<Arc<[OutLink]>> {
+        let idx = *self.map.get(key)?;
+        Some(self.touch(idx))
+    }
+
+    /// Looks up `(clause, args)` for every clause in `clauses`, all or
+    /// nothing: when every key is cached each is marked most-recently used,
+    /// in order, exactly as that many [`LruCache::get`] calls would; when one
+    /// is missing nothing is touched.
+    fn get_all(&mut self, clauses: &[usize], args: &[Value]) -> Option<Vec<Arc<[OutLink]>>> {
+        let mut key: CacheKey = (0, args.to_vec());
+        let mut found = Vec::with_capacity(clauses.len());
+        for &clause in clauses {
+            key.0 = clause;
+            found.push(*self.map.get(&key)?);
+        }
+        Some(found.into_iter().map(|idx| self.touch(idx)).collect())
     }
 
     /// Removes one entry by slab index.
@@ -507,11 +572,65 @@ impl<'g> DynamicSite<'g> {
         Ok(out)
     }
 
+    /// The link clauses of `page`'s head, in query order.
+    fn clauses_of(&self, page: &PageRef) -> &[usize] {
+        let head = (page.skolem.as_str(), page.args.len());
+        self.heads
+            .binary_search_by(|((name, arity), _)| (name.as_str(), *arity).cmp(&head))
+            .map_or(&[], |at| &self.heads[at].1)
+    }
+
+    /// The cached page, or nothing: answers `page` only when the result of
+    /// every one of its link clauses is in the cache, and never evaluates.
+    /// A hit is a hit of [`DynamicSite::expand`] — same links in the same
+    /// order, same recency touch, `cache_hits` up by the page's clause
+    /// count, one `cache.expand` span — under one acquisition of the cache
+    /// lock and without copying a link. Declining touches nothing, counts
+    /// nothing and records no span, so whoever then calls `expand` (the
+    /// server's worker pool) does the whole accounting, once.
+    pub fn lookup(&self, page: &PageRef) -> Option<PageLinks> {
+        let mut tspan = trace::span("cache.expand", trace::Layer::Cache);
+        let clause_ids = self.clauses_of(page);
+        let cached = self.cache.lock().get_all(clause_ids, &page.args);
+        let Some(parts) = cached else {
+            tspan.cancel();
+            return None;
+        };
+        let hits = parts.len() as u64;
+        self.counters.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        let links = PageLinks::new(parts);
+        if tspan.is_live() {
+            tspan.attr_text("page", &page.skolem);
+            tspan.attr_u64("hits", hits);
+            tspan.attr_u64("misses", 0);
+            tspan.attr_u64("evals", 0);
+            tspan.attr_u64("rows", 0);
+            tspan.attr_u64("links", links.len() as u64);
+        }
+        Some(links)
+    }
+
     /// Click-time expansion: computes the outgoing links of `page` by
     /// running the conjunctions of its link clauses with the page's Skolem
     /// arguments bound. Cached per (clause, arguments); safe to call from
-    /// many threads over one shared site.
+    /// many threads over one shared site. A page whose clauses are all
+    /// cached is [`DynamicSite::lookup`]'s; anything else is evaluated
+    /// clause by clause.
     pub fn expand(&self, page: &PageRef) -> Result<Vec<OutLink>> {
+        let links = match self.lookup(page) {
+            Some(links) => links,
+            None => self.evaluate(page)?,
+        };
+        let mut out = Vec::with_capacity(links.len());
+        out.extend(links.iter().cloned());
+        Ok(out)
+    }
+
+    /// The miss path of [`DynamicSite::expand`]: at least one clause of
+    /// `page` is not cached. Clauses are probed one at a time, in order — a
+    /// clause evaluated here may evict a later one of the same page, which
+    /// then counts (and costs) a miss of its own.
+    fn evaluate(&self, page: &PageRef) -> Result<PageLinks> {
         // Flight-recorder span for the cache layer: hit/miss counts per
         // request tell apart "slow because cold" from "slow because the
         // query is slow" (the nested eval.op spans cover the latter), and
@@ -521,11 +640,7 @@ impl<'g> DynamicSite<'g> {
         if tspan.is_live() {
             tspan.attr_text("page", &page.skolem);
         }
-        let head = (page.skolem.as_str(), page.args.len());
-        let clause_ids: &[usize] = self
-            .heads
-            .binary_search_by(|((name, arity), _)| (name.as_str(), *arity).cmp(&head))
-            .map_or(&[], |at| &self.heads[at].1);
+        let clause_ids = self.clauses_of(page);
         let mut key: CacheKey = (0, page.args.clone());
         let mut parts: Vec<Arc<[OutLink]>> = Vec::with_capacity(clause_ids.len());
         // The conjunctions this call evaluated, each at most once.
@@ -567,22 +682,14 @@ impl<'g> DynamicSite<'g> {
         if misses > 0 {
             self.counters.expansions.fetch_add(1, Ordering::Relaxed);
         }
-        let mut out: Vec<OutLink> = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for part in &parts {
-            out.extend(part.iter().cloned());
-        }
-        // Set semantics across clauses; each clause's own links are
-        // distinct already.
-        if parts.iter().filter(|p| !p.is_empty()).count() > 1 {
-            dedup_links(&mut out);
-        }
+        let links = PageLinks::new(parts);
         tspan.attr_u64("hits", hits);
         tspan.attr_u64("misses", misses);
         tspan.attr_u64("evals", relations.len() as u64);
         let rows: usize = relations.iter().map(|(_, r)| r.len()).sum();
         tspan.attr_u64("rows", rows as u64);
-        tspan.attr_u64("links", out.len() as u64);
-        Ok(out)
+        tspan.attr_u64("links", links.len() as u64);
+        Ok(links)
     }
 
     /// Drops the cached results a data-graph change — an insertion *or a
@@ -743,14 +850,24 @@ fn build_links(clause: &ClauseInfo, relation: &Bindings) -> Vec<OutLink> {
     links
 }
 
+/// Positions, ascending, of the links that repeat an earlier one.
+fn repeats<'a>(links: impl Iterator<Item = &'a OutLink>, len: usize) -> Vec<usize> {
+    let mut seen = FxHashSet::default();
+    seen.reserve(len);
+    links
+        .enumerate()
+        .filter_map(|(at, link)| (!seen.insert(link)).then_some(at))
+        .collect()
+}
+
 /// Set semantics over a link list: keeps the first occurrence of each link.
 fn dedup_links(links: &mut Vec<OutLink>) {
-    let mut seen = FxHashSet::default();
-    seen.reserve(links.len());
-    let keep: Vec<bool> = links.iter().map(|l| seen.insert(l)).collect();
-    drop(seen);
-    let mut keep = keep.into_iter();
-    links.retain(|_| keep.next().expect("one flag per link"));
+    let mut repeats = repeats(links.iter(), links.len()).into_iter().peekable();
+    let mut at = 0;
+    links.retain(|_| {
+        at += 1;
+        repeats.next_if_eq(&(at - 1)).is_none()
+    });
 }
 
 /// How a delta can affect the cached results of one conjunction's clauses.

@@ -4,13 +4,18 @@
 //! loop (`serve::event`):
 //!
 //! ```text
-//!            first byte                 head complete
+//!            first byte                 head complete, a miss
 //!   Idle ───────────────▶ Reading ─────────────────▶ Dispatched
 //!    ▲                       │                            │ worker done
-//!    │                       │ deadline / garbage         ▼
+//!    │                       │ a cached page, or          ▼
+//!    │                       │ deadline / garbage
 //!    └────── keep-alive ── Writing ◀──────────────────────┘
 //!             (flush done)
 //! ```
+//!
+//! A request the loop answers itself (a page-cache hit, a 4xx) goes from
+//! `Reading` straight to `Writing`, under the read interest the poller
+//! already holds ([`Conn::interest`]).
 //!
 //! The whole-request deadline is armed once, when the first byte of a
 //! request arrives (or at accept for a connection that never speaks), and
@@ -18,6 +23,7 @@
 //! almost-timeout can no longer hold the connection open indefinitely
 //! (the slow-loris window the per-read timeout reset used to leave).
 
+use polling::Event;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -41,11 +47,13 @@ pub(crate) enum ConnState {
 /// Outcome of pumping readable bytes into the buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Fill {
-    /// Got ≥1 byte (more may remain in the kernel if the cap cut us off).
+    /// Got ≥1 byte (more may remain in the kernel; the poller is
+    /// level-triggered and reports the socket again).
     Progress,
     /// Readable but nothing new yet (spurious wakeup).
     Blocked,
-    /// Orderly EOF from the peer.
+    /// Orderly EOF from the peer, and not a byte before it in this call:
+    /// whatever is buffered has been parsed already.
     PeerClosed,
     /// Hard socket error; the connection is unusable.
     Broken,
@@ -65,6 +73,9 @@ pub(crate) enum Flush {
 pub(crate) struct Conn {
     pub stream: TcpStream,
     pub state: ConnState,
+    /// The interest the poller holds for `stream` (the loop's
+    /// `set_interest` keeps the two in step).
+    pub interest: Event,
     /// Guards the slot against reuse races: a worker completion carries the
     /// generation it was dispatched under and is dropped on mismatch.
     pub generation: u64,
@@ -96,16 +107,18 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, generation: u64, request_timeout: Duration) -> Self {
+    /// A connection registered with the poller under `interest`.
+    pub fn new(stream: TcpStream, interest: Event, generation: u64, timeout: Duration) -> Self {
         let now = Instant::now();
         Conn {
             stream,
             state: ConnState::Idle,
+            interest,
             generation,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            deadline: Some(now + request_timeout),
+            deadline: Some(now + timeout),
             served: 0,
             close_after_write: false,
             pending_is_error: false,
@@ -121,7 +134,11 @@ impl Conn {
         !self.rbuf.is_empty()
     }
 
-    /// Reads until `WouldBlock`, EOF, or the buffer cap. Never blocks.
+    /// Reads until a short read (the socket is empty: no second call just
+    /// to hear `WouldBlock`), EOF, or the buffer cap. Never blocks. An EOF
+    /// behind bytes read in this call is left for the next call to report:
+    /// those bytes may complete a request, and a client may well send one
+    /// and shut down its writing side.
     pub fn fill(&mut self, cap: usize) -> Fill {
         let mut chunk = [0u8; 4096];
         let mut got = false;
@@ -130,9 +147,13 @@ impl Conn {
                 return Fill::Progress; // parser will judge the size
             }
             match self.stream.read(&mut chunk) {
+                Ok(0) if got => return Fill::Progress,
                 Ok(0) => return Fill::PeerClosed,
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        return Fill::Progress;
+                    }
                     got = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -144,13 +165,12 @@ impl Conn {
         }
     }
 
-    /// Arms a response for writing. `Flush` it to make progress.
-    pub fn queue_response(&mut self, bytes: Vec<u8>, is_error: bool, close_after: bool) {
-        debug_assert!(self.wpos >= self.wbuf.len(), "response already in flight");
+    /// Arms the response encoded into `wbuf` (an allocation the loop reuses
+    /// from answer to answer). `Flush` it to make progress.
+    pub fn arm_response(&mut self, is_error: bool, close_after: bool) {
         if self.trace.is_some() {
             self.trace_write_ns = trace::now_ns();
         }
-        self.wbuf = bytes;
         self.wpos = 0;
         self.pending_is_error = is_error;
         self.close_after_write = close_after;

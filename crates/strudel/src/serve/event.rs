@@ -1,19 +1,22 @@
-//! The connection layer: one readiness loop owning every socket, a worker
-//! pool owning every page expansion.
+//! The connection layer: one readiness loop owning every socket and
+//! answering what the page cache holds, a worker pool for everything else.
 //!
 //! The loop (this module) runs on the thread that called
 //! [`Server::serve`]; it accepts connections, pumps non-blocking reads
-//! and writes through each [`Conn`] state machine, enforces whole-request
-//! deadlines and admission control, and never computes a page. Complete
-//! requests are handed to the worker pool over a channel; workers run the
-//! router (which may expand pages through the shared [`DynamicSite`]
-//! cache), encode the response, and hand the bytes back with
-//! [`Poller::notify`] as the doorbell. One request is in flight per
-//! connection at a time, so pipelined requests are answered strictly in
-//! arrival order; their bytes simply wait in the connection's read buffer
-//! (and the kernel's) until the previous response has drained.
-//!
-//! [`DynamicSite`]: strudel_site::DynamicSite
+//! and writes through each [`Conn`] state machine, and enforces
+//! whole-request deadlines and admission control. A complete `GET`/`HEAD`
+//! for `/page/…` is first put to [`Server::cached_page`], a lookup that
+//! never evaluates: on a hit the loop renders, encodes into the
+//! connection's write buffer and flushes in the same iteration, so the
+//! answer never leaves the thread that read the request. Everything else (a
+//! page with a clause to evaluate, `/stats`, `/metrics`, `/quit`, …) goes to
+//! the worker pool over a channel; workers run the router, encode the
+//! response, and hand the bytes back with [`Poller::notify`] as the
+//! doorbell, so a hub page that takes 30 ms to evaluate stalls one worker,
+//! never the loop. One request is in flight per connection at a time, so
+//! pipelined requests are answered strictly in arrival order; their bytes
+//! wait in the connection's read buffer (and the kernel's) until the
+//! previous response has drained.
 
 use super::conn::{Conn, ConnState, Fill, Flush};
 use super::http::{self, AcceptBackoff, Method, Parsed, Request};
@@ -27,6 +30,20 @@ use strudel_obs::trace;
 
 /// Poller key of the listening socket; connections use `slot + 1`.
 const KEY_LISTENER: usize = 0;
+
+/// Pipelined requests of one connection answered from the cache back to
+/// back before the next goes through the worker pool, whose completion
+/// comes back through the poller behind everybody else's events.
+const INLINE_RUN: usize = 32;
+
+/// A connection's reused write buffer that an answer grew past this is
+/// given back: one hub page of megabytes must not stay allocated, a
+/// thousand connections over, for as long as each of them lives.
+const KEEP_BUFFER: usize = 64 * 1024;
+
+const BAD_REQUEST: &str = "400 Bad Request";
+const TOO_LARGE: &str = "431 Request Header Fields Too Large";
+const OVERLOADED: &str = "503 Service Unavailable";
 
 /// Ends a connection's in-flight root span (if any): records the
 /// `serve.write` phase when a response was queued, then finishes the
@@ -69,9 +86,9 @@ struct Completion {
     slot: usize,
     generation: u64,
     bytes: Vec<u8>,
-    is_error: bool,
     close_after: bool,
-    /// Numeric HTTP status, recorded on the request's root span.
+    /// Numeric HTTP status: on the request's root span, and an error
+    /// unless 2xx.
     status: u64,
 }
 
@@ -105,20 +122,15 @@ pub(super) fn run(server: &Server<'_>, max_conns: Option<usize>) -> crate::error
                     let trace_guard = job.trace.as_ref().map(trace::enter);
                     let mut hspan = trace::span("serve.handle", trace::Layer::Serve);
                     let (status, content_type, body) = server.route_request(&job.req, shutdown);
-                    let is_error = !status.starts_with('2');
                     let status_code = status
                         .split(' ')
                         .next()
                         .and_then(|s| s.parse::<u64>().ok())
                         .unwrap_or(0);
                     let keep = job.req.keep_alive && !shutdown.load(Ordering::Acquire);
-                    let bytes = http::encode_response(
-                        &status,
-                        content_type,
-                        &body,
-                        keep,
-                        job.req.method == Method::Head,
-                    );
+                    let head = job.req.method == Method::Head;
+                    let mut bytes = Vec::with_capacity(128 + body.len());
+                    http::encode_response(&mut bytes, &status, content_type, &body, keep, head);
                     hspan.attr_u64("status", status_code);
                     hspan.attr_u64("bytes", bytes.len() as u64);
                     drop(hspan);
@@ -132,7 +144,6 @@ pub(super) fn run(server: &Server<'_>, max_conns: Option<usize>) -> crate::error
                             slot: job.slot,
                             generation: job.generation,
                             bytes,
-                            is_error,
                             close_after: !keep,
                             status: status_code,
                         })
@@ -161,6 +172,7 @@ pub(super) fn run(server: &Server<'_>, max_conns: Option<usize>) -> crate::error
             accepting: true,
             accept_resume_at: None,
             backoff: AcceptBackoff::new(),
+            body: String::new(),
         }
         .run();
     });
@@ -187,6 +199,8 @@ struct EventLoop<'s, 'g> {
     /// When accept-error backoff ends and the listener re-registers.
     accept_resume_at: Option<Instant>,
     backoff: AcceptBackoff,
+    /// Scratch for the body of a page answered on the loop.
+    body: String,
 }
 
 impl EventLoop<'_, '_> {
@@ -266,41 +280,28 @@ impl EventLoop<'_, '_> {
     fn admit(&mut self, stream: std::net::TcpStream) {
         let _ = stream.set_nonblocking(true);
         let _ = stream.set_nodelay(true);
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        let mut conn = Conn::new(stream, generation, self.server.config.request_timeout);
         let overloaded = self.open_count() >= self.server.config.max_connections.max(1);
-        if overloaded {
-            self.server.metrics.admission_rejected.inc();
-            conn.rejected = true;
-            conn.queue_response(http::overload_response(), true, true);
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.conns[s] = Some(conn);
-                s
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        let interest = if overloaded {
+            Event::none(slot + 1)
+        } else {
+            Event::readable(slot + 1)
         };
-        if self
-            .poller
-            .add(
-                &self.conns[slot].as_ref().unwrap().stream,
-                Event::none(slot + 1),
-            )
-            .is_err()
-        {
-            self.conns[slot] = None;
+        if self.poller.add(&stream, interest).is_err() {
             self.free.push(slot);
             return;
         }
+        let timeout = self.server.config.request_timeout;
+        let conn = Conn::new(stream, interest, self.next_generation, timeout);
+        self.next_generation += 1;
+        let conn = self.conns[slot].insert(conn);
         if overloaded {
-            self.pump_write(slot);
-        } else {
-            self.set_interest(slot, Event::readable(slot + 1));
+            self.server.metrics.admission_rejected.inc();
+            conn.rejected = true;
+            self.respond_error(slot, OVERLOADED, "server overloaded, retry shortly");
         }
     }
 
@@ -332,13 +333,18 @@ impl EventLoop<'_, '_> {
     // ---- connection I/O ----------------------------------------------------
 
     fn conn_ready(&mut self, slot: usize, ev: Event) {
-        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+        let Some(state) = self
+            .conns
+            .get(slot)
+            .and_then(Option::as_ref)
+            .map(|c| c.state)
+        else {
             return; // already closed this tick
         };
-        match conn.state {
+        match state {
             ConnState::Idle | ConnState::Reading if ev.readable => self.read_ready(slot),
-            ConnState::Writing if ev.writable => self.pump_write(slot),
-            _ => {} // Dispatched, or a spurious direction: nothing to do
+            ConnState::Writing if ev.writable && self.pump_write(slot) => self.advance(slot),
+            _ => {} // Dispatched, a spurious direction, or nothing buffered
         }
     }
 
@@ -358,28 +364,18 @@ impl EventLoop<'_, '_> {
                 self.advance(slot);
             }
             Fill::Blocked => {}
-            Fill::PeerClosed => {
-                if conn.has_partial() {
-                    // Peer half-closed mid-head; it can still read our 400.
-                    self.respond_inline(
-                        slot,
-                        "400 Bad Request",
-                        "<html><body>malformed request</body></html>",
-                    );
-                } else {
-                    // A connection that opened and closed without a byte
-                    // (port scan, health probe): silent, separate counter,
-                    // never an "error" — the old 400-per-probe skewed the
-                    // error rate. Reused keep-alive connections closing
-                    // between requests are plain lifecycle, not aborts.
-                    if conn.served == 0 {
-                        self.server.metrics.aborted.inc();
-                    }
-                    self.close(slot);
-                }
+            // Peer half-closed mid-head (a complete head was answered when
+            // its bytes came in); it can still read our 400.
+            Fill::PeerClosed if conn.has_partial() => {
+                self.respond_error(slot, BAD_REQUEST, "malformed request");
             }
-            Fill::Broken => {
-                if self.conns[slot].as_ref().unwrap().served == 0 {
+            Fill::PeerClosed | Fill::Broken => {
+                // A connection that opened and closed without a byte (port
+                // scan, health probe): silent, separate counter, never an
+                // "error" — the old 400-per-probe skewed the error rate.
+                // Reused keep-alive connections closing between requests
+                // are plain lifecycle, not aborts.
+                if conn.served == 0 {
                     self.server.metrics.aborted.inc();
                 }
                 self.close(slot);
@@ -387,87 +383,114 @@ impl EventLoop<'_, '_> {
         }
     }
 
-    /// Parses and dispatches from the read buffer. Callable only in
-    /// `Idle`/`Reading`.
+    /// Serves the requests in the read buffer, one after the other, until
+    /// one has to wait: for the rest of its bytes, for a worker, or for the
+    /// socket to take its response. Callable only in `Idle`/`Reading`.
     fn advance(&mut self, slot: usize) {
         let max_head = self.server.config.max_request_bytes;
-        let conn = self.conns[slot].as_mut().unwrap();
-        match http::parse_request(&conn.rbuf) {
-            Parsed::Incomplete => {
-                if conn.rbuf.len() > max_head {
-                    self.respond_inline(
-                        slot,
-                        "431 Request Header Fields Too Large",
-                        "<html><body>request too large</body></html>",
-                    );
-                } else {
-                    self.set_interest(slot, Event::readable(slot + 1));
+        for inline_run in 0.. {
+            let conn = self.conns[slot].as_mut().unwrap();
+            let (req, consumed) = match http::parse_request(&conn.rbuf) {
+                Parsed::Incomplete if conn.rbuf.len() <= max_head => {
+                    return self.set_interest(slot, Event::readable(slot + 1));
                 }
+                Parsed::Incomplete => {
+                    return self.respond_error(slot, TOO_LARGE, "request too large");
+                }
+                Parsed::Malformed => {
+                    return self.respond_error(slot, BAD_REQUEST, "malformed request line");
+                }
+                Parsed::Request(_, consumed) if consumed > max_head => {
+                    return self.respond_error(slot, TOO_LARGE, "request too large");
+                }
+                Parsed::Request(req, _) if req.has_body => {
+                    let what = "request bodies are not supported";
+                    return self.respond_error(slot, BAD_REQUEST, what);
+                }
+                Parsed::Request(req, consumed) => (req, consumed),
+            };
+            conn.rbuf.drain(..consumed);
+            if conn.served > 0 {
+                self.server.metrics.keepalive_reuses.inc();
             }
-            Parsed::Malformed => {
-                self.respond_inline(
-                    slot,
-                    "400 Bad Request",
-                    "<html><body>malformed request line</body></html>",
+            conn.deadline = None;
+            // Close the parse phase: first byte → complete head.
+            let trace_ctx = conn.trace.as_mut().map(|root| {
+                root.attr_text("path", &req.path);
+                let ctx = root.ctx();
+                trace::record_span(
+                    &ctx,
+                    "serve.parse",
+                    trace::Layer::Serve,
+                    root.start_ns(),
+                    trace::now_ns(),
+                    &[("bytes", trace::AttrValue::U64(consumed as u64))],
                 );
-            }
-            Parsed::Request(_, consumed) if consumed > max_head => {
-                self.respond_inline(
-                    slot,
-                    "431 Request Header Fields Too Large",
-                    "<html><body>request too large</body></html>",
-                );
-            }
-            Parsed::Request(req, consumed) => {
-                conn.rbuf.drain(..consumed);
-                if req.has_body {
-                    self.respond_inline(
-                        slot,
-                        "400 Bad Request",
-                        "<html><body>request bodies are not supported</body></html>",
-                    );
-                    return;
+                ctx
+            });
+            if inline_run < INLINE_RUN && self.answer_cached(slot, &req, &trace_ctx) {
+                if self.pump_write(slot) {
+                    continue; // on the wire, and the next one is buffered
                 }
-                if conn.served > 0 {
-                    self.server.metrics.keepalive_reuses.inc();
-                }
-                conn.state = ConnState::Dispatched;
-                conn.deadline = None;
-                // Close the parse phase: first byte → complete head.
-                let trace_ctx = conn.trace.as_mut().map(|root| {
-                    root.attr_text("path", &req.path);
-                    let ctx = root.ctx();
-                    trace::record_span(
-                        &ctx,
-                        "serve.parse",
-                        trace::Layer::Serve,
-                        root.start_ns(),
-                        trace::now_ns(),
-                        &[("bytes", trace::AttrValue::U64(consumed as u64))],
-                    );
-                    ctx
-                });
-                let job = Job {
-                    slot,
-                    generation: conn.generation,
-                    req,
-                    trace: trace_ctx,
-                };
-                self.set_interest(slot, Event::none(slot + 1));
-                if self.job_tx.send(job).is_err() {
-                    self.close(slot); // workers gone (only after a panic)
-                }
+                return;
             }
+            let conn = self.conns[slot].as_mut().unwrap();
+            conn.state = ConnState::Dispatched;
+            let job = Job {
+                slot,
+                generation: conn.generation,
+                req,
+                trace: trace_ctx,
+            };
+            self.set_interest(slot, Event::none(slot + 1));
+            if self.job_tx.send(job).is_err() {
+                self.close(slot); // workers gone (only after a panic)
+            }
+            return;
         }
     }
 
-    /// Queues a loop-generated error response (4xx) and starts flushing.
+    /// Answers a `GET`/`HEAD` for a fully cached page on this thread: looks
+    /// it up, renders it and arms the response. `false` — nothing armed,
+    /// counted or traced — for any other request: the worker pool's.
+    fn answer_cached(&mut self, slot: usize, req: &Request, ctx: &Option<trace::Ctx>) -> bool {
+        if req.method == Method::Other || !req.path.starts_with("/page/") {
+            return false;
+        }
+        // The spans a worker records, under the same root.
+        let entered = ctx.as_ref().map(trace::enter);
+        let mut hspan = trace::span("serve.handle", trace::Layer::Serve);
+        self.body.clear();
+        if !self.server.cached_page(&req.path, &mut self.body) {
+            hspan.cancel();
+            return false;
+        }
+        let keep = req.keep_alive && !self.shutdown.load(Ordering::Acquire);
+        let (body, head) = (&self.body, req.method == Method::Head);
+        let conn = self.conns[slot].as_mut().unwrap();
+        conn.wbuf.clear();
+        http::encode_response(&mut conn.wbuf, "200 OK", http::CT_HTML, body, keep, head);
+        hspan.attr_u64("status", 200);
+        hspan.attr_u64("bytes", conn.wbuf.len() as u64);
+        // The handle span's time must be in the root's child accounting
+        // before the write phase starts.
+        drop((hspan, entered));
+        if let Some(root) = conn.trace.as_mut() {
+            root.attr_u64("status", 200);
+        }
+        conn.arm_response(false, !keep);
+        self.server.metrics.inline.inc();
+        true
+    }
+
+    /// Arms a loop-generated error response (4xx, 503) and starts flushing.
     /// The connection always closes afterwards: the request stream is not
     /// trustworthy past a framing error.
-    fn respond_inline(&mut self, slot: usize, status: &str, body: &str) {
-        let bytes = http::encode_response(status, http::CT_HTML, body, false, false);
+    fn respond_error(&mut self, slot: usize, status: &str, what: &str) {
         let conn = self.conns[slot].as_mut().unwrap();
-        conn.queue_response(bytes, true, true);
+        conn.wbuf.clear();
+        http::encode_error(&mut conn.wbuf, status, what);
+        conn.arm_response(true, true);
         self.pump_write(slot);
     }
 
@@ -481,34 +504,41 @@ impl EventLoop<'_, '_> {
         if let Some(root) = conn.trace.as_mut() {
             root.attr_u64("status", done.status);
         }
-        conn.queue_response(done.bytes, done.is_error, done.close_after);
-        self.pump_write(done.slot);
+        conn.wbuf = done.bytes;
+        conn.arm_response(done.status / 100 != 2, done.close_after);
+        self.server.metrics.dispatched.inc();
+        if self.pump_write(done.slot) {
+            self.advance(done.slot);
+        }
     }
 
-    fn pump_write(&mut self, slot: usize) {
+    /// Flushes the armed response. `true` when it is on the wire and the
+    /// connection's next request is already buffered: the caller owes it an
+    /// [`Self::advance`], which loops — called from here it would recurse
+    /// once per pipelined request.
+    fn pump_write(&mut self, slot: usize) -> bool {
         let conn = self.conns[slot].as_mut().unwrap();
         match conn.flush() {
             Flush::Done => self.finish_response(slot),
             // The kernel buffer is full: only now is writability worth
             // polling for (the common case flushes in one call with no
             // interest churn).
-            Flush::Blocked => self.set_interest(slot, Event::writable(slot + 1)),
+            Flush::Blocked => {
+                self.set_interest(slot, Event::writable(slot + 1));
+                false
+            }
             Flush::Broken => {
                 // The request was processed even if the peer vanished
                 // before the bytes landed; keep the counters honest.
-                let conn = self.conns[slot].as_mut().unwrap();
-                finish_trace(conn);
-                if !conn.rejected {
-                    self.server
-                        .metrics
-                        .record(conn.req_started.elapsed(), conn.pending_is_error);
-                }
+                self.record_response(slot);
                 self.close(slot);
+                false
             }
         }
     }
 
-    fn finish_response(&mut self, slot: usize) {
+    /// Ends the in-flight request's trace and counts it.
+    fn record_response(&mut self, slot: usize) {
         let conn = self.conns[slot].as_mut().unwrap();
         finish_trace(conn);
         if !conn.rejected {
@@ -516,10 +546,19 @@ impl EventLoop<'_, '_> {
                 .metrics
                 .record(conn.req_started.elapsed(), conn.pending_is_error);
         }
+    }
+
+    /// Books a response that is on the wire; `true` as [`Self::pump_write`].
+    fn finish_response(&mut self, slot: usize) -> bool {
+        self.record_response(slot);
+        let conn = self.conns[slot].as_mut().unwrap();
         conn.served += 1;
+        if conn.wbuf.capacity() > KEEP_BUFFER {
+            conn.wbuf = Vec::new();
+        }
         if conn.close_after_write || self.draining {
             self.close(slot);
-            return;
+            return false;
         }
         conn.state = ConnState::Idle;
         conn.req_started = Instant::now();
@@ -529,10 +568,10 @@ impl EventLoop<'_, '_> {
             // now for deadline purposes.
             conn.state = ConnState::Reading;
             conn.trace = trace::begin_request("request");
-            self.advance(slot);
-        } else {
-            self.set_interest(slot, Event::readable(slot + 1));
+            return true;
         }
+        self.set_interest(slot, Event::readable(slot + 1));
+        false
     }
 
     // ---- deadlines and drain -----------------------------------------------
@@ -555,11 +594,7 @@ impl EventLoop<'_, '_> {
                 // Never spoke, or dribbled a partial head past the
                 // whole-request deadline (the slow-loris cut): 408.
                 ConnState::Idle | ConnState::Reading => {
-                    self.respond_inline(
-                        slot,
-                        "408 Request Timeout",
-                        "<html><body>request timeout</body></html>",
-                    );
+                    self.respond_error(slot, "408 Request Timeout", "request timeout");
                 }
                 _ => {}
             }
@@ -585,9 +620,14 @@ impl EventLoop<'_, '_> {
 
     // ---- bookkeeping -------------------------------------------------------
 
-    fn set_interest(&self, slot: usize, interest: Event) {
-        if let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) {
-            let _ = self.poller.modify(&conn.stream, interest);
+    /// Points the poller's interest in a connection at `interest`: no call
+    /// when it is there already, which is the whole life of a connection
+    /// whose requests are all answered on the loop.
+    fn set_interest(&mut self, slot: usize, interest: Event) {
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+            if conn.interest != interest && self.poller.modify(&conn.stream, interest).is_ok() {
+                conn.interest = interest;
+            }
         }
     }
 

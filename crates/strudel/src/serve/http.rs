@@ -124,38 +124,36 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parsed {
     )
 }
 
-/// Serializes one response. With `head_only` (a `HEAD` answer) the headers
-/// — including the `Content-Length` the matching `GET` would carry — are
-/// emitted without the body.
+/// Serializes one response onto the end of `out` — a connection's write
+/// buffer, whose allocation outlives the response. With `head_only` (a
+/// `HEAD` answer) the headers — including the `Content-Length` the matching
+/// `GET` would carry — are emitted without the body.
 pub(crate) fn encode_response(
+    out: &mut Vec<u8>,
     status: &str,
     content_type: &str,
     body: &str,
     keep_alive: bool,
     head_only: bool,
-) -> Vec<u8> {
+) {
+    use std::io::Write;
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut out = format!(
+    write!(
+        out,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
     )
-    .into_bytes();
+    .expect("writing to a Vec cannot fail");
     if !head_only {
         out.extend_from_slice(body.as_bytes());
     }
-    out
 }
 
-/// A tiny static 503 for admission-control rejections, computed without
-/// touching the router (the overloaded path must stay allocation-light).
-pub(crate) fn overload_response() -> Vec<u8> {
-    encode_response(
-        "503 Service Unavailable",
-        CT_HTML,
-        "<html><body>server overloaded, retry shortly</body></html>",
-        false,
-        false,
-    )
+/// A loop-generated error (4xx, or admission control's 503): a one-line
+/// HTML body, `Connection: close`. Computed without touching the router.
+pub(crate) fn encode_error(out: &mut Vec<u8>, status: &str, what: &str) {
+    let body = format!("<html><body>{what}</body></html>");
+    encode_response(out, status, CT_HTML, &body, false, false);
 }
 
 /// Exponential backoff for persistent `accept` errors (EMFILE, ENFILE,
@@ -245,18 +243,19 @@ mod tests {
 
     #[test]
     fn responses_frame_head_only_answers() {
-        let full = encode_response("200 OK", CT_HTML, "abc", true, false);
-        let head = encode_response("200 OK", CT_HTML, "abc", true, true);
-        let full = String::from_utf8(full).unwrap();
-        let head = String::from_utf8(head).unwrap();
+        let encode = |body, keep_alive, head_only| {
+            let mut out = Vec::new();
+            encode_response(&mut out, "200 OK", CT_HTML, body, keep_alive, head_only);
+            String::from_utf8(out).unwrap()
+        };
+        let (full, head) = (encode("abc", true, false), encode("abc", true, true));
         assert!(full.ends_with("\r\n\r\nabc"), "{full}");
         assert!(head.ends_with("\r\n\r\n"), "{head}");
         // Identical headers: a HEAD answer advertises the GET body length.
         assert_eq!(full.strip_suffix("abc").unwrap(), head);
         assert!(head.contains("Content-Length: 3\r\n"), "{head}");
         assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
-        let closing =
-            String::from_utf8(encode_response("200 OK", CT_HTML, "x", false, false)).unwrap();
+        let closing = encode("x", false, false);
         assert!(closing.contains("Connection: close\r\n"), "{closing}");
     }
 

@@ -17,6 +17,10 @@ use strudel_obs::{Counter, Histogram};
 pub(crate) struct Metrics {
     pub requests: Counter,
     pub errors: Counter,
+    /// Answers armed by the loop from the page cache, and by a worker's
+    /// completion; with the loop's own 4xx they add up to `requests`.
+    pub inline: Counter,
+    pub dispatched: Counter,
     pub latency: Histogram,
     /// `accept(2)` failures (EMFILE and friends). Each one also pauses the
     /// acceptor with exponential backoff instead of busy-spinning.
@@ -57,6 +61,8 @@ impl Metrics {
         ServeStats {
             requests: self.requests.get(),
             errors: self.errors.get(),
+            requests_inline: self.inline.get(),
+            requests_dispatched: self.dispatched.get(),
             latency_p50_us: lat.quantile(0.50),
             latency_p90_us: lat.quantile(0.90),
             latency_p99_us: lat.quantile(0.99),
@@ -82,6 +88,11 @@ pub struct ServeStats {
     pub requests: u64,
     /// Requests answered with a 4xx/5xx status.
     pub errors: u64,
+    /// Requests the event loop answered itself from the page cache.
+    pub requests_inline: u64,
+    /// Requests a worker of the miss pool answered; `requests` is these
+    /// two plus the loop's own 400/408/431 answers.
+    pub requests_dispatched: u64,
     /// Median request latency, microseconds (bucket estimate).
     pub latency_p50_us: u64,
     /// 90th-percentile request latency, microseconds (bucket estimate).

@@ -5,15 +5,17 @@
 //! eliminate writing such programs by hand." This module is that support: a
 //! dependency-free HTTP/1.1 server whose pages are computed at click time
 //! by [`DynamicSite::expand`] — only the roots are precomputed, and the
-//! evaluator's shared cache answers repeat clicks from any worker thread.
+//! evaluator's shared cache answers repeat clicks.
 //!
 //! One readiness loop (`event`) owns every socket through a vendored epoll
 //! stand-in, driving non-blocking connections (`conn`) with HTTP/1.1
 //! keep-alive, request pipelining, whole-request deadlines, and admission
-//! control; page expansion runs on a scoped worker pool over the shared
-//! [`DynamicSite`]. Around it sit the HTTP framing (`http`), the router
-//! (`router`) behind `/`, `/stats`, `/metrics`, `/page/…` and `/quit`, the
-//! URL scheme (`url`), and the metrics (`metrics`).
+//! control, and answers a page the cache holds whole where it read the
+//! request ([`DynamicSite::lookup`]); pages with something to evaluate run
+//! on a scoped worker pool over the shared [`DynamicSite`]. Around it sit
+//! the HTTP framing (`http`), the router (`router`) behind `/`, `/stats`,
+//! `/metrics`, `/page/…` and `/quit`, the URL scheme (`url`), and the
+//! metrics (`metrics`).
 
 mod conn;
 mod event;
@@ -36,7 +38,9 @@ use strudel_site::{Delta, DynamicSite, PageRef};
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Worker threads answering requests (minimum 1).
+    /// Worker threads of the miss pool (minimum 1): they evaluate the pages
+    /// the cache cannot answer and serve `/stats`, `/metrics` and `/quit`.
+    /// A cached page is answered by the event loop and never reaches them.
     pub threads: usize,
     /// Whole-request deadline: the time allowed from a request's first
     /// byte until its head completes. An idle keep-alive connection may
@@ -217,165 +221,6 @@ mod tests {
         let stats = server.stats();
         assert!(stats.requests >= 7, "{stats:?}");
         assert!(stats.errors >= 2, "{stats:?}"); // the 400 and the 404
-    }
-
-    /// `/metrics` over a live server: well-formed Prometheus text
-    /// exposition whose counters agree with the traffic just sent, and
-    /// with the `/stats` JSON beside it.
-    #[test]
-    fn metrics_endpoint_serves_prometheus_text() {
-        let (data, query) = demo_site();
-        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
-        let server = Server::bind(site, "127.0.0.1:0").unwrap();
-
-        with_client(&server, |addr| {
-            assert!(fetch(addr, "/page/FrontPage").contains("Story"));
-            assert!(fetch(addr, "/page/FrontPage").contains("Story")); // cache hit
-            assert!(fetch(addr, "/nope").contains("404"));
-
-            let resp = fetch(addr, "/metrics");
-            let (head, body) = resp.split_once("\r\n\r\n").expect("framed response");
-            assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-            assert!(
-                head.contains("Content-Type: text/plain; version=0.0.4"),
-                "{head}"
-            );
-
-            // Every family the endpoint promises is declared with HELP+TYPE.
-            for (name, kind) in [
-                ("strudel_requests_total", "counter"),
-                ("strudel_request_errors_total", "counter"),
-                ("strudel_request_duration_seconds", "histogram"),
-                ("strudel_uptime_seconds", "gauge"),
-                ("strudel_worker_threads", "gauge"),
-                ("strudel_accept_errors_total", "counter"),
-                ("strudel_connections_aborted_total", "counter"),
-                ("strudel_admission_rejected_total", "counter"),
-                ("strudel_keepalive_reuses_total", "counter"),
-                ("strudel_connections_open", "gauge"),
-                ("strudel_connections_idle", "gauge"),
-                ("strudel_connections_reading", "gauge"),
-                ("strudel_connections_writing", "gauge"),
-                ("strudel_page_cache_hits_total", "counter"),
-                ("strudel_page_cache_misses_total", "counter"),
-                ("strudel_page_cache_entries", "gauge"),
-                ("strudel_path_cache_hits_total", "counter"),
-                ("strudel_store_page_reads_total", "counter"),
-                ("strudel_store_page_writes_total", "counter"),
-                ("strudel_store_page_cache_hits_total", "counter"),
-                ("strudel_store_page_cache_misses_total", "counter"),
-                ("strudel_store_pages_leaked_total", "counter"),
-                ("strudel_store_compactions_total", "counter"),
-                ("strudel_wal_frames_total", "counter"),
-                ("strudel_wal_commits_total", "counter"),
-                ("strudel_wal_bytes_total", "counter"),
-                ("strudel_wal_checkpoints_total", "counter"),
-                ("strudel_wal_recoveries_total", "counter"),
-                ("strudel_wal_recovered_frames_total", "counter"),
-                ("strudel_wal_torn_tails_total", "counter"),
-                ("strudel_wal_fsyncs_total", "counter"),
-                ("strudel_wal_group_commits_total", "counter"),
-                ("strudel_wal_group_commit_txns_total", "counter"),
-                ("strudel_store_page_cache_evictions_total", "counter"),
-                ("strudel_checkpoint_pages_written_total", "counter"),
-                ("strudel_checkpoint_pages_reused_total", "counter"),
-                ("strudel_store_dirty_pages", "gauge"),
-                ("strudel_store_freelist_pages", "gauge"),
-                ("strudel_build_info", "gauge"),
-                ("strudel_trace_enabled", "gauge"),
-                ("strudel_trace_spans_recorded_total", "counter"),
-                ("strudel_trace_spans_dropped_total", "counter"),
-                ("strudel_trace_traces_started_total", "counter"),
-                ("strudel_trace_traces_sampled_total", "counter"),
-                ("strudel_trace_traces_slow_promoted_total", "counter"),
-                ("strudel_trace_ring_occupancy", "gauge"),
-                ("strudel_trace_ring_capacity", "gauge"),
-            ] {
-                assert!(body.contains(&format!("# HELP {name} ")), "{name}");
-                assert!(body.contains(&format!("# TYPE {name} {kind}\n")), "{name}");
-            }
-
-            // Exposition is line-structured: every non-comment line is
-            // `name[{labels}] value` with a legal metric name and a value
-            // that parses.
-            for line in body.lines().filter(|l| !l.starts_with('#')) {
-                let (lhs, value) = line.rsplit_once(' ').expect(line);
-                let name = lhs.split('{').next().unwrap();
-                assert!(strudel_obs::valid_metric_name(name), "{line}");
-                value.parse::<f64>().expect(line);
-            }
-
-            // Histogram shape: cumulative buckets ending at +Inf, matching
-            // the _count; at least the four requests above are in it.
-            let inf: u64 = body
-                .lines()
-                .find(|l| l.contains("_bucket{le=\"+Inf\"}"))
-                .and_then(|l| l.rsplit(' ').next())
-                .unwrap()
-                .parse()
-                .unwrap();
-            let count: u64 = body
-                .lines()
-                .find(|l| l.starts_with("strudel_request_duration_seconds_count"))
-                .and_then(|l| l.rsplit(' ').next())
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert_eq!(inf, count);
-            assert!(count >= 3, "{count}");
-
-            // Counters agree with the traffic: 2 expansions of the same
-            // page → ≥1 page-cache hit; the 404 shows as an error.
-            let value_of = |name: &str| -> f64 {
-                body.lines()
-                    .find(|l| l.starts_with(name) && !l.starts_with('#'))
-                    .and_then(|l| l.rsplit(' ').next())
-                    .unwrap()
-                    .parse()
-                    .unwrap()
-            };
-            assert!(value_of("strudel_page_cache_hits_total") >= 1.0);
-            assert!(value_of("strudel_request_errors_total") >= 1.0);
-
-            // /stats carries the vitals and connection block as JSON.
-            let stats = fetch(addr, "/stats");
-            assert!(stats.contains("Content-Type: application/json"), "{stats}");
-            for key in [
-                "\"uptime_seconds\":",
-                "\"threads\":",
-                "\"connections\":",
-                "\"keepalive_reuses\":",
-                "\"admission_rejected\":",
-                "\"accept_errors\":",
-                "\"traces\":",
-            ] {
-                assert!(stats.contains(key), "{stats}");
-            }
-
-            // The two endpoints read the same counters: /stats parses, and
-            // what it says about the settled traffic above is what
-            // /metrics said. Click-time evaluation has no worker count, so
-            // neither endpoint reports one.
-            let (_, json) = stats.split_once("\r\n\r\n").expect("framed response");
-            let doc = strudel_obs::json::parse(json).expect("valid /stats JSON");
-            let stat = |path: &[&str]| -> f64 {
-                path.iter()
-                    .try_fold(&doc, |v, key| v.get(key))
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or_else(|| panic!("{path:?} in {json}"))
-            };
-            for (path, family) in [
-                (&["threads"][..], "strudel_worker_threads"),
-                (&["errors"][..], "strudel_request_errors_total"),
-                (&["cache", "hits"][..], "strudel_page_cache_hits_total"),
-                (&["cache", "misses"][..], "strudel_page_cache_misses_total"),
-                (&["cache", "entries"][..], "strudel_page_cache_entries"),
-            ] {
-                assert_eq!(stat(path), value_of(family), "{path:?} vs {family}");
-            }
-            assert!(doc.get("jobs").is_none(), "{json}");
-            assert!(!body.contains("jobs"), "{body}");
-        });
     }
 
     /// End-to-end live update with a *deletion*: serve and warm the cache,

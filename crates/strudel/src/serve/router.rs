@@ -1,9 +1,11 @@
 //! Routing: mapping a parsed request to `(status, content-type, body)`,
 //! plus the `/stats` JSON and `/metrics` Prometheus payloads.
 //!
-//! The event loop's workers call [`Server::route_request`]; everything
-//! here is `&self` over the shared [`DynamicSite`] and the lock-free
-//! metrics, so routing needs no coordination with the connection layer.
+//! The event loop asks [`Server::cached_page`] for a page it can answer
+//! itself and its workers call [`Server::route_request`] for the rest; both
+//! render a page body through [`render_page`]. Everything here is `&self`
+//! over the shared [`DynamicSite`] and the lock-free metrics, so routing
+//! needs no coordination with the connection layer.
 //!
 //! [`DynamicSite`]: strudel_site::DynamicSite
 
@@ -12,9 +14,43 @@ use super::url::{escape, parse_page_url, render_links};
 use super::Server;
 use std::sync::atomic::{AtomicBool, Ordering};
 use strudel_obs::{trace, PromText};
-use strudel_site::{OutLink, Target};
+use strudel_site::{OutLink, PageRef, Target};
+
+/// Renders click-time page `page`, which has these `n` links, into the
+/// empty `body`: every `/page/…` answer, cached or computed.
+fn render_page<'a>(
+    body: &mut String,
+    page: &PageRef,
+    n: usize,
+    links: impl Iterator<Item = &'a OutLink>,
+) {
+    let mut rspan = trace::span("render.page", trace::Layer::Render);
+    body.reserve(192 + n * 96);
+    let title = format_args!("{page} — {n} links (click time)");
+    render_links(body, title, links);
+    rspan.attr_u64("links", n as u64);
+    rspan.attr_u64("bytes", body.len() as u64);
+}
 
 impl Server<'_> {
+    /// The event loop's half of a `/page/…` request: when every link clause
+    /// of the page is cached ([`strudel_site::DynamicSite::lookup`]), renders
+    /// the `200 OK` [`CT_HTML`] body into the empty `body`. Anything else
+    /// (not a page path, a malformed reference, a clause to evaluate) is
+    /// declined with nothing written, counted or traced: it belongs to
+    /// [`Server::route_request`] on a worker.
+    pub(super) fn cached_page(&self, raw_path: &str, body: &mut String) -> bool {
+        let path = raw_path.split_once('?').map_or(raw_path, |(path, _)| path);
+        let Some(page) = parse_page_url(path) else {
+            return false;
+        };
+        let Some(links) = self.site.lookup(&page) else {
+            return false;
+        };
+        render_page(body, &page, links.len(), links.iter());
+        true
+    }
+
     /// Answers one fully parsed request. `HEAD` routes exactly like `GET`
     /// (the connection layer drops the body when serializing); other
     /// methods are refused. `/quit` flips the shared shutdown flag.
@@ -56,11 +92,10 @@ impl Server<'_> {
                     target: Target::Page(r.clone()),
                 })
                 .collect();
-            return (
-                "200 OK".into(),
-                CT_HTML,
-                render_links("Site roots (precomputed)", &links),
-            );
+            let mut body = String::new();
+            let title = format_args!("Site roots (precomputed)");
+            render_links(&mut body, title, links.iter());
+            return ("200 OK".into(), CT_HTML, body);
         }
         if path == "/stats" {
             return ("200 OK".into(), CT_JSON, self.stats_json());
@@ -96,14 +131,8 @@ impl Server<'_> {
             };
             return match self.site.expand(&page) {
                 Ok(links) => {
-                    let mut rspan = trace::span("render.page", trace::Layer::Render);
-                    let title = format!("{page} — {} links (click time)", links.len());
-                    let body = render_links(&title, &links);
-                    if rspan.is_live() {
-                        rspan.attr_u64("links", links.len() as u64);
-                        rspan.attr_u64("bytes", body.len() as u64);
-                    }
-                    drop(rspan);
+                    let mut body = String::new();
+                    render_page(&mut body, &page, links.len(), links.iter());
                     ("200 OK".into(), CT_HTML, body)
                 }
                 Err(e) => (
@@ -124,7 +153,7 @@ impl Server<'_> {
     }
 
     /// The `/stats` payload: request counters, latency percentiles,
-    /// server vitals (uptime, worker threads), the
+    /// server vitals (uptime, threads of the miss pool), the
     /// connection layer's counters and gauges, and the shared evaluator's
     /// cache counters, as JSON.
     fn stats_json(&self) -> String {
@@ -136,6 +165,7 @@ impl Server<'_> {
         format!(
             concat!(
                 "{{\"requests\":{},\"errors\":{},",
+                "\"requests_inline\":{},\"requests_dispatched\":{},",
                 "\"uptime_seconds\":{},\"threads\":{},",
                 "\"latency_us\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
                 "\"connections\":{{\"open\":{},\"idle\":{},\"reading\":{},\"writing\":{},",
@@ -159,6 +189,8 @@ impl Server<'_> {
             ),
             s.requests,
             s.errors,
+            s.requests_inline,
+            s.requests_dispatched,
             self.started.elapsed().as_secs(),
             self.config.threads.max(1),
             s.latency_p50_us,
@@ -231,6 +263,16 @@ impl Server<'_> {
             "Requests answered with a 4xx/5xx status.",
             s.errors,
         );
+        m.counter(
+            "strudel_requests_inline_total",
+            "Requests the event loop answered itself from the page cache.",
+            s.requests_inline,
+        );
+        m.counter(
+            "strudel_requests_dispatched_total",
+            "Requests a worker of the miss pool answered.",
+            s.requests_dispatched,
+        );
         m.histogram_seconds(
             "strudel_request_duration_seconds",
             "Request latency from first byte to response written.",
@@ -243,7 +285,7 @@ impl Server<'_> {
         );
         m.gauge(
             "strudel_worker_threads",
-            "Worker threads answering requests.",
+            "Worker threads of the miss pool (the event loop answers cached pages itself).",
             self.config.threads.max(1) as f64,
         );
         m.counter(

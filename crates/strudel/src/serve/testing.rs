@@ -68,7 +68,12 @@ pub fn with_client<R>(server: &Server<'_>, client: impl FnOnce(SocketAddr) -> R)
                 std::process::abort();
             }
         });
-        let serving = scope.spawn(|| server.serve(None));
+        // On a small stack: the loop answers cached pages itself, and a burst
+        // of pipelined ones must cost it iterations, not frames.
+        let serving = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn_scoped(scope, || server.serve(None))
+            .expect("spawn the serving thread");
         let out = {
             let _quit = QuitOnDrop(addr);
             client(addr)

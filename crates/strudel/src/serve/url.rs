@@ -158,30 +158,34 @@ impl Write for Escaped<'_> {
     }
 }
 
-pub(crate) fn render_links(title: &str, links: &[OutLink]) -> String {
-    // A row is about 90 bytes of markup around a short label and target.
-    let mut html = String::with_capacity(128 + title.len() + links.len() * 96);
+/// Appends the page that lists `links` under `title` to `html`. A row is
+/// about 90 bytes of markup around a short label and target; the caller
+/// that knows the link count reserves for it.
+pub(crate) fn render_links<'a>(
+    html: &mut String,
+    title: std::fmt::Arguments<'_>,
+    links: impl Iterator<Item = &'a OutLink>,
+) {
     html.push_str("<html><body><h1>");
-    escape_into(&mut html, title);
+    write_into(&mut Escaped(html), title);
     html.push_str("</h1><table>");
     for l in links {
         html.push_str("<tr><td><b>");
-        escape_into(&mut html, &l.label);
+        escape_into(html, &l.label);
         html.push_str("</b></td><td>");
         match &l.target {
             Target::Page(p) => {
                 html.push_str("<a href=\"");
-                page_url_into(&mut html, p);
+                page_url_into(html, p);
                 html.push_str("\">");
-                write_into(&mut Escaped(&mut html), format_args!("{p}"));
+                write_into(&mut Escaped(html), format_args!("{p}"));
                 html.push_str("</a>");
             }
-            Target::Value(v) => write_into(&mut Escaped(&mut html), format_args!("{v}")),
+            Target::Value(v) => write_into(&mut Escaped(html), format_args!("{v}")),
         }
         html.push_str("</td></tr>");
     }
     html.push_str("</table><p><a href=\"/\">roots</a></p></body></html>");
-    html
 }
 
 #[cfg(test)]
@@ -275,7 +279,8 @@ mod tests {
 
     #[test]
     fn rendered_page_bytes_are_pinned() {
-        let html = render_links("T <1> & \"2\"", &golden_links());
+        let (mut html, title) = (String::new(), format_args!("T <1> & \"2\""));
+        render_links(&mut html, title, golden_links().iter());
         assert_eq!(html, GOLDEN_PAGE);
     }
 
@@ -285,7 +290,8 @@ mod tests {
         let Target::Page(p) = &links.last().unwrap().target else {
             panic!("last golden link is a page link");
         };
-        let html = render_links("t", &links);
+        let mut html = String::new();
+        render_links(&mut html, format_args!("t"), links.iter());
         let href = html.split("<a href=\"").nth(1).unwrap();
         let href = &href[..href.find('"').unwrap()];
         assert_eq!(href, page_url(p));

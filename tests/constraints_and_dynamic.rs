@@ -52,18 +52,39 @@ fn org_site_structural_constraints() {
 /// expansion returns exactly the built page's out-links (compared as sets,
 /// Skolem targets resolved through `build.table`), and returns the same
 /// vector — order included — whether the cache is cold, warm, or holds only
-/// some of the page's clauses. Returns how many partially warm expansions
-/// mixed hits and misses.
+/// some of the page's clauses. At every one of those steps, and after an
+/// invalidation, `lookup` — the cached page or nothing, the server's event
+/// loop's view — either declines without a trace in the counters or returns
+/// that same vector, and leaves the cache's recency order as `expand` would.
+/// Returns how many partially warm expansions mixed hits and misses.
 fn assert_served_equals_built(s: &mut strudel::Strudel) -> usize {
     use std::collections::HashMap;
     use strudel::graph::{Oid, Value};
-    use strudel::site::{CacheConfig, DynamicSite, OutLink, PageRef};
+    use strudel::site::{CacheConfig, Delta, DynamicSite, OutLink, PageRef};
     use strudel::struql::EvalOptions;
 
     fn link_set(links: &[OutLink]) -> Vec<String> {
         let mut set: Vec<String> = links.iter().map(|l| format!("{l:?}")).collect();
         set.sort();
         set
+    }
+
+    /// `lookup` answers `want` or declines; declining counts nothing.
+    /// Returns whether it answered.
+    fn lookup_agrees(site: &DynamicSite, page: &PageRef, want: &[OutLink], when: &str) -> bool {
+        let before = format!("{:?}", site.stats());
+        match site.lookup(page) {
+            Some(hit) => {
+                let got: Vec<OutLink> = hit.iter().cloned().collect();
+                assert_eq!(got, want, "lookup, {when}: {page}");
+                assert_eq!(hit.len(), want.len());
+                true
+            }
+            None => {
+                assert_eq!(format!("{:?}", site.stats()), before, "{when}: {page}");
+                false
+            }
+        }
     }
 
     let build = s.build_site().unwrap();
@@ -89,6 +110,7 @@ fn assert_served_equals_built(s: &mut strudel::Strudel) -> usize {
         .collect();
 
     let full = site(usize::MAX);
+    let mut served_links: Vec<(&PageRef, Vec<OutLink>)> = Vec::new();
     let mut mixed = 0;
     for (oid, page) in &pages {
         let built: Vec<OutLink> = build
@@ -114,6 +136,7 @@ fn assert_served_equals_built(s: &mut strudel::Strudel) -> usize {
             served.windows(2).all(|w| w[0] != w[1]),
             "{page}: {served:?}"
         );
+        assert!(lookup_agrees(&full, page, &cold, "warm"));
         assert_eq!(full.expand(page).unwrap(), cold, "warm {page}");
 
         // Partially warm. A cache too small for the page's clauses keeps
@@ -124,14 +147,67 @@ fn assert_served_equals_built(s: &mut strudel::Strudel) -> usize {
         // that share a conjunction are affected together.)
         for keep in [1, 2] {
             let small = site(keep);
+            assert!(!lookup_agrees(&small, page, &cold, "cold"));
             small.expand(page).unwrap();
             let partial = site(usize::MAX);
             partial.cache_restore(small.cache_snapshot());
+            let whole = lookup_agrees(&partial, page, &cold, "restored");
             assert_eq!(partial.expand(page).unwrap(), cold, "keep {keep}: {page}");
             let stats = partial.stats();
+            // A page that `lookup` answers has nothing left to evaluate.
+            assert!(!whole || stats.cache_misses == 0, "keep {keep}: {page}");
             mixed += usize::from(stats.cache_hits > 0 && stats.cache_misses > 0);
+            assert!(lookup_agrees(
+                &partial,
+                page,
+                &cold,
+                "restored and expanded"
+            ));
         }
+        served_links.push((page, cold));
     }
+
+    // Recency. A snapshot restored into room for `k` entries keeps the `k`
+    // most recent, so which pages `lookup` still answers there, for every
+    // `k`, is the recency order as far as a page can tell. It must not
+    // depend on whether the last touch of a page was `lookup`'s or
+    // `expand`'s.
+    let sample: Vec<&PageRef> = served_links.iter().map(|(p, _)| *p).take(6).collect();
+    let (by_lookup, by_expand) = (site(usize::MAX), site(usize::MAX));
+    for page in &sample {
+        by_lookup.expand(page).unwrap();
+        by_expand.expand(page).unwrap();
+    }
+    let entries = by_lookup.cache_len();
+    for page in sample.iter().step_by(2) {
+        assert!(by_lookup.lookup(page).is_some(), "{page}");
+        by_expand.expand(page).unwrap();
+    }
+    let survivors = |of: &DynamicSite, k| -> Vec<bool> {
+        let small = site(k);
+        small.cache_restore(of.cache_snapshot());
+        sample.iter().map(|p| small.lookup(p).is_some()).collect()
+    };
+    for k in 0..=entries {
+        assert_eq!(survivors(&by_lookup, k), survivors(&by_expand, k), "{k}");
+    }
+
+    // After an invalidation (the data is unchanged, so every page still has
+    // the links it had): what `lookup` still answers is still right, and it
+    // no longer answers everything.
+    let node = data.nodes()[0];
+    let (label, to) = data.out_edges(node).into_iter().next().unwrap();
+    let dropped = full.invalidate(&Delta::EdgeAdded {
+        from: node,
+        label,
+        to,
+    });
+    assert!(dropped > 0);
+    let answered = served_links
+        .iter()
+        .filter(|(page, links)| lookup_agrees(&full, page, links, "invalidated"))
+        .count();
+    assert!(0 < answered && answered < served_links.len(), "{answered}");
     mixed
 }
 

@@ -1,6 +1,8 @@
 //! Regression tests for the event-driven serving tier: keep-alive reuse,
-//! pipelining order, connection-layer bugfixes (slow-loris deadline, idle
-//! close, HEAD answers, zero-byte aborts, admission control).
+//! pipelining order and its bound, which path answers a request (the loop
+//! from the page cache, or a worker), connection-layer bugfixes (slow-loris
+//! deadline, idle close, HEAD answers, zero-byte aborts, half-closed
+//! requests, admission control), and the `/metrics` exposition.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -305,6 +307,325 @@ fn zero_byte_connections_are_aborts_not_errors() {
     assert_eq!(stats.errors, 0, "aborts are not errors {stats:?}");
     assert_eq!(stats.requests, 2, "only `/` and `/quit` routed");
     assert_eq!(stats.accept_errors, 0, "{stats:?}");
+}
+
+/// A client may send its request and shut down its writing side at once
+/// (`printf 'GET … HTTP/1.0\r\n\r\n' | nc`): the EOF that arrives with the
+/// head is not a reason to throw the head away. This used to be answered
+/// `400 Bad Request` whenever both were read in one wakeup.
+#[test]
+fn half_closed_requests_are_answered() {
+    let stats = with_server(ServerConfig::default(), |addr| {
+        for attempt in 0..50 {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"GET /page/FrontPage HTTP/1.0\r\n\r\n")
+                .unwrap();
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut resp = String::new();
+            s.read_to_string(&mut resp).unwrap();
+            assert!(resp.starts_with("HTTP/1.1 200 OK"), "{attempt}: {resp}");
+            assert!(resp.contains("Story"), "{attempt}: {resp}");
+        }
+    });
+    assert_eq!(stats.errors, 0, "{stats:?}");
+}
+
+/// One `write` of 5,000 pipelined requests for a cached page: answered
+/// completely, in order, byte-identical to the serial answer — by a loop
+/// that runs on a 256 KB stack (`with_client`), so one frame per buffered
+/// request would overflow it — and not at the expense of a second
+/// connection, because every so often a request of the burst goes through
+/// the worker pool and waits its turn behind the poller.
+#[test]
+fn pipelined_burst_of_cached_pages_is_answered_without_starving_others() {
+    const BURST: usize = 5_000;
+    const REQUEST: &[u8] = b"GET /page/FrontPage HTTP/1.1\r\nHost: x\r\n\r\n";
+    let stats = with_server(ServerConfig::default(), |addr| {
+        let mut serial = TcpStream::connect(addr).unwrap();
+        serial
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut carry = Vec::new();
+        serial.write_all(REQUEST).unwrap();
+        read_response(&mut serial, &mut carry); // cold
+        serial.write_all(REQUEST).unwrap();
+        let expected = read_response(&mut serial, &mut carry);
+        assert!(expected.0.starts_with("HTTP/1.1 200 OK"), "{expected:?}");
+
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+        let mut writer = s.try_clone().unwrap();
+        // Written from a thread of its own: the burst is larger than the
+        // socket buffers, so the write ends only once answers are read.
+        let writing = std::thread::spawn(move || writer.write_all(&REQUEST.repeat(BURST)));
+        // The other connection is served while the burst is in progress.
+        serial.write_all(REQUEST).unwrap();
+        assert_eq!(read_response(&mut serial, &mut carry), expected);
+        let mut carry = Vec::new();
+        for i in 0..BURST {
+            assert_eq!(read_response(&mut s, &mut carry), expected, "answer {i}");
+        }
+        writing.join().unwrap().unwrap();
+        assert!(carry.is_empty(), "bytes past the last answer");
+    });
+    assert_eq!(stats.errors, 0, "{stats:?}");
+    // The cold request, `/quit`, and the burst's turns through the pool.
+    assert!(stats.requests_dispatched >= 100, "{stats:?}");
+    assert!(
+        stats.requests_inline >= (BURST - BURST / 20) as u64,
+        "{stats:?}"
+    );
+}
+
+/// Which path answers is counted, so it can be asserted: a page whose every
+/// clause is cached is answered by the loop, anything else by a worker, and
+/// a page with one clause cached and one not is declined whole — the worker
+/// that takes it does the whole accounting, once.
+#[test]
+fn hits_are_answered_on_the_loop() {
+    use strudel::site::CacheConfig;
+    const N: u64 = 20;
+    let (data, _) = demo_site();
+    // `Page(a)` has two link clauses.
+    let query = strudel::struql::parse_query(
+        r#"CREATE Root()
+           { WHERE Articles(a), a -> "headline" -> h
+             CREATE Page(a)
+             LINK Page(a) -> "Headline" -> h, Page(a) -> "Up" -> Root(),
+                  Root() -> "Story" -> Page(a) }"#,
+    )
+    .unwrap();
+    let site = |max_entries| {
+        let cache = CacheConfig {
+            max_entries,
+            ..CacheConfig::default()
+        };
+        DynamicSite::with_cache(&data, &query, EvalOptions::default(), cache).unwrap()
+    };
+    let page = strudel::site::PageRef {
+        skolem: "Page".into(),
+        args: vec![strudel::graph::Value::Node(data.nodes()[0])],
+    };
+    // A cache with room for one entry keeps the second clause of `page`;
+    // carried into a roomy cache that is a page half cached.
+    let half = site(1);
+    assert_eq!(half.expand(&page).unwrap().len(), 2);
+    let served = site(usize::MAX);
+    served.cache_restore(half.cache_snapshot());
+    assert_eq!(served.cache_len(), 1);
+
+    let server = Server::bind(served, "127.0.0.1:0").unwrap();
+    // A request with `Connection: close` is counted before the close that
+    // the client waits for, so the counters below are settled when read.
+    let get = |addr, path: &str| {
+        let before = (server.stats(), server.site().stats());
+        assert!(fetch(addr, path).starts_with("HTTP/1.1 200 OK"), "{path}");
+        let (serve, site) = (server.stats(), server.site().stats());
+        (
+            serve.requests_inline - before.0.requests_inline,
+            serve.requests_dispatched - before.0.requests_dispatched,
+            site.cache_hits - before.1.cache_hits,
+            site.cache_misses - before.1.cache_misses,
+        )
+    };
+    with_client(&server, |addr| {
+        let half_cached = strudel::serve::page_url(&page);
+        // (inline, dispatched, clause hits, clause misses)
+        assert_eq!(get(addr, "/page/Root"), (0, 1, 0, 1), "cold");
+        assert_eq!(get(addr, "/page/Root"), (1, 0, 1, 0), "warm");
+        assert_eq!(get(addr, &half_cached), (0, 1, 1, 1), "half cached");
+        assert_eq!(get(addr, &half_cached), (1, 0, 2, 0), "then whole");
+        assert_eq!(get(addr, "/stats"), (0, 1, 0, 0), "not a page");
+
+        let before = server.stats();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut carry = Vec::new();
+        for _ in 0..N {
+            s.write_all(b"GET /page/Root HTTP/1.1\r\nHost: x\r\n\r\n")
+                .unwrap();
+            let (head, _) = read_response(&mut s, &mut carry);
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        }
+        // The loop's own 400 closes the connection, after the count.
+        s.write_all(b"garbage\r\n\r\n").unwrap();
+        let mut rest = String::new();
+        s.read_to_string(&mut rest).unwrap();
+        assert!(rest.starts_with("HTTP/1.1 400"), "{rest}");
+        let after = server.stats();
+        assert_eq!(after.requests_inline - before.requests_inline, N);
+        assert_eq!(after.requests_dispatched, before.requests_dispatched);
+        assert_eq!(after.requests - before.requests, N + 1);
+    });
+    let stats = server.stats();
+    assert_eq!(
+        stats.requests,
+        stats.requests_inline + stats.requests_dispatched + 1,
+        "{stats:?}"
+    );
+}
+
+/// `/metrics` over a live server: well-formed Prometheus text
+/// exposition whose counters agree with the traffic just sent, and
+/// with the `/stats` JSON beside it.
+#[test]
+fn metrics_endpoint_serves_prometheus_text() {
+    let (data, query) = demo_site();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let server = Server::bind(site, "127.0.0.1:0").unwrap();
+
+    with_client(&server, |addr| {
+        assert!(fetch(addr, "/page/FrontPage").contains("Story"));
+        assert!(fetch(addr, "/page/FrontPage").contains("Story")); // cache hit
+        assert!(fetch(addr, "/nope").contains("404"));
+
+        let resp = fetch(addr, "/metrics");
+        let (head, body) = resp.split_once("\r\n\r\n").expect("framed response");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(
+            head.contains("Content-Type: text/plain; version=0.0.4"),
+            "{head}"
+        );
+
+        // Every family the endpoint promises is declared with HELP+TYPE.
+        for (name, kind) in [
+            ("strudel_requests_total", "counter"),
+            ("strudel_requests_inline_total", "counter"),
+            ("strudel_requests_dispatched_total", "counter"),
+            ("strudel_request_errors_total", "counter"),
+            ("strudel_request_duration_seconds", "histogram"),
+            ("strudel_uptime_seconds", "gauge"),
+            ("strudel_worker_threads", "gauge"),
+            ("strudel_accept_errors_total", "counter"),
+            ("strudel_connections_aborted_total", "counter"),
+            ("strudel_admission_rejected_total", "counter"),
+            ("strudel_keepalive_reuses_total", "counter"),
+            ("strudel_connections_open", "gauge"),
+            ("strudel_connections_idle", "gauge"),
+            ("strudel_connections_reading", "gauge"),
+            ("strudel_connections_writing", "gauge"),
+            ("strudel_page_cache_hits_total", "counter"),
+            ("strudel_page_cache_misses_total", "counter"),
+            ("strudel_page_cache_entries", "gauge"),
+            ("strudel_path_cache_hits_total", "counter"),
+            ("strudel_store_page_reads_total", "counter"),
+            ("strudel_store_page_writes_total", "counter"),
+            ("strudel_store_page_cache_hits_total", "counter"),
+            ("strudel_store_page_cache_misses_total", "counter"),
+            ("strudel_store_pages_leaked_total", "counter"),
+            ("strudel_store_compactions_total", "counter"),
+            ("strudel_wal_frames_total", "counter"),
+            ("strudel_wal_commits_total", "counter"),
+            ("strudel_wal_bytes_total", "counter"),
+            ("strudel_wal_checkpoints_total", "counter"),
+            ("strudel_wal_recoveries_total", "counter"),
+            ("strudel_wal_recovered_frames_total", "counter"),
+            ("strudel_wal_torn_tails_total", "counter"),
+            ("strudel_wal_fsyncs_total", "counter"),
+            ("strudel_wal_group_commits_total", "counter"),
+            ("strudel_wal_group_commit_txns_total", "counter"),
+            ("strudel_store_page_cache_evictions_total", "counter"),
+            ("strudel_checkpoint_pages_written_total", "counter"),
+            ("strudel_checkpoint_pages_reused_total", "counter"),
+            ("strudel_store_dirty_pages", "gauge"),
+            ("strudel_store_freelist_pages", "gauge"),
+            ("strudel_build_info", "gauge"),
+            ("strudel_trace_enabled", "gauge"),
+            ("strudel_trace_spans_recorded_total", "counter"),
+            ("strudel_trace_spans_dropped_total", "counter"),
+            ("strudel_trace_traces_started_total", "counter"),
+            ("strudel_trace_traces_sampled_total", "counter"),
+            ("strudel_trace_traces_slow_promoted_total", "counter"),
+            ("strudel_trace_ring_occupancy", "gauge"),
+            ("strudel_trace_ring_capacity", "gauge"),
+        ] {
+            assert!(body.contains(&format!("# HELP {name} ")), "{name}");
+            assert!(body.contains(&format!("# TYPE {name} {kind}\n")), "{name}");
+        }
+
+        // Exposition is line-structured: every non-comment line is
+        // `name[{labels}] value` with a legal metric name and a value
+        // that parses.
+        for line in body.lines().filter(|l| !l.starts_with('#')) {
+            let (lhs, value) = line.rsplit_once(' ').expect(line);
+            let name = lhs.split('{').next().unwrap();
+            assert!(strudel::obs::valid_metric_name(name), "{line}");
+            value.parse::<f64>().expect(line);
+        }
+
+        // Histogram shape: cumulative buckets ending at +Inf, matching
+        // the _count; at least the four requests above are in it.
+        let inf: u64 = body
+            .lines()
+            .find(|l| l.contains("_bucket{le=\"+Inf\"}"))
+            .and_then(|l| l.rsplit(' ').next())
+            .unwrap()
+            .parse()
+            .unwrap();
+        let count: u64 = body
+            .lines()
+            .find(|l| l.starts_with("strudel_request_duration_seconds_count"))
+            .and_then(|l| l.rsplit(' ').next())
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert_eq!(inf, count);
+        assert!(count >= 3, "{count}");
+
+        // Counters agree with the traffic: 2 expansions of the same
+        // page → ≥1 page-cache hit; the 404 shows as an error.
+        let value_of = |name: &str| -> f64 {
+            body.lines()
+                .find(|l| l.starts_with(name) && !l.starts_with('#'))
+                .and_then(|l| l.rsplit(' ').next())
+                .unwrap()
+                .parse()
+                .unwrap()
+        };
+        assert!(value_of("strudel_page_cache_hits_total") >= 1.0);
+        assert!(value_of("strudel_request_errors_total") >= 1.0);
+
+        // /stats carries the vitals and connection block as JSON.
+        let stats = fetch(addr, "/stats");
+        assert!(stats.contains("Content-Type: application/json"), "{stats}");
+        for key in [
+            "\"uptime_seconds\":",
+            "\"threads\":",
+            "\"connections\":",
+            "\"keepalive_reuses\":",
+            "\"admission_rejected\":",
+            "\"accept_errors\":",
+            "\"traces\":",
+        ] {
+            assert!(stats.contains(key), "{stats}");
+        }
+
+        // The two endpoints read the same counters: /stats parses, and
+        // what it says about the settled traffic above is what
+        // /metrics said. Click-time evaluation has no worker count, so
+        // neither endpoint reports one.
+        let (_, json) = stats.split_once("\r\n\r\n").expect("framed response");
+        let doc = strudel::obs::json::parse(json).expect("valid /stats JSON");
+        let stat = |path: &[&str]| -> f64 {
+            path.iter()
+                .try_fold(&doc, |v, key| v.get(key))
+                .and_then(|v| v.as_f64())
+                .unwrap_or_else(|| panic!("{path:?} in {json}"))
+        };
+        for (path, family) in [
+            (&["threads"][..], "strudel_worker_threads"),
+            (&["errors"][..], "strudel_request_errors_total"),
+            (&["requests_inline"][..], "strudel_requests_inline_total"),
+            (&["cache", "hits"][..], "strudel_page_cache_hits_total"),
+            (&["cache", "misses"][..], "strudel_page_cache_misses_total"),
+            (&["cache", "entries"][..], "strudel_page_cache_entries"),
+        ] {
+            assert_eq!(stat(path), value_of(family), "{path:?} vs {family}");
+        }
+        assert!(doc.get("jobs").is_none(), "{json}");
+        assert!(!body.contains("jobs"), "{body}");
+    });
 }
 
 /// FNV-1a, 64 bits: a digest that does not depend on the toolchain.

@@ -70,6 +70,102 @@ fn debug_traces_exposes_request_spans() {
     });
 }
 
+/// A page answered from the cache is answered by the event loop, and its
+/// trace says so in the vocabulary a worker's answer uses: the same six
+/// spans in the same tree, `cache.expand` all hits — with nothing between
+/// parsing and handling, or handling and writing, but the loop itself (a
+/// dispatched request waits there for a worker and for the doorbell back).
+#[test]
+fn warm_get_is_traced_where_it_is_answered() {
+    use strudel::obs::trace::{self, AttrValue, SpanRecord};
+
+    trace::enable(trace::TraceConfig::default());
+    let (data, query) = demo_site();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let server = Server::bind(site, "127.0.0.1:0").unwrap();
+    // A page the other test of this binary does not fetch: the recorder is
+    // shared, the path tells the traces apart.
+    let url = strudel::serve::page_url(&strudel::site::PageRef {
+        skolem: "Page".into(),
+        args: vec![strudel::graph::Value::Node(data.nodes()[0])],
+    });
+    with_client(&server, |addr| {
+        for _cold_then_warm in 0..2 {
+            assert!(fetch(addr, &url).contains("headline"));
+        }
+    });
+    let stats = server.stats();
+    assert_eq!((stats.requests_inline, stats.requests_dispatched), (1, 2));
+
+    let spans = trace::snapshot_spans();
+    let path = AttrValue::Text(url.clone());
+    let mut roots: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.parent_id == 0 && s.attrs.iter().any(|(k, v)| k == "path" && *v == path))
+        .collect();
+    roots.sort_by_key(|s| s.start_ns);
+    assert_eq!(roots.len(), 2, "a cold and a warm request for {url}");
+    let tree = |root: &SpanRecord| -> Vec<(String, String)> {
+        let mut mine: Vec<&SpanRecord> = spans
+            .iter()
+            .filter(|s| s.trace_id == root.trace_id)
+            .collect();
+        mine.sort_by_key(|s| (s.start_ns, s.span_id));
+        let name_of = |id: u64| {
+            mine.iter()
+                .find(|s| s.span_id == id)
+                .map(|s| s.name.clone())
+        };
+        mine.iter()
+            .filter(|s| s.layer.name() != "eval") // the cold one evaluates
+            .map(|s| (s.name.clone(), name_of(s.parent_id).unwrap_or_default()))
+            .collect()
+    };
+    let (cold, warm) = (roots[0], roots[1]);
+    let want = [
+        ("request", ""),
+        ("serve.parse", "request"),
+        ("serve.handle", "request"),
+        ("cache.expand", "serve.handle"),
+        ("render.page", "serve.handle"),
+        ("serve.write", "request"),
+    ]
+    .map(|(name, parent)| (name.to_string(), parent.to_string()));
+    assert_eq!(tree(warm), want);
+    assert_eq!(tree(cold), want, "one vocabulary for both paths");
+
+    let of = |root: &SpanRecord, name: &str| {
+        let found = spans
+            .iter()
+            .find(|s| s.trace_id == root.trace_id && s.name == name);
+        found.unwrap_or_else(|| panic!("no {name} span")).clone()
+    };
+    let attr = |span: &SpanRecord, key: &str| match span.attrs.iter().find(|(k, _)| k == key) {
+        Some((_, AttrValue::U64(v))) => *v,
+        other => panic!("no integer attribute {key} on {}: {other:?}", span.name),
+    };
+    let expand = of(warm, "cache.expand");
+    for (key, want) in [("hits", 1), ("misses", 0), ("evals", 0), ("links", 2)] {
+        assert_eq!(attr(&expand, key), want, "{key}");
+    }
+    assert_eq!(attr(&of(cold, "cache.expand"), "misses"), 1);
+    assert_eq!(attr(&of(warm, "serve.handle"), "status"), 200);
+    assert_eq!(attr(warm, "status"), 200);
+
+    // The phases of the warm request follow one another on one thread:
+    // ordered, and the root's own time (what no phase covers) is the two
+    // seams between them, not a queue.
+    let (parse, handle, write) = (
+        of(warm, "serve.parse"),
+        of(warm, "serve.handle"),
+        of(warm, "serve.write"),
+    );
+    assert!(parse.end_ns <= handle.start_ns && handle.end_ns <= write.start_ns);
+    assert!(write.end_ns <= warm.end_ns);
+    let phases = parse.dur_ns() + handle.dur_ns() + write.dur_ns();
+    assert!(phases <= warm.dur_ns(), "{phases} of {}", warm.dur_ns());
+}
+
 /// Restart to first hub page: a reopened store hands out a graph with no
 /// extents, leaf pages never ask for them, and the first page that looks an
 /// edge up backwards builds them — once, however many clicks race for it —
