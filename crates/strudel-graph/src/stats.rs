@@ -1,180 +1,67 @@
 //! Process-wide storage-layer counters.
 //!
 //! The pager and write-ahead log count their work into one static set of
-//! relaxed atomics, mirroring how `strudel_struql::planner_dp_fallbacks`
-//! surfaces planner events: the serving tier scrapes a [`StorageStats`]
-//! snapshot into `/stats` and `/metrics` without needing a handle to any
-//! particular [`crate::store::PagedStore`] instance. Counters are
-//! monotonic over the process lifetime (Prometheus `_total` semantics).
+//! relaxed atomics: the serving tier scrapes a [`StorageStats`] snapshot
+//! into `/stats` and `/metrics` without needing a handle to any particular
+//! [`crate::store::PagedStore`] instance. Counters are monotonic over the
+//! process lifetime (Prometheus `_total` semantics); the two gauges track a
+//! level, last writer wins. A signal is the one row below: the cell the
+//! pager or log bumps, the [`StorageStats`] field, its `/stats` key and its
+//! `/metrics` family and help (the `strudel_store_*` prefix keeps the
+//! pager's page cache apart from the serving tier's page cache).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One relaxed monotonic counter.
-#[derive(Default)]
-pub(crate) struct Cell(AtomicU64);
-
-impl Cell {
-    pub(crate) fn inc(&self) {
-        self.add(1);
-    }
-
-    pub(crate) fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Overwrites the value — for the gauge-style cells (`dirty_pages`,
-    /// `freelist_pages`) that track a level, not a running total.
-    pub(crate) fn set(&self, n: u64) {
-        self.0.store(n, Ordering::Relaxed);
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
+strudel_obs::signals! {
+    /// The storage-layer cells (see [`storage_stats`]).
+    pub(crate) struct StorageCounters;
+    /// A snapshot of the process-wide storage counters.
+    pub struct StorageStats {}
+    page_reads: Counter, "storage.page_reads", "strudel_store_page_reads_total",
+        "Pages read from graph-store page files.";
+    page_writes: Counter, "storage.page_writes", "strudel_store_page_writes_total",
+        "Pages written to graph-store page files.";
+    page_cache_hits: Counter, "storage.page_cache_hits", "strudel_store_page_cache_hits_total",
+        "Store page reads answered from the in-memory page cache.";
+    page_cache_misses: Counter, "storage.page_cache_misses", "strudel_store_page_cache_misses_total",
+        "Store page reads that had to touch the file.";
+    page_cache_evictions: Counter, "storage.page_cache_evictions", "strudel_store_page_cache_evictions_total",
+        "Store pages evicted from the in-memory page cache.";
+    pages_leaked: Counter, "storage.pages_leaked", "strudel_store_pages_leaked_total",
+        "Store pages lost to freelist overflow (reclaimed by compact).";
+    wal_appended_frames: Counter, "storage.wal_frames", "strudel_wal_frames_total",
+        "Frames appended to write-ahead logs.";
+    wal_commits: Counter, "storage.wal_commits", "strudel_wal_commits_total",
+        "Transactions made durable by a fsynced WAL commit record.";
+    wal_bytes: Counter, "storage.wal_bytes", "strudel_wal_bytes_total",
+        "Bytes appended to write-ahead logs.";
+    wal_fsyncs: Counter, "storage.wal_fsyncs", "strudel_wal_fsyncs_total",
+        "WAL file data syncs (one per commit record, shared by a batch).";
+    wal_group_commits: Counter, "storage.wal_group_commits", "strudel_wal_group_commits_total",
+        "Commit records that folded more than one transaction.";
+    wal_group_commit_txns: Counter, "storage.wal_group_commit_txns", "strudel_wal_group_commit_txns_total",
+        "Transactions made durable inside a group commit record.";
+    wal_checkpoints: Counter, "storage.wal_checkpoints", "strudel_wal_checkpoints_total",
+        "Checkpoints folding the WAL into the page file.";
+    wal_recoveries: Counter, "storage.wal_recoveries", "strudel_wal_recoveries_total",
+        "Store opens that replayed at least one committed WAL frame.";
+    wal_recovered_frames: Counter, "storage.wal_recovered_frames", "strudel_wal_recovered_frames_total",
+        "Committed WAL frames replayed during crash recovery.";
+    wal_torn_tails: Counter, "storage.wal_torn_tails", "strudel_wal_torn_tails_total",
+        "Torn WAL tails detected and truncated during recovery.";
+    compactions: Counter, "storage.compactions", "strudel_store_compactions_total",
+        "Store compactions (page file rewritten minimal).";
+    checkpoint_pages_written: Counter, "storage.checkpoint_pages_written", "strudel_checkpoint_pages_written_total",
+        "Pages rewritten by incremental checkpoints (dirty segments).";
+    checkpoint_pages_reused: Counter, "storage.checkpoint_pages_reused", "strudel_checkpoint_pages_reused_total",
+        "Pages carried over untouched across incremental checkpoints.";
+    dirty_pages: Gauge, "storage.dirty_pages", "strudel_store_dirty_pages",
+        "Pages the next incremental checkpoint would rewrite.";
+    freelist_pages: Gauge, "storage.freelist_pages", "strudel_store_freelist_pages",
+        "Free pages tracked in the store's active header.";
 }
 
-/// The storage-layer counter set (see [`storage_stats`]).
-#[derive(Default)]
-pub(crate) struct StorageCounters {
-    /// Pages read from a page file (cache misses included).
-    pub page_reads: Cell,
-    /// Pages written to a page file (chain pages and header slots).
-    pub page_writes: Cell,
-    /// Page reads answered from the in-memory page cache.
-    pub page_cache_hits: Cell,
-    /// Page reads that had to touch the file.
-    pub page_cache_misses: Cell,
-    /// Pages lost to header-freelist overflow (reclaimed by `compact`).
-    pub pages_leaked: Cell,
-    /// Frames appended to a write-ahead log.
-    pub wal_appended_frames: Cell,
-    /// Commit records made durable (fsynced) in a write-ahead log.
-    pub wal_commits: Cell,
-    /// Bytes appended to a write-ahead log.
-    pub wal_bytes: Cell,
-    /// Checkpoints: WAL contents folded into the page file.
-    pub wal_checkpoints: Cell,
-    /// Store opens that replayed at least one committed WAL frame.
-    pub wal_recoveries: Cell,
-    /// Committed frames replayed into the graph during recovery.
-    pub wal_recovered_frames: Cell,
-    /// Torn WAL tails detected (and truncated) during recovery.
-    pub wal_torn_tails: Cell,
-    /// Store compactions (page file rewritten minimal).
-    pub compactions: Cell,
-    /// WAL file fsyncs (each one is a durability point).
-    pub wal_fsyncs: Cell,
-    /// Group commits: one commit record covering more than one transaction.
-    pub wal_group_commits: Cell,
-    /// Transactions folded into group commit records.
-    pub wal_group_commit_txns: Cell,
-    /// Pages written by checkpoints (dirty segments + manifest).
-    pub checkpoint_pages_written: Cell,
-    /// Pages carried over untouched by incremental checkpoints.
-    pub checkpoint_pages_reused: Cell,
-    /// Pages evicted from a pager's in-memory page cache.
-    pub page_cache_evictions: Cell,
-    /// Gauge: pages the next checkpoint would rewrite (last writer wins).
-    pub dirty_pages: Cell,
-    /// Gauge: free pages tracked in the active header (last writer wins).
-    pub freelist_pages: Cell,
-}
-
-pub(crate) static STORAGE: StorageCounters = StorageCounters {
-    page_reads: Cell(AtomicU64::new(0)),
-    page_writes: Cell(AtomicU64::new(0)),
-    page_cache_hits: Cell(AtomicU64::new(0)),
-    page_cache_misses: Cell(AtomicU64::new(0)),
-    pages_leaked: Cell(AtomicU64::new(0)),
-    wal_appended_frames: Cell(AtomicU64::new(0)),
-    wal_commits: Cell(AtomicU64::new(0)),
-    wal_bytes: Cell(AtomicU64::new(0)),
-    wal_checkpoints: Cell(AtomicU64::new(0)),
-    wal_recoveries: Cell(AtomicU64::new(0)),
-    wal_recovered_frames: Cell(AtomicU64::new(0)),
-    wal_torn_tails: Cell(AtomicU64::new(0)),
-    compactions: Cell(AtomicU64::new(0)),
-    wal_fsyncs: Cell(AtomicU64::new(0)),
-    wal_group_commits: Cell(AtomicU64::new(0)),
-    wal_group_commit_txns: Cell(AtomicU64::new(0)),
-    checkpoint_pages_written: Cell(AtomicU64::new(0)),
-    checkpoint_pages_reused: Cell(AtomicU64::new(0)),
-    page_cache_evictions: Cell(AtomicU64::new(0)),
-    dirty_pages: Cell(AtomicU64::new(0)),
-    freelist_pages: Cell(AtomicU64::new(0)),
-};
-
-/// A snapshot of the process-wide storage counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StorageStats {
-    /// Pages read from page files.
-    pub page_reads: u64,
-    /// Pages written to page files.
-    pub page_writes: u64,
-    /// Page reads answered from the page cache.
-    pub page_cache_hits: u64,
-    /// Page reads that missed the page cache.
-    pub page_cache_misses: u64,
-    /// Pages lost to freelist overflow (reclaimed by compaction).
-    pub pages_leaked: u64,
-    /// WAL frames appended.
-    pub wal_appended_frames: u64,
-    /// WAL commit records made durable.
-    pub wal_commits: u64,
-    /// WAL bytes appended.
-    pub wal_bytes: u64,
-    /// Checkpoints performed.
-    pub wal_checkpoints: u64,
-    /// Opens that replayed committed WAL frames.
-    pub wal_recoveries: u64,
-    /// Committed WAL frames replayed during recovery.
-    pub wal_recovered_frames: u64,
-    /// Torn WAL tails detected and truncated.
-    pub wal_torn_tails: u64,
-    /// Store compactions.
-    pub compactions: u64,
-    /// WAL file fsyncs.
-    pub wal_fsyncs: u64,
-    /// Commit records that covered more than one transaction.
-    pub wal_group_commits: u64,
-    /// Transactions folded into group commit records.
-    pub wal_group_commit_txns: u64,
-    /// Pages written by checkpoints.
-    pub checkpoint_pages_written: u64,
-    /// Pages reused untouched across incremental checkpoints.
-    pub checkpoint_pages_reused: u64,
-    /// Pages evicted from page caches.
-    pub page_cache_evictions: u64,
-    /// Gauge: pages the next checkpoint would rewrite.
-    pub dirty_pages: u64,
-    /// Gauge: free pages tracked in the active header.
-    pub freelist_pages: u64,
-}
+pub(crate) static STORAGE: StorageCounters = StorageCounters::new();
 
 /// Snapshots the process-wide storage counters (page cache, WAL, recovery).
 pub fn storage_stats() -> StorageStats {
-    let c = &STORAGE;
-    StorageStats {
-        page_reads: c.page_reads.get(),
-        page_writes: c.page_writes.get(),
-        page_cache_hits: c.page_cache_hits.get(),
-        page_cache_misses: c.page_cache_misses.get(),
-        pages_leaked: c.pages_leaked.get(),
-        wal_appended_frames: c.wal_appended_frames.get(),
-        wal_commits: c.wal_commits.get(),
-        wal_bytes: c.wal_bytes.get(),
-        wal_checkpoints: c.wal_checkpoints.get(),
-        wal_recoveries: c.wal_recoveries.get(),
-        wal_recovered_frames: c.wal_recovered_frames.get(),
-        wal_torn_tails: c.wal_torn_tails.get(),
-        compactions: c.compactions.get(),
-        wal_fsyncs: c.wal_fsyncs.get(),
-        wal_group_commits: c.wal_group_commits.get(),
-        wal_group_commit_txns: c.wal_group_commit_txns.get(),
-        checkpoint_pages_written: c.checkpoint_pages_written.get(),
-        checkpoint_pages_reused: c.checkpoint_pages_reused.get(),
-        page_cache_evictions: c.page_cache_evictions.get(),
-        dirty_pages: c.dirty_pages.get(),
-        freelist_pages: c.freelist_pages.get(),
-    }
+    STORAGE.snapshot()
 }

@@ -5,8 +5,10 @@
 //! shared vocabulary those layers use to explain themselves: monotonic
 //! [`Counter`]s, lock-free fixed-bucket [`Histogram`]s, per-condition query
 //! profiles ([`CondProfile`]), phase timing ([`Timer`], [`Phases`]),
-//! Prometheus text exposition ([`PromText`]) and request-scoped tracing
-//! spans recorded into a lock-free flight recorder ([`trace`]).
+//! Prometheus text exposition ([`PromText`]), request-scoped tracing spans
+//! recorded into a lock-free flight recorder ([`trace`]), and the one
+//! declaration per signal that `/stats` and `/metrics` are both rendered
+//! from ([`Signal`], [`Scrape`], [`signals!`]).
 //!
 //! Design constraints (DESIGN.md §10):
 //!
@@ -22,6 +24,7 @@
 mod hist;
 mod profile;
 mod prom;
+mod signal;
 
 pub mod json;
 pub mod trace;
@@ -29,6 +32,7 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_US};
 pub use profile::{render_profile_json, render_profile_table, CondProfile};
 pub use prom::{escape_help, escape_label_value, fmt_value, valid_metric_name, PromText};
+pub use signal::{Reading, Sample, Scrape, Signal};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -56,6 +60,30 @@ impl Counter {
     }
 
     /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A level that goes up and down, safe to set from any thread (last writer
+/// wins).
+#[derive(Default, Debug)]
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// A gauge at zero.
+    pub const fn new() -> Self {
+        Gauge(AtomicU64::new(0))
+    }
+
+    /// Overwrites the level.
+    #[inline]
+    pub fn set(&self, n: u64) {
+        self.0.store(n, Ordering::Relaxed);
+    }
+
+    /// The current level.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -151,17 +151,17 @@ mod tests {
     #[test]
     fn counter_and_gauge_families_are_well_formed() {
         let mut p = PromText::new();
-        p.counter("strudel_requests_total", "Requests answered.", 42);
-        p.gauge("strudel_uptime_seconds", "Seconds since bind.", 7.5);
+        p.counter("demo_requests_total", "Requests answered.", 42);
+        p.gauge("demo_uptime_seconds", "Seconds since bind.", 7.5);
         let text = p.finish();
         assert_eq!(
             text,
-            "# HELP strudel_requests_total Requests answered.\n\
-             # TYPE strudel_requests_total counter\n\
-             strudel_requests_total 42\n\
-             # HELP strudel_uptime_seconds Seconds since bind.\n\
-             # TYPE strudel_uptime_seconds gauge\n\
-             strudel_uptime_seconds 7.5\n"
+            "# HELP demo_requests_total Requests answered.\n\
+             # TYPE demo_requests_total counter\n\
+             demo_requests_total 42\n\
+             # HELP demo_uptime_seconds Seconds since bind.\n\
+             # TYPE demo_uptime_seconds gauge\n\
+             demo_uptime_seconds 7.5\n"
         );
     }
 
@@ -179,18 +179,14 @@ mod tests {
         h.record(80);
         h.record(300);
         let mut p = PromText::new();
-        p.histogram_seconds(
-            "strudel_request_duration_seconds",
-            "Latency.",
-            &h.snapshot(),
-        );
+        p.histogram_seconds("demo_request_duration_seconds", "Latency.", &h.snapshot());
         let text = p.finish();
-        assert!(text.contains("# TYPE strudel_request_duration_seconds histogram"));
-        assert!(text.contains("strudel_request_duration_seconds_bucket{le=\"0.0001\"} 2\n"));
-        assert!(text.contains("strudel_request_duration_seconds_bucket{le=\"0.0005\"} 3\n"));
-        assert!(text.contains("strudel_request_duration_seconds_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("strudel_request_duration_seconds_sum 0.00046\n"));
-        assert!(text.contains("strudel_request_duration_seconds_count 3\n"));
+        assert!(text.contains("# TYPE demo_request_duration_seconds histogram"));
+        assert!(text.contains("demo_request_duration_seconds_bucket{le=\"0.0001\"} 2\n"));
+        assert!(text.contains("demo_request_duration_seconds_bucket{le=\"0.0005\"} 3\n"));
+        assert!(text.contains("demo_request_duration_seconds_bucket{le=\"+Inf\"} 3\n"));
+        assert!(text.contains("demo_request_duration_seconds_sum 0.00046\n"));
+        assert!(text.contains("demo_request_duration_seconds_count 3\n"));
         // Buckets are cumulative: each le count ≥ the previous.
         let mut last = 0u64;
         for line in text.lines().filter(|l| l.contains("_bucket{")) {
@@ -202,7 +198,7 @@ mod tests {
 
     #[test]
     fn metric_name_validation() {
-        assert!(valid_metric_name("strudel_requests_total"));
+        assert!(valid_metric_name("demo_requests_total"));
         assert!(valid_metric_name(":ns:metric"));
         assert!(!valid_metric_name("9starts_with_digit"));
         assert!(!valid_metric_name("has-dash"));

@@ -35,7 +35,7 @@
 
 use crate::hist::Histogram;
 use crate::json;
-use crate::Counter;
+use crate::{Reading, Scrape, Signal};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -276,40 +276,41 @@ impl Ctx {
     }
 }
 
-/// Point-in-time counters for the `/metrics` + `/stats` trace block.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceStats {
-    /// Whether tracing is currently enabled.
-    pub enabled: bool,
-    /// Total spans written into the ring since enable.
-    pub spans_recorded: u64,
-    /// Spans overwritten by ring wrap-around (recorded − capacity, min 0).
-    pub spans_dropped: u64,
-    /// Root spans started.
-    pub traces_started: u64,
-    /// Traces picked by the head-based sampler.
-    pub traces_sampled: u64,
-    /// Unsampled traces promoted because they exceeded the slow threshold.
-    pub traces_slow_promoted: u64,
-    /// Ring capacity in slots.
-    pub ring_capacity: usize,
-    /// Live (valid) slots currently in the ring.
-    pub ring_live: usize,
-    /// Head-sampling rate in parts-per-million.
-    pub sample_ppm: u32,
-    /// Slow-promotion threshold in microseconds.
-    pub slow_us: u64,
+crate::signals! {
+    /// The recorder's own cells: the sampler's decisions and its two settings.
+    struct RecorderCells;
+    /// Point-in-time counters for the `/metrics` + `/stats` trace block
+    /// (zeroes when tracing was never enabled). The settings have no
+    /// `/metrics` form.
+    pub struct TraceStats {
+        enabled: Flag, "traces.enabled", "strudel_trace_enabled",
+            "Whether request tracing is enabled (1) or compiled out of the hot path (0).";
+        spans_recorded: Counter, "traces.spans_recorded", "strudel_trace_spans_recorded_total",
+            "Spans written into the flight-recorder ring.";
+        spans_dropped: Counter, "traces.spans_dropped", "strudel_trace_spans_dropped_total",
+            "Spans overwritten by ring wrap-around before export.";
+        ring_capacity: Gauge, "traces.ring_capacity", "strudel_trace_ring_capacity",
+            "Flight-recorder ring capacity in span slots.";
+        ring_live: Gauge, "traces.ring_live", "strudel_trace_ring_occupancy",
+            "Live span slots in the flight-recorder ring.";
+    }
+    traces_started: Counter, "traces.traces_started", "strudel_trace_traces_started_total",
+        "Root request spans started.";
+    traces_sampled: Counter, "traces.traces_sampled", "strudel_trace_traces_sampled_total",
+        "Traces picked by the head-based sampler.";
+    traces_slow_promoted: Counter, "traces.traces_slow_promoted", "strudel_trace_traces_slow_promoted_total",
+        "Unsampled traces promoted for exceeding the slow threshold.";
+    sample_ppm: Gauge, "traces.sample_ppm", "",
+        "Head-sampling rate in parts per million.";
+    slow_us: Gauge, "traces.slow_us", "",
+        "Slow-promotion threshold in microseconds.";
 }
 
 struct Recorder {
     ring: Box<[Slot]>,
     head: AtomicU64,
     epoch: Instant,
-    sample_ppm: AtomicU32,
-    slow_us: AtomicU64,
-    traces_started: Counter,
-    traces_sampled: Counter,
-    traces_slow: Counter,
+    cells: RecorderCells,
     next_id: AtomicU64,
     recent: Mutex<VecDeque<TraceSummary>>,
     worst: Mutex<Vec<TraceSummary>>,
@@ -350,11 +351,7 @@ pub fn enable(cfg: TraceConfig) {
         ring: (0..cfg.capacity.max(8)).map(|_| Slot::new()).collect(),
         head: AtomicU64::new(0),
         epoch: Instant::now(),
-        sample_ppm: AtomicU32::new(0),
-        slow_us: AtomicU64::new(0),
-        traces_started: Counter::new(),
-        traces_sampled: Counter::new(),
-        traces_slow: Counter::new(),
+        cells: RecorderCells::new(),
         next_id: AtomicU64::new(1),
         recent: Mutex::new(VecDeque::new()),
         worst: Mutex::new(Vec::new()),
@@ -362,9 +359,9 @@ pub fn enable(cfg: TraceConfig) {
         worst_cap: 8,
         layer_hist: std::array::from_fn(|_| Histogram::new()),
     });
-    let ppm = (cfg.sample_rate.clamp(0.0, 1.0) * 1_000_000.0).round() as u32;
-    rec.sample_ppm.store(ppm, Ordering::Relaxed);
-    rec.slow_us.store(cfg.slow_ms * 1_000, Ordering::Relaxed);
+    let ppm = (cfg.sample_rate.clamp(0.0, 1.0) * 1_000_000.0).round() as u64;
+    rec.cells.sample_ppm.set(ppm);
+    rec.cells.slow_us.set(cfg.slow_ms * 1_000);
     ENABLED.store(true, Ordering::Release);
 }
 
@@ -581,11 +578,11 @@ pub fn begin_request(name: &'static str) -> Option<RootSpan> {
     let rec = recorder()?;
     let trace_id = rec.next_id.fetch_add(1, Ordering::Relaxed);
     let root_span = rec.next_id.fetch_add(1, Ordering::Relaxed);
-    let ppm = rec.sample_ppm.load(Ordering::Relaxed) as u64;
+    let ppm = rec.cells.sample_ppm.get();
     let sampled = ppm > 0 && splitmix64(trace_id) % 1_000_000 < ppm;
-    rec.traces_started.inc();
+    rec.cells.traces_started.inc();
     if sampled {
-        rec.traces_sampled.inc();
+        rec.cells.traces_sampled.inc();
     }
     let shared = Arc::new(TraceShared {
         trace_id,
@@ -682,10 +679,10 @@ impl RootSpan {
         for (i, hist) in rec.layer_hist.iter().enumerate().take(LAYERS - 1) {
             hist.record(layer_self_ns[i] / 1_000);
         }
-        let slow_us = rec.slow_us.load(Ordering::Relaxed);
+        let slow_us = rec.cells.slow_us.get();
         let slow = slow_us > 0 && dur_ns / 1_000 >= slow_us;
         if slow && !self.shared.sampled {
-            rec.traces_slow.inc();
+            rec.cells.traces_slow_promoted.inc();
         }
         let summary = TraceSummary {
             trace_id: self.shared.trace_id,
@@ -958,18 +955,7 @@ impl Drop for SpanGuard {
 /// Point-in-time trace counters (zeroes when tracing never enabled).
 pub fn stats() -> TraceStats {
     let Some(rec) = RECORDER.get() else {
-        return TraceStats {
-            enabled: false,
-            spans_recorded: 0,
-            spans_dropped: 0,
-            traces_started: 0,
-            traces_sampled: 0,
-            traces_slow_promoted: 0,
-            ring_capacity: 0,
-            ring_live: 0,
-            sample_ppm: 0,
-            slow_us: 0,
-        };
+        return TraceStats::default();
     };
     let head = rec.head.load(Ordering::Relaxed);
     let cap = rec.ring.len() as u64;
@@ -977,13 +963,9 @@ pub fn stats() -> TraceStats {
         enabled: enabled(),
         spans_recorded: head,
         spans_dropped: head.saturating_sub(cap),
-        traces_started: rec.traces_started.get(),
-        traces_sampled: rec.traces_sampled.get(),
-        traces_slow_promoted: rec.traces_slow.get(),
-        ring_capacity: cap as usize,
-        ring_live: head.min(cap) as usize,
-        sample_ppm: rec.sample_ppm.load(Ordering::Relaxed),
-        slow_us: rec.slow_us.load(Ordering::Relaxed),
+        ring_capacity: cap,
+        ring_live: head.min(cap),
+        ..rec.cells.snapshot()
     }
 }
 
@@ -1034,6 +1016,61 @@ pub fn layer_quantiles() -> Vec<(&'static str, u64, u64)> {
             (LAYER_NAMES[i], snap.quantile(0.5), snap.quantile(0.99))
         })
         .collect()
+}
+
+/// Reads the recorder's signals into `scrape`: [`stats`], and the two blocks
+/// of `/stats` `traces` that are rendered here, beside the data they print.
+pub fn scrape(scrape: &mut Scrape) {
+    let stats = stats();
+    scrape.walk(TraceStats::SIGNALS, &stats);
+    scrape.walk(BLOCKS, &stats);
+}
+
+/// The `/stats`-only blocks: they read the recorder itself, not the snapshot.
+const BLOCKS: &[Signal<TraceStats>] = &[
+    Signal {
+        key: "traces.layers",
+        family: "",
+        help: "Per-layer self-time p50/p99 over all finished traces, microseconds.",
+        read: |_| Reading::Json(layers_json()),
+    },
+    Signal {
+        key: "traces.worst",
+        family: "",
+        help: "The slowest promoted traces with per-layer self-times.",
+        read: |_| Reading::Json(worst_json()),
+    },
+];
+
+fn layers_json() -> String {
+    let layers: Vec<String> = layer_quantiles()
+        .iter()
+        .map(|(name, p50, p99)| format!("\"{name}\":{{\"p50_us\":{p50},\"p99_us\":{p99}}}"))
+        .collect();
+    format!("{{{}}}", layers.join(","))
+}
+
+fn worst_json() -> String {
+    let worst: Vec<String> = worst_traces()
+        .iter()
+        .map(|w| {
+            let self_us: Vec<String> = LAYER_NAMES
+                .iter()
+                .zip(w.layer_self_ns)
+                .map(|(name, ns)| format!("\"{name}\":{}", ns / 1_000))
+                .collect();
+            format!(
+                "{{\"trace_id\":{},\"path\":\"{}\",\"duration_us\":{},\"spans\":{},\
+                 \"layers_self_us\":{{{}}}}}",
+                w.trace_id,
+                json::escape(&w.path),
+                w.dur_ns / 1_000,
+                w.spans,
+                self_us.join(","),
+            )
+        })
+        .collect();
+    format!("[{}]", worst.join(","))
 }
 
 fn summary_json(s: &TraceSummary) -> String {
@@ -1376,7 +1413,7 @@ mod tests {
         root.finish().unwrap();
         let spans = spans_of(trace_id);
         // The ring wrapped: early spans are gone, late ones survive.
-        assert!(spans.len() <= cap);
+        assert!(spans.len() as u64 <= cap);
         assert!(!spans.is_empty());
         // assemble_tree tolerates overwritten parents (they become roots).
         let forest = assemble_tree(&spans);
@@ -1414,7 +1451,7 @@ mod tests {
             capacity: 1024,
         });
         if let Some(rec) = RECORDER.get() {
-            rec.slow_us.store(1, Ordering::Relaxed);
+            rec.cells.slow_us.set(1);
         }
         let slow = begin_request("request").unwrap();
         let slow_id = slow.trace_id();

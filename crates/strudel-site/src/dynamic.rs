@@ -23,13 +23,12 @@
 //! analysis of [`crate::incremental`].
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::incremental::{seed_bindings, Delta};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::{Graph, Value};
-use strudel_obs::trace;
+use strudel_obs::{trace, Scrape};
 use strudel_struql::analyze::analyze;
 use strudel_struql::ast::{Block, Condition, LabelTerm, PathStep, Rpe, Term};
 use strudel_struql::binding::Bindings;
@@ -123,22 +122,32 @@ impl PageLinks {
     }
 }
 
-/// Counters for the dynamic evaluator.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct DynStats {
-    /// Pages expanded (at least one clause was a cache miss).
-    pub expansions: u64,
-    /// Per-clause cache hits.
-    pub cache_hits: u64,
-    /// Per-clause cache misses (clause evaluated and result inserted).
-    pub cache_misses: u64,
-    /// Conjunctions evaluated at click time (one serves every missing
-    /// clause that shares it).
-    pub clause_queries: u64,
-    /// Cache entries evicted to stay within the configured bounds.
-    pub evictions: u64,
-    /// Cache entries dropped by [`DynamicSite::invalidate`].
-    pub invalidated: u64,
+strudel_obs::signals! {
+    /// Interior counters, updatable through `&self` without the cache lock.
+    struct Counters;
+    /// Counters for the dynamic evaluator. Hits and misses are per link
+    /// clause; a miss evaluates the clause and inserts its result. An
+    /// expansion is a page with at least one clause missing, and one
+    /// evaluated conjunction (`clause_queries`) serves every missing clause
+    /// that shares it.
+    pub struct DynStats {
+        entries: Gauge, "cache.entries", "strudel_page_cache_entries",
+            "Pages currently cached.";
+        bytes: Gauge, "cache.bytes", "strudel_page_cache_bytes",
+            "Approximate bytes held by the page cache.";
+    }
+    cache_hits: Counter, "cache.hits", "strudel_page_cache_hits_total",
+        "Click-time expansions answered from the page cache.";
+    cache_misses: Counter, "cache.misses", "strudel_page_cache_misses_total",
+        "Click-time expansions computed by query evaluation.";
+    evictions: Counter, "cache.evictions", "strudel_page_cache_evictions_total",
+        "Page-cache entries evicted by the size bound.";
+    invalidated: Counter, "cache.invalidated", "strudel_page_cache_invalidated_total",
+        "Page-cache entries dropped by data-change deltas.";
+    expansions: Counter, "cache.expansions", "strudel_expansions_total",
+        "Logical page expansions requested.";
+    clause_queries: Counter, "cache.clause_queries", "strudel_clause_queries_total",
+        "Conjunctions evaluated at click time.";
 }
 
 /// Bounds for the click-time result cache.
@@ -401,17 +410,6 @@ impl LruCache {
     }
 }
 
-/// Interior counters, updatable through `&self` without the cache lock.
-#[derive(Default)]
-struct Counters {
-    expansions: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    clause_queries: AtomicU64,
-    evictions: AtomicU64,
-    invalidated: AtomicU64,
-}
-
 /// An exported copy of the click-time cache, for warm restarts. Only
 /// meaningful when restored into a [`DynamicSite`] built from the same
 /// query (clause numbering must match).
@@ -477,16 +475,32 @@ impl<'g> DynamicSite<'g> {
         })
     }
 
-    /// Evaluator counters so far.
+    /// Evaluator counters so far, and what the cache holds right now (one
+    /// lock).
     pub fn stats(&self) -> DynStats {
+        let (entries, bytes) = {
+            let cache = self.cache.lock();
+            (cache.len() as u64, cache.bytes as u64)
+        };
         DynStats {
-            expansions: self.counters.expansions.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
-            clause_queries: self.counters.clause_queries.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            invalidated: self.counters.invalidated.load(Ordering::Relaxed),
+            entries,
+            bytes,
+            ..self.counters.snapshot()
         }
+    }
+
+    /// Reads every signal this site owns into `scrape`: its own, and those
+    /// of the path and plan caches it evaluates with.
+    pub fn scrape(&self, scrape: &mut Scrape) {
+        scrape.walk(DynStats::SIGNALS, &self.stats());
+        scrape.walk(
+            strudel_struql::PathCacheStats::SIGNALS,
+            &self.path_cache_stats(),
+        );
+        scrape.walk(
+            strudel_struql::PlanCacheStats::SIGNALS,
+            &self.plan_cache_stats(),
+        );
     }
 
     /// Hit/miss/invalidation counters of the regular-path memo cache these
@@ -548,7 +562,7 @@ impl<'g> DynamicSite<'g> {
         for c in self.creates.iter().filter(|c| c.name == skolem) {
             let bindings =
                 evaluate_conditions(&c.conditions, self.data, Bindings::unit(), &self.opts)?;
-            self.counters.clause_queries.fetch_add(1, Ordering::Relaxed);
+            self.counters.clause_queries.inc();
             for row in bindings.rows() {
                 let args: Option<Vec<Value>> = c
                     .args
@@ -597,7 +611,7 @@ impl<'g> DynamicSite<'g> {
             return None;
         };
         let hits = parts.len() as u64;
-        self.counters.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        self.counters.cache_hits.add(hits);
         let links = PageLinks::new(parts);
         if tspan.is_live() {
             tspan.attr_text("page", &page.skolem);
@@ -652,7 +666,7 @@ impl<'g> DynamicSite<'g> {
             // entry, and every copy below happens outside the lock.
             let cached = self.cache.lock().get(&key);
             if let Some(links) = cached {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.cache_hits.inc();
                 hits += 1;
                 parts.push(links);
                 continue;
@@ -660,7 +674,7 @@ impl<'g> DynamicSite<'g> {
             // Evaluate outside the lock: conjunctions are the expensive
             // part, and concurrent misses on the same key are harmless
             // (both compute the same value; the second insert replaces).
-            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_misses.inc();
             let conjunction = self.clauses[i].conjunction;
             let at = match relations.iter().position(|(c, _)| *c == conjunction) {
                 Some(at) => at,
@@ -672,15 +686,13 @@ impl<'g> DynamicSite<'g> {
             let links: Arc<[OutLink]> = build_links(&self.clauses[i], &relations[at].1).into();
             let evicted = self.cache.lock().insert(key.clone(), Arc::clone(&links));
             if evicted > 0 {
-                self.counters
-                    .evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
+                self.counters.evictions.add(evicted);
             }
             parts.push(links);
         }
         let misses = parts.len() as u64 - hits;
         if misses > 0 {
-            self.counters.expansions.fetch_add(1, Ordering::Relaxed);
+            self.counters.expansions.inc();
         }
         let links = PageLinks::new(parts);
         tspan.attr_u64("hits", hits);
@@ -724,9 +736,7 @@ impl<'g> DynamicSite<'g> {
             }
         });
         if dropped > 0 {
-            self.counters
-                .invalidated
-                .fetch_add(dropped, Ordering::Relaxed);
+            self.counters.invalidated.add(dropped);
         }
         tspan.attr_u64("dropped", dropped);
         dropped
@@ -752,9 +762,7 @@ impl<'g> DynamicSite<'g> {
         }
         drop(cache);
         if evicted > 0 {
-            self.counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+            self.counters.evictions.add(evicted);
         }
     }
 
@@ -778,7 +786,7 @@ impl<'g> DynamicSite<'g> {
         }
         start.push_row(&row);
         let bindings = evaluate_conditions(&conjunction.conditions, self.data, start, &self.opts)?;
-        self.counters.clause_queries.fetch_add(1, Ordering::Relaxed);
+        self.counters.clause_queries.inc();
         Ok(bindings)
     }
 }

@@ -54,7 +54,6 @@ use crate::plan::{choose_op, replan_suffix, PhysOp, PhysicalPlan, PlanCache, Pla
 use crate::pred::PredicateRegistry;
 use crate::rpe::Nfa;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::graph::{CacheStamp, GraphReader};
@@ -139,20 +138,22 @@ pub struct PathCache {
     /// Observability counters. Outside the inner mutex (and never reset by
     /// invalidation) so they survive stamp-mismatch wipes and can be read
     /// without contending with evaluation.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
+    counters: PathCacheCounters,
 }
 
-/// A snapshot of [`PathCache`] counters.
-#[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PathCacheStats {
-    /// Memo lookups answered from the cache.
-    pub hits: u64,
-    /// Memo lookups that had to compute (and then cached) their result.
-    pub misses: u64,
-    /// Times a graph mutation (stamp mismatch) wiped cached entries.
-    pub invalidations: u64,
+strudel_obs::signals! {
+    /// The cells behind [`PathCacheStats`].
+    struct PathCacheCounters;
+    /// A snapshot of [`PathCache`] counters: lookups answered from the memo,
+    /// lookups that had to compute (and then cached) their result, and times
+    /// a graph mutation (stamp mismatch) wiped the entries.
+    pub struct PathCacheStats {}
+    hits: Counter, "path_cache.hits", "strudel_path_cache_hits_total",
+        "Regular-path-expression memo-cache hits.";
+    misses: Counter, "path_cache.misses", "strudel_path_cache_misses_total",
+        "Regular-path-expression memo-cache misses.";
+    invalidations: Counter, "path_cache.invalidations", "strudel_path_cache_invalidations_total",
+        "Regular-path-expression memo-cache invalidations.";
 }
 
 impl PathCache {
@@ -165,11 +166,7 @@ impl PathCache {
 
     /// The hit/miss/invalidation counters.
     pub fn stats(&self) -> PathCacheStats {
-        PathCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     fn lock(&self) -> MutexGuard<'_, PathCacheInner> {
@@ -481,7 +478,7 @@ impl<'g> Ev<'g> {
         let stamp = self.graph.cache_stamp();
         if c.stamp != Some(stamp) {
             if c.stamp.is_some() {
-                path_cache.invalidations.fetch_add(1, Ordering::Relaxed);
+                path_cache.counters.invalidations.inc();
             }
             *c = PathCacheInner {
                 stamp: Some(stamp),
@@ -492,11 +489,11 @@ impl<'g> Ev<'g> {
     }
 
     fn cache_hit(&self) {
-        self.opts.path_cache.hits.fetch_add(1, Ordering::Relaxed);
+        self.opts.path_cache.counters.hits.inc();
     }
 
     fn cache_miss(&self) {
-        self.opts.path_cache.misses.fetch_add(1, Ordering::Relaxed);
+        self.opts.path_cache.counters.misses.inc();
     }
 
     /// The compiled automaton for `rpe`, from the cache.

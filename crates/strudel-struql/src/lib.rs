@@ -79,7 +79,7 @@ pub use eval::{
     evaluate_conditions, run_on_database, EvalOptions, EvalOutput, EvalStats, PathCache,
     PathCacheStats,
 };
-pub use optimize::{planner_dp_fallbacks, Optimizer};
+pub use optimize::{planner_dp_fallbacks, Optimizer, PLANNER_SIGNALS};
 pub use parse::parse_query;
 pub use plan::{PhysOp, PhysicalPlan, PlanCache, PlanCacheStats};
 pub use pred::PredicateRegistry;

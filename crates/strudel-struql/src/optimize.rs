@@ -25,7 +25,7 @@ use crate::ast::{CmpOp, Condition, PathStep, Rpe, Term};
 use std::fmt::Write as _;
 use strudel_graph::fxhash::FxHashSet;
 use strudel_graph::Graph;
-use strudel_obs::Counter;
+use strudel_obs::{Counter, Reading, Signal};
 
 /// How many times the cost-based planner has fallen back to the greedy
 /// heuristic because a block had more than [`DP_LIMIT`] conditions. The
@@ -37,6 +37,15 @@ static PLANNER_DP_FALLBACKS: Counter = Counter::new();
 pub fn planner_dp_fallbacks() -> u64 {
     PLANNER_DP_FALLBACKS.get()
 }
+
+/// The planner's signals, read out of [`planner_dp_fallbacks`]' count.
+pub const PLANNER_SIGNALS: &[Signal<u64>] = &[Signal {
+    key: "planner_dp_fallbacks",
+    family: "strudel_planner_dp_fallbacks_total",
+    help: "Cost-based plans that fell back to the greedy ordering because \
+           the block exceeded the DP join-order limit.",
+    read: |fallbacks| Reading::Counter(*fallbacks),
+}];
 
 /// Which plan-selection strategy to use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]

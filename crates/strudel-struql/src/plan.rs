@@ -41,7 +41,6 @@
 use crate::ast::{CmpOp, Condition, PathStep, Rpe, Term};
 use crate::optimize::{multiplier, pick_next, plan, vars_of, GraphStats, Optimizer};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::graph::CacheStamp;
@@ -374,15 +373,17 @@ pub(crate) fn replan_suffix(
     nodes
 }
 
-/// A snapshot of [`PlanCache`] counters.
-#[derive(Default, Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Evaluations that reused a cached plan.
-    pub hits: u64,
-    /// Fingerprints planned for the first time.
-    pub misses: u64,
-    /// Cached plans discarded because the graph changed (stamp mismatch).
-    pub invalidations: u64,
+strudel_obs::signals! {
+    /// The cells behind [`PlanCacheStats`].
+    struct PlanCacheCounters;
+    /// A snapshot of [`PlanCache`] counters.
+    pub struct PlanCacheStats {}
+    hits: Counter, "plan_cache.hits", "strudel_plan_cache_hits_total",
+        "Evaluations answered with a cached compiled physical plan.";
+    misses: Counter, "plan_cache.misses", "strudel_plan_cache_misses_total",
+        "Conjunctions compiled into a physical plan for the first time.";
+    invalidations: Counter, "plan_cache.invalidations", "strudel_plan_cache_invalidations_total",
+        "Cached plans discarded because the graph changed.";
 }
 
 /// A memo of compiled plans keyed by query fingerprint and validated against
@@ -393,9 +394,7 @@ pub struct PlanCacheStats {
 #[derive(Default)]
 pub struct PlanCache {
     inner: Mutex<FxHashMap<String, CachedPlan>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
+    counters: PlanCacheCounters,
 }
 
 struct CachedPlan {
@@ -410,11 +409,7 @@ impl PlanCache {
 
     /// Hit/miss/invalidation counters over the cache's lifetime.
     pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Drops all cached plans (counters are kept — they describe lifetime
@@ -475,7 +470,7 @@ impl PlanCache {
             let map = self.lock();
             match map.get(&key) {
                 Some(c) if c.stamp.same_graph(&stamp) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.hits.inc();
                     return Arc::clone(&c.plan);
                 }
                 Some(_) => true,
@@ -483,9 +478,9 @@ impl PlanCache {
             }
         };
         if stale {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalidations.inc();
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.misses.inc();
         }
         let plan = Arc::new(PhysicalPlan::compile(conds, bound, graph, optimizer));
         self.lock().insert(

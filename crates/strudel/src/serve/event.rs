@@ -215,6 +215,7 @@ impl EventLoop<'_, '_> {
             }
             events.clear();
             let _ = self.poller.wait(&mut events, Some(self.next_timeout()));
+            self.server.metrics.counts.loop_wakeups.inc();
 
             // Worker completions first: they free connections for the
             // readiness events processed right after.
@@ -267,7 +268,7 @@ impl EventLoop<'_, '_> {
                     // EMFILE and friends: re-entering accept immediately
                     // would busy-spin at 100% CPU. Unregister the listener
                     // and come back after an exponentially growing pause.
-                    self.server.metrics.accept_errors.inc();
+                    self.server.metrics.counts.accept_errors.inc();
                     let pause = self.backoff.on_error();
                     self.accept_resume_at = Some(Instant::now() + pause);
                     self.unregister_listener();
@@ -285,12 +286,14 @@ impl EventLoop<'_, '_> {
             self.conns.push(None);
             self.conns.len() - 1
         });
+        // Past the cap a connection is only written to: not registered (see
+        // `set_interest`) unless its 503 blocks.
         let interest = if overloaded {
             Event::none(slot + 1)
         } else {
             Event::readable(slot + 1)
         };
-        if self.poller.add(&stream, interest).is_err() {
+        if !overloaded && self.poller.add(&stream, interest).is_err() {
             self.free.push(slot);
             return;
         }
@@ -299,7 +302,7 @@ impl EventLoop<'_, '_> {
         self.next_generation += 1;
         let conn = self.conns[slot].insert(conn);
         if overloaded {
-            self.server.metrics.admission_rejected.inc();
+            self.server.metrics.counts.admission_rejected.inc();
             conn.rejected = true;
             self.respond_error(slot, OVERLOADED, "server overloaded, retry shortly");
         }
@@ -344,7 +347,7 @@ impl EventLoop<'_, '_> {
         match state {
             ConnState::Idle | ConnState::Reading if ev.readable => self.read_ready(slot),
             ConnState::Writing if ev.writable && self.pump_write(slot) => self.advance(slot),
-            _ => {} // Dispatched, a spurious direction, or nothing buffered
+            _ => {} // a spurious direction, or nothing buffered
         }
     }
 
@@ -376,7 +379,7 @@ impl EventLoop<'_, '_> {
                 // Reused keep-alive connections closing between requests
                 // are plain lifecycle, not aborts.
                 if conn.served == 0 {
-                    self.server.metrics.aborted.inc();
+                    self.server.metrics.counts.connections_aborted.inc();
                 }
                 self.close(slot);
             }
@@ -411,7 +414,7 @@ impl EventLoop<'_, '_> {
             };
             conn.rbuf.drain(..consumed);
             if conn.served > 0 {
-                self.server.metrics.keepalive_reuses.inc();
+                self.server.metrics.counts.keepalive_reuses.inc();
             }
             conn.deadline = None;
             // Close the parse phase: first byte → complete head.
@@ -479,7 +482,7 @@ impl EventLoop<'_, '_> {
             root.attr_u64("status", 200);
         }
         conn.arm_response(false, !keep);
-        self.server.metrics.inline.inc();
+        self.server.metrics.counts.requests_inline.inc();
         true
     }
 
@@ -506,7 +509,7 @@ impl EventLoop<'_, '_> {
         }
         conn.wbuf = done.bytes;
         conn.arm_response(done.status / 100 != 2, done.close_after);
-        self.server.metrics.dispatched.inc();
+        self.server.metrics.counts.requests_dispatched.inc();
         if self.pump_write(done.slot) {
             self.advance(done.slot);
         }
@@ -622,12 +625,27 @@ impl EventLoop<'_, '_> {
 
     /// Points the poller's interest in a connection at `interest`: no call
     /// when it is there already, which is the whole life of a connection
-    /// whose requests are all answered on the loop.
+    /// whose requests are all answered on the loop. No interest means not
+    /// registered: a level-triggered poller reports a registered socket's
+    /// hang-up and error conditions whether asked to or not, and a request
+    /// that is with a worker must not wake the loop whatever its peer does.
     fn set_interest(&mut self, slot: usize, interest: Event) {
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            if conn.interest != interest && self.poller.modify(&conn.stream, interest).is_ok() {
-                conn.interest = interest;
-            }
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        if conn.interest == interest {
+            return;
+        }
+        let none = Event::none(slot + 1);
+        let moved = if interest == none {
+            self.poller.delete(&conn.stream)
+        } else if conn.interest == none {
+            self.poller.add(&conn.stream, interest)
+        } else {
+            self.poller.modify(&conn.stream, interest)
+        };
+        if moved.is_ok() {
+            conn.interest = interest;
         }
     }
 
@@ -636,7 +654,9 @@ impl EventLoop<'_, '_> {
             // A request cut short (deadline, drain, dead worker) still
             // finishes its trace so slow/parked requests stay visible.
             finish_trace(&mut conn);
-            let _ = self.poller.delete(&conn.stream);
+            if conn.interest != Event::none(slot + 1) {
+                let _ = self.poller.delete(&conn.stream);
+            }
             self.free.push(slot);
         }
     }
@@ -670,8 +690,10 @@ impl EventLoop<'_, '_> {
                 ConnState::Dispatched => {}
             }
         }
-        self.server
-            .metrics
-            .set_conn_gauges(open, idle, reading, writing);
+        let counts = &self.server.metrics.counts;
+        counts.connections_open.set(open);
+        counts.connections_idle.set(idle);
+        counts.connections_reading.set(reading);
+        counts.connections_writing.set(writing);
     }
 }

@@ -1,120 +1,138 @@
-//! Request counters, connection-layer counters, and the latency histogram.
+//! What the server counts — request and connection counters, connection
+//! gauges, the latency histogram — and the declaration of each signal.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-use strudel_obs::{Counter, Histogram};
+use std::time::{Duration, Instant};
+use strudel_obs::{Histogram, HistogramSnapshot, Reading, Scrape, Signal};
 
-/// Everything the server counts.
-///
-/// Latencies land in a lock-free fixed-bucket [`Histogram`] rather than the
-/// earlier mutex-guarded reservoir, whose fill phase raced the slot counter
-/// against pushes. Recording is a few relaxed atomic adds, covers the
-/// server's whole lifetime, and feeds `/metrics` directly.
-///
-/// The connection-state gauges (`conns_*`) are instantaneous: the event
-/// loop publishes them after every tick.
-#[derive(Default)]
+strudel_obs::signals! {
+    /// The server's cells. `requests` is `requests_inline` plus
+    /// `requests_dispatched` plus the loop's own 400/408/431 answers. A
+    /// connection that opens and closes without a byte (port scan, health
+    /// probe) is `connections_aborted`: not an error, not a request. The
+    /// connection-state gauges are instantaneous: the event loop publishes
+    /// them after every tick.
+    pub(crate) struct Counts;
+    /// A snapshot of the server's request counters. Latency percentiles are
+    /// histogram estimates (the matching bucket's upper bound, clamped to the
+    /// exact observed maximum) over every request since the server bound.
+    pub struct ServeStats {
+        uptime_seconds: Gauge, "uptime_seconds", "strudel_uptime_seconds",
+            "Seconds since the server bound its listener.";
+        threads: Gauge, "threads", "strudel_worker_threads",
+            "Worker threads of the miss pool (the event loop answers cached pages itself).";
+        latency_p50_us: Gauge, "latency_us.p50", "",
+            "Median request latency, microseconds (bucket estimate).";
+        latency_p90_us: Gauge, "latency_us.p90", "",
+            "90th-percentile request latency, microseconds (bucket estimate).";
+        latency_p99_us: Gauge, "latency_us.p99", "",
+            "99th-percentile request latency, microseconds (bucket estimate).";
+        latency_max_us: Gauge, "latency_us.max", "",
+            "Worst request latency observed, microseconds (exact).";
+    }
+    requests: Counter, "requests", "strudel_requests_total",
+        "Requests answered (any status).";
+    errors: Counter, "errors", "strudel_request_errors_total",
+        "Requests answered with a 4xx/5xx status.";
+    requests_inline: Counter, "requests_inline", "strudel_requests_inline_total",
+        "Requests the event loop answered itself from the page cache.";
+    requests_dispatched: Counter, "requests_dispatched", "strudel_requests_dispatched_total",
+        "Requests a worker of the miss pool answered.";
+    loop_wakeups: Counter, "loop_wakeups", "strudel_loop_wakeups_total",
+        "Returns of the event loop's poller wait (readiness, a worker's doorbell, or a deadline).";
+    accept_errors: Counter, "connections.accept_errors", "strudel_accept_errors_total",
+        "accept(2) failures; each pauses the acceptor with backoff.";
+    connections_aborted: Counter, "connections.aborted", "strudel_connections_aborted_total",
+        "Connections closed without sending a byte (not errors).";
+    admission_rejected: Counter, "connections.admission_rejected", "strudel_admission_rejected_total",
+        "Connections answered 503 by admission control.";
+    keepalive_reuses: Counter, "connections.keepalive_reuses", "strudel_keepalive_reuses_total",
+        "Requests served on a reused keep-alive connection.";
+    connections_open: Gauge, "connections.open", "strudel_connections_open",
+        "Connections currently open.";
+    connections_idle: Gauge, "connections.idle", "strudel_connections_idle",
+        "Open connections waiting between requests.";
+    connections_reading: Gauge, "connections.reading", "strudel_connections_reading",
+        "Open connections mid-request-head.";
+    connections_writing: Gauge, "connections.writing", "strudel_connections_writing",
+        "Open connections with response bytes still to flush.";
+}
+
+/// The signals `/metrics` has a form of its own for: the histogram behind the
+/// four `latency_us` quantiles of `/stats`, and the build's labels.
+const NATIVE: &[Signal<HistogramSnapshot>] = &[
+    Signal {
+        key: "",
+        family: "strudel_request_duration_seconds",
+        help: "Request latency from first byte to response written.",
+        read: |latency| Reading::Histogram(*latency),
+    },
+    Signal {
+        key: "",
+        family: "strudel_build_info",
+        help: "Build identity (constant 1; labels carry the detail).",
+        read: |_| Reading::Info(BUILD_LABELS),
+    },
+];
+
+const BUILD_LABELS: &[(&str, &str)] =
+    &[("version", env!("CARGO_PKG_VERSION")), ("profile", PROFILE)];
+const PROFILE: &str = if cfg!(debug_assertions) {
+    "debug"
+} else {
+    "release"
+};
+
+/// Everything the server counts. Latencies land in a lock-free fixed-bucket
+/// [`Histogram`]: recording is a few relaxed atomic adds and covers the
+/// server's whole lifetime.
 pub(crate) struct Metrics {
-    pub requests: Counter,
-    pub errors: Counter,
-    /// Answers armed by the loop from the page cache, and by a worker's
-    /// completion; with the loop's own 4xx they add up to `requests`.
-    pub inline: Counter,
-    pub dispatched: Counter,
+    pub counts: Counts,
     pub latency: Histogram,
-    /// `accept(2)` failures (EMFILE and friends). Each one also pauses the
-    /// acceptor with exponential backoff instead of busy-spinning.
-    pub accept_errors: Counter,
-    /// Connections that opened and closed without sending a single byte
-    /// (port scans, health probes). Closed silently — *not* an error, not
-    /// a request.
-    pub aborted: Counter,
-    /// Connections refused with 503 by admission control.
-    pub admission_rejected: Counter,
-    /// Requests served on an already-used keep-alive connection.
-    pub keepalive_reuses: Counter,
-    pub conns_open: AtomicU64,
-    pub conns_idle: AtomicU64,
-    pub conns_reading: AtomicU64,
-    pub conns_writing: AtomicU64,
+    started: Instant,
+    threads: u64,
 }
 
 impl Metrics {
+    /// For a server that binds now, with a miss pool of `threads`.
+    pub fn new(threads: usize) -> Self {
+        Metrics {
+            counts: Counts::new(),
+            latency: Histogram::new(),
+            started: Instant::now(),
+            threads: threads as u64,
+        }
+    }
+
     pub fn record(&self, latency: Duration, is_error: bool) {
-        self.requests.inc();
+        self.counts.requests.inc();
         if is_error {
-            self.errors.inc();
+            self.counts.errors.inc();
         }
         self.latency
             .record(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
     }
 
-    pub fn set_conn_gauges(&self, open: u64, idle: u64, reading: u64, writing: u64) {
-        self.conns_open.store(open, Ordering::Relaxed);
-        self.conns_idle.store(idle, Ordering::Relaxed);
-        self.conns_reading.store(reading, Ordering::Relaxed);
-        self.conns_writing.store(writing, Ordering::Relaxed);
+    pub fn snapshot(&self) -> ServeStats {
+        self.stats_with(&self.latency.snapshot())
     }
 
-    pub fn snapshot(&self) -> ServeStats {
-        let lat = self.latency.snapshot();
+    fn stats_with(&self, latency: &HistogramSnapshot) -> ServeStats {
         ServeStats {
-            requests: self.requests.get(),
-            errors: self.errors.get(),
-            requests_inline: self.inline.get(),
-            requests_dispatched: self.dispatched.get(),
-            latency_p50_us: lat.quantile(0.50),
-            latency_p90_us: lat.quantile(0.90),
-            latency_p99_us: lat.quantile(0.99),
-            latency_max_us: lat.max_us,
-            accept_errors: self.accept_errors.get(),
-            connections_aborted: self.aborted.get(),
-            admission_rejected: self.admission_rejected.get(),
-            keepalive_reuses: self.keepalive_reuses.get(),
-            connections_open: self.conns_open.load(Ordering::Relaxed),
-            connections_idle: self.conns_idle.load(Ordering::Relaxed),
-            connections_reading: self.conns_reading.load(Ordering::Relaxed),
-            connections_writing: self.conns_writing.load(Ordering::Relaxed),
+            uptime_seconds: self.started.elapsed().as_secs(),
+            threads: self.threads,
+            latency_p50_us: latency.quantile(0.50),
+            latency_p90_us: latency.quantile(0.90),
+            latency_p99_us: latency.quantile(0.99),
+            latency_max_us: latency.max_us,
+            ..self.counts.snapshot()
         }
     }
-}
 
-/// A snapshot of the server's request counters. Latency percentiles are
-/// histogram estimates (the matching bucket's upper bound, clamped to the
-/// exact observed maximum) over every request since the server bound.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct ServeStats {
-    /// Requests answered (any status).
-    pub requests: u64,
-    /// Requests answered with a 4xx/5xx status.
-    pub errors: u64,
-    /// Requests the event loop answered itself from the page cache.
-    pub requests_inline: u64,
-    /// Requests a worker of the miss pool answered; `requests` is these
-    /// two plus the loop's own 400/408/431 answers.
-    pub requests_dispatched: u64,
-    /// Median request latency, microseconds (bucket estimate).
-    pub latency_p50_us: u64,
-    /// 90th-percentile request latency, microseconds (bucket estimate).
-    pub latency_p90_us: u64,
-    /// 99th-percentile request latency, microseconds (bucket estimate).
-    pub latency_p99_us: u64,
-    /// Worst request latency observed, microseconds (exact).
-    pub latency_max_us: u64,
-    /// `accept(2)` errors (each pauses the acceptor with backoff).
-    pub accept_errors: u64,
-    /// Connections closed without having sent a byte (not errors).
-    pub connections_aborted: u64,
-    /// Connections answered 503 by admission control.
-    pub admission_rejected: u64,
-    /// Requests served on a reused keep-alive connection.
-    pub keepalive_reuses: u64,
-    /// Connections currently open (instantaneous).
-    pub connections_open: u64,
-    /// Open connections waiting between requests.
-    pub connections_idle: u64,
-    /// Open connections mid-request-head.
-    pub connections_reading: u64,
-    /// Open connections with response bytes still to flush.
-    pub connections_writing: u64,
+    /// Reads every signal of the server itself into `scrape`, the latency
+    /// histogram once for its buckets and its quantiles alike.
+    pub fn scrape(&self, scrape: &mut Scrape) {
+        let latency = self.latency.snapshot();
+        scrape.walk(ServeStats::SIGNALS, &self.stats_with(&latency));
+        scrape.walk(NATIVE, &latency);
+    }
 }

@@ -32,8 +32,11 @@ pub use self::url::{decode_value, encode_value, page_url, parse_page_url};
 use crate::error::Result;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use strudel_graph::{storage_stats, StorageStats};
+use strudel_obs::{trace, Scrape};
 use strudel_site::{Delta, DynamicSite, PageRef};
+use strudel_struql::{planner_dp_fallbacks, PLANNER_SIGNALS};
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -71,7 +74,6 @@ pub struct Server<'g> {
     roots: Vec<PageRef>,
     config: ServerConfig,
     metrics: metrics::Metrics,
-    started: Instant,
     /// Readiness for `/healthz`: flips true once [`Server::serve`] enters
     /// its accept loop (site built, store open, listener bound). Liveness
     /// is implied by answering at all.
@@ -98,8 +100,7 @@ impl<'g> Server<'g> {
             listener,
             roots,
             config,
-            metrics: metrics::Metrics::default(),
-            started: Instant::now(),
+            metrics: metrics::Metrics::new(config.threads.max(1)),
             ready: AtomicBool::new(false),
         })
     }
@@ -122,6 +123,20 @@ impl<'g> Server<'g> {
     /// Request counters so far.
     pub fn stats(&self) -> ServeStats {
         self.metrics.snapshot()
+    }
+
+    /// Every signal of the process as this server sees it, each owner's
+    /// snapshot taken once: what `/stats` and `/metrics` render. A signal is
+    /// declared once, in a table beside the code that counts it
+    /// (docs/OBSERVABILITY.md lists them all).
+    pub fn scrape(&self) -> Scrape {
+        let mut scrape = Scrape::default();
+        self.metrics.scrape(&mut scrape);
+        self.site.scrape(&mut scrape);
+        scrape.walk(StorageStats::SIGNALS, &storage_stats());
+        trace::scrape(&mut scrape);
+        scrape.walk(PLANNER_SIGNALS, &planner_dp_fallbacks());
+        scrape
     }
 
     /// Notifies the server of a data-graph change: forwards `delta` to the
@@ -173,7 +188,7 @@ mod tests {
         let (data, query) = demo_site();
         let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
         let server = Server::bind(site, "127.0.0.1:0").unwrap();
-        let started = Instant::now();
+        let started = std::time::Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_client(&server, |addr| {
                 assert!(fetch(addr, "/").contains("FrontPage"));

@@ -2,7 +2,9 @@
 //! pipelining order and its bound, which path answers a request (the loop
 //! from the page cache, or a worker), connection-layer bugfixes (slow-loris
 //! deadline, idle close, HEAD answers, zero-byte aborts, half-closed
-//! requests, admission control), and the `/metrics` exposition.
+//! requests, a half-closed peer of a request that is being evaluated,
+//! admission control), the `/stats` and `/metrics` documents against the
+//! signal declarations, and those against the catalog in the docs.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -488,61 +490,76 @@ fn metrics_endpoint_serves_prometheus_text() {
             "{head}"
         );
 
-        // Every family the endpoint promises is declared with HELP+TYPE.
-        for (name, kind) in [
-            ("strudel_requests_total", "counter"),
-            ("strudel_requests_inline_total", "counter"),
-            ("strudel_requests_dispatched_total", "counter"),
-            ("strudel_request_errors_total", "counter"),
-            ("strudel_request_duration_seconds", "histogram"),
-            ("strudel_uptime_seconds", "gauge"),
-            ("strudel_worker_threads", "gauge"),
-            ("strudel_accept_errors_total", "counter"),
-            ("strudel_connections_aborted_total", "counter"),
-            ("strudel_admission_rejected_total", "counter"),
-            ("strudel_keepalive_reuses_total", "counter"),
-            ("strudel_connections_open", "gauge"),
-            ("strudel_connections_idle", "gauge"),
-            ("strudel_connections_reading", "gauge"),
-            ("strudel_connections_writing", "gauge"),
-            ("strudel_page_cache_hits_total", "counter"),
-            ("strudel_page_cache_misses_total", "counter"),
-            ("strudel_page_cache_entries", "gauge"),
-            ("strudel_path_cache_hits_total", "counter"),
-            ("strudel_store_page_reads_total", "counter"),
-            ("strudel_store_page_writes_total", "counter"),
-            ("strudel_store_page_cache_hits_total", "counter"),
-            ("strudel_store_page_cache_misses_total", "counter"),
-            ("strudel_store_pages_leaked_total", "counter"),
-            ("strudel_store_compactions_total", "counter"),
-            ("strudel_wal_frames_total", "counter"),
-            ("strudel_wal_commits_total", "counter"),
-            ("strudel_wal_bytes_total", "counter"),
-            ("strudel_wal_checkpoints_total", "counter"),
-            ("strudel_wal_recoveries_total", "counter"),
-            ("strudel_wal_recovered_frames_total", "counter"),
-            ("strudel_wal_torn_tails_total", "counter"),
-            ("strudel_wal_fsyncs_total", "counter"),
-            ("strudel_wal_group_commits_total", "counter"),
-            ("strudel_wal_group_commit_txns_total", "counter"),
-            ("strudel_store_page_cache_evictions_total", "counter"),
-            ("strudel_checkpoint_pages_written_total", "counter"),
-            ("strudel_checkpoint_pages_reused_total", "counter"),
-            ("strudel_store_dirty_pages", "gauge"),
-            ("strudel_store_freelist_pages", "gauge"),
-            ("strudel_build_info", "gauge"),
-            ("strudel_trace_enabled", "gauge"),
-            ("strudel_trace_spans_recorded_total", "counter"),
-            ("strudel_trace_spans_dropped_total", "counter"),
-            ("strudel_trace_traces_started_total", "counter"),
-            ("strudel_trace_traces_sampled_total", "counter"),
-            ("strudel_trace_traces_slow_promoted_total", "counter"),
-            ("strudel_trace_ring_occupancy", "gauge"),
-            ("strudel_trace_ring_capacity", "gauge"),
-        ] {
-            assert!(body.contains(&format!("# HELP {name} ")), "{name}");
-            assert!(body.contains(&format!("# TYPE {name} {kind}\n")), "{name}");
+        // Every declared signal is in both endpoints, at its key path and at
+        // its family with the declared type and help.
+        let stats = fetch(addr, "/stats");
+        assert!(stats.contains("Content-Type: application/json"), "{stats}");
+        let (_, json) = stats.split_once("\r\n\r\n").expect("framed response");
+        let doc = strudel::obs::json::parse(json).expect("valid /stats JSON");
+        let at = |doc: &strudel::obs::json::Value, key: &str| {
+            key.split('.').try_fold(doc, |v, part| v.get(part)).cloned()
+        };
+        let scrape = server.scrape();
+        assert!(scrape.samples().len() > 60, "the whole declaration");
+        for s in scrape.samples() {
+            assert!(!s.key.is_empty() || !s.family.is_empty(), "{s:?}");
+            if !s.key.is_empty() {
+                assert!(at(&doc, s.key).is_some(), "{} in {json}", s.key);
+            }
+            if !s.family.is_empty() {
+                let (family, help) = (s.family, s.help);
+                let kind = s.reading.prom_type().expect("a /metrics form");
+                assert!(body.contains(&format!("# HELP {family} {help}\n")), "{s:?}");
+                assert!(body.contains(&format!("# TYPE {family} {kind}\n")), "{s:?}");
+            }
         }
+
+        // A name is an operator-facing surface: the set of `family type`
+        // pairs is pinned, so renaming, retyping, adding or dropping a family
+        // is a deliberate act that edits this digest. It is the set served
+        // before signals were declared in tables plus
+        // `strudel_loop_wakeups_total counter`.
+        let mut families: Vec<&str> = body
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        families.sort_unstable();
+        assert_eq!(families.len(), 61, "{families:#?}");
+        assert_eq!(
+            fnv1a(families.join("\n").as_bytes()),
+            FAMILIES_DIGEST,
+            "{families:#?}"
+        );
+
+        // One scrape renders both documents, so on every row that has a
+        // number on both sides the two say the same thing.
+        let own = strudel::obs::json::parse(&scrape.to_json()).expect("valid JSON");
+        let text = scrape.to_prometheus();
+        let mut compared = 0;
+        for s in scrape.samples() {
+            use strudel::obs::Reading::{Counter, Flag, Gauge};
+            let want = match s.reading {
+                Counter(n) | Gauge(n) => n as f64,
+                Flag(on) => f64::from(u8::from(on)),
+                _ => continue,
+            };
+            if s.key.is_empty() || s.family.is_empty() {
+                continue;
+            }
+            let in_stats = match at(&own, s.key).expect(s.key) {
+                strudel::obs::json::Value::Bool(on) => f64::from(u8::from(on)),
+                other => other.as_f64().expect(s.key),
+            };
+            let in_metrics: f64 = text
+                .lines()
+                .find_map(|l| l.strip_prefix(s.family)?.strip_prefix(' '))
+                .expect(s.family)
+                .parse()
+                .unwrap();
+            assert_eq!((in_stats, in_metrics), (want, want), "{s:?}");
+            compared += 1;
+        }
+        assert!(compared > 50, "{compared}");
 
         // Exposition is line-structured: every non-comment line is
         // `name[{labels}] value` with a legal metric name and a value
@@ -586,27 +603,9 @@ fn metrics_endpoint_serves_prometheus_text() {
         assert!(value_of("strudel_page_cache_hits_total") >= 1.0);
         assert!(value_of("strudel_request_errors_total") >= 1.0);
 
-        // /stats carries the vitals and connection block as JSON.
-        let stats = fetch(addr, "/stats");
-        assert!(stats.contains("Content-Type: application/json"), "{stats}");
-        for key in [
-            "\"uptime_seconds\":",
-            "\"threads\":",
-            "\"connections\":",
-            "\"keepalive_reuses\":",
-            "\"admission_rejected\":",
-            "\"accept_errors\":",
-            "\"traces\":",
-        ] {
-            assert!(stats.contains(key), "{stats}");
-        }
-
-        // The two endpoints read the same counters: /stats parses, and
-        // what it says about the settled traffic above is what
-        // /metrics said. Click-time evaluation has no worker count, so
-        // neither endpoint reports one.
-        let (_, json) = stats.split_once("\r\n\r\n").expect("framed response");
-        let doc = strudel::obs::json::parse(json).expect("valid /stats JSON");
+        // The two endpoints read the same counters: what `/stats` says about
+        // the settled traffic above is what `/metrics` said. Click-time
+        // evaluation has no worker count, so neither endpoint reports one.
         let stat = |path: &[&str]| -> f64 {
             path.iter()
                 .try_fold(&doc, |v, key| v.get(key))
@@ -627,6 +626,135 @@ fn metrics_endpoint_serves_prometheus_text() {
         assert!(!body.contains("jobs"), "{body}");
     });
 }
+
+/// The signal catalog in docs/OBSERVABILITY.md is the declaration, row for
+/// row: a signal added, renamed or re-described in its owner's table fails
+/// here until the document says the same (the message is the table to
+/// paste), and a row the document invents fails likewise.
+#[test]
+fn signal_catalog_in_the_docs_is_the_declaration() {
+    let (data, query) = demo_site();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let server = Server::bind(site, "127.0.0.1:0").unwrap();
+    let cell = |name: &str| match name {
+        "" => "—".to_string(),
+        name => format!("`{name}`"),
+    };
+    let declared: Vec<String> = server
+        .scrape()
+        .samples()
+        .iter()
+        .map(|s| {
+            let kind = match s.family {
+                "" => "—",
+                _ => s.reading.prom_type().expect("a /metrics form"),
+            };
+            let (key, family) = (cell(s.key), cell(s.family));
+            format!("| {key} | {family} | {kind} | {} |", s.help)
+        })
+        .collect();
+    let documented: Vec<&str> = include_str!("../docs/OBSERVABILITY.md")
+        .lines()
+        .skip_while(|l| !l.starts_with("| `/stats` key | `/metrics` family |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    let table = declared.join("\n");
+    assert!(
+        documented == declared,
+        "the catalog should read:\n{table}\n"
+    );
+}
+
+/// What is owned by a server instance is counted per instance: two servers
+/// in one process, different traffic, and each `/stats` reports its own
+/// `requests` and `cache.*`.
+#[test]
+fn two_servers_in_one_process_keep_separate_numbers() {
+    let (data, query) = demo_site();
+    let bind = || {
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        Server::bind(site, "127.0.0.1:0").unwrap()
+    };
+    let (busy, quiet) = (bind(), bind());
+    let numbers = |addr| {
+        let stats = fetch(addr, "/stats");
+        let (_, json) = stats.split_once("\r\n\r\n").expect("framed response");
+        let doc = strudel::obs::json::parse(json).expect("valid /stats JSON");
+        let cache = doc.get("cache").expect("cache block");
+        ["hits", "misses", "entries"]
+            .map(|key| cache.get(key).and_then(|v| v.as_f64()).expect(key))
+            .into_iter()
+            .chain(doc.get("requests").and_then(|v| v.as_f64()))
+            .collect::<Vec<f64>>()
+    };
+    with_client(&busy, |busy_addr| {
+        with_client(&quiet, |quiet_addr| {
+            for _miss_then_hits in 0..3 {
+                assert!(fetch(busy_addr, "/page/FrontPage").contains("Story"));
+            }
+            assert!(fetch(quiet_addr, "/").contains("FrontPage"));
+            // (cache hits, misses, entries, requests): the `/stats` request
+            // itself is counted once it is written.
+            assert_eq!(numbers(busy_addr), [2.0, 1.0, 1.0, 3.0]);
+            assert_eq!(numbers(quiet_addr), [0.0, 0.0, 0.0, 1.0]);
+        });
+    });
+}
+
+/// A request that is with a worker costs the loop nothing, whatever its
+/// peer does meanwhile. The poller is level-triggered: a connection left
+/// registered while its page evaluates reports its peer's half-close on
+/// every `wait`, and the loop used to spin — thousands of wake-ups — for as
+/// long as the evaluation ran.
+#[test]
+fn half_closed_peer_does_not_spin_the_loop() {
+    const EVALUATION: Duration = Duration::from_millis(60);
+    let (data, _) = demo_site();
+    let mut options = EvalOptions::default();
+    options.predicates.register("slow", 1, |_| {
+        std::thread::sleep(EVALUATION);
+        true
+    });
+    let query = strudel::struql::parse_query(
+        r#"CREATE Root()
+           { WHERE Articles(a), a -> "headline" -> h, slow(h)
+             LINK Root() -> "Headline" -> h }"#,
+    )
+    .unwrap();
+    let site = DynamicSite::new(&data, &query, options).unwrap();
+    let server = Server::bind(site, "127.0.0.1:0").unwrap();
+    with_client(&server, |addr| {
+        for peer in ["shuts down its write side", "is dropped"] {
+            server.site().cache_clear();
+            let before = server.stats();
+            let started = Instant::now();
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            s.write_all(b"GET /page/Root HTTP/1.0\r\n\r\n").unwrap();
+            if peer == "is dropped" {
+                drop(s);
+            } else {
+                s.shutdown(std::net::Shutdown::Write).unwrap();
+                let mut resp = String::new();
+                s.read_to_string(&mut resp).unwrap();
+                assert!(resp.starts_with("HTTP/1.1 200 OK"), "{peer}: {resp}");
+                assert!(resp.contains("one") && resp.contains("two"), "{resp}");
+            }
+            // Counted once the answer is written (or found unwritable).
+            while server.stats().requests == before.requests {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert!(started.elapsed() >= EVALUATION, "the page was evaluated");
+            let woken = server.stats().loop_wakeups - before.loop_wakeups;
+            assert!(woken <= 16, "peer {peer}: {woken} loop wake-ups");
+        }
+    });
+}
+
+/// [`fnv1a`] of the sorted `family type` lines of `/metrics`, joined by
+/// newlines.
+const FAMILIES_DIGEST: u64 = 0xac15_891d_7a7a_8137;
 
 /// FNV-1a, 64 bits: a digest that does not depend on the toolchain.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -1,7 +1,10 @@
 //! The flight recorder over HTTP, in a test binary of its own: the recorder
 //! is one per process, so a test that enables it and then looks for its own
 //! request in `/debug/traces` must not share a process with tests that
-//! serve other requests into the same ring.
+//! serve other requests into the same ring. What the recorder reports of
+//! itself in `/stats` and `/metrics` (`traces.*`, `strudel_trace_*`) is
+//! declared in `strudel-obs/src/trace.rs` (`TraceStats`) and checked with every
+//! other signal by `tests/serving.rs`.
 
 use strudel::serve::testing::{demo_site, fetch, with_client};
 use strudel::serve::Server;
