@@ -7,7 +7,7 @@
 //! strudel-cli schema  <site.spec>                 print the site schema (DOT)
 //! strudel-cli explain <site.spec> [--profile [--json]]  optimizer plans per block
 //! strudel-cli verify  <site.spec> <constraint>    check a structural constraint
-//! strudel-cli query   <data.(ddl|bin|pdb)> <q.struql> [--profile [--json]]
+//! strudel-cli query   <data.(ddl|pdb)> <q.struql> [--profile [--json]]
 //!                                                 run an ad-hoc query, print DDL
 //! strudel-cli serve   <site.spec> [addr]          click-time evaluation over HTTP
 //!     [--threads N] [--cache-entries N] [--cache-bytes N] [--data FILE]
@@ -16,7 +16,7 @@
 //!                     | <site.spec> [page-path]    server (or serve one in
 //!                                                  process) and print its span
 //!                                                  tree with per-layer self-times
-//! strudel-cli store   import <data.(ddl|bin)> <store.pdb>   seed a paged store
+//! strudel-cli store   import <data.ddl> <store.pdb>   seed a paged store
 //! strudel-cli store   info <store.pdb>            revision, pages, WAL, contents
 //! strudel-cli store   compact <store.pdb>         checkpoint + rewrite minimal
 //! strudel-cli demo    <dir>                       write a ready-to-build demo site
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         Some("store") if args.len() >= 2 => cmd_store(&args[1], &args[2..]),
         Some("demo") if args.len() == 2 => cmd_demo(Path::new(&args[1])),
         _ => {
-            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|bin|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N]\n                       [--data FILE] [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli store   import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
+            eprintln!("usage:\n  strudel-cli build   <site.spec> [--jobs N] [--timings] [--data FILE]\n  strudel-cli schema  <site.spec>\n  strudel-cli explain <site.spec> [--profile [--json]]\n  strudel-cli verify  <site.spec> <constraint>\n  strudel-cli query   <data.(ddl|pdb)> <query.struql> [--profile [--json]]\n  strudel-cli serve   <site.spec> [addr] [--threads N] [--cache-entries N] [--cache-bytes N]\n                       [--data FILE] [--trace-sample-rate F] [--trace-slow-ms N]\n  strudel-cli trace   <http://host:port/page/...> | <site.spec> [page-path]\n  strudel-cli store   import <data.ddl> <store.pdb> | info <store.pdb> | compact <store.pdb>\n  strudel-cli demo    <dir>");
             return ExitCode::from(2);
         }
     };
@@ -329,16 +329,15 @@ fn cmd_verify(spec_path: &Path, constraint_text: &str) -> Result<(), AnyError> {
 
 fn cmd_query(data_path: &Path, query_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let mode = parse_profile_flags(rest)?;
-    let data = if data_path.extension().is_some_and(|e| e == "bin") {
-        strudel::graph::store::load_from_file(data_path)?
-    } else if data_path.extension().is_some_and(|e| e == "pdb") {
+    let (mut store, parsed);
+    let data = if data_path.extension().is_some_and(|e| e == "pdb") {
         // A paged store: open (running crash recovery if the last writer
         // died) and query its current revision.
-        let mut store = strudel::graph::store::PagedStore::open(data_path)?;
-        let bytes = store.serialize()?;
-        strudel::graph::store::load_slice(&bytes)?
+        store = strudel::graph::store::PagedStore::open(data_path)?;
+        store.graph()?
     } else {
-        strudel::graph::ddl::parse(&read(data_path)?)?
+        parsed = strudel::graph::ddl::parse(&read(data_path)?)?;
+        &parsed
     };
     let q = strudel::struql::parse_query(&read(query_path)?)?;
     let opts = strudel::struql::EvalOptions {
@@ -346,7 +345,7 @@ fn cmd_query(data_path: &Path, query_path: &Path, rest: &[String]) -> Result<(),
         ..Default::default()
     };
     let t = std::time::Instant::now();
-    let out = q.evaluate(&data, &opts)?;
+    let out = q.evaluate(data, &opts)?;
     eprintln!(
         "evaluated in {:?}: {} nodes, {} edges, {} rows examined",
         t.elapsed(),
@@ -636,12 +635,7 @@ fn cmd_store(verb: &str, rest: &[String]) -> Result<(), AnyError> {
     use strudel::graph::store::PagedStore;
     match (verb, rest) {
         ("import", [data, dest]) => {
-            let data_path = Path::new(data);
-            let graph = if data_path.extension().is_some_and(|e| e == "bin") {
-                strudel::graph::store::load_from_file(data_path)?
-            } else {
-                strudel::graph::ddl::parse(&read(data_path)?)?
-            };
+            let graph = strudel::graph::ddl::parse(&read(Path::new(data))?)?;
             let store = PagedStore::import(Path::new(dest), &graph)?;
             println!(
                 "imported {} nodes / {} edges into {} (revision {}, {} pages)",
@@ -691,7 +685,7 @@ fn cmd_store(verb: &str, rest: &[String]) -> Result<(), AnyError> {
             );
             Ok(())
         }
-        _ => Err("usage: strudel-cli store import <data.(ddl|bin)> <store.pdb> | info <store.pdb> | compact <store.pdb>".into()),
+        _ => Err("usage: strudel-cli store import <data.ddl> <store.pdb> | info <store.pdb> | compact <store.pdb>".into()),
     }
 }
 

@@ -67,6 +67,22 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+impl GraphError {
+    /// On-disk bytes that failed validation.
+    pub(crate) fn corrupt(message: impl Into<String>) -> Self {
+        GraphError::StorageCorrupt {
+            message: message.into(),
+        }
+    }
+
+    /// A revision crash recovery could not restore.
+    pub(crate) fn recovery(message: impl Into<String>) -> Self {
+        GraphError::StorageRecovery {
+            message: message.into(),
+        }
+    }
+}
+
 impl From<std::io::Error> for GraphError {
     fn from(e: std::io::Error) -> Self {
         GraphError::Storage {

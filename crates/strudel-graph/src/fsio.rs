@@ -1,10 +1,9 @@
 //! Crash-safe file writes.
 //!
-//! The repository's original `save_to_file` truncated the destination in
-//! place (`File::create` + write), so a crash mid-save destroyed the only
-//! copy of the graph, and nothing in the tree ever called fsync — a write
-//! that "succeeded" could still evaporate on power loss. Every durable
-//! write in the workspace now goes through this module's protocol:
+//! A file truncated in place (`File::create` + write) is destroyed by a
+//! crash mid-write, and a write that "succeeded" without an fsync can
+//! still evaporate on power loss. Every whole-file write in the workspace
+//! that must survive goes through this module's protocol:
 //!
 //! 1. write the new contents to a hidden temp file **in the destination's
 //!    directory** (same filesystem, so the rename below is atomic),
@@ -42,7 +41,7 @@ fn temp_path_for(dest: &Path) -> io::Result<PathBuf> {
     )))
 }
 
-fn parent_dir(dest: &Path) -> PathBuf {
+pub(crate) fn parent_dir(dest: &Path) -> PathBuf {
     match dest.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),

@@ -59,12 +59,6 @@ const KIND_SNAP: u8 = 1;
 /// Nonzero seed so an all-zero page never validates against checksum 0.
 const CHECKSUM_SEED: u64 = 0x5354_5255_4447_4531;
 
-fn corrupt(message: impl Into<String>) -> GraphError {
-    GraphError::StorageCorrupt {
-        message: message.into(),
-    }
-}
-
 fn fx(parts: &[&[u8]]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(CHECKSUM_SEED);
@@ -109,7 +103,7 @@ fn encode_header(slot: u32, s: &HeaderState) -> Vec<u8> {
 }
 
 fn decode_header(slot: u32, buf: &[u8], file_len: u64) -> Result<HeaderState> {
-    let err = |m: &str| corrupt(format!("header slot {slot}: {m}"));
+    let err = |m: &str| GraphError::corrupt(format!("header slot {slot}: {m}"));
     if buf.len() != PAGE_SIZE {
         return Err(err("short read"));
     }
@@ -274,7 +268,7 @@ impl Pager {
             }
         }
         let (active_slot, state) = chosen.ok_or_else(|| {
-            corrupt(format!(
+            GraphError::corrupt(format!(
                 "{}: no valid header slot ({})",
                 path.display(),
                 errors.join("; ")
@@ -356,7 +350,7 @@ impl Pager {
         let mut bytes = 0u64;
         while page != 0 {
             if pages.len() >= want_pages as usize {
-                return Err(corrupt("page chain longer than declared"));
+                return Err(GraphError::corrupt("page chain longer than declared"));
             }
             let (next, len) = self.validate_page(page)?;
             bytes += len as u64;
@@ -364,7 +358,7 @@ impl Pager {
             page = next;
         }
         if pages.len() != want_pages as usize || bytes != want_bytes {
-            return Err(corrupt(format!(
+            return Err(GraphError::corrupt(format!(
                 "page chain mismatch: {} pages / {} bytes on disk, declared {} / {}",
                 pages.len(),
                 bytes,
@@ -377,7 +371,7 @@ impl Pager {
 
     fn validate_page(&mut self, page: u32) -> Result<(u32, usize)> {
         if !(2..self.state.page_count).contains(&page) {
-            return Err(corrupt(format!("page {page} out of range")));
+            return Err(GraphError::corrupt(format!("page {page} out of range")));
         }
         let buf = self.read_page(page)?;
         let stored = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
@@ -385,7 +379,9 @@ impl Pager {
         let len = u16::from_le_bytes(buf[12..14].try_into().expect("2 bytes")) as usize;
         let kind = buf[14];
         if len > PAGE_PAYLOAD {
-            return Err(corrupt(format!("page {page}: length out of range")));
+            return Err(GraphError::corrupt(format!(
+                "page {page}: length out of range"
+            )));
         }
         let sum = fx(&[
             &page.to_le_bytes(),
@@ -394,10 +390,14 @@ impl Pager {
             &buf[16..16 + len],
         ]);
         if sum != stored {
-            return Err(corrupt(format!("page {page}: checksum mismatch")));
+            return Err(GraphError::corrupt(format!(
+                "page {page}: checksum mismatch"
+            )));
         }
         if kind != KIND_SNAP {
-            return Err(corrupt(format!("page {page}: unexpected kind {kind}")));
+            return Err(GraphError::corrupt(format!(
+                "page {page}: unexpected kind {kind}"
+            )));
         }
         Ok((next, len))
     }
@@ -445,10 +445,10 @@ impl Pager {
         Ok(())
     }
 
-    /// Commits `bytes` as revision `revision` in a single root chain — the
-    /// whole-image form used by tests and trivial stores. Equivalent to
+    /// Commits `bytes` as revision `revision` in a single root chain:
     /// [`Pager::commit_segments`] with no blobs.
-    pub fn commit_chain(&mut self, bytes: &[u8], revision: u64) -> Result<()> {
+    #[cfg(test)]
+    fn commit_chain(&mut self, bytes: &[u8], revision: u64) -> Result<()> {
         self.commit_segments(&[], Vec::new(), revision, |_| bytes.to_vec())?;
         Ok(())
     }
@@ -550,7 +550,7 @@ impl Pager {
 fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> Result<()> {
     file.seek(SeekFrom::Start(offset))?;
     file.read_exact(buf)
-        .map_err(|e| corrupt(format!("short read at {offset}: {e}")))
+        .map_err(|e| GraphError::corrupt(format!("short read at {offset}: {e}")))
 }
 
 fn write_at(file: &mut File, offset: u64, buf: &[u8]) -> Result<()> {

@@ -1,0 +1,653 @@
+//! The byte layouts and their tags: the `STRUDEL1` checkpoint image
+//! (written and read a segment at a time), the `TAG_*` value encoding the
+//! image and the log share, the `OP_*` delta ops of the log, and the one
+//! function that turns an image plus ops into a graph.
+
+use super::segments::SegFile;
+use crate::error::{GraphError, Result};
+use crate::fxhash::FxHashMap;
+use crate::graph::{Graph, GraphReader, NodeId};
+use crate::symbol::Sym;
+use crate::value::{FileKind, Value};
+use std::io::Write;
+
+pub(super) const MAGIC: &[u8; 8] = b"STRUDEL1";
+
+/// Checks a count fits the on-disk `u32` representation; oversized graphs
+/// fail loudly instead of silently writing a corrupt file.
+pub(super) fn checked_count(n: usize, what: &str) -> Result<u32> {
+    u32::try_from(n)
+        .map_err(|_| GraphError::corrupt(format!("{what} count {n} exceeds format limit")))
+}
+
+// ------------------------------------------------------------- primitives ----
+
+pub(super) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(super) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(super) fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<()> {
+    put_u32(buf, checked_count(s.len(), "string byte")?);
+    buf.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+/// A node's optional name: a presence byte, then the string.
+fn put_name(buf: &mut Vec<u8>, name: Option<&str>) -> Result<()> {
+    buf.push(u8::from(name.is_some()));
+    name.map_or(Ok(()), |n| put_str(buf, n))
+}
+
+/// A bounds-checked reader over the whole (buffered) input. Every count
+/// and length in the file is validated against the bytes actually present
+/// *before* any allocation, so a corrupted length prefix cannot trigger an
+/// unbounded allocation (found by the bit-flip fuzz test).
+pub(super) struct In<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> In<'a> {
+    pub(super) fn new(buf: &'a [u8]) -> Self {
+        In { buf, pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    pub(super) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.remaining() < n {
+            return Err(GraphError::corrupt("truncated input"));
+        }
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(super) fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    pub(super) fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// Rejects a count of `min_record_bytes`-byte records that the
+    /// remaining input cannot possibly hold.
+    fn holds(&self, n: usize, min_record_bytes: usize) -> Result<usize> {
+        if n.saturating_mul(min_record_bytes.max(1)) > self.remaining() {
+            return Err(GraphError::corrupt(format!(
+                "count {n} exceeds remaining input"
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Reads a count that prefixes that many records.
+    pub(super) fn count(&mut self, min_record_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        self.holds(n, min_record_bytes)
+    }
+
+    pub(super) fn str(&mut self) -> Result<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.take(len)?)
+            .map_err(|_| GraphError::corrupt("invalid UTF-8 in stored string"))
+    }
+
+    fn name(&mut self) -> Result<Option<&'a str>> {
+        Ok(if self.u8()? == 1 {
+            Some(self.str()?)
+        } else {
+            None
+        })
+    }
+
+    /// The input must end here: a buffer that "loads fine" but carries
+    /// unread data is evidence of truncated or mixed-up writes.
+    pub(super) fn finish(&self, what: &str) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(GraphError::corrupt(format!(
+                "{n} trailing bytes after {what}"
+            ))),
+        }
+    }
+}
+
+// ----------------------------------------------------------------- values ----
+
+const TAG_NODE: u8 = 0;
+const TAG_INT: u8 = 1;
+const TAG_FLOAT: u8 = 2;
+const TAG_BOOL: u8 = 3;
+const TAG_STR: u8 = 4;
+const TAG_URL: u8 = 5;
+const TAG_FILE: u8 = 6;
+
+fn file_kind_tag(kind: FileKind) -> u8 {
+    match kind {
+        FileKind::Text => 0,
+        FileKind::Html => 1,
+        FileKind::Image => 2,
+        FileKind::PostScript => 3,
+    }
+}
+
+fn file_kind_of(tag: u8) -> Result<FileKind> {
+    Ok(match tag {
+        0 => FileKind::Text,
+        1 => FileKind::Html,
+        2 => FileKind::Image,
+        3 => FileKind::PostScript,
+        other => return Err(GraphError::corrupt(format!("unknown file kind {other}"))),
+    })
+}
+
+fn node_at(nodes: &[NodeId], i: u32) -> Result<NodeId> {
+    nodes
+        .get(i as usize)
+        .copied()
+        .ok_or_else(|| GraphError::corrupt(format!("node index {i} out of range")))
+}
+
+/// A value as the bytes hold it — node reference dense, text borrowed. The
+/// image stores [`Value`]s and the log [`WireValue`]s; both pass through
+/// this form, so the `TAG_*` bytes have one encoder and one decoder.
+pub(super) enum Tagged<'a> {
+    Node(u32),
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Str(&'a str),
+    Url(&'a str),
+    File(FileKind, &'a str),
+}
+
+impl<'a> Tagged<'a> {
+    fn encode(&self, buf: &mut Vec<u8>) -> Result<()> {
+        match *self {
+            Tagged::Node(i) => {
+                buf.push(TAG_NODE);
+                put_u32(buf, i);
+            }
+            Tagged::Int(i) => {
+                buf.push(TAG_INT);
+                put_u64(buf, i as u64);
+            }
+            Tagged::Float(f) => {
+                buf.push(TAG_FLOAT);
+                put_u64(buf, f.to_bits());
+            }
+            Tagged::Bool(b) => buf.extend_from_slice(&[TAG_BOOL, u8::from(b)]),
+            Tagged::Str(s) => {
+                buf.push(TAG_STR);
+                put_str(buf, s)?;
+            }
+            Tagged::Url(s) => {
+                buf.push(TAG_URL);
+                put_str(buf, s)?;
+            }
+            Tagged::File(kind, path) => {
+                buf.extend_from_slice(&[TAG_FILE, file_kind_tag(kind)]);
+                put_str(buf, path)?;
+            }
+        }
+        Ok(())
+    }
+
+    // `decode` and `into_value` are one match when both inline into the
+    // reader's loop and two when they do not: a 100,000-article image
+    // decodes in 120 ms against 150 ms.
+    #[inline]
+    fn decode(r: &mut In<'a>) -> Result<Self> {
+        Ok(match r.u8()? {
+            TAG_NODE => Tagged::Node(r.u32()?),
+            TAG_INT => Tagged::Int(r.u64()? as i64),
+            TAG_FLOAT => Tagged::Float(f64::from_bits(r.u64()?)),
+            TAG_BOOL => Tagged::Bool(r.u8()? != 0),
+            TAG_STR => Tagged::Str(r.str()?),
+            TAG_URL => Tagged::Url(r.str()?),
+            TAG_FILE => Tagged::File(file_kind_of(r.u8()?)?, r.str()?),
+            other => return Err(GraphError::corrupt(format!("unknown value tag {other}"))),
+        })
+    }
+
+    /// Resolves the node index against a graph's member order.
+    #[inline]
+    pub(super) fn into_value(self, nodes: &[NodeId]) -> Result<Value> {
+        Ok(match self {
+            Tagged::Node(i) => Value::Node(node_at(nodes, i)?),
+            Tagged::Int(i) => Value::Int(i),
+            Tagged::Float(f) => Value::Float(f),
+            Tagged::Bool(b) => Value::Bool(b),
+            Tagged::Str(s) => Value::str(s),
+            Tagged::Url(s) => Value::url(s),
+            Tagged::File(kind, path) => Value::file(kind, path),
+        })
+    }
+}
+
+/// A [`Value`] in wire form: node references are **dense indexes** into the
+/// store's member order (`graph.nodes()[i]`), which is stable across
+/// save/load/replay — the form deltas use in the write-ahead log.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WireValue {
+    /// Reference to the `i`-th member node of the graph.
+    Node(u32),
+    /// An integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+    /// A boolean.
+    Bool(bool),
+    /// A string.
+    Str(String),
+    /// A URL.
+    Url(String),
+    /// An external file of the given kind.
+    File(FileKind, String),
+}
+
+impl WireValue {
+    pub(super) fn tagged(&self) -> Tagged<'_> {
+        match self {
+            WireValue::Node(i) => Tagged::Node(*i),
+            WireValue::Int(i) => Tagged::Int(*i),
+            WireValue::Float(f) => Tagged::Float(*f),
+            WireValue::Bool(b) => Tagged::Bool(*b),
+            WireValue::Str(s) => Tagged::Str(s),
+            WireValue::Url(s) => Tagged::Url(s),
+            WireValue::File(kind, path) => Tagged::File(*kind, path),
+        }
+    }
+}
+
+impl From<Tagged<'_>> for WireValue {
+    fn from(t: Tagged<'_>) -> Self {
+        match t {
+            Tagged::Node(i) => WireValue::Node(i),
+            Tagged::Int(i) => WireValue::Int(i),
+            Tagged::Float(f) => WireValue::Float(f),
+            Tagged::Bool(b) => WireValue::Bool(b),
+            Tagged::Str(s) => WireValue::Str(s.to_owned()),
+            Tagged::Url(s) => WireValue::Url(s.to_owned()),
+            Tagged::File(kind, path) => WireValue::File(kind, path.to_owned()),
+        }
+    }
+}
+
+// ------------------------------------------------------- image segments ----
+//
+// The image is the concatenation of: the preamble (magic, symbol table,
+// node count), the node records in member order, the collection count,
+// and one record per collection. A store keeps each of these — the node
+// records in runs of `NODE_SEG` — as a segment of its own (see `SegFile`);
+// the writers and readers below are per segment, and are all there is.
+
+pub(super) fn write_preamble(syms: &[String], node_count: u32) -> Result<Vec<u8>> {
+    let mut buf = MAGIC.to_vec();
+    put_u32(&mut buf, checked_count(syms.len(), "symbol")?);
+    for s in syms {
+        put_str(&mut buf, s)?;
+    }
+    put_u32(&mut buf, node_count);
+    Ok(buf)
+}
+
+/// Reads the preamble: the symbol table and the node count.
+pub(super) fn read_preamble<'a>(r: &mut In<'a>) -> Result<(Vec<&'a str>, u32)> {
+    if r.take(8)? != MAGIC {
+        return Err(GraphError::corrupt("not a STRUDEL graph image"));
+    }
+    // Each symbol record is at least its 4-byte length prefix.
+    let syms = (0..r.count(4)?).map(|_| r.str()).collect::<Result<_>>()?;
+    Ok((syms, r.u32()?))
+}
+
+/// What the node and collection writers need from one graph, built once
+/// per save or checkpoint: node references are densified to the graph's
+/// member order (so the stored form is independent of the universe's oid
+/// space) and labels to their position in the layout's symbol table.
+pub(super) struct ImageWriter<'g> {
+    reader: GraphReader<'g>,
+    dense: FxHashMap<NodeId, u32>,
+    sym_index: FxHashMap<Sym, u32>,
+}
+
+impl<'g> ImageWriter<'g> {
+    /// `syms` is the layout's symbol table; the caller has checked that the
+    /// member count fits a `u32`.
+    pub(super) fn new(graph: &'g Graph, syms: &[String]) -> Self {
+        let interner = graph.universe().interner();
+        ImageWriter {
+            reader: graph.reader(),
+            dense: (graph.nodes().iter().copied().zip(0u32..)).collect(),
+            sym_index: (syms.iter().zip(0u32..))
+                .filter_map(|(s, i)| Some((interner.get(s)?, i)))
+                .collect(),
+        }
+    }
+
+    fn value(&self, buf: &mut Vec<u8>, v: &Value) -> Result<()> {
+        match v {
+            // A reference to a node outside this graph is not representable
+            // in the dense numbering; reject rather than corrupt.
+            Value::Node(n) => Tagged::Node(*self.dense.get(n).ok_or_else(|| {
+                GraphError::corrupt(format!(
+                    "reference to non-member node {n}; adopt it before saving"
+                ))
+            })?),
+            Value::Int(i) => Tagged::Int(*i),
+            Value::Float(f) => Tagged::Float(*f),
+            Value::Bool(b) => Tagged::Bool(*b),
+            Value::Str(s) => Tagged::Str(s),
+            Value::Url(s) => Tagged::Url(s),
+            Value::File(kind, path) => Tagged::File(*kind, path),
+        }
+        .encode(buf)
+    }
+
+    /// The records of member nodes `from..to`: name, edge count, then
+    /// `(symbol index, value)` per edge.
+    pub(super) fn nodes(&self, from: usize, to: usize) -> Result<Vec<u8>> {
+        let graph = self.reader.graph();
+        let mut buf = Vec::new();
+        for &n in &graph.nodes()[from..to] {
+            put_name(&mut buf, self.reader.name(n))?;
+            let out = self.reader.out(n);
+            put_u32(&mut buf, checked_count(out.len(), "out-edge")?);
+            for (l, v) in out {
+                let idx = self.sym_index.get(l).ok_or_else(|| {
+                    let label = graph.resolve(*l);
+                    GraphError::corrupt(format!("label {label:?} missing from checkpoint layout"))
+                })?;
+                put_u32(&mut buf, *idx);
+                self.value(&mut buf, v)?;
+            }
+        }
+        Ok(buf)
+    }
+
+    /// One collection record: name, item count, items.
+    pub(super) fn collection(&self, name: &str) -> Result<Vec<u8>> {
+        let items = (self.reader.graph().collection_str(name))
+            .ok_or_else(|| {
+                GraphError::corrupt(format!("collection {name:?} vanished from the graph"))
+            })?
+            .items();
+        let mut buf = Vec::new();
+        put_str(&mut buf, name)?;
+        put_u32(&mut buf, checked_count(items.len(), "collection item")?);
+        for item in items {
+            self.value(&mut buf, item)?;
+        }
+        Ok(buf)
+    }
+}
+
+/// Reads the records of the nodes `run` into `g`. Their edge values may
+/// reference any of the image's `nodes`, earlier or later.
+fn read_nodes(
+    r: &mut In<'_>,
+    g: &mut Graph,
+    syms: &[Sym],
+    nodes: &[NodeId],
+    run: &[NodeId],
+) -> Result<()> {
+    for &n in run {
+        if let Some(name) = r.name()? {
+            g.universe().set_node_name(n, name);
+        }
+        // Each edge is at least a 4-byte symbol index + 1 tag byte.
+        for _ in 0..r.count(5)? {
+            let sym = *(syms.get(r.u32()? as usize))
+                .ok_or_else(|| GraphError::corrupt("symbol index out of range"))?;
+            g.add_edge(n, sym, Tagged::decode(r)?.into_value(nodes)?)?;
+        }
+    }
+    Ok(())
+}
+
+fn read_collection(r: &mut In<'_>, g: &mut Graph, nodes: &[NodeId]) -> Result<()> {
+    let sym = g.ensure_collection(r.str()?);
+    // Each item is at least a 1-byte tag + 1 byte payload.
+    for _ in 0..r.count(2)? {
+        g.add_to_collection(sym, Tagged::decode(r)?.into_value(nodes)?);
+    }
+    Ok(())
+}
+
+/// Serializes a graph to a writer as one checkpoint image: a fresh layout,
+/// every segment of it, in order.
+pub fn save(graph: &Graph, w: &mut impl Write) -> Result<()> {
+    for (_, segment) in SegFile::seed(graph)?.encode_dirty(graph)? {
+        w.write_all(&segment)?;
+    }
+    Ok(())
+}
+
+/// Deserializes a graph from an in-memory image into a fresh standalone
+/// graph. See [`load_slice_into`].
+pub fn load_slice(buf: &[u8]) -> Result<Graph> {
+    let mut g = Graph::standalone();
+    load_slice_into(&mut g, buf)?;
+    Ok(g)
+}
+
+/// Deserializes an image into `g` — typically a fresh graph, either
+/// standalone or attached to a shared universe.
+///
+/// Every count is validated against the bytes actually present, so
+/// corrupted inputs fail with an error rather than attempting huge
+/// allocations, and the buffer must contain exactly one graph: trailing
+/// bytes after the last collection record are rejected as
+/// [`GraphError::StorageCorrupt`].
+pub fn load_slice_into(g: &mut Graph, buf: &[u8]) -> Result<()> {
+    let mut r = In::new(buf);
+    let (syms, n_nodes) = read_preamble(&mut r)?;
+    let syms: Vec<Sym> = syms.into_iter().map(|s| g.sym(s)).collect();
+    // Each node record is at least 1 flag byte + 4 count bytes. Edge values
+    // may reference nodes that appear later in the stream, so every node
+    // exists before the first record is read.
+    let n_nodes = r.holds(n_nodes as usize, 5)?;
+    let nodes: Vec<NodeId> = (0..n_nodes).map(|_| g.new_node(None)).collect();
+    read_nodes(&mut r, g, &syms, &nodes, &nodes)?;
+    // Each collection record is at least a 4-byte name length + 4-byte count.
+    for _ in 0..r.count(8)? {
+        read_collection(&mut r, g, &nodes)?;
+    }
+    r.finish("the last collection record")
+}
+
+// ------------------------------------------------------------ delta ops ----
+
+/// One logical mutation in a store transaction — what gets logged to the
+/// write-ahead log and replayed on crash recovery. Node references use
+/// dense member indexes (see [`WireValue::Node`]); a node created by
+/// [`DeltaOp::AddNode`] receives the next dense index.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DeltaOp {
+    /// Create a member node (optionally named).
+    AddNode {
+        /// Node name, if any.
+        name: Option<String>,
+    },
+    /// Add edge `node --label--> value`.
+    AddEdge {
+        /// Dense index of the source node.
+        node: u32,
+        /// Edge label.
+        label: String,
+        /// Edge target.
+        value: WireValue,
+    },
+    /// Remove edge `node --label--> value` (a no-op if absent).
+    RemoveEdge {
+        /// Dense index of the source node.
+        node: u32,
+        /// Edge label.
+        label: String,
+        /// Edge target.
+        value: WireValue,
+    },
+    /// Create a collection if it does not exist.
+    EnsureCollection {
+        /// Collection name.
+        name: String,
+    },
+    /// Add a value to a collection (created if missing; duplicate adds are
+    /// no-ops, which keeps replay deterministic).
+    AddToCollection {
+        /// Collection name.
+        collection: String,
+        /// Value to add.
+        value: WireValue,
+    },
+    /// Remove a value from a collection (a no-op if absent).
+    RemoveFromCollection {
+        /// Collection name.
+        collection: String,
+        /// Value to remove.
+        value: WireValue,
+    },
+}
+
+const OP_ADD_NODE: u8 = 1;
+const OP_ADD_EDGE: u8 = 2;
+const OP_REMOVE_EDGE: u8 = 3;
+const OP_ENSURE_COLLECTION: u8 = 4;
+const OP_ADD_TO_COLLECTION: u8 = 5;
+const OP_REMOVE_FROM_COLLECTION: u8 = 6;
+
+pub(super) fn encode_op(op: &DeltaOp) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    match op {
+        DeltaOp::AddNode { name } => {
+            buf.push(OP_ADD_NODE);
+            put_name(&mut buf, name.as_deref())?;
+        }
+        DeltaOp::AddEdge { node, label, value } => {
+            buf.push(OP_ADD_EDGE);
+            put_u32(&mut buf, *node);
+            put_str(&mut buf, label)?;
+            value.tagged().encode(&mut buf)?;
+        }
+        DeltaOp::RemoveEdge { node, label, value } => {
+            buf.push(OP_REMOVE_EDGE);
+            put_u32(&mut buf, *node);
+            put_str(&mut buf, label)?;
+            value.tagged().encode(&mut buf)?;
+        }
+        DeltaOp::EnsureCollection { name } => {
+            buf.push(OP_ENSURE_COLLECTION);
+            put_str(&mut buf, name)?;
+        }
+        DeltaOp::AddToCollection { collection, value } => {
+            buf.push(OP_ADD_TO_COLLECTION);
+            put_str(&mut buf, collection)?;
+            value.tagged().encode(&mut buf)?;
+        }
+        DeltaOp::RemoveFromCollection { collection, value } => {
+            buf.push(OP_REMOVE_FROM_COLLECTION);
+            put_str(&mut buf, collection)?;
+            value.tagged().encode(&mut buf)?;
+        }
+    }
+    Ok(buf)
+}
+
+pub(super) fn decode_op(buf: &[u8]) -> Result<DeltaOp> {
+    let mut r = In::new(buf);
+    let op = match r.u8()? {
+        OP_ADD_NODE => DeltaOp::AddNode {
+            name: r.name()?.map(str::to_owned),
+        },
+        OP_ADD_EDGE => DeltaOp::AddEdge {
+            node: r.u32()?,
+            label: r.str()?.to_owned(),
+            value: Tagged::decode(&mut r)?.into(),
+        },
+        OP_REMOVE_EDGE => DeltaOp::RemoveEdge {
+            node: r.u32()?,
+            label: r.str()?.to_owned(),
+            value: Tagged::decode(&mut r)?.into(),
+        },
+        OP_ENSURE_COLLECTION => DeltaOp::EnsureCollection {
+            name: r.str()?.to_owned(),
+        },
+        OP_ADD_TO_COLLECTION => DeltaOp::AddToCollection {
+            collection: r.str()?.to_owned(),
+            value: Tagged::decode(&mut r)?.into(),
+        },
+        OP_REMOVE_FROM_COLLECTION => DeltaOp::RemoveFromCollection {
+            collection: r.str()?.to_owned(),
+            value: Tagged::decode(&mut r)?.into(),
+        },
+        other => return Err(GraphError::corrupt(format!("unknown delta op tag {other}"))),
+    };
+    r.finish("a delta op")?;
+    Ok(op)
+}
+
+pub(super) fn apply_op(g: &mut Graph, op: &DeltaOp) -> Result<()> {
+    let resolve = |g: &Graph, v: &WireValue| v.tagged().into_value(g.nodes());
+    match op {
+        DeltaOp::AddNode { name } => {
+            g.new_node(name.as_deref());
+        }
+        DeltaOp::AddEdge { node, label, value } => {
+            let (n, v) = (node_at(g.nodes(), *node)?, resolve(g, value)?);
+            g.add_edge(n, g.sym(label), v)?;
+        }
+        DeltaOp::RemoveEdge { node, label, value } => {
+            let (n, v) = (node_at(g.nodes(), *node)?, resolve(g, value)?);
+            g.remove_edge(n, g.sym(label), &v)?;
+        }
+        DeltaOp::EnsureCollection { name } => {
+            g.ensure_collection(name);
+        }
+        DeltaOp::AddToCollection { collection, value } => {
+            let v = resolve(g, value)?;
+            let sym = g.ensure_collection(collection);
+            g.add_to_collection(sym, v);
+        }
+        DeltaOp::RemoveFromCollection { collection, value } => {
+            let v = resolve(g, value)?;
+            let sym = g.ensure_collection(collection);
+            g.remove_from_collection(sym, &v);
+        }
+    }
+    Ok(())
+}
+
+/// The one way a stored revision becomes a graph: decodes the checkpoint
+/// `image` (empty before the first checkpoint) into `g`, then applies the
+/// committed `ops` on top.
+pub(super) fn materialize(g: &mut Graph, image: &[u8], ops: &[DeltaOp]) -> Result<()> {
+    if !image.is_empty() {
+        load_slice_into(g, image)?;
+    }
+    for (i, op) in ops.iter().enumerate() {
+        apply_op(g, op).map_err(|e| {
+            GraphError::recovery(format!(
+                "committed op {i} of {} does not apply: {e}",
+                ops.len()
+            ))
+        })?;
+    }
+    Ok(())
+}

@@ -1,0 +1,39 @@
+//! Persistence for the data repository: the checkpoint-image codec and the
+//! paged, WAL-backed store that keeps the image on disk.
+//!
+//! §6 of the paper lists "designing efficient storage representations for
+//! semistructured data" among the open problems: "traditional database
+//! systems rely heavily on schema information to organize data on disk",
+//! which a schemaless repository cannot. This module implements the natural
+//! schema-free layout the paper's repository design implies: a **symbol
+//! table** (every label and collection name once), a **node table** (names
+//! and out-edge lists referencing symbols), and **collection extents** —
+//! the same three structures the in-memory indexes are built from, so a
+//! loaded graph re-indexes in one pass.
+//!
+//! The format is a length-prefixed little-endian encoding, deliberately
+//! dependency-free (no serde): the point of the exercise is the *layout*,
+//! mirroring how the 1997 prototype would have had to store graphs. The
+//! image is a concatenation of *segments*, and each byte layout has one
+//! writer and one reader, whoever calls them: [`save`] and a checkpoint
+//! write the same segments, [`load_slice_into`] and every way of reading a
+//! store (the working graph, a [`Snapshot`], log replay,
+//! [`PagedStore::materialize_into`]) decode them through one function.
+//!
+//! [`PagedStore`] is the only form on disk: the image's segments live in a
+//! [`crate::pager`] page file, commits are logged as typed [`DeltaOp`]s in
+//! a [`crate::wal`] write-ahead log and replayed on open, and readers take
+//! [`Snapshot`]s — immutable revisions that stay consistent while the
+//! writer keeps committing. See `docs/STORAGE.md` for the file formats and
+//! the crash-safety argument.
+
+mod codec;
+mod commit;
+mod paged;
+mod segments;
+#[cfg(test)]
+mod tests;
+
+pub use codec::{load_slice, load_slice_into, save, DeltaOp, WireValue};
+pub use commit::{CommitQueue, Txn};
+pub use paged::{wal_path, CompactReport, PagedStore, Snapshot, DEFAULT_WAL_LIMIT};

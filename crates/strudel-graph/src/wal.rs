@@ -53,12 +53,6 @@ const KIND_DELTA: u8 = 1;
 /// Frame kind: commit record; payload is the resulting revision (u64).
 const KIND_COMMIT: u8 = 2;
 
-fn corrupt(message: impl Into<String>) -> GraphError {
-    GraphError::StorageCorrupt {
-        message: message.into(),
-    }
-}
-
 fn header_checksum(base_revision: u64, created_at: u64) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(CHECKSUM_SEED);
@@ -152,13 +146,16 @@ impl Wal {
         file.seek(SeekFrom::Start(0))?;
         file.read_exact(&mut header)?;
         if &header[0..8] != MAGIC {
-            return Err(corrupt(format!("{}: bad WAL magic", path.display())));
+            return Err(GraphError::corrupt(format!(
+                "{}: bad WAL magic",
+                path.display()
+            )));
         }
         let base_revision = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
         let created_at = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
         let stored = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
         if stored != header_checksum(base_revision, created_at) {
-            return Err(corrupt(format!(
+            return Err(GraphError::corrupt(format!(
                 "{}: WAL header checksum mismatch",
                 path.display()
             )));
@@ -173,11 +170,9 @@ impl Wal {
         let mut committed_end = HEADER_LEN;
         while let Some((kind, payload, next)) = parse_frame(&body, at, base_revision) {
             if kind == KIND_COMMIT {
-                let revision = u64::from_le_bytes(
-                    payload
-                        .try_into()
-                        .map_err(|_| corrupt("WAL commit frame with malformed revision"))?,
-                );
+                let revision = u64::from_le_bytes(payload.try_into().map_err(|_| {
+                    GraphError::corrupt("WAL commit frame with malformed revision")
+                })?);
                 txns.push(WalTxn {
                     revision,
                     deltas: std::mem::take(&mut pending),

@@ -69,11 +69,7 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
     let mut store = PagedStore::import(path, &sample()).unwrap();
     // Keep every commit in the log: no auto-checkpoint during the test.
     store.set_wal_limit(u64::MAX);
-    let mut history = vec![(
-        store.revision(),
-        store.wal_size(),
-        store.serialize().unwrap(),
-    )];
+    let mut history = vec![(store.revision(), store.wal_size(), image(&mut store))];
     for i in 0..commits {
         if i % 2 == 1 {
             // A batch of two transactions durable as one commit record.
@@ -111,11 +107,7 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
             txn.add_to_collection("Publications", WireValue::Node(node));
             txn.commit().unwrap();
         }
-        history.push((
-            store.revision(),
-            store.wal_size(),
-            store.serialize().unwrap(),
-        ));
+        history.push((store.revision(), store.wal_size(), image(&mut store)));
     }
     history
 }
@@ -165,7 +157,7 @@ fn truncating_the_wal_anywhere_recovers_the_last_durable_commit() {
             "truncation at {cut} bytes recovered the wrong revision"
         );
         assert_eq!(
-            store.serialize().unwrap(),
+            image(&mut store),
             expected.2,
             "truncation at {cut} bytes recovered revision {} with wrong contents",
             expected.0
@@ -206,7 +198,7 @@ fn wal_bit_flips_never_yield_a_wrong_graph() {
                         panic!("flip at byte {byte} recovered unknown revision {rev}")
                     });
                 assert_eq!(
-                    store.serialize().unwrap(),
+                    image(&mut store),
                     expected.2,
                     "flip at byte {byte} recovered revision {rev} with wrong contents"
                 );
@@ -227,7 +219,7 @@ fn page_file_bit_flips_are_detected_or_harmless() {
     let mut store = PagedStore::import(&built, &sample()).unwrap();
     // Fold everything into pages so the WAL plays no part.
     store.checkpoint().unwrap();
-    let reference = store.serialize().unwrap();
+    let reference = image(&mut store);
     let revision = store.revision();
     drop(store);
     let pages = fs::read(&built).unwrap();
@@ -250,7 +242,7 @@ fn page_file_bit_flips_are_detected_or_harmless() {
                     "flip at byte {byte} changed the recovered revision"
                 );
                 assert_eq!(
-                    reopened.serialize().unwrap(),
+                    image(&mut reopened),
                     reference,
                     "flip at byte {byte} silently changed the graph"
                 );
@@ -270,7 +262,7 @@ fn reopen_after_kill_restores_the_working_copy_exactly() {
     let (revision, _, ref bytes) = *history.last().unwrap();
     let mut reopened = PagedStore::open(&path).unwrap();
     assert_eq!(reopened.revision(), revision);
-    assert_eq!(&reopened.serialize().unwrap(), bytes);
+    assert_eq!(&image(&mut reopened), bytes);
 }
 
 /// A snapshot opened before a commit keeps serving the old revision after
@@ -310,20 +302,25 @@ fn missing_wal_reopens_at_the_page_file_revision() {
     txn.add_node(Some("extra"));
     txn.commit().unwrap();
     store.checkpoint().unwrap();
-    let reference = store.serialize().unwrap();
+    let reference = image(&mut store);
     let revision = store.revision();
     drop(store);
 
     fs::remove_file(wal_path(&path)).unwrap();
     let mut reopened = PagedStore::open(&path).unwrap();
     assert_eq!(reopened.revision(), revision);
-    assert_eq!(reopened.serialize().unwrap(), reference);
+    assert_eq!(image(&mut reopened), reference);
 }
 
 fn graph_bytes(graph: &Graph) -> Vec<u8> {
     let mut buf = Vec::new();
     strudel_graph::store::save(graph, &mut buf).unwrap();
     buf
+}
+
+/// The store's current revision as canonical image bytes.
+fn image(store: &mut PagedStore) -> Vec<u8> {
+    graph_bytes(store.graph().unwrap())
 }
 
 /// A crash at any byte of a group-committed batch — in particular between
@@ -336,7 +333,7 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
     let built = scratch.path("built.pdb");
     let mut store = PagedStore::import(&built, &sample()).unwrap();
     store.set_wal_limit(u64::MAX);
-    let before_bytes = store.serialize().unwrap();
+    let before_bytes = image(&mut store);
     let before_rev = store.revision();
 
     // Three transactions group-committed as one durable unit.
@@ -358,7 +355,7 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
     let slices: Vec<&[DeltaOp]> = txns.iter().map(|t| t.as_slice()).collect();
     let batch_rev = store.commit_batch(&slices).unwrap();
     assert_eq!(batch_rev, before_rev + 1, "a batch is exactly one revision");
-    let after_bytes = store.serialize().unwrap();
+    let after_bytes = image(&mut store);
     drop(store);
 
     let pages = fs::read(&built).unwrap();
@@ -369,7 +366,7 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
         fs::write(wal_path(&victim), &log[..cut]).unwrap();
         let mut reopened = PagedStore::open(&victim)
             .unwrap_or_else(|e| panic!("truncation at {cut} bytes must recover: {e:?}"));
-        let got = reopened.serialize().unwrap();
+        let got = image(&mut reopened);
         if reopened.revision() == batch_rev {
             assert_eq!(
                 got, after_bytes,
@@ -407,7 +404,7 @@ fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
             // serving. Materialization is deferred: the graph is first
             // realized *after* later checkpoints/compactions have moved
             // the pages underneath it.
-            let expected = store.serialize().unwrap();
+            let expected = image(&mut store);
             let snap = store.snapshot().unwrap();
             pinned.push((snap, store.revision(), expected));
         }

@@ -184,13 +184,9 @@ impl Strudel {
         self.mediator.add_source(
             name,
             Box::new(FnSource(move |u: &Arc<Universe>| {
-                let mut store = strudel_graph::store::PagedStore::open(&path)
-                    .map_err(strudel_struql::StruqlError::Graph)?;
-                let bytes = store
-                    .serialize()
-                    .map_err(strudel_struql::StruqlError::Graph)?;
                 let mut g = Graph::new(Arc::clone(u));
-                strudel_graph::store::load_slice_into(&mut g, &bytes)
+                strudel_graph::store::PagedStore::open(&path)
+                    .and_then(|mut store| store.materialize_into(&mut g))
                     .map_err(strudel_struql::StruqlError::Graph)?;
                 Ok(g)
             })),

@@ -20,7 +20,7 @@ object p2 in Publications { title "StruQL" year 1997 }
     .unwrap();
     let mut buf = Vec::new();
     store::save(&data, &mut buf).unwrap();
-    let loaded = store::load(&mut buf.as_slice()).unwrap();
+    let loaded = store::load_slice(&buf).unwrap();
 
     let q = parse_query(
         r#"WHERE Publications(x), x -> "title" -> t
@@ -42,7 +42,7 @@ fn site_graph_can_be_saved_and_reloaded() {
     let build = s.build_site().unwrap();
     let mut buf = Vec::new();
     store::save(&build.graph, &mut buf).unwrap();
-    let loaded = store::load(&mut buf.as_slice()).unwrap();
+    let loaded = store::load_slice(&buf).unwrap();
     assert_eq!(loaded.node_count(), build.graph.node_count());
     assert_eq!(loaded.edge_count(), build.graph.edge_count());
     // Collections (including the per-Skolem-function ones) survive.
@@ -83,7 +83,7 @@ fn storage_failures_surface_as_typed_storage_errors() {
         Err(GraphError::StorageCorrupt { .. })
     ));
     assert!(matches!(
-        store::load_from_file(std::path::Path::new("/nonexistent/strudel.snapshot")),
+        store::PagedStore::open(std::path::Path::new("/nonexistent/strudel.pdb")),
         Err(GraphError::Storage { .. })
     ));
 
@@ -96,37 +96,76 @@ fn storage_failures_surface_as_typed_storage_errors() {
     assert!(err.to_string().contains("trailing"), "{err}");
 }
 
+/// The path `build --data` and `serve --data` take: a store mounted with
+/// `add_store_source` beside another source yields, page for page, the
+/// site the same data yields as DDL — freshly imported, with committed
+/// transactions still in the log, and after checkpoint and compaction.
 #[test]
-fn interrupted_save_to_file_preserves_the_old_snapshot() {
-    // Crash-safety regression for save_to_file: a save that fails partway
-    // (mid-serialization, after bytes have already been produced) must
-    // leave the previous file loadable and byte-identical.
-    let dir = std::env::temp_dir().join(format!("strudel_it_atomic_{}", std::process::id()));
+fn store_source_builds_the_site_its_data_builds_from_ddl() {
+    use strudel::graph::store::{PagedStore, WireValue};
+
+    const BEFORE: &str = r#"
+collection Publications { homepage url }
+object p1 in Publications { title "UnQL" year 1996 homepage "http://e/1" cites &p2 }
+object p2 in Publications { title "StruQL" year 1997 }
+"#;
+    const AFTER: &str = r#"
+collection Publications { homepage url }
+object p1 in Publications { title "UnQL" homepage "http://e/1" cites &p2 venue "SIGMOD" }
+object p2 in Publications { title "StruQL" year 1997 }
+object p3 in Publications { title "Lorel" year 1998 cites &p1 }
+"#;
+    let pages = |mount: &dyn Fn(&mut Strudel)| {
+        let mut s = Strudel::new();
+        s.add_ddl_source("people", r#"object m in People { name "Mary" }"#);
+        mount(&mut s);
+        s.add_site_query(
+            r#"{ WHERE Publications(x), x -> l -> v, People(m), m -> "name" -> n
+                 CREATE Page(x) LINK Page(x) -> l -> v, Page(x) -> "editor" -> n
+                 COLLECT Roots(Page(x)) }
+               { WHERE Publications(x), x -> "cites" -> y
+                 LINK Page(x) -> "Cites" -> Page(y) }"#,
+        )
+        .unwrap();
+        s.templates_mut()
+            .set_collection_template(
+                "Page",
+                "<SFMT @title> <SFMT @year> <SFMT @venue> <SFMT @homepage> <SFMT @editor> \
+                 <SFOR c IN @Cites><SFMT @c LINK=@c.title></SFOR>",
+            )
+            .unwrap();
+        s.generate_site(&["Page"]).unwrap().pages
+    };
+    let from_ddl = |text: &'static str| pages(&|s| s.add_ddl_source("pubs", text));
+
+    let dir = std::env::temp_dir().join(format!("strudel_it_mount_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("data.bin");
+    let path = dir.join("data.pdb");
+    let from_store = || pages(&|s| s.add_store_source("pubs", &path));
 
-    let data = strudel::graph::ddl::parse(r#"object p in Ps { k "v" }"#).unwrap();
-    store::save_to_file(&data, &path).unwrap();
-    let before = std::fs::read(&path).unwrap();
+    let mut store =
+        PagedStore::import(&path, &strudel::graph::ddl::parse(BEFORE).unwrap()).unwrap();
+    assert_eq!(from_store(), from_ddl(BEFORE), "freshly imported");
+    assert_eq!(from_ddl(BEFORE).len(), 2);
 
-    // A graph that serializes partially and then errors: an edge to a node
-    // outside the graph is discovered only mid-write.
-    let bad = {
-        let mut g = Graph::standalone();
-        let n = g.new_node(Some("n"));
-        let ghost = g.universe().create_node(None);
-        g.add_edge_str(n, "to", Value::Node(ghost)).unwrap();
-        g
-    };
-    assert!(store::save_to_file(&bad, &path).is_err());
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        before,
-        "failed save must leave the destination byte-identical"
-    );
-    let reloaded = store::load_from_file(&path).unwrap();
-    assert_eq!(reloaded.edge_count(), data.edge_count());
+    // A new node, a new label and a removal, committed but not checkpointed.
+    let mut txn = store.begin();
+    txn.remove_edge(0, "year", WireValue::Int(1996));
+    txn.add_edge(0, "venue", WireValue::Str("SIGMOD".into()));
+    let p3 = txn.add_node(Some("p3"));
+    txn.add_edge(p3, "title", WireValue::Str("Lorel".into()));
+    txn.add_edge(p3, "year", WireValue::Int(1998));
+    txn.add_edge(p3, "cites", WireValue::Node(0));
+    txn.add_to_collection("Publications", WireValue::Node(p3));
+    txn.commit().unwrap();
+    assert!(store.wal_size() > 32, "the transaction is still in the log");
+    assert_eq!(from_store(), from_ddl(AFTER), "replayed from the log");
+    assert_eq!(from_ddl(AFTER).len(), 3);
+
+    store.compact().unwrap();
+    drop(store);
+    assert_eq!(from_store(), from_ddl(AFTER), "checkpointed and compacted");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -343,7 +382,7 @@ fn universe_shared_between_data_and_saved_site() {
     site.add_edge_str(s1, "next", Value::Node(s2)).unwrap();
     let mut buf = Vec::new();
     store::save(&site, &mut buf).unwrap();
-    let loaded = store::load(&mut buf.as_slice()).unwrap();
+    let loaded = store::load_slice(&buf).unwrap();
     assert_eq!(loaded.node_count(), 2);
     assert_eq!(loaded.edge_count(), 1);
     let next = loaded.universe().interner().get("next").unwrap();
