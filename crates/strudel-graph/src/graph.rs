@@ -653,10 +653,13 @@ impl Graph {
     /// All distinct edge labels of the graph. Uses the schema index when
     /// available, otherwise scans.
     pub fn labels(&self) -> Vec<Sym> {
-        if let Some(idx) = &self.index {
-            return idx.labels();
+        match &self.index {
+            Some(idx) => idx.labels(),
+            None => self.scan_labels(&self.universe.nodes.read()),
         }
-        let nodes = self.universe.nodes.read();
+    }
+
+    fn scan_labels(&self, nodes: &[NodeSlot]) -> Vec<Sym> {
         let mut seen = FxHashSet::default();
         let mut out = Vec::new();
         for &n in &self.member_list {
@@ -730,6 +733,15 @@ impl<'g> GraphReader<'g> {
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.graph
+    }
+
+    /// [`Graph::labels`] through the lock this reader already holds (the
+    /// unindexed scan there takes it again, which a holder must not do).
+    pub fn labels(&self) -> Vec<Sym> {
+        match &self.graph.index {
+            Some(idx) => idx.labels(),
+            None => self.graph.scan_labels(&self.nodes),
+        }
     }
 }
 

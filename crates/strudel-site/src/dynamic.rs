@@ -817,9 +817,19 @@ fn build_links(clause: &ClauseInfo, relation: &Bindings) -> Vec<OutLink> {
     if let Term::Agg(func, var) = &clause.to {
         let var = col(var);
         let mut groups: FxHashMap<String, FxHashSet<Value>> = FxHashMap::default();
-        for row in rows.rows() {
-            if let Some(label) = label_of(row) {
-                groups.entry(label).or_default().insert(row[var].clone());
+        match &clause.label {
+            // A literal label is the one group, known before the loop.
+            LabelTerm::Lit(label) if !rows.is_empty() => {
+                let values = rows.rows().map(|row| row[var].clone()).collect();
+                groups.insert(label.clone(), values);
+            }
+            LabelTerm::Lit(_) => {}
+            LabelTerm::Var(_) => {
+                for row in rows.rows() {
+                    if let Some(label) = label_of(row) {
+                        groups.entry(label).or_default().insert(row[var].clone());
+                    }
+                }
             }
         }
         let mut groups: Vec<(String, FxHashSet<Value>)> = groups.into_iter().collect();
@@ -853,8 +863,12 @@ fn build_links(clause: &ClauseInfo, relation: &Bindings) -> Vec<OutLink> {
         links.push(OutLink { label, target });
     }
     // Distinct rows can still collide: a string and a URL with the same
-    // text are one label.
-    dedup_links(&mut links);
+    // text are one label, and a literal target is one target. Under a
+    // literal label, distinct rows of the target's variables are distinct
+    // links already.
+    if label_col.is_some() || matches!(clause.to, Term::Lit(_)) {
+        dedup_links(&mut links);
+    }
     links
 }
 

@@ -345,10 +345,16 @@ fn sort_digest(v: &Value) -> u64 {
 /// Deduplicates rows of a growing [`Bindings`] slab: a row-hash → row-index
 /// table, with collision resolution by comparing against the slab itself.
 /// Protocol: call [`RowDedup::probe`] with the candidate; if it returns
-/// `true`, push the row and [`RowDedup::commit`] its index.
+/// `true`, push the row and [`RowDedup::commit`] its index. Rows of one
+/// hash are chained through `earlier`, so a distinct row costs no
+/// allocation of its own.
 #[derive(Default)]
 pub struct RowDedup {
-    table: FxHashMap<u64, Vec<u32>>,
+    /// Row hash → the latest committed row with it.
+    latest: FxHashMap<u64, u32>,
+    /// Per committed row, in commit order: its index in the slab and the
+    /// position here of the row committed before it under the same hash.
+    earlier: Vec<(u32, Option<u32>)>,
     pending: u64,
 }
 
@@ -367,22 +373,22 @@ impl RowDedup {
             n += 1;
         }
         n.hash(&mut h);
-        let hash = h.finish();
-        self.pending = hash;
-        match self.table.get(&hash) {
-            None => true,
-            Some(candidates) => !candidates
-                .iter()
-                .any(|&i| b.row(i as usize).iter().eq(row.clone())),
+        self.pending = h.finish();
+        let mut at = self.latest.get(&self.pending).copied();
+        while let Some((i, before)) = at.map(|at| self.earlier[at as usize]) {
+            if b.row(i as usize).iter().eq(row.clone()) {
+                return false;
+            }
+            at = before;
         }
+        true
     }
 
     /// Records that the row just probed was pushed at `row_index`.
     pub fn commit(&mut self, row_index: usize) {
-        self.table
-            .entry(self.pending)
-            .or_default()
-            .push(row_index as u32);
+        let at = self.earlier.len() as u32;
+        let before = self.latest.insert(self.pending, at);
+        self.earlier.push((row_index as u32, before));
     }
 }
 

@@ -40,9 +40,15 @@
 //! model's dynamic coercion ([`strudel_graph::Value::coerced_eq`]); joins of
 //! two bound variables and index probes use strict equality (indexes are
 //! exact). Hash probe tables are therefore only built for strict-equality
-//! joins; label comparisons group edges by symbol and compare the distinct
-//! label values with coercion. This is documented behaviour of this
-//! reproduction.
+//! joins. A *bound label* is compared as a symbol: an arc operator resolves
+//! the row's label value to the symbols it stands for under that coercion
+//! once per run of equal values (`LabelSyms`) and compares symbols per
+//! edge. This is documented behaviour of this reproduction.
+//!
+//! Relations are sets: an arc operator emits a row per edge and a
+//! single-label operator a row per distinct `(source, target)` — the graph
+//! is a multigraph — and construction, aggregates and click-time links all
+//! read a relation as a set, so a plan may use either.
 
 use crate::analyze::analyze;
 use crate::ast::*;
@@ -50,7 +56,7 @@ use crate::binding::Bindings;
 use crate::construct::{apply_block, ConstructStats, SkolemTable};
 use crate::error::{Result, StruqlError};
 use crate::optimize::{eligible, multiplier, vars_of, GraphStats, Optimizer};
-use crate::plan::{choose_op, replan_suffix, PhysOp, PhysicalPlan, PlanCache, PlanNode};
+use crate::plan::{choose_op, replan_suffix, validate, PhysOp, PhysicalPlan, PlanCache, PlanNode};
 use crate::pred::PredicateRegistry;
 use crate::rpe::Nfa;
 use std::collections::VecDeque;
@@ -63,10 +69,6 @@ use strudel_obs::{trace, CondProfile, Timer};
 /// Reverse adjacency / probe-table shape: edge target value → the
 /// `(source, label)` pairs of edges arriving at it.
 type RevAdj = FxHashMap<Value, Vec<(Oid, Sym)>>;
-
-/// Row-independent arc-edge matches grouped by (label value, edges),
-/// where each edge carries the target to bind (if any).
-type ArcLabelGroups = Vec<(Value, Vec<(Oid, Option<Value>)>)>;
 
 pub use crate::optimize::Optimizer as OptimizerChoice;
 
@@ -314,7 +316,7 @@ impl Query {
         let arc_vars = arc_vars_of(&analyzed.query);
         let plan =
             opts.plan_cache
-                .get_or_compile(&conds, &FxHashSet::default(), input, opts.optimizer);
+                .get_or_compile(&conds, &FxHashSet::default(), input, opts.optimizer)?;
         ev.eval_conditions(&conds, &plan, Bindings::unit(), &arc_vars)
     }
 
@@ -328,9 +330,9 @@ impl Query {
             input: &Graph,
             opts: &EvalOptions,
             out: &mut String,
-        ) {
+        ) -> Result<()> {
             if !block.where_.is_empty() {
-                let p = PhysicalPlan::compile(&block.where_, bound, input, opts.optimizer);
+                let p = PhysicalPlan::compile(&block.where_, bound, input, opts.optimizer)?;
                 out.push_str(&format!("{}:\n{}", block.id, p.describe(&block.where_)));
             }
             let mut child_bound = bound.clone();
@@ -340,8 +342,9 @@ impl Query {
                 }
             }
             for child in &block.children {
-                walk(child, &child_bound, input, opts, out);
+                walk(child, &child_bound, input, opts, out)?;
             }
+            Ok(())
         }
         let analyzed = analyze(self, &opts.predicates)?;
         let mut out = String::new();
@@ -351,7 +354,7 @@ impl Query {
             input,
             opts,
             &mut out,
-        );
+        )?;
         Ok(out)
     }
 }
@@ -403,7 +406,39 @@ pub fn evaluate_conditions(
     start: Bindings,
     opts: &EvalOptions,
 ) -> Result<Bindings> {
-    let mut ev = Ev::new(input, opts);
+    let bound: FxHashSet<&str> = start.vars().iter().map(String::as_str).collect();
+    let plan = opts
+        .plan_cache
+        .get_or_compile(conds, &bound, input, opts.optimizer)?;
+    run_plan(conds, &plan, input, start, opts)
+}
+
+/// Executes `plan` over `conds` from `start`, after validating it against
+/// `start`'s schema ([`crate::plan::validate`]): the entry point for a plan
+/// the caller put together itself — a prefix of a compiled plan, the same
+/// conjunction on a different operator.
+pub fn execute_plan(
+    conds: &[Condition],
+    plan: &PhysicalPlan,
+    input: &Graph,
+    start: Bindings,
+    opts: &EvalOptions,
+) -> Result<Bindings> {
+    validate(
+        &plan.nodes,
+        conds,
+        &start.vars().iter().map(String::as_str).collect(),
+    )?;
+    run_plan(conds, plan, input, start, opts)
+}
+
+fn run_plan(
+    conds: &[Condition],
+    plan: &PhysicalPlan,
+    input: &Graph,
+    start: Bindings,
+    opts: &EvalOptions,
+) -> Result<Bindings> {
     let mut arc_vars = FxHashSet::default();
     for cond in conds {
         if let Condition::Edge {
@@ -414,11 +449,7 @@ pub fn evaluate_conditions(
             arc_vars.insert(v.clone());
         }
     }
-    let bound: FxHashSet<&str> = start.vars().iter().map(String::as_str).collect();
-    let plan = opts
-        .plan_cache
-        .get_or_compile(conds, &bound, input, opts.optimizer);
-    ev.eval_conditions(conds, &plan, start, &arc_vars)
+    Ev::new(input, opts).eval_conditions(conds, plan, start, &arc_vars)
 }
 
 /// The set of arc variables of a query (variables appearing in arc position
@@ -590,7 +621,7 @@ impl<'g> Ev<'g> {
                 &bound,
                 self.graph,
                 self.opts.optimizer,
-            );
+            )?;
             let profiled_from = self.stats.profile.len();
             let t = Timer::start();
             let bindings = self.eval_conditions(&block.where_, &p, parent.clone(), arc_vars)?;
@@ -655,6 +686,9 @@ impl<'g> Ev<'g> {
         if self.opts.explain {
             self.last_exec.clear();
         }
+        // Every operator appends to its input's columns, so the start schema
+        // stays the first columns of the live relation.
+        let start_width = start.width();
         let mut b = start;
         let mut replans = 0u32;
         let mut k = 0;
@@ -676,7 +710,7 @@ impl<'g> Ev<'g> {
                 let before = self.opts.path_cache.stats();
                 let t = Timer::start();
                 self.strategy = "";
-                b = self.execute_op(node.op, cond, b, arc_vars)?;
+                b = self.execute_op(node.op, node.label.as_deref(), cond, b, arc_vars)?;
                 let elapsed_us = t.elapsed_us();
                 let after = self.opts.path_cache.stats();
                 self.stats.profile.push(CondProfile {
@@ -690,7 +724,7 @@ impl<'g> Ev<'g> {
                     cache_misses: after.misses.saturating_sub(before.misses),
                 });
             } else {
-                b = self.execute_op(node.op, cond, b, arc_vars)?;
+                b = self.execute_op(node.op, node.label.as_deref(), cond, b, arc_vars)?;
             }
             tspan.attr_u64("obs_rows", b.len() as u64);
             drop(tspan);
@@ -730,8 +764,10 @@ impl<'g> Ev<'g> {
                 let measured = self.sample_multipliers(conds, &remaining, &b, arc_vars);
                 if !measured.is_empty() {
                     let bound: FxHashSet<&str> = b.vars().iter().map(String::as_str).collect();
-                    let suffix =
-                        replan_suffix(conds, &remaining, &bound, self.graph, observed, &measured);
+                    let start = b.vars()[..start_width].iter().map(String::as_str).collect();
+                    let suffix = replan_suffix(
+                        conds, &remaining, &start, &bound, self.graph, observed, &measured,
+                    );
                     nodes.truncate(k + 1);
                     nodes.extend(suffix);
                     self.stats.plan_replans += 1;
@@ -776,11 +812,14 @@ impl<'g> Ev<'g> {
             if !eligible(cond, &bound, &rem_refs) {
                 continue;
             }
-            let (static_mult, _) = multiplier(cond, &bound, self.graph, &stats);
+            let (static_mult, _) = multiplier(cond, None, &bound, self.graph, &stats);
             if static_mult * n as f64 > SAMPLE_OUT_BUDGET {
                 continue;
             }
-            if let Ok(out) = self.apply(cond, sample.clone(), arc_vars) {
+            // The operator the sample's own schema asks for: compiling a
+            // plan for one application would cost more than it saves.
+            let op = choose_op(cond, false, &|v| sample.is_bound(v), stats.indexed);
+            if let Ok(out) = self.execute_op(op, None, cond, sample.clone(), arc_vars) {
                 measured.insert(i, (out.len() as f64 / n as f64).max(1e-6));
             }
         }
@@ -791,10 +830,12 @@ impl<'g> Ev<'g> {
 
     /// Executes one plan node's operator. This is the single dispatch point:
     /// the strategy tag is set from the operator (nowhere else), and both the
-    /// plan-driven path and the boundness-driven [`Ev::apply`] go through it.
+    /// plan-driven path and adaptive sampling go through it. `known`: the
+    /// label the plan knows the condition's arc variable to carry.
     fn execute_op(
         &mut self,
         op: PhysOp,
+        known: Option<&str>,
         cond: &Condition,
         input: Bindings,
         arc_vars: &FxHashSet<String>,
@@ -833,66 +874,59 @@ impl<'g> Ev<'g> {
                 }
                 _ => Err(mismatch()),
             },
-            Condition::Edge { from, step, to, .. } => match (op, step) {
-                (PhysOp::NegEdgeSemijoin, PathStep::ArcVar(l)) => {
-                    self.neg_edge_semijoin(from, l, to, input, arc_vars)
+            Condition::Edge { from, step, to, .. } => {
+                // The one label a single-label operator follows: the step's
+                // own, or the one the plan knows the arc variable carries.
+                let name = match step {
+                    PathStep::Rpe(Rpe::Label(name)) => Some(name.as_str()),
+                    PathStep::ArcVar(_) => known,
+                    _ => None,
+                };
+                match (op, step, name) {
+                    (PhysOp::NegEdgeSemijoin, PathStep::ArcVar(l), _) => {
+                        self.neg_edge_semijoin(from, l, to, input, arc_vars)
+                    }
+                    (PhysOp::ArcForward, PathStep::ArcVar(l), _) => {
+                        self.arc_edge_forward(from, l, to, input)
+                    }
+                    (PhysOp::ArcReverseIndex, PathStep::ArcVar(l), _) => {
+                        self.arc_edge_backward(from, l, to, input)
+                    }
+                    (PhysOp::ArcHashJoin | PhysOp::ArcScan, PathStep::ArcVar(l), _) => {
+                        self.arc_edge_scan(from, l, to, input)
+                    }
+                    (PhysOp::NegLabelSemijoin, PathStep::Rpe(_), Some(name)) => {
+                        self.neg_label_semijoin(name, from, to, input, arc_vars)
+                    }
+                    (PhysOp::LabelForward | PhysOp::LabelSemijoin, _, Some(name)) => {
+                        self.label_from_bound(name, from, to, input)
+                    }
+                    (PhysOp::LabelReverseIndex | PhysOp::LabelHashJoin, _, Some(name)) => {
+                        self.label_to_bound(name, from, to, input)
+                    }
+                    (PhysOp::LabelScan, _, Some(name)) => self.label_scan(name, from, to, input),
+                    (PhysOp::NegRpeSemijoin, PathStep::Rpe(rpe), _) => {
+                        self.neg_rpe_semijoin(rpe, from, to, input, arc_vars)
+                    }
+                    (PhysOp::RpeForward, PathStep::Rpe(rpe), _) => {
+                        let nfa = self.compiled_nfa(rpe);
+                        self.rpe_from_bound(&nfa, from, to, input)
+                    }
+                    (PhysOp::RpeReverse, PathStep::Rpe(rpe), _) => {
+                        let nfa = self.compiled_nfa(rpe);
+                        self.rpe_to_bound(&nfa, from, to, input)
+                    }
+                    (PhysOp::RpeScan, PathStep::Rpe(rpe), _) => {
+                        let nfa = self.compiled_nfa(rpe);
+                        self.rpe_both_unbound(&nfa, from, to, input)
+                    }
+                    (PhysOp::BareEdge, PathStep::Bare(name), _) => Err(StruqlError::eval(format!(
+                        "unresolved bare path step `{name}` (query was not analyzed)"
+                    ))),
+                    _ => Err(mismatch()),
                 }
-                (PhysOp::ArcForward, PathStep::ArcVar(l)) => {
-                    self.arc_edge_forward(from, l, to, input)
-                }
-                (PhysOp::ArcReverseIndex, PathStep::ArcVar(l)) => {
-                    self.arc_edge_backward(from, l, to, input)
-                }
-                (PhysOp::ArcHashJoin | PhysOp::ArcScan, PathStep::ArcVar(l)) => {
-                    self.arc_edge_scan(from, l, to, input)
-                }
-                (PhysOp::NegLabelSemijoin, PathStep::Rpe(Rpe::Label(name))) => {
-                    self.neg_label_semijoin(name, from, to, input, arc_vars)
-                }
-                (PhysOp::LabelForward | PhysOp::LabelSemijoin, PathStep::Rpe(Rpe::Label(name))) => {
-                    self.label_from_bound(name, from, to, input)
-                }
-                (
-                    PhysOp::LabelReverseIndex | PhysOp::LabelHashJoin,
-                    PathStep::Rpe(Rpe::Label(name)),
-                ) => self.label_to_bound(name, from, to, input),
-                (PhysOp::LabelScan, PathStep::Rpe(Rpe::Label(name))) => {
-                    self.label_scan(name, from, to, input)
-                }
-                (PhysOp::NegRpeSemijoin, PathStep::Rpe(rpe)) => {
-                    self.neg_rpe_semijoin(rpe, from, to, input, arc_vars)
-                }
-                (PhysOp::RpeForward, PathStep::Rpe(rpe)) => {
-                    let nfa = self.compiled_nfa(rpe);
-                    self.rpe_from_bound(&nfa, from, to, input)
-                }
-                (PhysOp::RpeReverse, PathStep::Rpe(rpe)) => {
-                    let nfa = self.compiled_nfa(rpe);
-                    self.rpe_to_bound(&nfa, from, to, input)
-                }
-                (PhysOp::RpeScan, PathStep::Rpe(rpe)) => {
-                    let nfa = self.compiled_nfa(rpe);
-                    self.rpe_both_unbound(&nfa, from, to, input)
-                }
-                (PhysOp::BareEdge, PathStep::Bare(name)) => Err(StruqlError::eval(format!(
-                    "unresolved bare path step `{name}` (query was not analyzed)"
-                ))),
-                _ => Err(mismatch()),
-            },
+            }
         }
-    }
-
-    /// Chooses the operator from the *runtime* schema and executes it — the
-    /// pre-compiled-plan dispatch, kept for one-off applications (adaptive
-    /// sampling) where compiling a plan would cost more than it saves.
-    fn apply(
-        &mut self,
-        cond: &Condition,
-        input: Bindings,
-        arc_vars: &FxHashSet<String>,
-    ) -> Result<Bindings> {
-        let op = choose_op(cond, &|v| input.is_bound(v), self.graph.is_indexed());
-        self.execute_op(op, cond, input, arc_vars)
     }
 
     /// Active-domain values for a variable: all labels if it is an arc
@@ -1020,12 +1054,7 @@ impl<'g> Ev<'g> {
             Term::Var(v) => Err(StruqlError::eval(format!(
                 "collection const got variable `{v}`"
             ))),
-            Term::Skolem(s) => Err(StruqlError::eval(format!(
-                "Skolem term `{s}` cannot appear in WHERE"
-            ))),
-            Term::Agg(f, v) => Err(StruqlError::eval(format!(
-                "aggregate `{f}({v})` cannot appear in WHERE"
-            ))),
+            other => Err(not_a_where_term(other)),
         }
     }
 
@@ -1060,14 +1089,8 @@ impl<'g> Ev<'g> {
         input: Bindings,
         arc_vars: &FxHashSet<String>,
     ) -> Result<Bindings> {
-        let mut need: Vec<&str> = Vec::new();
-        for t in [lhs, rhs] {
-            if let Term::Var(v) = t {
-                if !input.is_bound(v) {
-                    need.push(v);
-                }
-            }
-        }
+        // (`expand_active` passes over the variables that are bound.)
+        let need: Vec<&str> = [lhs, rhs].into_iter().filter_map(Term::as_var).collect();
         let mut b = self.expand_active(input, &need, arc_vars)?;
         let ls = TermSlot::of(&b, lhs)?;
         let rs = TermSlot::of(&b, rhs)?;
@@ -1158,31 +1181,23 @@ impl<'g> Ev<'g> {
         input: Bindings,
         arc_vars: &FxHashSet<String>,
     ) -> Result<Bindings> {
-        let mut need: Vec<&str> = Vec::new();
-        for t in [from, to] {
-            if let Term::Var(v) = t {
-                if !input.is_bound(v) {
-                    need.push(v);
-                }
-            }
-        }
-        if !input.is_bound(l) {
-            need.push(l);
-        }
+        let need: Vec<&str> = [from.as_var(), to.as_var(), Some(l)]
+            .into_iter()
+            .flatten()
+            .collect();
         let mut b = self.expand_active(input, &need, arc_vars)?;
         let reader = self.graph.reader();
         let fs = TermSlot::of(&b, from)?;
         let ts = TermSlot::of(&b, to)?;
         let l_col = b.col(l).expect("expanded");
-        let mut labels = LabelCache::default();
+        let mut syms = LabelSyms::default();
         b.retain_rows(|row| {
-            !self.edge_exists(
-                &reader,
-                &mut labels,
-                fs.value(row),
-                Some(&row[l_col]),
-                ts.value(row),
-            )
+            let Some(n) = fs.value(row).as_node() else {
+                return true;
+            };
+            let (want, to) = (syms.of(&reader, &row[l_col]), ts.value(row));
+            let mut out = reader.out(n).iter();
+            !out.any(|(sym, target)| want.contains(sym) && target == to)
         });
         Ok(b)
     }
@@ -1211,15 +1226,15 @@ impl<'g> Ev<'g> {
         let reader = self.graph.reader();
         let emit_target = to_unbound_var.is_some();
         let mut labels = LabelCache::default();
+        let mut syms = LabelSyms::default();
         for row in input.rows() {
             let Some(n) = fs.value(row).as_node() else {
                 continue;
             };
+            let want = l_col.map(|c| syms.of(&reader, &row[c]));
             for (sym, target) in reader.out(n) {
-                if let Some(c) = l_col {
-                    if !labels.get(self.graph, *sym).coerced_eq(&row[c]) {
-                        continue;
-                    }
+                if want.is_some_and(|w| !w.contains(sym)) {
+                    continue;
                 }
                 match &to_mode {
                     ToMode::Unbound => {}
@@ -1266,18 +1281,20 @@ impl<'g> Ev<'g> {
             out.add_var(l);
         }
         out.add_var(from_var);
+        let reader = self.graph.reader();
         let mut labels = LabelCache::default();
+        let mut syms = LabelSyms::default();
         for row in input.rows() {
             let incoming: &[(Oid, Sym)] = match ts.value(row) {
                 Value::Node(n) => idx.edges_to_node(*n),
                 atomic => idx.edges_to_value(atomic),
             };
+            let want = l_col.map(|c| syms.of(&reader, &row[c]));
             for (src, sym) in incoming {
-                if let Some(c) = l_col {
-                    if !labels.get(self.graph, *sym).coerced_eq(&row[c]) {
-                        continue;
+                if let Some(want) = want {
+                    if want.contains(sym) {
+                        out.push_row_extend(row, [Value::Node(*src)]);
                     }
-                    out.push_row_extend(row, [Value::Node(*src)]);
                 } else {
                     out.push_row_extend(
                         row,
@@ -1302,21 +1319,7 @@ impl<'g> Ev<'g> {
     ) -> Result<Bindings> {
         let from_var = from.as_var().expect("from is an unbound var here");
         let l_col = input.col(l);
-        let to_state = match to {
-            Term::Var(v) if !input.is_bound(v) => ToState::Unbound(v.as_str()),
-            Term::Var(v) => ToState::BoundVar(v.as_str()),
-            Term::Lit(lit) => ToState::Lit(lit.to_value()),
-            Term::Skolem(s) => {
-                return Err(StruqlError::eval(format!(
-                    "Skolem term `{s}` cannot appear in WHERE"
-                )))
-            }
-            Term::Agg(f, v) => {
-                return Err(StruqlError::eval(format!(
-                    "aggregate `{f}({v})` cannot appear in WHERE"
-                )))
-            }
-        };
+        let to_state = ToState::of(&input, to)?;
         // `x -> l -> x` with one unbound variable on both ends binds it to
         // self-loop sources only, in a single column.
         let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
@@ -1332,6 +1335,7 @@ impl<'g> Ev<'g> {
         }
         let reader = self.graph.reader();
         let mut labels = LabelCache::default();
+        let mut syms = LabelSyms::default();
         if let ToState::BoundVar(v) = &to_state {
             // Hash join: joins of two bound variables use strict equality,
             // so a probe table keyed by edge target is exact. The probe
@@ -1347,12 +1351,12 @@ impl<'g> Ev<'g> {
                 let Some(candidates) = by_target.get(&row[tcol]) else {
                     continue;
                 };
+                let want = l_col.map(|c| syms.of(&reader, &row[c]));
                 for (n, sym) in candidates {
-                    if let Some(c) = l_col {
-                        if !labels.get(self.graph, *sym).coerced_eq(&row[c]) {
-                            continue;
+                    if let Some(want) = want {
+                        if want.contains(sym) {
+                            out.push_row_extend(row, [Value::Node(*n)]);
                         }
-                        out.push_row_extend(row, [Value::Node(*n)]);
                     } else {
                         out.push_row_extend(
                             row,
@@ -1369,40 +1373,38 @@ impl<'g> Ev<'g> {
             _ => None,
         };
         let emit_target = !same_var && matches!(to_state, ToState::Unbound(_));
-        let mut matches: Vec<(Oid, Sym, Option<Value>)> = Vec::new();
+        // Under a bound label only the symbols some row's label stands for
+        // are kept, grouped by symbol as the rows will ask for them.
+        let mut by_label: FxHashMap<Sym, Vec<(Oid, Option<&Value>)>> = FxHashMap::default();
+        if let Some(c) = l_col {
+            for row in input.rows() {
+                for sym in syms.of(&reader, &row[c]) {
+                    by_label.entry(*sym).or_default();
+                }
+            }
+        }
+        let mut matches: Vec<(Oid, Sym, Option<&Value>)> = Vec::new();
         for &n in self.graph.nodes() {
             for (sym, target) in reader.out(n) {
-                if let Some(lv) = lit {
-                    if !lv.coerced_eq(target) {
-                        continue;
-                    }
-                }
-                if same_var && *target != Value::Node(n) {
+                if lit.is_some_and(|lv| !lv.coerced_eq(target))
+                    || (same_var && *target != Value::Node(n))
+                {
                     continue;
                 }
-                matches.push((n, *sym, emit_target.then(|| target.clone())));
+                let tv = emit_target.then_some(target);
+                match by_label.get_mut(sym) {
+                    Some(group) => group.push((n, tv)),
+                    None if l_col.is_none() => matches.push((n, *sym, tv)),
+                    None => {}
+                }
             }
         }
         if let Some(c) = l_col {
-            // Group matches by label symbol and compare each row's bound
-            // label against the distinct label values (coerced, as literal
-            // label comparisons are).
-            let mut by_label: FxHashMap<Sym, Vec<(Oid, Option<Value>)>> = FxHashMap::default();
-            for (n, sym, tv) in matches {
-                by_label.entry(sym).or_default().push((n, tv));
-            }
-            let groups: ArcLabelGroups = by_label
-                .into_iter()
-                .map(|(sym, es)| (labels.get(self.graph, sym).clone(), es))
-                .collect();
             for row in input.rows() {
-                for (lv, es) in &groups {
-                    if !lv.coerced_eq(&row[c]) {
-                        continue;
-                    }
-                    for (n, tv) in es {
+                for sym in syms.of(&reader, &row[c]) {
+                    for (n, tv) in &by_label[sym] {
                         match tv {
-                            Some(t) => out.push_row_extend(row, [Value::Node(*n), t.clone()]),
+                            Some(t) => out.push_row_extend(row, [Value::Node(*n), (*t).clone()]),
                             None => out.push_row_extend(row, [Value::Node(*n)]),
                         }
                     }
@@ -1414,35 +1416,13 @@ impl<'g> Ev<'g> {
                 for (n, sym, tv) in &matches {
                     let lv = labels.get(self.graph, *sym).clone();
                     match tv {
-                        Some(t) => out.push_row_extend(row, [Value::Node(*n), lv, t.clone()]),
+                        Some(t) => out.push_row_extend(row, [Value::Node(*n), lv, (*t).clone()]),
                         None => out.push_row_extend(row, [Value::Node(*n), lv]),
                     }
                 }
             }
         }
         Ok(out)
-    }
-
-    /// Whether an edge `from --l?--> to` exists (all values known).
-    fn edge_exists(
-        &self,
-        reader: &GraphReader<'_>,
-        labels: &mut LabelCache,
-        from: &Value,
-        label: Option<&Value>,
-        to: &Value,
-    ) -> bool {
-        let Some(n) = from.as_node() else {
-            return false;
-        };
-        reader.out(n).iter().any(|(sym, target)| {
-            if let Some(lv) = label {
-                if !labels.get(self.graph, *sym).coerced_eq(lv) {
-                    return false;
-                }
-            }
-            target == to
-        })
     }
 
     /// Negated `from -> R -> to`: anti-semijoin over memoized reachability
@@ -1456,14 +1436,7 @@ impl<'g> Ev<'g> {
         arc_vars: &FxHashSet<String>,
     ) -> Result<Bindings> {
         let nfa = self.compiled_nfa(rpe);
-        let mut need: Vec<&str> = Vec::new();
-        for t in [from, to] {
-            if let Term::Var(v) = t {
-                if !input.is_bound(v) {
-                    need.push(v);
-                }
-            }
-        }
+        let need: Vec<&str> = [from, to].into_iter().filter_map(Term::as_var).collect();
         let mut b = self.expand_active(input, &need, arc_vars)?;
         let reader = self.graph.reader();
         let fs = TermSlot::of(&b, from)?;
@@ -1488,14 +1461,7 @@ impl<'g> Ev<'g> {
     ) -> Result<Bindings> {
         let want = self.graph.universe().interner().get(name);
         let reader = self.graph.reader();
-        let mut need: Vec<&str> = Vec::new();
-        for t in [from, to] {
-            if let Term::Var(v) = t {
-                if !input.is_bound(v) {
-                    need.push(v);
-                }
-            }
-        }
+        let need: Vec<&str> = [from, to].into_iter().filter_map(Term::as_var).collect();
         let mut b = self.expand_active(input, &need, arc_vars)?;
         let fs = TermSlot::of(&b, from)?;
         let ts = TermSlot::of(&b, to)?;
@@ -1528,61 +1494,42 @@ impl<'g> Ev<'g> {
     ) -> Result<Bindings> {
         let want = self.graph.universe().interner().get(name);
         let reader = self.graph.reader();
-        {
-            let fs = TermSlot::of(&input, from)?;
-            let to_mode = ToMode::of(&input, to)?;
-            match to_mode {
-                ToMode::Unbound => {
-                    let to_var = to.as_var().expect("unbound to is a var");
-                    let mut out = Bindings::with_vars(input.vars().to_vec());
-                    out.add_var(to_var);
-                    let Some(w) = want else { return Ok(out) };
-                    let mut emitted: Vec<&Value> = Vec::new();
-                    for row in input.rows() {
-                        let Some(n) = fs.value(row).as_node() else {
-                            continue;
-                        };
-                        emitted.clear();
-                        for (sym, target) in reader.out(n) {
-                            if *sym != w || emitted.contains(&target) {
-                                continue;
-                            }
-                            emitted.push(target);
-                            out.push_row_extend(row, [target.clone()]);
-                        }
+        let fs = TermSlot::of(&input, from)?;
+        let to_mode = ToMode::of(&input, to)?;
+        if let ToMode::Unbound = to_mode {
+            let to_var = to.as_var().expect("unbound to is a var");
+            let mut out = Bindings::with_vars(input.vars().to_vec());
+            out.add_var(to_var);
+            let Some(w) = want else { return Ok(out) };
+            let mut emitted: Seen<&Value> = Seen::new();
+            for row in input.rows() {
+                let Some(n) = fs.value(row).as_node() else {
+                    continue;
+                };
+                emitted.clear();
+                for (sym, target) in reader.out(n) {
+                    if *sym == w && emitted.first(target) {
+                        out.push_row_extend(row, [target.clone()]);
                     }
-                    Ok(out)
-                }
-                ToMode::BoundCol(c) => {
-                    let mut input = input;
-                    input.retain_rows(|row| {
-                        let Some(w) = want else { return false };
-                        let Some(n) = fs.value(row).as_node() else {
-                            return false;
-                        };
-                        reader
-                            .out(n)
-                            .iter()
-                            .any(|(sym, target)| *sym == w && target == &row[c])
-                    });
-                    Ok(input)
-                }
-                ToMode::Lit(lv) => {
-                    let mut input = input;
-                    input.retain_rows(|row| {
-                        let Some(w) = want else { return false };
-                        let Some(n) = fs.value(row).as_node() else {
-                            return false;
-                        };
-                        reader
-                            .out(n)
-                            .iter()
-                            .any(|(sym, target)| *sym == w && lv.coerced_eq(target))
-                    });
-                    Ok(input)
                 }
             }
+            return Ok(out);
         }
+        let mut input = input;
+        input.retain_rows(|row| {
+            let (Some(w), Some(n)) = (want, fs.value(row).as_node()) else {
+                return false;
+            };
+            reader.out(n).iter().any(|(sym, target)| {
+                *sym == w
+                    && match &to_mode {
+                        ToMode::BoundCol(c) => target == &row[*c],
+                        ToMode::Lit(lv) => lv.coerced_eq(target),
+                        ToMode::Unbound => unreachable!("expanded above"),
+                    }
+            })
+        });
+        Ok(input)
     }
 
     /// `from -> "label" -> to` with `from` unbound onto a bound target:
@@ -1600,25 +1547,21 @@ impl<'g> Ev<'g> {
     ) -> Result<Bindings> {
         let want = self.graph.universe().interner().get(name);
         let from_var = from.as_var().expect("unbound from");
-        {
-            let adj = self.reverse_adjacency();
-            let ts = TermSlot::of(&input, to)?;
-            let mut out = Bindings::with_vars(input.vars().to_vec());
-            out.add_var(from_var);
-            let Some(w) = want else { return Ok(out) };
-            let mut emitted: Vec<Oid> = Vec::new();
-            for row in input.rows() {
-                emitted.clear();
-                for (src, sym) in adj.incoming(ts.value(row)) {
-                    if *sym != w || emitted.contains(src) {
-                        continue;
-                    }
-                    emitted.push(*src);
+        let adj = self.reverse_adjacency();
+        let ts = TermSlot::of(&input, to)?;
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(from_var);
+        let Some(w) = want else { return Ok(out) };
+        let mut emitted: Seen<Oid> = Seen::new();
+        for row in input.rows() {
+            emitted.clear();
+            for (src, sym) in adj.incoming(ts.value(row)) {
+                if *sym == w && emitted.first(*src) {
                     out.push_row_extend(row, [Value::Node(*src)]);
                 }
             }
-            Ok(out)
         }
+        Ok(out)
     }
 
     /// `from -> "label" -> to` with both ends unbound: the label's pair set
@@ -1634,65 +1577,42 @@ impl<'g> Ev<'g> {
         let want = self.graph.universe().interner().get(name);
         let reader = self.graph.reader();
         let from_var = from.as_var().expect("unbound from");
-        {
-            let to_state = match to {
-                Term::Var(v) => ToState::Unbound(v.as_str()),
-                Term::Lit(lit) => ToState::Lit(lit.to_value()),
-                Term::Skolem(s) => {
-                    return Err(StruqlError::eval(format!(
-                        "Skolem term `{s}` cannot appear in WHERE"
-                    )))
-                }
-                Term::Agg(f, v) => {
-                    return Err(StruqlError::eval(format!(
-                        "aggregate `{f}({v})` cannot appear in WHERE"
-                    )))
-                }
-            };
-            // `x -> l -> x` with one unbound variable on both ends
-            // binds it to self-loop sources only, in a single column.
-            let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
-            let mut out = Bindings::with_vars(input.vars().to_vec());
-            out.add_var(from_var);
-            if !same_var {
-                if let ToState::Unbound(v) = to_state {
-                    out.add_var(v);
-                }
-            }
-            let Some(w) = want else { return Ok(out) };
-            let mut pairs: Vec<(Oid, Value)> = Vec::new();
-            let mut emitted: Vec<&Value> = Vec::new();
-            for &n in self.graph.nodes() {
-                emitted.clear();
-                for (sym, target) in reader.out(n) {
-                    if *sym != w || emitted.contains(&target) {
-                        continue;
-                    }
-                    emitted.push(target);
-                    if let ToState::Lit(lv) = &to_state {
-                        if !lv.coerced_eq(target) {
-                            continue;
-                        }
-                    }
-                    if same_var && *target != Value::Node(n) {
-                        continue;
-                    }
-                    pairs.push((n, target.clone()));
-                }
-            }
-            let emit_target = !same_var && matches!(to_state, ToState::Unbound(_));
-            out.reserve_rows(input.len().saturating_mul(pairs.len()));
-            for row in input.rows() {
-                for (n, t) in &pairs {
-                    if emit_target {
-                        out.push_row_extend(row, [Value::Node(*n), t.clone()]);
-                    } else {
-                        out.push_row_extend(row, [Value::Node(*n)]);
-                    }
-                }
-            }
-            Ok(out)
+        let to_state = ToState::of(&input, to)?;
+        // `x -> l -> x` with one unbound variable on both ends binds it to
+        // self-loop sources only, in a single column.
+        let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
+        let emit_target = !same_var && matches!(to_state, ToState::Unbound(_));
+        let mut out = Bindings::with_vars(input.vars().to_vec());
+        out.add_var(from_var);
+        if let (true, ToState::Unbound(v)) = (emit_target, &to_state) {
+            out.add_var(v);
         }
+        let Some(w) = want else { return Ok(out) };
+        let mut pairs: Vec<(Oid, &Value)> = Vec::new();
+        let mut emitted: Seen<&Value> = Seen::new();
+        for &n in self.graph.nodes() {
+            emitted.clear();
+            for (sym, target) in reader.out(n) {
+                let kept = *sym == w
+                    && emitted.first(target)
+                    && !matches!(&to_state, ToState::Lit(lv) if !lv.coerced_eq(target))
+                    && (!same_var || *target == Value::Node(n));
+                if kept {
+                    pairs.push((n, target));
+                }
+            }
+        }
+        out.reserve_rows(input.len().saturating_mul(pairs.len()));
+        for row in input.rows() {
+            for &(n, t) in &pairs {
+                if emit_target {
+                    out.push_row_extend(row, [Value::Node(n), t.clone()]);
+                } else {
+                    out.push_row_extend(row, [Value::Node(n)]);
+                }
+            }
+        }
+        Ok(out)
     }
 
     fn rpe_from_bound(
@@ -1788,20 +1708,7 @@ impl<'g> Ev<'g> {
         input: Bindings,
     ) -> Result<Bindings> {
         let from_var = from.as_var().expect("unbound from");
-        let to_state = match to {
-            Term::Var(v) => ToState::Unbound(v.as_str()),
-            Term::Lit(lit) => ToState::Lit(lit.to_value()),
-            Term::Skolem(s) => {
-                return Err(StruqlError::eval(format!(
-                    "Skolem term `{s}` cannot appear in WHERE"
-                )))
-            }
-            Term::Agg(f, v) => {
-                return Err(StruqlError::eval(format!(
-                    "aggregate `{f}({v})` cannot appear in WHERE"
-                )))
-            }
-        };
+        let to_state = ToState::of(&input, to)?;
         // `x -> rpe -> x` with one unbound variable on both ends binds it
         // to cyclic sources only, in a single column.
         let same_var = matches!(&to_state, ToState::Unbound(v) if *v == from_var);
@@ -1961,12 +1868,7 @@ impl TermSlot {
         match term {
             Term::Var(v) => Ok(TermSlot::Col(b.col(v).expect("variable bound by now"))),
             Term::Lit(l) => Ok(TermSlot::Const(l.to_value())),
-            Term::Skolem(s) => Err(StruqlError::eval(format!(
-                "Skolem term `{s}` cannot appear in WHERE"
-            ))),
-            Term::Agg(f, v) => Err(StruqlError::eval(format!(
-                "aggregate `{f}({v})` cannot appear in WHERE"
-            ))),
+            other => Err(not_a_where_term(other)),
         }
     }
 
@@ -1994,12 +1896,7 @@ impl ToMode {
                 None => Ok(ToMode::Unbound),
             },
             Term::Lit(lit) => Ok(ToMode::Lit(lit.to_value())),
-            Term::Skolem(s) => Err(StruqlError::eval(format!(
-                "Skolem term `{s}` cannot appear in WHERE"
-            ))),
-            Term::Agg(f, v) => Err(StruqlError::eval(format!(
-                "aggregate `{f}({v})` cannot appear in WHERE"
-            ))),
+            other => Err(not_a_where_term(other)),
         }
     }
 }
@@ -2017,10 +1914,104 @@ impl LabelCache {
     }
 }
 
+/// The label symbols a *bound* label value stands for under the data
+/// model's coercion (module docs): a text-like value is the one label its
+/// text interns to, or none; a number is every label of the graph that
+/// reads as it (`1997` meets `"1997"` and `"1997.0"`); booleans and nodes
+/// are no label. Asked per row, resolved per run of equal values; nothing
+/// is set up before the first row asks.
+#[derive(Default)]
+struct LabelSyms {
+    asked: Option<Value>,
+    syms: Vec<Sym>,
+}
+
+impl LabelSyms {
+    fn of(&mut self, reader: &GraphReader<'_>, v: &Value) -> &[Sym] {
+        if self.asked.as_ref() != Some(v) {
+            let interner = reader.graph().universe().interner();
+            self.syms.clear();
+            match v {
+                Value::Str(t) | Value::Url(t) | Value::File(_, t) => {
+                    self.syms.extend(interner.get(t))
+                }
+                Value::Int(_) | Value::Float(_) => {
+                    let reads_as = |s: &Sym| Value::Str(interner.resolve(*s)).coerced_eq(v);
+                    self.syms
+                        .extend(reader.labels().into_iter().filter(reads_as))
+                }
+                Value::Bool(_) | Value::Node(_) => {}
+            }
+            self.asked = Some(v.clone());
+        }
+        &self.syms
+    }
+}
+
+/// First-occurrence filter over one node's neighbours (the targets of a
+/// source, the sources of a target): a scanned vector while they are few,
+/// a hash set from the `SPILL`-th on — a hub's fan-in is thousands, and
+/// scanning for each of them is quadratic.
+struct Seen<T> {
+    few: Vec<T>,
+    many: FxHashSet<T>,
+}
+
+impl<T: Copy + Eq + std::hash::Hash> Seen<T> {
+    const SPILL: usize = 16;
+
+    fn new() -> Self {
+        let (few, many) = (Vec::new(), FxHashSet::default());
+        Seen { few, many }
+    }
+
+    fn clear(&mut self) {
+        self.few.clear();
+        if !self.many.is_empty() {
+            self.many.clear();
+        }
+    }
+
+    /// Whether `v` is new since the last [`Seen::clear`].
+    fn first(&mut self, v: T) -> bool {
+        if !self.many.is_empty() {
+            return self.many.insert(v);
+        }
+        if self.few.contains(&v) {
+            return false;
+        }
+        self.few.push(v);
+        if self.few.len() == Self::SPILL {
+            self.many.extend(self.few.drain(..));
+        }
+        true
+    }
+}
+
 enum ToState<'a> {
     Unbound(&'a str),
     BoundVar(&'a str),
     Lit(Value),
+}
+
+impl<'a> ToState<'a> {
+    fn of(b: &Bindings, to: &'a Term) -> Result<ToState<'a>> {
+        match to {
+            Term::Var(v) if b.is_bound(v) => Ok(ToState::BoundVar(v)),
+            Term::Var(v) => Ok(ToState::Unbound(v)),
+            Term::Lit(lit) => Ok(ToState::Lit(lit.to_value())),
+            other => Err(not_a_where_term(other)),
+        }
+    }
+}
+
+/// The error for a Skolem or aggregate term where a condition needs a value.
+fn not_a_where_term(t: &Term) -> StruqlError {
+    let kind = match t {
+        Term::Agg(..) => "aggregate",
+        _ => "Skolem term",
+    };
+    StruqlError::eval(format!("{kind} `{t}` cannot appear in WHERE"))
 }
 
 enum ReverseAdj<'g> {

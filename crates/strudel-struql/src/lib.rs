@@ -76,8 +76,8 @@ pub use binding::Bindings;
 pub use construct::SkolemTable;
 pub use error::{Result, StruqlError};
 pub use eval::{
-    evaluate_conditions, run_on_database, EvalOptions, EvalOutput, EvalStats, PathCache,
-    PathCacheStats,
+    evaluate_conditions, execute_plan, run_on_database, EvalOptions, EvalOutput, EvalStats,
+    PathCache, PathCacheStats,
 };
 pub use optimize::{planner_dp_fallbacks, Optimizer, PLANNER_SIGNALS};
 pub use parse::parse_query;

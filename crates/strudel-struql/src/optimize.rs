@@ -20,11 +20,30 @@
 //! (collection extents, per-label edge counts); without indexes the model
 //! degrades to coarse whole-graph statistics — which is exactly the
 //! index-ablation experiment `A-OPT` measures.
+//!
+//! **A known label is a label** (`KnownLabels`; at click time a page's
+//! conjunction is the parent block's `Articles(a), a -> l -> v` and the nested
+//! block's `l = "section"` in one plan). Once `l = "text"` has run — binding
+//! `l` or filtering it — every value left in the `l` column is text reading
+//! `text`, provided no number compares with `text`; such a value meets
+//! exactly the label `text` ([`Value::coerced_eq`]). A positive edge
+//! condition whose arc variable is `l` is from then on the path
+//! `-> "text" ->`: `multiplier` costs it from that label's cardinality
+//! (the counts only — degree tallies would build the index's extents at plan
+//! time, which leaf pages' plans must not), [`crate::plan::choose_op`]
+//! selects a single-label operator and the plan node carries the label. The
+//! row *set* is the arc operator's (which emits a row per edge where the
+//! label operator emits one per distinct pair); the `l` column stays, bound
+//! by the compare. Left out: a number-like text, because an `l` bound
+//! elsewhere to the number 1997 passes `l = "1997"` and also meets a label
+//! `"1997.0"`; a start-bound `l`, whose values are the caller's; negated
+//! edges. An `l` bound per row but not known (`l IN {…}`, a page argument)
+//! stays on the arc operators, costed at its share of the edges.
 
-use crate::ast::{CmpOp, Condition, PathStep, Rpe, Term};
+use crate::ast::{CmpOp, Condition, Literal, PathStep, Rpe, Term};
 use std::fmt::Write as _;
 use strudel_graph::fxhash::FxHashSet;
-use strudel_graph::Graph;
+use strudel_graph::{Graph, Value};
 use strudel_obs::{Counter, Reading, Signal};
 
 /// How many times the cost-based planner has fallen back to the greedy
@@ -211,11 +230,107 @@ fn rpe_has_star(rpe: &Rpe) -> bool {
     }
 }
 
+/// The `l = "text"` facts of one conjunction (module docs): which of its
+/// arc-variable edge conditions are single-label paths, from which compare on.
+pub(crate) struct KnownLabels<'c> {
+    /// Per condition: the compare that fixes its arc variable, and the label.
+    by_cond: Vec<Option<(usize, &'c str)>>,
+}
+
+impl<'c> KnownLabels<'c> {
+    pub(crate) fn of(conds: &'c [Condition], start: &FxHashSet<&str>) -> Self {
+        let fact = |c: &'c Condition| {
+            let Condition::Compare {
+                lhs,
+                op: CmpOp::Eq,
+                rhs,
+            } = c
+            else {
+                return None;
+            };
+            let ((Term::Var(l), Term::Lit(Literal::Str(t)))
+            | (Term::Lit(Literal::Str(t)), Term::Var(l))) = (lhs, rhs)
+            else {
+                return None;
+            };
+            let numeric = Value::Int(0).coerced_cmp(&Value::str(t)).is_some();
+            (!numeric && !start.contains(l.as_str())).then_some((l.as_str(), t.as_str()))
+        };
+        let facts: Vec<(usize, (&str, &str))> = (conds.iter().enumerate())
+            .filter_map(|(i, c)| Some((i, fact(c)?)))
+            .collect();
+        let by_cond = (conds.iter())
+            .map(|c| match c {
+                Condition::Edge {
+                    step: PathStep::ArcVar(l),
+                    negated: false,
+                    ..
+                } => (facts.iter().find(|(_, (v, _))| v == l)).map(|&(i, (_, t))| (i, t)),
+                _ => None,
+            })
+            .collect();
+        KnownLabels { by_cond }
+    }
+
+    /// The label `conds[i]`'s arc variable is known to carry once the
+    /// conditions `applied` have run.
+    pub(crate) fn label(&self, i: usize, applied: impl Fn(usize) -> bool) -> Option<&'c str> {
+        self.by_cond[i]
+            .filter(|(by, _)| applied(*by))
+            .map(|(_, t)| t)
+    }
+}
+
+/// The multiplier of the single-label path `-> "label" ->`.
+fn label_path(
+    label: &str,
+    degrees: Option<LabelDegrees>,
+    fb: bool,
+    tb: bool,
+    graph: &Graph,
+    stats: &GraphStats,
+) -> (f64, &'static str) {
+    let card = label_card(graph, label).unwrap_or(stats.edges);
+    // Whole-graph fallback when the index can't supply per-label degree
+    // statistics.
+    let uniform = (card / stats.nodes.max(1.0)).max(0.5);
+    match (fb, tb) {
+        (true, true) => (0.3, "edge-probe"),
+        (true, false) => {
+            // Containment assumption: a bound source comes from the label's
+            // source set, so fan-out is the average out-degree among
+            // labeled sources.
+            let m = degrees.map(|d| d.out_degree).unwrap_or(uniform);
+            (m.max(0.5), "out-scan")
+        }
+        (false, true) => {
+            // Reverse probe: expected rows per bound target is the label's
+            // fan-in — card / distinct targets. A hub target (400 edges onto
+            // 5 section values) returns 80 rows per probe, not
+            // card/nodes ≈ 1. Unindexed, the probe goes to the cached
+            // materialized reverse adjacency.
+            let m = degrees.map(|d| d.fan_in).unwrap_or(uniform);
+            (
+                m.max(0.5),
+                if stats.indexed {
+                    "rev-index"
+                } else {
+                    "hash-join"
+                },
+            )
+        }
+        (false, false) if stats.indexed => (card.max(1.0), "label-index"),
+        (false, false) => (card.max(1.0), "cross-emit"),
+    }
+}
+
 /// Estimated *result multiplier* of applying `cond` when `bound` variables
 /// are already bound: < 1 for filters, the fan-out for binders. Also returns
-/// a short access-method tag for plan explanations.
+/// a short access-method tag for plan explanations. `known` is the label an
+/// arc-variable edge condition is known to carry ([`KnownLabels::label`]).
 pub(crate) fn multiplier(
     cond: &Condition,
+    known: Option<&str>,
     bound: &FxHashSet<&str>,
     graph: &Graph,
     stats: &GraphStats,
@@ -264,58 +379,34 @@ pub(crate) fn multiplier(
             let fb = is_bound(from);
             let tb = is_bound(to);
             match step {
-                PathStep::ArcVar(l) => {
-                    let lb = bound.contains(l.as_str());
-                    match (fb, tb) {
-                        (true, true) => (if lb { 0.3 } else { 1.2 }, "edge-probe"),
-                        (true, false) => (stats.avg_degree().max(1.0), "out-scan"),
-                        (false, true) => {
-                            if stats.indexed {
-                                (stats.avg_degree().max(1.0), "rev-index")
-                            } else {
-                                // Probe table over edge targets, built once.
-                                (stats.avg_degree().max(1.0), "hash-join")
+                PathStep::ArcVar(l) => match known {
+                    // Costed from the counts alone: the degree tallies would
+                    // build the index's extents, which a leaf page's plan
+                    // (`…, l = "related"`) must not start doing.
+                    Some(label) => label_path(label, None, fb, tb, graph, stats),
+                    None => {
+                        // A label bound per row (`l IN {…}`, a page
+                        // argument) keeps its share of the edges.
+                        let lb = bound.contains(l.as_str());
+                        let per = |edges: f64| match lb {
+                            true => (edges / stats.labels.max(1.0)).max(0.5),
+                            false => edges.max(1.0),
+                        };
+                        match (fb, tb) {
+                            (true, true) => (if lb { 0.3 } else { 1.2 }, "edge-probe"),
+                            (true, false) => (per(stats.avg_degree()), "out-scan"),
+                            // Unindexed: a probe table over edge targets,
+                            // built once.
+                            (false, true) if stats.indexed => {
+                                (per(stats.avg_degree()), "rev-index")
                             }
+                            (false, true) => (per(stats.avg_degree()), "hash-join"),
+                            (false, false) => (per(stats.edges), "cross-emit"),
                         }
-                        (false, false) => (stats.edges.max(1.0), "cross-emit"),
                     }
-                }
+                },
                 PathStep::Rpe(Rpe::Label(l)) => {
-                    let card = label_card(graph, l).unwrap_or(stats.edges);
-                    let degrees = GraphStats::label_degrees(graph, l);
-                    // Whole-graph fallback when the index can't supply
-                    // per-label degree statistics.
-                    let uniform = (card / stats.nodes.max(1.0)).max(0.5);
-                    match (fb, tb) {
-                        (true, true) => (0.3, "edge-probe"),
-                        (true, false) => {
-                            // Containment assumption: a bound source comes
-                            // from the label's source set, so fan-out is the
-                            // average out-degree among labeled sources.
-                            let m = degrees.map(|d| d.out_degree).unwrap_or(uniform);
-                            (m.max(0.5), "out-scan")
-                        }
-                        (false, true) => {
-                            // Reverse probe: expected rows per bound target is
-                            // the label's fan-in — card / distinct targets. A
-                            // hub target (400 edges onto 5 section values)
-                            // returns 80 rows per probe, not card/nodes ≈ 1.
-                            let m = degrees.map(|d| d.fan_in).unwrap_or(uniform);
-                            if stats.indexed {
-                                (m.max(0.5), "rev-index")
-                            } else {
-                                // Cached materialized reverse adjacency.
-                                (m.max(0.5), "hash-join")
-                            }
-                        }
-                        (false, false) => {
-                            if stats.indexed {
-                                (card.max(1.0), "label-index")
-                            } else {
-                                (card.max(1.0), "cross-emit")
-                            }
-                        }
-                    }
+                    label_path(l, GraphStats::label_degrees(graph, l), fb, tb, graph, stats)
                 }
                 PathStep::Rpe(rpe) => {
                     let reach = if rpe_has_star(rpe) {
@@ -330,15 +421,10 @@ pub(crate) fn multiplier(
                     match (fb, tb) {
                         (true, true) => (0.5, "path-probe"),
                         (true, false) => (reach, "path-traverse"),
-                        (false, true) => {
-                            if stats.indexed {
-                                (reach, "rev-path-traverse")
-                            } else {
-                                // Memoized backward traversal over the cached
-                                // materialized reverse adjacency.
-                                (reach * 1.5, "rev-path-hash")
-                            }
-                        }
+                        (false, true) if stats.indexed => (reach, "rev-path-traverse"),
+                        // Memoized backward traversal over the cached
+                        // materialized reverse adjacency.
+                        (false, true) => (reach * 1.5, "rev-path-hash"),
                         (false, false) => (stats.nodes.max(1.0) * reach, "path-scan"),
                     }
                 }
@@ -548,14 +634,14 @@ pub fn plan(
     optimizer: Optimizer,
 ) -> Plan {
     match optimizer {
-        Optimizer::Naive => plan_naive(conditions, bound, graph),
-        Optimizer::Heuristic => plan_greedy(conditions, bound, graph),
+        Optimizer::Naive => plan_in_turn(conditions, bound, graph, true),
+        Optimizer::Heuristic => plan_in_turn(conditions, bound, graph, false),
         Optimizer::CostBased => {
             if conditions.len() <= DP_LIMIT {
                 plan_dp(conditions, bound, graph)
             } else {
                 PLANNER_DP_FALLBACKS.inc();
-                let mut p = plan_greedy(conditions, bound, graph);
+                let mut p = plan_in_turn(conditions, bound, graph, false);
                 p.dp_fallback = true;
                 p
             }
@@ -589,8 +675,18 @@ pub(crate) fn pick_next(
         .expect("non-empty pool")
 }
 
-fn plan_naive(conditions: &[Condition], bound: &FxHashSet<&str>, graph: &Graph) -> Plan {
+/// One condition at a time: the next as written (`written`, the naive
+/// plan) or the one with the smallest multiplier (the greedy heuristic) —
+/// never an active-domain expansion before its binders, which is semantics,
+/// not optimization.
+fn plan_in_turn(
+    conditions: &[Condition],
+    bound: &FxHashSet<&str>,
+    graph: &Graph,
+    written: bool,
+) -> Plan {
     let stats = GraphStats::of(graph);
+    let known = KnownLabels::of(conditions, bound);
     let mut bound: FxHashSet<&str> = bound.clone();
     let mut remaining: Vec<usize> = (0..conditions.len()).collect();
     let mut order = Vec::with_capacity(conditions.len());
@@ -599,44 +695,16 @@ fn plan_naive(conditions: &[Condition], bound: &FxHashSet<&str>, graph: &Graph) 
     let mut rows = 1.0f64;
     let mut cost = 0.0f64;
     while !remaining.is_empty() {
-        // Written order, but never schedule an active-domain expansion
-        // before its binders (semantics, not optimization).
-        let i = pick_next(conditions, &remaining, &bound, |i| i as f64);
-        remaining.retain(|&j| j != i);
-        let (m, method) = multiplier(&conditions[i], &bound, graph, &stats);
-        rows *= m;
-        cost += rows;
-        for v in vars_of(&conditions[i]) {
-            bound.insert(v);
-        }
-        order.push(i);
-        methods.push(method);
-        mults.push(m);
-    }
-    Plan {
-        order,
-        methods,
-        mults,
-        est_cost: cost,
-        dp_fallback: false,
-    }
-}
-
-fn plan_greedy(conditions: &[Condition], bound: &FxHashSet<&str>, graph: &Graph) -> Plan {
-    let stats = GraphStats::of(graph);
-    let mut bound: FxHashSet<&str> = bound.clone();
-    let mut remaining: Vec<usize> = (0..conditions.len()).collect();
-    let mut order = Vec::with_capacity(conditions.len());
-    let mut methods = Vec::with_capacity(conditions.len());
-    let mut mults = Vec::with_capacity(conditions.len());
-    let mut rows = 1.0f64;
-    let mut cost = 0.0f64;
-    while !remaining.is_empty() {
-        let i = pick_next(conditions, &remaining, &bound, |i| {
-            multiplier(&conditions[i], &bound, graph, &stats).0
+        let mult = |i: usize| {
+            let label = known.label(i, |j| !remaining.contains(&j));
+            multiplier(&conditions[i], label, &bound, graph, &stats)
+        };
+        let i = pick_next(conditions, &remaining, &bound, |i| match written {
+            true => i as f64,
+            false => mult(i).0,
         });
+        let (m, method) = mult(i);
         remaining.retain(|&j| j != i);
-        let (m, method) = multiplier(&conditions[i], &bound, graph, &stats);
         rows *= m;
         cost += rows;
         for v in vars_of(&conditions[i]) {
@@ -657,6 +725,7 @@ fn plan_greedy(conditions: &[Condition], bound: &FxHashSet<&str>, graph: &Graph)
 
 fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Graph) -> Plan {
     let stats = GraphStats::of(graph);
+    let known = KnownLabels::of(conditions, initial_bound);
     let n = conditions.len();
     if n == 0 {
         return Plan {
@@ -738,7 +807,8 @@ fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Gr
             eligible_next
         };
         for i in next_pool {
-            let (m, _) = multiplier(&conditions[i], &bound, graph, &stats);
+            let label = known.label(i, |j| mask & (1 << j) != 0);
+            let (m, _) = multiplier(&conditions[i], label, &bound, graph, &stats);
             let new_rows = rows * m;
             let new_cost = cost + new_rows;
             let next = mask | (1 << i);
@@ -763,8 +833,9 @@ fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Gr
     let mut bound: FxHashSet<&str> = initial_bound.clone();
     let mut methods = Vec::with_capacity(n);
     let mut mults = Vec::with_capacity(n);
-    for &i in &order {
-        let (m, method) = multiplier(&conditions[i], &bound, graph, &stats);
+    for (k, &i) in order.iter().enumerate() {
+        let label = known.label(i, |j| order[..k].contains(&j));
+        let (m, method) = multiplier(&conditions[i], label, &bound, graph, &stats);
         methods.push(method);
         mults.push(m);
         for v in vars_of(&conditions[i]) {

@@ -31,6 +31,18 @@
 //! delta rules and multi-block builds therefore stop re-planning the same
 //! conjunctions.
 //!
+//! A known label: a node over an arc-variable edge condition whose variable
+//! `l = "text"` has fixed by then (`optimize::KnownLabels`) carries that
+//! label and runs a single-label operator; the catalog is unchanged.
+//!
+//! The validator ([`PlanNode::contract`], [`validate`]): every node states the
+//! variables its operator requires bound and the ones it provides, and the
+//! chain is checked from the start schema — once per
+//! [`PhysicalPlan::compile`] in every build profile (the plan cache amortizes
+//! it), as a debug assertion on every re-planned suffix, and before
+//! [`crate::eval::execute_plan`] runs a plan the compiler did not make. An
+//! operator run on the wrong schema trips an `expect` or widens a row.
+//!
 //! Adaptivity: when an executed node's observed rows-out diverges from its
 //! estimate by more than a configurable factor, the evaluator calls
 //! [`replan_suffix`] with multipliers *measured* on a sample of the live
@@ -39,7 +51,8 @@
 //! is that sampled multipliers replace the estimates that were wrong.
 
 use crate::ast::{CmpOp, Condition, PathStep, Rpe, Term};
-use crate::optimize::{multiplier, pick_next, plan, vars_of, GraphStats, Optimizer};
+use crate::error::{Result, StruqlError};
+use crate::optimize::{multiplier, pick_next, plan, vars_of, GraphStats, KnownLabels, Optimizer};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
@@ -141,7 +154,14 @@ impl PhysOp {
 /// the evaluator's `apply` calls it with runtime boundness, the compiler
 /// calls it with statically tracked boundness, and the two agree because
 /// static tracking mirrors the runtime schema exactly (see module docs).
-pub fn choose_op(cond: &Condition, bound: &dyn Fn(&str) -> bool, indexed: bool) -> PhysOp {
+/// `known`: the condition's arc variable is known to carry one label
+/// (`optimize::KnownLabels`), so the single-label operators apply.
+pub fn choose_op(
+    cond: &Condition,
+    known: bool,
+    bound: &dyn Fn(&str) -> bool,
+    indexed: bool,
+) -> PhysOp {
     // Non-variable terms count as "bound": literals are constants, and
     // Skolem/aggregate terms fail inside the operator with a typed error —
     // the same branch the interpreted dispatch took.
@@ -178,7 +198,7 @@ pub fn choose_op(cond: &Condition, bound: &dyn Fn(&str) -> bool, indexed: bool) 
             to,
             negated,
         } => match step {
-            PathStep::ArcVar(_) => {
+            PathStep::ArcVar(_) if !known => {
                 if *negated {
                     PhysOp::NegEdgeSemijoin
                 } else if term_bound(from) {
@@ -191,7 +211,7 @@ pub fn choose_op(cond: &Condition, bound: &dyn Fn(&str) -> bool, indexed: bool) 
                     PhysOp::ArcScan
                 }
             }
-            PathStep::Rpe(Rpe::Label(_)) => {
+            PathStep::ArcVar(_) | PathStep::Rpe(Rpe::Label(_)) => {
                 if *negated {
                     PhysOp::NegLabelSemijoin
                 } else if term_bound(from) {
@@ -233,6 +253,9 @@ pub struct PlanNode {
     pub cond: usize,
     /// The physical operator chosen at compile time.
     pub op: PhysOp,
+    /// The label the condition's arc variable is known to carry here: the
+    /// node runs a single-label operator over it.
+    pub label: Option<Arc<str>>,
     /// Estimated result multiplier (rows out per row in).
     pub est_mult: f64,
     /// Estimated cumulative rows after this node, from a one-row start.
@@ -263,31 +286,34 @@ impl PhysicalPlan {
         bound: &FxHashSet<&str>,
         graph: &Graph,
         optimizer: Optimizer,
-    ) -> PhysicalPlan {
+    ) -> Result<PhysicalPlan> {
         let p = plan(conds, bound, graph, optimizer);
         let indexed = graph.is_indexed();
+        let known = KnownLabels::of(conds, bound);
         let mut b: FxHashSet<&str> = bound.clone();
         let mut rows = 1.0f64;
         let mut nodes = Vec::with_capacity(p.order.len());
         for (k, &i) in p.order.iter().enumerate() {
-            let op = choose_op(&conds[i], &|v| b.contains(v), indexed);
+            let label = known.label(i, |j| p.order[..k].contains(&j));
+            let op = choose_op(&conds[i], label.is_some(), &|v| b.contains(v), indexed);
             rows *= p.mults[k];
             nodes.push(PlanNode {
                 cond: i,
                 op,
+                label: label.map(Arc::from),
                 est_mult: p.mults[k],
                 est_rows: rows,
             });
-            for v in vars_of(&conds[i]) {
-                b.insert(v);
-            }
+            b.extend(vars_of(&conds[i]));
         }
-        PhysicalPlan {
+        // Once per compile, in release builds too: the plan cache amortizes it.
+        validate(&nodes, conds, bound)?;
+        Ok(PhysicalPlan {
             nodes,
             est_cost: p.est_cost,
             optimizer,
             dp_fallback: p.dp_fallback,
-        }
+        })
     }
 
     /// Renders the plan tree, one node per line with its physical operator
@@ -302,13 +328,11 @@ impl PhysicalPlan {
     pub fn render(&self, conds: &[Condition], observed: &[Option<u64>]) -> String {
         let mut s = String::new();
         for (rank, node) in self.nodes.iter().enumerate() {
-            let _ = write!(
-                s,
-                "  {rank}. [{}] {}  est {:.1} rows",
-                node.op.tag(),
-                conds[node.cond],
-                node.est_rows
-            );
+            let _ = write!(s, "  {rank}. [{}] {}", node.op.tag(), conds[node.cond]);
+            if let Some(label) = &node.label {
+                let _ = write!(s, " as -> {label:?} ->");
+            }
+            let _ = write!(s, "  est {:.1} rows", node.est_rows);
             if let Some(o) = observed.get(rank).copied().flatten() {
                 let _ = write!(s, ", obs {o} rows");
             }
@@ -337,6 +361,7 @@ impl PhysicalPlan {
 pub(crate) fn replan_suffix(
     conds: &[Condition],
     remaining: &[usize],
+    start: &FxHashSet<&str>,
     bound: &FxHashSet<&str>,
     graph: &Graph,
     rows_now: f64,
@@ -344,33 +369,143 @@ pub(crate) fn replan_suffix(
 ) -> Vec<PlanNode> {
     let stats = GraphStats::of(graph);
     let indexed = graph.is_indexed();
+    // The labels known from the plan's own start schema: a compare that has
+    // run keeps its edge condition on the single-label operators here too.
+    let known = KnownLabels::of(conds, start);
+    let live = bound;
     let mut bound: FxHashSet<&str> = bound.clone();
     let mut remaining: Vec<usize> = remaining.to_vec();
     let mut nodes = Vec::with_capacity(remaining.len());
     let mut rows = rows_now.max(1.0);
     while !remaining.is_empty() {
-        let est = |i: usize, bound: &FxHashSet<&str>| {
-            measured
-                .get(&i)
-                .copied()
-                .unwrap_or_else(|| multiplier(&conds[i], bound, graph, &stats).0)
+        let label = |i: usize| known.label(i, |j| !remaining.contains(&j));
+        let est = |i: usize| {
+            (measured.get(&i).copied())
+                .unwrap_or_else(|| multiplier(&conds[i], label(i), &bound, graph, &stats).0)
         };
-        let i = pick_next(conds, &remaining, &bound, |i| est(i, &bound));
+        let i = pick_next(conds, &remaining, &bound, est);
+        let (m, label) = (est(i), label(i));
         remaining.retain(|&j| j != i);
-        let m = est(i, &bound);
-        let op = choose_op(&conds[i], &|v| bound.contains(v), indexed);
+        let op = choose_op(&conds[i], label.is_some(), &|v| bound.contains(v), indexed);
         rows *= m;
         nodes.push(PlanNode {
             cond: i,
             op,
+            label: label.map(Arc::from),
             est_mult: m,
             est_rows: rows,
         });
-        for v in vars_of(&conds[i]) {
-            bound.insert(v);
-        }
+        bound.extend(vars_of(&conds[i]));
     }
+    debug_assert!(
+        validate(&nodes, conds, live).is_ok(),
+        "re-planned suffix is invalid"
+    );
     nodes
+}
+
+/// What a plan node asks of the schema it runs on ([`PlanNode::contract`]).
+#[derive(Debug, Default, PartialEq)]
+pub struct Contract<'c> {
+    /// Variables the operator needs bound on entry.
+    pub require: Vec<&'c str>,
+    /// Variables the operator binds itself, and so must meet unbound.
+    pub provide: Vec<&'c str>,
+}
+
+impl PlanNode {
+    /// The node's contract over `cond` on a schema binding `bound`: what its
+    /// operator requires and what it provides. A variable of `cond` in
+    /// neither list may arrive either way (a filter expands it, an arc
+    /// operator binds or compares it); all of them are bound on exit, which
+    /// is what the planners' static tracking assumes. An operator that does
+    /// not apply to the condition's kind asks nothing here: executing it is
+    /// a typed error, not a trip over a missing column.
+    pub fn contract<'c>(
+        &self,
+        cond: &'c Condition,
+        bound: &dyn Fn(&str) -> bool,
+    ) -> std::result::Result<Contract<'c>, String> {
+        use PhysOp::*;
+        let var_of = |t: &'c Term| {
+            t.as_var()
+                .ok_or_else(|| format!("binds `{t}`, which is not a variable"))
+        };
+        let mut c = Contract::default();
+        match (self.op, cond) {
+            (CollectionSemijoin, Condition::Collection { arg, .. }) => c.require.push(var_of(arg)?),
+            (CollectionScan, Condition::Collection { arg, .. }) => c.provide.push(var_of(arg)?),
+            (CompareBind, Condition::Compare { lhs, rhs, .. }) => {
+                let lhs_free = matches!(lhs, Term::Var(v) if !bound(v));
+                let (free, fixed) = if lhs_free { (lhs, rhs) } else { (rhs, lhs) };
+                c.provide.push(var_of(free)?);
+                c.require.extend(fixed.as_var());
+            }
+            (InSemijoin, Condition::In { var, negated, .. }) if !negated => c.require.push(var),
+            (InExpand, Condition::In { var, .. }) => c.provide.push(var),
+            (op, Condition::Edge { from, step, to, .. }) => {
+                // A single-label operator over an arc variable follows the
+                // label the compare has bound the variable to.
+                if let (Some(_), PathStep::ArcVar(l)) = (&self.label, step) {
+                    c.require.push(l);
+                }
+                match op {
+                    ArcForward | LabelForward | LabelSemijoin | RpeForward => {
+                        c.require.extend(from.as_var())
+                    }
+                    ArcScan => c.provide.push(var_of(from)?),
+                    ArcReverseIndex | ArcHashJoin | LabelReverseIndex | LabelHashJoin
+                    | RpeReverse => {
+                        c.provide.push(var_of(from)?);
+                        c.require.extend(to.as_var());
+                    }
+                    LabelScan | RpeScan => {
+                        c.provide.push(var_of(from)?);
+                        // `x -> "a" -> x` binds its one variable once.
+                        let other = to.as_var().filter(|t| Some(*t) != from.as_var());
+                        c.provide.extend(other);
+                    }
+                    // The negated forms expand whatever they meet unbound.
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+        Ok(c)
+    }
+}
+
+/// The plan validator: walks a node chain from the schema it starts on and
+/// checks every node's [`Contract`] — what it requires is bound, what it
+/// provides is not — binding each condition's variables after it, as the
+/// planners' static tracking and the evaluator's relation both do. Returns
+/// the variables bound after the last node.
+pub fn validate<'c>(
+    nodes: &[PlanNode],
+    conds: &'c [Condition],
+    start: &FxHashSet<&'c str>,
+) -> Result<FxHashSet<&'c str>> {
+    let mut bound = start.clone();
+    for (rank, node) in nodes.iter().enumerate() {
+        let cond = &conds[node.cond];
+        let checked = node.contract(cond, &|v| bound.contains(v)).and_then(|c| {
+            if let Some(v) = c.require.iter().find(|v| !bound.contains(**v)) {
+                Err(format!("needs `{v}` bound"))
+            } else if let Some(v) = c.provide.iter().find(|v| bound.contains(**v)) {
+                Err(format!("binds `{v}`, which is bound already"))
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(why) = checked {
+            let tag = node.op.tag();
+            return Err(StruqlError::eval(format!(
+                "invalid plan: node {rank} [{tag}] {cond} {why}"
+            )));
+        }
+        bound.extend(vars_of(cond));
+    }
+    Ok(bound)
 }
 
 strudel_obs::signals! {
@@ -463,7 +598,7 @@ impl PlanCache {
         bound: &FxHashSet<&str>,
         graph: &Graph,
         optimizer: Optimizer,
-    ) -> Arc<PhysicalPlan> {
+    ) -> Result<Arc<PhysicalPlan>> {
         let key = Self::fingerprint(conds, bound, optimizer);
         let stamp = graph.cache_stamp();
         let stale = {
@@ -471,7 +606,7 @@ impl PlanCache {
             match map.get(&key) {
                 Some(c) if c.stamp.same_graph(&stamp) => {
                     self.counters.hits.inc();
-                    return Arc::clone(&c.plan);
+                    return Ok(Arc::clone(&c.plan));
                 }
                 Some(_) => true,
                 None => false,
@@ -482,7 +617,7 @@ impl PlanCache {
         } else {
             self.counters.misses.inc();
         }
-        let plan = Arc::new(PhysicalPlan::compile(conds, bound, graph, optimizer));
+        let plan = Arc::new(PhysicalPlan::compile(conds, bound, graph, optimizer)?);
         self.lock().insert(
             key,
             CachedPlan {
@@ -490,7 +625,7 @@ impl PlanCache {
                 plan: Arc::clone(&plan),
             },
         );
-        plan
+        Ok(plan)
     }
 }
 
@@ -524,7 +659,8 @@ mod tests {
     fn compile_fixes_operators_and_estimates() {
         let g = graph();
         let cs = conds(r#"WHERE Small(x), x -> "k" -> v COLLECT Out(x)"#);
-        let p = PhysicalPlan::compile(&cs, &FxHashSet::default(), &g, Optimizer::CostBased);
+        let p =
+            PhysicalPlan::compile(&cs, &FxHashSet::default(), &g, Optimizer::CostBased).unwrap();
         assert_eq!(p.nodes.len(), 2);
         assert_eq!(p.nodes[0].op, PhysOp::CollectionScan);
         assert_eq!(p.nodes[1].op, PhysOp::LabelForward);
@@ -540,13 +676,36 @@ mod tests {
         let cs = conds(r#"WHERE x -> "k" -> v COLLECT Out(x)"#);
         let unbound = |_: &str| false;
         let all_bound = |_: &str| true;
-        assert_eq!(choose_op(&cs[0], &unbound, true), PhysOp::LabelScan);
-        assert_eq!(choose_op(&cs[0], &all_bound, true), PhysOp::LabelSemijoin);
+        assert_eq!(choose_op(&cs[0], false, &unbound, true), PhysOp::LabelScan);
+        assert_eq!(
+            choose_op(&cs[0], false, &all_bound, true),
+            PhysOp::LabelSemijoin
+        );
         let only_v = |s: &str| s == "v";
-        assert_eq!(choose_op(&cs[0], &only_v, true), PhysOp::LabelReverseIndex);
-        assert_eq!(choose_op(&cs[0], &only_v, false), PhysOp::LabelHashJoin);
+        assert_eq!(
+            choose_op(&cs[0], false, &only_v, true),
+            PhysOp::LabelReverseIndex
+        );
+        assert_eq!(
+            choose_op(&cs[0], false, &only_v, false),
+            PhysOp::LabelHashJoin
+        );
         let only_x = |s: &str| s == "x";
-        assert_eq!(choose_op(&cs[0], &only_x, true), PhysOp::LabelForward);
+        assert_eq!(
+            choose_op(&cs[0], false, &only_x, true),
+            PhysOp::LabelForward
+        );
+        // An arc variable known to carry one label is that label's path.
+        let arc = conds(r#"WHERE x -> l -> v, l = "k" COLLECT Out(x)"#);
+        assert_eq!(choose_op(&arc[0], false, &only_x, true), PhysOp::ArcForward);
+        assert_eq!(
+            choose_op(&arc[0], true, &only_x, true),
+            PhysOp::LabelForward
+        );
+        assert_eq!(
+            choose_op(&arc[0], true, &only_v, true),
+            PhysOp::LabelReverseIndex
+        );
     }
 
     #[test]
@@ -555,8 +714,12 @@ mod tests {
         let cs = conds(r#"WHERE Big(x) COLLECT Out(x)"#);
         let cache = PlanCache::default();
         let bound = FxHashSet::default();
-        let p1 = cache.get_or_compile(&cs, &bound, &g, Optimizer::CostBased);
-        let p2 = cache.get_or_compile(&cs, &bound, &g, Optimizer::CostBased);
+        let p1 = cache
+            .get_or_compile(&cs, &bound, &g, Optimizer::CostBased)
+            .unwrap();
+        let p2 = cache
+            .get_or_compile(&cs, &bound, &g, Optimizer::CostBased)
+            .unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(
             cache.stats(),
@@ -568,7 +731,9 @@ mod tests {
         );
         let n = g.nodes()[0];
         g.add_edge_str(n, "extra", 1i64).unwrap();
-        let _ = cache.get_or_compile(&cs, &bound, &g, Optimizer::CostBased);
+        let _ = cache
+            .get_or_compile(&cs, &bound, &g, Optimizer::CostBased)
+            .unwrap();
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.len(), 1, "stale entry replaced, not duplicated");
     }

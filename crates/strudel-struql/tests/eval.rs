@@ -619,3 +619,108 @@ fn profile_sees_path_cache_and_strategy_shift() {
         "path cache untouched: {rpe:?}"
     );
 }
+
+/// `l = "section"` for the arc variable of `a -> l -> v` is planned as the
+/// path `-> "section" ->`: the compare goes first and the edge condition
+/// runs on a single-label operator, costed from the label's four edges
+/// (not the graph's seven). In written order the edge runs first, on the
+/// arc operator, and the compare filters after it.
+#[test]
+fn explain_shows_a_known_label_as_a_single_label_path() {
+    let data = ddl::parse(
+        r#"
+object a1 in Articles { headline "one" section "sports" section "us" }
+object a2 in Articles { headline "two" section "sports" }
+object a3 in Articles { headline "three" section "tech" }
+"#,
+    )
+    .unwrap();
+    let q = parse_query(r#"WHERE Articles(a), a -> l -> v, l = "section" COLLECT Out(v)"#).unwrap();
+    assert_eq!(
+        q.explain(&data, &EvalOptions::default()).unwrap(),
+        r#"Q1:
+  0. [compare-bind] l = "section"  est 1.0 rows
+  1. [label-scan] a -> l -> v as -> "section" ->  est 4.0 rows
+  2. [collection-semijoin] Articles(a)  est 2.0 rows
+  est. cost: 7.0 (cost-based)
+"#
+    );
+    assert_eq!(
+        q.explain(&data, &EvalOptions::with_optimizer(Optimizer::Naive))
+            .unwrap(),
+        r#"Q1:
+  0. [collection-scan] Articles(a)  est 3.0 rows
+  1. [arc-forward] a -> l -> v  est 7.0 rows
+  2. [compare-filter] l = "section"  est 0.7 rows
+  est. cost: 10.7 (naive)
+"#
+    );
+    let out = q.evaluate(&data, &EvalOptions::default()).unwrap();
+    assert_eq!(out.graph.collection_str("Out").unwrap().len(), 3);
+}
+
+/// The fastest of five runs of each single-label operator over a hub with
+/// `n` out-edges and a sink with `n` in-edges: `label-forward` out of the
+/// hub, `label-reverse-index` onto the sink, `label-scan` over the label.
+fn hub_operator_times(n: usize) -> [std::time::Duration; 3] {
+    use strudel_struql::{evaluate_conditions, Bindings, PhysicalPlan};
+    let mut g = Graph::standalone();
+    let (hub, sink) = (g.new_node(None), g.new_node(None));
+    g.add_to_collection_str("Hub", hub);
+    g.add_to_collection_str("Sink", sink);
+    for _ in 0..n {
+        let leaf = g.new_node(None);
+        g.add_edge_str(hub, "out", leaf).unwrap();
+        g.add_edge_str(leaf, "in", sink).unwrap();
+    }
+    let opts = EvalOptions::default();
+    let time = |src: &str, op: &str| {
+        let q = parse_query(src).unwrap();
+        let analyzed = strudel_struql::analyze::analyze(&q, &opts.predicates).unwrap();
+        let conds = &analyzed.query.root.where_;
+        let plan = PhysicalPlan::compile(conds, &Default::default(), &g, opts.optimizer).unwrap();
+        assert!(
+            plan.describe(conds).contains(op),
+            "{}",
+            plan.describe(conds)
+        );
+        let run = || {
+            let t = std::time::Instant::now();
+            let rows = evaluate_conditions(conds, &g, Bindings::unit(), &opts).unwrap();
+            assert_eq!(rows.len(), n);
+            t.elapsed()
+        };
+        run();
+        (0..5).map(|_| run()).min().unwrap()
+    };
+    [
+        time(
+            r#"WHERE Hub(h), h -> "out" -> t COLLECT Out(t)"#,
+            "[label-forward]",
+        ),
+        time(
+            r#"WHERE Sink(s), x -> "in" -> s COLLECT Out(x)"#,
+            "[label-reverse-index]",
+        ),
+        time(r#"WHERE x -> "out" -> t COLLECT Out(t)"#, "[label-scan]"),
+    ]
+}
+
+/// Trap (a) of the known-label rule: the single-label operators keep the
+/// first of parallel edges, and looking for "seen already" in a vector is
+/// quadratic in a hub's degree — invisible while only literal-label paths
+/// met hubs rarely, ten times a section page's cost once `l = "section"`
+/// runs on these operators. Eight times the degree may take at most 24
+/// times as long (linear is 8, quadratic 64; the bound sits a factor of
+/// three from either).
+#[test]
+fn label_operators_scale_linearly_on_a_hub() {
+    let (small, large) = (hub_operator_times(2_000), hub_operator_times(16_000));
+    for (op, (t, t8)) in ["forward", "reverse", "scan"]
+        .iter()
+        .zip(small.iter().zip(&large))
+    {
+        let ratio = t8.as_secs_f64() / t.as_secs_f64();
+        assert!(ratio < 24.0, "label-{op}: {t:?} -> {t8:?} is {ratio:.1}x");
+    }
+}

@@ -297,6 +297,38 @@ fn click_path_browsing_without_materialization() {
     assert!(stats.clause_queries < 60, "{stats:?}");
 }
 
+/// Trap (b) of the known-label rule: a leaf page's conjunction carries
+/// `l = "related"` too, and costing that label must not ask the index for
+/// degree tallies — that builds the extents (label, value and in-edge maps
+/// over every edge), which no leaf page reads. Planning and expanding every
+/// leaf page of an indexed graph leaves them unbuilt.
+#[test]
+fn leaf_pages_plan_and_expand_without_the_index_extents() {
+    use strudel::graph::Value;
+    use strudel::site::{DynamicSite, PageRef};
+    use strudel::struql::EvalOptions;
+    let data = strudel::graph::ddl::parse(&news::generate_ddl(300, 11)).unwrap();
+    assert!(data.is_indexed());
+    let query = strudel::struql::parse_query(news::SITE_QUERY).unwrap();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let mut related = 0;
+    for &article in data.nodes() {
+        for skolem in ["ArticlePage", "Summary"] {
+            let links = site
+                .expand(&PageRef {
+                    skolem: skolem.into(),
+                    args: vec![Value::Node(article)],
+                })
+                .unwrap();
+            assert!(links.len() >= 5, "{skolem} of {article:?}");
+            related += links.iter().filter(|l| l.label == "Related").count();
+        }
+    }
+    assert!(related > 100, "the `l = \"related\"` clause ran: {related}");
+    assert!(site.plan_cache_stats().misses >= 2);
+    assert!(!data.extents_built());
+}
+
 #[test]
 fn repeated_clicks_are_cached() {
     let mut s = news::system(60, 23, false).unwrap();

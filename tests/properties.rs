@@ -534,10 +534,26 @@ mod reference {
         format!("{v:?}")
     }
 
+    /// The key of one binding. An arc-variable column (`l…`) holds label
+    /// values, and a number and a text that reads as it are one label
+    /// value: `l = 1997` run before the edge leaves `Int(1997)` in the
+    /// column, run after it leaves `Str("1997")`, and both plans are right.
+    pub fn key(var: &str, v: &Value) -> String {
+        let number = match v {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            other => other.text().and_then(|t| t.trim().parse().ok()),
+        };
+        match number {
+            Some(n) if var.starts_with('l') => format!("label {n}"),
+            _ => vkey(v),
+        }
+    }
+
     pub fn canon<'a>(rows: impl Iterator<Item = &'a Row>) -> RowSet {
         rows.map(|r| {
             r.iter()
-                .map(|(var, v)| (var.clone(), vkey(v)))
+                .map(|(var, v)| (var.clone(), key(var, v)))
                 .collect::<Vec<_>>()
         })
         .collect()
@@ -689,16 +705,35 @@ mod reference {
             Condition::Collection { .. } => rows,
             Condition::Compare { lhs, op, rhs } => rows
                 .into_iter()
-                .filter(|row| match (term_value(lhs, row), term_value(rhs, row)) {
-                    (Some(a), Some(b)) => compare(&a, *op, &b),
-                    _ => false,
-                })
+                .filter_map(
+                    |mut row| match (term_value(lhs, &row), term_value(rhs, &row)) {
+                        (Some(a), Some(b)) => compare(&a, *op, &b).then_some(row),
+                        // `v = <constant>` over an unbound variable assigns it.
+                        (None, Some(b)) if *op == CmpOp::Eq => {
+                            row.insert(lhs.as_var()?.to_string(), b);
+                            Some(row)
+                        }
+                        _ => None,
+                    },
+                )
                 .collect(),
             Condition::In { var, set, negated } => rows
                 .into_iter()
-                .filter(|row| {
-                    let Some(v) = row.get(var) else { return false };
-                    set.iter().any(|l| l.to_value().coerced_eq(v)) != *negated
+                .flat_map(|row| match row.get(var) {
+                    Some(v) => {
+                        let member = set.iter().any(|l| l.to_value().coerced_eq(v));
+                        Vec::from_iter((member != *negated).then_some(row))
+                    }
+                    // Membership of an unbound variable enumerates the set.
+                    None if !negated => set
+                        .iter()
+                        .map(|l| {
+                            let mut r = row.clone();
+                            r.insert(var.clone(), l.to_value());
+                            r
+                        })
+                        .collect(),
+                    None => Vec::new(),
                 })
                 .collect(),
             Condition::Predicate { .. } => rows,
@@ -708,8 +743,22 @@ mod reference {
                 to,
                 negated,
             } => {
-                assert!(!negated, "generator never negates arc-variable edges");
                 let edges = all_edges(g);
+                if *negated {
+                    // Generated over bound endpoints and a bound arc
+                    // variable only: no edge between them carries a label
+                    // the variable's value stands for.
+                    let bound = |t: &Term, row: &Row| term_value(t, row).expect("bound");
+                    return rows
+                        .into_iter()
+                        .filter(|row| {
+                            let (f, l, t) = (bound(from, row), &row[lv], bound(to, row));
+                            !edges.iter().any(|(ef, el, et)| {
+                                *ef == f && Value::str(el).coerced_eq(l) && *et == t
+                            })
+                        })
+                        .collect();
+                }
                 let mut out = Vec::new();
                 for row in rows {
                     for (f, label, t) in &edges {
@@ -818,7 +867,12 @@ mod reference {
 
     /// Evaluates a condition list tuple-at-a-time, left to right.
     pub fn evaluate(g: &Graph, conds: &[Condition]) -> Vec<Row> {
-        let mut rows = vec![Row::new()];
+        evaluate_from(g, conds, Row::new())
+    }
+
+    /// [`evaluate`] from one row of start bindings.
+    pub fn evaluate_from(g: &Graph, conds: &[Condition], start: Row) -> Vec<Row> {
+        let mut rows = vec![start];
         for c in conds {
             rows = apply(g, rows, c);
         }
@@ -829,16 +883,24 @@ mod reference {
 /// Compact condition spec: (kind, var picks, label picks, literal).
 type CondSpec = (u8, u8, u8, u8, u8, u8, u8, i64);
 
-/// Decodes a compact spec into a condition list where every negated or
-/// comparison variable has an earlier positive binder (the fragment over
-/// which evaluation order is immaterial).
-fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
+/// The kinds a spec decodes to ([`lower_from`] takes `kind % SPEC_KINDS`).
+const SPEC_KINDS: u8 = 13;
+
+/// Decodes a compact spec into a condition list, for a conjunction that
+/// starts with `start` bound, where every negated or comparison variable
+/// has an earlier positive binder (the fragment over which evaluation order
+/// is immaterial).
+fn lower_from(specs: &[CondSpec], start: &[&'static str]) -> Vec<strudel::struql::Condition> {
     use strudel::struql::ast::{CmpOp, Literal, PathStep};
     use strudel::struql::{Condition, Rpe, Term};
 
     const NODE_VARS: [&str; 4] = ["x", "y", "z", "w"];
     const ARC_VARS: [&str; 2] = ["la", "lb"];
     const LABELS: [&str; 4] = ["a", "b", "c", "val"];
+    // What an arc variable is compared with: labels of the graph, one that
+    // reads as a number, one no graph has.
+    const ARC_LABELS: [&str; 6] = ["a", "b", "c", "val", "1997", "zzz"];
+    let arc_label = |i: u8| Literal::Str(ARC_LABELS[i as usize % 6].to_string());
     let label = |i: u8| LABELS[i as usize % 4].to_string();
     let rpe_of = |kind: u8, a: u8, b: u8| -> Rpe {
         let l = |i: u8| Rpe::Label(label(i));
@@ -856,6 +918,11 @@ fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
     };
 
     let mut bound: Vec<&str> = vec!["x"];
+    bound.extend(start);
+    // Arc variables a number may have bound: which of `1997` and `"1997"`
+    // the column then holds depends on the plan, and an ordering comparison
+    // (`l < "b"`) tells them apart — none is generated over these.
+    let mut numeric: Vec<&str> = Vec::new();
     let mut conds = vec![Condition::Collection {
         name: "Nodes".into(),
         arg: Term::var("x"),
@@ -864,7 +931,15 @@ fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
     for &(kind, p1, p2, p3, rk, ra, rb, k) in specs {
         let pick_bound = |i: u8, bound: &[&str]| bound[i as usize % bound.len()].to_string();
         let pick_node = |i: u8| NODE_VARS[i as usize % 4].to_string();
-        match kind % 9 {
+        let bind_arc = |i: u8, bound: &mut Vec<&str>| {
+            let lv = ARC_VARS[i as usize % 2];
+            let fresh = !bound.contains(&lv);
+            if fresh {
+                bound.push(lv);
+            }
+            (lv, fresh)
+        };
+        match kind % SPEC_KINDS {
             // Membership (any binding state) / negated membership (bound).
             0 => {
                 let v = pick_node(p1);
@@ -944,6 +1019,7 @@ fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
             }
             // General RPE from a bound source; target var or literal.
             5 => {
+                let from = Term::Var(pick_bound(p1, &bound));
                 let to = if p3 % 5 == 4 {
                     Term::Lit(Literal::Int(k))
                 } else {
@@ -954,7 +1030,7 @@ fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
                     Term::Var(t)
                 };
                 conds.push(Condition::Edge {
-                    from: Term::Var(pick_bound(p1, &bound)),
+                    from,
                     step: PathStep::Rpe(rpe_of(rk, ra, rb)),
                     to,
                     negated: false,
@@ -980,8 +1056,59 @@ fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
                     negated: k < 0,
                 });
             }
+            // `l = "<label>"` on an arc variable, bound yet or not.
+            9 => {
+                let (lv, _) = bind_arc(p1, &mut bound);
+                conds.push(Condition::Compare {
+                    lhs: Term::var(lv),
+                    op: CmpOp::Eq,
+                    rhs: Term::Lit(arc_label(p2)),
+                });
+            }
+            // `l = <int>`: meets every label that reads as the number.
+            10 => {
+                let (lv, _) = bind_arc(p1, &mut bound);
+                numeric.push(lv);
+                conds.push(Condition::Compare {
+                    lhs: Term::var(lv),
+                    op: CmpOp::Eq,
+                    rhs: Term::Lit(Literal::Int(if p2 % 2 == 0 { 1997 } else { k })),
+                });
+            }
+            // `l IN {…}`, binding the variable when nothing has yet.
+            11 => {
+                let (lv, fresh) = bind_arc(p1, &mut bound);
+                let second = if p3 % 2 == 0 {
+                    numeric.push(lv);
+                    Literal::Int(1997)
+                } else {
+                    arc_label(p3)
+                };
+                conds.push(Condition::In {
+                    var: lv.to_string(),
+                    set: vec![arc_label(p2), second],
+                    negated: !fresh && k < 0,
+                });
+            }
+            // Negated arc-variable edge between bound variables under a
+            // bound label, if any.
+            12 => {
+                let Some(lv) = bound.iter().find(|v| v.starts_with('l')) else {
+                    continue;
+                };
+                conds.push(Condition::Edge {
+                    from: Term::Var(pick_bound(p1, &bound)),
+                    step: PathStep::ArcVar(lv.to_string()),
+                    to: Term::Var(pick_bound(p2, &bound)),
+                    negated: true,
+                });
+            }
             // Comparison against a literal on a bound variable.
             _ => {
+                let lhs = pick_bound(p1, &bound);
+                if numeric.contains(&lhs.as_str()) {
+                    continue;
+                }
                 let op = [
                     CmpOp::Eq,
                     CmpOp::Ne,
@@ -996,7 +1123,7 @@ fn lower_conditions(specs: &[CondSpec]) -> Vec<strudel::struql::Condition> {
                     Literal::Str(label(p3))
                 };
                 conds.push(Condition::Compare {
-                    lhs: Term::Var(pick_bound(p1, &bound)),
+                    lhs: Term::Var(lhs),
                     op,
                     rhs: Term::Lit(rhs),
                 });
@@ -1018,14 +1145,81 @@ fn build_rich(rg: &RandGraph) -> Graph {
     g
 }
 
+/// [`build_rich`] as a multigraph with number-like labels: every edge of
+/// the random graph a second time (`add_edge` does not de-duplicate, so an
+/// arc operator sees each twice and a label operator one distinct pair),
+/// a `1997` edge out of every node and the same number spelled `1997.0` out
+/// of every other.
+fn build_labelled(rg: &RandGraph) -> Graph {
+    let mut g = build_rich(rg);
+    let nodes = g.nodes().to_vec();
+    for &(f, t, l) in &rg.edges {
+        g.add_edge_str(nodes[f], ["a", "b", "c"][l as usize], Value::Node(nodes[t]))
+            .unwrap();
+    }
+    for (i, &n) in nodes.iter().enumerate() {
+        g.add_edge_str(n, "1997", Value::Node(nodes[(i + 1) % nodes.len()]))
+            .unwrap();
+        if i % 2 == 0 {
+            g.add_edge_str(n, "1997.0", Value::Int(i as i64 % 3))
+                .unwrap();
+        }
+    }
+    g
+}
+
+/// The graph and the start binding of `la` a case runs on: the set-semantic
+/// graph or the multigraph; `la` unbound (half the cases) or bound before
+/// the conjunction starts to a label's text, the same text typed as a URL
+/// or a file, a number that reads as a label, or that label's other
+/// spelling.
+fn shaped(rg: &RandGraph, shape: u8) -> (Graph, Option<Value>) {
+    let g = if shape & 1 == 0 {
+        build_rich(rg)
+    } else {
+        build_labelled(rg)
+    };
+    let la = match (shape >> 1) % 10 {
+        0..=4 => None,
+        5 => Some(Value::str("a")),
+        6 => Some(Value::url("b")),
+        7 => Some(Value::file(strudel::graph::FileKind::Text, "c")),
+        8 => Some(Value::Int(1997)),
+        _ => Some(Value::str("1997.0")),
+    };
+    (g, la)
+}
+
+/// `la`'s start binding as the three shapes the checks need: the variables
+/// bound, the reference's first row, the engine's start relation.
+fn start_of(
+    la: &Option<Value>,
+) -> (
+    &'static [&'static str],
+    reference::Row,
+    strudel::struql::Bindings,
+) {
+    let Some(v) = la else {
+        return (
+            &[],
+            reference::Row::new(),
+            strudel::struql::Bindings::unit(),
+        );
+    };
+    let mut b = strudel::struql::Bindings::empty();
+    b.add_var("la");
+    b.push_row(std::slice::from_ref(v));
+    (&["la"], [("la".to_string(), v.clone())].into(), b)
+}
+
 fn engine_row_set(b: &strudel::struql::Bindings) -> reference::RowSet {
     let vars = b.vars().to_vec();
     b.rows()
         .map(|row| {
             let mut r: Vec<(String, String)> = vars
                 .iter()
-                .cloned()
-                .zip(row.iter().map(reference::vkey))
+                .zip(row)
+                .map(|(var, v)| (var.clone(), reference::key(var, v)))
                 .collect();
             r.sort();
             r
@@ -1034,29 +1228,31 @@ fn engine_row_set(b: &strudel::struql::Bindings) -> reference::RowSet {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// The vectorized engine is set-equal to the tuple-at-a-time reference
     /// under every optimizer, with indexes on and off.
     #[test]
     fn engine_matches_reference_evaluator(
         rg in arb_graph(),
+        shape in 0u8..20,
         specs in proptest::collection::vec(
-            (0u8..9, 0u8..8, 0u8..8, 0u8..8, 0u8..9, 0u8..4, 0u8..4, -3i64..6),
+            (0..SPEC_KINDS, 0u8..8, 0u8..8, 0u8..8, 0u8..9, 0u8..4, 0u8..4, -3i64..6),
             0..6,
         ),
     ) {
-        use strudel::struql::{evaluate_conditions, Bindings};
-        let mut g = build_rich(&rg);
-        let conds = lower_conditions(&specs);
-        let expect = reference::canon(reference::evaluate(&g, &conds).iter());
+        use strudel::struql::evaluate_conditions;
+        let (mut g, la) = shaped(&rg, shape);
+        let (bound, first, start) = start_of(&la);
+        let conds = lower_from(&specs, bound);
+        let expect = reference::canon(reference::evaluate_from(&g, &conds, first).iter());
         for opt in [Optimizer::Naive, Optimizer::Heuristic, Optimizer::CostBased] {
             let opts = EvalOptions::with_optimizer(opt);
-            let got = evaluate_conditions(&conds, &g, Bindings::unit(), &opts).unwrap();
+            let got = evaluate_conditions(&conds, &g, start.clone(), &opts).unwrap();
             prop_assert_eq!(engine_row_set(&got), expect.clone(), "optimizer {:?}", opt);
         }
         g.set_indexing(false);
-        let got = evaluate_conditions(&conds, &g, Bindings::unit(), &EvalOptions::default()).unwrap();
+        let got = evaluate_conditions(&conds, &g, start, &EvalOptions::default()).unwrap();
         prop_assert_eq!(engine_row_set(&got), expect, "unindexed");
     }
 
@@ -1294,7 +1490,7 @@ fn parallel_full_build_matches_sequential() {
 // must stay byte-identical.
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Executing the compiled physical plan — under every optimizer, with
     /// the plan cache on (one cache shared by the configurations, so the
@@ -1304,15 +1500,17 @@ proptest! {
     #[test]
     fn compiled_plans_match_reference(
         rg in arb_graph(),
+        shape in 0u8..20,
         specs in proptest::collection::vec(
-            (0u8..9, 0u8..8, 0u8..8, 0u8..8, 0u8..9, 0u8..4, 0u8..4, -3i64..6),
+            (0..SPEC_KINDS, 0u8..8, 0u8..8, 0u8..8, 0u8..9, 0u8..4, 0u8..4, -3i64..6),
             0..6,
         ),
     ) {
-        use strudel::struql::{evaluate_conditions, Bindings};
-        let g = build_rich(&rg);
-        let conds = lower_conditions(&specs);
-        let expect = reference::canon(reference::evaluate(&g, &conds).iter());
+        use strudel::struql::evaluate_conditions;
+        let (g, la) = shaped(&rg, shape);
+        let (bound, first, start) = start_of(&la);
+        let conds = lower_from(&specs, bound);
+        let expect = reference::canon(reference::evaluate_from(&g, &conds, first).iter());
         let shared = std::sync::Arc::new(PlanCache::default());
         for opt in [Optimizer::Naive, Optimizer::Heuristic, Optimizer::CostBased] {
             for (cache, adaptive) in [(true, true), (true, false), (false, true), (false, false)] {
@@ -1321,7 +1519,7 @@ proptest! {
                     opts.plan_cache = shared.clone();
                 }
                 opts.adaptive = adaptive;
-                let got = evaluate_conditions(&conds, &g, Bindings::unit(), &opts).unwrap();
+                let got = evaluate_conditions(&conds, &g, start.clone(), &opts).unwrap();
                 prop_assert_eq!(
                     engine_row_set(&got),
                     expect.clone(),
@@ -1531,6 +1729,262 @@ fn adaptive_replanning_cuts_intermediate_rows_on_skew() {
         fixed.intermediate_rows,
         adaptive.intermediate_rows
     );
+}
+
+// --------------------------------------- known labels and the validator ----
+//
+// `l = "text"` turns an arc-variable edge into the path `-> "text" ->` from
+// the node where the compare has run. What that may change is stated here:
+// the row *set* of every conjunction stays the arc operators' (the extended
+// generators above, against the reference), the multiplicities do not — the
+// graph is a multigraph, an arc operator emits a row per edge and a label
+// operator a row per distinct (source, target) — and everything built from a
+// relation (Skolem nodes, links, collections, aggregates over value sets)
+// reads it as a set. The validator holds the other half: which variables
+// each operator of a plan finds bound.
+
+/// The conditions of a one-block query, analyzed.
+fn where_of(src: &str) -> Vec<strudel::struql::Condition> {
+    let q = parse_query(src).unwrap();
+    let registry = strudel::struql::PredicateRegistry::with_builtins();
+    let analyzed = strudel::struql::analyze::analyze(&q, &registry).unwrap();
+    analyzed.query.root.where_.clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The known-label plan against the same conjunction in written order:
+    /// `Optimizer::Naive` runs the edge on the arc operator and filters by
+    /// the compare afterwards, the other two bind `l` first and follow the
+    /// label. Same site, on a multigraph with number-like labels.
+    #[test]
+    fn known_label_plan_agrees_with_naive(rg in arb_graph(), pick in 0usize..5) {
+        let g = build_labelled(&rg);
+        let label = ["a", "b", "val", "1997", "zzz"][pick];
+        let q = parse_query(&format!(
+            r#"WHERE Nodes(x), x -> l -> y, l = "{label}"
+               CREATE P(x, y)
+               LINK P(x, y) -> l -> y, P(x, y) -> "n" -> COUNT(y)
+               COLLECT Out(P(x, y))"#
+        ))
+        .unwrap();
+        let naive = q.explain(&g, &EvalOptions::with_optimizer(Optimizer::Naive)).unwrap();
+        prop_assert!(naive.contains("[arc-forward]"), "{}", naive);
+        // Every node carries one `val` edge among at least two others, so
+        // there the compare always goes first; `"1997"` reads as a number
+        // and is left to the arc operators; the rest depends on the graph.
+        let costed = q.explain(&g, &EvalOptions::default()).unwrap();
+        let follows_label = costed.contains("] x -> l -> y as -> ");
+        prop_assert!(follows_label || label != "val", "{}", costed);
+        prop_assert!(!follows_label || label != "1997", "{}", costed);
+        let mut sites = Vec::new();
+        for opt in [Optimizer::Naive, Optimizer::Heuristic, Optimizer::CostBased] {
+            let out = q.evaluate(&g, &EvalOptions::with_optimizer(opt)).unwrap();
+            sites.push(site_signature(&out.graph, &out.table));
+        }
+        prop_assert_eq!(&sites[0], &sites[1]);
+        prop_assert_eq!(&sites[1], &sites[2]);
+    }
+
+    /// The validator's static chain is the evaluator's runtime schema:
+    /// after every node of every compiled plan, the variables the validated
+    /// chain says are bound are the variables the live relation binds
+    /// (fewer only when the relation emptied and evaluation stopped early).
+    #[test]
+    fn plan_validator_tracks_runtime_boundness(
+        rg in arb_graph(),
+        shape in 0u8..20,
+        specs in proptest::collection::vec(
+            (0..SPEC_KINDS, 0u8..8, 0u8..8, 0u8..8, 0u8..9, 0u8..4, 0u8..4, -3i64..6),
+            0..6,
+        ),
+    ) {
+        use std::collections::BTreeSet;
+        use strudel::struql::plan::validate;
+        use strudel::struql::{execute_plan, PhysicalPlan};
+        let (g, la) = shaped(&rg, shape);
+        let (bound, _, start) = start_of(&la);
+        let conds = lower_from(&specs, bound);
+        let start_set = bound.iter().copied().collect();
+        for opt in [Optimizer::Naive, Optimizer::Heuristic, Optimizer::CostBased] {
+            let plan = PhysicalPlan::compile(&conds, &start_set, &g, opt).unwrap();
+            prop_assert_eq!(plan.nodes.len(), conds.len());
+            for k in 0..plan.nodes.len() {
+                let prefix = PhysicalPlan { nodes: plan.nodes[..=k].to_vec(), ..plan.clone() };
+                let statically: BTreeSet<&str> = validate(&prefix.nodes, &conds, &start_set)
+                    .unwrap()
+                    .into_iter()
+                    .collect();
+                let rows = execute_plan(&conds, &prefix, &g, start.clone(), &EvalOptions::default())
+                    .unwrap();
+                let runtime: BTreeSet<&str> = rows.vars().iter().map(String::as_str).collect();
+                if rows.is_empty() {
+                    prop_assert!(runtime.is_subset(&statically), "{:?} node {}", opt, k);
+                } else {
+                    prop_assert_eq!(&runtime, &statically, "{:?} node {}", opt, k);
+                }
+            }
+        }
+    }
+}
+
+/// Trap (c), stated: over two parallel `a` edges an arc operator keeps two
+/// rows and the label operator in its place one, and they are the same set
+/// — which is all a site is built from. Forward, reverse and scan.
+#[test]
+fn label_operators_keep_pairs_where_arc_operators_keep_edges() {
+    use strudel::struql::plan::PlanNode;
+    use strudel::struql::{execute_plan, Bindings, PhysOp, PhysOp::*, PhysicalPlan};
+    let mut g = Graph::standalone();
+    let (n, m) = (g.new_node(Some("n")), g.new_node(Some("m")));
+    g.add_to_collection_str("Nodes", Value::Node(n));
+    g.add_to_collection_str("Ends", Value::Node(m));
+    for label in ["a", "a", "b"] {
+        g.add_edge_str(n, label, Value::Node(m)).unwrap();
+    }
+    type Ops<'a> = &'a [(usize, PhysOp, Option<&'a str>)];
+    let rows = |conds: &[strudel::struql::Condition], ops: Ops| {
+        let nodes = ops.iter().map(|&(cond, op, label)| PlanNode {
+            cond,
+            op,
+            label: label.map(Into::into),
+            est_mult: 1.0,
+            est_rows: 1.0,
+        });
+        let plan = PhysicalPlan {
+            nodes: nodes.collect(),
+            est_cost: 0.0,
+            optimizer: Optimizer::CostBased,
+            dp_fallback: false,
+        };
+        execute_plan(conds, &plan, &g, Bindings::unit(), &EvalOptions::default()).unwrap()
+    };
+    let a = Some("a");
+    let cases: [(&str, Ops, Ops); 3] = [
+        (
+            r#"WHERE Nodes(x), x -> l -> y, l = "a" COLLECT Out(y)"#,
+            &[
+                (0, CollectionScan, None),
+                (1, ArcForward, None),
+                (2, CompareFilter, None),
+            ],
+            &[
+                (2, CompareBind, None),
+                (0, CollectionScan, None),
+                (1, LabelForward, a),
+            ],
+        ),
+        (
+            r#"WHERE Ends(y), x -> l -> y, l = "a" COLLECT Out(x)"#,
+            &[
+                (0, CollectionScan, None),
+                (1, ArcReverseIndex, None),
+                (2, CompareFilter, None),
+            ],
+            &[
+                (2, CompareBind, None),
+                (0, CollectionScan, None),
+                (1, LabelReverseIndex, a),
+            ],
+        ),
+        (
+            r#"WHERE x -> l -> y, l = "a" COLLECT Out(x)"#,
+            &[(0, ArcScan, None), (1, CompareFilter, None)],
+            &[(1, CompareBind, None), (0, LabelScan, a)],
+        ),
+    ];
+    for (src, by_arc, by_label) in cases {
+        let conds = where_of(src);
+        let (per_edge, per_pair) = (rows(&conds, by_arc), rows(&conds, by_label));
+        assert_eq!((per_edge.len(), per_pair.len()), (2, 1), "{src}");
+        assert_eq!(
+            engine_row_set(&per_edge),
+            engine_row_set(&per_pair),
+            "{src}"
+        );
+    }
+}
+
+/// The guard on the known-label rule: `l = "1997"` does not make `l` the
+/// label `"1997"`, because an `l` that a number bound passes the compare
+/// and also meets the label spelled `"1997.0"`.
+#[test]
+fn a_label_that_reads_as_a_number_is_not_a_known_label() {
+    use strudel::struql::evaluate_conditions;
+    let mut g = Graph::standalone();
+    let n = g.new_node(Some("n"));
+    g.add_to_collection_str("Nodes", Value::Node(n));
+    g.add_edge_str(n, "1997", Value::str("one spelling"))
+        .unwrap();
+    g.add_edge_str(n, "1997.0", Value::str("the other"))
+        .unwrap();
+    let conds = where_of(r#"WHERE Nodes(x), l in {1997}, l = "1997", x -> l -> y COLLECT Out(y)"#);
+    let expect = reference::canon(reference::evaluate(&g, &conds).iter());
+    assert_eq!(expect.len(), 2);
+    for opt in [Optimizer::Naive, Optimizer::Heuristic, Optimizer::CostBased] {
+        let opts = EvalOptions::with_optimizer(opt);
+        let got = evaluate_conditions(&conds, &g, strudel::struql::Bindings::unit(), &opts);
+        assert_eq!(engine_row_set(&got.unwrap()), expect, "{opt:?}");
+    }
+}
+
+/// A plan that did not come from the compiler is checked before it runs:
+/// each of these would trip an operator's `expect` (or silently widen a row)
+/// and is refused with a typed error naming the node and the variable.
+#[test]
+fn plan_validator_rejects_plans_the_operators_would_trip_over() {
+    use strudel::struql::plan::PlanNode;
+    use strudel::struql::{execute_plan, Bindings, PhysOp, PhysicalPlan};
+    let mut g = Graph::standalone();
+    let n = g.new_node(Some("n"));
+    g.add_to_collection_str("Nodes", Value::Node(n));
+    g.add_edge_str(n, "a", Value::Node(n)).unwrap();
+    let conds = where_of(r#"WHERE Nodes(x), x -> l -> y, l = "a" COLLECT Out(y)"#);
+    let good =
+        PhysicalPlan::compile(&conds, &Default::default(), &g, Optimizer::CostBased).unwrap();
+    let node = |cond, op, label: Option<&str>| PlanNode {
+        cond,
+        op,
+        label: label.map(Into::into),
+        est_mult: 1.0,
+        est_rows: 1.0,
+    };
+    let refused = |nodes: Vec<PlanNode>| {
+        let plan = PhysicalPlan {
+            nodes,
+            ..good.clone()
+        };
+        let run = execute_plan(&conds, &plan, &g, Bindings::unit(), &EvalOptions::default());
+        run.expect_err("an invalid plan").to_string()
+    };
+    // A single-label operator before the compare that makes its label known.
+    let early = refused(vec![node(1, PhysOp::LabelScan, Some("a"))]);
+    assert!(
+        early.contains("node 0 [label-scan]") && early.contains("needs `l` bound"),
+        "{early}"
+    );
+    // An expansion from a source nothing has bound.
+    let sourceless = refused(vec![node(1, PhysOp::ArcForward, None)]);
+    assert!(sourceless.contains("needs `x` bound"), "{sourceless}");
+    // A scan that would bind a bound variable a second time.
+    let twice = refused(vec![
+        node(0, PhysOp::CollectionScan, None),
+        node(0, PhysOp::CollectionScan, None),
+    ]);
+    assert!(
+        twice.contains("node 1") && twice.contains("binds `x`, which is bound already"),
+        "{twice}"
+    );
+    // A single-label operator over an arc variable without its label.
+    let unlabelled = refused(vec![
+        node(2, PhysOp::CompareBind, None),
+        node(1, PhysOp::LabelScan, None),
+    ]);
+    assert!(unlabelled.contains("does not apply"), "{unlabelled}");
+    // And the compiler's own plan passes.
+    let rows = execute_plan(&conds, &good, &g, Bindings::unit(), &EvalOptions::default()).unwrap();
+    assert_eq!(rows.len(), 1);
 }
 
 // ------------------------------------------------------------- templates ----

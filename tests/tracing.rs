@@ -245,3 +245,65 @@ fn first_hub_click_after_reopen_builds_the_extents_once_and_names_it() {
     assert!(attr("values") > 300);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A cold `FrontPage`, as the counts behind its speed at two sizes: both of
+/// its conjunctions carry `l = "…"` for the edge's arc variable, so their
+/// plans follow that one label (a `label-*` operator, estimated from the
+/// label's cardinality to within 2× of what it returns) instead of walking
+/// every out-edge of every article and filtering — the whole page examines
+/// at most three rows per row it keeps.
+#[test]
+fn a_cold_front_page_follows_its_known_labels() {
+    use strudel::obs::trace::{self, AttrValue};
+    use strudel::site::PageRef;
+    use strudel::synth::news;
+
+    trace::enable(trace::TraceConfig::default());
+    let query = strudel::struql::parse_query(news::SITE_QUERY).unwrap();
+    for articles in [300, 1_200] {
+        let data = strudel::graph::ddl::parse(&news::generate_ddl(articles, 5)).unwrap();
+        let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+        let root = trace::begin_request("test.front").expect("tracing enabled");
+        let trace_id = root.trace_id();
+        let entered = trace::enter(&root.ctx());
+        let front = PageRef {
+            skolem: "FrontPage".into(),
+            args: Vec::new(),
+        };
+        assert!(site.expand(&front).unwrap().len() > 7);
+        drop(entered);
+        root.finish();
+
+        let spans: Vec<_> = trace::snapshot_spans()
+            .into_iter()
+            .filter(|s| s.trace_id == trace_id)
+            .collect();
+        let attr =
+            |span: &trace::SpanRecord, key: &str| match span.attrs.iter().find(|(k, _)| k == key) {
+                Some((_, AttrValue::U64(v))) => *v,
+                other => panic!("no integer attribute {key} on {}: {other:?}", span.name),
+            };
+        let ops: Vec<_> = spans.iter().filter(|s| s.name == "eval.op").collect();
+        let by_label: Vec<_> = ops
+            .iter()
+            .filter(|s| {
+                s.attrs.iter().any(|(k, v)| {
+                    k == "op" && matches!(v, AttrValue::Text(t) if t.starts_with("label-"))
+                })
+            })
+            .collect();
+        assert_eq!(by_label.len(), 2, "one label operator per conjunction");
+        for op in by_label {
+            let (est, obs) = (attr(op, "est_rows"), attr(op, "obs_rows"));
+            assert!(obs >= articles as u64, "{obs} rows at {articles} articles");
+            assert!(est <= 2 * obs && obs <= 2 * est, "est {est} obs {obs}");
+        }
+        let examined: u64 = ops.iter().map(|op| attr(op, "obs_rows")).sum();
+        let expand = spans.iter().find(|s| s.name == "cache.expand").unwrap();
+        let kept = attr(expand, "rows");
+        assert!(
+            examined <= 3 * kept,
+            "{examined} rows examined for {kept} kept at {articles} articles"
+        );
+    }
+}
