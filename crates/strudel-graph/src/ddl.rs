@@ -28,7 +28,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::fxhash::FxHashMap;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Graph, GraphBatch, NodeId};
 use crate::value::{FileKind, Value};
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -265,7 +265,9 @@ fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>> {
 struct Parser<'a, 'g> {
     toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
-    graph: &'g mut Graph,
+    /// One batch per parse: nested anonymous objects interleave the edges
+    /// of several nodes, which a batch takes as they come.
+    graph: GraphBatch<'g>,
     /// Declared default types: collection → attribute → directive.
     directives: FxHashMap<&'a str, FxHashMap<&'a str, Directive>>,
     /// Named objects, created lazily so forward references work.
@@ -431,7 +433,7 @@ pub fn parse_into(graph: &mut Graph, src: &str) -> Result<()> {
     let mut p = Parser {
         toks,
         pos: 0,
-        graph,
+        graph: graph.batch(),
         directives: FxHashMap::default(),
         named: FxHashMap::default(),
         anon_counter: 0,

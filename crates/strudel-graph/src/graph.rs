@@ -9,6 +9,20 @@
 //! A [`Graph`] is a *membership view* over the universe — the set of nodes it
 //! contains — plus its own named collections (the query entry points) and,
 //! optionally, a full set of indexes over its schema and data ([`crate::index`]).
+//!
+//! A graph is written two ways. One at a time — [`Graph::new_node`],
+//! [`Graph::add_edge`], [`Graph::adopt_node`], [`Graph::add_to_collection`]:
+//! each call takes the universe's lock for itself, moves the revisions and
+//! brings the counts up to date, which is what a wrapper or a transaction
+//! applying a handful of ops wants. Or in bulk, through a [`GraphBatch`] —
+//! what decoding a stored image, parsing DDL and a block of LINK
+//! construction do: the lock is taken once, held for the batch's lifetime
+//! (so its thread may not take it again — the lock rule in the type's
+//! documentation), and revisions, edge count, label counts and collection
+//! cardinalities are settled once, when the batch is dropped. Both ways go
+//! through the same membership, counting and extents code, and a graph
+//! cannot tell afterwards which one wrote it
+//! (`tests/lazy_index.rs`).
 
 use crate::error::{GraphError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -16,12 +30,20 @@ use crate::index::GraphIndex;
 use crate::symbol::{Interner, Sym};
 use crate::value::Value;
 use parking_lot::RwLock;
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Allocator for globally unique graph identities (see [`Graph::cache_stamp`]).
 static GRAPH_IDS: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// Address of the universe this thread has a [`GraphBatch`] open on
+    /// (0: none), for [`Universe::assert_no_batch`].
+    static BATCH_ON: Cell<usize> = const { Cell::new(0) };
+}
 
 /// An identity + version fingerprint of a graph's queryable state. Two equal
 /// stamps guarantee the same graph object with the same nodes, edges,
@@ -110,41 +132,54 @@ impl Universe {
         self.revision.load(Ordering::Acquire)
     }
 
+    /// The node arena for reading. Every lock the universe takes goes
+    /// through here or [`Universe::write`]: the lock is not reentrant, so a
+    /// thread with a [`GraphBatch`] open on this universe would wait for
+    /// itself forever — debug builds panic instead.
+    fn read(&self) -> parking_lot::RwLockReadGuard<'_, Vec<NodeSlot>> {
+        self.assert_no_batch();
+        self.nodes.read()
+    }
+
+    fn write(&self) -> parking_lot::RwLockWriteGuard<'_, Vec<NodeSlot>> {
+        self.assert_no_batch();
+        self.nodes.write()
+    }
+
+    fn assert_no_batch(&self) {
+        debug_assert!(
+            BATCH_ON.with(Cell::get) != self as *const Universe as usize,
+            "a GraphBatch on this universe is open on this thread: taking the \
+             universe lock now would deadlock — go through the batch"
+        );
+    }
+
     /// Allocates a fresh node, optionally with a provenance name.
     pub fn create_node(&self, name: Option<&str>) -> NodeId {
         self.revision.fetch_add(1, Ordering::AcqRel);
-        let mut nodes = self.nodes.write();
-        let id = NodeId(u32::try_from(nodes.len()).expect("oid space exhausted"));
-        nodes.push(NodeSlot {
-            name: name.map(Arc::from),
-            out: Vec::new(),
-        });
-        id
+        push_slot(&mut self.write(), name)
     }
 
     /// Total number of nodes ever allocated.
     pub fn node_count(&self) -> usize {
-        self.nodes.read().len()
+        self.read().len()
     }
 
     /// The provenance name of a node, if any.
     pub fn node_name(&self, n: NodeId) -> Option<Arc<str>> {
-        self.nodes
-            .read()
-            .get(n.0 as usize)
-            .and_then(|s| s.name.clone())
+        self.read().get(n.0 as usize).and_then(|s| s.name.clone())
     }
 
     /// Sets or replaces the provenance name of a node.
     pub fn set_node_name(&self, n: NodeId, name: &str) {
-        if let Some(slot) = self.nodes.write().get_mut(n.0 as usize) {
+        if let Some(slot) = self.write().get_mut(n.0 as usize) {
             slot.name = Some(Arc::from(name));
         }
     }
 
     fn push_edge(&self, from: NodeId, label: Sym, to: Value) -> Result<()> {
         self.revision.fetch_add(1, Ordering::AcqRel);
-        let mut nodes = self.nodes.write();
+        let mut nodes = self.write();
         let slot = nodes
             .get_mut(from.0 as usize)
             .ok_or(GraphError::UnknownNode(from))?;
@@ -156,7 +191,7 @@ impl Universe {
     /// of the remaining edges. Returns whether an edge was removed.
     fn pop_edge(&self, from: NodeId, label: Sym, to: &Value) -> Result<bool> {
         self.revision.fetch_add(1, Ordering::AcqRel);
-        let mut nodes = self.nodes.write();
+        let mut nodes = self.write();
         let slot = nodes
             .get_mut(from.0 as usize)
             .ok_or(GraphError::UnknownNode(from))?;
@@ -171,8 +206,7 @@ impl Universe {
 
     /// Clones the outgoing edges of `n`. Prefer [`Graph::reader`] in loops.
     pub fn out_edges(&self, n: NodeId) -> Vec<(Sym, Value)> {
-        self.nodes
-            .read()
+        self.read()
             .get(n.0 as usize)
             .map(|s| s.out.clone())
             .unwrap_or_default()
@@ -195,6 +229,16 @@ impl fmt::Debug for Universe {
             .field("nodes", &self.node_count())
             .finish()
     }
+}
+
+/// Appends a node to the arena: the one place oids are allocated.
+fn push_slot(nodes: &mut Vec<NodeSlot>, name: Option<&str>) -> NodeId {
+    let id = NodeId(u32::try_from(nodes.len()).expect("oid space exhausted"));
+    nodes.push(NodeSlot {
+        name: name.map(Arc::from),
+        out: Vec::new(),
+    });
+    id
 }
 
 /// A named collection: an insertion-ordered set of objects.
@@ -249,6 +293,12 @@ impl Collection {
 /// A labeled directed graph over a shared [`Universe`].
 pub struct Graph {
     universe: Arc<Universe>,
+    own: Own,
+}
+
+/// What a graph has to itself, beside the universe it shares: a
+/// [`GraphBatch`] borrows this next to the universe's write guard.
+struct Own {
     members: FxHashSet<NodeId>,
     member_list: Vec<NodeId>,
     collections: FxHashMap<Sym, Collection>,
@@ -266,14 +316,16 @@ impl Graph {
     pub fn new(universe: Arc<Universe>) -> Self {
         Graph {
             universe,
-            members: FxHashSet::default(),
-            member_list: Vec::new(),
-            collections: FxHashMap::default(),
-            collection_order: Vec::new(),
-            index: Some(GraphIndex::default()),
-            edge_count: 0,
-            id: GRAPH_IDS.fetch_add(1, Ordering::Relaxed),
-            revision: 0,
+            own: Own {
+                members: FxHashSet::default(),
+                member_list: Vec::new(),
+                collections: FxHashMap::default(),
+                collection_order: Vec::new(),
+                index: Some(GraphIndex::default()),
+                edge_count: 0,
+                id: GRAPH_IDS.fetch_add(1, Ordering::Relaxed),
+                revision: 0,
+            },
         }
     }
 
@@ -282,8 +334,8 @@ impl Graph {
     /// graph sharing it) yields a different stamp.
     pub fn cache_stamp(&self) -> CacheStamp {
         CacheStamp {
-            graph_id: self.id,
-            graph_revision: self.revision,
+            graph_id: self.own.id,
+            graph_revision: self.own.revision,
             universe_revision: self.universe.revision(),
         }
     }
@@ -313,17 +365,17 @@ impl Graph {
     /// index; re-enabling rebuilds it from scratch. Used by the `A-OPT`
     /// ablation benchmarks (indexes on/off, DESIGN.md §4).
     pub fn set_indexing(&mut self, enabled: bool) {
-        self.revision += 1;
-        match (enabled, self.index.is_some()) {
+        self.own.revision += 1;
+        match (enabled, self.own.index.is_some()) {
             (true, false) => self.rebuild_index(),
-            (false, true) => self.index = None,
+            (false, true) => self.own.index = None,
             _ => {}
         }
     }
 
     /// Whether this graph maintains indexes.
     pub fn is_indexed(&self) -> bool {
-        self.index.is_some()
+        self.own.index.is_some()
     }
 
     /// The graph's index, if indexing is enabled — the *full* index: the
@@ -335,10 +387,10 @@ impl Graph {
     /// counts — [`Graph::label_cardinality`], [`Graph::label_count`],
     /// [`Graph::labels`], [`Graph::edge_count`] — do not come through here.
     pub fn index(&self) -> Option<&GraphIndex> {
-        let idx = self.index.as_ref()?;
+        let idx = self.own.index.as_ref()?;
         idx.ensure_extents(|add| {
-            let nodes = self.universe.nodes.read();
-            for &n in &self.member_list {
+            let nodes = self.universe.read();
+            for &n in &self.own.member_list {
                 add(n, &nodes[n.0 as usize].out);
             }
         });
@@ -349,40 +401,43 @@ impl Graph {
     /// a degree statistic or [`Graph::rebuild_index`]. `false` on a graph
     /// that has only been written, planned against and walked forwards.
     pub fn extents_built(&self) -> bool {
-        self.index.as_ref().is_some_and(GraphIndex::extents_built)
+        self.own
+            .index
+            .as_ref()
+            .is_some_and(GraphIndex::extents_built)
     }
 
     /// Number of edges carrying `label`, from the index's counts (`None`
     /// when unindexed). Never builds the extents.
     pub fn label_cardinality(&self, label: Sym) -> Option<usize> {
-        self.index.as_ref().map(|i| i.label_cardinality(label))
+        self.own.index.as_ref().map(|i| i.label_cardinality(label))
     }
 
     /// Number of distinct labels, from the index's counts (`None` when
     /// unindexed). Never builds the extents.
     pub fn label_count(&self) -> Option<usize> {
-        self.index.as_ref().map(GraphIndex::label_count)
+        self.own.index.as_ref().map(GraphIndex::label_count)
     }
 
     /// Rebuilds all indexes from the current data: an exact recount of
     /// every per-graph counter (which between rebuilds only saturate, see
     /// [`Graph::remove_member`]), then the extents.
     pub fn rebuild_index(&mut self) {
-        self.revision += 1;
+        self.own.revision += 1;
         let mut idx = GraphIndex::default();
         {
-            let nodes = self.universe.nodes.read();
-            for &n in &self.member_list {
+            let nodes = self.universe.read();
+            for &n in &self.own.member_list {
                 for (label, to) in &nodes[n.0 as usize].out {
                     idx.index_edge(n, *label, to);
                 }
             }
         }
-        self.edge_count = idx.edge_count();
-        for (&name, coll) in &self.collections {
+        self.own.edge_count = idx.edge_count();
+        for (&name, coll) in &self.own.collections {
             idx.index_collection(name, coll.len());
         }
-        self.index = Some(idx);
+        self.own.index = Some(idx);
         self.index();
     }
 
@@ -390,10 +445,9 @@ impl Graph {
 
     /// Creates a fresh node in this graph.
     pub fn new_node(&mut self, name: Option<&str>) -> NodeId {
-        self.revision += 1;
+        self.own.revision += 1;
         let id = self.universe.create_node(name);
-        self.members.insert(id);
-        self.member_list.push(id);
+        self.own.join(id);
         id
     }
 
@@ -401,16 +455,13 @@ impl Graph {
     /// current edges visible (and indexed) here. Used when a site graph
     /// references data-graph nodes, and by query composition.
     pub fn adopt_node(&mut self, n: NodeId) -> Result<()> {
-        self.revision += 1;
-        if n.0 as usize >= self.universe.node_count() {
-            return Err(GraphError::UnknownNode(n));
-        }
-        if self.members.insert(n) {
-            self.member_list.push(n);
-            let nodes = self.universe.nodes.read();
-            let out = &nodes[n.0 as usize].out;
-            self.edge_count += out.len();
-            if let Some(idx) = &mut self.index {
+        self.own.revision += 1;
+        let nodes = self.universe.read();
+        let slot = nodes.get(n.0 as usize);
+        let out = &slot.ok_or(GraphError::UnknownNode(n))?.out;
+        if self.own.join(n) {
+            self.own.edge_count += out.len();
+            if let Some(idx) = &mut self.own.index {
                 for (label, to) in out {
                     idx.index_edge(n, *label, to);
                 }
@@ -421,22 +472,22 @@ impl Graph {
 
     /// Whether `n` is a member of this graph.
     pub fn contains_node(&self, n: NodeId) -> bool {
-        self.members.contains(&n)
+        self.own.members.contains(&n)
     }
 
     /// Member nodes in insertion order.
     pub fn nodes(&self) -> &[NodeId] {
-        &self.member_list
+        &self.own.member_list
     }
 
     /// Number of member nodes.
     pub fn node_count(&self) -> usize {
-        self.member_list.len()
+        self.own.member_list.len()
     }
 
     /// Number of edges out of member nodes.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.own.edge_count
     }
 
     /// The provenance name of a node.
@@ -448,13 +499,11 @@ impl Graph {
 
     /// Adds an edge `from --label--> to`. `from` must be a member node.
     pub fn add_edge(&mut self, from: NodeId, label: Sym, to: Value) -> Result<()> {
-        self.revision += 1;
-        if !self.members.contains(&from) {
-            return Err(GraphError::NotAMember(from));
-        }
+        self.own.revision += 1;
+        self.own.member(from)?;
         self.universe.push_edge(from, label, to.clone())?;
-        self.edge_count += 1;
-        if let Some(idx) = &mut self.index {
+        self.own.edge_count += 1;
+        if let Some(idx) = &mut self.own.index {
             idx.index_edge(from, label, &to);
         }
         Ok(())
@@ -470,14 +519,12 @@ impl Graph {
     /// be a member node. Returns whether an edge was actually removed
     /// (set semantics: removing an absent edge is a no-op, not an error).
     pub fn remove_edge(&mut self, from: NodeId, label: Sym, to: &Value) -> Result<bool> {
-        self.revision += 1;
-        if !self.members.contains(&from) {
-            return Err(GraphError::NotAMember(from));
-        }
+        self.own.revision += 1;
+        self.own.member(from)?;
         let removed = self.universe.pop_edge(from, label, to)?;
         if removed {
-            self.edge_count = self.edge_count.saturating_sub(1);
-            if let Some(idx) = &mut self.index {
+            self.own.edge_count = self.own.edge_count.saturating_sub(1);
+            if let Some(idx) = &mut self.own.index {
                 idx.unindex_edge(from, label, to);
             }
         }
@@ -495,10 +542,10 @@ impl Graph {
 
     /// Whether the edge `from --label--> to` is present (on a member node).
     pub fn has_edge(&self, from: NodeId, label: Sym, to: &Value) -> bool {
-        if !self.members.contains(&from) {
+        if !self.own.members.contains(&from) {
             return false;
         }
-        let nodes = self.universe.nodes.read();
+        let nodes = self.universe.read();
         nodes
             .get(from.0 as usize)
             .is_some_and(|s| s.out.iter().any(|(l, t)| *l == label && t == to))
@@ -516,18 +563,18 @@ impl Graph {
     /// they stop at zero rather than track per-node what was counted;
     /// [`Graph::rebuild_index`] recounts exactly.
     pub fn remove_member(&mut self, n: NodeId) -> bool {
-        self.revision += 1;
-        if !self.members.remove(&n) {
+        self.own.revision += 1;
+        if !self.own.members.remove(&n) {
             return false;
         }
-        self.member_list.retain(|m| *m != n);
-        let nodes = self.universe.nodes.read();
+        self.own.member_list.retain(|m| *m != n);
+        let nodes = self.universe.read();
         let out = nodes
             .get(n.0 as usize)
             .map(|s| s.out.as_slice())
             .unwrap_or(&[]);
-        self.edge_count = self.edge_count.saturating_sub(out.len());
-        if let Some(idx) = &mut self.index {
+        self.own.edge_count = self.own.edge_count.saturating_sub(out.len());
+        if let Some(idx) = &mut self.own.index {
             for (label, to) in out {
                 idx.unindex_edge(n, *label, to);
             }
@@ -542,9 +589,9 @@ impl Graph {
 
     /// Iterates all edges of the graph (cloned), in deterministic order.
     pub fn edges(&self) -> Vec<Edge> {
-        let nodes = self.universe.nodes.read();
-        let mut out = Vec::with_capacity(self.edge_count);
-        for &n in &self.member_list {
+        let nodes = self.universe.read();
+        let mut out = Vec::with_capacity(self.own.edge_count);
+        for &n in &self.own.member_list {
             for (label, to) in &nodes[n.0 as usize].out {
                 out.push(Edge {
                     from: n,
@@ -560,7 +607,7 @@ impl Graph {
     pub fn reader(&self) -> GraphReader<'_> {
         GraphReader {
             graph: self,
-            nodes: self.universe.nodes.read(),
+            nodes: self.universe.read(),
         }
     }
 
@@ -568,36 +615,18 @@ impl Graph {
 
     /// Creates (or gets) a collection by name and returns its symbol.
     pub fn ensure_collection(&mut self, name: &str) -> Sym {
-        self.revision += 1;
+        self.own.revision += 1;
         let sym = self.sym(name);
-        if let std::collections::hash_map::Entry::Vacant(e) = self.collections.entry(sym) {
-            e.insert(Collection::default());
-            self.collection_order.push(sym);
-            if let Some(idx) = &mut self.index {
-                idx.index_collection(sym, 0);
-            }
-        }
+        self.own.ensure_collection(sym);
         sym
     }
 
     /// Adds `v` to the named collection, creating the collection if needed.
     /// Returns `true` if the value was newly inserted.
     pub fn add_to_collection(&mut self, name: Sym, v: Value) -> bool {
-        self.revision += 1;
-        let is_new_coll = !self.collections.contains_key(&name);
-        if is_new_coll {
-            self.collections.insert(name, Collection::default());
-            self.collection_order.push(name);
-        }
-        let inserted = self
-            .collections
-            .get_mut(&name)
-            .expect("just ensured")
-            .insert(v);
-        if let Some(idx) = &mut self.index {
-            let len = self.collections[&name].len();
-            idx.index_collection(name, len);
-        }
+        self.own.revision += 1;
+        let inserted = self.own.collect(name, v);
+        self.own.index_collection(name);
         inserted
     }
 
@@ -610,14 +639,14 @@ impl Graph {
     /// Removes `v` from the named collection. Returns whether it was a
     /// member. The (empty) collection itself stays registered.
     pub fn remove_from_collection(&mut self, name: Sym, v: &Value) -> bool {
-        self.revision += 1;
-        let Some(coll) = self.collections.get_mut(&name) else {
+        self.own.revision += 1;
+        let Some(coll) = self.own.collections.get_mut(&name) else {
             return false;
         };
         let removed = coll.remove(v);
         if removed {
-            if let Some(idx) = &mut self.index {
-                let len = self.collections[&name].len();
+            if let Some(idx) = &mut self.own.index {
+                let len = self.own.collections[&name].len();
                 idx.index_collection(name, len);
             }
         }
@@ -634,18 +663,18 @@ impl Graph {
 
     /// Looks up a collection by symbol.
     pub fn collection(&self, name: Sym) -> Option<&Collection> {
-        self.collections.get(&name)
+        self.own.collections.get(&name)
     }
 
     /// Looks up a collection by string name.
     pub fn collection_str(&self, name: &str) -> Option<&Collection> {
         let sym = self.universe.interner.get(name)?;
-        self.collections.get(&sym)
+        self.own.collections.get(&sym)
     }
 
     /// All collection names, in creation order.
     pub fn collection_names(&self) -> &[Sym] {
-        &self.collection_order
+        &self.own.collection_order
     }
 
     // ---- schema queries (the §2.2 schema index fallbacks) ----
@@ -653,16 +682,16 @@ impl Graph {
     /// All distinct edge labels of the graph. Uses the schema index when
     /// available, otherwise scans.
     pub fn labels(&self) -> Vec<Sym> {
-        match &self.index {
+        match &self.own.index {
             Some(idx) => idx.labels(),
-            None => self.scan_labels(&self.universe.nodes.read()),
+            None => self.scan_labels(&self.universe.read()),
         }
     }
 
     fn scan_labels(&self, nodes: &[NodeSlot]) -> Vec<Sym> {
         let mut seen = FxHashSet::default();
         let mut out = Vec::new();
-        for &n in &self.member_list {
+        for &n in &self.own.member_list {
             for (label, _) in &nodes[n.0 as usize].out {
                 if seen.insert(*label) {
                     out.push(*label);
@@ -673,13 +702,292 @@ impl Graph {
     }
 }
 
+impl Own {
+    /// Only a member node can be written to.
+    fn member(&self, n: NodeId) -> Result<()> {
+        match self.members.contains(&n) {
+            true => Ok(()),
+            false => Err(GraphError::NotAMember(n)),
+        }
+    }
+
+    /// Makes `n` a member; whether it was not one already.
+    fn join(&mut self, n: NodeId) -> bool {
+        let joined = self.members.insert(n);
+        if joined {
+            self.member_list.push(n);
+        }
+        joined
+    }
+
+    /// Registers the collection `name`; whether it was not there already.
+    fn ensure_collection(&mut self, name: Sym) -> bool {
+        let Entry::Vacant(new) = self.collections.entry(name) else {
+            return false;
+        };
+        new.insert(Collection::default());
+        self.collection_order.push(name);
+        self.index_collection(name);
+        true
+    }
+
+    /// Adds `v` to the collection `name`, registered on first use; whether
+    /// `v` was not in it already. The schema index's cardinality is the
+    /// caller's to bring up to date ([`Own::index_collection`]).
+    fn collect(&mut self, name: Sym, v: Value) -> bool {
+        self.ensure_collection(name);
+        let coll = self.collections.get_mut(&name);
+        coll.expect("ensured above").insert(v)
+    }
+
+    /// Brings the schema index's cardinality of `name` up to date.
+    fn index_collection(&mut self, name: Sym) {
+        if let Some(idx) = &mut self.index {
+            idx.index_collection(name, self.collections[&name].len());
+        }
+    }
+}
+
+/// The bulk writer: everything an image decode, a DDL parse or a block of
+/// LINK construction does to a graph, under **one** hold of the universe's
+/// write lock and one settlement.
+///
+/// [`Graph::add_edge`] and its siblings pay per call for what a bulk load
+/// needs once: the lock, a bump of both revisions, a membership probe, a
+/// hash probe into the label counts. A batch takes the lock when it is
+/// opened ([`Graph::batch`]), checks membership once per run of edges out
+/// of one node, tallies labels in an array, and *settles* when it is
+/// dropped — on the error path too, so edges written before a failure are
+/// counted: if anything changed, `Graph::revision` and
+/// `Universe::revision` move once (before the lock is released, so no
+/// reader can see the new edges under an old [`CacheStamp`]), the edge
+/// count rises by the edges written, the label counts are merged into the
+/// index in first-appearance order (exactly the order one-at-a-time writes
+/// would have left) and the touched collections' cardinalities are
+/// recorded. A graph whose extents are already built has every edge
+/// indexed as it is written instead, as [`Graph::add_edge`] does.
+///
+/// **Lock rule.** While a batch is open, its thread must not take the
+/// universe's lock any other way — not through another graph of the same
+/// universe ([`Graph::reader`], [`Graph::index`], [`Graph::out_edges`],
+/// [`Graph::adopt_node`], …) nor through the [`Universe`] itself: the lock
+/// is not reentrant and the thread would wait for itself. The borrow
+/// checker rules out the batch's own graph; for the rest, debug builds
+/// panic where a release build would hang:
+///
+/// ```should_panic
+/// use strudel_graph::graph::{Graph, Universe};
+/// let universe = Universe::new();
+/// let mut site = Graph::new(universe.clone());
+/// let batch = site.batch();
+/// # if !cfg!(debug_assertions) { panic!("(a release build would hang on the next line)") }
+/// universe.node_count(); // debug builds: panics; release builds: deadlocks
+/// # drop(batch);
+/// ```
+pub struct GraphBatch<'g> {
+    universe: &'g Universe,
+    nodes: parking_lot::RwLockWriteGuard<'g, Vec<NodeSlot>>,
+    own: &'g mut Own,
+    /// The node the last edge left: membership is checked once per run.
+    run: Option<NodeId>,
+    tally: Tally,
+    /// Collections whose cardinality is owed to the schema index.
+    collected: Vec<Sym>,
+    changed: bool,
+    /// What `BATCH_ON` held when this batch opened.
+    outer_batch: usize,
+}
+
+/// What a batch owes the graph's counts for the edges it has written.
+#[derive(Default)]
+struct Tally {
+    /// Whether the index has its extents, so that edges are indexed as
+    /// they are written rather than tallied.
+    extents: bool,
+    /// Edges written or adopted, owed to the graph's edge count.
+    edges: usize,
+    /// Edges per label (by symbol index) owed to the index's counts, and
+    /// those labels in first-appearance order.
+    per_label: Vec<usize>,
+    seen: Vec<Sym>,
+}
+
+impl Tally {
+    /// One more edge: indexed now if the extents exist, tallied for the
+    /// settlement if only the counts do.
+    #[inline]
+    fn edge(&mut self, index: &mut Option<GraphIndex>, from: NodeId, label: Sym, to: &Value) {
+        self.edges += 1;
+        match index {
+            Some(idx) if self.extents => idx.index_edge(from, label, to),
+            Some(_) => {
+                if label.index() >= self.per_label.len() {
+                    self.per_label.resize(label.index() + 1, 0);
+                }
+                if self.per_label[label.index()] == 0 {
+                    self.seen.push(label);
+                }
+                self.per_label[label.index()] += 1;
+            }
+            None => {}
+        }
+    }
+}
+
+impl Graph {
+    /// Opens a [`GraphBatch`] on this graph, taking the universe's write
+    /// lock until the batch is dropped.
+    pub fn batch(&mut self) -> GraphBatch<'_> {
+        let universe: &Universe = &self.universe;
+        let nodes = universe.write();
+        GraphBatch {
+            universe,
+            nodes,
+            tally: Tally {
+                extents: self.own.index.as_ref().is_some_and(|i| i.extents_built()),
+                ..Tally::default()
+            },
+            own: &mut self.own,
+            run: None,
+            collected: Vec::new(),
+            changed: false,
+            outer_batch: BATCH_ON.with(|b| b.replace(universe as *const Universe as usize)),
+        }
+    }
+}
+
+impl GraphBatch<'_> {
+    /// Interns a label or collection name (the interner has its own lock).
+    pub fn sym(&self, s: &str) -> Sym {
+        self.universe.interner.intern(s)
+    }
+
+    /// Creates a fresh member node.
+    pub fn new_node(&mut self, name: Option<&str>) -> NodeId {
+        let id = push_slot(&mut self.nodes, name);
+        self.own.join(id);
+        self.changed = true;
+        id
+    }
+
+    /// Creates `n` fresh, unnamed member nodes with consecutive oids.
+    pub fn new_nodes(&mut self, n: usize) -> Vec<NodeId> {
+        let first = self.nodes.len();
+        let end = u32::try_from(first + n).expect("oid space exhausted");
+        self.nodes.resize_with(first + n, NodeSlot::default);
+        let ids: Vec<NodeId> = (first as u32..end).map(NodeId).collect();
+        self.own.members.extend(&ids);
+        self.own.member_list.extend_from_slice(&ids);
+        self.changed |= n > 0;
+        ids
+    }
+
+    /// Starts (or continues) a run of writes to the member node `n`.
+    #[inline]
+    fn enter(&mut self, n: NodeId) -> Result<usize> {
+        if self.run != Some(n) {
+            self.own.member(n)?;
+            if n.0 as usize >= self.nodes.len() {
+                return Err(GraphError::UnknownNode(n));
+            }
+            self.run = Some(n);
+        }
+        Ok(n.0 as usize)
+    }
+
+    /// Sets or replaces the provenance name of the member node `n`.
+    pub fn set_name(&mut self, n: NodeId, name: &str) -> Result<()> {
+        let at = self.enter(n)?;
+        self.nodes[at].name = Some(Arc::from(name));
+        self.changed = true;
+        Ok(())
+    }
+
+    /// Makes room for exactly `additional` more edges out of the member
+    /// node `n` (a decoder knows the count before it reads the edges).
+    pub fn reserve_out(&mut self, n: NodeId, additional: usize) -> Result<()> {
+        let at = self.enter(n)?;
+        self.nodes[at].out.reserve_exact(additional);
+        Ok(())
+    }
+
+    /// Adds the edge `from --label--> to`; `from` must be a member node.
+    #[inline]
+    pub fn add_edge(&mut self, from: NodeId, label: Sym, to: Value) -> Result<()> {
+        let at = self.enter(from)?;
+        self.changed = true;
+        self.tally.edge(&mut self.own.index, from, label, &to);
+        self.nodes[at].out.push((label, to));
+        Ok(())
+    }
+
+    /// Adopts an existing node of the universe, as [`Graph::adopt_node`].
+    pub fn adopt(&mut self, n: NodeId) -> Result<()> {
+        let slot = self.nodes.get(n.0 as usize);
+        let out = &slot.ok_or(GraphError::UnknownNode(n))?.out;
+        if self.own.join(n) {
+            self.changed = true;
+            for (label, to) in out {
+                self.tally.edge(&mut self.own.index, n, *label, to);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `n` is a member of the graph.
+    pub fn contains_node(&self, n: NodeId) -> bool {
+        self.own.members.contains(&n)
+    }
+
+    /// Creates (or gets) a collection by name, as [`Graph::ensure_collection`].
+    pub fn ensure_collection(&mut self, name: &str) -> Sym {
+        let sym = self.sym(name);
+        self.changed |= self.own.ensure_collection(sym);
+        sym
+    }
+
+    /// Adds `v` to the named collection, as [`Graph::add_to_collection`].
+    pub fn add_to_collection(&mut self, name: Sym, v: Value) -> bool {
+        let inserted = self.own.collect(name, v);
+        if inserted {
+            self.changed = true;
+            if !self.collected.contains(&name) {
+                self.collected.push(name);
+            }
+        }
+        inserted
+    }
+}
+
+impl Drop for GraphBatch<'_> {
+    /// The settlement (see the type's documentation). Runs while the write
+    /// guard is still held: fields are dropped after this returns.
+    fn drop(&mut self) {
+        BATCH_ON.with(|b| b.set(self.outer_batch));
+        if !self.changed {
+            return;
+        }
+        self.own.revision += 1;
+        self.universe.revision.fetch_add(1, Ordering::AcqRel);
+        self.own.edge_count += self.tally.edges;
+        if let Some(idx) = &mut self.own.index {
+            for &label in &self.tally.seen {
+                idx.count_label(label, self.tally.per_label[label.index()]);
+            }
+        }
+        for &name in &self.collected {
+            self.own.index_collection(name);
+        }
+    }
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Graph")
             .field("nodes", &self.node_count())
-            .field("edges", &self.edge_count)
-            .field("collections", &self.collection_order.len())
-            .field("indexed", &self.index.is_some())
+            .field("edges", &self.own.edge_count)
+            .field("collections", &self.own.collection_order.len())
+            .field("indexed", &self.own.index.is_some())
             .finish()
     }
 }
@@ -738,7 +1046,7 @@ impl<'g> GraphReader<'g> {
     /// [`Graph::labels`] through the lock this reader already holds (the
     /// unindexed scan there takes it again, which a holder must not do).
     pub fn labels(&self) -> Vec<Sym> {
-        match &self.graph.index {
+        match &self.graph.own.index {
             Some(idx) => idx.labels(),
             None => self.graph.scan_labels(&self.nodes),
         }

@@ -143,17 +143,24 @@ fn untally<K: std::hash::Hash + Eq>(tally: &mut FxHashMap<K, u32>, key: K) {
 }
 
 impl GraphIndex {
-    /// Records one edge: in the counts always, in the extents (and degree
-    /// tallies) only once they exist.
-    pub(crate) fn index_edge(&mut self, from: NodeId, label: Sym, to: &Value) {
+    /// The counts' half of recording `n` edges that carry `label` (a
+    /// [`crate::graph::GraphBatch`] tallies a label's edges and comes here
+    /// once; the extents, if they exist, are the caller's to keep).
+    pub(crate) fn count_label(&mut self, label: Sym, n: usize) {
         match self.label_card.entry(label) {
-            std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += 1,
+            std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += n,
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(1);
+                e.insert(n);
                 self.label_order.push(label);
             }
         }
-        self.edge_count += 1;
+        self.edge_count += n;
+    }
+
+    /// Records one edge: in the counts always, in the extents (and degree
+    /// tallies) only once they exist.
+    pub(crate) fn index_edge(&mut self, from: NodeId, label: Sym, to: &Value) {
+        self.count_label(label, 1);
         if let Some(ext) = self.extents.get_mut() {
             ext.add(from, label, to);
             if let Some(deg) = self.degree.get_mut().unwrap().get_mut(&label) {

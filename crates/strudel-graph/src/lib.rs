@@ -48,7 +48,7 @@ pub mod wal;
 
 pub use database::Database;
 pub use error::{GraphError, Result};
-pub use graph::{Edge, Graph, NodeId as Oid};
+pub use graph::{Edge, Graph, GraphBatch, NodeId as Oid};
 pub use stats::{storage_stats, StorageStats};
 pub use symbol::{Interner, Sym};
 pub use value::{FileKind, Value};

@@ -50,8 +50,8 @@ const MAGIC: &[u8; 8] = b"STRUPGD1";
 /// entries name blob chains elsewhere in the file (incremental
 /// checkpoints). Version-1 files (single flat chain) are not migrated.
 const VERSION: u32 = 2;
-/// Default page-cache capacity, in pages.
-pub const DEFAULT_CACHE_PAGES: usize = 1024;
+/// Page-cache capacity, in pages.
+const CACHE_PAGES: usize = 1024;
 /// Fixed header-slot fields before the freelist entries.
 const HEADER_FIXED: usize = 56;
 /// Page kind tag for snapshot-chain pages.
@@ -122,6 +122,12 @@ fn decode_header(slot: u32, buf: &[u8], file_len: u64) -> Result<HeaderState> {
     if u32_at(12) as usize != PAGE_SIZE {
         return Err(err("unsupported page size"));
     }
+    // Before the entries are read: the checksum is not a MAC, and a count
+    // past the capacity would index past the slot.
+    let free_len = u32_at(44) as usize;
+    if free_len > FREE_CAP {
+        return Err(err("freelist count out of range"));
+    }
     let s = HeaderState {
         revision: u64_at(16),
         root_page: u32_at(24),
@@ -129,13 +135,10 @@ fn decode_header(slot: u32, buf: &[u8], file_len: u64) -> Result<HeaderState> {
         root_bytes: u64_at(32),
         page_count: u32_at(40),
         leaked: u64_at(48),
-        free: (0..u32_at(44) as usize)
+        free: (0..free_len)
             .map(|i| u32_at(HEADER_FIXED + i * 4))
             .collect(),
     };
-    if u32_at(44) as usize > FREE_CAP {
-        return Err(err("freelist count out of range"));
-    }
     if s.page_count < 2 || (s.page_count as u64) * (PAGE_SIZE as u64) > file_len {
         return Err(err("page count exceeds file"));
     }
@@ -160,8 +163,10 @@ pub struct Pager {
     state: HeaderState,
     /// The slot describing `state`; commits write the other one.
     active_slot: u32,
-    /// Page ids of the committed snapshot chain, in order.
+    /// Page ids of the committed root chain, in order, and its bytes (the
+    /// store's manifest: a few dozen bytes per segment).
     chain: Vec<u32>,
+    root: Vec<u8>,
     cache: PageCache,
 }
 
@@ -239,7 +244,8 @@ impl Pager {
             state,
             active_slot: 0,
             chain: Vec::new(),
-            cache: PageCache::new(1024),
+            root: Vec::new(),
+            cache: PageCache::new(CACHE_PAGES),
         })
     }
 
@@ -280,9 +286,14 @@ impl Pager {
             state,
             active_slot,
             chain: Vec::new(),
-            cache: PageCache::new(1024),
+            root: Vec::new(),
+            cache: PageCache::new(CACHE_PAGES),
         };
-        pager.chain = pager.walk_chain()?;
+        let state = &pager.state;
+        let (first, pages, bytes) = (state.root_page, state.root_pages, state.root_bytes);
+        let mut root = Vec::new();
+        pager.chain = pager.walk_blob(first, pages, bytes, &mut root)?;
+        pager.root = root;
         Ok(pager)
     }
 
@@ -316,47 +327,45 @@ impl Pager {
         &self.path
     }
 
-    fn read_page(&mut self, page: u32) -> Result<Vec<u8>> {
-        if let Some(hit) = self.cache.get(page) {
-            STORAGE.page_cache_hits.inc();
-            return Ok(hit.to_vec());
+    /// Reads page `page` from the file into `buf`, which is `PAGE_SIZE` long.
+    fn read_page(&mut self, page: u32, buf: &mut [u8]) -> Result<()> {
+        if !(2..self.state.page_count).contains(&page) {
+            return Err(GraphError::corrupt(format!("page {page} out of range")));
         }
-        STORAGE.page_cache_misses.inc();
         STORAGE.page_reads.inc();
-        let mut buf = vec![0u8; PAGE_SIZE];
-        read_at(&mut self.file, page as u64 * PAGE_SIZE as u64, &mut buf)?;
-        self.cache.put(page, buf.clone().into_boxed_slice());
-        Ok(buf)
+        read_at(&mut self.file, page as u64 * PAGE_SIZE as u64, buf)
     }
 
-    /// Walks the committed root chain, validating every page, and returns
-    /// its page ids. Length and byte totals must match the header exactly.
-    fn walk_chain(&mut self) -> Result<Vec<u32>> {
-        let (page, want_pages, want_bytes) = (
-            self.state.root_page,
-            self.state.root_pages,
-            self.state.root_bytes,
-        );
-        self.walk_blob(page, want_pages, want_bytes)
-    }
-
-    /// Walks any chain starting at `first`, validating every page, and
-    /// returns its page ids. The declared page and byte totals (from the
-    /// header for the root chain, from a manifest entry for a segment
-    /// blob) must match the chain on disk exactly.
-    pub fn walk_blob(&mut self, first: u32, want_pages: u32, want_bytes: u64) -> Result<Vec<u32>> {
+    /// Walks the chain starting at `first` — one file read per page, each
+    /// validated as read — appending the payloads to `out` and returning
+    /// the page ids. The declared page and byte totals (from the header
+    /// for the root chain, from a manifest entry for a segment blob) must
+    /// match the chain on disk exactly. Does not go through the page
+    /// cache: this is how a file is first read, and what is read here is
+    /// handed on, not read again.
+    pub fn walk_blob(
+        &mut self,
+        first: u32,
+        want_pages: u32,
+        want_bytes: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<Vec<u32>> {
         let mut page = first;
-        let mut pages = Vec::with_capacity(want_pages as usize);
-        let mut bytes = 0u64;
+        // The declared count is only a hint until the chain confirms it.
+        let mut pages = Vec::with_capacity(want_pages.min(self.state.page_count) as usize);
+        let start = out.len();
+        let mut buf = vec![0u8; PAGE_SIZE];
         while page != 0 {
             if pages.len() >= want_pages as usize {
                 return Err(GraphError::corrupt("page chain longer than declared"));
             }
-            let (next, len) = self.validate_page(page)?;
-            bytes += len as u64;
+            self.read_page(page, &mut buf)?;
+            let (next, payload) = check_page(page, &buf)?;
+            out.extend_from_slice(payload);
             pages.push(page);
             page = next;
         }
+        let bytes = (out.len() - start) as u64;
         if pages.len() != want_pages as usize || bytes != want_bytes {
             return Err(GraphError::corrupt(format!(
                 "page chain mismatch: {} pages / {} bytes on disk, declared {} / {}",
@@ -369,53 +378,28 @@ impl Pager {
         Ok(pages)
     }
 
-    fn validate_page(&mut self, page: u32) -> Result<(u32, usize)> {
-        if !(2..self.state.page_count).contains(&page) {
-            return Err(GraphError::corrupt(format!("page {page} out of range")));
-        }
-        let buf = self.read_page(page)?;
-        let stored = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
-        let next = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-        let len = u16::from_le_bytes(buf[12..14].try_into().expect("2 bytes")) as usize;
-        let kind = buf[14];
-        if len > PAGE_PAYLOAD {
-            return Err(GraphError::corrupt(format!(
-                "page {page}: length out of range"
-            )));
-        }
-        let sum = fx(&[
-            &page.to_le_bytes(),
-            &next.to_le_bytes(),
-            &[kind],
-            &buf[16..16 + len],
-        ]);
-        if sum != stored {
-            return Err(GraphError::corrupt(format!(
-                "page {page}: checksum mismatch"
-            )));
-        }
-        if kind != KIND_SNAP {
-            return Err(GraphError::corrupt(format!(
-                "page {page}: unexpected kind {kind}"
-            )));
-        }
-        Ok((next, len))
-    }
-
-    /// Reads the committed revision's root-chain bytes.
-    pub fn read_chain(&mut self) -> Result<Vec<u8>> {
-        let chain = self.chain.clone();
-        self.read_pages(&chain)
+    /// The committed revision's root-chain bytes (kept since the open or
+    /// the commit that made them current).
+    pub fn read_chain(&self) -> &[u8] {
+        &self.root
     }
 
     /// Reads and concatenates the payloads of `pages` (a chain's page ids
-    /// in order), re-validating each page's checksum.
+    /// in order) through the page cache, validating each page's checksum
+    /// on the bytes it got, cached or read.
     pub fn read_pages(&mut self, pages: &[u32]) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(pages.len() * PAGE_PAYLOAD);
         for &page in pages {
-            let (_, len) = self.validate_page(page)?;
-            let buf = self.read_page(page)?;
-            out.extend_from_slice(&buf[16..16 + len]);
+            if let Some(hit) = self.cache.get(page) {
+                STORAGE.page_cache_hits.inc();
+                out.extend_from_slice(check_page(page, hit)?.1);
+                continue;
+            }
+            STORAGE.page_cache_misses.inc();
+            let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
+            self.read_page(page, &mut buf)?;
+            out.extend_from_slice(check_page(page, &buf)?.1);
+            self.cache.put(page, buf);
         }
         Ok(out)
     }
@@ -543,14 +527,50 @@ impl Pager {
         self.state = new_state;
         self.active_slot = slot;
         self.chain = root_pages;
+        self.root = root_bytes;
         Ok(blob_pages)
     }
 }
 
+/// Validates a data page's bytes against its own number — checksum over
+/// number, link, kind and payload; length and kind in range — and returns
+/// its successor and payload.
+fn check_page(page: u32, buf: &[u8]) -> Result<(u32, &[u8])> {
+    let stored = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
+    let next = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
+    let len = u16::from_le_bytes(buf[12..14].try_into().expect("2 bytes")) as usize;
+    let kind = buf[14];
+    if len > PAGE_PAYLOAD {
+        return Err(GraphError::corrupt(format!(
+            "page {page}: length out of range"
+        )));
+    }
+    let payload = &buf[16..16 + len];
+    let sum = fx(&[&page.to_le_bytes(), &next.to_le_bytes(), &[kind], payload]);
+    if sum != stored {
+        return Err(GraphError::corrupt(format!(
+            "page {page}: checksum mismatch"
+        )));
+    }
+    if kind != KIND_SNAP {
+        return Err(GraphError::corrupt(format!(
+            "page {page}: unexpected kind {kind}"
+        )));
+    }
+    Ok((next, payload))
+}
+
+/// Fills `buf` from `offset`. A file that ends first is a corrupt (short)
+/// file; any other failure is the operating system's, and says nothing
+/// about the bytes.
 fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> Result<()> {
     file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(buf)
-        .map_err(|e| GraphError::corrupt(format!("short read at {offset}: {e}")))
+    file.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => {
+            GraphError::corrupt(format!("short read at {offset}: {e}"))
+        }
+        _ => e.into(),
+    })
 }
 
 fn write_at(file: &mut File, offset: u64, buf: &[u8]) -> Result<()> {
@@ -571,9 +591,9 @@ mod tests {
     fn create_open_empty() {
         let p = tmp("empty");
         Pager::create(&p).unwrap();
-        let mut pager = Pager::open(&p).unwrap();
+        let pager = Pager::open(&p).unwrap();
         assert_eq!(pager.revision(), 0);
-        assert_eq!(pager.read_chain().unwrap(), Vec::<u8>::new());
+        assert_eq!(pager.read_chain(), &[] as &[u8]);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -584,11 +604,11 @@ mod tests {
         {
             let mut pager = Pager::create(&p).unwrap();
             pager.commit_chain(&payload, 1).unwrap();
-            assert_eq!(pager.read_chain().unwrap(), payload);
+            assert_eq!(pager.read_chain(), payload);
         }
-        let mut pager = Pager::open(&p).unwrap();
+        let pager = Pager::open(&p).unwrap();
         assert_eq!(pager.revision(), 1);
-        assert_eq!(pager.read_chain().unwrap(), payload);
+        assert_eq!(pager.read_chain(), payload);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -608,9 +628,9 @@ mod tests {
             pager.page_count() <= count_after_first + 4,
             "file kept growing"
         );
-        let mut reopened = Pager::open(&p).unwrap();
+        let reopened = Pager::open(&p).unwrap();
         assert_eq!(reopened.revision(), 7);
-        assert_eq!(reopened.read_chain().unwrap(), big);
+        assert_eq!(reopened.read_chain(), big);
         std::fs::remove_file(&p).unwrap();
     }
 
@@ -635,10 +655,65 @@ mod tests {
             bytes[slot * PAGE_SIZE + 100 + i] ^= 0xFF;
         }
         std::fs::write(&p, &bytes).unwrap();
-        let mut reopened = Pager::open(&p).unwrap();
+        let reopened = Pager::open(&p).unwrap();
         assert_eq!(reopened.revision(), 1);
-        assert_eq!(reopened.read_chain().unwrap(), b"revision one");
+        assert_eq!(reopened.read_chain(), b"revision one");
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn oversized_freelist_count_is_corruption_not_a_panic() {
+        // The checksum is not a MAC: a writer bug or a crafted file can
+        // produce a slot that validates and claims more free entries than
+        // a slot can hold. Reading them used to index past the page.
+        let p = tmp("freecount");
+        let mut pager = Pager::create(&p).unwrap();
+        pager.commit_chain(b"revision one", 1).unwrap();
+        pager.commit_chain(b"revision two", 2).unwrap();
+        let (newer, state) = (pager.active_slot, pager.state.clone());
+        drop(pager);
+        let crafted = |slot: u32| {
+            let mut buf = encode_header(slot, &state);
+            buf[44..48].copy_from_slice(&2_000u32.to_le_bytes());
+            let sum = fx(&[&slot.to_le_bytes(), &buf[..PAGE_SIZE - 8]]);
+            buf[PAGE_SIZE - 8..].copy_from_slice(&sum.to_le_bytes());
+            buf
+        };
+        let err = decode_header(newer, &crafted(newer), u64::MAX).unwrap_err();
+        assert!(matches!(err, GraphError::StorageCorrupt { .. }), "{err}");
+        // On disk: the other slot, still valid, is chosen…
+        let mut bytes = std::fs::read(&p).unwrap();
+        let at = |slot: u32| slot as usize * PAGE_SIZE..(slot as usize + 1) * PAGE_SIZE;
+        bytes[at(newer)].copy_from_slice(&crafted(newer));
+        std::fs::write(&p, &bytes).unwrap();
+        let reopened = Pager::open(&p).unwrap();
+        assert_eq!(
+            (reopened.revision(), reopened.read_chain()),
+            (1, &b"revision one"[..])
+        );
+        // …and with both slots like that the open fails typed.
+        bytes[at(1 - newer)].copy_from_slice(&crafted(1 - newer));
+        std::fs::write(&p, &bytes).unwrap();
+        let err = Pager::open(&p).unwrap_err();
+        assert!(matches!(err, GraphError::StorageCorrupt { .. }), "{err}");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn a_short_file_is_corrupt_and_a_failed_read_is_not() {
+        // Only a file that ends early says anything about the bytes; any
+        // other read failure is the operating system's (`Storage`).
+        let p = tmp("readat");
+        std::fs::write(&p, [0u8; 100]).unwrap();
+        let mut file = File::open(&p).unwrap();
+        let mut buf = [0u8; PAGE_SIZE];
+        let err = read_at(&mut file, 0, &mut buf).unwrap_err();
+        assert!(matches!(err, GraphError::StorageCorrupt { .. }), "{err}");
+        std::fs::remove_file(&p).unwrap();
+        // A directory opens for reading and refuses to be read (EISDIR).
+        let mut dir = File::open(std::env::temp_dir()).unwrap();
+        let err = read_at(&mut dir, 0, &mut buf).unwrap_err();
+        assert!(matches!(err, GraphError::Storage { .. }), "{err}");
     }
 
     #[test]

@@ -53,6 +53,10 @@ strudel_obs::signals! {
         "Pages rewritten by incremental checkpoints (dirty segments).";
     checkpoint_pages_reused: Counter, "storage.checkpoint_pages_reused", "strudel_checkpoint_pages_reused_total",
         "Pages carried over untouched across incremental checkpoints.";
+    materializations: Counter, "storage.materializations", "strudel_store_materializations_total",
+        "Stored revisions decoded into a graph (image plus committed ops).";
+    materialized_edges: Counter, "storage.materialized_edges", "strudel_store_materialized_edges_total",
+        "Edges of the graphs those decodes produced.";
     dirty_pages: Gauge, "storage.dirty_pages", "strudel_store_dirty_pages",
         "Pages the next incremental checkpoint would rewrite.";
     freelist_pages: Gauge, "storage.freelist_pages", "strudel_store_freelist_pages",

@@ -6,10 +6,12 @@
 use super::segments::SegFile;
 use crate::error::{GraphError, Result};
 use crate::fxhash::FxHashMap;
-use crate::graph::{Graph, GraphReader, NodeId};
+use crate::graph::{Graph, GraphBatch, GraphReader, NodeId};
+use crate::stats::STORAGE;
 use crate::symbol::Sym;
 use crate::value::{FileKind, Value};
 use std::io::Write;
+use strudel_obs::trace;
 
 pub(super) const MAGIC: &[u8; 8] = b"STRUDEL1";
 
@@ -399,21 +401,22 @@ impl<'g> ImageWriter<'g> {
     }
 }
 
-/// Reads the records of the nodes `run` into `g`. Their edge values may
-/// reference any of the image's `nodes`, earlier or later.
+/// Reads the records of the image's `nodes`, in order, into `g`. Their
+/// edge values may reference any of them, earlier or later.
 fn read_nodes(
     r: &mut In<'_>,
-    g: &mut Graph,
+    g: &mut GraphBatch<'_>,
     syms: &[Sym],
     nodes: &[NodeId],
-    run: &[NodeId],
 ) -> Result<()> {
-    for &n in run {
+    for &n in nodes {
         if let Some(name) = r.name()? {
-            g.universe().set_node_name(n, name);
+            g.set_name(n, name)?;
         }
         // Each edge is at least a 4-byte symbol index + 1 tag byte.
-        for _ in 0..r.count(5)? {
+        let edges = r.count(5)?;
+        g.reserve_out(n, edges)?;
+        for _ in 0..edges {
             let sym = *(syms.get(r.u32()? as usize))
                 .ok_or_else(|| GraphError::corrupt("symbol index out of range"))?;
             g.add_edge(n, sym, Tagged::decode(r)?.into_value(nodes)?)?;
@@ -422,7 +425,7 @@ fn read_nodes(
     Ok(())
 }
 
-fn read_collection(r: &mut In<'_>, g: &mut Graph, nodes: &[NodeId]) -> Result<()> {
+fn read_collection(r: &mut In<'_>, g: &mut GraphBatch<'_>, nodes: &[NodeId]) -> Result<()> {
     let sym = g.ensure_collection(r.str()?);
     // Each item is at least a 1-byte tag + 1 byte payload.
     for _ in 0..r.count(2)? {
@@ -464,11 +467,14 @@ pub fn load_slice_into(g: &mut Graph, buf: &[u8]) -> Result<()> {
     // may reference nodes that appear later in the stream, so every node
     // exists before the first record is read.
     let n_nodes = r.holds(n_nodes as usize, 5)?;
-    let nodes: Vec<NodeId> = (0..n_nodes).map(|_| g.new_node(None)).collect();
-    read_nodes(&mut r, g, &syms, &nodes, &nodes)?;
+    // One batch per image: a failure below leaves what was read so far,
+    // counted (the caller discards the graph).
+    let mut g = g.batch();
+    let nodes = g.new_nodes(n_nodes);
+    read_nodes(&mut r, &mut g, &syms, &nodes)?;
     // Each collection record is at least a 4-byte name length + 4-byte count.
     for _ in 0..r.count(8)? {
-        read_collection(&mut r, g, &nodes)?;
+        read_collection(&mut r, &mut g, &nodes)?;
     }
     r.finish("the last collection record")
 }
@@ -638,6 +644,23 @@ pub(super) fn apply_op(g: &mut Graph, op: &DeltaOp) -> Result<()> {
 /// `image` (empty before the first checkpoint) into `g`, then applies the
 /// committed `ops` on top.
 pub(super) fn materialize(g: &mut Graph, image: &[u8], ops: &[DeltaOp]) -> Result<()> {
+    let mut tspan = trace::span("store.materialize", trace::Layer::Store);
+    let edges_before = g.edge_count();
+    let done = decode_and_apply(g, image, ops);
+    STORAGE.materializations.inc();
+    STORAGE
+        .materialized_edges
+        .add(g.edge_count().saturating_sub(edges_before) as u64);
+    if tspan.is_live() {
+        tspan.attr_u64("image_bytes", image.len() as u64);
+        tspan.attr_u64("nodes", g.node_count() as u64);
+        tspan.attr_u64("edges", g.edge_count() as u64);
+        tspan.attr_u64("ops", ops.len() as u64);
+    }
+    done
+}
+
+fn decode_and_apply(g: &mut Graph, image: &[u8], ops: &[DeltaOp]) -> Result<()> {
     if !image.is_empty() {
         load_slice_into(g, image)?;
     }

@@ -62,12 +62,6 @@ impl Snapshot {
     /// violation, not an I/O condition.
     pub fn graph(&self) -> &Graph {
         self.inner.graph.get_or_init(|| {
-            let mut tspan = trace::span("store.materialize", trace::Layer::Store);
-            if tspan.is_live() {
-                tspan.attr_u64("rev", self.inner.revision);
-                tspan.attr_u64("ops", self.inner.ops.len() as u64);
-                tspan.attr_u64("image_bytes", self.inner.image.len() as u64);
-            }
             let mut g = Graph::standalone();
             materialize(&mut g, &self.inner.image, &self.inner.ops)
                 .expect("image and ops were valid when the snapshot pinned them");
@@ -113,6 +107,12 @@ pub struct PagedStore {
     pub(super) graph: Option<Graph>,
     /// Segment layout of the last checkpoint; `None` before the first.
     pub(super) segs: Option<SegFile>,
+    /// The checkpoint image as `open`'s validating walk read it, kept for
+    /// whoever first needs the image (the working graph, a caller's graph
+    /// or a snapshot) so that no page is read twice between an open and the
+    /// first graph. Taken by that first use — always before a checkpoint
+    /// can change the segments, which needs the working graph.
+    opened_image: Option<Vec<u8>>,
     /// Committed ops since the last checkpoint (what snapshots pin).
     pending: Vec<DeltaOp>,
     /// Member-node count at the current revision (tracked so `begin` and
@@ -143,6 +143,7 @@ impl PagedStore {
             graph: None,
             node_count: segs.as_ref().map_or(0, |sf| sf.node_count),
             segs,
+            opened_image: None,
             pending: Vec::new(),
             revision,
             cached_snapshot: None,
@@ -186,16 +187,35 @@ impl PagedStore {
     /// page file, replays committed WAL transactions (counting and
     /// truncating any torn tail), and discards a stale log left behind by
     /// a crash between checkpoint and log reset.
+    ///
+    /// A log with transactions is replayed into the working graph now, so
+    /// one that does not apply fails the open; a clean open defers decoding
+    /// the image until someone needs the graph.
     pub fn open(path: &Path) -> Result<Self> {
+        Self::open_with(path, None)
+    }
+
+    /// [`PagedStore::open`] for a caller that wants the current revision in
+    /// a graph of its own — fresh, standalone or in a universe shared with
+    /// other sources: the image is decoded and the log replayed into `g`
+    /// (failing the open if it does not apply) and the store keeps no
+    /// working graph, so the revision is decoded once and held once.
+    pub fn open_into(path: &Path, g: &mut Graph) -> Result<Self> {
+        Self::open_with(path, Some(g))
+    }
+
+    fn open_with(path: &Path, into: Option<&mut Graph>) -> Result<Self> {
+        let mut tspan = trace::span("store.open", trace::Layer::Store);
         let mut pager = Pager::open(path)?;
         // Restoring the segment layout walks every segment chain, so a
         // bit flip anywhere in the checkpoint image is detected *here*,
         // not on some later read.
-        let segs = if pager.chain_len() == 0 {
-            None
-        } else {
-            let manifest = pager.read_chain()?;
-            Some(SegFile::from_manifest(&mut pager, &manifest)?)
+        let (segs, image) = match pager.chain_len() {
+            0 => (None, None),
+            _ => {
+                let (segs, image) = SegFile::from_manifest(&mut pager)?;
+                (Some(segs), Some(image))
+            }
         };
         let base = pager.revision();
         let wp = wal_path(path);
@@ -211,6 +231,7 @@ impl PagedStore {
             )));
         }
         let mut store = Self::assemble(pager, wal, segs, base);
+        store.opened_image = image;
         if store.wal.base_revision() < base {
             // Crash after a durable checkpoint but before the log reset:
             // everything in this log is already in the page file. Start a
@@ -232,13 +253,21 @@ impl PagedStore {
                 store.revision = txn.revision;
             }
         }
-        // A log with transactions is replayed now, so one that does not
-        // apply fails the open; a clean open defers decoding the image
-        // until someone needs the graph.
+        match into {
+            Some(g) => store.materialize_into(g)?,
+            None if store.pending.is_empty() => {}
+            None => {
+                store.ensure_graph()?;
+            }
+        }
         if !store.pending.is_empty() {
-            store.ensure_graph()?;
             STORAGE.wal_recoveries.inc();
             STORAGE.wal_recovered_frames.add(store.pending.len() as u64);
+        }
+        if tspan.is_live() {
+            tspan.attr_u64("pages", u64::from(store.pager.page_count()));
+            tspan.attr_u64("recovered_frames", store.pending.len() as u64);
+            tspan.attr_u64("rev", store.revision);
         }
         store.publish_gauges();
         Ok(store)
@@ -271,12 +300,21 @@ impl PagedStore {
 
     /// Fills `g` — a fresh graph, standalone or in a universe shared with
     /// other sources — with the current revision: the checkpoint image,
-    /// then the committed ops since. Independent of the working graph, so
-    /// a store opened only to be read into a mediated universe keeps one
-    /// copy of its data, not two.
+    /// then the committed ops since. Independent of the working graph (to
+    /// read a store into a graph of one's own without the store keeping a
+    /// second copy, open it with [`PagedStore::open_into`]).
     pub fn materialize_into(&mut self, g: &mut Graph) -> Result<()> {
-        let image = compose_image(&mut self.pager, &self.segs)?;
+        let image = self.image()?;
         materialize(g, &image, &self.pending)
+    }
+
+    /// The checkpoint image: as `open` read it, the first time after an
+    /// open; composed from the page file from then on.
+    fn image(&mut self) -> Result<Vec<u8>> {
+        match self.opened_image.take() {
+            Some(image) => Ok(image),
+            None => compose_image(&mut self.pager, &self.segs),
+        }
     }
 
     /// Pages in the page file (header slots included).
@@ -432,7 +470,7 @@ impl PagedStore {
                 return Ok(s.clone());
             }
         }
-        let image = compose_image(&mut self.pager, &self.segs)?;
+        let image = self.image()?;
         let snap = Snapshot {
             inner: Arc::new(SnapshotInner {
                 revision: self.revision,

@@ -19,7 +19,7 @@ use super::codec::{
 use crate::error::{GraphError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::graph::Graph;
-use crate::pager::Pager;
+use crate::pager::{Pager, PAGE_PAYLOAD};
 use crate::stats::STORAGE;
 use crate::symbol::Sym;
 use std::collections::BTreeSet;
@@ -97,17 +97,22 @@ impl SegFile {
         self.syms.push(label.to_owned());
     }
 
-    /// Restores the layout from a manifest — magic, preamble entry, node
-    /// segment entries, collection-count entry, named collection entries —
-    /// walking (and thereby checksum-validating) every segment's page chain.
-    pub(super) fn from_manifest(pager: &mut Pager, bytes: &[u8]) -> Result<SegFile> {
-        let mut r = In::new(bytes);
+    /// Restores the layout from the pager's manifest — magic, preamble
+    /// entry, node segment entries, collection-count entry, named
+    /// collection entries — walking (and thereby checksum-validating) every
+    /// segment's page chain. The walk is the one time the pages are read:
+    /// the image they compose is returned with the layout.
+    pub(super) fn from_manifest(pager: &mut Pager) -> Result<(SegFile, Vec<u8>)> {
+        let manifest = pager.read_chain().to_vec();
+        let mut r = In::new(&manifest);
         if r.take(8)? != MANIFEST_MAGIC {
             return Err(GraphError::corrupt("not a STRUDEL checkpoint manifest"));
         }
+        // Every live page carries image bytes or manifest bytes.
+        let mut image = Vec::with_capacity(pager.page_count() as usize * PAGE_PAYLOAD);
         let mut seg = |r: &mut In<'_>| -> Result<Seg> {
             let (stamp, len, first, npages) = (r.u64()?, r.u64()?, r.u32()?, r.u32()?);
-            let pages = pager.walk_blob(first, npages, len)?;
+            let pages = pager.walk_blob(first, npages, len, &mut image)?;
             Ok(Seg { len, stamp, pages })
         };
         let preamble = seg(&mut r)?;
@@ -120,8 +125,7 @@ impl SegFile {
             .collect::<Result<Vec<_>>>()?;
         r.finish("the checkpoint manifest")?;
 
-        let bytes = pager.read_pages(&preamble.pages)?;
-        let mut r = In::new(&bytes);
+        let mut r = In::new(&image[..preamble.len as usize]);
         let (syms, node_count) = read_preamble(&mut r)?;
         r.finish("the checkpoint preamble")?;
         if nodes.len() != (node_count as usize).div_ceil(NODE_SEG) {
@@ -141,7 +145,7 @@ impl SegFile {
         for s in syms {
             sf.add_sym(s);
         }
-        Ok(sf)
+        Ok((sf, image))
     }
 
     /// All segments in image order; concatenating their pages' payloads

@@ -20,7 +20,7 @@ use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
-use strudel_graph::{Graph, Oid, Sym, Value};
+use strudel_graph::{Graph, GraphBatch, Oid, Sym, Value};
 
 /// The memo table of Skolem-function applications:
 /// `(function name, argument values) → node`.
@@ -74,7 +74,7 @@ impl SkolemTable {
     /// (`YearPage(1997)`), which the HTML generator later uses for stable
     /// file names.
     pub fn instantiate(&mut self, out: &mut Graph, name: &str, args: &[Value]) -> Oid {
-        let (oid, _) = self.resolve_or_create(out, name, args);
+        let (oid, _) = self.resolve_or_create(&mut out.batch(), name, args);
         self.add_refs(oid, 1);
         oid
     }
@@ -82,7 +82,12 @@ impl SkolemTable {
     /// Like [`SkolemTable::instantiate`], also reporting whether the node
     /// was created by this call — and *not* taking the resolution's node
     /// reference: the caller owes one [`SkolemTable::add_refs`] per use.
-    fn resolve_or_create(&mut self, out: &mut Graph, name: &str, args: &[Value]) -> (Oid, bool) {
+    fn resolve_or_create(
+        &mut self,
+        out: &mut GraphBatch<'_>,
+        name: &str,
+        args: &[Value],
+    ) -> (Oid, bool) {
         if let Some(&oid) = self.map.get(name).and_then(|m| m.get(args)) {
             return (oid, false);
         }
@@ -134,7 +139,13 @@ impl SkolemTable {
         })
     }
 
-    fn emit_edge(&mut self, out: &mut Graph, from: Oid, label: Sym, to: Value) -> Result<bool> {
+    fn emit_edge(
+        &mut self,
+        out: &mut GraphBatch<'_>,
+        from: Oid,
+        label: Sym,
+        to: Value,
+    ) -> Result<bool> {
         if let Value::Node(n) = &to {
             self.add_refs(*n, 1);
         }
@@ -149,9 +160,7 @@ impl SkolemTable {
                 // Linking to an existing node pulls it (and its attributes)
                 // into the output graph — graphs of a database share objects.
                 if let Value::Node(n) = &to {
-                    if !out.contains_node(*n) {
-                        out.adopt_node(*n)?;
-                    }
+                    out.adopt(*n)?;
                 }
                 out.add_edge(from, label, to)?;
                 Ok(true)
@@ -181,12 +190,10 @@ impl SkolemTable {
         Ok(gone)
     }
 
-    fn emit_collect(&mut self, out: &mut Graph, coll: Sym, value: Value) -> Result<bool> {
+    fn emit_collect(&mut self, out: &mut GraphBatch<'_>, coll: Sym, value: Value) -> Result<bool> {
         if let Value::Node(n) = &value {
             self.add_refs(*n, 1);
-            if !out.contains_node(*n) {
-                out.adopt_node(*n)?;
-            }
+            out.adopt(*n)?;
         }
         let support = self.collected.entry(coll).or_default();
         if let Some(n) = support.get_mut(&value) {
@@ -338,7 +345,7 @@ impl<'a> SkTerm<'a> {
     fn resolve(
         &mut self,
         table: &mut SkolemTable,
-        out: &mut Graph,
+        out: &mut GraphBatch<'_>,
         rows: &Bindings,
         at: usize,
         buf: &mut Vec<Value>,
@@ -504,7 +511,7 @@ fn block_plans<'a>(
 /// The symbol a link's label denotes in `row`.
 fn label_sym(
     labels: &mut FxHashMap<Arc<str>, Sym>,
-    out: &Graph,
+    intern: impl FnOnce(&str) -> Sym,
     label: &LabelPlan<'_>,
     row: &[Value],
 ) -> Result<Sym> {
@@ -521,7 +528,7 @@ fn label_sym(
     if let Some(sym) = labels.get(&*text) {
         return Ok(*sym);
     }
-    let sym = out.sym(&text);
+    let sym = intern(&text);
     labels.insert(text, sym);
     Ok(sym)
 }
@@ -542,7 +549,7 @@ fn emit_aggregates(
     block: &Block,
     collect_syms: &[Sym],
     agg: AggAcc,
-    out: &mut Graph,
+    out: &mut GraphBatch<'_>,
     table: &mut SkolemTable,
     stats: &mut ConstructStats,
 ) -> Result<()> {
@@ -577,8 +584,11 @@ fn emit_aggregates(
 
 /// Runs a block's construction clauses over its bindings relation, writing
 /// into `out`: per row the creates, then the links, then the collects, each
-/// Skolem term resolved where it first appears. An error leaves the block
-/// half applied, as it always has, and the table unfit for further use.
+/// Skolem term resolved where it first appears. The whole block is one
+/// [`GraphBatch`] on `out` — opened here and settled before the caller goes
+/// on to evaluate nested blocks, which read the universe. An error leaves
+/// the block half applied (and settled: what was written is counted), as
+/// it always has, and the table unfit for further use.
 pub fn apply_block(
     block: &Block,
     bindings: &Bindings,
@@ -606,6 +616,7 @@ pub fn apply_block(
         collects,
         mut labels,
     } = block_plans(block, bindings, out)?;
+    let out = &mut out.batch();
     let mut agg = AggAcc::default();
     if !links.is_empty() {
         table.emitted.reserve(bindings.len());
@@ -621,7 +632,7 @@ pub fn apply_block(
 
         for (link_idx, lp) in links.iter().enumerate() {
             let from = terms[lp.from].resolve(table, out, bindings, at, &mut args, stats);
-            let label = label_sym(&mut labels, out, &lp.label, row)?;
+            let label = label_sym(&mut labels, |s| out.sym(s), &lp.label, row)?;
             let to: Value = match &lp.to {
                 TargetPlan::Skolem(term) => {
                     Value::Node(terms[*term].resolve(table, out, bindings, at, &mut args, stats))
@@ -727,7 +738,7 @@ pub fn retract_block(
     for row in bindings.rows() {
         for lp in &plans.links {
             let from = terms[lp.from].resolve_existing(table, row, &mut args)?;
-            let label = label_sym(&mut plans.labels, out, &lp.label, row)?;
+            let label = label_sym(&mut plans.labels, |s| out.sym(s), &lp.label, row)?;
             let (to, to_skolem) = target(&lp.to, table, row, &mut args)?;
             if table.retract_edge(out, from, label, &to)? {
                 stats.edges_removed += 1;
@@ -863,8 +874,8 @@ mod tests {
         let mut t = SkolemTable::new();
         let a = t.instantiate(&mut g, "A", &[]);
         let l = g.sym("x");
-        assert!(t.emit_edge(&mut g, a, l, Value::Int(1)).unwrap());
-        assert!(!t.emit_edge(&mut g, a, l, Value::Int(1)).unwrap());
+        assert!(t.emit_edge(&mut g.batch(), a, l, Value::Int(1)).unwrap());
+        assert!(!t.emit_edge(&mut g.batch(), a, l, Value::Int(1)).unwrap());
         assert_eq!(g.edge_count(), 1);
     }
 
@@ -878,7 +889,8 @@ mod tests {
         let mut t = SkolemTable::new();
         let page = t.instantiate(&mut site, "Page", &[]);
         let story = site.sym("Story");
-        t.emit_edge(&mut site, page, story, Value::Node(d)).unwrap();
+        t.emit_edge(&mut site.batch(), page, story, Value::Node(d))
+            .unwrap();
         assert!(site.contains_node(d));
         let headline = uni.interner().get("headline").unwrap();
         assert_eq!(site.reader().attr(d, headline), Some(&Value::str("hi")));

@@ -185,8 +185,7 @@ impl Strudel {
             name,
             Box::new(FnSource(move |u: &Arc<Universe>| {
                 let mut g = Graph::new(Arc::clone(u));
-                strudel_graph::store::PagedStore::open(&path)
-                    .and_then(|mut store| store.materialize_into(&mut g))
+                strudel_graph::store::PagedStore::open_into(&path, &mut g)
                     .map_err(strudel_struql::StruqlError::Graph)?;
                 Ok(g)
             })),

@@ -2,13 +2,19 @@
 //!
 //! Heap traffic per created edge is a property of the code, not of the
 //! host: it is counted here with a counting global allocator (which is why
-//! this is a test binary of its own) and held to a budget on the two write
-//! paths a build runs — loading the data graph and constructing the site
-//! graph. Before the index's extents became lazy and the derivation table
-//! flat, a site edge cost 2.1 allocations and ~800 bytes, a data edge 2.0–2.1
-//! and ~715; the budget sits between that and what the code does now
-//! (≈ 0.95 / 420 and ≈ 1.2 / 415), so the old per-edge index write, or a
-//! hash table per `(source, label)`, cannot come back unnoticed.
+//! this is a test binary of its own) and held to a budget on the write
+//! paths a build or a restart runs — loading the data graph from DDL,
+//! loading it from a store's image, and constructing the site graph. Before
+//! the index's extents became lazy and the derivation table flat, a site
+//! edge cost 2.1 allocations and ~800 bytes, a data edge 2.0–2.1 and ~715;
+//! the site-edge budget sits between that and what the code does now
+//! (≈ 0.68 / 440), so the old per-edge index write, or a hash table per
+//! `(source, label)`, cannot come back unnoticed. The data-edge budgets are
+//! what the batched loads measure plus 5 %: from DDL ≈ 1.19 / 416 (a string
+//! per value, an out-list that doubles as the parser meets the edges, the
+//! token vector), from an image ≈ 0.89 / 84 (a string per value, an
+//! out-list reserved once from the record's count — one that doubles its
+//! way up again measured 1.07 / 136 — shows here).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,12 +72,18 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, f64, f64) {
     )
 }
 
-/// Per-edge `(allocations, bytes)` of loading the data graph and of
-/// `build_site`, for the news site over `articles` articles.
-fn per_edge(articles: usize) -> [(f64, f64); 2] {
+/// Per-edge `(allocations, bytes)` of loading the data graph from DDL, of
+/// loading it from a store's image, and of `build_site`, for the news site
+/// over `articles` articles.
+fn per_edge(articles: usize) -> [(f64, f64); 3] {
     let mut s = news::system(articles, 7, false).unwrap();
     let (data_edges, calls, bytes) = counted(|| s.data_graph().unwrap().edge_count() as f64);
     let load = (calls / data_edges, bytes / data_edges);
+    let mut image = Vec::new();
+    strudel::graph::store::save(s.data_graph().unwrap(), &mut image).unwrap();
+    let (decoded, calls, bytes) = counted(|| strudel::graph::store::load_slice(&image).unwrap());
+    assert_eq!(decoded.edge_count() as f64, data_edges);
+    let decode = (calls / data_edges, bytes / data_edges);
     let (build, calls, bytes) = counted(|| s.build_site().unwrap());
     let site_edges = build
         .stats
@@ -79,7 +91,7 @@ fn per_edge(articles: usize) -> [(f64, f64); 2] {
         .map(|s| s.construct.edges_created)
         .sum::<u64>() as f64;
     assert!(data_edges > 8.0 * articles as f64 && site_edges > 2.0 * data_edges);
-    [load, (calls / site_edges, bytes / site_edges)]
+    [load, decode, (calls / site_edges, bytes / site_edges)]
 }
 
 // One test: the last assertion needs both sizes.
@@ -87,9 +99,16 @@ fn per_edge(articles: usize) -> [(f64, f64); 2] {
 fn an_edge_costs_about_one_allocation_at_any_size() {
     let small = per_edge(2_000);
     let large = per_edge(8_000);
-    eprintln!("allocations, bytes per edge (load, build): {small:?} at 2,000; {large:?} at 8,000");
-    for [load, build] in [small, large] {
-        assert!(load.0 <= 1.5 && load.1 <= 560.0, "data edge: {load:?}");
+    eprintln!(
+        "allocations, bytes per edge (DDL load, image load, build): \
+         {small:?} at 2,000; {large:?} at 8,000"
+    );
+    for [load, decode, build] in [small, large] {
+        assert!(load.0 <= 1.25 && load.1 <= 437.0, "data edge: {load:?}");
+        assert!(
+            decode.0 <= 0.94 && decode.1 <= 89.0,
+            "image edge: {decode:?}"
+        );
         assert!(build.0 <= 1.4 && build.1 <= 560.0, "site edge: {build:?}");
     }
     // Per edge means per edge: four times the site, the same figures.

@@ -518,13 +518,15 @@ fn metrics_endpoint_serves_prometheus_text() {
         // pairs is pinned, so renaming, retyping, adding or dropping a family
         // is a deliberate act that edits this digest. It is the set served
         // before signals were declared in tables plus
-        // `strudel_loop_wakeups_total counter`.
+        // `strudel_loop_wakeups_total counter` and the store's
+        // `strudel_store_materializations_total counter` and
+        // `strudel_store_materialized_edges_total counter`.
         let mut families: Vec<&str> = body
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE "))
             .collect();
         families.sort_unstable();
-        assert_eq!(families.len(), 61, "{families:#?}");
+        assert_eq!(families.len(), 63, "{families:#?}");
         assert_eq!(
             fnv1a(families.join("\n").as_bytes()),
             FAMILIES_DIGEST,
@@ -754,7 +756,7 @@ fn half_closed_peer_does_not_spin_the_loop() {
 
 /// [`fnv1a`] of the sorted `family type` lines of `/metrics`, joined by
 /// newlines.
-const FAMILIES_DIGEST: u64 = 0xac15_891d_7a7a_8137;
+const FAMILIES_DIGEST: u64 = 0x8012_f8ce_ad89_81bb;
 
 /// FNV-1a, 64 bits: a digest that does not depend on the toolchain.
 fn fnv1a(bytes: &[u8]) -> u64 {

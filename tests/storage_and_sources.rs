@@ -142,7 +142,18 @@ object p3 in Publications { title "Lorel" year 1998 cites &p1 }
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("data.pdb");
-    let from_store = || pages(&|s| s.add_store_source("pubs", &path));
+    // One refresh decodes the stored revision once, whether the log is
+    // clean or has frames to replay (it used to be decoded a second time
+    // then, and both graphs held). The counter is the process's: the other
+    // test that decodes a store waits its turn.
+    let _turn = DECODES.lock().unwrap_or_else(|e| e.into_inner());
+    let from_store = || {
+        let before = strudel::graph::storage_stats().materializations;
+        let pages = pages(&|s| s.add_store_source("pubs", &path));
+        let decodes = strudel::graph::storage_stats().materializations - before;
+        assert_eq!(decodes, 1, "decodes of the stored revision per refresh");
+        pages
+    };
 
     let mut store =
         PagedStore::import(&path, &strudel::graph::ddl::parse(BEFORE).unwrap()).unwrap();
@@ -169,9 +180,14 @@ object p3 in Publications { title "Lorel" year 1998 cites &p1 }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Held by the tests that decode a stored revision, so that a delta of the
+/// process-wide `materializations` counter is one test's own.
+static DECODES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn paged_store_snapshot_feeds_the_full_pipeline() {
     use strudel::graph::store::{PagedStore, WireValue};
+    let _turn = DECODES.lock().unwrap_or_else(|e| e.into_inner());
 
     // Import a data graph into the paged store, mutate it transactionally,
     // and run the site query against a snapshot — the paged store is a
