@@ -2,29 +2,47 @@
 
 use std::fmt;
 
+/// An identifier a template mentions — an attribute name or a loop
+/// variable — with its slot in the table of names it was parsed into. The
+/// generator resolves every slot against the site graph's symbols once per
+/// run, so rendering looks attributes up and matches loop variables by
+/// integer, never by string.
+#[derive(Clone, PartialEq)]
+pub struct Name {
+    /// The identifier as written.
+    pub text: String,
+    pub(crate) slot: u32,
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.text.fmt(f)
+    }
+}
+
+impl Name {
+    /// The name `text` with its slot in `names`, the identifiers of a set of
+    /// templates, each once. The table is small (a site's templates mention
+    /// a few dozen identifiers), so a name is found by scanning.
+    pub(crate) fn in_table(names: &mut Vec<String>, text: &str) -> Name {
+        let text = text.to_string();
+        let slot = names.iter().position(|t| *t == text).unwrap_or(names.len());
+        if slot == names.len() {
+            names.push(text.clone());
+        }
+        let slot = slot as u32;
+        Name { text, slot }
+    }
+}
+
 /// An attribute expression `@ID.ID…` — "either a single attribute, e.g.
 /// `Paper`, or a bounded sequence of attributes that reference reachable
 /// objects, e.g. `Paper.Name`" (§4). The first segment may also name a loop
 /// variable bound by an enclosing `SFOR`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct AttrExpr {
     /// The identifier path (non-empty).
-    pub path: Vec<String>,
-}
-
-impl AttrExpr {
-    /// Builds an attribute expression from path segments.
-    pub fn new(path: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        AttrExpr {
-            path: path.into_iter().map(Into::into).collect(),
-        }
-    }
-}
-
-impl fmt::Display for AttrExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{}", self.path.join("."))
-    }
+    pub path: Vec<Name>,
 }
 
 /// Constants of the condition language: `BOOL | INT | FLOAT | STRING | NULL`.
@@ -171,7 +189,7 @@ pub enum Node {
     /// `<SFOR var IN expr …> … </SFOR>`.
     For {
         /// Loop variable, referenced as `@var` in the body.
-        var: String,
+        var: Name,
         /// The enumerated attribute expression.
         expr: AttrExpr,
         /// Ordering/delimiter/list options.

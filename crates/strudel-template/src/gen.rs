@@ -13,16 +13,29 @@
 //! The page-vs-component decision is delayed until generation: an internal
 //! object referenced by an `SFMT` becomes a *link to its own page* by
 //! default, and is *embedded* when the `EMBED` directive says so.
+//!
+//! A run has two parts. The *name pass* walks the members of the site graph
+//! once, on the calling thread, and fixes in a [`Plan`] what all pages must
+//! agree on: each object's template (selected once), its file name (member
+//! order decides who keeps `{base}.html`), and the graph symbol of every
+//! identifier the templates mention. Pages are then found in breadth-first
+//! waves whose workers share the plan read-only and claim blocks of the
+//! frontier off a cursor. A [`Worker`] owns only its stacks; it appends a
+//! whole page into one `String`, reading values where the graph holds them.
+//! Blocks merge in frontier order: no byte depends on the worker count.
 
 use crate::ast::*;
 use crate::error::{Result, TemplateError};
-use crate::parse::parse_template;
+use crate::parse::parse_template_in;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::graph::GraphReader;
-use strudel_graph::{FileKind, Graph, Oid, Value};
+use strudel_graph::{FileKind, Graph, Oid, Sym, Value};
 use strudel_obs::trace;
 
 /// Resolves an external file reference (e.g. `abstracts/icde98.txt`) to its
@@ -38,6 +51,8 @@ pub struct TemplateSet {
     named: BTreeMap<String, Template>,
     by_collection: Vec<(String, Template)>,
     default: Option<Template>,
+    /// Every identifier the templates mention, each once ([`Name::slot`]).
+    names: Vec<String>,
 }
 
 impl TemplateSet {
@@ -48,14 +63,16 @@ impl TemplateSet {
 
     /// Associates a template with a single object (highest precedence).
     pub fn set_object_template(&mut self, n: Oid, src: &str) -> Result<()> {
-        self.by_object.insert(n, parse_template(src)?);
+        self.by_object
+            .insert(n, parse_template_in(src, &mut self.names)?);
         Ok(())
     }
 
     /// Registers a template under a name, addressable from an object's
     /// `HTML-template` attribute.
     pub fn set_named(&mut self, name: &str, src: &str) -> Result<()> {
-        self.named.insert(name.to_string(), parse_template(src)?);
+        self.named
+            .insert(name.to_string(), parse_template_in(src, &mut self.names)?);
         Ok(())
     }
 
@@ -63,7 +80,7 @@ impl TemplateSet {
     /// an HTML template with a collection of objects allows the user to
     /// produce the same look and feel for related pages."
     pub fn set_collection_template(&mut self, collection: &str, src: &str) -> Result<()> {
-        let t = parse_template(src)?;
+        let t = parse_template_in(src, &mut self.names)?;
         if let Some(slot) = self.by_collection.iter_mut().find(|(c, _)| c == collection) {
             slot.1 = t;
         } else {
@@ -74,7 +91,7 @@ impl TemplateSet {
 
     /// Sets a fallback template used when nothing else matches.
     pub fn set_default(&mut self, src: &str) -> Result<()> {
-        self.default = Some(parse_template(src)?);
+        self.default = Some(parse_template_in(src, &mut self.names)?);
         Ok(())
     }
 
@@ -89,36 +106,6 @@ impl TemplateSet {
     /// Whether no templates are registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Selects the template for object `n` per the §4 precedence rules.
-    pub fn select<'a>(
-        &'a self,
-        graph: &Graph,
-        reader: &GraphReader<'_>,
-        n: Oid,
-    ) -> Option<&'a Template> {
-        if let Some(t) = self.by_object.get(&n) {
-            return Some(t);
-        }
-        // The object's HTML-template attribute names a registered template.
-        if let Some(sym) = graph.universe().interner().get("HTML-template") {
-            if let Some(v) = reader.attr(n, sym) {
-                if let Some(name) = v.text() {
-                    if let Some(t) = self.named.get(&*name) {
-                        return Some(t);
-                    }
-                }
-            }
-        }
-        for (coll, t) in &self.by_collection {
-            if let Some(c) = graph.collection_str(coll) {
-                if c.contains(&Value::Node(n)) {
-                    return Some(t);
-                }
-            }
-        }
-        self.default.as_ref()
     }
 }
 
@@ -190,44 +177,10 @@ impl<'g> Generator<'g> {
     }
 
     /// Generates the browsable site starting from `roots` (each root is
-    /// realized as a page; further pages are discovered through links).
+    /// realized as a page; further pages are discovered through links):
+    /// [`Generator::generate_parallel`] at one worker, on this thread.
     pub fn generate(&self, roots: &[Oid]) -> Result<GeneratedSite> {
-        let reader = self.graph.reader();
-        let mut run = Run {
-            gen: self,
-            reader: &reader,
-            site: GeneratedSite::default(),
-            used_names: FxHashSet::default(),
-            queue: Vec::new(),
-            embedding: Vec::new(),
-            precomputed: None,
-            discovered: Vec::new(),
-        };
-        for &r in roots {
-            run.ensure_page(r);
-        }
-        while let Some(n) = run.queue.pop() {
-            let mut tspan = trace::span("render.page", trace::Layer::Render);
-            let t = self.timings.then(std::time::Instant::now);
-            let html = run.render_object(n)?;
-            let file = run
-                .site
-                .page_of
-                .get(&n)
-                .expect("queued pages are named")
-                .clone();
-            if let Some(t) = t {
-                run.site
-                    .render_us
-                    .push((file.clone(), t.elapsed().as_micros() as u64));
-            }
-            if tspan.is_live() {
-                tspan.attr_text("file", &file);
-                tspan.attr_u64("bytes", html.len() as u64);
-            }
-            run.site.pages.insert(file, html);
-        }
-        Ok(run.site)
+        self.generate_parallel(roots, 1)
     }
 
     /// Generates starting from every node of a named collection (the usual
@@ -245,219 +198,254 @@ impl<'g> Generator<'g> {
     /// for anything it links to. Useful for testing templates.
     pub fn render_fragment(&self, n: Oid) -> Result<String> {
         let reader = self.graph.reader();
-        let mut run = Run {
-            gen: self,
-            reader: &reader,
-            site: GeneratedSite::default(),
-            used_names: FxHashSet::default(),
-            queue: Vec::new(),
-            embedding: Vec::new(),
-            precomputed: None,
-            discovered: Vec::new(),
-        };
-        run.render_object(n)
+        let plan = self.plan(&reader);
+        let no_template = || format!("no template for object {}", plan.name(n));
+        let ix = *(plan.index.get(&n)).ok_or_else(|| TemplateError::render(no_template()))?;
+        let mut blocks = plan.render_wave(&mut [Worker::default()], &[ix], None)?;
+        Ok(blocks.remove(0).pages.remove(0).1)
     }
 
-    /// Like [`Generator::generate`], but renders pages on `threads` worker
-    /// threads. Page rendering is read-only over the site graph, so the
-    /// page set is discovered in parallel BFS waves; file names are
-    /// pre-assigned deterministically (graph member order) to every object
-    /// that has a template, so cross-page links are stable without shared
-    /// mutable state. Output is identical to the serial generator except
-    /// when two objects' sanitized names collide: both generators resolve
-    /// collisions with the same `{base}-{oid}.html` scheme and never drop a
-    /// page, but they may disagree on WHICH colliding member keeps the bare
-    /// `{base}.html` name (the serial generator assigns names in traversal
-    /// order, the parallel one in graph member order).
+    /// Like [`Generator::generate`], on up to `threads` workers: the same
+    /// pages, names, `warnings` and `render_us` at every count. An object
+    /// becomes a page when it is a member of the site graph, has a template,
+    /// and is a root or linked from a page. Objects whose names sanitize to
+    /// one stem get `{base}.html`, `{base}-{oid}.html`, … in member order;
+    /// no page is ever dropped. A worker that panics — a [`FileResolver`]
+    /// can — fails the run with a render error carrying the panic's message.
     pub fn generate_parallel(&self, roots: &[Oid], threads: usize) -> Result<GeneratedSite> {
-        let threads = threads.max(1);
         let reader = self.graph.reader();
-        // Pre-assign a file name to every object that could become a page.
-        let mut names: FxHashMap<Oid, String> = FxHashMap::default();
-        let mut used: FxHashSet<String> = FxHashSet::default();
-        for &n in self.graph.nodes() {
-            if self.templates.select(self.graph, &reader, n).is_some() {
-                let base = sanitize(
-                    &reader
-                        .name(n)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| format!("node{}", n.0)),
-                );
-                names.insert(n, assign_unique_name(&mut used, &base, n));
-            }
-        }
-        drop(reader);
-
+        let mut plan = self.plan(&reader);
         let mut site = GeneratedSite::default();
-        let mut scheduled: FxHashSet<Oid> = FxHashSet::default();
-        let mut frontier: Vec<Oid> = Vec::new();
+        let mut found: Vec<u32> = Vec::new();
         for &r in roots {
-            if names.contains_key(&r) && scheduled.insert(r) {
-                frontier.push(r);
-            } else if !names.contains_key(&r) {
-                site.warnings
-                    .push(format!("root node {} has no template", r.0));
+            match plan.index.get(&r) {
+                Some(&ix) => found.push(ix),
+                None => (site.warnings).push(format!("root node {} has no template", r.0)),
             }
         }
-
-        // Capture the coordinator's trace context (if any) so render spans
+        let mut workers: Vec<Worker> = Vec::new();
+        workers.resize_with(threads.max(1), Worker::default);
+        // The coordinator's trace context (if any), so that render spans
         // emitted on worker threads still parent under the caller's span.
         let trace_ctx = trace::current();
-        while !frontier.is_empty() {
-            type Rendered = (Oid, String, Vec<Oid>, Vec<String>, u64);
-            let render_chunk = |chunk: &[Oid]| -> Result<Vec<Rendered>> {
-                let _trace = trace_ctx.as_ref().map(trace::enter);
-                let reader = self.graph.reader();
-                let mut out = Vec::with_capacity(chunk.len());
-                for &n in chunk {
-                    let mut run = Run {
-                        gen: self,
-                        reader: &reader,
-                        site: GeneratedSite::default(),
-                        used_names: FxHashSet::default(),
-                        queue: Vec::new(),
-                        embedding: Vec::new(),
-                        precomputed: Some(&names),
-                        discovered: Vec::new(),
-                    };
-                    let mut tspan = trace::span("render.page", trace::Layer::Render);
-                    let t = self.timings.then(std::time::Instant::now);
-                    let html = run.render_object(n)?;
-                    let us = t.map_or(0, |t| t.elapsed().as_micros() as u64);
-                    if tspan.is_live() {
-                        tspan.attr_text("file", &names[&n]);
-                        tspan.attr_u64("bytes", html.len() as u64);
-                    }
-                    out.push((n, html, run.discovered, run.site.warnings, us));
-                }
-                Ok(out)
-            };
-            let results: Vec<Rendered> = if threads <= 1 {
-                // One worker: render the wave inline — same precomputed-name
-                // code path, no thread spawns.
-                render_chunk(&frontier)?
-            } else {
-                let chunk_size = frontier.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let render_chunk = &render_chunk;
-                    let handles: Vec<_> = frontier
-                        .chunks(chunk_size)
-                        .map(|chunk| scope.spawn(move || render_chunk(chunk)))
-                        .collect();
-                    let mut all = Vec::new();
-                    for h in handles {
-                        all.extend(h.join().expect("render worker panicked")?);
-                    }
-                    Ok(all)
-                })?
-            };
+        let mut scheduled = vec![false; plan.pages.len()];
+        let mut frontier: Vec<u32> = Vec::new();
+        let mut rendered = Vec::new();
+        loop {
             frontier.clear();
-            for (n, html, discovered, warnings, us) in results {
-                let file = names[&n].clone();
-                site.page_of.insert(n, file.clone());
-                if self.timings {
-                    site.render_us.push((file.clone(), us));
-                }
-                site.pages.insert(file, html);
-                site.warnings.extend(warnings);
-                for d in discovered {
-                    if names.contains_key(&d) && scheduled.insert(d) {
-                        frontier.push(d);
-                    }
+            for ix in found.drain(..) {
+                if !std::mem::replace(&mut scheduled[ix as usize], true) {
+                    frontier.push(ix);
                 }
             }
+            if frontier.is_empty() {
+                break;
+            }
+            for block in plan.render_wave(&mut workers, &frontier, trace_ctx.as_ref())? {
+                rendered.extend(block.pages);
+                site.warnings.extend(block.warnings);
+                found.extend(block.found);
+            }
         }
+        drop(workers);
+
+        let mut pages = Vec::with_capacity(rendered.len());
+        for (ix, html, us) in rendered {
+            let page = &mut plan.pages[ix as usize];
+            let file = std::mem::take(&mut page.file);
+            if self.timings {
+                site.render_us.push((file.clone(), us));
+            }
+            site.page_of.insert(page.node, file.clone());
+            pages.push((file, html));
+        }
+        site.pages = pages.into_iter().collect();
         Ok(site)
     }
+
+    /// The name pass.
+    fn plan<'r>(&'r self, reader: &'r GraphReader<'r>) -> Plan<'r> {
+        let (graph, set) = (self.graph, self.templates);
+        let interner = graph.universe().interner();
+        // The §4 precedence, with its names looked up once.
+        let html_template = interner.get("HTML-template");
+        let collections: Vec<_> = (set.by_collection.iter())
+            .filter_map(|(name, t)| Some((graph.collection_str(name)?, t)))
+            .collect();
+        let select = |n: Oid| {
+            let named = || reader.attr(n, html_template?)?.text();
+            let member = Value::Node(n);
+            let by_collection = || collections.iter().find(|(c, _)| c.contains(&member));
+            (set.by_object.get(&n))
+                .or_else(|| set.named.get(&*named()?))
+                .or_else(|| Some(by_collection()?.1))
+                .or(set.default.as_ref())
+        };
+        let mut used = FxHashSet::default();
+        let mut pages = Vec::new();
+        let mut index = FxHashMap::default();
+        for &n in graph.nodes() {
+            if let Some(template) = select(n) {
+                let base = match reader.name(n) {
+                    Some(name) => sanitize(name),
+                    None => format!("node{}", n.0),
+                };
+                index.insert(n, pages.len() as u32);
+                pages.push(Page {
+                    node: n,
+                    template,
+                    file: assign_unique_name(&mut used, &base, n),
+                });
+            }
+        }
+        Plan {
+            reader,
+            syms: set.names.iter().map(|name| interner.get(name)).collect(),
+            pages,
+            index,
+            generator: self,
+        }
+    }
 }
 
-struct Run<'a, 'g> {
-    gen: &'a Generator<'g>,
-    reader: &'a GraphReader<'g>,
-    site: GeneratedSite,
-    used_names: FxHashSet<String>,
-    queue: Vec<Oid>,
+/// What the name pass fixes for a run; workers share it read-only.
+struct Plan<'r> {
+    reader: &'r GraphReader<'r>,
+    /// [`Name::slot`] → the graph's symbol for that identifier; `None` for
+    /// one the graph never interned, an attribute without values.
+    syms: Vec<Option<Sym>>,
+    /// The templated members of the graph, in member order.
+    pages: Vec<Page<'r>>,
+    /// Node → its place in `pages`.
+    index: FxHashMap<Oid, u32>,
+    generator: &'r Generator<'r>,
+}
+
+struct Page<'r> {
+    node: Oid,
+    template: &'r Template,
+    file: String,
+}
+
+/// One block of a wave's frontier, rendered.
+#[derive(Default)]
+struct Block {
+    /// Its place in the wave.
+    at: usize,
+    /// `(place in Plan::pages, html, render microseconds)`.
+    pages: Vec<(u32, String, u64)>,
+    /// Link targets, by place in `Plan::pages`: once per linking page.
+    found: Vec<u32>,
+    warnings: Vec<String>,
+}
+
+/// Loop variables in scope ([`Name::slot`] → value), innermost last.
+type Scope<'r> = [(u32, &'r Value)];
+
+/// What one worker owns while it renders.
+#[derive(Default)]
+struct Worker<'r> {
+    scope: Vec<(u32, &'r Value)>,
+    /// `(sort key, item)` of every list being enumerated, innermost last.
+    items: Vec<(&'r Value, &'r Value)>,
     /// Objects currently being embedded, for cycle detection.
     embedding: Vec<Oid>,
-    /// Parallel mode: file names were assigned up front; discovered pages
-    /// are recorded here instead of queued.
-    precomputed: Option<&'a FxHashMap<Oid, String>>,
-    discovered: Vec<Oid>,
+    /// The page being rendered, as its place in `Plan::pages` plus one.
+    page: u32,
+    /// Per page, the `page` that linked to it last: each reports it once.
+    linked_from: Vec<u32>,
+    /// The block being rendered.
+    block: Block,
 }
 
-/// Loop-variable bindings, innermost last.
-type Scope = Vec<(String, Value)>;
-
-impl Run<'_, '_> {
-    /// Assigns a file name to `n` and queues it for rendering, if it has a
-    /// template. Returns the file name.
-    fn ensure_page(&mut self, n: Oid) -> Option<String> {
-        if let Some(names) = self.precomputed {
-            return match names.get(&n) {
-                Some(file) => {
-                    self.discovered.push(n);
-                    Some(file.clone())
+impl<'r> Plan<'r> {
+    /// Renders the pages of `frontier` on `workers` (on this thread when
+    /// one is enough), in frontier order. A worker claims the next block
+    /// off a shared cursor, so a run of expensive pages — a frontier lists
+    /// pages type by type — is spread over all of them.
+    fn render_wave(
+        &'r self,
+        workers: &mut [Worker<'r>],
+        frontier: &[u32],
+        trace_ctx: Option<&trace::Ctx>,
+    ) -> Result<Vec<Block>> {
+        let block_len = (frontier.len() / (workers.len() * 4)).clamp(1, 64);
+        let cursor = AtomicUsize::new(0);
+        // A failure carries its block's place: the earliest one is
+        // reported, whichever worker met it.
+        type Outcome = std::result::Result<Vec<Block>, (usize, TemplateError)>;
+        let work = |w: &mut Worker<'r>| -> Outcome {
+            let _trace = trace_ctx.map(trace::enter);
+            let mut blocks = Vec::new();
+            loop {
+                let at = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(block) = frontier.chunks(block_len).nth(at) else {
+                    return Ok(blocks);
+                };
+                w.block.at = at;
+                for &ix in block {
+                    let (html, us) = self.render_page(w, ix).map_err(|e| (at, e))?;
+                    w.block.pages.push((ix, html, us));
                 }
-                None => {
-                    self.site.warnings.push(format!(
-                        "object {} has no template; rendered as text",
-                        self.display_name(n)
-                    ));
-                    None
-                }
-            };
+                blocks.push(std::mem::take(&mut w.block));
+            }
+        };
+        let n_workers = workers.len().min(frontier.len().div_ceil(block_len));
+        let outcomes: Vec<std::thread::Result<Outcome>> = if n_workers == 1 {
+            vec![catch_unwind(AssertUnwindSafe(|| work(&mut workers[0])))]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (workers[..n_workers].iter_mut())
+                    .map(|w| scope.spawn(|| work(w)))
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        };
+        let mut blocks = Vec::new();
+        let mut failures = Vec::new();
+        for outcome in outcomes {
+            let outcome = outcome.unwrap_or_else(|panic| {
+                let message = (panic.downcast_ref::<String>().map(String::as_str))
+                    .or_else(|| panic.downcast_ref::<&str>().copied());
+                let message = message.unwrap_or("(no message)");
+                Err((
+                    usize::MAX,
+                    TemplateError::render(format!("render worker panicked: {message}")),
+                ))
+            });
+            match outcome {
+                Ok(done) => blocks.extend(done),
+                Err(e) => failures.push(e),
+            }
         }
-        if let Some(f) = self.site.page_of.get(&n) {
-            return Some(f.clone());
+        if let Some((_, e)) = failures.into_iter().min_by_key(|(at, _)| *at) {
+            return Err(e);
         }
-        if self
-            .gen
-            .templates
-            .select(self.gen.graph, self.reader, n)
-            .is_none()
-        {
-            self.site.warnings.push(format!(
-                "object {} has no template; rendered as text",
-                self.display_name(n)
-            ));
-            return None;
-        }
-        let base = sanitize(&self.display_name(n));
-        let file = assign_unique_name(&mut self.used_names, &base, n);
-        self.site.page_of.insert(n, file.clone());
-        self.queue.push(n);
-        Some(file)
+        blocks.sort_unstable_by_key(|block| block.at);
+        Ok(blocks)
     }
 
-    fn display_name(&self, n: Oid) -> String {
-        self.reader
-            .name(n)
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("node{}", n.0))
-    }
-
-    fn render_object(&mut self, n: Oid) -> Result<String> {
-        // Pull the generator reference out of `self` so the selected template
-        // borrows the `'a` template set, not `&mut self` — this lets the
-        // template be rendered without cloning its AST.
-        let gen = self.gen;
-        let template = gen
-            .templates
-            .select(gen.graph, self.reader, n)
-            .ok_or_else(|| {
-                TemplateError::render(format!("no template for object {}", self.display_name(n)))
-            })?;
-        let mut out = String::new();
-        let mut scope: Scope = Vec::new();
-        self.render_nodes(&template.nodes, n, &mut scope, &mut out)?;
-        Ok(out)
+    /// Renders page `ix` of `pages`; with timings, also in how many µs.
+    fn render_page(&'r self, w: &mut Worker<'r>, ix: u32) -> Result<(String, u64)> {
+        let page = &self.pages[ix as usize];
+        let mut tspan = trace::span("render.page", trace::Layer::Render);
+        let t = self.generator.timings.then(std::time::Instant::now);
+        w.page = ix + 1;
+        w.linked_from.resize(self.pages.len(), 0);
+        let mut html = String::with_capacity(page.template.source.len());
+        self.render_nodes(w, &page.template.nodes, page.node, &mut html)?;
+        if tspan.is_live() {
+            tspan.attr_text("file", &page.file);
+            tspan.attr_u64("bytes", html.len() as u64);
+        }
+        Ok((html, t.map_or(0, |t| t.elapsed().as_micros() as u64)))
     }
 
     fn render_nodes(
-        &mut self,
-        nodes: &[Node],
+        &'r self,
+        w: &mut Worker<'r>,
+        nodes: &'r [Node],
         ctx: Oid,
-        scope: &mut Scope,
         out: &mut String,
     ) -> Result<()> {
         for node in nodes {
@@ -468,109 +456,162 @@ impl Run<'_, '_> {
                     format,
                     all,
                     opts,
-                } => {
-                    let values = self.values_of(expr, ctx, scope);
-                    let mut items: Vec<Value> = if *all {
-                        values
-                    } else {
-                        values.into_iter().take(1).collect()
-                    };
-                    if let Some(order) = opts.order {
-                        self.sort_values(&mut items, opts.key.as_ref(), order);
-                    }
-                    let mut rendered = Vec::with_capacity(items.len());
-                    for v in &items {
-                        rendered.push(self.render_value(v, format, ctx, scope)?);
-                    }
-                    emit_list(out, &rendered, opts);
-                }
+                } => self.render_list(w, expr, ctx, *all, opts, out, |w, item, out| {
+                    self.render_value(w, item, format, ctx, out)
+                })?,
                 Node::If { cond, then, else_ } => {
-                    if self.eval_cond(cond, ctx, scope)? {
-                        self.render_nodes(then, ctx, scope, out)?;
-                    } else {
-                        self.render_nodes(else_, ctx, scope, out)?;
-                    }
+                    let holds = self.eval_cond(&w.scope, cond, ctx);
+                    self.render_nodes(w, if holds { then } else { else_ }, ctx, out)?;
                 }
                 Node::For {
                     var,
                     expr,
                     opts,
                     body,
-                } => {
-                    let mut items = self.values_of(expr, ctx, scope);
-                    if let Some(order) = opts.order {
-                        self.sort_values(&mut items, opts.key.as_ref(), order);
-                    }
-                    let mut rendered = Vec::with_capacity(items.len());
-                    for item in items {
-                        scope.push((var.clone(), item));
-                        let mut buf = String::new();
-                        let r = self.render_nodes(body, ctx, scope, &mut buf);
-                        scope.pop();
-                        r?;
-                        rendered.push(buf);
-                    }
-                    emit_list(out, &rendered, opts);
-                }
+                } => self.render_list(w, expr, ctx, true, opts, out, |w, item, out| {
+                    w.scope.push((var.slot, item));
+                    let rendered = self.render_nodes(w, body, ctx, out);
+                    w.scope.pop();
+                    rendered
+                })?,
             }
         }
         Ok(())
     }
 
-    /// All values of an attribute expression, in graph insertion order. The
-    /// first segment may be a loop variable; each further segment traverses
-    /// one attribute of reachable internal objects ("limited traversal of
-    /// the site graph", §4).
-    fn values_of(&self, expr: &AttrExpr, ctx: Oid, scope: &Scope) -> Vec<Value> {
-        let mut segments = expr.path.iter();
-        let first = segments.next().expect("attr paths are non-empty");
-        let mut current: Vec<Value> =
-            if let Some((_, v)) = scope.iter().rev().find(|(name, _)| name == first) {
-                vec![v.clone()]
-            } else {
-                self.attr_values(Value::Node(ctx), first)
-            };
-        for seg in segments {
-            let mut next = Vec::new();
-            for v in &current {
-                next.extend(self.attr_values(v.clone(), seg));
+    /// Renders the values of `expr` — all of them, or the first — with
+    /// `item`, in the order and the framing `opts` asks for. A sort key is
+    /// computed once per item and is the item itself where the key
+    /// attribute is missing; keys that do not compare order by their
+    /// printed form; `descend` is the stable ascending order reversed, ties
+    /// included. `DELIM` also separates items that render empty.
+    #[allow(clippy::too_many_arguments)]
+    fn render_list(
+        &'r self,
+        w: &mut Worker<'r>,
+        expr: &AttrExpr,
+        ctx: Oid,
+        all: bool,
+        opts: &EnumOpts,
+        out: &mut String,
+        mut item: impl FnMut(&mut Worker<'r>, &'r Value, &mut String) -> Result<()>,
+    ) -> Result<()> {
+        let from = w.items.len();
+        self.values(&w.scope, expr, ctx, &mut |v| {
+            w.items.push((v, v));
+            all
+        });
+        if let (Some(order), list @ [_, _, ..]) = (opts.order, &mut w.items[from..]) {
+            // The key path applies to the item itself.
+            let path = opts.key.as_ref().map_or(&[][..], |key| &key.path);
+            for (k, item) in list.iter_mut() {
+                self.walk(item, path, &mut |v| {
+                    *k = v;
+                    false
+                });
             }
-            current = next;
+            list.sort_by(|(a, _), (b, _)| {
+                a.coerced_cmp(b)
+                    .unwrap_or_else(|| a.to_string().cmp(&b.to_string()))
+            });
+            if order == SortOrder::Descend {
+                list.reverse();
+            }
         }
-        current
+        let list = opts.list.map(|kind| match kind {
+            ListKind::Ul => "ul",
+            ListKind::Ol => "ol",
+        });
+        if let Some(tag) = list {
+            let _ = write!(out, "<{tag}>");
+        }
+        for i in from..w.items.len() {
+            let v = w.items[i].1;
+            if list.is_some() {
+                out.push_str("<li>");
+                item(w, v, out)?;
+                out.push_str("</li>");
+            } else {
+                if i > from {
+                    out.push_str(opts.delim.as_deref().unwrap_or(""));
+                }
+                item(w, v, out)?;
+            }
+        }
+        if let Some(tag) = list {
+            let _ = write!(out, "</{tag}>");
+        }
+        w.items.truncate(from);
+        Ok(())
     }
 
-    fn attr_values(&self, v: Value, attr: &str) -> Vec<Value> {
-        let Some(n) = v.as_node() else {
-            return Vec::new();
-        };
-        let Some(sym) = self.gen.graph.universe().interner().get(attr) else {
-            return Vec::new();
-        };
-        self.reader.attr_values(n, sym).cloned().collect()
-    }
-
-    fn scalar_of(&self, expr: &Expr, ctx: Oid, scope: &Scope) -> Option<Value> {
-        match expr {
-            Expr::Attr(a) => self.values_of(a, ctx, scope).into_iter().next(),
-            Expr::Const(Constant::Bool(b)) => Some(Value::Bool(*b)),
-            Expr::Const(Constant::Int(i)) => Some(Value::Int(*i)),
-            Expr::Const(Constant::Float(f)) => Some(Value::Float(*f)),
-            Expr::Const(Constant::Str(s)) => Some(Value::str(s)),
-            Expr::Const(Constant::Null) => None,
+    /// Hands `f` the values of an attribute expression, in graph insertion
+    /// order, until it returns `false`; so does the result. The first
+    /// segment may be a loop variable, which shadows an attribute of that
+    /// name; each further one traverses an attribute of reachable internal
+    /// objects ("limited traversal of the site graph", §4).
+    fn values(
+        &self,
+        scope: &Scope<'r>,
+        expr: &AttrExpr,
+        ctx: Oid,
+        f: &mut impl FnMut(&'r Value) -> bool,
+    ) -> bool {
+        let first = &expr.path[0];
+        match scope.iter().rev().find(|(slot, _)| *slot == first.slot) {
+            Some((_, v)) => self.walk(v, &expr.path[1..], f),
+            None => self.walk_attr(ctx, &expr.path, f),
         }
     }
 
-    fn eval_cond(&self, cond: &Cond, ctx: Oid, scope: &Scope) -> Result<bool> {
-        Ok(match cond {
-            Cond::Test(e) => match self.scalar_of(e, ctx, scope) {
+    /// [`Plan::values`] of `path` applied to the value `v` itself.
+    fn walk(&self, v: &'r Value, path: &[Name], f: &mut impl FnMut(&'r Value) -> bool) -> bool {
+        match (path.is_empty(), v.as_node()) {
+            (true, _) => f(v),
+            (false, Some(n)) => self.walk_attr(n, path, f),
+            (false, None) => true,
+        }
+    }
+
+    fn walk_attr(&self, n: Oid, path: &[Name], f: &mut impl FnMut(&'r Value) -> bool) -> bool {
+        let Some(sym) = self.syms[path[0].slot as usize] else {
+            return true;
+        };
+        let mut values = self.reader.attr_values(n, sym);
+        values.all(|v| self.walk(v, &path[1..], f))
+    }
+
+    /// The first value of an attribute expression.
+    fn first(&self, scope: &Scope<'r>, expr: &AttrExpr, ctx: Oid) -> Option<&'r Value> {
+        let mut first = None;
+        self.values(scope, expr, ctx, &mut |v| {
+            first = Some(v);
+            false
+        });
+        first
+    }
+
+    fn scalar_of(&self, scope: &Scope<'r>, expr: &Expr, ctx: Oid) -> Option<Cow<'r, Value>> {
+        Some(Cow::Owned(match expr {
+            Expr::Attr(a) => return self.first(scope, a, ctx).map(Cow::Borrowed),
+            Expr::Const(Constant::Bool(b)) => Value::Bool(*b),
+            Expr::Const(Constant::Int(i)) => Value::Int(*i),
+            Expr::Const(Constant::Float(f)) => Value::Float(*f),
+            Expr::Const(Constant::Str(s)) => Value::str(s),
+            Expr::Const(Constant::Null) => return None,
+        }))
+    }
+
+    fn eval_cond(&self, scope: &Scope<'r>, cond: &Cond, ctx: Oid) -> bool {
+        match cond {
+            Cond::Test(e) => match self.scalar_of(scope, e, ctx).as_deref() {
                 None => false,
-                Some(Value::Bool(b)) => b,
+                Some(Value::Bool(b)) => *b,
                 Some(_) => true,
             },
             Cond::Cmp(l, op, r) => {
-                let lv = self.scalar_of(l, ctx, scope);
-                let rv = self.scalar_of(r, ctx, scope);
+                let lv = self.scalar_of(scope, l, ctx);
+                let rv = self.scalar_of(scope, r, ctx);
                 match (lv, rv) {
                     (None, None) => matches!(op, Op::Eq),
                     (None, Some(_)) | (Some(_), None) => matches!(op, Op::Ne),
@@ -587,210 +628,136 @@ impl Run<'_, '_> {
                     }
                 }
             }
-            Cond::And(a, b) => self.eval_cond(a, ctx, scope)? && self.eval_cond(b, ctx, scope)?,
-            Cond::Or(a, b) => self.eval_cond(a, ctx, scope)? || self.eval_cond(b, ctx, scope)?,
-            Cond::Not(c) => !self.eval_cond(c, ctx, scope)?,
-        })
-    }
-
-    fn sort_values(&self, items: &mut [Value], key: Option<&AttrExpr>, order: SortOrder) {
-        let key_of = |v: &Value| -> Value {
-            match key {
-                Some(k) => {
-                    // The key path applies to the item itself.
-                    let mut vals = vec![v.clone()];
-                    for seg in &k.path {
-                        vals = vals
-                            .iter()
-                            .flat_map(|x| self.attr_values(x.clone(), seg))
-                            .collect();
-                    }
-                    vals.into_iter().next().unwrap_or_else(|| v.clone())
-                }
-                None => v.clone(),
-            }
-        };
-        items.sort_by(|a, b| {
-            let (ka, kb) = (key_of(a), key_of(b));
-            ka.coerced_cmp(&kb)
-                .unwrap_or_else(|| ka.to_string().cmp(&kb.to_string()))
-        });
-        if order == SortOrder::Descend {
-            items.reverse();
+            Cond::And(a, b) => self.eval_cond(scope, a, ctx) && self.eval_cond(scope, b, ctx),
+            Cond::Or(a, b) => self.eval_cond(scope, a, ctx) || self.eval_cond(scope, b, ctx),
+            Cond::Not(c) => !self.eval_cond(scope, c, ctx),
         }
     }
 
-    fn tag_text(&self, tag: &Tag, ctx: Oid, scope: &Scope) -> Option<String> {
-        match tag {
-            Tag::Str(s) => Some(s.clone()),
-            Tag::Attr(a) => self
-                .values_of(a, ctx, scope)
-                .into_iter()
-                .next()
-                .map(|v| value_text(&v)),
+    /// The text a `LINK=` tag gives a link, if it names one that has a value.
+    fn tag_text(&self, scope: &Scope<'r>, format: &'r Format, ctx: Oid) -> Option<Cow<'r, str>> {
+        let Format::Link(Some(tag)) = format else {
+            return None;
+        };
+        Some(match tag {
+            Tag::Str(s) => Cow::Borrowed(s.as_str()),
+            Tag::Attr(a) => match self.first(scope, a, ctx)? {
+                Value::Str(s) | Value::Url(s) | Value::File(_, s) => Cow::Borrowed(&**s),
+                Value::Node(n) => Cow::Owned(format!("node{}", n.0)),
+                number => Cow::Owned(number.to_string()),
+            },
+        })
+    }
+
+    /// The name an object shows under when no tag says otherwise.
+    fn name(&self, n: Oid) -> Cow<'r, str> {
+        match self.reader.name(n) {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("node{}", n.0)),
         }
     }
 
     /// Type-specific rendering rules (§4).
     fn render_value(
-        &mut self,
-        v: &Value,
-        format: &Format,
+        &'r self,
+        w: &mut Worker<'r>,
+        v: &'r Value,
+        format: &'r Format,
         ctx: Oid,
-        scope: &Scope,
-    ) -> Result<String> {
-        let tag = match format {
-            Format::Link(Some(t)) => self.tag_text(t, ctx, scope),
-            _ => None,
-        };
-        Ok(match v {
-            Value::Int(i) => escape(&i.to_string()),
-            Value::Float(f) => escape(&f.to_string()),
-            Value::Bool(b) => escape(&b.to_string()),
-            Value::Str(s) => escape(s),
-            Value::Url(u) => {
-                let text = tag.unwrap_or_else(|| u.to_string());
-                format!("<a href=\"{}\">{}</a>", escape_attr(u), escape(&text))
+        out: &mut String,
+    ) -> Result<()> {
+        let tag = self.tag_text(&w.scope, format, ctx);
+        match v {
+            // Numbers and booleans: nothing in them needs escaping.
+            Value::Int(_) | Value::Float(_) | Value::Bool(_) => {
+                let _ = write!(out, "{v}");
             }
-            Value::File(kind, path) => self.render_file(*kind, path, format, tag),
-            Value::Node(n) => self.render_node_value(*n, format, tag)?,
-        })
-    }
-
-    fn render_file(
-        &self,
-        kind: FileKind,
-        path: &str,
-        format: &Format,
-        tag: Option<String>,
-    ) -> String {
-        let embed_contents = |run: &Self| run.gen.file_resolver.as_ref().and_then(|r| r(path));
-        match (kind, format) {
-            // Text and HTML files embed by default ("the attribute's HTML
-            // value is converted to a string and is embedded").
-            (FileKind::Text, Format::Default | Format::Embed) => match embed_contents(self) {
-                Some(text) => escape(&text),
-                None => file_link(path, tag.as_deref()),
-            },
-            (FileKind::Html, Format::Default | Format::Embed) => match embed_contents(self) {
-                Some(html) => html,
-                None => file_link(path, tag.as_deref()),
-            },
-            (FileKind::Image, Format::Link(_)) => file_link(path, tag.as_deref()),
-            (FileKind::Image, _) => {
-                format!(
-                    "<img src=\"{}\" alt=\"{}\">",
-                    escape_attr(path),
-                    escape(tag.as_deref().unwrap_or(path))
-                )
+            Value::Str(s) => escape_into(out, s),
+            Value::Url(u) => link(out, u, tag.as_deref().unwrap_or(u)),
+            Value::File(kind, path) => {
+                let embeds = matches!(kind, FileKind::Text | FileKind::Html)
+                    && matches!(format, Format::Default | Format::Embed);
+                let contents = self.generator.file_resolver.as_ref().filter(|_| embeds);
+                match (kind, contents.and_then(|resolve| resolve(path))) {
+                    // Text and HTML files embed by default ("the attribute's
+                    // HTML value is converted to a string and is embedded").
+                    (FileKind::Text, Some(text)) => escape_into(out, &text),
+                    (_, Some(html)) => out.push_str(&html),
+                    (FileKind::Image, None) if !matches!(format, Format::Link(_)) => {
+                        out.push_str("<img src=\"");
+                        escape_into(out, path);
+                        out.push_str("\" alt=\"");
+                        escape_into(out, path);
+                        out.push_str("\">");
+                    }
+                    // PostScript "should not be realized as strings. For
+                    // these values, the HTML generator produces an
+                    // appropriate link".
+                    _ => link(out, path, tag.as_deref().unwrap_or(path)),
+                }
             }
-            // PostScript "should not be realized as strings. For these
-            // values, the HTML generator produces an appropriate link".
-            (FileKind::PostScript, _) | (_, Format::Link(_)) => file_link(path, tag.as_deref()),
+            Value::Node(n) => {
+                let page = self.index.get(n).map(|&ix| (ix, &self.pages[ix as usize]));
+                match (format, page) {
+                    (Format::Embed, _) if w.embedding.contains(n) => {
+                        let name = self.name(*n);
+                        return Err(TemplateError::render(format!(
+                            "EMBED cycle through object {name}"
+                        )));
+                    }
+                    (Format::Embed, None) => {
+                        let name = self.name(*n);
+                        (w.block.warnings).push(format!("EMBED of template-less object {name}"));
+                        escape_into(out, &name);
+                    }
+                    (Format::Embed, Some((_, page))) => {
+                        // The embedded object's template sees none of this
+                        // one's loop variables.
+                        let outer = std::mem::take(&mut w.scope);
+                        w.embedding.push(*n);
+                        self.render_nodes(w, &page.template.nodes, *n, out)?;
+                        w.embedding.pop();
+                        w.scope = outer;
+                    }
+                    (_, Some((ix, page))) => {
+                        if std::mem::replace(&mut w.linked_from[ix as usize], w.page) != w.page {
+                            w.block.found.push(ix);
+                        }
+                        link(out, &page.file, &tag.unwrap_or_else(|| self.name(*n)));
+                    }
+                    (_, None) => {
+                        let name = self.name(*n);
+                        (w.block.warnings)
+                            .push(format!("object {name} has no template; rendered as text"));
+                        escape_into(out, &tag.unwrap_or(name));
+                    }
+                }
+            }
         }
-    }
-
-    fn render_node_value(
-        &mut self,
-        n: Oid,
-        format: &Format,
-        tag: Option<String>,
-    ) -> Result<String> {
-        match format {
-            Format::Embed => {
-                if self.embedding.contains(&n) {
-                    return Err(TemplateError::render(format!(
-                        "EMBED cycle through object {}",
-                        self.display_name(n)
-                    )));
-                }
-                if self
-                    .gen
-                    .templates
-                    .select(self.gen.graph, self.reader, n)
-                    .is_none()
-                {
-                    self.site.warnings.push(format!(
-                        "EMBED of template-less object {}",
-                        self.display_name(n)
-                    ));
-                    return Ok(escape(&self.display_name(n)));
-                }
-                self.embedding.push(n);
-                let html = self.render_object(n)?;
-                self.embedding.pop();
-                Ok(html)
-            }
-            Format::Default | Format::Link(_) => match self.ensure_page(n) {
-                Some(file) => {
-                    let text = tag.unwrap_or_else(|| self.display_name(n));
-                    Ok(format!(
-                        "<a href=\"{}\">{}</a>",
-                        escape_attr(&file),
-                        escape(&text)
-                    ))
-                }
-                None => Ok(escape(&tag.unwrap_or_else(|| self.display_name(n)))),
-            },
-        }
+        Ok(())
     }
 }
 
-fn emit_list(out: &mut String, items: &[String], opts: &EnumOpts) {
-    match opts.list {
-        Some(kind) => {
-            let tag = match kind {
-                ListKind::Ul => "ul",
-                ListKind::Ol => "ol",
-            };
-            let _ = write!(out, "<{tag}>");
-            for item in items {
-                let _ = write!(out, "<li>{item}</li>");
-            }
-            let _ = write!(out, "</{tag}>");
-        }
-        None => {
-            let delim = opts.delim.as_deref().unwrap_or("");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(delim);
-                }
-                out.push_str(item);
-            }
-        }
-    }
+fn link(out: &mut String, href: &str, text: &str) {
+    out.push_str("<a href=\"");
+    escape_into(out, href);
+    out.push_str("\">");
+    escape_into(out, text);
+    out.push_str("</a>");
 }
 
-fn file_link(path: &str, tag: Option<&str>) -> String {
-    format!(
-        "<a href=\"{}\">{}</a>",
-        escape_attr(path),
-        escape(tag.unwrap_or(path))
-    )
-}
-
-/// The plain-text form of a value, for link tags.
-fn value_text(v: &Value) -> String {
-    match v {
-        Value::Str(s) | Value::Url(s) | Value::File(_, s) => s.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Node(n) => format!("node{}", n.0),
-    }
-}
-
-/// HTML-escapes text content. Clean strings (the common case) are copied in
-/// one shot; otherwise unescaped runs are appended as whole slices.
+/// HTML-escapes text content.
 pub fn escape(s: &str) -> String {
-    let needs = |b: u8| matches!(b, b'&' | b'<' | b'>' | b'"');
-    let Some(first) = s.bytes().position(needs) else {
-        return s.to_string();
-    };
-    let mut out = String::with_capacity(s.len() + 8);
-    out.push_str(&s[..first]);
-    let mut run = first;
-    for (i, b) in s.bytes().enumerate().skip(first) {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` HTML-escaped: unescaped runs go in as whole slices, a clean
+/// string (the common case) in one.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
         let rep = match b {
             b'&' => "&amp;",
             b'<' => "&lt;",
@@ -803,20 +770,12 @@ pub fn escape(s: &str) -> String {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out
 }
 
-fn escape_attr(s: &str) -> String {
-    escape(s)
-}
-
-/// Sanitizes an object name into a file-name stem: `YearPage(1997)` →
-/// `yearpage_1997`.
-/// Picks a page file name for `n` that is not yet in `used`, inserting it.
-/// Scheme (same for serial and parallel generation): `{base}.html`, then
-/// `{base}-{oid}.html`, then `{base}-{oid}-{k}.html` for k = 2, 3, ... —
-/// looping until the insert actually succeeds, so two colliding objects can
-/// never be assigned the same file.
+/// Picks a page file name for `n` that is not yet in `used`, inserting it:
+/// `{base}.html`, then `{base}-{oid}.html`, then `{base}-{oid}-{k}.html` for
+/// k = 2, 3, ... — looping until the insert actually succeeds, so two
+/// colliding objects can never be assigned the same file.
 fn assign_unique_name(used: &mut FxHashSet<String>, base: &str, n: Oid) -> String {
     let mut file = format!("{base}.html");
     if used.insert(file.clone()) {
@@ -831,6 +790,11 @@ fn assign_unique_name(used: &mut FxHashSet<String>, base: &str, n: Oid) -> Strin
     file
 }
 
+/// Sanitizes an object name into a file-name stem: `YearPage(1997)` →
+/// `yearpage_1997`, of at most 200 bytes: a file name may have 255, and
+/// [`assign_unique_name`] appends up to `-{oid}-{k}.html`. The stem is
+/// ASCII, so cutting it never splits a character; names alike for their
+/// first 200 bytes are told apart like any other collision.
 fn sanitize(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     let mut last_sep = true;
@@ -843,6 +807,7 @@ fn sanitize(name: &str) -> String {
             last_sep = true;
         }
     }
+    out.truncate(200);
     while out.ends_with('_') {
         out.pop();
     }

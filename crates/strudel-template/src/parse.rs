@@ -11,10 +11,16 @@ use crate::error::{Result, TemplateError};
 
 /// Parses a template source string.
 pub fn parse_template(src: &str) -> Result<Template> {
+    parse_template_in(src, &mut Vec::new())
+}
+
+/// Parses a template whose identifiers take their slots in `names`.
+pub(crate) fn parse_template_in(src: &str, names: &mut Vec<String>) -> Result<Template> {
     let mut p = Outer {
         src,
         pos: 0,
         line: 1,
+        names,
     };
     let nodes = p.parse_nodes(&mut Vec::new())?;
     Ok(Template {
@@ -35,6 +41,7 @@ struct Outer<'a> {
     src: &'a str,
     pos: usize,
     line: usize,
+    names: &'a mut Vec<String>,
 }
 
 /// What the outer scanner found next.
@@ -134,9 +141,9 @@ impl<'a> Outer<'a> {
         loop {
             match self.next_piece()? {
                 Piece::Html(h) => nodes.push(Node::Html(h)),
-                Piece::Fmt(body, line) => nodes.push(parse_fmt(&body, line)?),
+                Piece::Fmt(body, line) => nodes.push(parse_fmt(&body, line, self.names)?),
                 Piece::IfOpen(body, line) => {
-                    let cond = parse_cond_str(&body, line)?;
+                    let cond = parse_cond_str(&body, line, self.names)?;
                     let depth = stack.len();
                     stack.push(Frame::If);
                     let then = self.parse_nodes(stack)?;
@@ -166,7 +173,7 @@ impl<'a> Outer<'a> {
                     _ => return Err(self.err(self.line, "</SIF> without matching <SIF>")),
                 },
                 Piece::ForOpen(body, line) => {
-                    let (var, expr, opts) = parse_for_head(&body, line)?;
+                    let (var, expr, opts) = parse_for_head(&body, line, self.names)?;
                     stack.push(Frame::For);
                     let inner = self.parse_nodes(stack)?;
                     nodes.push(Node::For {
@@ -235,7 +242,7 @@ enum T {
     RParen,
 }
 
-fn lex_inner(s: &str, line: usize) -> Result<Vec<T>> {
+fn lex_inner(s: &str, line: usize, names: &mut Vec<String>) -> Result<Vec<T>> {
     let bytes = s.as_bytes();
     let mut i = 0;
     let mut out = Vec::new();
@@ -258,7 +265,7 @@ fn lex_inner(s: &str, line: usize) -> Result<Vec<T>> {
                     if i == start {
                         return Err(err("empty attribute name after `@` or `.`".into()));
                     }
-                    path.push(s[start..i].to_string());
+                    path.push(Name::in_table(names, &s[start..i]));
                     if i < bytes.len() && bytes[i] == b'.' {
                         i += 1;
                     } else {
@@ -549,9 +556,9 @@ impl Inner {
     }
 }
 
-fn parse_fmt(body: &str, line: usize) -> Result<Node> {
+fn parse_fmt(body: &str, line: usize, names: &mut Vec<String>) -> Result<Node> {
     let mut p = Inner {
-        toks: lex_inner(body, line)?,
+        toks: lex_inner(body, line, names)?,
         pos: 0,
         line,
     };
@@ -593,9 +600,9 @@ fn parse_fmt(body: &str, line: usize) -> Result<Node> {
     })
 }
 
-fn parse_cond_str(body: &str, line: usize) -> Result<Cond> {
+fn parse_cond_str(body: &str, line: usize, names: &mut Vec<String>) -> Result<Cond> {
     let mut p = Inner {
-        toks: lex_inner(body, line)?,
+        toks: lex_inner(body, line, names)?,
         pos: 0,
         line,
     };
@@ -606,14 +613,18 @@ fn parse_cond_str(body: &str, line: usize) -> Result<Cond> {
     Ok(cond)
 }
 
-fn parse_for_head(body: &str, line: usize) -> Result<(String, AttrExpr, EnumOpts)> {
+fn parse_for_head(
+    body: &str,
+    line: usize,
+    names: &mut Vec<String>,
+) -> Result<(Name, AttrExpr, EnumOpts)> {
     let mut p = Inner {
-        toks: lex_inner(body, line)?,
+        toks: lex_inner(body, line, names)?,
         pos: 0,
         line,
     };
     let var = match p.bump() {
-        Some(T::Ident(v)) => v,
+        Some(T::Ident(v)) => Name::in_table(names, &v),
         other => return Err(p.err(format!("SFOR needs a loop variable, found {other:?}"))),
     };
     if !p.eat_kw("IN") {
@@ -636,6 +647,10 @@ fn parse_for_head(body: &str, line: usize) -> Result<(String, AttrExpr, EnumOpts
 mod tests {
     use super::*;
 
+    fn texts(expr: &AttrExpr) -> Vec<&str> {
+        expr.path.iter().map(|name| name.text.as_str()).collect()
+    }
+
     #[test]
     fn plain_html_passes_through() {
         let t = parse_template("<html><body><h1>Hi & bye</h1></body></html>").unwrap();
@@ -649,7 +664,7 @@ mod tests {
         let t = parse_template(r#"<SFMT @title>"#).unwrap();
         assert!(
             matches!(&t.nodes[0], Node::Fmt { expr, format: Format::Default, all: false, .. }
-            if expr.path == vec!["title".to_string()])
+            if texts(expr) == ["title"])
         );
 
         let t = parse_template(r#"<SFMT @postscript LINK=@title>"#).unwrap();
@@ -679,9 +694,7 @@ mod tests {
     #[test]
     fn attr_paths() {
         let t = parse_template("<SFMT @Paper.Name>").unwrap();
-        assert!(
-            matches!(&t.nodes[0], Node::Fmt { expr, .. } if expr.path == vec!["Paper".to_string(), "Name".to_string()])
-        );
+        assert!(matches!(&t.nodes[0], Node::Fmt { expr, .. } if texts(expr) == ["Paper", "Name"]));
     }
 
     #[test]
@@ -748,10 +761,10 @@ mod tests {
                 opts,
                 body,
             } => {
-                assert_eq!(var, "y");
-                assert_eq!(expr.path, vec!["YearPage".to_string()]);
+                assert_eq!(var.text, "y");
+                assert_eq!(texts(expr), ["YearPage"]);
                 assert_eq!(opts.order, Some(SortOrder::Ascend));
-                assert_eq!(opts.key.as_ref().unwrap().path, vec!["Year".to_string()]);
+                assert_eq!(texts(opts.key.as_ref().unwrap()), ["Year"]);
                 assert_eq!(opts.list, Some(ListKind::Ul));
                 assert_eq!(body.len(), 1);
             }

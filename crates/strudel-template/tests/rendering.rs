@@ -209,7 +209,7 @@ fn deep_embed_chain_renders() {
 }
 
 #[test]
-fn parallel_generation_matches_serial() {
+fn every_worker_count_yields_the_pinned_pages() {
     let (mut g, root) = library();
     let shelves: Vec<Oid> = g
         .nodes()
@@ -231,13 +231,34 @@ fn parallel_generation_matches_serial() {
         r#"<h1><SFMT @name></h1><SFOR b IN @Book LIST=ol><SFMT @b.title></SFOR>"#,
     )
     .unwrap();
-    let serial = Generator::new(&g, &ts).generate(&[root]).unwrap();
+    // The pages as the generator this one replaced wrote them (49393a1).
+    let pinned = [
+        (
+            "library.html",
+            r#"<ul><li><a href="shelf_a.html">A</a></li><li><a href="shelf_b.html">B</a></li></ul>"#,
+        ),
+        (
+            "shelf_a.html",
+            "<h1>A</h1><ol><li>UnQL</li><li>Lorel</li></ol>",
+        ),
+        ("shelf_b.html", "<h1>B</h1><ol><li>StruQL</li></ol>"),
+    ];
+    let generator = Generator::new(&g, &ts);
+    let mut built = vec![(0, generator.generate(&[root]).unwrap())];
     for threads in [1, 2, 8] {
-        let parallel = Generator::new(&g, &ts)
-            .generate_parallel(&[root], threads)
-            .unwrap();
-        assert_eq!(serial.pages, parallel.pages, "threads={threads}");
-        assert_eq!(serial.page_of.len(), parallel.page_of.len());
+        built.push((
+            threads,
+            generator.generate_parallel(&[root], threads).unwrap(),
+        ));
+    }
+    for (threads, site) in built {
+        let pages: Vec<(&str, &str)> = site
+            .pages
+            .iter()
+            .map(|(name, html)| (name.as_str(), html.as_str()))
+            .collect();
+        assert_eq!(pages, pinned, "threads={threads} (0: `generate`)");
+        assert_eq!(site.page_of.len(), 3);
     }
 }
 
@@ -274,4 +295,56 @@ fn parallel_generation_reports_embed_errors() {
         .generate_parallel(&[a], 2)
         .unwrap_err();
     assert!(err.to_string().contains("cycle"), "{err}");
+}
+
+#[test]
+fn a_panicking_resolver_is_a_render_error_at_every_worker_count() {
+    let mut g = Graph::standalone();
+    let root = g.new_node(Some("root"));
+    for i in 0..8 {
+        let doc = g.new_node(Some(&format!("doc{i}")));
+        g.add_edge_str(root, "doc", Value::Node(doc)).unwrap();
+        let body = Value::file(FileKind::Text, format!("doc{i}.txt"));
+        g.add_edge_str(doc, "body", body).unwrap();
+    }
+    let mut ts = TemplateSet::new();
+    ts.set_default("<SFMT @doc ALL><SFMT @body>").unwrap();
+    let generator = Generator::new(&g, &ts).with_file_resolver(Box::new(|path| {
+        assert_ne!(path, "doc5.txt", "no such volume");
+        Some(path.to_string())
+    }));
+    // The cause reaches the caller, as an error and not as a second panic.
+    let mut errors = vec![generator.generate(&[root]).unwrap_err()];
+    for threads in [1, 2, 8] {
+        errors.push(generator.generate_parallel(&[root], threads).unwrap_err());
+    }
+    for err in errors {
+        let err = err.to_string();
+        assert!(err.starts_with("template render error: render worker panicked: "));
+        assert!(err.contains("doc5.txt") && err.contains("no such volume"));
+    }
+}
+
+#[test]
+fn a_site_with_very_long_titles_can_be_published() {
+    // Two pages whose names are 300-character titles alike for the first
+    // 250: past any file system's 255-byte limit as they are.
+    let mut g = Graph::standalone();
+    let root = g.new_node(Some("root"));
+    for tail in ["first", "second"] {
+        let title = format!("Story({}{tail:x<50})", "a long headline ".repeat(16));
+        let story = g.new_node(Some(&title));
+        g.add_edge_str(root, "story", Value::Node(story)).unwrap();
+    }
+    let mut ts = TemplateSet::new();
+    ts.set_default("<SFMT @story ALL>").unwrap();
+    let site = Generator::new(&g, &ts).generate(&[root]).unwrap();
+    assert_eq!(site.pages.len(), 3, "{:?}", site.pages.keys());
+    assert!(site.pages.keys().all(|name| name.len() <= 255));
+    let dir = std::env::temp_dir().join(format!("strudel_long_names_{}", std::process::id()));
+    site.write_to_dir(&dir).unwrap();
+    for name in site.pages.keys() {
+        assert!(dir.join(name).exists());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -82,8 +82,8 @@ impl Strudel {
     }
 
     /// Sets the worker count used by page rendering (clamped to at least
-    /// 1, the default; 1 = the serial generator). Query evaluation and
-    /// block construction always run on the calling thread.
+    /// 1, the default: pages render on the calling thread). Query evaluation
+    /// and block construction always run on the calling thread.
     pub fn set_jobs(&mut self, jobs: usize) -> &mut Self {
         self.jobs = jobs.max(1);
         self
@@ -289,12 +289,12 @@ impl Strudel {
 
     /// Builds the site graph and renders it to HTML, starting from the
     /// pages of the named root Skolem functions. Uses the configured worker
-    /// count ([`Strudel::set_jobs`]): at 1 the serial generator runs; above
-    /// 1 independent pages render concurrently.
+    /// count ([`Strudel::set_jobs`]): the pages of a wave render on that
+    /// many workers, on the calling thread at 1, and are the same bytes
+    /// under the same names at every count.
     pub fn generate_site(&mut self, root_skolems: &[&str]) -> Result<GeneratedSite> {
         let build = self.build_site()?;
-        let threads = (self.jobs > 1).then_some(self.jobs);
-        self.render_site(&build, root_skolems, threads, false)
+        self.render_site(&build, root_skolems, self.jobs, false)
     }
 
     /// Like [`Strudel::generate_site`], but records a wall-clock breakdown
@@ -330,8 +330,7 @@ impl Strudel {
             evaluate_us.saturating_sub(query_us + construct_us),
         );
         let t = Timer::start();
-        let threads = (self.jobs > 1).then_some(self.jobs);
-        let site = self.render_site(&build, root_skolems, threads, true)?;
+        let site = self.render_site(&build, root_skolems, self.jobs, true)?;
         phases.add("render", t.elapsed_us());
         let t = Timer::start();
         drop(build);
@@ -348,17 +347,17 @@ impl Strudel {
         threads: usize,
     ) -> Result<GeneratedSite> {
         let build = self.build_site()?;
-        self.render_site(&build, root_skolems, Some(threads), false)
+        self.render_site(&build, root_skolems, threads, false)
     }
 
-    /// Renders a built site from the named roots; `threads` is `None` for
-    /// the serial generator, `Some(n)` for the wave-parallel one. With
-    /// `timings`, per-page render durations are collected.
+    /// Renders a built site from the named roots on `threads` workers
+    /// ([`Generator::generate_parallel`]). With `timings`, per-page render
+    /// durations are collected.
     fn render_site(
         &self,
         build: &SiteBuild,
         root_skolems: &[&str],
-        threads: Option<usize>,
+        threads: usize,
         timings: bool,
     ) -> Result<GeneratedSite> {
         let mut roots: Vec<Oid> = Vec::new();
@@ -375,11 +374,7 @@ impl Strudel {
             let resolver = Arc::clone(resolver);
             generator = generator.with_file_resolver(Box::new(move |p| resolver(p)));
         }
-        let site = match threads {
-            Some(n) => generator.generate_parallel(&roots, n)?,
-            None => generator.generate(&roots)?,
-        };
-        Ok(site)
+        Ok(generator.generate_parallel(&roots, threads)?)
     }
 
     /// Builds the site and writes the browsable HTML into `dir`.

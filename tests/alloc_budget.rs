@@ -15,10 +15,13 @@
 //! token vector), from an image ≈ 0.89 / 84 (a string per value, an
 //! out-list reserved once from the record's count — one that doubles its
 //! way up again measured 1.07 / 136 — shows here).
+//!
+//! Rendering the site has a row of its own, per emitted link
+//! (`a_rendered_link_costs_no_more_on_a_larger_site`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use strudel::synth::news;
+use strudel::synth::{news, org};
 
 /// Counts `alloc` and `realloc` calls and the bytes they ask for, on the
 /// threads that switched counting on.
@@ -117,4 +120,54 @@ fn an_edge_costs_about_one_allocation_at_any_size() {
             assert!((large / small - 1.0).abs() <= 0.10, "{small} -> {large}");
         }
     }
+}
+
+/// `(allocations per emitted link, bytes requested per byte of HTML)` of
+/// rendering the organization site over `members` members — on one worker,
+/// because the counting is per thread.
+fn per_link(members: usize) -> (f64, f64) {
+    let mut s = org::system(&org::generate(members, 7)).unwrap();
+    let build = s.build_site().unwrap();
+    let roots = build.pages_of("RootPage");
+    let generator = strudel::template::Generator::new(&build.graph, s.templates_mut());
+    let (site, calls, bytes) = counted(|| generator.generate(&roots).unwrap());
+    let links: usize = (site.pages.values())
+        .map(|page| page.matches("<a href=").count())
+        .sum();
+    assert!(site.pages.len() > 2 * members && links > 10 * site.pages.len());
+    (calls / links as f64, bytes / site.total_bytes() as f64)
+}
+
+/// Rendering allocates per page, not per link and not per comparison.
+///
+/// A page is one buffer that doubles its way up, a name, and its places in
+/// the site's maps: 7.8 allocations a page at 1,000 members (0.71 per link,
+/// 3.66 bytes requested per byte written), 9.4 at 6,000 (0.24, 3.35) — the
+/// budgets are those plus 5 %. The generator this one replaced rebuilt both
+/// sort keys in every comparison and cloned every value it looked at: 30.9
+/// per link and 25.9 per byte at 1,000 members, 32.4 and 32.2 at 6,000,
+/// *more* per link on the larger site, whose lists are longer. That is the
+/// shape the last assertions keep out: a link of the larger site, which has
+/// 38 to a page where the smaller has 11, must come out cheaper.
+#[test]
+fn a_rendered_link_costs_no_more_on_a_larger_site() {
+    let small = per_link(1_000);
+    let large = per_link(6_000);
+    eprintln!(
+        "allocations per link, bytes requested per output byte (render): \
+         {small:?} at 1,000 members; {large:?} at 6,000"
+    );
+    for (per_link, per_byte) in [small, large] {
+        assert!(
+            per_link <= 0.75 && per_byte <= 3.85,
+            "{per_link}, {per_byte}"
+        );
+    }
+    assert!(large.0 <= small.0, "per link: {} -> {}", small.0, large.0);
+    assert!(
+        (large.1 / small.1 - 1.0).abs() <= 0.10,
+        "per byte: {} -> {}",
+        small.1,
+        large.1
+    );
 }

@@ -1443,40 +1443,32 @@ proptest! {
 // rendering takes a worker count (`Strudel::set_jobs`), and it must not
 // change a byte of the output.
 
-/// The whole pipeline gives byte-identical output at every job count: the
-/// site graph prints to the same DDL and every rendered page is the same
-/// string, whether pages render serially or in parallel waves.
+/// The whole pipeline gives the same output at every job count: the site
+/// graph prints to the same DDL, and the rendered site is the one recorded
+/// at 49393a1 from the serial generator this one replaced — FNV-1a over
+/// every `(name, html)` in name order, the benchmark's `digests.site`.
 #[test]
-fn parallel_full_build_matches_sequential() {
+fn full_build_is_pinned_at_every_job_count() {
     let build_at = |jobs: usize| {
         let mut s = strudel::synth::news::system(150, 7, false).unwrap();
         s.set_jobs(jobs);
         let build = s.build_site().unwrap();
         let graph_ddl = strudel::graph::ddl::print(&build.graph);
         let site = s.generate_site(&["FrontPage"]).unwrap();
-        let mut pages: Vec<(String, String)> = site
-            .pages
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        pages.sort();
-        (graph_ddl, pages)
+        let digest = site.pages.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, page| {
+            let bytes = page.0.bytes().chain([0]).chain(page.1.bytes()).chain([0]);
+            bytes.fold(h, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        });
+        (graph_ddl, (site.pages.len(), site.total_bytes(), digest))
     };
-    let sequential = build_at(1);
-    for jobs in [2usize, 4] {
-        let parallel = build_at(jobs);
-        assert_eq!(
-            parallel.0, sequential.0,
-            "site graph diverges at jobs={jobs}"
-        );
-        assert_eq!(
-            parallel.1.len(),
-            sequential.1.len(),
-            "page count diverges at jobs={jobs}"
-        );
-        for (p, s) in parallel.1.iter().zip(&sequential.1) {
-            assert_eq!(p, s, "page diverges at jobs={jobs}");
-        }
+    let one = build_at(1);
+    assert_eq!(one.1, (158, 74_670, 0x6a9f_429b_9c8b_10eb), "jobs=1");
+    for jobs in [2usize, 4, 8] {
+        let many = build_at(jobs);
+        assert_eq!(many.0, one.0, "site graph diverges at jobs={jobs}");
+        assert_eq!(many.1, one.1, "site diverges at jobs={jobs}");
     }
 }
 
@@ -2022,6 +2014,132 @@ proptest! {
                     || rest.starts_with("&gt;") || rest.starts_with("&quot;"),
                 "bare & in {escaped:?}"
             );
+        }
+    }
+}
+
+/// A sort key of every kind `ORDER=` can meet, by code; `None` is an item
+/// without the key attribute, which is then its own key.
+fn sort_key(code: u8, n: i64, nodes: &[strudel::graph::Oid]) -> Option<Value> {
+    Some(match code {
+        0 => return None,
+        1 => Value::Int(n),
+        2 => Value::Float(n as f64 / 2.0),
+        3 => Value::Float(f64::NAN),
+        4 => Value::str(format!(" {} ", n * 5)),
+        5 => Value::str(format!("k{n}")),
+        6 => Value::url(format!("http://h/{n}")),
+        7 => Value::Bool(n % 2 == 0),
+        _ => Value::Node(nodes[n.unsigned_abs() as usize % nodes.len()]),
+    })
+}
+
+/// How `ORDER=` compares two keys: by coercion, and by printed form where
+/// they do not coerce.
+fn sort_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
+    a.coerced_cmp(b)
+        .unwrap_or_else(|| a.to_string().cmp(&b.to_string()))
+}
+
+/// Whether [`sort_cmp`] puts `keys` in an order at all. It need not:
+/// `url(a) < "b"` as text, `"b" < 1` and `1 < url(a)` as printed.
+fn in_order(keys: &[Value]) -> bool {
+    let le = |a: &Value, b: &Value| sort_cmp(a, b).is_le();
+    keys.iter().all(|a| {
+        keys.iter().all(|b| {
+            sort_cmp(a, b) == sort_cmp(b, a).reverse()
+                && keys.iter().all(|c| !(le(a, b) && le(b, c)) || le(a, c))
+        })
+    })
+}
+
+/// Holds a rendered sorted list (`unsorted[i]` has `keys[i]`, items joined
+/// by commas) to the order the generator this one replaced gave it:
+/// `sort_by` with both keys looked up again in every comparison, `descend`
+/// as the stable ascending order reversed, so ties come out reversed. Keys
+/// in no order have no order to keep: `sort_by` may leave any permutation
+/// or panic, and a panic the generator owes as a typed error.
+fn assert_reference_order(
+    rendered: strudel::template::Result<String>,
+    unsorted: &[String],
+    keys: &[Value],
+    descend: bool,
+) {
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    if in_order(keys) {
+        order.sort_by(|&a, &b| {
+            let (ka, kb) = (keys[a].clone(), keys[b].clone());
+            sort_cmp(&ka, &kb)
+        });
+        if descend {
+            order.reverse();
+        }
+        let want: Vec<&str> = order.iter().map(|&i| unsorted[i].as_str()).collect();
+        assert_eq!(rendered.unwrap(), want.join(","), "{keys:?}");
+        return;
+    }
+    match rendered {
+        Ok(html) => {
+            let mut got: Vec<&str> = html.split(',').collect();
+            got.sort_unstable();
+            order.sort_unstable_by_key(|&i| &unsorted[i]);
+            let want: Vec<&str> = order.iter().map(|&i| unsorted[i].as_str()).collect();
+            assert_eq!(got, want, "{keys:?}");
+        }
+        Err(e) => assert!(e.to_string().contains("total order"), "{e}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `SFOR … ORDER KEY` over objects and `SFMT … ALL ORDER` over values
+    /// put a list in the reference's order, whatever kinds of key it mixes.
+    #[test]
+    fn sorted_lists_keep_the_reference_order(
+        kinds in proptest::collection::vec(0u8..9, 1..5),
+        keys in proptest::collection::vec((0usize..6, -3i64..4), 0..32),
+        descend in any::<bool>(),
+    ) {
+        use strudel::template::{Generator, TemplateSet};
+        let mut g = Graph::standalone();
+        let [by_key, by_value, unsorted] = ["key", "value", "unsorted"].map(|n| g.new_node(Some(n)));
+        let items: Vec<_> = (0..keys.len().max(1)).map(|_| g.new_node(None)).collect();
+        let keys: Vec<Option<Value>> = keys
+            .iter()
+            .map(|&(kind, n)| sort_key(kinds[kind % kinds.len()], n, &items))
+            .collect();
+        for (i, (&item, key)) in items.iter().zip(&keys).enumerate() {
+            g.add_edge_str(by_key, "item", Value::Node(item)).unwrap();
+            g.add_edge_str(item, "id", i as i64).unwrap();
+            if let Some(key) = key {
+                g.add_edge_str(item, "k", key.clone()).unwrap();
+                g.add_edge_str(by_value, "v", key.clone()).unwrap();
+                g.add_edge_str(unsorted, "v", key.clone()).unwrap();
+            }
+        }
+        let order = if descend { "descend" } else { "ascend" };
+        let mut ts = TemplateSet::new();
+        ts.set_object_template(by_key, &format!(
+            r#"<SFOR x IN @item ORDER={order} KEY=@k DELIM=","><SFMT @x.id></SFOR>"#
+        )).unwrap();
+        ts.set_object_template(by_value, &format!(r#"<SFMT @v ALL ORDER={order} DELIM=",">"#)).unwrap();
+        ts.set_object_template(unsorted, r#"<SFMT @v ALL DELIM=",">"#).unwrap();
+        let generator = Generator::new(&g, &ts);
+
+        let ids: Vec<String> = (0..keys.len()).map(|i| i.to_string()).collect();
+        let item_keys: Vec<Value> = keys
+            .iter()
+            .zip(&items)
+            .map(|(key, &item)| key.clone().unwrap_or(Value::Node(item)))
+            .collect();
+        assert_reference_order(generator.render_fragment(by_key), &ids, &item_keys, descend);
+
+        let values: Vec<Value> = keys.into_iter().flatten().collect();
+        let unsorted = generator.render_fragment(unsorted).unwrap();
+        let unsorted: Vec<String> = unsorted.split(',').map(String::from).collect();
+        if !values.is_empty() {
+            assert_reference_order(generator.render_fragment(by_value), &unsorted, &values, descend);
         }
     }
 }
