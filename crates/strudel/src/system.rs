@@ -33,7 +33,8 @@ pub struct SiteBuild {
 }
 
 impl SiteBuild {
-    /// The pages of one Skolem function, in creation order.
+    /// The pages of one Skolem function, in creation order: the function's
+    /// collection, which `build_site` fills from [`SkolemTable::iter`].
     pub fn pages_of(&self, skolem: &str) -> Vec<Oid> {
         self.graph
             .collection_str(skolem)
@@ -268,9 +269,9 @@ impl Strudel {
         for q in &queries {
             stats.push(q.evaluate_into(data, &mut site, &mut table, &opts)?);
         }
-        // Register per-function collections for template selection. The
-        // table iterates function by function, so a name is interned once
-        // per function, not once per page.
+        // Register per-function collections for template selection, each
+        // in creation order. The table iterates function by function, so a
+        // name is interned once per function, not once per page.
         let mut function: Option<(&str, Sym)> = None;
         for (name, _, oid) in table.iter() {
             let coll = match function {
@@ -307,7 +308,7 @@ impl Strudel {
     /// [`EvalStats::construct_us`]), `evaluate` for what else building the
     /// site graph takes (analysis, planning, registering each function's
     /// pages as a collection), `render`, and `teardown` — freeing the site
-    /// graph and its derivation table, which every build pays on return.
+    /// graph and the Skolem table's books, which every build pays on return.
     pub fn generate_site_timed(
         &mut self,
         root_skolems: &[&str],

@@ -265,6 +265,154 @@ fn every_worker_count_yields_the_pinned_sites() {
     }
 }
 
+/// FNV-1a, 64 bits, over a stream of NUL-terminated fields.
+struct Fnv(u64);
+
+impl Fnv {
+    fn field(&mut self, s: &str) {
+        for b in s.bytes().chain([0]) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+/// `(members, edges, graph, collections)` of a built site graph. `graph`
+/// digests the members in order with their names, each member's out-list in
+/// order (label text; a node target by name, any other value printed), the
+/// summed `ConstructStats` and `SkolemTable::len`; `collections` every
+/// collection in order with its items in order.
+fn site_graph_digest(build: &strudel::SiteBuild) -> (usize, usize, u64, u64) {
+    use strudel::graph::Value;
+    let g = &build.graph;
+    let name = |v: &Value| match v {
+        Value::Node(n) => g
+            .node_name(*n)
+            .map_or_else(|| v.to_string(), |s| s.to_string()),
+        other => other.to_string(),
+    };
+    let reader = g.reader();
+    let mut graph = Fnv(FNV_OFFSET);
+    for &n in g.nodes() {
+        graph.field(&name(&Value::Node(n)));
+        for (label, to) in reader.out(n) {
+            graph.field(&g.resolve(*label));
+            graph.field(&name(to));
+        }
+        graph.field("");
+    }
+    let s = build.stats.iter().fold([0u64; 6], |t, s| {
+        let c = &s.construct;
+        let row = [
+            c.nodes_created,
+            c.edges_created,
+            c.collected,
+            c.edges_removed,
+            c.collect_removed,
+            c.nodes_removed,
+        ];
+        std::array::from_fn(|i| t[i] + row[i])
+    });
+    graph.field(&format!("{s:?} {}", build.table.len()));
+    let mut collections = Fnv(FNV_OFFSET);
+    for &c in g.collection_names() {
+        collections.field(&g.resolve(c));
+        for item in g.collection(c).unwrap().items() {
+            collections.field(&name(item));
+        }
+    }
+    (g.node_count(), g.edge_count(), graph.0, collections.0)
+}
+
+/// The site graphs under the pages: what `every_worker_count_yields_the_
+/// pinned_sites` cannot see — unrendered edges, out-list order (which
+/// click-time `expand` also reads), node order and the books' totals.
+/// Recorded at c0ae9d6, before the construction stage's books replaced its
+/// hash tables; a digest that moves is a changed site graph. One column
+/// moved once, on purpose: `collections` since `build_site` registers each
+/// Skolem function's pages in creation order (they were in hash order) —
+/// the values are c0ae9d6's graphs with that registration order.
+const PINNED_GRAPHS: [(&str, usize, usize, u64, u64); 5] = [
+    (
+        "news, general",
+        5250,
+        52369,
+        0xe341_5de6_2364_32cd,
+        0x2c98_92ec_8fc3_08ce,
+    ),
+    (
+        "news, sports only",
+        1260,
+        10015,
+        0xc68a_868a_79d9_bfe8,
+        0x9ae4_bea1_a327_4c14,
+    ),
+    (
+        "org",
+        1119,
+        15343,
+        0xe7b0_3f6a_2c5c_e643,
+        0x5d2c_984a_7cd2_4f0b,
+    ),
+    (
+        "bilingual",
+        14,
+        62,
+        0xf980_a31d_58ec_e995,
+        0x89fd_2c60_386f_0311,
+    ),
+    (
+        "personal home page",
+        61,
+        511,
+        0x3cca_f6b0_c6d6_c157,
+        0xe6cd_e984_7196_280c,
+    ),
+];
+
+#[test]
+fn site_graphs_are_pinned() {
+    let sites: [Strudel; 5] = [
+        news::system(2_000, 7, false).unwrap(),
+        news::system(2_000, 7, true).unwrap(),
+        org::system(&org::generate(400, 7)).unwrap(),
+        bilingual::system(6, 77).unwrap(),
+        bib::system("Alon Levy", 20, 9).unwrap(),
+    ];
+    let got = sites.map(|mut s| site_graph_digest(&s.build_site().unwrap()));
+    let got: Vec<_> = (PINNED_GRAPHS.iter().zip(got))
+        .map(|(pinned, (members, edges, graph, collections))| {
+            (pinned.0, members, edges, graph, collections)
+        })
+        .collect();
+    assert_eq!(got, PINNED_GRAPHS, "{got:#x?}");
+}
+
+#[test]
+fn pages_of_lists_a_function_in_creation_order() {
+    let sites = [
+        (news::system(2_000, 7, false).unwrap(), "ArticlePage", 2_000),
+        (
+            org::system(&org::generate(400, 7)).unwrap(),
+            "MemberPage",
+            400,
+        ),
+    ];
+    for (mut s, function, at_least) in sites {
+        let build = s.build_site().unwrap();
+        let mut functions: Vec<&str> = build.table.iter().map(|(name, _, _)| name).collect();
+        functions.dedup();
+        for name in functions {
+            let pages = build.pages_of(name);
+            assert!(
+                pages.is_sorted(),
+                "{name}: {:?}",
+                &pages[..pages.len().min(8)]
+            );
+        }
+        assert!(build.pages_of(function).len() >= at_least);
+    }
+}
+
 #[test]
 fn org_site_integrates_five_source_kinds() {
     // §5.1: "The AT&T Research site, for example, integrated five data
