@@ -362,8 +362,8 @@ impl Graph {
     }
 
     /// Disables or enables index maintenance. Disabling drops the current
-    /// index; re-enabling rebuilds it from scratch. Used by the `A-OPT`
-    /// ablation benchmarks (indexes on/off, DESIGN.md §4).
+    /// index; re-enabling rebuilds it from scratch. Tests evaluate on the
+    /// unindexed path as the reference for the indexed one (DESIGN.md §6).
     pub fn set_indexing(&mut self, enabled: bool) {
         self.own.revision += 1;
         match (enabled, self.own.index.is_some()) {

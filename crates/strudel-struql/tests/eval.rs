@@ -296,9 +296,6 @@ fn relation_graph(pairs: &[(i64, i64)]) -> Graph {
 
 #[test]
 fn transitive_closure_via_two_query_composition() {
-    // R = {(1,2),(2,3),(3,4)}; TC(R) ∋ (1,4).
-    let g = relation_graph(&[(1, 2), (2, 3), (3, 4)]);
-
     // Query 1: re-encode the relation as graph edges N(a) -"r"-> N(b).
     let q1 = parse_query(
         r#"WHERE R(p), p -> "fst" -> a, p -> "snd" -> b
@@ -308,8 +305,6 @@ fn transitive_closure_via_two_query_composition() {
                 N(b) -> "val" -> b"#,
     )
     .unwrap();
-    let step1 = q1.evaluate(&g, &EvalOptions::default()).unwrap();
-
     // Query 2: transitive closure = reachability over the edge encoding.
     let q2 = parse_query(
         r#"WHERE x -> "val" -> a, x -> "r"+ -> y, y -> "val" -> b
@@ -318,13 +313,27 @@ fn transitive_closure_via_two_query_composition() {
            COLLECT TC(Pair(a, b))"#,
     )
     .unwrap();
-    let step2 = q2.evaluate(&step1.graph, &EvalOptions::default()).unwrap();
+    let closure = |g: &Graph| {
+        let step1 = q1.evaluate(g, &EvalOptions::default()).unwrap();
+        q2.evaluate(&step1.graph, &EvalOptions::default())
+            .unwrap()
+            .graph
+    };
 
-    let tc = step2.graph.collection_str("TC").unwrap();
+    // R = {(1,2),(2,3),(3,4)}; TC(R) ∋ (1,4).
+    let tc = closure(&relation_graph(&[(1, 2), (2, 3), (3, 4)]));
     // TC of a 3-edge chain: (1,2),(1,3),(1,4),(2,3),(2,4),(3,4).
-    assert_eq!(tc.len(), 6);
-    assert!(find_node(&step2.graph, "Pair(1,4)").is_some());
-    assert!(find_node(&step2.graph, "Pair(1,1)").is_none());
+    assert_eq!(tc.collection_str("TC").unwrap().len(), 6);
+    assert!(find_node(&tc, "Pair(1,4)").is_some());
+    assert!(find_node(&tc, "Pair(1,1)").is_none());
+
+    // The closure of an n-edge chain has n(n+1)/2 pairs.
+    for n in [32, 64, 128] {
+        let chain: Vec<(i64, i64)> = (0..n).map(|i| (i, i + 1)).collect();
+        let tc = closure(&relation_graph(&chain));
+        let n = n as usize;
+        assert_eq!(tc.collection_str("TC").unwrap().len(), n * (n + 1) / 2);
+    }
 }
 
 #[test]

@@ -339,18 +339,6 @@ impl Strudel {
         Ok((site, phases))
     }
 
-    /// Like [`Strudel::generate_site`], rendering pages on `threads` worker
-    /// threads regardless of the configured job count (page rendering is
-    /// read-only; see [`Generator::generate_parallel`]).
-    pub fn generate_site_parallel(
-        &mut self,
-        root_skolems: &[&str],
-        threads: usize,
-    ) -> Result<GeneratedSite> {
-        let build = self.build_site()?;
-        self.render_site(&build, root_skolems, threads, false)
-    }
-
     /// Renders a built site from the named roots on `threads` workers
     /// ([`Generator::generate_parallel`]). With `timings`, per-page render
     /// durations are collected.

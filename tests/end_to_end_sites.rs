@@ -3,9 +3,12 @@
 //! bilingual site — each through the full wrappers → mediator → StruQL →
 //! templates pipeline.
 
+mod support;
+
 use strudel::synth::{bib, bilingual, news, org};
-use strudel::template::{GeneratedSite, Generator};
+use strudel::template::Generator;
 use strudel::Strudel;
+use support::{site_digest, site_graph_digest};
 
 #[test]
 fn org_site_at_paper_scale_smoke() {
@@ -196,21 +199,6 @@ fn generated_html_is_well_formed_enough() {
     }
 }
 
-/// FNV-1a, 64 bits, over every `(name, html)` of a site in name order — the
-/// benchmark's `digests.site`.
-fn site_digest(site: &GeneratedSite) -> u64 {
-    let mut h = FNV_OFFSET;
-    for (name, html) in &site.pages {
-        for b in name.bytes().chain([0]).chain(html.bytes()).chain([0]) {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// `(pages, bytes, site digest)` of the experience sites below, recorded at
 /// 49393a1 from the generator this one replaced (its serial and its
 /// wave-parallel form agreed on all of them, and neither warned). The
@@ -263,64 +251,6 @@ fn every_worker_count_yields_the_pinned_sites() {
             assert!(site.warnings.is_empty(), "{:?}", site.warnings);
         }
     }
-}
-
-/// FNV-1a, 64 bits, over a stream of NUL-terminated fields.
-struct Fnv(u64);
-
-impl Fnv {
-    fn field(&mut self, s: &str) {
-        for b in s.bytes().chain([0]) {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
-/// `(members, edges, graph, collections)` of a built site graph. `graph`
-/// digests the members in order with their names, each member's out-list in
-/// order (label text; a node target by name, any other value printed), the
-/// summed `ConstructStats` and `SkolemTable::len`; `collections` every
-/// collection in order with its items in order.
-fn site_graph_digest(build: &strudel::SiteBuild) -> (usize, usize, u64, u64) {
-    use strudel::graph::Value;
-    let g = &build.graph;
-    let name = |v: &Value| match v {
-        Value::Node(n) => g
-            .node_name(*n)
-            .map_or_else(|| v.to_string(), |s| s.to_string()),
-        other => other.to_string(),
-    };
-    let reader = g.reader();
-    let mut graph = Fnv(FNV_OFFSET);
-    for &n in g.nodes() {
-        graph.field(&name(&Value::Node(n)));
-        for (label, to) in reader.out(n) {
-            graph.field(&g.resolve(*label));
-            graph.field(&name(to));
-        }
-        graph.field("");
-    }
-    let s = build.stats.iter().fold([0u64; 6], |t, s| {
-        let c = &s.construct;
-        let row = [
-            c.nodes_created,
-            c.edges_created,
-            c.collected,
-            c.edges_removed,
-            c.collect_removed,
-            c.nodes_removed,
-        ];
-        std::array::from_fn(|i| t[i] + row[i])
-    });
-    graph.field(&format!("{s:?} {}", build.table.len()));
-    let mut collections = Fnv(FNV_OFFSET);
-    for &c in g.collection_names() {
-        collections.field(&g.resolve(c));
-        for item in g.collection(c).unwrap().items() {
-            collections.field(&name(item));
-        }
-    }
-    (g.node_count(), g.edge_count(), graph.0, collections.0)
 }
 
 /// The site graphs under the pages: what `every_worker_count_yields_the_

@@ -1320,10 +1320,10 @@ proptest! {
     }
 }
 
-/// A-OPT regression guard: the adversarially ordered 7-condition query from
-/// the optimizer-ablation experiment must give identical results under all
-/// three strategies, and the cost-based plan must never materialize more
-/// intermediate rows than the naive left-to-right order.
+/// A-OPT, the §2.4 optimizer ablation: the adversarially ordered
+/// 7-condition query gives identical results under all three strategies,
+/// and the naive left-to-right order materializes 1,647 intermediate rows
+/// where either optimizer's plan materializes 141.
 #[test]
 fn a_opt_seven_condition_regression_guard() {
     use strudel::wrappers::{bibtex, relational};
@@ -1361,19 +1361,8 @@ fn a_opt_seven_condition_regression_guard() {
     }
     assert_eq!(results[0], results[1], "heuristic diverges from naive");
     assert_eq!(results[1], results[2], "cost-based diverges from heuristic");
-    assert!(results[0].2 > 0, "guard query must match something");
-    assert!(
-        rows[2] <= rows[0],
-        "cost-based materialized more rows than naive: {} > {}",
-        rows[2],
-        rows[0]
-    );
-    assert!(
-        rows[1] <= rows[0],
-        "heuristic materialized more rows than naive: {} > {}",
-        rows[1],
-        rows[0]
-    );
+    assert_eq!(results[0].2, 12, "hits");
+    assert_eq!(rows, [1_647, 141, 141], "naive, heuristic, cost-based rows");
 }
 
 // ------------------------------------------------- click-time invalidation ----
