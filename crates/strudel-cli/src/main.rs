@@ -27,11 +27,13 @@
 //!
 //! Observability flags:
 //!
-//! * `--profile` records one line per applied condition (rows in/out, the
-//!   physical strategy, path-cache hits/misses).
-//!   `query` prints the table to stderr so stdout stays pipeable DDL;
-//!   `explain` appends it to the plans. With `--json` the profile is
-//!   printed to stdout as a JSON document instead.
+//! * `--profile` runs the evaluation traced and prints its span tree, as
+//!   `trace` prints a request's: one `eval.block` span per block and one
+//!   `eval.op` span per executed plan operator (its estimated vs. observed
+//!   rows, path-cache hits/misses), then per-layer self-times. `query`
+//!   prints the tree to stderr so stdout stays pipeable DDL; `explain`
+//!   prints it after the plans. With `--json` the spans are printed to
+//!   stdout as `{"profile":[…]}` instead.
 //! * `--timings` makes `build` print a phase-breakdown JSON object
 //!   (refresh → evaluate → render → write, microseconds) with the slowest
 //!   pages, instead of the human summary line.
@@ -48,6 +50,7 @@ mod spec;
 
 use std::path::Path;
 use std::process::ExitCode;
+use strudel::obs::trace::{self, AttrValue, SpanRecord};
 use strudel::site::Constraint;
 use strudel::{Strudel, StrudelError};
 
@@ -81,7 +84,7 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// How `--profile [--json]` asks for the per-condition execution profile.
+/// How `--profile [--json]` asks for the evaluation's trace.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ProfileMode {
     Off,
@@ -104,6 +107,43 @@ fn parse_profile_flags(rest: &[String]) -> Result<ProfileMode, AnyError> {
         (true, true) => Ok(ProfileMode::Json),
         (false, true) => Err("--json requires --profile".into()),
     }
+}
+
+/// Runs `evaluate` under a root span named `name` with the recorder on and
+/// returns its result with the spans recorded below that root, in start
+/// order. Fails if the ring wrapped during the run.
+fn profiled<T, E: Into<AnyError>>(
+    name: &'static str,
+    evaluate: impl FnOnce() -> Result<T, E>,
+) -> Result<(T, Vec<SpanRecord>), AnyError> {
+    trace::enable(trace::TraceConfig::default());
+    let root = trace::begin_request(name).ok_or("the flight recorder is off")?;
+    let trace_id = root.trace_id();
+    let entered = trace::enter(&root.ctx());
+    let result = evaluate();
+    drop(entered);
+    let recorded = root.finish().map_or(0, |summary| summary.spans as usize);
+    let value = result.map_err(Into::into)?;
+    let mut spans: Vec<SpanRecord> = trace::snapshot_spans()
+        .into_iter()
+        .filter(|s| s.trace_id == trace_id)
+        .collect();
+    if spans.len() < recorded {
+        return Err(format!(
+            "the flight recorder's ring wrapped during the run: {} of {recorded} spans lost",
+            recorded - spans.len()
+        )
+        .into());
+    }
+    spans.retain(|s| s.parent_id != 0);
+    spans.sort_by_key(|s| (s.start_ns, s.span_id));
+    Ok((value, spans))
+}
+
+/// `{"profile":[…]}`: the spans in their `/debug/traces` form.
+fn profile_json(spans: &[SpanRecord]) -> String {
+    let spans: Vec<String> = spans.iter().map(SpanRecord::to_json).collect();
+    format!("{{\"profile\":[{}]}}", spans.join(","))
 }
 
 fn read(path: &Path) -> Result<String, AnyError> {
@@ -255,33 +295,26 @@ fn cmd_explain(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     let mode = parse_profile_flags(rest)?;
     let (mut s, _) = load_system(spec_path)?;
     let merged = s.merged_query();
-    let mut opts = s.options_mut().clone();
+    let opts = s.options_mut().clone();
     let data = s.data_graph()?;
     let plans = merged.explain(data, &opts).map_err(StrudelError::Struql)?;
-    if mode == ProfileMode::Off {
+    if mode != ProfileMode::Json {
         println!("{plans}");
+    }
+    if mode == ProfileMode::Off {
         return Ok(());
     }
-    // The static plans say what the optimizer *chose*; executing with
-    // explain + profile shows the plan as run (observed rows per node,
-    // adaptive re-optimizations included) plus the operator-level profile.
-    opts.profile = true;
-    opts.explain = true;
-    let out = merged.evaluate(data, &opts).map_err(StrudelError::Struql)?;
-    match mode {
-        ProfileMode::Table => {
-            for plan in &out.stats.plans {
-                println!("{plan}");
-            }
-            if out.stats.plan_replans > 0 {
-                println!("adaptive re-optimizations: {}", out.stats.plan_replans);
-            }
-            print!("{}", strudel::obs::render_profile_table(&out.stats.profile));
-        }
-        _ => println!(
-            "{{\"profile\":{}}}",
-            strudel::obs::render_profile_json(&out.stats.profile)
-        ),
+    // The plans say what the optimizer *chose*; the trace of running them
+    // says what each operator did, in execution order (adaptive
+    // re-optimizations included).
+    let (out, spans) = profiled("explain", || merged.evaluate(data, &opts))?;
+    if mode == ProfileMode::Json {
+        println!("{}", profile_json(&spans));
+        return Ok(());
+    }
+    print!("{}", render_trace("explain", &spans));
+    if out.stats.plan_replans > 0 {
+        println!("adaptive re-optimizations: {}", out.stats.plan_replans);
     }
     Ok(())
 }
@@ -340,30 +373,32 @@ fn cmd_query(data_path: &Path, query_path: &Path, rest: &[String]) -> Result<(),
         &parsed
     };
     let q = strudel::struql::parse_query(&read(query_path)?)?;
-    let opts = strudel::struql::EvalOptions {
-        profile: mode != ProfileMode::Off,
-        ..Default::default()
+    let opts = strudel::struql::EvalOptions::default();
+    let mut elapsed = std::time::Duration::ZERO;
+    let mut evaluate = || {
+        let t = std::time::Instant::now();
+        let out = q.evaluate(data, &opts);
+        elapsed = t.elapsed();
+        out
     };
-    let t = std::time::Instant::now();
-    let out = q.evaluate(data, &opts)?;
+    let (out, spans) = match mode {
+        ProfileMode::Off => (evaluate()?, Vec::new()),
+        _ => profiled("query", evaluate)?,
+    };
     eprintln!(
-        "evaluated in {:?}: {} nodes, {} edges, {} rows examined",
-        t.elapsed(),
+        "evaluated in {elapsed:?}: {} nodes, {} edges, {} rows examined",
         out.graph.node_count(),
         out.graph.edge_count(),
         out.stats.intermediate_rows
     );
     match mode {
-        // Stdout stays pipeable DDL; the table rides the diagnostics stream.
+        // Stdout stays pipeable DDL; the trace rides the diagnostics stream.
         ProfileMode::Off => print!("{}", strudel::graph::ddl::print(&out.graph)),
         ProfileMode::Table => {
             print!("{}", strudel::graph::ddl::print(&out.graph));
-            eprint!("{}", strudel::obs::render_profile_table(&out.stats.profile));
+            eprint!("{}", render_trace("query", &spans));
         }
-        ProfileMode::Json => println!(
-            "{{\"profile\":{}}}",
-            strudel::obs::render_profile_json(&out.stats.profile)
-        ),
+        ProfileMode::Json => println!("{}", profile_json(&spans)),
     }
     Ok(())
 }
@@ -425,7 +460,6 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
 /// The serve-shutdown trace summary: recorder totals plus the worst
 /// promoted traces with their per-layer self-time breakdowns.
 fn print_trace_summary() {
-    use strudel::obs::trace;
     let t = trace::stats();
     if t.traces_started == 0 {
         return;
@@ -541,80 +575,72 @@ fn trace_via_server(host: &str, path: &str) -> Result<(), AnyError> {
         .ok_or_else(|| {
             format!("no trace for {path} (sampled out, or evicted from the recent ring?)")
         })?;
-    print_trace(trace);
+    let trace_id = trace
+        .get("trace_id")
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0) as u64;
+    let spans = trace
+        .get("spans")
+        .and_then(|s| s.as_array())
+        .unwrap_or(&[])
+        .iter()
+        .map(|s| SpanRecord::from_json(trace_id, s))
+        .collect::<Option<Vec<_>>>()
+        .ok_or("a malformed span in /debug/traces")?;
+    print!("{}", render_trace(path, &spans));
     Ok(())
 }
 
-/// Renders one `/debug/traces` entry as an indented span tree plus the
-/// per-layer self-time breakdown.
-fn print_trace(trace: &strudel::obs::json::Value) {
-    let num = |v: &strudel::obs::json::Value, key: &str| -> u64 {
-        v.get(key).and_then(|n| n.as_f64()).unwrap_or(0.0) as u64
-    };
-    println!(
-        "trace {} {} — {}us total, {} spans",
-        num(trace, "trace_id"),
-        trace.get("path").and_then(|p| p.as_str()).unwrap_or("?"),
-        num(trace, "duration_us"),
-        num(trace, "span_count"),
-    );
-    let spans = trace.get("spans").and_then(|s| s.as_array()).unwrap_or(&[]);
-    let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| num(s, "span_id")).collect();
-    // Roots: spans whose parent is outside this trace (the request root,
-    // plus any orphans whose parent was overwritten by ring wrap-around).
-    let mut roots: Vec<&strudel::obs::json::Value> = spans
-        .iter()
-        .filter(|s| !ids.contains(&num(s, "parent_id")))
-        .collect();
-    roots.sort_by_key(|s| num(s, "start_us"));
-    for root in roots {
-        print_span_subtree(root, spans, 1, &num);
-    }
-    if let Some(strudel::obs::json::Value::Object(fields)) = trace.get("layers_self_us") {
-        let breakdown = fields
-            .iter()
-            .filter(|(_, v)| v.as_f64().unwrap_or(0.0) > 0.0)
-            .map(|(k, v)| format!("{k} {}us", v.as_f64().unwrap_or(0.0) as u64))
-            .collect::<Vec<_>>()
-            .join(", ");
-        println!("per-layer self-time: {breakdown}");
-    }
-}
-
-/// Prints one span and, recursively, its children (by start time).
-fn print_span_subtree(
-    span: &strudel::obs::json::Value,
-    all: &[strudel::obs::json::Value],
-    depth: usize,
-    num: &dyn Fn(&strudel::obs::json::Value, &str) -> u64,
-) {
-    let id = num(span, "span_id");
-    let mut children: Vec<&strudel::obs::json::Value> =
-        all.iter().filter(|s| num(s, "parent_id") == id).collect();
-    children.sort_by_key(|s| num(s, "start_us"));
-    let dur = num(span, "dur_us");
-    let child_us: u64 = children.iter().map(|c| num(c, "dur_us")).sum();
-    let mut attrs = String::new();
-    if let Some(strudel::obs::json::Value::Object(fields)) = span.get("attrs") {
-        for (k, v) in fields {
-            let rendered = match v {
-                strudel::obs::json::Value::String(s) => s.clone(),
-                other => format!("{}", other.as_f64().unwrap_or(0.0) as u64),
+/// Renders one trace's spans as the indented tree [`trace::assemble_tree`]
+/// builds — each span with its layer, duration, self-time and attributes,
+/// children in start order — then the self-time summed per layer.
+fn render_trace(title: &str, spans: &[SpanRecord]) -> String {
+    use std::fmt::Write as _;
+    fn walk(node: &trace::TreeNode, depth: usize, out: &mut String, self_ns: &mut [u64]) {
+        let s = &node.span;
+        self_ns[s.layer as usize] += node.self_ns;
+        let _ = write!(
+            out,
+            "{:indent$}{} [{}] {}us (self {}us)",
+            "",
+            s.name,
+            s.layer.name(),
+            s.dur_ns() / 1_000,
+            node.self_ns / 1_000,
+            indent = depth * 2,
+        );
+        for (k, v) in &s.attrs {
+            let _ = match v {
+                AttrValue::U64(n) => write!(out, " {k}={n}"),
+                AttrValue::Text(t) => write!(out, " {k}={t}"),
             };
-            attrs.push_str(&format!(" {k}={rendered}"));
+        }
+        out.push('\n');
+        for child in &node.children {
+            walk(child, depth + 1, out, self_ns);
         }
     }
-    println!(
-        "{:indent$}{} [{}] {dur}us (self {}us){attrs}",
-        "",
-        span.get("name").and_then(|n| n.as_str()).unwrap_or("?"),
-        span.get("cat").and_then(|c| c.as_str()).unwrap_or("?"),
-        dur.saturating_sub(child_us),
-        indent = depth * 2,
+    let forest = trace::assemble_tree(spans);
+    let start = forest.iter().map(|n| n.span.start_ns).min().unwrap_or(0);
+    let end = forest.iter().map(|n| n.span.end_ns).max().unwrap_or(0);
+    let mut out = format!(
+        "trace {} {title} — {}us total, {} spans\n",
+        spans.first().map_or(0, |s| s.trace_id),
+        end.saturating_sub(start) / 1_000,
+        spans.len(),
     );
-    for child in children {
-        print_span_subtree(child, all, depth + 1, num);
+    let mut self_ns = [0u64; trace::LAYERS];
+    for root in &forest {
+        walk(root, 1, &mut out, &mut self_ns);
     }
+    let breakdown: Vec<String> = trace::LAYER_NAMES
+        .iter()
+        .zip(self_ns)
+        .filter(|(_, ns)| *ns > 0)
+        .map(|(name, ns)| format!("{name} {}us", ns / 1_000))
+        .collect();
+    let _ = writeln!(out, "per-layer self-time: {}", breakdown.join(", "));
+    out
 }
 
 /// A one-shot `Connection: close` GET against `host` (`ip:port`).

@@ -151,6 +151,64 @@ fn adhoc_query_roundtrips_ddl() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Writes a two-object data file and a query over it into `dir`; returns
+/// their paths. The query names no label, so no plan reads the index's
+/// extents and its trace holds only evaluator spans.
+fn adhoc_query_files(dir: &Path) -> (String, String) {
+    let (data, query) = (dir.join("d.ddl"), dir.join("q.struql"));
+    std::fs::write(&data, "object a in C { x 1 }\nobject b in C { x 2 }\n").unwrap();
+    std::fs::write(
+        &query,
+        "WHERE C(v), v -> l -> y CREATE P(v) LINK P(v) -> l -> y COLLECT Out(P(v))\n",
+    )
+    .unwrap();
+    let path = |p: PathBuf| p.to_str().unwrap().to_string();
+    (path(data), path(query))
+}
+
+#[test]
+fn query_profile_json_lists_the_evaluation_spans() {
+    let dir = tmpdir("profile_json");
+    let (data, query) = adhoc_query_files(&dir);
+    let out = run(&["query", &data, &query, "--profile", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = strudel::obs::json::parse(&stdout).expect("stdout is JSON");
+    let spans = doc.get("profile").and_then(|p| p.as_array()).unwrap();
+    assert!(!spans.is_empty(), "{stdout}");
+    for span in spans {
+        let name = span.get("name").and_then(|n| n.as_str()).unwrap_or("");
+        assert!(name.starts_with("eval."), "{stdout}");
+        assert_eq!(span.get("cat").and_then(|c| c.as_str()), Some("eval"));
+    }
+    let ops = spans
+        .iter()
+        .filter(|s| s.get("name").and_then(|n| n.as_str()) == Some("eval.op"));
+    assert_eq!(ops.count(), 2, "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn query_profile_keeps_stdout_the_same_ddl() {
+    let dir = tmpdir("profile_ddl");
+    let (data, query) = adhoc_query_files(&dir);
+    let plain = run(&["query", &data, &query]);
+    let profiled = run(&["query", &data, &query, "--profile"]);
+    assert!(plain.status.success() && profiled.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&profiled.stdout),
+        String::from_utf8_lossy(&plain.stdout)
+    );
+    let trace = String::from_utf8_lossy(&profiled.stderr);
+    assert!(trace.contains("eval.op [eval]"), "{trace}");
+    assert!(trace.contains("per-layer self-time: eval"), "{trace}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn bad_usage_exits_with_code_2() {
     let out = run(&[]);

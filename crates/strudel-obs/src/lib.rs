@@ -3,26 +3,26 @@
 //! The paper's system spans wrappers, a mediator, StruQL evaluation, site
 //! construction, HTML generation and click-time serving; this crate is the
 //! shared vocabulary those layers use to explain themselves: monotonic
-//! [`Counter`]s, lock-free fixed-bucket [`Histogram`]s, per-condition query
-//! profiles ([`CondProfile`]), phase timing ([`Timer`], [`Phases`]),
-//! Prometheus text exposition ([`PromText`]), request-scoped tracing spans
-//! recorded into a lock-free flight recorder ([`trace`]), and the one
-//! declaration per signal that `/stats` and `/metrics` are both rendered
-//! from ([`Signal`], [`Scrape`], [`signals!`]).
+//! [`Counter`]s, lock-free fixed-bucket [`Histogram`]s, phase timing
+//! ([`Timer`], [`Phases`]), Prometheus text exposition ([`PromText`]),
+//! request-scoped tracing spans recorded into a flight recorder
+//! ([`trace`]) — also the record of each executed query operator under
+//! `--profile` — and the one declaration per signal that `/stats` and
+//! `/metrics` are both rendered from ([`Signal`], [`Scrape`],
+//! [`signals!`]).
 //!
 //! Design constraints (DESIGN.md §10):
 //!
 //! * **No dependencies.** Only `std`, like the rest of the workspace.
-//! * **Near-zero cost when disabled.** Profiling is opt-in per evaluation;
-//!   the disabled path is a branch on a `bool` per *condition* (not per
-//!   row), and [`Timer::start_if`] compiles to `None` without reading the
-//!   clock. Always-on counters are single relaxed atomic increments.
+//! * **Nothing to switch on per evaluation.** Always-on counters are single
+//!   relaxed atomic increments; a span is one relaxed atomic load and an
+//!   inert guard, without a clock read, unless the recorder is on and a
+//!   trace is active on the thread.
 //! * **Lock-free recording.** [`Histogram::record`] is a handful of relaxed
 //!   atomic operations — no mutex, so concurrent recorders can never tear
 //!   each other's samples (the race the old serve-side reservoir had).
 
 mod hist;
-mod profile;
 mod prom;
 mod signal;
 
@@ -30,7 +30,6 @@ pub mod json;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_US};
-pub use profile::{render_profile_json, render_profile_table, CondProfile};
 pub use prom::{escape_help, escape_label_value, fmt_value, valid_metric_name, PromText};
 pub use signal::{Reading, Sample, Scrape, Signal};
 
@@ -90,40 +89,25 @@ impl Gauge {
     }
 }
 
-/// A span timer whose disabled form never reads the clock.
+/// A phase timer: the microseconds since it started.
 ///
 /// ```
 /// # use strudel_obs::Timer;
-/// let t = Timer::start_if(false);
-/// assert_eq!(t.elapsed_us(), 0); // no clock read happened
 /// let t = Timer::start();
 /// let _us = t.elapsed_us();
 /// ```
 #[derive(Clone, Copy, Debug)]
-pub struct Timer(Option<Instant>);
+pub struct Timer(Instant);
 
 impl Timer {
     /// Starts a running timer.
     pub fn start() -> Self {
-        Timer(Some(Instant::now()))
+        Timer(Instant::now())
     }
 
-    /// Starts a timer only when `enabled`; otherwise the timer is inert and
-    /// [`Timer::elapsed_us`] reports 0 without touching the clock.
-    pub fn start_if(enabled: bool) -> Self {
-        Timer(enabled.then(Instant::now))
-    }
-
-    /// Whether this timer is actually running.
-    pub fn enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Microseconds since the timer started (0 when inert).
+    /// Microseconds since the timer started.
     pub fn elapsed_us(&self) -> u64 {
-        self.0
-            .map(|t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX))
-            .unwrap_or(0)
+        u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 }
 
@@ -148,14 +132,6 @@ impl Phases {
         } else {
             self.entries.push((name.to_string(), us));
         }
-    }
-
-    /// Times `f`, recording its duration under `name`.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t = Timer::start();
-        let r = f();
-        self.add(name, t.elapsed_us());
-        r
     }
 
     /// The recorded `(name, microseconds)` pairs, in insertion order.
@@ -196,14 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_timer_reports_zero() {
-        let t = Timer::start_if(false);
-        assert!(!t.enabled());
-        assert_eq!(t.elapsed_us(), 0);
-        assert!(Timer::start_if(true).enabled());
-    }
-
-    #[test]
     fn phases_accumulate_and_serialize() {
         let mut p = Phases::new();
         p.add("eval", 10);
@@ -212,8 +180,5 @@ mod tests {
         assert_eq!(p.entries(), &[("eval".into(), 17), ("render".into(), 5)]);
         assert_eq!(p.total_us(), 22);
         assert_eq!(p.to_json(), r#"{"eval":17,"render":5}"#);
-        let got = p.time("timed", || 42);
-        assert_eq!(got, 42);
-        assert_eq!(p.entries().len(), 3);
     }
 }

@@ -1,22 +1,25 @@
-//! Request-scoped tracing: a lock-free, fixed-capacity **flight recorder**.
+//! Request-scoped tracing: a fixed-capacity **flight recorder**.
 //!
-//! Aggregate metrics (PR 5) answer "how slow are requests on average?";
+//! Aggregate metrics answer "how slow are requests on average?";
 //! this module answers "why was *this* request 40 ms?". Every layer of the
 //! click path — connection handling, page cache, compiled-plan execution,
 //! template render, paged store — records **spans** (`trace_id`, `span_id`,
-//! parent, name, start/end monotonic ns, up to four key/value attributes)
-//! into a fixed-capacity ring of seqlock-guarded slots. The ring is the
-//! flight recorder: it always holds the most recent spans, it is written
-//! with a handful of relaxed atomic stores (no mutex, no allocation), and
-//! it is safe to leave on in production.
+//! parent, name, start/end monotonic ns, up to [`MAX_ATTRS`] key/value
+//! attributes) into a fixed-capacity ring. The ring is the flight
+//! recorder: it always holds the most recent spans, a span is written
+//! without allocating, and it is safe to leave on in production. The same
+//! spans are `strudel-cli query|explain --profile`'s record of what each
+//! plan operator did.
 //!
-//! **Cost discipline** (DESIGN.md §14), mirroring [`crate::Timer::start_if`]:
+//! **Cost discipline** (DESIGN.md §14):
 //!
 //! * Tracing **disabled** (the default): [`begin_request`] is one relaxed
 //!   atomic load returning `None`; [`span`] is a thread-local read returning
 //!   an inert guard. Neither path ever reads the clock.
-//! * Tracing **enabled**: every span costs two clock reads plus ~34 relaxed
-//!   atomic stores into a pre-allocated slot. No locks on the span path.
+//! * Tracing **enabled**: every span costs two clock reads, one `fetch_add`
+//!   claiming a ring slot, and a copy of the staged span into that slot
+//!   under the slot's own lock. Two writers meet on one slot only a full
+//!   ring wrap apart, so the lock is uncontended in practice.
 //!
 //! **Sampling semantics.** Head-based sampling cannot know a request's
 //! duration up front, so the sample decision made at [`begin_request`] does
@@ -28,10 +31,11 @@
 //! even at a 0.0 sample rate: their spans are still in the ring and their
 //! summary is promoted at the end.
 //!
-//! Span names and attribute text are stored **inline** (truncated to
-//! [`INLINE_BYTES`]) so slots are plain atomics with no lifetimes and no
-//! `unsafe`. A torn slot — a reader racing a writer — is detected by the
-//! per-slot sequence word and discarded.
+//! Attribute text is stored **inline** (truncated to [`INLINE_BYTES`]) and
+//! names and keys are `&'static str`, so a slot owns no heap memory; a
+//! name is cut to [`INLINE_BYTES`] when read back. A slot is a `Mutex`
+//! around the staged span: a reader locks it to copy the span out, so it
+//! sees a whole span or none, whatever the CPU's memory ordering.
 
 use crate::hist::Histogram;
 use crate::json;
@@ -39,14 +43,14 @@ use crate::{Reading, Scrape, Signal};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Bytes of inline storage for a span name, attribute key or text value.
+/// Bytes a span name or text attribute value is truncated to.
 pub const INLINE_BYTES: usize = 24;
 
 /// Maximum attributes per span.
-pub const MAX_ATTRS: usize = 6;
+pub const MAX_ATTRS: usize = 8;
 
 /// The layer a span belongs to; every span carries one so per-layer
 /// self-times can be aggregated without parsing names.
@@ -74,13 +78,14 @@ pub const LAYERS: usize = 6;
 pub const LAYER_NAMES: [&str; LAYERS] = ["serve", "cache", "eval", "render", "store", "other"];
 
 impl Layer {
-    fn from_u8(v: u8) -> Layer {
-        match v {
-            0 => Layer::Serve,
-            1 => Layer::Cache,
-            2 => Layer::Eval,
-            3 => Layer::Render,
-            4 => Layer::Store,
+    /// The layer named `name` ([`LAYER_NAMES`]); `Other` for an unknown name.
+    pub fn from_name(name: &str) -> Layer {
+        match name {
+            "serve" => Layer::Serve,
+            "cache" => Layer::Cache,
+            "eval" => Layer::Eval,
+            "render" => Layer::Render,
+            "store" => Layer::Store,
             _ => Layer::Other,
         }
     }
@@ -109,57 +114,6 @@ impl AttrValue {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Slot layout: one span = SLOT_WORDS atomic words guarded by a seqlock.
-// ---------------------------------------------------------------------------
-
-const NAME_WORDS: usize = INLINE_BYTES / 8; // 3
-const KEY_BYTES: usize = 16;
-const KEY_WORDS: usize = KEY_BYTES / 8; // 2
-const VAL_WORDS: usize = INLINE_BYTES / 8; // 3
-const ATTR_WORDS: usize = 1 + KEY_WORDS + VAL_WORDS; // meta + key + value
-const ATTR_BASE: usize = 7 + NAME_WORDS;
-/// Atomic words per ring slot.
-const SLOT_WORDS: usize = ATTR_BASE + MAX_ATTRS * ATTR_WORDS;
-
-const KIND_NONE: u64 = 0;
-const KIND_U64: u64 = 1;
-const KIND_TEXT: u64 = 2;
-
-struct Slot {
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-fn pack_bytes(dst: &mut [u64], src: &[u8]) {
-    for (i, chunk) in src.chunks(8).enumerate() {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        dst[i] = u64::from_le_bytes(w);
-    }
-}
-
-fn unpack_bytes(words: &[u64], len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    for (i, w) in words.iter().enumerate() {
-        let bytes = w.to_le_bytes();
-        let take = len.saturating_sub(i * 8).min(8);
-        out.extend_from_slice(&bytes[..take]);
-        if take < 8 {
-            break;
-        }
-    }
-    out.truncate(len);
-    out
-}
-
 fn truncate_utf8(s: &str, max: usize) -> &str {
     if s.len() <= max {
         return s;
@@ -172,7 +126,7 @@ fn truncate_utf8(s: &str, max: usize) -> &str {
 }
 
 /// A span read back out of the flight recorder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// The trace this span belongs to.
     pub trace_id: u64,
@@ -182,7 +136,7 @@ pub struct SpanRecord {
     pub parent_id: u64,
     /// Layer the span was recorded under.
     pub layer: Layer,
-    /// Span name (truncated to [`INLINE_BYTES`] at record time).
+    /// Span name (truncated to [`INLINE_BYTES`]).
     pub name: String,
     /// Start, monotonic nanoseconds since the recorder epoch.
     pub start_ns: u64,
@@ -206,12 +160,25 @@ enum StagedVal {
     Text([u8; INLINE_BYTES], u8),
 }
 
+impl StagedVal {
+    fn value(&self) -> AttrValue {
+        match self {
+            StagedVal::U64(v) => AttrValue::U64(*v),
+            StagedVal::Text(bytes, len) => {
+                AttrValue::Text(String::from_utf8_lossy(&bytes[..*len as usize]).into_owned())
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct StagedAttr {
     key: &'static str,
     val: StagedVal,
 }
 
+/// A span as a ring slot holds it; `trace_id` 0 marks a slot never written.
+#[derive(Clone)]
 struct RawSpan {
     trace_id: u64,
     span_id: u64,
@@ -221,6 +188,48 @@ struct RawSpan {
     start_ns: u64,
     end_ns: u64,
     attrs: [Option<StagedAttr>; MAX_ATTRS],
+}
+
+impl RawSpan {
+    const EMPTY: RawSpan = RawSpan {
+        trace_id: 0,
+        span_id: 0,
+        parent_id: 0,
+        layer: Layer::Other,
+        name: "",
+        start_ns: 0,
+        end_ns: 0,
+        attrs: [const { None }; MAX_ATTRS],
+    };
+
+    fn record(&self) -> SpanRecord {
+        SpanRecord {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_id: self.parent_id,
+            layer: self.layer,
+            name: truncate_utf8(self.name, INLINE_BYTES).to_string(),
+            start_ns: self.start_ns,
+            end_ns: self.end_ns,
+            attrs: self
+                .attrs
+                .iter()
+                .flatten()
+                .map(|a| (a.key.to_string(), a.val.value()))
+                .collect(),
+        }
+    }
+}
+
+/// A ring slot: the span last written there, behind its own lock. A
+/// writer's only update is one assignment of a whole span, so a poisoned
+/// slot still holds a whole span and is used as it is.
+type Slot = Mutex<RawSpan>;
+
+/// Copies a slot's span out, or `None` for a slot never written.
+fn read_slot(slot: &Slot) -> Option<SpanRecord> {
+    let raw = slot.lock().unwrap_or_else(PoisonError::into_inner).clone();
+    (raw.trace_id != 0).then(|| raw.record())
 }
 
 // ---------------------------------------------------------------------------
@@ -347,18 +356,7 @@ impl Default for TraceConfig {
 /// Turns tracing on (idempotent). The ring is allocated on the first call;
 /// subsequent calls update the sampling knobs but keep the existing ring.
 pub fn enable(cfg: TraceConfig) {
-    let rec = RECORDER.get_or_init(|| Recorder {
-        ring: (0..cfg.capacity.max(8)).map(|_| Slot::new()).collect(),
-        head: AtomicU64::new(0),
-        epoch: Instant::now(),
-        cells: RecorderCells::new(),
-        next_id: AtomicU64::new(1),
-        recent: Mutex::new(VecDeque::new()),
-        worst: Mutex::new(Vec::new()),
-        recent_cap: 64,
-        worst_cap: 8,
-        layer_hist: std::array::from_fn(|_| Histogram::new()),
-    });
+    let rec = RECORDER.get_or_init(|| Recorder::new(cfg.capacity));
     let ppm = (cfg.sample_rate.clamp(0.0, 1.0) * 1_000_000.0).round() as u64;
     rec.cells.sample_ppm.set(ppm);
     rec.cells.slow_us.set(cfg.slow_ms * 1_000);
@@ -399,127 +397,27 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl Recorder {
-    fn write(&self, raw: &RawSpan) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.ring[(ticket % self.ring.len() as u64) as usize];
-        let w = &slot.words;
-        // Seqlock writer: odd while writing, even when stable. Writers to
-        // the same slot are a full ring wrap apart; a collision would only
-        // corrupt one diagnostic row, never memory (all fields are atomics).
-        let seq = w[0].load(Ordering::Relaxed);
-        w[0].store(seq | 1, Ordering::Release);
-        w[1].store(raw.trace_id, Ordering::Relaxed);
-        w[2].store(raw.span_id, Ordering::Relaxed);
-        w[3].store(raw.parent_id, Ordering::Relaxed);
-        w[4].store(raw.start_ns, Ordering::Relaxed);
-        w[5].store(raw.end_ns, Ordering::Relaxed);
-        let name = truncate_utf8(raw.name, INLINE_BYTES);
-        let nattrs = raw.attrs.iter().filter(|a| a.is_some()).count() as u64;
-        let meta = raw.layer as u64 | ((name.len() as u64) << 8) | (nattrs << 16);
-        w[6].store(meta, Ordering::Relaxed);
-        let mut words = [0u64; NAME_WORDS];
-        pack_bytes(&mut words, name.as_bytes());
-        for (i, v) in words.iter().enumerate() {
-            w[7 + i].store(*v, Ordering::Relaxed);
+    fn new(capacity: usize) -> Recorder {
+        Recorder {
+            ring: (0..capacity.max(8))
+                .map(|_| Mutex::new(RawSpan::EMPTY))
+                .collect(),
+            head: AtomicU64::new(0),
+            epoch: Instant::now(),
+            cells: RecorderCells::new(),
+            next_id: AtomicU64::new(1),
+            recent: Mutex::new(VecDeque::new()),
+            worst: Mutex::new(Vec::new()),
+            recent_cap: 64,
+            worst_cap: 8,
+            layer_hist: std::array::from_fn(|_| Histogram::new()),
         }
-        for (ai, attr) in raw.attrs.iter().enumerate() {
-            let base = ATTR_BASE + ai * ATTR_WORDS;
-            let Some(attr) = attr else {
-                w[base].store(KIND_NONE, Ordering::Relaxed);
-                continue;
-            };
-            let key = truncate_utf8(attr.key, KEY_BYTES);
-            let mut kw = [0u64; KEY_WORDS];
-            pack_bytes(&mut kw, key.as_bytes());
-            let (kind, tlen) = match &attr.val {
-                StagedVal::U64(_) => (KIND_U64, 0u64),
-                StagedVal::Text(_, len) => (KIND_TEXT, *len as u64),
-            };
-            w[base].store(
-                kind | ((key.len() as u64) << 8) | (tlen << 16),
-                Ordering::Relaxed,
-            );
-            for (i, v) in kw.iter().enumerate() {
-                w[base + 1 + i].store(*v, Ordering::Relaxed);
-            }
-            match &attr.val {
-                StagedVal::U64(v) => {
-                    w[base + 1 + KEY_WORDS].store(*v, Ordering::Relaxed);
-                    for i in 1..VAL_WORDS {
-                        w[base + 1 + KEY_WORDS + i].store(0, Ordering::Relaxed);
-                    }
-                }
-                StagedVal::Text(bytes, _) => {
-                    let mut vw = [0u64; VAL_WORDS];
-                    pack_bytes(&mut vw, bytes);
-                    for (i, v) in vw.iter().enumerate() {
-                        w[base + 1 + KEY_WORDS + i].store(*v, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        // Stable: bump to the next even value past the odd write marker.
-        w[0].store((seq | 1).wrapping_add(1), Ordering::Release);
     }
 
-    fn read_slot(&self, slot: &Slot) -> Option<SpanRecord> {
-        let w = &slot.words;
-        for _ in 0..4 {
-            let s1 = w[0].load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                return None; // empty or mid-write
-            }
-            let mut vals = [0u64; SLOT_WORDS];
-            for (i, v) in vals.iter_mut().enumerate().skip(1) {
-                *v = w[i].load(Ordering::Relaxed);
-            }
-            let s2 = w[0].load(Ordering::Acquire);
-            if s1 != s2 {
-                continue; // torn read; retry
-            }
-            let meta = vals[6];
-            let layer = Layer::from_u8((meta & 0xff) as u8);
-            let name_len = ((meta >> 8) & 0xff) as usize;
-            let nattrs = ((meta >> 16) & 0xff) as usize;
-            let name_bytes = unpack_bytes(&vals[7..7 + NAME_WORDS], name_len.min(INLINE_BYTES));
-            let name = String::from_utf8_lossy(&name_bytes).into_owned();
-            let mut attrs = Vec::with_capacity(nattrs.min(MAX_ATTRS));
-            for ai in 0..nattrs.min(MAX_ATTRS) {
-                let base = ATTR_BASE + ai * ATTR_WORDS;
-                let ameta = vals[base];
-                let kind = ameta & 0xff;
-                if kind == KIND_NONE {
-                    continue;
-                }
-                let key_len = ((ameta >> 8) & 0xff) as usize;
-                let text_len = ((ameta >> 16) & 0xff) as usize;
-                let key_bytes = unpack_bytes(
-                    &vals[base + 1..base + 1 + KEY_WORDS],
-                    key_len.min(KEY_BYTES),
-                );
-                let key = String::from_utf8_lossy(&key_bytes).into_owned();
-                let vbase = base + 1 + KEY_WORDS;
-                let val = if kind == KIND_U64 {
-                    AttrValue::U64(vals[vbase])
-                } else {
-                    let bytes =
-                        unpack_bytes(&vals[vbase..vbase + VAL_WORDS], text_len.min(INLINE_BYTES));
-                    AttrValue::Text(String::from_utf8_lossy(&bytes).into_owned())
-                };
-                attrs.push((key, val));
-            }
-            return Some(SpanRecord {
-                trace_id: vals[1],
-                span_id: vals[2],
-                parent_id: vals[3],
-                layer,
-                name,
-                start_ns: vals[4],
-                end_ns: vals[5],
-                attrs,
-            });
-        }
-        None
+    fn write(&self, raw: RawSpan) {
+        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.ring[(ticket % self.ring.len() as u64) as usize];
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = raw;
     }
 
     fn promote(&self, summary: TraceSummary) {
@@ -662,7 +560,7 @@ impl RootSpan {
                 }
             }
         }
-        rec.write(&RawSpan {
+        rec.write(RawSpan {
             trace_id: self.shared.trace_id,
             span_id: self.shared.root_span,
             parent_id: 0,
@@ -670,7 +568,7 @@ impl RootSpan {
             name: self.name,
             start_ns: self.shared.start_ns,
             end_ns,
-            attrs: self.attrs.clone(),
+            attrs: self.attrs,
         });
         let mut layer_self_ns = [0u64; LAYERS];
         for (i, v) in self.shared.layer_self_ns.iter().enumerate() {
@@ -733,7 +631,7 @@ pub fn record_span(
             },
         });
     }
-    rec.write(&RawSpan {
+    rec.write(RawSpan {
         trace_id: ctx.shared.trace_id,
         span_id,
         parent_id: ctx.parent_span,
@@ -934,7 +832,7 @@ impl Drop for SpanGuard {
             }
             let self_ns = elapsed.saturating_sub(child_ns);
             active.shared.layer_self_ns[inner.layer as usize].fetch_add(self_ns, Ordering::Relaxed);
-            rec.write(&RawSpan {
+            rec.write(RawSpan {
                 trace_id: active.shared.trace_id,
                 span_id: inner.span_id,
                 parent_id,
@@ -942,7 +840,7 @@ impl Drop for SpanGuard {
                 name: inner.name,
                 start_ns: inner.start_ns,
                 end_ns,
-                attrs: inner.attrs.clone(),
+                attrs: inner.attrs,
             });
         });
     }
@@ -974,15 +872,7 @@ pub fn snapshot_spans() -> Vec<SpanRecord> {
     let Some(rec) = RECORDER.get() else {
         return Vec::new();
     };
-    let mut out = Vec::new();
-    for slot in rec.ring.iter() {
-        if let Some(span) = rec.read_slot(slot) {
-            if span.trace_id != 0 {
-                out.push(span);
-            }
-        }
-    }
-    out
+    rec.ring.iter().filter_map(read_slot).collect()
 }
 
 /// The most recently promoted trace summaries, newest last.
@@ -1107,23 +997,59 @@ fn fmt_us(us: f64) -> String {
     }
 }
 
-fn span_json(s: &SpanRecord) -> String {
-    let mut attrs = String::new();
-    for (i, (k, v)) in s.attrs.iter().enumerate() {
-        if i > 0 {
-            attrs.push(',');
+impl SpanRecord {
+    /// The span in its `/debug/traces` form: `span_id`, `parent_id`,
+    /// `name`, `cat` (the layer), `start_us`, `dur_us`, `attrs`.
+    pub fn to_json(&self) -> String {
+        let mut attrs = String::new();
+        for (i, (k, v)) in self.attrs.iter().enumerate() {
+            if i > 0 {
+                attrs.push(',');
+            }
+            attrs.push_str(&format!("\"{}\":{}", json::escape(k), v.render_json()));
         }
-        attrs.push_str(&format!("\"{}\":{}", json::escape(k), v.render_json()));
+        format!(
+            "{{\"span_id\":{},\"parent_id\":{},\"name\":\"{}\",\"cat\":\"{}\",\"start_us\":{},\"dur_us\":{},\"attrs\":{{{attrs}}}}}",
+            self.span_id,
+            self.parent_id,
+            json::escape(&self.name),
+            self.layer.name(),
+            fmt_us(self.start_ns as f64 / 1_000.0),
+            fmt_us(self.dur_ns() as f64 / 1_000.0),
+        )
     }
-    format!(
-        "{{\"span_id\":{},\"parent_id\":{},\"name\":\"{}\",\"cat\":\"{}\",\"start_us\":{},\"dur_us\":{},\"attrs\":{{{attrs}}}}}",
-        s.span_id,
-        s.parent_id,
-        json::escape(&s.name),
-        s.layer.name(),
-        fmt_us(s.start_ns as f64 / 1_000.0),
-        fmt_us(s.dur_ns() as f64 / 1_000.0),
-    )
+
+    /// Reads back a span of trace `trace_id` from its
+    /// [`SpanRecord::to_json`] form, or `None` if a field is missing. Exact:
+    /// times are printed to the nanosecond.
+    pub fn from_json(trace_id: u64, v: &json::Value) -> Option<SpanRecord> {
+        let int = |key: &str| v.get(key)?.as_f64().map(|n| n as u64);
+        let ns = |key: &str| v.get(key)?.as_f64().map(|us| (us * 1_000.0).round() as u64);
+        let Some(json::Value::Object(fields)) = v.get("attrs") else {
+            return None;
+        };
+        let attrs = fields
+            .iter()
+            .map(|(k, v)| {
+                let val = match v {
+                    json::Value::String(t) => AttrValue::Text(t.clone()),
+                    other => AttrValue::U64(other.as_f64()? as u64),
+                };
+                Some((k.clone(), val))
+            })
+            .collect::<Option<_>>()?;
+        let start_ns = ns("start_us")?;
+        Some(SpanRecord {
+            trace_id,
+            span_id: int("span_id")?,
+            parent_id: int("parent_id")?,
+            layer: Layer::from_name(v.get("cat")?.as_str()?),
+            name: v.get("name")?.as_str()?.to_string(),
+            start_ns,
+            end_ns: start_ns + ns("dur_us")?,
+            attrs,
+        })
+    }
 }
 
 /// Renders the recent traces (with their spans still in the ring) as the
@@ -1148,7 +1074,7 @@ pub fn traces_json() -> String {
             if i > 0 {
                 body.push(',');
             }
-            body.push_str(&span_json(s));
+            body.push_str(&s.to_json());
         }
         body.push_str("]}");
         out.push_str(&body);
@@ -1534,6 +1460,85 @@ mod tests {
         let spans = mine.get("spans").and_then(|s| s.as_array()).unwrap();
         assert_eq!(spans.len(), 2);
         assert!(mine.get("layers_self_us").is_some());
+    }
+
+    #[test]
+    fn spans_read_back_from_json_exactly() {
+        let span = SpanRecord {
+            trace_id: 7,
+            span_id: 12,
+            parent_id: 11,
+            layer: Layer::Eval,
+            name: "eval.op".into(),
+            start_ns: 123_456_789_001,
+            end_ns: 123_456_790_999,
+            attrs: vec![
+                ("op".into(), AttrValue::Text("label-scan".into())),
+                ("obs_rows".into(), AttrValue::U64(4_000)),
+            ],
+        };
+        let doc = json::parse(&span.to_json()).expect("valid JSON");
+        assert_eq!(SpanRecord::from_json(7, &doc), Some(span));
+        assert_eq!(SpanRecord::from_json(7, &json::Value::Null), None);
+    }
+
+    /// Writers fill a small ring with spans whose every field and attribute
+    /// repeats the span id while a reader snapshots it: a span read back is
+    /// one writer's whole span, never parts of two.
+    #[test]
+    fn concurrent_writes_never_tear_a_span() {
+        const WRITERS: u64 = 3;
+        let rec = Recorder::new(16);
+        let running = AtomicU32::new(WRITERS as u32);
+        let checked = std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (rec, running) = (&rec, &running);
+                scope.spawn(move || {
+                    for i in 1..=20_000u64 {
+                        let id = w << 32 | i;
+                        let text = stage_text(&id.to_string());
+                        rec.write(RawSpan {
+                            trace_id: id,
+                            span_id: id,
+                            parent_id: id,
+                            layer: Layer::Eval,
+                            name: "stress",
+                            start_ns: id,
+                            end_ns: id,
+                            attrs: std::array::from_fn(|k| {
+                                let val = if k % 2 == 0 {
+                                    StagedVal::U64(id)
+                                } else {
+                                    text.clone()
+                                };
+                                Some(StagedAttr { key: "id", val })
+                            }),
+                        });
+                    }
+                    running.fetch_sub(1, Ordering::Release);
+                });
+            }
+            let mut checked = 0usize;
+            while running.load(Ordering::Acquire) > 0 {
+                for span in rec.ring.iter().filter_map(read_slot) {
+                    let id = span.span_id;
+                    let ids = [span.trace_id, span.parent_id, span.start_ns, span.end_ns];
+                    assert_eq!(ids, [id; 4], "{span:?}");
+                    assert_eq!(span.attrs.len(), MAX_ATTRS);
+                    for (k, (_, val)) in span.attrs.iter().enumerate() {
+                        let want = if k % 2 == 0 {
+                            AttrValue::U64(id)
+                        } else {
+                            AttrValue::Text(id.to_string())
+                        };
+                        assert_eq!(*val, want, "{span:?}");
+                    }
+                    checked += 1;
+                }
+            }
+            checked
+        });
+        assert!(checked > 0);
     }
 
     #[test]

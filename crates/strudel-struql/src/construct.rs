@@ -403,21 +403,6 @@ pub struct ConstructStats {
     pub nodes_removed: u64,
 }
 
-impl ConstructStats {
-    /// Component-wise difference `self - earlier` (saturating). Used for
-    /// per-block accounting against a running total.
-    pub fn delta_since(&self, earlier: &ConstructStats) -> ConstructStats {
-        ConstructStats {
-            nodes_created: self.nodes_created.saturating_sub(earlier.nodes_created),
-            edges_created: self.edges_created.saturating_sub(earlier.edges_created),
-            collected: self.collected.saturating_sub(earlier.collected),
-            edges_removed: self.edges_removed.saturating_sub(earlier.edges_removed),
-            collect_removed: self.collect_removed.saturating_sub(earlier.collect_removed),
-            nodes_removed: self.nodes_removed.saturating_sub(earlier.nodes_removed),
-        }
-    }
-}
-
 /// One *distinct* Skolem term of a block — `(function, argument columns)`,
 /// however many clauses mention it — resolved against a bindings schema:
 /// argument variables as column indexes, so per-row resolution gathers

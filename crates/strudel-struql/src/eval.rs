@@ -64,7 +64,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::graph::{CacheStamp, GraphReader};
 use strudel_graph::{Graph, Oid, Sym, Value};
-use strudel_obs::{trace, CondProfile, Timer};
+use strudel_obs::{trace, Timer};
 
 /// Reverse adjacency / probe-table shape: edge target value → the
 /// `(source, label)` pairs of edges arriving at it.
@@ -82,13 +82,6 @@ pub struct EvalOptions {
     /// Hard cap on the size of any intermediate bindings relation; guards
     /// against accidental active-domain cross products.
     pub max_rows: usize,
-    /// Record per-block plan descriptions in the stats.
-    pub explain: bool,
-    /// Record a per-condition execution profile ([`EvalStats::profile`]):
-    /// rows in/out, strategy chosen and path-cache hits/misses. Off by
-    /// default; the disabled path costs one branch per *condition*, never
-    /// per row.
-    pub profile: bool,
     /// Memo caches for regular-path work, shared by every evaluation using
     /// (a clone of) these options and invalidated by graph mutation.
     pub path_cache: Arc<PathCache>,
@@ -108,8 +101,6 @@ impl Default for EvalOptions {
             optimizer: Optimizer::CostBased,
             predicates: PredicateRegistry::with_builtins(),
             max_rows: 10_000_000,
-            explain: false,
-            profile: false,
             path_cache: Arc::new(PathCache::default()),
             plan_cache: Arc::new(PlanCache::default()),
             adaptive: true,
@@ -212,7 +203,8 @@ struct Reach {
     set: FxHashSet<Value>,
 }
 
-/// Counters and plan descriptions from one evaluation.
+/// Counters from one evaluation. What each executed operator did is in
+/// its `eval.op` span (see [`strudel_obs::trace`]).
 #[derive(Default, Clone, Debug)]
 pub struct EvalStats {
     /// Conditions applied (across all blocks).
@@ -231,16 +223,8 @@ pub struct EvalStats {
     /// `CREATE`/`LINK`/`COLLECT` clauses to its relation — in microseconds,
     /// summed over blocks.
     pub construct_us: u64,
-    /// Per-block plan descriptions (only when `explain` is set).
-    pub plans: Vec<String>,
     /// Analyzer warnings (active-domain fallbacks etc.).
     pub warnings: Vec<String>,
-    /// Per-condition execution profile, in application order (only when
-    /// [`EvalOptions::profile`] is set).
-    pub profile: Vec<CondProfile>,
-    /// Per-block construction counters `(block id, delta)` (only when
-    /// [`EvalOptions::profile`] is set).
-    pub block_construct: Vec<(String, ConstructStats)>,
 }
 
 /// The result of evaluating a query: the output graph plus statistics.
@@ -480,14 +464,6 @@ struct Ev<'g> {
     graph: &'g Graph,
     opts: &'g EvalOptions,
     stats: EvalStats,
-    /// The operator tag of the most recently executed plan node. Written
-    /// unconditionally (a pointer store), read only when profiling.
-    strategy: &'static str,
-    /// The plan nodes the most recent `eval_conditions` executed (in final,
-    /// possibly re-optimized order) with observed rows-out; unexecuted tail
-    /// nodes (empty-relation short-circuit) carry `None`. Recorded only when
-    /// [`EvalOptions::explain`] is set.
-    last_exec: Vec<(PlanNode, Option<u64>)>,
 }
 
 impl<'g> Ev<'g> {
@@ -496,8 +472,6 @@ impl<'g> Ev<'g> {
             graph,
             opts,
             stats: EvalStats::default(),
-            strategy: "",
-            last_exec: Vec::new(),
         }
     }
 
@@ -612,6 +586,12 @@ impl<'g> Ev<'g> {
         table: &mut SkolemTable,
         arc_vars: &FxHashSet<String>,
     ) -> Result<()> {
+        // Open until the block's children are done, so the span tree is the
+        // block tree and each `eval.op` hangs off the block that ran it.
+        let mut span = trace::span("eval.block", trace::Layer::Eval);
+        if span.is_live() {
+            span.attr_text("block", &block.id.to_string());
+        }
         let bindings = if block.where_.is_empty() {
             parent.clone()
         } else {
@@ -622,43 +602,14 @@ impl<'g> Ev<'g> {
                 self.graph,
                 self.opts.optimizer,
             )?;
-            let profiled_from = self.stats.profile.len();
             let t = Timer::start();
             let bindings = self.eval_conditions(&block.where_, &p, parent.clone(), arc_vars)?;
             self.stats.query_us += t.elapsed_us();
-            for prof in &mut self.stats.profile[profiled_from..] {
-                prof.block = block.id.to_string();
-            }
-            if self.opts.explain {
-                // Render the plan as executed: adaptive re-optimization may
-                // have reordered the suffix, and each executed node carries
-                // its observed rows next to the estimate.
-                let exec = std::mem::take(&mut self.last_exec);
-                let shown = PhysicalPlan {
-                    nodes: exec.iter().map(|(n, _)| n.clone()).collect(),
-                    est_cost: p.est_cost,
-                    optimizer: p.optimizer,
-                    dp_fallback: p.dp_fallback,
-                };
-                let observed: Vec<Option<u64>> = exec.iter().map(|(_, o)| *o).collect();
-                self.stats.plans.push(format!(
-                    "{}:\n{}",
-                    block.id,
-                    shown.render(&block.where_, &observed)
-                ));
-            }
             bindings
         };
-        let construct_before = self.stats.construct;
         let t = Timer::start();
         apply_block(block, &bindings, out, table, &mut self.stats.construct)?;
         self.stats.construct_us += t.elapsed_us();
-        if self.opts.profile {
-            self.stats.block_construct.push((
-                block.id.to_string(),
-                self.stats.construct.delta_since(&construct_before),
-            ));
-        }
         for child in &block.children {
             self.eval_block(child, &bindings, out, table, arc_vars)?;
         }
@@ -683,9 +634,6 @@ impl<'g> Ev<'g> {
         arc_vars: &FxHashSet<String>,
     ) -> Result<Bindings> {
         let mut nodes: Vec<PlanNode> = plan.nodes.clone();
-        if self.opts.explain {
-            self.last_exec.clear();
-        }
         // Every operator appends to its input's columns, so the start schema
         // stays the first columns of the live relation.
         let start_width = start.width();
@@ -696,43 +644,29 @@ impl<'g> Ev<'g> {
             let node = nodes[k].clone();
             let cond = &conds[node.cond];
             let rows_in = b.len() as u64;
-            // One flight-recorder span per executed plan node (inert unless
-            // a trace is active on this thread): the PhysOp tag plus the
-            // optimizer's estimated vs. observed row counts make bad plans
-            // visible per-request in /debug/traces.
+            // One flight-recorder span per executed plan node, the one
+            // record of what it did (inert unless a trace is active on this
+            // thread): the PhysOp tag, the optimizer's estimated vs.
+            // observed rows and the path-cache traffic make a bad plan
+            // visible in /debug/traces and under `--profile`.
             let mut tspan = trace::span("eval.op", trace::Layer::Eval);
-            if tspan.is_live() {
+            let path_before = tspan.is_live().then(|| {
                 tspan.attr_text("op", node.op.tag());
+                tspan.attr_text("cond", &cond.to_string());
                 tspan.attr_u64("rows_in", rows_in);
                 tspan.attr_u64("est_rows", (node.est_mult * rows_in as f64).max(1.0) as u64);
-            }
-            if self.opts.profile {
-                let before = self.opts.path_cache.stats();
-                let t = Timer::start();
-                self.strategy = "";
-                b = self.execute_op(node.op, node.label.as_deref(), cond, b, arc_vars)?;
-                let elapsed_us = t.elapsed_us();
-                let after = self.opts.path_cache.stats();
-                self.stats.profile.push(CondProfile {
-                    block: String::new(),
-                    condition: cond.to_string(),
-                    strategy: self.strategy,
-                    rows_in,
-                    rows_out: b.len() as u64,
-                    elapsed_us,
-                    cache_hits: after.hits.saturating_sub(before.hits),
-                    cache_misses: after.misses.saturating_sub(before.misses),
-                });
-            } else {
-                b = self.execute_op(node.op, node.label.as_deref(), cond, b, arc_vars)?;
-            }
+                self.opts.path_cache.stats()
+            });
+            b = self.execute_op(node.op, node.label.as_deref(), cond, b, arc_vars)?;
             tspan.attr_u64("obs_rows", b.len() as u64);
+            if let Some(before) = path_before {
+                let after = self.opts.path_cache.stats();
+                tspan.attr_u64("path_hits", after.hits.saturating_sub(before.hits));
+                tspan.attr_u64("path_misses", after.misses.saturating_sub(before.misses));
+            }
             drop(tspan);
             self.stats.conditions_applied += 1;
             self.stats.intermediate_rows += b.len() as u64;
-            if self.opts.explain {
-                self.last_exec.push((node.clone(), Some(b.len() as u64)));
-            }
             if b.len() > self.opts.max_rows {
                 return Err(StruqlError::eval(format!(
                     "intermediate result exceeded max_rows ({} rows) at condition `{cond}`",
@@ -741,11 +675,6 @@ impl<'g> Ev<'g> {
             }
             if b.is_empty() {
                 // Short-circuit: the conjunction is unsatisfiable.
-                if self.opts.explain {
-                    for n in &nodes[k + 1..] {
-                        self.last_exec.push((n.clone(), None));
-                    }
-                }
                 break;
             }
             // Adaptive re-optimization: only when the estimate was badly
@@ -829,9 +758,9 @@ impl<'g> Ev<'g> {
     // ---- the physical operators ----
 
     /// Executes one plan node's operator. This is the single dispatch point:
-    /// the strategy tag is set from the operator (nowhere else), and both the
-    /// plan-driven path and adaptive sampling go through it. `known`: the
-    /// label the plan knows the condition's arc variable to carry.
+    /// both the plan-driven path and adaptive sampling go through it.
+    /// `known`: the label the plan knows the condition's arc variable to
+    /// carry.
     fn execute_op(
         &mut self,
         op: PhysOp,
@@ -840,7 +769,6 @@ impl<'g> Ev<'g> {
         input: Bindings,
         arc_vars: &FxHashSet<String>,
     ) -> Result<Bindings> {
-        self.strategy = op.tag();
         let mismatch = || {
             StruqlError::eval(format!(
                 "plan operator `{}` does not apply to condition `{cond}`",

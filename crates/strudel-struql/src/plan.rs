@@ -60,9 +60,9 @@ use strudel_graph::graph::CacheStamp;
 use strudel_graph::Graph;
 
 /// The concrete physical operator a plan node executes. One variant per
-/// strategy tag of the PR 5 catalog — [`PhysOp::tag`] returns exactly the
-/// string the profiler records, so plans, profiles and `/metrics` all speak
-/// the same operator vocabulary.
+/// tag of the operator catalog (docs/OBSERVABILITY.md) — [`PhysOp::tag`]
+/// returns exactly the `op` an `eval.op` span records, so plans and traces
+/// speak the same operator vocabulary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PhysOp {
     /// Membership filter of a bound variable against a collection extent.
@@ -118,7 +118,7 @@ pub enum PhysOp {
 }
 
 impl PhysOp {
-    /// The strategy tag the profiler records for this operator.
+    /// The tag `explain` prints and an `eval.op` span records as `op`.
     pub fn tag(self) -> &'static str {
         match self {
             PhysOp::CollectionSemijoin => "collection-semijoin",
@@ -317,26 +317,15 @@ impl PhysicalPlan {
     }
 
     /// Renders the plan tree, one node per line with its physical operator
-    /// and estimated rows.
+    /// and estimated rows. What a node then did is its `eval.op` span.
     pub fn describe(&self, conds: &[Condition]) -> String {
-        self.render(conds, &[])
-    }
-
-    /// Like [`PhysicalPlan::describe`], additionally printing observed rows
-    /// for the nodes `observed` covers (parallel to `nodes`; the evaluator
-    /// records them when profiling).
-    pub fn render(&self, conds: &[Condition], observed: &[Option<u64>]) -> String {
         let mut s = String::new();
         for (rank, node) in self.nodes.iter().enumerate() {
             let _ = write!(s, "  {rank}. [{}] {}", node.op.tag(), conds[node.cond]);
             if let Some(label) = &node.label {
                 let _ = write!(s, " as -> {label:?} ->");
             }
-            let _ = write!(s, "  est {:.1} rows", node.est_rows);
-            if let Some(o) = observed.get(rank).copied().flatten() {
-                let _ = write!(s, ", obs {o} rows");
-            }
-            s.push('\n');
+            let _ = writeln!(s, "  est {:.1} rows", node.est_rows);
         }
         let _ = writeln!(
             s,

@@ -2,6 +2,7 @@
 //! paper's example data.
 
 use strudel_graph::{ddl, FileKind, Graph, Value};
+use strudel_obs::trace::{self, AttrValue, SpanRecord};
 use strudel_struql::{parse_query, EvalOptions, Optimizer, PredicateRegistry, SkolemTable};
 
 /// Fig. 2 of the paper.
@@ -573,58 +574,95 @@ fn cyclic_graphs_terminate() {
     assert_eq!(out.graph.collection_str("Reached").unwrap().len(), 2);
 }
 
+/// The traced tests of this binary hold this while they read the recorder,
+/// which is one per process.
+static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Evaluates `q` over `data` under a root span and returns the output with
+/// every span of that trace.
+fn traced(
+    q: &strudel_struql::Query,
+    data: &Graph,
+) -> (strudel_struql::EvalOutput, Vec<SpanRecord>) {
+    trace::enable(trace::TraceConfig::default());
+    let root = trace::begin_request("test.eval").expect("tracing enabled");
+    let trace_id = root.trace_id();
+    let entered = trace::enter(&root.ctx());
+    let out = q.evaluate(data, &EvalOptions::default()).unwrap();
+    drop(entered);
+    let summary = root.finish().unwrap();
+    let spans: Vec<_> = trace::snapshot_spans()
+        .into_iter()
+        .filter(|s| s.trace_id == trace_id)
+        .collect();
+    assert_eq!(spans.len(), summary.spans as usize, "the ring wrapped");
+    (out, spans)
+}
+
+fn attr<'s>(span: &'s SpanRecord, key: &str) -> &'s AttrValue {
+    let found = span.attrs.iter().find(|(k, _)| k == key);
+    &found.unwrap_or_else(|| panic!("no {key} on {span:?}")).1
+}
+
+fn num(span: &SpanRecord, key: &str) -> u64 {
+    match attr(span, key) {
+        AttrValue::U64(v) => *v,
+        other => panic!("{key} is {other:?}"),
+    }
+}
+
+fn text<'s>(span: &'s SpanRecord, key: &str) -> &'s str {
+    match attr(span, key) {
+        AttrValue::Text(t) => t,
+        other => panic!("{key} is {other:?}"),
+    }
+}
+
 #[test]
 fn profile_reports_strategies_rows_and_blocks() {
+    let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let data = fig2_graph();
     let q = parse_query(FIG3).unwrap();
-    let opts = EvalOptions {
-        profile: true,
-        ..EvalOptions::default()
-    };
-    let out = q.evaluate(&data, &opts).unwrap();
-    let profile = &out.stats.profile;
-    assert!(!profile.is_empty());
-    for p in profile {
-        assert!(!p.strategy.is_empty(), "untagged operator: {p:?}");
-        assert!(!p.block.is_empty(), "untagged block: {p:?}");
-        assert!(!p.condition.is_empty());
+    let (out, spans) = traced(&q, &data);
+    let blocks: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "eval.block").collect();
+    let ops: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "eval.op").collect();
+    assert!(!ops.is_empty());
+    for op in &ops {
+        assert!(!text(op, "op").is_empty(), "untagged operator: {op:?}");
+        let block = blocks.iter().find(|b| b.span_id == op.parent_id);
+        assert!(!text(block.expect("an eval.block parent"), "block").is_empty());
+        assert!(!text(op, "cond").is_empty());
     }
     // The outer block scans the Publications collection, then walks arcs
     // forward from the bound source; the inner blocks filter on `l`.
-    assert!(profile.iter().any(|p| p.strategy == "collection-scan"));
-    let arc = profile
-        .iter()
-        .find(|p| p.strategy == "arc-forward")
-        .expect("arc-forward");
-    assert!(arc.rows_out >= arc.rows_in);
-    assert!(profile.iter().any(|p| p.strategy == "compare-filter"));
+    let by_op = |tag: &str| ops.iter().find(|op| text(op, "op") == tag);
+    assert!(by_op("collection-scan").is_some());
+    let arc = by_op("arc-forward").expect("arc-forward");
+    assert!(num(arc, "obs_rows") >= num(arc, "rows_in"));
+    assert!(by_op("compare-filter").is_some());
 
-    // Profiling changes observability only, never the result; and the
-    // disabled path records nothing.
+    // Tracing changes observability only, never the result; and without a
+    // trace on the thread the evaluator records nothing.
+    let recorded = trace::stats().spans_recorded;
     let plain = q.evaluate(&data, &EvalOptions::default()).unwrap();
     assert_eq!(out.graph.edge_count(), plain.graph.edge_count());
-    assert!(plain.stats.profile.is_empty());
+    assert_eq!(trace::stats().spans_recorded, recorded);
 }
 
 #[test]
 fn profile_sees_path_cache_and_strategy_shift() {
     // An RPE over an indexed graph memoizes reach sets: repeated sources
     // hit the PathCache. With the index off, the reverse strategies shift.
+    let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let data = fig2_graph();
     let q = parse_query(r#"WHERE Publications(x), x -> * -> v COLLECT Reached(v)"#).unwrap();
-    let opts = EvalOptions {
-        profile: true,
-        ..EvalOptions::default()
-    };
-    let out = q.evaluate(&data, &opts).unwrap();
-    let rpe = out
-        .stats
-        .profile
+    let (_, spans) = traced(&q, &data);
+    let rpe = spans
         .iter()
-        .find(|p| p.strategy == "rpe-forward")
+        .find(|s| s.name == "eval.op" && text(s, "op") == "rpe-forward")
         .expect("rpe-forward");
     assert!(
-        rpe.cache_hits + rpe.cache_misses > 0,
+        num(rpe, "path_hits") + num(rpe, "path_misses") > 0,
         "path cache untouched: {rpe:?}"
     );
 }

@@ -166,6 +166,43 @@ fn fig3_fig4_site_graph() {
     assert_eq!(papers.len(), 1);
 }
 
+/// §2.4's optimizer picks a physical plan per block; what the plan then did
+/// is its trace. Under a root span every executed operator records exactly
+/// one `eval.op` span — as many as the evaluator counts in
+/// `conditions_applied` — with its operator, condition and estimated vs.
+/// observed rows, as a child of the `eval.block` span that ran it.
+#[test]
+fn every_executed_operator_has_one_eval_op_span() {
+    use strudel::obs::trace::{self, SpanRecord};
+    trace::enable(trace::TraceConfig::default());
+    let fig3 = (ddl::parse(FIG2).unwrap(), parse_query(FIG3).unwrap());
+    let news_site = (news_data(300), parse_query(news::SITE_QUERY).unwrap());
+    for (data, query) in [fig3, news_site] {
+        let root = trace::begin_request("test.eval").expect("tracing enabled");
+        let trace_id = root.trace_id();
+        let entered = trace::enter(&root.ctx());
+        let out = query.evaluate(&data, &EvalOptions::default()).unwrap();
+        drop(entered);
+        let recorded = root.finish().unwrap().spans as usize;
+        let spans: Vec<SpanRecord> = trace::snapshot_spans()
+            .into_iter()
+            .filter(|s| s.trace_id == trace_id)
+            .collect();
+        assert_eq!(spans.len(), recorded, "the ring wrapped");
+        let ops: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "eval.op").collect();
+        assert!(!ops.is_empty());
+        assert_eq!(ops.len() as u64, out.stats.conditions_applied);
+        for op in ops {
+            let keys: Vec<&str> = op.attrs.iter().map(|(k, _)| k.as_str()).collect();
+            for key in ["op", "cond", "rows_in", "est_rows", "obs_rows"] {
+                assert!(keys.contains(&key), "no {key} on {op:?}");
+            }
+            let parent = spans.iter().find(|s| s.span_id == op.parent_id);
+            assert_eq!(parent.map(|p| p.name.as_str()), Some("eval.block"));
+        }
+    }
+}
+
 #[test]
 fn fig5_site_schema() {
     let q = parse_query(FIG3).unwrap();
