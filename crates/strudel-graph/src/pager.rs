@@ -256,8 +256,8 @@ impl Pager {
         let file_len = file.metadata()?.len();
         let mut chosen: Option<(u32, HeaderState)> = None;
         let mut errors = Vec::new();
+        let mut buf = vec![0u8; PAGE_SIZE];
         for slot in [0u32, 1] {
-            let mut buf = vec![0u8; PAGE_SIZE];
             let read = read_at(&mut file, slot as u64 * PAGE_SIZE as u64, &mut buf);
             STORAGE.page_reads.inc();
             let parsed = match read {
@@ -292,7 +292,7 @@ impl Pager {
         let state = &pager.state;
         let (first, pages, bytes) = (state.root_page, state.root_pages, state.root_bytes);
         let mut root = Vec::new();
-        pager.chain = pager.walk_blob(first, pages, bytes, &mut root)?;
+        pager.chain = pager.walk_blob(first, pages, bytes, &mut root, &mut buf)?;
         pager.root = root;
         Ok(pager)
     }
@@ -342,25 +342,26 @@ impl Pager {
     /// for the root chain, from a manifest entry for a segment blob) must
     /// match the chain on disk exactly. Does not go through the page
     /// cache: this is how a file is first read, and what is read here is
-    /// handed on, not read again.
+    /// handed on, not read again. Each page is read into `scratch`, a
+    /// `PAGE_SIZE` buffer that one caller walking many chains reuses.
     pub fn walk_blob(
         &mut self,
         first: u32,
         want_pages: u32,
         want_bytes: u64,
         out: &mut Vec<u8>,
+        scratch: &mut [u8],
     ) -> Result<Vec<u32>> {
         let mut page = first;
         // The declared count is only a hint until the chain confirms it.
         let mut pages = Vec::with_capacity(want_pages.min(self.state.page_count) as usize);
         let start = out.len();
-        let mut buf = vec![0u8; PAGE_SIZE];
         while page != 0 {
             if pages.len() >= want_pages as usize {
                 return Err(GraphError::corrupt("page chain longer than declared"));
             }
-            self.read_page(page, &mut buf)?;
-            let (next, payload) = check_page(page, &buf)?;
+            self.read_page(page, scratch)?;
+            let (next, payload) = check_page(page, scratch)?;
             out.extend_from_slice(payload);
             pages.push(page);
             page = next;

@@ -54,9 +54,11 @@ strudel_obs::signals! {
     checkpoint_pages_reused: Counter, "storage.checkpoint_pages_reused", "strudel_checkpoint_pages_reused_total",
         "Pages carried over untouched across incremental checkpoints.";
     materializations: Counter, "storage.materializations", "strudel_store_materializations_total",
-        "Stored revisions decoded into a graph (image plus committed ops).";
+        "Stored revisions attached to a graph (image read and counted, committed ops applied).";
+    segments_decoded: Counter, "storage.segments_decoded", "strudel_store_segments_decoded_total",
+        "64-node image segments decoded into a graph, each on the first read of one of its nodes.";
     materialized_edges: Counter, "storage.materialized_edges", "strudel_store_materialized_edges_total",
-        "Edges of the graphs those decodes produced.";
+        "Edges those segment decodes built.";
     dirty_pages: Gauge, "storage.dirty_pages", "strudel_store_dirty_pages",
         "Pages the next incremental checkpoint would rewrite.";
     freelist_pages: Gauge, "storage.freelist_pages", "strudel_store_freelist_pages",

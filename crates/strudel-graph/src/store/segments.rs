@@ -19,14 +19,14 @@ use super::codec::{
 use crate::error::{GraphError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::graph::Graph;
-use crate::pager::{Pager, PAGE_PAYLOAD};
+use crate::pager::{Pager, PAGE_PAYLOAD, PAGE_SIZE};
 use crate::stats::STORAGE;
 use crate::symbol::Sym;
 use std::collections::BTreeSet;
 
 /// Nodes per node segment. Small enough that a single-edge commit dirties
 /// ~one page of node records; large enough that the manifest stays tiny.
-const NODE_SEG: usize = 64;
+pub(super) const NODE_SEG: usize = 64;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"STRUMAN1";
 
@@ -110,9 +110,10 @@ impl SegFile {
         }
         // Every live page carries image bytes or manifest bytes.
         let mut image = Vec::with_capacity(pager.page_count() as usize * PAGE_PAYLOAD);
+        let mut scratch = vec![0u8; PAGE_SIZE];
         let mut seg = |r: &mut In<'_>| -> Result<Seg> {
             let (stamp, len, first, npages) = (r.u64()?, r.u64()?, r.u32()?, r.u32()?);
-            let pages = pager.walk_blob(first, npages, len, &mut image)?;
+            let pages = pager.walk_blob(first, npages, len, &mut image, &mut scratch)?;
             Ok(Seg { len, stamp, pages })
         };
         let preamble = seg(&mut r)?;
