@@ -157,6 +157,11 @@ impl GraphIndex {
         self.edge_count += n;
     }
 
+    /// Every label with its edge count, in creation order.
+    pub(crate) fn label_counts(&self) -> impl Iterator<Item = (Sym, usize)> + '_ {
+        (self.label_order.iter()).map(|l| (*l, self.label_card[l]))
+    }
+
     /// Records one edge: in the counts always, in the extents (and degree
     /// tallies) only once they exist.
     pub(crate) fn index_edge(&mut self, from: NodeId, label: Sym, to: &Value) {

@@ -395,7 +395,7 @@ fn a_batch_that_fails_midway_settles_what_it_wrote() {
     store::save(&source, &mut image).unwrap();
     let cut = image.windows(1).rposition(|w| w == b"B").unwrap();
     let mut partial = Graph::standalone();
-    let err = store::load_slice_into(&mut partial, &image[..cut]).unwrap_err();
+    let err = store::load_into(&mut partial, image[..cut].to_vec()).unwrap_err();
     assert!(matches!(err, GraphError::StorageCorrupt { .. }), "{err}");
     assert!(partial.edge_count() >= 2 && partial.edge_count() < source.edge_count());
     assert_counts_agree(&mut partial);

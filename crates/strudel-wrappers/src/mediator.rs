@@ -158,11 +158,10 @@ impl Default for Mediator {
     }
 }
 
-/// Identity integration: every node and collection of `src` joins `data`.
+/// Identity integration: every node and collection of `src` joins `data`
+/// (without reading the nodes, so a store's segments stay unbuilt).
 fn adopt_all(data: &mut Graph, src: &Graph) -> Result<()> {
-    for &n in src.nodes() {
-        data.adopt_node(n).map_err(StruqlError::Graph)?;
-    }
+    data.adopt_graph(src).map_err(StruqlError::Graph)?;
     for &coll in src.collection_names() {
         let name = src.resolve(coll);
         let sym = data.ensure_collection(&name);

@@ -45,7 +45,7 @@ proptest! {
 
     #[test]
     fn store_loader_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = strudel::graph::store::load_slice(&bytes);
+        let _ = strudel::graph::store::load(bytes);
     }
 
     /// Structured mutation: take a valid stored graph and corrupt one byte —
@@ -60,7 +60,7 @@ proptest! {
         strudel::graph::store::save(&g, &mut buf).unwrap();
         let idx = pos % buf.len();
         buf[idx] = byte;
-        let _ = strudel::graph::store::load_slice(&buf);
+        let _ = strudel::graph::store::load(buf);
     }
 
     /// Mutated StruQL derived from a real query (more coverage of deep

@@ -20,7 +20,7 @@ object p2 in Publications { title "StruQL" year 1997 }
     .unwrap();
     let mut buf = Vec::new();
     store::save(&data, &mut buf).unwrap();
-    let loaded = store::load_slice(&buf).unwrap();
+    let loaded = store::load(buf).unwrap();
 
     let q = parse_query(
         r#"WHERE Publications(x), x -> "title" -> t
@@ -42,7 +42,7 @@ fn site_graph_can_be_saved_and_reloaded() {
     let build = s.build_site().unwrap();
     let mut buf = Vec::new();
     store::save(&build.graph, &mut buf).unwrap();
-    let loaded = store::load_slice(&buf).unwrap();
+    let loaded = store::load(buf).unwrap();
     assert_eq!(loaded.node_count(), build.graph.node_count());
     assert_eq!(loaded.edge_count(), build.graph.edge_count());
     // Collections (including the per-Skolem-function ones) survive.
@@ -79,7 +79,7 @@ fn storage_failures_surface_as_typed_storage_errors() {
     let mut truncated = buf.clone();
     truncated.truncate(truncated.len() / 2);
     assert!(matches!(
-        store::load_slice(&truncated),
+        store::load(truncated),
         Err(GraphError::StorageCorrupt { .. })
     ));
     assert!(matches!(
@@ -91,7 +91,7 @@ fn storage_failures_surface_as_typed_storage_errors() {
     // bytes mean the file is not what the writer produced.
     let mut tainted = buf.clone();
     tainted.extend_from_slice(b"JUNKJUNK");
-    let err = store::load_slice(&tainted).unwrap_err();
+    let err = store::load(tainted).unwrap_err();
     assert!(matches!(err, GraphError::StorageCorrupt { .. }), "{err}");
     assert!(err.to_string().contains("trailing"), "{err}");
 }
@@ -248,7 +248,7 @@ object p2 in Publications { title "StruQL" year 1997 }
 
     let mut buf = Vec::new();
     store::save(&data, &mut buf).unwrap();
-    let loaded = store::load_slice(&buf).unwrap();
+    let loaded = store::load(buf).unwrap();
     assert_eq!(loaded.node_count(), data.node_count());
     assert_eq!(loaded.edge_count(), data.edge_count());
     assert_eq!(loaded.collection_str("Publications").unwrap().len(), 1);
@@ -398,7 +398,7 @@ fn universe_shared_between_data_and_saved_site() {
     site.add_edge_str(s1, "next", Value::Node(s2)).unwrap();
     let mut buf = Vec::new();
     store::save(&site, &mut buf).unwrap();
-    let loaded = store::load_slice(&buf).unwrap();
+    let loaded = store::load(buf).unwrap();
     assert_eq!(loaded.node_count(), 2);
     assert_eq!(loaded.edge_count(), 1);
     let next = loaded.universe().interner().get("next").unwrap();
