@@ -385,6 +385,9 @@ fn cmd_query(data_path: &Path, query_path: &Path, rest: &[String]) -> Result<(),
         ProfileMode::Off => (evaluate()?, Vec::new()),
         _ => profiled("query", evaluate)?,
     };
+    // A store's node segments are read as the evaluation first reads them;
+    // one that did not read leaves its nodes empty, so the answer is void.
+    data.check()?;
     eprintln!(
         "evaluated in {elapsed:?}: {} nodes, {} edges, {} rows examined",
         out.graph.node_count(),
@@ -674,11 +677,13 @@ fn cmd_store(verb: &str, rest: &[String]) -> Result<(), AnyError> {
             Ok(())
         }
         ("info", [path]) => {
+            // `open` reads no node segment; attaching the revision to a
+            // graph of its own reads and checks every one — the full check.
             let mut store = PagedStore::open(Path::new(path))?;
-            let (nodes, edges, collections) = {
-                let g = store.graph()?;
-                (g.node_count(), g.edge_count(), g.collection_names().len())
-            };
+            let mut g = strudel::graph::Graph::standalone();
+            store.materialize_into(&mut g)?;
+            let (nodes, edges, collections) =
+                (g.node_count(), g.edge_count(), g.collection_names().len());
             println!(
                 "revision {}: {} nodes, {} edges, {} collections",
                 store.revision(),

@@ -3,16 +3,19 @@
 //! What a reopen costs is a property of the code before it is a time on
 //! some host (the form of `tests/alloc_budget.rs`): how often the universe's
 //! revision moves — once per batch, where it used to move once per node and
-//! once per edge, each move a write lock taken and released —, how often
-//! a page is read from the file between `open` and the first graph — once,
-//! where past the page cache's 1,024 pages it used to be twice — and how
-//! much of the image is decoded before one node has been read: the 64-node
-//! segment that holds it and the segments the log's replay wrote to, where
-//! it used to be every segment.
+//! once per edge, each move a write lock taken and released —; which pages
+//! `open` reads — the two header slots, the manifest, the preamble and the
+//! collections, and not one page of a node segment, where it used to read
+//! every page of the file —; what the first read of one node reads and
+//! decodes — the pages of its 64-node segment, and that segment plus the
+//! segments the log's replay wrote to, where it used to be every segment —;
+//! and that an open followed by a read of the whole graph still reads each
+//! live page from the file exactly once.
 //!
 //! One test: the storage counters are the process's, so nothing else in
 //! this binary may touch a store meanwhile.
 
+use strudel_graph::pager::PAGE_PAYLOAD;
 use strudel_graph::store::{self, PagedStore, WireValue};
 use strudel_graph::{storage_stats, Graph, Value};
 
@@ -31,12 +34,34 @@ fn graph(nodes: usize, fanout: usize) -> Graph {
             let to = match l {
                 0 => Value::Int(i as i64),
                 1 => Value::Node(members[(i + 1) % nodes]),
-                _ => Value::str(format!("value {l} of the node numbered {i:>12}")),
+                _ => Value::str(text(l, i)),
             };
             g.add_edge(n, label, to).unwrap();
         }
     }
     g
+}
+
+fn text(label: usize, node: usize) -> String {
+    format!("value {label} of the node numbered {node:>12}")
+}
+
+/// The pages of node segment `seg` of `graph(nodes, fanout)`'s image: a
+/// record is its name, its edge count, and a symbol index and a tagged
+/// value per edge.
+fn segment_pages(seg: usize, nodes: usize, fanout: usize) -> u64 {
+    let record = |i: usize| {
+        let edges: usize = (0..fanout)
+            .map(|l| match l {
+                0 => 4 + 1 + 8,
+                1 => 4 + 1 + 4,
+                _ => 4 + 1 + 4 + text(l, i).len(),
+            })
+            .sum();
+        1 + 4 + format!("n{i}").len() + 4 + edges
+    };
+    let bytes: usize = (seg * 64..((seg + 1) * 64).min(nodes)).map(record).sum();
+    bytes.div_ceil(PAGE_PAYLOAD) as u64
 }
 
 #[test]
@@ -71,44 +96,67 @@ fn a_load_moves_the_revision_per_batch_and_reads_each_page_once() {
     assert!(pages > 2_000 && store.freelist_len() == 0, "{pages} pages");
     drop(store);
 
-    // `open`, then the first graph and one node of it: each live page and
-    // the two header slots read from the file exactly once, and not at all
-    // afterwards; one revision attached; the node's segment decoded, and
-    // the segments the log wrote to (the frames below go to nodes 0, 7, …,
-    // 133: segments 0 to 2) — with a clean log, and with a 20-frame log
-    // that `open` replays. Node 10,000 is in segment 156.
+    // The live pages that are not a node segment's: the manifest's, the
+    // preamble's and the collections'.
+    let seg_pages = |seg: usize| segment_pages(seg, nodes, fanout);
+    let node_pages: u64 = (0..nodes.div_ceil(64)).map(seg_pages).sum();
+    let head = pages - 2 - node_pages;
+    let reads = || storage_stats().page_reads;
+
+    // `open`, then the first graph, one node of it and every edge: the
+    // two header slots and the head read by `open`, with the segments the
+    // log wrote to (the frames below go to nodes 0, 7, …, 133: segments 0
+    // to 2) when `open` replays a 20-frame log; the pages of node 10,000's
+    // segment (156) by its first read, which decodes that segment; the
+    // other pages by `edges()`; each page once. One revision attached.
     for (frames, replayed) in [(0, 0), (20, 3)] {
         let before = storage_stats();
         let mut store = PagedStore::open(&path).unwrap();
+        let log_pages: u64 = (0..replayed).map(seg_pages).sum();
+        assert_eq!(
+            reads() - before.page_reads,
+            2 + head + log_pages,
+            "open, {frames} frames"
+        );
         let graph = store.graph().unwrap();
         assert_eq!(graph.edge_count(), edges + frames, "counted, not decoded");
+        let opened = reads();
         let (node, stamp) = (graph.nodes()[10_000], graph.cache_stamp());
         assert_eq!(graph.reader().out(node).len(), fanout);
         assert_eq!(graph.cache_stamp(), stamp, "a segment build is not a write");
-        let moved = graph.universe().revision();
-        assert!(
-            moved <= (nodes / 64 + 8 + 2 * frames) as u64,
-            "{moved} revisions"
+        assert_eq!(
+            reads() - opened,
+            seg_pages(156),
+            "first read, {frames} frames"
         );
         let after = storage_stats();
-        assert_eq!(
-            after.page_reads - before.page_reads,
-            pages,
-            "file reads, {frames} frames"
-        );
         assert_eq!(after.materializations - before.materializations, 1);
         assert_eq!(
             after.segments_decoded - before.segments_decoded,
-            1 + replayed,
+            1 + replayed as u64,
             "segments decoded, {frames} frames"
         );
         assert_eq!(
             after.materialized_edges - before.materialized_edges,
-            (1 + replayed) * 64 * fanout as u64
+            (1 + replayed as u64) * 64 * fanout as u64
         );
         assert_eq!(
             after.wal_recovered_frames - before.wal_recovered_frames,
             frames as u64
+        );
+        let touched = reads();
+        assert_eq!(graph.edges().len(), edges + frames);
+        assert_eq!(
+            reads() - touched,
+            node_pages - seg_pages(156) - log_pages,
+            "edges(), {frames} frames"
+        );
+        assert_eq!(reads() - before.page_reads, pages, "{frames} frames");
+        graph.check().unwrap();
+        let moved = graph.universe().revision();
+        assert!(
+            moved <= (nodes / 64 + 8 + 2 * frames) as u64,
+            "{moved} revisions"
         );
         if frames == 0 {
             for i in 0..20u32 {

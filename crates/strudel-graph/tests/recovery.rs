@@ -69,7 +69,11 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
     let mut store = PagedStore::import(path, &sample()).unwrap();
     // Keep every commit in the log: no auto-checkpoint during the test.
     store.set_wal_limit(u64::MAX);
-    let mut history = vec![(store.revision(), store.wal_size(), image(&mut store))];
+    let mut history = vec![(
+        store.revision(),
+        store.wal_size(),
+        image(&mut store).unwrap(),
+    )];
     for i in 0..commits {
         if i % 2 == 1 {
             // A batch of two transactions durable as one commit record.
@@ -107,7 +111,11 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
             txn.add_to_collection("Publications", WireValue::Node(node));
             txn.commit().unwrap();
         }
-        history.push((store.revision(), store.wal_size(), image(&mut store)));
+        history.push((
+            store.revision(),
+            store.wal_size(),
+            image(&mut store).unwrap(),
+        ));
     }
     history
 }
@@ -157,7 +165,7 @@ fn truncating_the_wal_anywhere_recovers_the_last_durable_commit() {
             "truncation at {cut} bytes recovered the wrong revision"
         );
         assert_eq!(
-            image(&mut store),
+            image(&mut store).unwrap(),
             expected.2,
             "truncation at {cut} bytes recovered revision {} with wrong contents",
             expected.0
@@ -198,7 +206,7 @@ fn wal_bit_flips_never_yield_a_wrong_graph() {
                         panic!("flip at byte {byte} recovered unknown revision {rev}")
                     });
                 assert_eq!(
-                    image(&mut store),
+                    image(&mut store).unwrap(),
                     expected.2,
                     "flip at byte {byte} recovered revision {rev} with wrong contents"
                 );
@@ -219,7 +227,7 @@ fn page_file_bit_flips_are_detected_or_harmless() {
     let mut store = PagedStore::import(&built, &sample()).unwrap();
     // Fold everything into pages so the WAL plays no part.
     store.checkpoint().unwrap();
-    let reference = image(&mut store);
+    let reference = image(&mut store).unwrap();
     let revision = store.revision();
     drop(store);
     let pages = fs::read(&built).unwrap();
@@ -228,22 +236,23 @@ fn page_file_bit_flips_are_detected_or_harmless() {
     let victim = scratch.path("victim.pdb");
     // Stride through the file so the sweep covers every page and both
     // header slots without taking minutes; the bit index varies with the
-    // offset so different bit positions are exercised.
+    // offset so different bit positions are exercised. A flip in a node
+    // segment surfaces at the first read of the segment, not at the open.
     for byte in (0..pages.len()).step_by(13) {
         let mut flipped = pages.clone();
         flipped[byte] ^= 1 << (byte % 8);
         fs::write(&victim, &flipped).unwrap();
         fs::write(wal_path(&victim), &log).unwrap();
-        match PagedStore::open(&victim) {
-            Ok(mut reopened) => {
+        let read = PagedStore::open(&victim)
+            .and_then(|mut reopened| Ok((reopened.revision(), image(&mut reopened)?)));
+        match read {
+            Ok((reopened, bytes)) => {
                 assert_eq!(
-                    reopened.revision(),
-                    revision,
+                    reopened, revision,
                     "flip at byte {byte} changed the recovered revision"
                 );
                 assert_eq!(
-                    image(&mut reopened),
-                    reference,
+                    bytes, reference,
                     "flip at byte {byte} silently changed the graph"
                 );
             }
@@ -262,7 +271,7 @@ fn reopen_after_kill_restores_the_working_copy_exactly() {
     let (revision, _, ref bytes) = *history.last().unwrap();
     let mut reopened = PagedStore::open(&path).unwrap();
     assert_eq!(reopened.revision(), revision);
-    assert_eq!(&image(&mut reopened), bytes);
+    assert_eq!(&image(&mut reopened).unwrap(), bytes);
 }
 
 /// A snapshot opened before a commit keeps serving the old revision after
@@ -302,25 +311,26 @@ fn missing_wal_reopens_at_the_page_file_revision() {
     txn.add_node(Some("extra"));
     txn.commit().unwrap();
     store.checkpoint().unwrap();
-    let reference = image(&mut store);
+    let reference = image(&mut store).unwrap();
     let revision = store.revision();
     drop(store);
 
     fs::remove_file(wal_path(&path)).unwrap();
     let mut reopened = PagedStore::open(&path).unwrap();
     assert_eq!(reopened.revision(), revision);
-    assert_eq!(image(&mut reopened), reference);
+    assert_eq!(image(&mut reopened).unwrap(), reference);
 }
 
-fn graph_bytes(graph: &Graph) -> Vec<u8> {
+fn graph_bytes(graph: &Graph) -> Result<Vec<u8>, GraphError> {
     let mut buf = Vec::new();
-    strudel_graph::store::save(graph, &mut buf).unwrap();
-    buf
+    strudel_graph::store::save(graph, &mut buf)?;
+    Ok(buf)
 }
 
-/// The store's current revision as canonical image bytes.
-fn image(store: &mut PagedStore) -> Vec<u8> {
-    graph_bytes(store.graph().unwrap())
+/// The store's current revision as canonical image bytes — or the typed
+/// error of a segment that does not read, which saving checks for.
+fn image(store: &mut PagedStore) -> Result<Vec<u8>, GraphError> {
+    graph_bytes(store.graph()?)
 }
 
 /// A crash at any byte of a group-committed batch — in particular between
@@ -333,7 +343,7 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
     let built = scratch.path("built.pdb");
     let mut store = PagedStore::import(&built, &sample()).unwrap();
     store.set_wal_limit(u64::MAX);
-    let before_bytes = image(&mut store);
+    let before_bytes = image(&mut store).unwrap();
     let before_rev = store.revision();
 
     // Three transactions group-committed as one durable unit.
@@ -355,7 +365,7 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
     let slices: Vec<&[DeltaOp]> = txns.iter().map(|t| t.as_slice()).collect();
     let batch_rev = store.commit_batch(&slices).unwrap();
     assert_eq!(batch_rev, before_rev + 1, "a batch is exactly one revision");
-    let after_bytes = image(&mut store);
+    let after_bytes = image(&mut store).unwrap();
     drop(store);
 
     let pages = fs::read(&built).unwrap();
@@ -366,7 +376,7 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
         fs::write(wal_path(&victim), &log[..cut]).unwrap();
         let mut reopened = PagedStore::open(&victim)
             .unwrap_or_else(|e| panic!("truncation at {cut} bytes must recover: {e:?}"));
-        let got = image(&mut reopened);
+        let got = image(&mut reopened).unwrap();
         if reopened.revision() == batch_rev {
             assert_eq!(
                 got, after_bytes,
@@ -404,7 +414,7 @@ fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
             // serving. Materialization is deferred: the graph is first
             // realized *after* later checkpoints/compactions have moved
             // the pages underneath it.
-            let expected = image(&mut store);
+            let expected = image(&mut store).unwrap();
             let snap = store.snapshot().unwrap();
             pinned.push((snap, store.revision(), expected));
         }
@@ -441,7 +451,7 @@ fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
     for (snap, revision, expected) in &pinned {
         assert_eq!(snap.revision(), *revision);
         assert_eq!(
-            &graph_bytes(snap.graph()),
+            &graph_bytes(snap.graph()).unwrap(),
             expected,
             "snapshot at revision {revision} drifted after later mutations"
         );

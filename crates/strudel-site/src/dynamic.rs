@@ -684,6 +684,9 @@ impl<'g> DynamicSite<'g> {
                 }
             };
             let links: Arc<[OutLink]> = build_links(&self.clauses[i], &relations[at].1).into();
+            // A stored segment that did not read — here or earlier — reads
+            // as empty: fail the page rather than cache it.
+            self.data.check().map_err(StruqlError::Graph)?;
             let evicted = self.cache.lock().insert(key.clone(), Arc::clone(&links));
             if evicted > 0 {
                 self.counters.evictions.add(evicted);

@@ -520,14 +520,15 @@ fn metrics_endpoint_serves_prometheus_text() {
         // before signals were declared in tables plus
         // `strudel_loop_wakeups_total counter` and the store's
         // `strudel_store_materializations_total counter`,
-        // `strudel_store_materialized_edges_total counter` and
-        // `strudel_store_segments_decoded_total counter`.
+        // `strudel_store_materialized_edges_total counter`,
+        // `strudel_store_segments_decoded_total counter` and
+        // `strudel_store_segments_corrupt_total counter`.
         let mut families: Vec<&str> = body
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE "))
             .collect();
         families.sort_unstable();
-        assert_eq!(families.len(), 64, "{families:#?}");
+        assert_eq!(families.len(), 65, "{families:#?}");
         assert_eq!(
             fnv1a(families.join("\n").as_bytes()),
             FAMILIES_DIGEST,
@@ -757,7 +758,7 @@ fn half_closed_peer_does_not_spin_the_loop() {
 
 /// [`fnv1a`] of the sorted `family type` lines of `/metrics`, joined by
 /// newlines.
-const FAMILIES_DIGEST: u64 = 0xa3cb_00b8_d276_4291;
+const FAMILIES_DIGEST: u64 = 0x05f6_73c9_95ea_54ba;
 
 /// FNV-1a, 64 bits: a digest that does not depend on the toolchain.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -434,3 +434,70 @@ object p1 in Publications { title "A" abstract "abs/a.txt" }"#,
         );
     }
 }
+
+/// A served store with a node segment whose page does not check — one
+/// flipped byte: the store opens, a page that reads only other segments is
+/// a 200, the page that reads the bad one is a 500 that is not cached, the
+/// first page is still a 200 from the cache, the failure is counted once,
+/// and nothing panics. (The record-level causes — symbol and node indexes,
+/// UTF-8, tallies — are strudel-graph's `tests/lazy_segments.rs`.)
+#[test]
+fn a_segment_that_does_not_read_is_a_500_not_a_panic() {
+    use strudel::graph::store::PagedStore;
+    use strudel::serve::testing::{fetch, with_client};
+    use strudel::serve::{page_url, Server};
+    use strudel::site::{DynamicSite, PageRef};
+    let _turn = DECODES.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("strudel_it_badseg_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("data.pdb");
+
+    // Four 64-node segments, each over several pages.
+    let mut data = Graph::standalone();
+    for i in 0..256 {
+        let a = data.new_node(Some(&format!("a{i}")));
+        data.add_edge_str(a, "headline", Value::str(format!("headline {i}")))
+            .unwrap();
+        data.add_edge_str(a, "body", Value::str("x".repeat(200)))
+            .unwrap();
+        data.add_to_collection_str("Articles", Value::Node(a));
+    }
+    PagedStore::import(&path, &data).unwrap();
+    // A fresh import writes the preamble to page 2, node segment 0 from
+    // page 3 on.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[3 * 4096 + 100] ^= 1;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let corrupt = || strudel::graph::storage_stats().segments_corrupt;
+    let before = corrupt();
+    let mut store = PagedStore::open(&path).unwrap();
+    let graph = store.graph().unwrap();
+    let query = parse_query(
+        r#"WHERE Articles(a), a -> l -> v
+           CREATE Page(a) LINK Page(a) -> l -> v"#,
+    )
+    .unwrap();
+    let site = DynamicSite::new(graph, &query, EvalOptions::default()).unwrap();
+    let page = |i: usize| {
+        page_url(&PageRef {
+            skolem: "Page".into(),
+            args: vec![Value::Node(graph.nodes()[i])],
+        })
+    };
+    let server = Server::bind(site, "127.0.0.1:0").unwrap();
+    with_client(&server, |addr| {
+        let status = |path: &str| fetch(addr, path)[..12].to_string();
+        assert_eq!(status(&page(200)), "HTTP/1.1 200");
+        let failed = fetch(addr, &page(0));
+        assert!(failed.starts_with("HTTP/1.1 500"), "{failed}");
+        assert!(failed.contains("node segment 0"), "{failed}");
+        assert_eq!(status(&page(200)), "HTTP/1.1 200");
+        assert_eq!(status(&page(1)), "HTTP/1.1 500");
+    });
+    drop(server);
+    assert_eq!(corrupt() - before, 1);
+    assert!(graph.check().is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
