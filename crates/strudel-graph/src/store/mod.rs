@@ -16,18 +16,21 @@
 //! mirroring how the 1997 prototype would have had to store graphs. The
 //! image is a concatenation of *segments*, and each byte layout has one
 //! writer and one reader, whoever calls them: [`save`] and a checkpoint
-//! write the same segments, [`load_into`] and every way of reading a
+//! write the same segments, and [`load_into`] and every way of reading a
 //! store (the working graph, a [`Snapshot`], log replay,
-//! [`PagedStore::materialize_into`]) attach them through one function,
-//! which reads every record and decodes a 64-node segment when one of its
-//! nodes is first read.
+//! [`PagedStore::materialize_into`]) check node records with one reader
+//! and decode a 64-node segment of them when one of its nodes is first
+//! read.
 //!
 //! [`PagedStore`] is the only form on disk: the image's segments live in a
-//! [`crate::pager`] page file, commits are logged as typed [`DeltaOp`]s in
-//! a [`crate::wal`] write-ahead log and replayed on open, and readers take
-//! [`Snapshot`]s — immutable revisions that stay consistent while the
-//! writer keeps committing. See `docs/STORAGE.md` for the file formats and
-//! the crash-safety argument.
+//! [`crate::pager`] page file under a manifest that carries each node
+//! segment's pages and tallies, commits are logged as typed [`DeltaOp`]s
+//! in a [`crate::wal`] write-ahead log and replayed on open, and readers
+//! take [`Snapshot`]s — immutable revisions that stay consistent while the
+//! writer keeps committing. A store opens without reading a node segment:
+//! its working graph reads and checks one on first touch, and one that
+//! fails reads as empty and fails [`crate::Graph::check`]. See
+//! `docs/STORAGE.md` for the file formats and the crash-safety argument.
 
 mod codec;
 mod commit;
