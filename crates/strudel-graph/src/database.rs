@@ -68,13 +68,6 @@ impl Database {
             .ok_or_else(|| GraphError::UnknownGraph(name.to_string()))
     }
 
-    /// Mutably borrows the graph under `name`.
-    pub fn graph_mut(&mut self, name: &str) -> Result<&mut Graph> {
-        self.graphs
-            .get_mut(name)
-            .ok_or_else(|| GraphError::UnknownGraph(name.to_string()))
-    }
-
     /// Whether a graph named `name` exists.
     pub fn contains(&self, name: &str) -> bool {
         self.graphs.contains_key(name)

@@ -64,8 +64,7 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 /// stable storage — `fdatasync(2)` semantics via `File::sync_data`. The
 /// write-ahead log's commit path uses this instead of `sync_all`: the log
 /// grows strictly by appends within a preallocated-or-extended file, so the
-/// lighter data sync is a valid durability point, and under group commit it
-/// is the one syscall the whole batch shares.
+/// lighter data sync is a valid durability point.
 pub fn sync_file_data(file: &File) -> io::Result<()> {
     file.sync_data()
 }

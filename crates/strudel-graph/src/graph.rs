@@ -291,13 +291,6 @@ impl Universe {
         self.read().data(n).and_then(|d| d.name.clone())
     }
 
-    /// Sets or replaces the provenance name of a node.
-    pub fn set_node_name(&self, n: NodeId, name: &str) {
-        if let Some(data) = self.write().data_mut(n) {
-            data.name = Some(Arc::from(name));
-        }
-    }
-
     fn push_edge(&self, from: NodeId, label: Sym, to: Value) -> Result<()> {
         self.revision.fetch_add(1, Ordering::AcqRel);
         let mut nodes = self.write();
@@ -1150,11 +1143,6 @@ impl GraphBatch<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Whether `n` is a member of the graph.
-    pub fn contains_node(&self, n: NodeId) -> bool {
-        self.own.members.contains(&n)
     }
 
     /// Creates (or gets) a collection by name, as [`Graph::ensure_collection`].

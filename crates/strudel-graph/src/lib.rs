@@ -27,7 +27,7 @@
 //! Durability lives in three layers: [`fsio`] (atomic, fsynced file
 //! replacement), [`pager`] + [`wal`] (a checksummed page file and
 //! write-ahead log), and [`store`] (the graph codec plus the
-//! [`store::PagedStore`] transactional store with MVCC snapshots). See
+//! [`store::PagedStore`] transactional store, one writer at a time). See
 //! `docs/STORAGE.md` for formats and the crash-safety argument.
 
 #![warn(missing_docs)]

@@ -34,11 +34,7 @@ strudel_obs::signals! {
     wal_bytes: Counter, "storage.wal_bytes", "strudel_wal_bytes_total",
         "Bytes appended to write-ahead logs.";
     wal_fsyncs: Counter, "storage.wal_fsyncs", "strudel_wal_fsyncs_total",
-        "WAL file data syncs (one per commit record, shared by a batch).";
-    wal_group_commits: Counter, "storage.wal_group_commits", "strudel_wal_group_commits_total",
-        "Commit records that folded more than one transaction.";
-    wal_group_commit_txns: Counter, "storage.wal_group_commit_txns", "strudel_wal_group_commit_txns_total",
-        "Transactions made durable inside a group commit record.";
+        "WAL file data syncs (one per commit record).";
     wal_checkpoints: Counter, "storage.wal_checkpoints", "strudel_wal_checkpoints_total",
         "Checkpoints folding the WAL into the page file.";
     wal_recoveries: Counter, "storage.wal_recoveries", "strudel_wal_recoveries_total",

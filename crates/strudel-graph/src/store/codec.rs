@@ -710,7 +710,7 @@ impl LabelTotals {
 pub(super) enum Reading {
     /// For the store's working graph, which lives beside the page file.
     OnFirstTouch,
-    /// For a graph that outlives the store: a snapshot, or the caller's.
+    /// For a graph that outlives the store: the caller's.
     AtAttach,
 }
 

@@ -17,19 +17,19 @@
 //! image is a concatenation of *segments*, and each byte layout has one
 //! writer and one reader, whoever calls them: [`save`] and a checkpoint
 //! write the same segments, and [`load_into`] and every way of reading a
-//! store (the working graph, a [`Snapshot`], log replay,
-//! [`PagedStore::materialize_into`]) check node records with one reader
-//! and decode a 64-node segment of them when one of its nodes is first
-//! read.
+//! store (the working graph, log replay, [`PagedStore::materialize_into`])
+//! check node records with one reader and decode a 64-node segment of them
+//! when one of its nodes is first read.
 //!
 //! [`PagedStore`] is the only form on disk: the image's segments live in a
 //! [`crate::pager`] page file under a manifest that carries each node
-//! segment's pages and tallies, commits are logged as typed [`DeltaOp`]s
-//! in a [`crate::wal`] write-ahead log and replayed on open, and readers
-//! take [`Snapshot`]s — immutable revisions that stay consistent while the
-//! writer keeps committing. A store opens without reading a node segment:
-//! its working graph reads and checks one on first touch, and one that
-//! fails reads as empty and fails [`crate::Graph::check`]. See
+//! segment's pages and tallies, and commits are logged as typed
+//! [`DeltaOp`]s in a [`crate::wal`] write-ahead log and replayed on open.
+//! One writer owns the store, and a [`Txn`] borrows it. A reader that
+//! needs a revision of its own fills a graph with
+//! [`PagedStore::materialize_into`]. A store opens without reading a node
+//! segment: its working graph reads and checks one on first touch, and one
+//! that fails reads as empty and fails [`crate::Graph::check`]. See
 //! `docs/STORAGE.md` for the file formats and the crash-safety argument.
 
 mod codec;
@@ -40,5 +40,5 @@ mod segments;
 mod tests;
 
 pub use codec::{load, load_into, save, DeltaOp, WireValue};
-pub use commit::{CommitQueue, Txn};
-pub use paged::{wal_path, CompactReport, PagedStore, Snapshot, DEFAULT_WAL_LIMIT};
+pub use commit::Txn;
+pub use paged::{wal_path, CompactReport, PagedStore, WAL_LIMIT};

@@ -1,10 +1,9 @@
 //! [`PagedStore`]: page file + write-ahead log + a working graph attached
 //! to the checkpoint on first use, its node segments read on first touch,
-//! with crash recovery on open, incremental checkpoints, compaction and
-//! [`Snapshot`]s.
+//! with crash recovery on open, incremental checkpoints and compaction.
 
 use super::codec::{apply_op, apply_ops, attach_stored, decode_op, encode_op, DeltaOp, Reading};
-use super::commit::{Sink, Txn};
+use super::commit::Txn;
 use super::segments::{note_op, SegFile};
 use crate::error::{GraphError, Result};
 use crate::fsio;
@@ -13,50 +12,22 @@ use crate::pager::Pager;
 use crate::stats::STORAGE;
 use crate::wal::{self, Wal};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
 use strudel_obs::trace;
 
 /// WAL size (bytes) past which a successful commit triggers an automatic
 /// checkpoint.
-pub const DEFAULT_WAL_LIMIT: u64 = 4 << 20;
+pub const WAL_LIMIT: u64 = 4 << 20;
 
 /// The write-ahead log lives next to the page file as `<path>.wal`.
 pub fn wal_path(path: &Path) -> PathBuf {
+    sibling(path, ".wal")
+}
+
+/// `path` with `suffix` appended to its full file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
-    os.push(".wal");
+    os.push(suffix);
     PathBuf::from(os)
-}
-
-/// An immutable graph revision: a graph of its own, attached to the
-/// checkpoint (every node segment read and checked, its bytes held by the
-/// graph) with the committed delta ops on top, so its segments are built as
-/// it is read — clones share the graph. The snapshot stays exactly as it
-/// was no matter what the writer commits, checkpoints, or compacts
-/// afterwards.
-#[derive(Clone)]
-pub struct Snapshot {
-    inner: Arc<(u64, Graph)>,
-}
-
-impl Snapshot {
-    /// The revision this snapshot pins.
-    pub fn revision(&self) -> u64 {
-        self.inner.0
-    }
-
-    /// The snapshot's graph.
-    pub fn graph(&self) -> &Graph {
-        &self.inner.1
-    }
-}
-
-impl std::ops::Deref for Snapshot {
-    type Target = Graph;
-
-    fn deref(&self) -> &Graph {
-        self.graph()
-    }
 }
 
 /// What [`PagedStore::compact`] did.
@@ -69,9 +40,9 @@ pub struct CompactReport {
 }
 
 /// The durable graph store: a [`Pager`] page file holding the last
-/// checkpointed snapshot, a [`Wal`] logging committed [`DeltaOp`]
-/// transactions since that checkpoint, and an in-memory working graph at
-/// the current revision.
+/// checkpoint, a [`Wal`] logging committed [`DeltaOp`] transactions since
+/// that checkpoint, and an in-memory working graph at the current
+/// revision. It has one writer: a [`Txn`] borrows it mutably.
 ///
 /// Crash safety: a transaction is durable exactly when its WAL commit
 /// record is (fsync on commit); opening the store replays committed
@@ -89,15 +60,13 @@ pub struct PagedStore {
     pub(super) graph: Option<Graph>,
     /// Segment layout of the last checkpoint; `None` before the first.
     pub(super) segs: Option<SegFile>,
-    /// Committed ops since the last checkpoint (what snapshots pin).
+    /// Committed ops since the last checkpoint, replayed on top of it by
+    /// every attach.
     pending: Vec<DeltaOp>,
-    /// Member-node count at the current revision (tracked so `begin` and
-    /// the commit queue never force materialization).
+    /// Member-node count at the current revision (tracked so `begin`
+    /// never forces materialization).
     node_count: u32,
     revision: u64,
-    cached_snapshot: Option<Snapshot>,
-    wal_limit: u64,
-    group_window: Duration,
 }
 
 impl std::fmt::Debug for PagedStore {
@@ -121,9 +90,6 @@ impl PagedStore {
             segs,
             pending: Vec::new(),
             revision,
-            cached_snapshot: None,
-            wal_limit: DEFAULT_WAL_LIMIT,
-            group_window: Duration::ZERO,
         }
     }
 
@@ -346,62 +312,35 @@ impl PagedStore {
         self.wal.age_seconds()
     }
 
-    /// Sets the WAL size past which commits auto-checkpoint.
-    pub fn set_wal_limit(&mut self, bytes: u64) {
-        self.wal_limit = bytes;
-    }
-
-    /// The group-commit window (see [`PagedStore::set_group_commit_window`]).
-    pub fn group_commit_window(&self) -> Duration {
-        self.group_window
-    }
-
-    /// Sets how long a [`CommitQueue`] leader waits, after claiming the
-    /// store, for more transactions to join its batch before the shared
-    /// fsync. Zero (the default) batches only what has already queued.
-    pub fn set_group_commit_window(&mut self, window: Duration) {
-        self.group_window = window;
-    }
-
     /// Starts a transaction. Ops are buffered in the [`Txn`] and nothing
     /// changes until [`Txn::commit`].
     pub fn begin(&mut self) -> Txn<'_> {
-        let base_nodes = self.node_count;
+        let next_node = self.node_count;
         Txn {
-            sink: Sink::Store(self),
+            store: self,
             ops: Vec::new(),
-            base_nodes,
-            added_nodes: 0,
+            next_node,
         }
     }
 
-    /// Applies and durably commits a batch of ops as one transaction,
-    /// returning the new revision. On failure — an op that does not apply,
-    /// a segment that does not read ([`Graph::check`]), a log write — the
-    /// store is rolled back to the last committed revision (by reloading
-    /// from durable state): all-or-nothing, in memory and on disk.
+    /// Applies and durably commits ops as one transaction — one WAL commit
+    /// record behind one fsync — returning the new revision. On failure —
+    /// an op that does not apply, a segment that does not read
+    /// ([`Graph::check`]), a log write — the store is rolled back to the
+    /// last committed revision (by reloading from durable state):
+    /// all-or-nothing, in memory and on disk. A commit that takes the log
+    /// past [`WAL_LIMIT`] checkpoints.
     pub fn commit_ops(&mut self, ops: &[DeltaOp]) -> Result<u64> {
-        self.commit_batch(std::slice::from_ref(&ops))
-    }
-
-    /// Commits several transactions' ops behind **one** WAL commit record
-    /// and one fsync — the group-commit primitive. The batch is a single
-    /// revision on disk: either every transaction in it is durable or none
-    /// is (a crash can never surface a batch prefix), and on any failure
-    /// the store rolls back to the last committed revision.
-    pub fn commit_batch(&mut self, txns: &[&[DeltaOp]]) -> Result<u64> {
-        let total: usize = txns.iter().map(|t| t.len()).sum();
-        if total == 0 {
+        if ops.is_empty() {
             return Ok(self.revision);
         }
         let mut tspan = trace::span("store.commit", trace::Layer::Store);
         if tspan.is_live() {
-            tspan.attr_u64("ops", total as u64);
-            tspan.attr_u64("txns", txns.len() as u64);
+            tspan.attr_u64("ops", ops.len() as u64);
             tspan.attr_u64("rev", self.revision + 1);
         }
         self.ensure_graph()?;
-        for op in txns.iter().flat_map(|t| t.iter()) {
+        for op in ops {
             let g = self.graph.as_mut().expect("ensured above");
             if let Err(e) = apply_op(g, op) {
                 self.reload_from_durable()?;
@@ -415,7 +354,7 @@ impl PagedStore {
         }
         let target = self.revision + 1;
         let logged: Result<()> = (|| {
-            for op in txns.iter().flat_map(|t| t.iter()) {
+            for op in ops {
                 self.wal.append_delta(&encode_op(op)?)?;
             }
             self.wal.commit(target)
@@ -424,17 +363,10 @@ impl PagedStore {
             self.reload_from_durable()?;
             return Err(e);
         }
-        let grouped = txns.iter().filter(|t| !t.is_empty()).count();
-        if grouped > 1 {
-            STORAGE.wal_group_commits.inc();
-            STORAGE.wal_group_commit_txns.add(grouped as u64);
-        }
         self.revision = target;
-        self.cached_snapshot = None;
-        self.pending
-            .extend(txns.iter().flat_map(|t| t.iter().cloned()));
+        self.pending.extend_from_slice(ops);
         self.publish_gauges();
-        if self.wal.size_bytes() > self.wal_limit {
+        if self.wal.size_bytes() > WAL_LIMIT {
             self.checkpoint()?;
         }
         Ok(self.revision)
@@ -443,33 +375,8 @@ impl PagedStore {
     /// Discards in-memory state and reloads from the durable files —
     /// the rollback path when a commit fails partway.
     fn reload_from_durable(&mut self) -> Result<()> {
-        let path = self.pager.path().to_path_buf();
-        let mut fresh = PagedStore::open(&path)?;
-        fresh.wal_limit = self.wal_limit;
-        fresh.group_window = self.group_window;
-        *self = fresh;
+        *self = PagedStore::open(self.pager.path())?;
         Ok(())
-    }
-
-    /// A consistent snapshot of the current revision: a graph of its own,
-    /// attached to the checkpoint (every node segment read and checked from
-    /// the page file now), with the committed ops on top — so a checkpoint
-    /// that does not read fails here, not on a later read. Later commits,
-    /// checkpoints, and compactions leave it untouched. Snapshots of the
-    /// same revision are shared.
-    pub fn snapshot(&mut self) -> Result<Snapshot> {
-        if let Some(s) = &self.cached_snapshot {
-            if s.revision() == self.revision {
-                return Ok(s.clone());
-            }
-        }
-        let mut graph = Graph::standalone();
-        self.materialize_into(&mut graph)?;
-        let snap = Snapshot {
-            inner: Arc::new((self.revision, graph)),
-        };
-        self.cached_snapshot = Some(snap.clone());
-        Ok(snap)
     }
 
     /// Folds the log into the page file **incrementally**: only segments
@@ -508,7 +415,6 @@ impl PagedStore {
         self.wal = Wal::create(&wal_path(self.pager.path()), self.revision)?;
         STORAGE.wal_checkpoints.inc();
         self.pending.clear();
-        self.cached_snapshot = None;
         self.publish_gauges();
         Ok(())
     }
@@ -523,18 +429,22 @@ impl PagedStore {
         self.checkpoint()?;
         let pages_before = self.pager.page_count();
         let path = self.pager.path().to_path_buf();
-        let tmp = path.with_extension("pdb.compact");
-        let moved = {
-            let mut fresh = Pager::create(&tmp)?;
-            match &self.segs {
-                Some(segs) => segs.copy_to(&mut self.pager, &mut fresh, self.revision)?,
-                None => Vec::new(),
-            }
-        };
-        if let Err(e) = std::fs::rename(&tmp, &path) {
+        let tmp = sibling(&path, ".compact");
+        // Every failure past the temp file's creation removes it.
+        let moved = (|| -> Result<_> {
+            let moved = {
+                let mut fresh = Pager::create(&tmp)?;
+                match &self.segs {
+                    Some(segs) => segs.copy_to(&mut self.pager, &mut fresh, self.revision)?,
+                    None => Vec::new(),
+                }
+            };
+            std::fs::rename(&tmp, &path)?;
+            Ok(moved)
+        })()
+        .inspect_err(|_| {
             let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
+        })?;
         fsio::fsync_dir(&fsio::parent_dir(&path))?;
         self.pager = Pager::open(&path)?;
         if let Some(segs) = &mut self.segs {

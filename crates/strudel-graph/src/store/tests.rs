@@ -5,7 +5,6 @@ use crate::error::GraphError;
 use crate::wal::{self, Wal};
 use crate::{ddl, FileKind, Graph, Value};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn sample() -> Graph {
     ddl::parse(
@@ -253,25 +252,25 @@ fn paged_import_then_delta() {
     cleanup(&p);
 }
 
+/// A graph filled by `materialize_into` is the revision it was filled at:
+/// later commits go to the store's working graph, not to it.
 #[test]
 fn snapshot_isolation_across_commits() {
     let p = store_path("mvcc");
     let mut store = PagedStore::import(&p, &sample()).unwrap();
-    let before = store.snapshot().unwrap();
-    assert_eq!(before.revision(), 1);
+    let mut before = Graph::standalone();
+    store.materialize_into(&mut before).unwrap();
     let mut txn = store.begin();
     let n = txn.add_node(Some("late"));
     txn.add_to_collection("Publications", WireValue::Node(n));
-    txn.commit().unwrap();
-    // The old snapshot still serves revision 1.
+    assert_eq!(txn.commit().unwrap(), 2);
+    // The graph filled at revision 1 still holds revision 1.
     assert_eq!(before.node_count(), 2);
     assert_eq!(before.collection_str("Publications").unwrap().len(), 2);
-    let after = store.snapshot().unwrap();
-    assert_eq!(after.revision(), 2);
+    let mut after = Graph::standalone();
+    store.materialize_into(&mut after).unwrap();
     assert_eq!(after.node_count(), 3);
-    // Same-revision snapshots share the pinned state.
-    let again = store.snapshot().unwrap();
-    assert!(std::ptr::eq(after.graph(), again.graph()));
+    assert_eq!(graph_bytes(&after), image_of(&mut store));
     cleanup(&p);
 }
 
@@ -451,129 +450,6 @@ fn delta_ops_roundtrip_through_encoding() {
     ));
 }
 
-// ----------------------------------------------------- group commit ----
-
-#[test]
-fn commit_batch_is_one_revision() {
-    let p = store_path("batch");
-    let mut store = PagedStore::create(&p).unwrap();
-    let t1 = vec![
-        DeltaOp::AddNode {
-            name: Some("a".into()),
-        },
-        DeltaOp::AddEdge {
-            node: 0,
-            label: "x".into(),
-            value: WireValue::Int(1),
-        },
-    ];
-    let t2 = vec![
-        DeltaOp::AddNode {
-            name: Some("b".into()),
-        },
-        DeltaOp::AddToCollection {
-            collection: "C".into(),
-            value: WireValue::Node(1),
-        },
-    ];
-    let rev = store.commit_batch(&[&t1, &t2]).unwrap();
-    assert_eq!(rev, 1, "the whole batch lands as one revision");
-    assert_eq!(store.node_count(), 2);
-    drop(store);
-    let mut store = PagedStore::open(&p).unwrap();
-    assert_eq!(store.revision(), 1);
-    let g = store.graph().unwrap();
-    assert_eq!(g.node_count(), 2);
-    assert_eq!(g.collection_str("C").unwrap().len(), 1);
-    cleanup(&p);
-}
-
-#[test]
-fn queued_txns_rebase_stale_bases() {
-    let p = store_path("rebase");
-    let queue = CommitQueue::new(PagedStore::create(&p).unwrap());
-    // Both transactions begin at node count 0; the second commits on
-    // top of the first, so its self-created index must be rebased.
-    let mut t1 = queue.begin();
-    let a = t1.add_node(Some("a"));
-    t1.add_edge(a, "tag", WireValue::Int(1));
-    let mut t2 = queue.begin();
-    let b = t2.add_node(Some("b"));
-    t2.add_edge(b, "tag", WireValue::Int(2));
-    t2.add_to_collection("All", WireValue::Node(b));
-    t1.commit().unwrap();
-    t2.commit().unwrap();
-    let mut store = queue.into_store().expect("sole handle");
-    let g = store.graph().unwrap();
-    assert_eq!(g.node_count(), 2);
-    let tag = g.universe().interner().get("tag").unwrap();
-    let a_n = g.nodes()[0];
-    let b_n = g.nodes()[1];
-    assert_eq!(g.node_name(a_n).as_deref(), Some("a"));
-    assert_eq!(g.node_name(b_n).as_deref(), Some("b"));
-    assert_eq!(g.reader().attr(a_n, tag), Some(&Value::Int(1)));
-    assert_eq!(g.reader().attr(b_n, tag), Some(&Value::Int(2)));
-    assert_eq!(
-        g.collection_str("All").unwrap().items(),
-        &[Value::Node(b_n)]
-    );
-    cleanup(&p);
-}
-
-/// Group commit as a count rather than a time ratio: 100 transactions
-/// from 50 threads released together land in at most 10 revisions. A
-/// revision is one WAL commit record behind one fsync, so that is at
-/// least 10 commits per fsync, where committing them one at a time
-/// takes 100. Read from this store's own revision; the process-wide
-/// storage counters are shared with every other test in the binary.
-#[test]
-fn concurrent_commits_group_behind_shared_fsyncs() {
-    const THREADS: usize = 50;
-    const PER_THREAD: usize = 2;
-    let p = store_path("convoy");
-    let mut store = PagedStore::create(&p).unwrap();
-    // No auto-checkpoint: every fsync in the burst is a commit's.
-    store.set_wal_limit(u64::MAX);
-    store.set_group_commit_window(Duration::from_millis(2));
-    let start_rev = store.revision();
-    let queue = CommitQueue::new(store);
-    let barrier = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let (queue, barrier) = (&queue, &barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                for i in 0..PER_THREAD {
-                    let mut txn = queue.begin();
-                    let n = txn.add_node(Some(&format!("n{t}_{i}")));
-                    txn.add_edge(n, "t", WireValue::Int(t as i64));
-                    txn.add_to_collection("All", WireValue::Node(n));
-                    txn.commit().unwrap();
-                }
-            });
-        }
-    });
-    let final_rev = queue.with_store(|s| s.revision());
-    let mut store = queue.into_store().expect("sole handle");
-    assert!(
-        final_rev - start_rev <= 10,
-        "{} transactions took {} revisions",
-        THREADS * PER_THREAD,
-        final_rev - start_rev
-    );
-    assert_eq!(store.node_count(), 100);
-    assert_eq!(
-        store.graph().unwrap().collection_str("All").unwrap().len(),
-        100
-    );
-    let expected = image_of(&mut store);
-    drop(store);
-    let mut reopened = PagedStore::open(&p).unwrap();
-    assert_eq!(reopened.revision(), final_rev);
-    assert_eq!(image_of(&mut reopened), expected);
-    cleanup(&p);
-}
-
 // --------------------------------------------- incremental checkpoint ----
 
 #[test]
@@ -625,6 +501,8 @@ fn import_checkpoint_image_is_canonical() {
     cleanup(&p);
 }
 
+/// A graph filled by `materialize_into` holds its revision while the page
+/// file changes under it.
 #[test]
 fn snapshot_survives_checkpoint_and_compact() {
     let p = store_path("pin");
@@ -633,10 +511,10 @@ fn snapshot_survives_checkpoint_and_compact() {
     let n = txn.add_node(Some("pinned"));
     txn.add_edge(n, "title", WireValue::Str("P".into()));
     txn.commit().unwrap();
-    let snap = store.snapshot().unwrap();
+    let mut pinned = Graph::standalone();
+    store.materialize_into(&mut pinned).unwrap();
     let expected = image_of(&mut store);
-    // Mutate, checkpoint, compact — the snapshot must not move, even
-    // though it has not materialized yet.
+    // Mutate, checkpoint, compact: the graph must not move.
     for _ in 0..5 {
         let mut txn = store.begin();
         let m = txn.add_node(None);
@@ -645,8 +523,8 @@ fn snapshot_survives_checkpoint_and_compact() {
         store.checkpoint().unwrap();
     }
     store.compact().unwrap();
-    assert_eq!(snap.revision(), 2);
-    assert_eq!(graph_bytes(snap.graph()), expected);
+    assert_eq!(store.revision(), 7);
+    assert_eq!(graph_bytes(&pinned), expected);
     cleanup(&p);
 }
 
@@ -658,9 +536,13 @@ fn clean_open_defers_materialization() {
     }
     let mut store = PagedStore::open(&p).unwrap();
     assert!(store.graph.is_none(), "clean open must not materialize");
-    let snap = store.snapshot().unwrap();
-    assert!(store.graph.is_none(), "snapshots pin bytes, not a graph");
-    assert_eq!(snap.node_count(), 2);
+    let mut own = Graph::standalone();
+    store.materialize_into(&mut own).unwrap();
+    assert!(
+        store.graph.is_none(),
+        "a graph of one's own is not the working graph"
+    );
+    assert_eq!(own.node_count(), 2);
     assert_eq!(store.graph().unwrap().node_count(), 2);
     cleanup(&p);
 }

@@ -127,23 +127,6 @@ impl Value {
         !self.is_node()
     }
 
-    /// A short name for the value's type, used in error messages and by the
-    /// built-in type-test predicates (`isInt`, `isString`, …).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Node(_) => "node",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Bool(_) => "bool",
-            Value::Str(_) => "string",
-            Value::Url(_) => "url",
-            Value::File(FileKind::Text, _) => "textfile",
-            Value::File(FileKind::Html, _) => "htmlfile",
-            Value::File(FileKind::Image, _) => "imagefile",
-            Value::File(FileKind::PostScript, _) => "psfile",
-        }
-    }
-
     /// Dynamic-coercion equality (§2.1): atomic values of different types are
     /// coerced before comparison. `Int` and `Float` compare numerically;
     /// strings compare with numbers when they parse as numbers; URLs and
@@ -387,16 +370,6 @@ mod tests {
             Some(FileKind::PostScript)
         );
         assert_eq!(FileKind::from_keyword("video"), None);
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::Int(1).type_name(), "int");
-        assert_eq!(
-            Value::file(FileKind::PostScript, "a.ps").type_name(),
-            "psfile"
-        );
-        assert_eq!(Value::Node(NodeId(0)).type_name(), "node");
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //!
 //! A transaction is a run of `Delta` frames terminated by a `Commit`
 //! frame naming the revision it produces; the commit append is fsynced,
-//! which is the durability point. Under **group commit** several
-//! transactions' delta runs are appended back to back and covered by a
-//! *single* commit record: the batch becomes one revision, so a crash can
-//! only ever land before or after the whole batch — never inside it.
+//! which is the durability point. A crash can only ever land before or
+//! after a commit record, never inside the transaction it covers.
 //! Recovery scans frames until the first invalid one: everything after
 //! the last *committed* frame — a torn half-written tail, or deltas whose
 //! commit never made it — is truncated away, and the committed prefix is
@@ -208,11 +206,6 @@ impl Wal {
         self.base_revision
     }
 
-    /// Unix time (seconds) the log was created — i.e. the last checkpoint.
-    pub fn created_at_unix_secs(&self) -> u64 {
-        self.created_at
-    }
-
     /// Seconds since the log was created (0 if the clock went backwards).
     pub fn age_seconds(&self) -> u64 {
         unix_now_secs().saturating_sub(self.created_at)
@@ -250,10 +243,10 @@ impl Wal {
     }
 
     /// Appends a commit record naming `revision` and syncs the log's data:
-    /// once this returns, the transaction — or, under group commit, every
-    /// transaction appended since the previous commit record — survives
-    /// any crash. One commit record covers the whole run of deltas before
-    /// it, which is what makes a batched commit all-or-nothing on disk.
+    /// once this returns, the transaction — every delta appended since the
+    /// previous commit record — survives any crash. One commit record
+    /// covers the whole run of deltas before it, which is what makes a
+    /// commit all-or-nothing on disk.
     pub fn commit(&mut self, revision: u64) -> Result<()> {
         let mut tspan = trace::span("store.wal_commit", trace::Layer::Store);
         if tspan.is_live() {
@@ -381,13 +374,13 @@ mod tests {
         let p = tmp("age");
         let created = {
             let mut wal = Wal::create(&p, 0).unwrap();
-            assert!(wal.created_at_unix_secs() > 0);
+            assert!(wal.created_at > 0);
             wal.append_delta(b"x").unwrap();
             wal.commit(1).unwrap();
-            wal.created_at_unix_secs()
+            wal.created_at
         };
         let (wal, _) = Wal::open(&p, 0).unwrap();
-        assert_eq!(wal.created_at_unix_secs(), created);
+        assert_eq!(wal.created_at, created);
         assert!(wal.age_seconds() < 3600, "age must be measured from now");
         std::fs::remove_file(&p).unwrap();
     }

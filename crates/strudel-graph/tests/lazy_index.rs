@@ -19,6 +19,7 @@
 //! changed something.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 use strudel_graph::graph::Universe;
 use strudel_graph::{ddl, store, Graph, GraphBatch, GraphError, Oid, Sym, Value};
@@ -46,28 +47,33 @@ fn batchable(kind: u8) -> bool {
 /// Where a batchable write goes.
 enum Writer<'a> {
     One(&'a mut Graph),
-    Batch(GraphBatch<'a>),
+    /// A batch, and the members its graph has with the batch's writes.
+    Batch(GraphBatch<'a>, HashSet<Oid>),
 }
 
 impl Writer<'_> {
     fn contains_node(&self, n: Oid) -> bool {
         match self {
             Writer::One(g) => g.contains_node(n),
-            Writer::Batch(b) => b.contains_node(n),
+            Writer::Batch(_, members) => members.contains(&n),
         }
     }
 
     fn new_node(&mut self) -> Oid {
         match self {
             Writer::One(g) => g.new_node(None),
-            Writer::Batch(b) => b.new_node(None),
+            Writer::Batch(b, members) => {
+                let n = b.new_node(None);
+                members.insert(n);
+                n
+            }
         }
     }
 
     fn add_edge(&mut self, from: Oid, label: Sym, to: Value) {
         match self {
             Writer::One(g) => g.add_edge(from, label, to),
-            Writer::Batch(b) => b.add_edge(from, label, to),
+            Writer::Batch(b, _) => b.add_edge(from, label, to),
         }
         .unwrap()
     }
@@ -75,7 +81,10 @@ impl Writer<'_> {
     fn adopt(&mut self, n: Oid) {
         match self {
             Writer::One(g) => g.adopt_node(n),
-            Writer::Batch(b) => b.adopt(n),
+            Writer::Batch(b, members) => {
+                members.insert(n);
+                b.adopt(n)
+            }
         }
         .unwrap()
     }
@@ -83,7 +92,7 @@ impl Writer<'_> {
     fn add_to_collection(&mut self, coll: Sym, v: Value) {
         match self {
             Writer::One(g) => g.add_to_collection(coll, v),
-            Writer::Batch(b) => b.add_to_collection(coll, v),
+            Writer::Batch(b, _) => b.add_to_collection(coll, v),
         };
     }
 }
@@ -165,7 +174,8 @@ fn run(ops: &[Op], force_at: Option<usize>, batching: bool) -> (Vec<Oid>, [Graph
         };
         if batching && batch && run > 0 {
             let before = (mine.cache_stamp(), extent(mine));
-            let mut w = Writer::Batch(mine.batch());
+            let members = mine.nodes().iter().copied().collect();
+            let mut w = Writer::Batch(mine.batch(), members);
             for op in &ops[i..i + run] {
                 write(&mut w, theirs, &mut nodes, *op, syms(op.3));
             }

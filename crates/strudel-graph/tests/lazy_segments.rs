@@ -238,8 +238,9 @@ fn read(rng: &mut Lcg, g: &Graph, model: &Model, what: &str) {
 }
 
 /// Seeded interleavings of reads and writes over a store's working graph,
-/// its snapshots and a graph attached with `load`, against one
-/// reference; with commits, checkpoints, snapshots and reopens between.
+/// graphs filled by `materialize_into` and a graph attached with `load`,
+/// against one reference; with commits, checkpoints, fills and reopens
+/// between.
 #[test]
 fn a_lazily_attached_graph_equals_an_eager_reference() {
     let _turn = turn();
@@ -254,7 +255,7 @@ fn a_lazily_attached_graph_equals_an_eager_reference() {
         store::save(&source, &mut image).unwrap();
         let mut plain = store::load(image).unwrap();
         let mut store = PagedStore::import(&path, &source).unwrap();
-        let mut snapshots: Vec<(store::Snapshot, Model)> = Vec::new();
+        let mut filled: Vec<(Graph, Model)> = Vec::new();
         for step in 0..48 {
             let what = format!("seed {seed} step {step}");
             match rng.below(12) {
@@ -269,7 +270,11 @@ fn a_lazily_attached_graph_equals_an_eager_reference() {
                     model_apply(&mut model, &op);
                 }
                 8 => store.checkpoint().unwrap(),
-                9 => snapshots.push((store.snapshot().unwrap(), model.clone())),
+                9 => {
+                    let mut g = Graph::standalone();
+                    store.materialize_into(&mut g).unwrap();
+                    filled.push((g, model.clone()));
+                }
                 _ => store = PagedStore::open(&path).unwrap(),
             }
         }
@@ -279,8 +284,8 @@ fn a_lazily_attached_graph_equals_an_eager_reference() {
             "seed {seed}: store"
         );
         assert_eq!(model_of(&plain), model, "seed {seed}: load");
-        for (snap, at) in &snapshots {
-            assert_eq!(&model_of(snap.graph()), at, "seed {seed}: snapshot");
+        for (g, at) in &filled {
+            assert_eq!(&model_of(g), at, "seed {seed}: materialize_into");
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -515,7 +520,7 @@ fn assert_typed<T>(r: Result<T, GraphError>, what: &str) {
 }
 
 /// Page checksums hold, the records do not. A graph that outlives its
-/// store — `open_into`, `snapshot()` — reads every segment as it is
+/// store — `open_into`, `materialize_into` — reads every segment as it is
 /// attached, and fails there, typed; a clean open reads no node segment,
 /// and the working graph's first read of the bad one leaves it empty and
 /// fails `check()`, typed. A well-formed record crafted the same way reads
@@ -539,7 +544,7 @@ fn records_that_do_not_read_fail_attach_typed() {
         graph.check().unwrap();
         assert!(graph.reader().out(graph.nodes()[0]).is_empty(), "{what}");
         assert_typed(graph.check(), what);
-        assert_typed(store.snapshot(), what);
+        assert_typed(store.materialize_into(&mut Graph::standalone()), what);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

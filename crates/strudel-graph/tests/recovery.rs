@@ -1,6 +1,8 @@
 //! Fault-injection tests for the paged store: simulated crashes (WAL
 //! truncation at every byte), media corruption (bit flips in the page file
-//! and the log), and snapshot isolation across concurrent commits.
+//! and the log), a compaction that fails on a corrupt page, the automatic
+//! checkpoint, and graphs filled by `materialize_into` holding their
+//! revision across later commits, checkpoints and compactions.
 //!
 //! The invariant under test is the storage contract from `docs/STORAGE.md`:
 //! after any single fault, reopening the store either restores exactly the
@@ -12,7 +14,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use strudel_graph::error::GraphError;
-use strudel_graph::store::{wal_path, DeltaOp, PagedStore, WireValue};
+use strudel_graph::pager::{Pager, PAGE_SIZE};
+use strudel_graph::store::{wal_path, DeltaOp, PagedStore, WireValue, WAL_LIMIT};
+use strudel_graph::wal::Wal;
 use strudel_graph::{ddl, wal, Graph};
 
 /// A per-test scratch directory, removed on drop.
@@ -61,14 +65,13 @@ object pub2 in Publications {
 /// Builds a store at `path` with several WAL-resident commits and returns,
 /// for each durable revision, `(revision, wal_size_at_commit, serialized
 /// graph bytes)`. The first entry is the imported base revision with
-/// `wal_size` equal to the empty-log size. Every other commit is a
-/// group-committed batch of two transactions, so the log the fault sweeps
-/// chew on contains multi-transaction commit records — the batch boundary
-/// cases group commit introduces.
+/// `wal_size` equal to the empty-log size. Every other commit is one
+/// `commit_ops` of five ops creating two nodes, so the log the fault sweeps
+/// chew on holds commit records of several frames that name each other's
+/// nodes. Every commit stays in the log: each one grows it and none takes
+/// it past [`WAL_LIMIT`], so none checkpoints.
 fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
     let mut store = PagedStore::import(path, &sample()).unwrap();
-    // Keep every commit in the log: no auto-checkpoint during the test.
-    store.set_wal_limit(u64::MAX);
     let mut history = vec![(
         store.revision(),
         store.wal_size(),
@@ -76,9 +79,9 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
     )];
     for i in 0..commits {
         if i % 2 == 1 {
-            // A batch of two transactions durable as one commit record.
+            // Two new nodes, durable as one commit record.
             let base = store.node_count();
-            let txn_a = vec![
+            let ops = [
                 DeltaOp::AddNode {
                     name: Some(format!("batch{i}a")),
                 },
@@ -91,8 +94,6 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
                     collection: "Publications".into(),
                     value: WireValue::Node(base),
                 },
-            ];
-            let txn_b = vec![
                 DeltaOp::AddNode {
                     name: Some(format!("batch{i}b")),
                 },
@@ -102,7 +103,7 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
                     value: WireValue::Int(2000 + i as i64),
                 },
             ];
-            store.commit_batch(&[&txn_a, &txn_b]).unwrap();
+            store.commit_ops(&ops).unwrap();
         } else {
             let mut txn = store.begin();
             let node = txn.add_node(Some(&format!("extra{i}")));
@@ -111,6 +112,11 @@ fn build_history(path: &Path, commits: usize) -> Vec<(u64, u64, Vec<u8>)> {
             txn.add_to_collection("Publications", WireValue::Node(node));
             txn.commit().unwrap();
         }
+        let logged = store.wal_size();
+        assert!(
+            logged > history.last().unwrap().1 && logged <= WAL_LIMIT,
+            "commit {i} left a log of {logged} bytes: the history needs every commit in it"
+        );
         history.push((
             store.revision(),
             store.wal_size(),
@@ -274,30 +280,33 @@ fn reopen_after_kill_restores_the_working_copy_exactly() {
     assert_eq!(&image(&mut reopened).unwrap(), bytes);
 }
 
-/// A snapshot opened before a commit keeps serving the old revision after
-/// it: MVCC isolation across writers.
+/// A graph filled by `materialize_into` before a commit keeps the old
+/// revision after it: the commit goes to the store, not to the graph.
 #[test]
 fn snapshot_opened_before_a_commit_survives_it() {
     let scratch = Scratch::new("snapshot_mvcc");
     let path = scratch.path("data.pdb");
     let mut store = PagedStore::import(&path, &sample()).unwrap();
-    let before = store.snapshot().unwrap();
-    let nodes_before = before.graph().node_count();
+    let mut before = Graph::standalone();
+    store.materialize_into(&mut before).unwrap();
+    let bytes_before = graph_bytes(&before).unwrap();
+    let revision_before = store.revision();
 
     let mut txn = store.begin();
     let node = txn.add_node(Some("newcomer"));
     txn.add_edge(node, "title", WireValue::Str("After the snapshot".into()));
     let new_revision = txn.commit().unwrap();
 
-    assert!(before.revision() < new_revision);
+    assert!(revision_before < new_revision);
     assert_eq!(
-        before.graph().node_count(),
-        nodes_before,
-        "old snapshot must not see the new commit"
+        graph_bytes(&before).unwrap(),
+        bytes_before,
+        "a graph filled before the commit must not see it"
     );
-    let after = store.snapshot().unwrap();
-    assert_eq!(after.revision(), new_revision);
-    assert_eq!(after.graph().node_count(), nodes_before + 1);
+    let mut after = Graph::standalone();
+    store.materialize_into(&mut after).unwrap();
+    assert_eq!(after.node_count(), before.node_count() + 1);
+    assert_eq!(graph_bytes(&after).unwrap(), image(&mut store).unwrap());
 }
 
 /// Deleting the WAL outright (e.g. a crash after log reset but before any
@@ -333,24 +342,23 @@ fn image(store: &mut PagedStore) -> Result<Vec<u8>, GraphError> {
     graph_bytes(store.graph()?)
 }
 
-/// A crash at any byte of a group-committed batch — in particular between
-/// the batch append and its fsync — must recover either the full batch or
-/// the state before it. The batch is one commit record, so no truncation
-/// point may expose one transaction of the batch without the others.
+/// A crash at any byte of a commit of several ops — in particular between
+/// the append and its fsync — must recover either the whole commit or the
+/// state before it. The commit is one commit record, so no truncation
+/// point may expose some of its ops without the others.
 #[test]
 fn group_commit_crash_never_recovers_a_partial_batch() {
     let scratch = Scratch::new("partial_batch");
     let built = scratch.path("built.pdb");
     let mut store = PagedStore::import(&built, &sample()).unwrap();
-    store.set_wal_limit(u64::MAX);
     let before_bytes = image(&mut store).unwrap();
     let before_rev = store.revision();
 
-    // Three transactions group-committed as one durable unit.
+    // Six ops, three new nodes, committed as one durable unit.
     let base = store.node_count();
-    let txns: Vec<Vec<DeltaOp>> = (0..3u32)
-        .map(|t| {
-            vec![
+    let ops: Vec<DeltaOp> = (0..3u32)
+        .flat_map(|t| {
+            [
                 DeltaOp::AddNode {
                     name: Some(format!("member{t}")),
                 },
@@ -362,9 +370,16 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
             ]
         })
         .collect();
-    let slices: Vec<&[DeltaOp]> = txns.iter().map(|t| t.as_slice()).collect();
-    let batch_rev = store.commit_batch(&slices).unwrap();
-    assert_eq!(batch_rev, before_rev + 1, "a batch is exactly one revision");
+    let batch_rev = store.commit_ops(&ops).unwrap();
+    assert_eq!(
+        batch_rev,
+        before_rev + 1,
+        "a commit is exactly one revision"
+    );
+    assert!(
+        store.wal_size() > wal::EMPTY_SIZE && store.wal_size() <= WAL_LIMIT,
+        "the commit must stay in the log"
+    );
     let after_bytes = image(&mut store).unwrap();
     drop(store);
 
@@ -380,28 +395,29 @@ fn group_commit_crash_never_recovers_a_partial_batch() {
         if reopened.revision() == batch_rev {
             assert_eq!(
                 got, after_bytes,
-                "cut at {cut}: batch revision recovered with partial contents"
+                "cut at {cut}: the commit's revision recovered with partial contents"
             );
         } else {
             assert_eq!(reopened.revision(), before_rev, "cut at {cut}");
             assert_eq!(
                 got, before_bytes,
-                "cut at {cut}: pre-batch revision recovered with wrong contents"
+                "cut at {cut}: the revision before the commit recovered with wrong contents"
             );
         }
     }
 }
 
-/// Snapshot stability property: a snapshot pinned at an arbitrary point
-/// keeps reading byte-identical contents no matter what mix of commits,
-/// group commits, incremental checkpoints, and compactions follows it.
-/// The interleaving is driven by a deterministic LCG so failures replay.
+/// A graph filled by `materialize_into` at an arbitrary point keeps
+/// reading byte-identical contents no matter what mix of commits,
+/// incremental checkpoints, and compactions follows it: the page file may
+/// change under it. The interleaving is driven by a deterministic LCG so
+/// failures replay.
 #[test]
 fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
     let scratch = Scratch::new("snapshot_property");
     let path = scratch.path("data.pdb");
     let mut store = PagedStore::import(&path, &sample()).unwrap();
-    let mut pinned: Vec<(strudel_graph::store::Snapshot, u64, Vec<u8>)> = Vec::new();
+    let mut pinned: Vec<(Graph, u64, Vec<u8>)> = Vec::new();
     let mut state: u64 = 0x5157_5544_454c_0009;
 
     for step in 0..60u32 {
@@ -410,13 +426,13 @@ fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
             .wrapping_add(1442695040888963407);
         let roll = (state >> 33) % 10;
         if step % 6 == 0 {
-            // Pin a snapshot and record the canonical bytes it must keep
-            // serving. Materialization is deferred: the graph is first
-            // realized *after* later checkpoints/compactions have moved
-            // the pages underneath it.
+            // Fill a graph and record the canonical bytes it must keep
+            // serving; it is read again only after later checkpoints and
+            // compactions have moved the pages it was read from.
             let expected = image(&mut store).unwrap();
-            let snap = store.snapshot().unwrap();
-            pinned.push((snap, store.revision(), expected));
+            let mut g = Graph::standalone();
+            store.materialize_into(&mut g).unwrap();
+            pinned.push((g, store.revision(), expected));
         }
         match roll {
             0..=5 => {
@@ -430,15 +446,17 @@ fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
             }
             6 => {
                 let base = store.node_count();
-                let a = vec![DeltaOp::AddNode {
-                    name: Some(format!("batch{step}a")),
-                }];
-                let b = vec![DeltaOp::AddEdge {
-                    node: base,
-                    label: "title".into(),
-                    value: WireValue::Str(format!("Batch {step}")),
-                }];
-                store.commit_batch(&[&a, &b]).unwrap();
+                let ops = [
+                    DeltaOp::AddNode {
+                        name: Some(format!("batch{step}a")),
+                    },
+                    DeltaOp::AddEdge {
+                        node: base,
+                        label: "title".into(),
+                        value: WireValue::Str(format!("Batch {step}")),
+                    },
+                ];
+                store.commit_ops(&ops).unwrap();
             }
             7 | 8 => store.checkpoint().unwrap(),
             _ => {
@@ -448,12 +466,95 @@ fn snapshots_stay_byte_identical_across_arbitrary_interleavings() {
     }
 
     assert!(pinned.len() >= 10, "property needs many pin points");
-    for (snap, revision, expected) in &pinned {
-        assert_eq!(snap.revision(), *revision);
+    for (g, revision, expected) in &pinned {
         assert_eq!(
-            &graph_bytes(snap.graph()).unwrap(),
+            &graph_bytes(g).unwrap(),
             expected,
-            "snapshot at revision {revision} drifted after later mutations"
+            "graph filled at revision {revision} drifted after later mutations"
         );
     }
+}
+
+/// The commit that takes the log past `WAL_LIMIT` checkpoints: it leaves a
+/// fresh log based at its revision and the page file at that revision, and
+/// a reopen reads the same image. Every commit before it grew the log.
+#[test]
+fn a_commit_past_the_wal_limit_checkpoints() {
+    let scratch = Scratch::new("auto_checkpoint");
+    let path = scratch.path("data.pdb");
+    let mut store = PagedStore::import(&path, &sample()).unwrap();
+    let blob = "x".repeat(64 << 10);
+    let limit_commits = WAL_LIMIT as usize / blob.len() + 1;
+    let mut checkpointed_at = None;
+    for _ in 0..=limit_commits {
+        let before = store.wal_size();
+        let mut txn = store.begin();
+        let node = txn.add_node(None);
+        txn.add_edge(node, "blob", WireValue::Str(blob.clone()));
+        let revision = txn.commit().unwrap();
+        if store.wal_size() < before {
+            assert!(before + blob.len() as u64 > WAL_LIMIT, "checkpointed early");
+            assert_eq!(store.wal_size(), wal::EMPTY_SIZE);
+            checkpointed_at = Some(revision);
+            break;
+        }
+        assert!(store.wal_size() <= WAL_LIMIT, "a log past the limit stayed");
+    }
+    let revision = checkpointed_at.expect("no commit took the log past the limit");
+    let expected = image(&mut store).unwrap();
+    drop(store);
+
+    assert_eq!(Pager::open(&path).unwrap().revision(), revision);
+    let (log, txns) = Wal::open(&wal_path(&path), 0).unwrap();
+    assert_eq!(log.base_revision(), revision);
+    assert!(txns.is_empty(), "the fresh log holds no transaction");
+    let mut reopened = PagedStore::open(&path).unwrap();
+    assert_eq!(reopened.revision(), revision);
+    assert_eq!(image(&mut reopened).unwrap(), expected);
+}
+
+/// A node-segment page that fails its checksum fails `compact` typed, and
+/// the failed compaction leaves no temp file beside the page file, leaves
+/// the page file byte-identical, and the store still reopens. An imported
+/// store references every page, so each page past the two header slots
+/// gets its stored checksum flipped in turn: the open refuses the flip
+/// (the manifest, the preamble, the collections) or the page is a node
+/// segment's.
+#[test]
+fn a_failed_compact_leaves_no_temp_file_and_the_store_as_it_was() {
+    let scratch = Scratch::new("compact_fails");
+    let built = scratch.path("built.pdb");
+    let ddl: String = (0..600)
+        .map(|i| format!("object n{i} in Nodes {{ title \"Title {i:04}\" }}\n"))
+        .collect();
+    PagedStore::import(&built, &ddl::parse(&ddl).unwrap()).unwrap();
+    let pages = fs::read(&built).unwrap();
+    let log = fs::read(wal_path(&built)).unwrap();
+
+    let victim = scratch.path("victim.pdb");
+    let temp = scratch.path("victim.pdb.compact");
+    let mut failed = 0;
+    for page in 2..pages.len() / PAGE_SIZE {
+        let mut flipped = pages.clone();
+        flipped[page * PAGE_SIZE] ^= 0x10;
+        fs::write(&victim, &flipped).unwrap();
+        fs::write(wal_path(&victim), &log).unwrap();
+        let Ok(mut store) = PagedStore::open(&victim) else {
+            continue;
+        };
+        let err = store
+            .compact()
+            .expect_err("a corrupt page cannot be copied");
+        assert_typed_storage_error(&err, &format!("compact with page {page} flipped"));
+        drop(store);
+        failed += 1;
+        assert!(!temp.exists(), "page {page}: the temp file stayed");
+        assert!(
+            fs::read(&victim).unwrap() == flipped,
+            "page {page}: page file changed"
+        );
+        PagedStore::open(&victim)
+            .unwrap_or_else(|e| panic!("page {page}: no reopen after the failed compact: {e:?}"));
+    }
+    assert!(failed >= 10, "only {failed} node-segment pages exercised");
 }

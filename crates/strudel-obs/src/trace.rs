@@ -65,7 +65,7 @@ pub enum Layer {
     Eval = 2,
     /// Template/page rendering.
     Render = 3,
-    /// Paged store: snapshots, commits, group commit, checkpoints, WAL.
+    /// Paged store: opens, materializations, commits, checkpoints, WAL.
     Store = 4,
     /// Anything else.
     Other = 5,

@@ -168,16 +168,6 @@ impl Default for CacheConfig {
     }
 }
 
-impl CacheConfig {
-    /// A cache with effectively no bounds.
-    pub fn unbounded() -> Self {
-        CacheConfig {
-            max_entries: usize::MAX,
-            max_bytes: usize::MAX,
-        }
-    }
-}
-
 /// A link clause lifted out of the query.
 #[derive(Clone, Debug)]
 struct ClauseInfo {
@@ -520,11 +510,6 @@ impl<'g> DynamicSite<'g> {
     /// Number of live cache entries.
     pub fn cache_len(&self) -> usize {
         self.cache.lock().len()
-    }
-
-    /// Approximate bytes held by the cache.
-    pub fn cache_bytes(&self) -> usize {
-        self.cache.lock().bytes
     }
 
     /// Drops every cached entry (bounds are kept). Counted neither as
@@ -1266,7 +1251,7 @@ object p3 in Publications { title "C" year 1997 }
             site.expand(&page).unwrap();
             // A single oversized entry may stay (the caller just computed
             // it), but the cache must not accumulate beyond that.
-            assert!(site.cache_len() <= 1 || site.cache_bytes() <= 600);
+            assert!(site.cache_len() <= 1 || site.cache.lock().bytes <= 600);
         }
         assert!(site.stats().evictions > 0);
     }

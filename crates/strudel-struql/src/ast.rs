@@ -657,26 +657,6 @@ impl Query {
             None
         }
     }
-
-    /// The list of block ids on the path from the root to `id`, inclusive —
-    /// the "Q1 ∧ Q2" labels of site schemas.
-    pub fn governing_blocks(&self, id: BlockId) -> Option<Vec<BlockId>> {
-        fn walk(block: &Block, id: BlockId, path: &mut Vec<BlockId>) -> bool {
-            path.push(block.id);
-            if block.id == id {
-                return true;
-            }
-            for child in &block.children {
-                if walk(child, id, path) {
-                    return true;
-                }
-            }
-            path.pop();
-            false
-        }
-        let mut path = Vec::new();
-        walk(&self.root, id, &mut path).then_some(path)
-    }
 }
 
 impl fmt::Display for Query {
@@ -754,16 +734,6 @@ mod tests {
         let conds = q.governing_conditions(BlockId(1)).unwrap();
         assert_eq!(conds.len(), 3); // 2 from root + 1 own
         assert!(q.governing_conditions(BlockId(9)).is_none());
-    }
-
-    #[test]
-    fn governing_blocks_is_root_path() {
-        let q = sample();
-        assert_eq!(
-            q.governing_blocks(BlockId(1)).unwrap(),
-            vec![BlockId(0), BlockId(1)]
-        );
-        assert_eq!(q.governing_blocks(BlockId(0)).unwrap(), vec![BlockId(0)]);
     }
 
     #[test]

@@ -184,15 +184,6 @@ impl Bindings {
         self.len += 1;
     }
 
-    /// Appends a row of owned values.
-    #[inline]
-    pub fn push_row_values(&mut self, row: impl IntoIterator<Item = Value>) {
-        let before = self.data.len();
-        self.data.extend(row);
-        debug_assert_eq!(self.data.len() - before, self.vars.len());
-        self.len += 1;
-    }
-
     /// Keeps only the rows for which `keep` returns true, compacting the
     /// slab in place (no per-row allocation).
     pub fn retain_rows(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {

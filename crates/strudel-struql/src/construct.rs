@@ -138,18 +138,11 @@ impl SkolemTable {
     }
 
     /// Resolves `name(args)` to its node, creating the node in `out` on
-    /// first use. The node's provenance name is the printed Skolem term
-    /// (`YearPage(1997)`), which the HTML generator later uses for stable
-    /// file names.
-    pub fn instantiate(&mut self, out: &mut Graph, name: &str, args: &[Value]) -> Oid {
-        let (oid, _) = self.resolve_or_create(&mut out.batch(), name, args);
-        self.add_refs(oid, 1);
-        oid
-    }
-
-    /// Like [`SkolemTable::instantiate`], also reporting whether the node
-    /// was created by this call — and *not* taking the resolution's node
-    /// reference: the caller owes one [`SkolemTable::add_refs`] per use.
+    /// first use, and reports whether this call created it. The node's
+    /// provenance name is the printed Skolem term (`YearPage(1997)`), which
+    /// the HTML generator later uses for stable file names. The call does
+    /// *not* take the resolution's node reference: the caller owes one
+    /// [`SkolemTable::add_refs`] per use.
     fn resolve_or_create(
         &mut self,
         out: &mut GraphBatch<'_>,
@@ -906,6 +899,13 @@ pub fn aggregate(func: AggFunc, values: &FxHashSet<Value>) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resolves `name(args)` in `t` as one use of the term.
+    fn instantiate(t: &mut SkolemTable, out: &mut Graph, name: &str, args: &[Value]) -> Oid {
+        let (oid, _) = t.resolve_or_create(&mut out.batch(), name, args);
+        t.add_refs(oid, 1);
+        oid
+    }
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
     use std::collections::BTreeMap;
@@ -966,9 +966,9 @@ mod tests {
     fn skolem_is_functional() {
         let mut g = Graph::standalone();
         let mut t = SkolemTable::new();
-        let a1 = t.instantiate(&mut g, "Page", &[Value::Int(1)]);
-        let a2 = t.instantiate(&mut g, "Page", &[Value::Int(1)]);
-        let b = t.instantiate(&mut g, "Page", &[Value::Int(2)]);
+        let a1 = instantiate(&mut t, &mut g, "Page", &[Value::Int(1)]);
+        let a2 = instantiate(&mut t, &mut g, "Page", &[Value::Int(1)]);
+        let b = instantiate(&mut t, &mut g, "Page", &[Value::Int(2)]);
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
         assert_eq!(t.len(), 2);
@@ -979,8 +979,8 @@ mod tests {
     fn distinct_functions_do_not_collide() {
         let mut g = Graph::standalone();
         let mut t = SkolemTable::new();
-        let a = t.instantiate(&mut g, "YearPage", &[Value::Int(1997)]);
-        let b = t.instantiate(&mut g, "CategoryPage", &[Value::Int(1997)]);
+        let a = instantiate(&mut t, &mut g, "YearPage", &[Value::Int(1997)]);
+        let b = instantiate(&mut t, &mut g, "CategoryPage", &[Value::Int(1997)]);
         assert_ne!(a, b);
     }
 
@@ -989,7 +989,7 @@ mod tests {
         let mut g = Graph::standalone();
         let mut t = SkolemTable::new();
         assert!(t.lookup("P", &[Value::Int(1)]).is_none());
-        let oid = t.instantiate(&mut g, "P", &[Value::Int(1)]);
+        let oid = instantiate(&mut t, &mut g, "P", &[Value::Int(1)]);
         assert_eq!(t.lookup("P", &[Value::Int(1)]), Some(oid));
     }
 
@@ -997,7 +997,7 @@ mod tests {
     fn edges_have_set_semantics() {
         let mut g = Graph::standalone();
         let mut t = SkolemTable::new();
-        let a = t.instantiate(&mut g, "A", &[]);
+        let a = instantiate(&mut t, &mut g, "A", &[]);
         let l = g.sym("x");
         assert!(t.emit_edge(&mut g.batch(), a, l, Value::Int(1)).unwrap());
         assert!(!t.emit_edge(&mut g.batch(), a, l, Value::Int(1)).unwrap());
@@ -1012,7 +1012,7 @@ mod tests {
         data.add_edge_str(d, "headline", "hi").unwrap();
         let mut site = Graph::new(Arc::clone(&uni));
         let mut t = SkolemTable::new();
-        let page = t.instantiate(&mut site, "Page", &[]);
+        let page = instantiate(&mut t, &mut site, "Page", &[]);
         let story = site.sym("Story");
         t.emit_edge(&mut site.batch(), page, story, Value::Node(d))
             .unwrap();
@@ -1262,8 +1262,8 @@ mod tests {
         // same Skolem term share the node.
         let mut g = Graph::standalone();
         let mut t = SkolemTable::new();
-        let first = t.instantiate(&mut g, "Root", &[]);
-        let second = t.instantiate(&mut g, "Root", &[]);
+        let first = instantiate(&mut t, &mut g, "Root", &[]);
+        let second = instantiate(&mut t, &mut g, "Root", &[]);
         assert_eq!(first, second);
     }
 
@@ -1273,8 +1273,8 @@ mod tests {
         let mut site = Graph::new(Arc::clone(&uni));
         let mut elsewhere = Graph::new(Arc::clone(&uni));
         let mut t = SkolemTable::new();
-        let page = t.instantiate(&mut site, "Page", &[]);
-        let other = t.instantiate(&mut site, "Other", &[]);
+        let page = instantiate(&mut t, &mut site, "Page", &[]);
+        let other = instantiate(&mut t, &mut site, "Other", &[]);
         let l = site.sym("l");
         // A source that is not a member of the graph written to, and a
         // target that is no node of the universe.

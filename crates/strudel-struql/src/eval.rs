@@ -280,8 +280,7 @@ impl Query {
 
     /// Evaluates only the *query stage* for the conjunction governing block
     /// `id` (ancestors' conditions plus the block's own), returning the
-    /// bindings relation. Used by site schemas' incremental evaluation and
-    /// by tests.
+    /// bindings relation.
     pub fn bindings_of_block(
         &self,
         id: BlockId,

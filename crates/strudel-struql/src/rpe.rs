@@ -81,11 +81,6 @@ impl Nfa {
         }
     }
 
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.eps.len()
-    }
-
     /// The start state.
     pub fn start(&self) -> u32 {
         self.start
@@ -95,14 +90,6 @@ impl Nfa {
     #[inline]
     pub fn is_accept(&self, s: u32) -> bool {
         self.accept[s as usize]
-    }
-
-    /// Whether the automaton accepts the empty path (the source node itself
-    /// is a target, as with `*`).
-    pub fn matches_empty(&self) -> bool {
-        self.eps_closure_of(self.start)
-            .into_iter()
-            .any(|s| self.is_accept(s))
     }
 
     /// ε-closure of one state (including itself), as a sorted list.
@@ -310,9 +297,7 @@ mod tests {
     fn any_path_matches_empty() {
         let star = Rpe::any_path();
         check(&star, &[&[], &["a"], &["a", "b", "c"]], &[]);
-        let interner = Interner::new();
-        assert!(Nfa::compile(&star, &interner).matches_empty());
-        assert!(!Nfa::compile(&label("a"), &interner).matches_empty());
+        check(&label("a"), &[&["a"]], &[&[]]);
     }
 
     #[test]
@@ -385,11 +370,9 @@ mod tests {
     #[test]
     fn reversed_preserves_empty_match() {
         let interner = Interner::new();
-        assert!(Nfa::compile(&Rpe::any_path(), &interner)
-            .reversed()
-            .matches_empty());
-        assert!(!Nfa::compile(&label("x"), &interner)
-            .reversed()
-            .matches_empty());
+        let preds = PredicateRegistry::with_builtins();
+        let reversed = |rpe: &Rpe| Nfa::compile(rpe, &interner).reversed();
+        assert!(accepts(&reversed(&Rpe::any_path()), &interner, &preds, &[]));
+        assert!(!accepts(&reversed(&label("x")), &interner, &preds, &[]));
     }
 }

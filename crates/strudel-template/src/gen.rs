@@ -183,17 +183,6 @@ impl<'g> Generator<'g> {
         self.generate_parallel(roots, 1)
     }
 
-    /// Generates starting from every node of a named collection (the usual
-    /// `COLLECT Roots(...)` convention).
-    pub fn generate_from_collection(&self, collection: &str) -> Result<GeneratedSite> {
-        let roots: Vec<Oid> = self
-            .graph
-            .collection_str(collection)
-            .map(|c| c.items().iter().filter_map(Value::as_node).collect())
-            .unwrap_or_default();
-        self.generate(&roots)
-    }
-
     /// Renders a single object to an HTML fragment without emitting pages
     /// for anything it links to. Useful for testing templates.
     pub fn render_fragment(&self, n: Oid) -> Result<String> {
@@ -1102,9 +1091,10 @@ mod tests {
         let mut ts = TemplateSet::new();
         ts.set_object_template(root, "<SFMT @Paper>").unwrap();
         ts.set_object_template(pub1, "x").unwrap();
-        let out = Generator::new(&g, &ts)
-            .generate_from_collection("Roots")
-            .unwrap();
+        let roots: Vec<Oid> = (g.collection_str("Roots").unwrap().items().iter())
+            .filter_map(Value::as_node)
+            .collect();
+        let out = Generator::new(&g, &ts).generate(&roots).unwrap();
         assert_eq!(out.pages.len(), 2);
         assert!(out.page_of.contains_key(&root));
     }

@@ -267,18 +267,12 @@ fn typed_value(field: &str, value: &str) -> Value {
     }
 }
 
-/// Converts BibTeX text into a data graph: one object per entry, in the
+/// Loads BibTeX text into `g`: one object per entry, in the
 /// `Publications` collection, with a `pub-type` attribute from the entry
 /// type and one attribute per field (authors/editors split into
-/// multi-valued attributes, preserving order).
-pub fn to_graph(src: &str) -> Result<Graph, GraphError> {
-    let mut g = Graph::standalone();
-    load_into(&mut g, src)?;
-    Ok(g)
-}
-
-/// Like [`to_graph`], loading into an existing graph (so a mediator can
-/// warehouse several sources into one universe).
+/// multi-valued attributes, preserving order). The graph may share its
+/// universe with other sources, so a mediator can warehouse several
+/// sources into one.
 pub fn load_into(g: &mut Graph, src: &str) -> Result<(), GraphError> {
     let entries = parse(src)?;
     let pubs = g.ensure_collection("Publications");
@@ -308,6 +302,12 @@ pub fn load_into(g: &mut Graph, src: &str) -> Result<(), GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_graph(src: &str) -> Result<Graph, GraphError> {
+        let mut g = Graph::standalone();
+        load_into(&mut g, src)?;
+        Ok(g)
+    }
 
     const SAMPLE: &str = r#"
 % a comment line

@@ -199,18 +199,10 @@ fn normalize(s: &str) -> String {
     s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// Maps a set of `(url, html)` pages into a data graph: one object per page
-/// in the `Pages` collection, with `url`, `title`, `heading*`, `text`,
-/// `image*` attributes and `link` edges — resolved to the target page's
-/// *node* when the href names another wrapped page, kept as a URL value
-/// otherwise.
-pub fn to_graph(pages: &[(String, String)]) -> Result<Graph, GraphError> {
-    let mut g = Graph::standalone();
-    load_into(&mut g, pages)?;
-    Ok(g)
-}
-
-/// Like [`to_graph`], loading into an existing graph.
+/// Maps a set of `(url, html)` pages into `g`: one object per page in the
+/// `Pages` collection, with `url`, `title`, `heading*`, `text`, `image*`
+/// attributes and `link` edges — resolved to the target page's *node* when
+/// the href names another wrapped page, kept as a URL value otherwise.
 pub fn load_into(g: &mut Graph, pages: &[(String, String)]) -> Result<(), GraphError> {
     let coll = g.ensure_collection("Pages");
     let mut nodes: Vec<(String, Oid, PageContent)> = Vec::with_capacity(pages.len());
@@ -257,6 +249,12 @@ pub fn load_into(g: &mut Graph, pages: &[(String, String)]) -> Result<(), GraphE
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_graph(pages: &[(String, String)]) -> Result<Graph, GraphError> {
+        let mut g = Graph::standalone();
+        load_into(&mut g, pages)?;
+        Ok(g)
+    }
 
     const PAGE: &str = r#"<html><head><title>Top Story &amp; More</title>
 <style>body { color: red }</style></head>

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 use strudel_graph::graph::Universe;
-use strudel_graph::{Graph, Oid};
+use strudel_graph::Graph;
 use strudel_struql::{parse_query, EvalOptions, Query, Result, SkolemTable, StruqlError};
 
 /// A data source: anything that can materialize its contents as a graph in
@@ -70,12 +70,6 @@ impl Mediator {
         }
     }
 
-    /// Replaces the evaluation options used for mapping queries.
-    pub fn with_options(mut self, opts: EvalOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// The mediator's universe (site graphs should be built in it too).
     pub fn universe(&self) -> &Arc<Universe> {
         &self.universe
@@ -113,12 +107,6 @@ impl Mediator {
     /// Whether the warehouse must be rebuilt before queries can run.
     pub fn is_stale(&self) -> bool {
         self.warehouse.is_none()
-    }
-
-    /// Marks the warehouse stale (e.g. after a source changed) — "this
-    /// requires that the warehouse be updated when data changes".
-    pub fn mark_stale(&mut self) {
-        self.warehouse = None;
     }
 
     /// Number of refreshes performed.
@@ -172,19 +160,19 @@ fn adopt_all(data: &mut Graph, src: &Graph) -> Result<()> {
     Ok(())
 }
 
-/// Returns an [`Oid`]-named helper: the first node of `g` whose provenance
-/// name equals `name`. Exposed for tests and examples.
-pub fn node_named(g: &Graph, name: &str) -> Option<Oid> {
-    g.nodes()
-        .iter()
-        .copied()
-        .find(|&n| g.node_name(n).as_deref() == Some(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{bibtex, relational};
+    use strudel_graph::Oid;
+
+    /// The first node of `g` whose provenance name is `name`.
+    fn node_named(g: &Graph, name: &str) -> Option<Oid> {
+        g.nodes()
+            .iter()
+            .copied()
+            .find(|&n| g.node_name(n).as_deref() == Some(name))
+    }
 
     fn bib_source() -> Box<dyn Source> {
         Box::new(FnSource(|u: &Arc<Universe>| {
@@ -263,7 +251,7 @@ mod tests {
         m.refresh().unwrap();
         assert!(!m.is_stale());
         assert_eq!(m.refresh_count(), 1);
-        m.mark_stale();
+        m.add_source("people", people_source());
         assert!(m.is_stale());
         m.refresh().unwrap();
         assert_eq!(m.refresh_count(), 2);

@@ -4,7 +4,7 @@
 //! contain personnel and organizational data" with "simple AWK programs"
 //! mapping them into data-graph objects (§5.1). Here the relational side is
 //! a tiny in-memory engine: [`Table`]s parsed from CSV text, with typed
-//! columns and foreign keys. [`to_graph`] performs the wrapper mapping: one
+//! columns and foreign keys. [`load_into`] performs the wrapper mapping: one
 //! object per row, one collection per table, attributes per column, and
 //! foreign-key columns resolved into node references so the data graph is
 //! genuinely a graph.
@@ -152,13 +152,6 @@ fn typed_cell(cell: &str) -> Value {
     }
 }
 
-/// Maps tables into a fresh data graph.
-pub fn to_graph(tables: &[Table], fks: &[ForeignKey]) -> Result<Graph, GraphError> {
-    let mut g = Graph::standalone();
-    load_into(&mut g, tables, fks)?;
-    Ok(g)
-}
-
 /// Maps tables into an existing graph: one collection per table, one object
 /// per row (named `<table><row>`), one attribute per non-empty cell
 /// (empty cells are *missing attributes*, the natural semistructured
@@ -224,6 +217,12 @@ pub fn load_into(g: &mut Graph, tables: &[Table], fks: &[ForeignKey]) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_graph(tables: &[Table], fks: &[ForeignKey]) -> Result<Graph, GraphError> {
+        let mut g = Graph::standalone();
+        load_into(&mut g, tables, fks)?;
+        Ok(g)
+    }
 
     const PEOPLE: &str = "\
 id,name,title,dept,phone

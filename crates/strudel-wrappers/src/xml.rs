@@ -362,13 +362,6 @@ fn build(g: &mut Graph, element: &Element) -> Oid {
     node
 }
 
-/// Maps XML text into a fresh data graph.
-pub fn to_graph(src: &str) -> Result<Graph, GraphError> {
-    let mut g = Graph::standalone();
-    load_into(&mut g, src)?;
-    Ok(g)
-}
-
 /// Maps XML text into an existing graph. Children of each root element
 /// join a collection named after their tag (so a `<bibliography>` of
 /// `<publication>` children yields a `publication` collection); the roots
@@ -400,6 +393,12 @@ pub fn load_into(g: &mut Graph, src: &str) -> Result<(), GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_graph(src: &str) -> Result<Graph, GraphError> {
+        let mut g = Graph::standalone();
+        load_into(&mut g, src)?;
+        Ok(g)
+    }
 
     const SAMPLE: &str = r#"<?xml version="1.0"?>
 <!DOCTYPE bibliography [ <!ELEMENT publication ANY> ]>

@@ -242,7 +242,8 @@ mod tests {
     #[test]
     fn bibtex_is_parseable_and_irregular() {
         let bib = generate_bibtex("Mary Fernandez", 40, 5);
-        let g = strudel_wrappers::bibtex::to_graph(&bib).unwrap();
+        let mut g = strudel_graph::Graph::standalone();
+        strudel_wrappers::bibtex::load_into(&mut g, &bib).unwrap();
         assert_eq!(g.collection_str("Publications").unwrap().len(), 40);
         // Mixed journal/booktitle per pub-type.
         assert!(bib.contains("journal = "));

@@ -95,11 +95,6 @@ impl Strudel {
         self.jobs
     }
 
-    /// The mediator, for advanced source management.
-    pub fn mediator_mut(&mut self) -> &mut Mediator {
-        &mut self.mediator
-    }
-
     /// The template set.
     pub fn templates_mut(&mut self) -> &mut TemplateSet {
         &mut self.templates

@@ -212,16 +212,17 @@ object p2 in Publications { title "StruQL" year 1997 }
     txn.add_to_collection("Publications", WireValue::Node(p3));
     txn.commit().unwrap();
 
-    // Reopen (recovery path) and query the snapshot.
+    // Reopen (recovery path) and query a graph filled from the store.
     drop(paged);
     let mut paged = PagedStore::open(&path).unwrap();
-    let snap = paged.snapshot().unwrap();
+    let mut snap = Graph::standalone();
+    paged.materialize_into(&mut snap).unwrap();
     let q = parse_query(
         r#"WHERE Publications(x), x -> "title" -> t
            CREATE Page(x) LINK Page(x) -> "T" -> t COLLECT Pages(Page(x))"#,
     )
     .unwrap();
-    let out = q.evaluate(snap.graph(), &EvalOptions::default()).unwrap();
+    let out = q.evaluate(&snap, &EvalOptions::default()).unwrap();
     assert_eq!(out.graph.collection_str("Pages").unwrap().len(), 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
