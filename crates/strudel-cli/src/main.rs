@@ -109,25 +109,21 @@ fn parse_profile_flags(rest: &[String]) -> Result<ProfileMode, AnyError> {
     }
 }
 
-/// Runs `evaluate` under a root span named `name` with the recorder on and
-/// returns its result with the spans recorded below that root, in start
+/// Runs `evaluate` under a root span named `name` on a recorder of its own
+/// and returns its result with the spans recorded below that root, in start
 /// order. Fails if the ring wrapped during the run.
 fn profiled<T, E: Into<AnyError>>(
     name: &'static str,
     evaluate: impl FnOnce() -> Result<T, E>,
 ) -> Result<(T, Vec<SpanRecord>), AnyError> {
-    trace::enable(trace::TraceConfig::default());
-    let root = trace::begin_request(name).ok_or("the flight recorder is off")?;
-    let trace_id = root.trace_id();
+    let recorder = trace::Recorder::new(trace::TraceConfig::default());
+    let root = recorder.begin_request(name);
     let entered = trace::enter(&root.ctx());
     let result = evaluate();
     drop(entered);
-    let recorded = root.finish().map_or(0, |summary| summary.spans as usize);
+    let recorded = root.finish().spans as usize;
     let value = result.map_err(Into::into)?;
-    let mut spans: Vec<SpanRecord> = trace::snapshot_spans()
-        .into_iter()
-        .filter(|s| s.trace_id == trace_id)
-        .collect();
+    let mut spans = recorder.snapshot_spans();
     if spans.len() < recorded {
         return Err(format!(
             "the flight recorder's ring wrapped during the run: {} of {recorded} spans lost",
@@ -447,7 +443,7 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
     if let Some(store_path) = &data {
         s.add_store_source("store", Path::new(store_path));
     }
-    strudel::obs::trace::enable(trace_cfg);
+    config.trace = Some(trace_cfg);
     let dynamic = s.dynamic_site_with(cache)?;
     let server = strudel::serve::Server::bind_with(dynamic, &addr, config)?;
     println!(
@@ -456,14 +452,16 @@ fn cmd_serve(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
         server.config().threads,
     );
     server.serve(None)?;
-    print_trace_summary();
+    if let Some(recorder) = server.recorder() {
+        print_trace_summary(recorder);
+    }
     Ok(())
 }
 
 /// The serve-shutdown trace summary: recorder totals plus the worst
 /// promoted traces with their per-layer self-time breakdowns.
-fn print_trace_summary() {
-    let t = trace::stats();
+fn print_trace_summary(recorder: &trace::Recorder) {
+    let t = recorder.stats();
     if t.traces_started == 0 {
         return;
     }
@@ -476,7 +474,7 @@ fn print_trace_summary() {
         t.ring_capacity,
         t.spans_dropped,
     );
-    let worst = trace::worst_traces();
+    let worst = recorder.worst_traces();
     if worst.is_empty() {
         return;
     }
@@ -519,12 +517,12 @@ fn cmd_trace(target: &str, rest: &[String]) -> Result<(), AnyError> {
     // In-process: serve the spec on an ephemeral port with tracing fully
     // on, then run the same remote flow against it.
     let (mut s, _) = load_system(Path::new(target))?;
-    strudel::obs::trace::enable(strudel::obs::trace::TraceConfig {
-        sample_rate: 1.0,
-        ..Default::default()
-    });
     let dynamic = s.dynamic_site_with(strudel::site::CacheConfig::default())?;
-    let server = strudel::serve::Server::bind(dynamic, "127.0.0.1:0")?;
+    let config = strudel::serve::ServerConfig {
+        trace: Some(trace::TraceConfig::default()),
+        ..Default::default()
+    };
+    let server = strudel::serve::Server::bind_with(dynamic, "127.0.0.1:0", config)?;
     let host = server.addr()?.to_string();
     let mut result = Err("trace did not run".into());
     std::thread::scope(|scope| {

@@ -15,9 +15,9 @@
 //!
 //! * **No dependencies.** Only `std`, like the rest of the workspace.
 //! * **Nothing to switch on per evaluation.** Always-on counters are single
-//!   relaxed atomic increments; a span is one relaxed atomic load and an
-//!   inert guard, without a clock read, unless the recorder is on and a
-//!   trace is active on the thread.
+//!   relaxed atomic increments; a span is one thread-local read and an
+//!   inert guard, without a clock read, unless a trace is active on the
+//!   thread.
 //! * **Lock-free recording.** [`Histogram::record`] is a handful of relaxed
 //!   atomic operations — no mutex, so concurrent recorders can never tear
 //!   each other's samples (the race the old serve-side reservoir had).

@@ -574,29 +574,21 @@ fn cyclic_graphs_terminate() {
     assert_eq!(out.graph.collection_str("Reached").unwrap().len(), 2);
 }
 
-/// The traced tests of this binary hold this while they read the recorder,
-/// which is one per process.
-static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Evaluates `q` over `data` under a root span and returns the output with
-/// every span of that trace.
+/// Evaluates `q` over `data` under a root span on a recorder of its own and
+/// returns the output with every span of that trace, and the recorder.
 fn traced(
     q: &strudel_struql::Query,
     data: &Graph,
-) -> (strudel_struql::EvalOutput, Vec<SpanRecord>) {
-    trace::enable(trace::TraceConfig::default());
-    let root = trace::begin_request("test.eval").expect("tracing enabled");
-    let trace_id = root.trace_id();
+) -> (strudel_struql::EvalOutput, Vec<SpanRecord>, trace::Recorder) {
+    let recorder = trace::Recorder::new(trace::TraceConfig::default());
+    let root = recorder.begin_request("test.eval");
     let entered = trace::enter(&root.ctx());
     let out = q.evaluate(data, &EvalOptions::default()).unwrap();
     drop(entered);
-    let summary = root.finish().unwrap();
-    let spans: Vec<_> = trace::snapshot_spans()
-        .into_iter()
-        .filter(|s| s.trace_id == trace_id)
-        .collect();
+    let summary = root.finish();
+    let spans = recorder.snapshot_spans();
     assert_eq!(spans.len(), summary.spans as usize, "the ring wrapped");
-    (out, spans)
+    (out, spans, recorder)
 }
 
 fn attr<'s>(span: &'s SpanRecord, key: &str) -> &'s AttrValue {
@@ -620,10 +612,9 @@ fn text<'s>(span: &'s SpanRecord, key: &str) -> &'s str {
 
 #[test]
 fn profile_reports_strategies_rows_and_blocks() {
-    let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let data = fig2_graph();
     let q = parse_query(FIG3).unwrap();
-    let (out, spans) = traced(&q, &data);
+    let (out, spans, recorder) = traced(&q, &data);
     let blocks: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "eval.block").collect();
     let ops: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "eval.op").collect();
     assert!(!ops.is_empty());
@@ -643,20 +634,19 @@ fn profile_reports_strategies_rows_and_blocks() {
 
     // Tracing changes observability only, never the result; and without a
     // trace on the thread the evaluator records nothing.
-    let recorded = trace::stats().spans_recorded;
+    let recorded = recorder.stats().spans_recorded;
     let plain = q.evaluate(&data, &EvalOptions::default()).unwrap();
     assert_eq!(out.graph.edge_count(), plain.graph.edge_count());
-    assert_eq!(trace::stats().spans_recorded, recorded);
+    assert_eq!(recorder.stats().spans_recorded, recorded);
 }
 
 #[test]
 fn profile_sees_path_cache_and_strategy_shift() {
     // An RPE over an indexed graph memoizes reach sets: repeated sources
     // hit the PathCache. With the index off, the reverse strategies shift.
-    let _recorder = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let data = fig2_graph();
     let q = parse_query(r#"WHERE Publications(x), x -> * -> v COLLECT Reached(v)"#).unwrap();
-    let (_, spans) = traced(&q, &data);
+    let (_, spans, _) = traced(&q, &data);
     let rpe = spans
         .iter()
         .find(|s| s.name == "eval.op" && text(s, "op") == "rpe-forward")

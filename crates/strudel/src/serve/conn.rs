@@ -97,8 +97,8 @@ pub(crate) struct Conn {
     /// When the in-flight request began (first byte; accept time for a
     /// connection's first).
     pub req_started: Instant,
-    /// Root tracing span of the in-flight request (present only while
-    /// tracing is enabled); finished when the response drains or the
+    /// Root tracing span of the in-flight request (present only on a server
+    /// with a recorder); finished when the response drains or the
     /// connection dies.
     pub trace: Option<trace::RootSpan>,
     /// Flight-recorder timestamp (ns) when the response was queued —
@@ -168,8 +168,8 @@ impl Conn {
     /// Arms the response encoded into `wbuf` (an allocation the loop reuses
     /// from answer to answer). `Flush` it to make progress.
     pub fn arm_response(&mut self, is_error: bool, close_after: bool) {
-        if self.trace.is_some() {
-            self.trace_write_ns = trace::now_ns();
+        if let Some(root) = &self.trace {
+            self.trace_write_ns = root.now_ns();
         }
         self.wpos = 0;
         self.pending_is_error = is_error;

@@ -23,6 +23,7 @@ use super::http::{self, AcceptBackoff, Method, Parsed, Request};
 use super::Server;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -44,6 +45,7 @@ const KEEP_BUFFER: usize = 64 * 1024;
 const BAD_REQUEST: &str = "400 Bad Request";
 const TOO_LARGE: &str = "431 Request Header Fields Too Large";
 const OVERLOADED: &str = "503 Service Unavailable";
+const INTERNAL_ERROR: &str = "500 Internal Server Error";
 
 /// Ends a connection's in-flight root span (if any): records the
 /// `serve.write` phase when a response was queued, then finishes the
@@ -51,13 +53,12 @@ const OVERLOADED: &str = "503 Service Unavailable";
 fn finish_trace(conn: &mut Conn) {
     if let Some(root) = conn.trace.take() {
         if conn.trace_write_ns > 0 {
-            let ctx = root.ctx();
             trace::record_span(
-                &ctx,
+                &root.ctx(),
                 "serve.write",
                 trace::Layer::Serve,
                 conn.trace_write_ns,
-                trace::now_ns(),
+                root.now_ns(),
                 &[("bytes", trace::AttrValue::U64(conn.wbuf.len() as u64))],
             );
         }
@@ -121,7 +122,15 @@ pub(super) fn run(server: &Server<'_>, max_conns: Option<usize>) -> crate::error
                     // dispatch and here surfaces as queue time on the root.
                     let trace_guard = job.trace.as_ref().map(trace::enter);
                     let mut hspan = trace::span("serve.handle", trace::Layer::Serve);
-                    let (status, content_type, body) = server.route_request(&job.req, shutdown);
+                    // A panic below fails this request, not the worker: it
+                    // is answered 500 and the worker takes the next job.
+                    let routed = panic::catch_unwind(AssertUnwindSafe(|| {
+                        server.route_request(&job.req, shutdown)
+                    }));
+                    let (status, content_type, body) = routed.unwrap_or_else(|_| {
+                        let body = "<html><body>internal error</body></html>";
+                        (INTERNAL_ERROR.into(), http::CT_HTML, body.into())
+                    });
                     let status_code = status
                         .split(' ')
                         .next()
@@ -362,7 +371,10 @@ impl EventLoop<'_, '_> {
                     conn.state = ConnState::Reading;
                     conn.req_started = Instant::now();
                     conn.deadline = Some(conn.req_started + self.server.config.request_timeout);
-                    conn.trace = trace::begin_request("request");
+                    conn.trace = self
+                        .server
+                        .recorder()
+                        .map(|rec| rec.begin_request("request"));
                 }
                 self.advance(slot);
             }
@@ -426,7 +438,7 @@ impl EventLoop<'_, '_> {
                     "serve.parse",
                     trace::Layer::Serve,
                     root.start_ns(),
-                    trace::now_ns(),
+                    root.now_ns(),
                     &[("bytes", trace::AttrValue::U64(consumed as u64))],
                 );
                 ctx
@@ -570,7 +582,10 @@ impl EventLoop<'_, '_> {
             // Pipelined successor already buffered: it began "arriving"
             // now for deadline purposes.
             conn.state = ConnState::Reading;
-            conn.trace = trace::begin_request("request");
+            conn.trace = self
+                .server
+                .recorder()
+                .map(|rec| rec.begin_request("request"));
             return true;
         }
         self.set_interest(slot, Event::readable(slot + 1));

@@ -34,7 +34,8 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use strudel_graph::{storage_stats, StorageStats};
-use strudel_obs::{trace, Scrape};
+use strudel_obs::trace::{self, Recorder, TraceConfig};
+use strudel_obs::Scrape;
 use strudel_site::{Delta, DynamicSite, PageRef};
 use strudel_struql::{planner_dp_fallbacks, PLANNER_SIGNALS};
 
@@ -54,6 +55,9 @@ pub struct ServerConfig {
     /// Admission control: connections beyond this many already open are
     /// answered with a static 503 and closed.
     pub max_connections: usize,
+    /// The server's flight recorder (`/debug/traces`, `traces.*`), or
+    /// `None` to trace nothing.
+    pub trace: Option<TraceConfig>,
 }
 
 impl Default for ServerConfig {
@@ -63,6 +67,7 @@ impl Default for ServerConfig {
             request_timeout: Duration::from_secs(5),
             max_request_bytes: 16 * 1024,
             max_connections: 1024,
+            trace: None,
         }
     }
 }
@@ -74,6 +79,7 @@ pub struct Server<'g> {
     roots: Vec<PageRef>,
     config: ServerConfig,
     metrics: metrics::Metrics,
+    recorder: Option<Recorder>,
     /// Readiness for `/healthz`: flips true once [`Server::serve`] enters
     /// its accept loop (site built, store open, listener bound). Liveness
     /// is implied by answering at all.
@@ -101,6 +107,7 @@ impl<'g> Server<'g> {
             roots,
             config,
             metrics: metrics::Metrics::new(config.threads.max(1)),
+            recorder: config.trace.map(Recorder::new),
             ready: AtomicBool::new(false),
         })
     }
@@ -120,6 +127,12 @@ impl<'g> Server<'g> {
         &self.config
     }
 
+    /// This server's flight recorder, if [`ServerConfig::trace`] asked for
+    /// one.
+    pub fn recorder(&self) -> Option<&Recorder> {
+        self.recorder.as_ref()
+    }
+
     /// Request counters so far.
     pub fn stats(&self) -> ServeStats {
         self.metrics.snapshot()
@@ -134,7 +147,7 @@ impl<'g> Server<'g> {
         self.metrics.scrape(&mut scrape);
         self.site.scrape(&mut scrape);
         scrape.walk(StorageStats::SIGNALS, &storage_stats());
-        trace::scrape(&mut scrape);
+        trace::scrape(self.recorder(), &mut scrape);
         scrape.walk(PLANNER_SIGNALS, &planner_dp_fallbacks());
         scrape
     }

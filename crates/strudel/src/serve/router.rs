@@ -116,11 +116,14 @@ impl Server<'_> {
             };
         }
         if path == "/debug/traces" {
-            return if query.split('&').any(|kv| kv == "format=chrome") {
-                ("200 OK".into(), CT_JSON, trace::traces_chrome())
-            } else {
-                ("200 OK".into(), CT_JSON, trace::traces_json())
+            let chrome = query.split('&').any(|kv| kv == "format=chrome");
+            let body = match (&self.recorder, chrome) {
+                (Some(rec), true) => rec.traces_chrome(),
+                (Some(rec), false) => rec.traces_json(),
+                (None, true) => "[]".into(),
+                (None, false) => "{\"traces\":[]}".into(),
             };
+            return ("200 OK".into(), CT_JSON, body);
         }
         if path.starts_with("/page/") {
             let Some(page) = parse_page_url(path) else {

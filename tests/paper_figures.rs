@@ -174,20 +174,16 @@ fn fig3_fig4_site_graph() {
 #[test]
 fn every_executed_operator_has_one_eval_op_span() {
     use strudel::obs::trace::{self, SpanRecord};
-    trace::enable(trace::TraceConfig::default());
     let fig3 = (ddl::parse(FIG2).unwrap(), parse_query(FIG3).unwrap());
     let news_site = (news_data(300), parse_query(news::SITE_QUERY).unwrap());
     for (data, query) in [fig3, news_site] {
-        let root = trace::begin_request("test.eval").expect("tracing enabled");
-        let trace_id = root.trace_id();
+        let recorder = trace::Recorder::new(trace::TraceConfig::default());
+        let root = recorder.begin_request("test.eval");
         let entered = trace::enter(&root.ctx());
         let out = query.evaluate(&data, &EvalOptions::default()).unwrap();
         drop(entered);
-        let recorded = root.finish().unwrap().spans as usize;
-        let spans: Vec<SpanRecord> = trace::snapshot_spans()
-            .into_iter()
-            .filter(|s| s.trace_id == trace_id)
-            .collect();
+        let recorded = root.finish().spans as usize;
+        let spans: Vec<SpanRecord> = recorder.snapshot_spans();
         assert_eq!(spans.len(), recorded, "the ring wrapped");
         let ops: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "eval.op").collect();
         assert!(!ops.is_empty());
