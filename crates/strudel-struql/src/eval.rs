@@ -422,17 +422,19 @@ fn run_plan(
     start: Bindings,
     opts: &EvalOptions,
 ) -> Result<Bindings> {
-    let mut arc_vars = FxHashSet::default();
-    for cond in conds {
-        if let Condition::Edge {
+    let arc_vars = edge_arc_vars(conds).map(str::to_string).collect();
+    Ev::new(input, opts).eval_conditions(conds, plan, start, &arc_vars)
+}
+
+/// The variables in arc position of an edge among `conds`.
+fn edge_arc_vars(conds: &[Condition]) -> impl Iterator<Item = &str> {
+    conds.iter().filter_map(|cond| match cond {
+        Condition::Edge {
             step: PathStep::ArcVar(v),
             ..
-        } = cond
-        {
-            arc_vars.insert(v.clone());
-        }
-    }
-    Ev::new(input, opts).eval_conditions(conds, plan, start, &arc_vars)
+        } => Some(v.as_str()),
+        _ => None,
+    })
 }
 
 /// The set of arc variables of a query (variables appearing in arc position
@@ -577,6 +579,12 @@ impl<'g> Ev<'g> {
         Value::Str(self.graph.universe().interner().resolve(sym))
     }
 
+    /// Every label of the graph, as an edge binds an arc variable to it.
+    fn label_values(&self) -> Vec<Value> {
+        let labels = self.graph.labels().into_iter();
+        labels.map(|s| self.label_value(s)).collect()
+    }
+
     fn eval_block(
         &mut self,
         block: &Block,
@@ -633,6 +641,8 @@ impl<'g> Ev<'g> {
         arc_vars: &FxHashSet<String>,
     ) -> Result<Bindings> {
         let mut nodes: Vec<PlanNode> = plan.nodes.clone();
+        // An `=` or `IN` binds these to labels (see `Ev::compare_bind`).
+        let labelled: FxHashSet<&str> = edge_arc_vars(conds).collect();
         // Every operator appends to its input's columns, so the start schema
         // stays the first columns of the live relation.
         let start_width = start.width();
@@ -656,7 +666,8 @@ impl<'g> Ev<'g> {
                 tspan.attr_u64("est_rows", (node.est_mult * rows_in as f64).max(1.0) as u64);
                 self.opts.path_cache.stats()
             });
-            b = self.execute_op(node.op, node.label.as_deref(), cond, b, arc_vars)?;
+            let known = node.label.as_deref();
+            b = self.execute_op(node.op, known, cond, b, arc_vars, &labelled)?;
             tspan.attr_u64("obs_rows", b.len() as u64);
             if let Some(before) = path_before {
                 let after = self.opts.path_cache.stats();
@@ -689,7 +700,7 @@ impl<'g> Ev<'g> {
                 && observed > expected * ADAPT_FACTOR
             {
                 let remaining: Vec<usize> = nodes[k + 1..].iter().map(|n| n.cond).collect();
-                let measured = self.sample_multipliers(conds, &remaining, &b, arc_vars);
+                let measured = self.sample_multipliers(conds, &remaining, &b, arc_vars, &labelled);
                 if !measured.is_empty() {
                     let bound: FxHashSet<&str> = b.vars().iter().map(String::as_str).collect();
                     let start = b.vars()[..start_width].iter().map(String::as_str).collect();
@@ -723,6 +734,7 @@ impl<'g> Ev<'g> {
         remaining: &[usize],
         b: &Bindings,
         arc_vars: &FxHashSet<String>,
+        labelled: &FxHashSet<&str>,
     ) -> FxHashMap<usize, f64> {
         const SAMPLE_ROWS: usize = 16;
         const SAMPLE_OUT_BUDGET: f64 = 50_000.0;
@@ -747,7 +759,8 @@ impl<'g> Ev<'g> {
             // The operator the sample's own schema asks for: compiling a
             // plan for one application would cost more than it saves.
             let op = choose_op(cond, false, &|v| sample.is_bound(v), stats.indexed);
-            if let Ok(out) = self.execute_op(op, None, cond, sample.clone(), arc_vars) {
+            let out = self.execute_op(op, None, cond, sample.clone(), arc_vars, labelled);
+            if let Ok(out) = out {
                 measured.insert(i, (out.len() as f64 / n as f64).max(1e-6));
             }
         }
@@ -759,7 +772,7 @@ impl<'g> Ev<'g> {
     /// Executes one plan node's operator. This is the single dispatch point:
     /// both the plan-driven path and adaptive sampling go through it.
     /// `known`: the label the plan knows the condition's arc variable to
-    /// carry.
+    /// carry; `labelled`: the conjunction's edge arc variables.
     fn execute_op(
         &mut self,
         op: PhysOp,
@@ -767,6 +780,7 @@ impl<'g> Ev<'g> {
         cond: &Condition,
         input: Bindings,
         arc_vars: &FxHashSet<String>,
+        labelled: &FxHashSet<&str>,
     ) -> Result<Bindings> {
         let mismatch = || {
             StruqlError::eval(format!(
@@ -782,13 +796,13 @@ impl<'g> Ev<'g> {
                 _ => Err(mismatch()),
             },
             Condition::Compare { lhs, op: cmp, rhs } => match op {
-                PhysOp::CompareBind => self.compare_bind(lhs, rhs, input),
+                PhysOp::CompareBind => self.compare_bind(lhs, rhs, input, labelled),
                 PhysOp::CompareFilter => self.compare_filter(lhs, *cmp, rhs, input, arc_vars),
                 _ => Err(mismatch()),
             },
             Condition::In { var, set, negated } => match op {
                 PhysOp::InSemijoin => self.in_semijoin(var, set, *negated, input, arc_vars),
-                PhysOp::InExpand => self.in_expand(var, set, input),
+                PhysOp::InExpand => self.in_expand(var, set, input, labelled),
                 _ => Err(mismatch()),
             },
             Condition::Predicate {
@@ -860,11 +874,7 @@ impl<'g> Ev<'g> {
     /// variable, else all member nodes (documented choice; see module docs).
     fn active_domain(&self, var: &str, arc_vars: &FxHashSet<String>) -> Vec<Value> {
         if arc_vars.contains(var) {
-            self.graph
-                .labels()
-                .into_iter()
-                .map(|s| self.label_value(s))
-                .collect()
+            self.label_values()
         } else {
             self.graph.nodes().iter().map(|&n| Value::Node(n)).collect()
         }
@@ -986,8 +996,17 @@ impl<'g> Ev<'g> {
     }
 
     /// Assignment `v = <bound term>`: binds the unbound side, one row out
-    /// per row in.
-    fn compare_bind(&mut self, lhs: &Term, rhs: &Term, input: Bindings) -> Result<Bindings> {
+    /// per row in. A `labelled` variable — one an edge of the conjunction
+    /// binds too — is bound to each label of the graph equal to the term
+    /// instead: the label's text, as the edge binds it, so its column holds
+    /// one representation whichever of the two runs first.
+    fn compare_bind(
+        &mut self,
+        lhs: &Term,
+        rhs: &Term,
+        input: Bindings,
+        labelled: &FxHashSet<&str>,
+    ) -> Result<Bindings> {
         let lb = match lhs {
             Term::Var(v) => input.is_bound(v),
             _ => true,
@@ -998,11 +1017,20 @@ impl<'g> Ev<'g> {
             (lhs.as_var().expect("unbound side is a var"), rhs)
         };
         let slot = TermSlot::of(&input, bound_term)?;
+        let labels = labelled.contains(var).then(|| self.label_values());
         let mut out = Bindings::with_vars(input.vars().to_vec());
         out.add_var(var);
         out.reserve_rows(input.len());
         for row in input.rows() {
-            out.push_row_extend(row, [slot.value(row).clone()]);
+            let value = slot.value(row);
+            match &labels {
+                None => out.push_row_extend(row, [value.clone()]),
+                Some(labels) => {
+                    for label in labels.iter().filter(|l| l.coerced_eq(value)) {
+                        out.push_row_extend(row, [label.clone()]);
+                    }
+                }
+            }
         }
         Ok(out)
     }
@@ -1047,9 +1075,21 @@ impl<'g> Ev<'g> {
         Ok(input)
     }
 
-    /// `v IN {…}` enumeration: binds `v` to each set element.
-    fn in_expand(&mut self, var: &str, set: &[Literal], input: Bindings) -> Result<Bindings> {
-        let vals: Vec<Value> = set.iter().map(Literal::to_value).collect();
+    /// `v IN {…}` enumeration: binds `v` to each set element, or a
+    /// `labelled` variable to each label of the graph equal to one (see
+    /// [`Ev::compare_bind`]).
+    fn in_expand(
+        &mut self,
+        var: &str,
+        set: &[Literal],
+        input: Bindings,
+        labelled: &FxHashSet<&str>,
+    ) -> Result<Bindings> {
+        let mut vals: Vec<Value> = set.iter().map(Literal::to_value).collect();
+        if labelled.contains(var) {
+            let named = |label: &Value| vals.iter().any(|v| v.coerced_eq(label));
+            vals = self.label_values().into_iter().filter(named).collect();
+        }
         let mut out = Bindings::with_vars(input.vars().to_vec());
         out.add_var(var);
         out.reserve_rows(input.len().saturating_mul(vals.len()));
