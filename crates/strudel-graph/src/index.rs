@@ -177,8 +177,8 @@ impl GraphIndex {
 
     /// Removes one occurrence of an edge. The mirror of
     /// [`GraphIndex::index_edge`]; when a label's last edge goes the label is
-    /// also dropped from the schema scan order so indexed and unindexed
-    /// [`crate::graph::Graph::labels`] stay in agreement.
+    /// also dropped from the schema scan order, so that
+    /// [`crate::graph::Graph::labels`] lists only labels some edge carries.
     ///
     /// The counts *saturate*: a graph sharing its universe is not told about
     /// edges another graph adds to or removes from a common node, so
@@ -284,6 +284,15 @@ impl GraphIndex {
         ext.get(&n).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Every edge pointing at `v`, node or atomic value: the reverse access
+    /// path of a backward step.
+    pub fn edges_to(&self, v: &Value) -> &[(NodeId, Sym)] {
+        match v {
+            Value::Node(n) => self.edges_to_node(*n),
+            atomic => self.edges_to_value(atomic),
+        }
+    }
+
     // ---- statistics for the cost-based optimizer (§2.4, [FLO 97]) ----
 
     /// Number of edges carrying `label`.
@@ -358,24 +367,24 @@ mod tests {
     fn label_extension_lists_all_edges() {
         let g = indexed_graph();
         let year = g.universe().interner().get("year").unwrap();
-        assert_eq!(g.index().unwrap().edges_with_label(year).len(), 3);
-        assert_eq!(g.index().unwrap().label_cardinality(year), 3);
+        assert_eq!(g.index().edges_with_label(year).len(), 3);
+        assert_eq!(g.index().label_cardinality(year), 3);
     }
 
     #[test]
     fn global_value_index_spans_labels_and_nodes() {
         let g = indexed_graph();
-        let hits = g.index().unwrap().edges_to_value(&Value::Int(1997));
+        let hits = g.index().edges_to_value(&Value::Int(1997));
         assert_eq!(hits.len(), 2);
         let froms: Vec<_> = hits.iter().map(|(f, _)| *f).collect();
         assert!(froms.contains(&g.nodes()[0]) && froms.contains(&g.nodes()[1]));
     }
 
     #[test]
-    fn reverse_adjacency_tracks_node_targets() {
+    fn in_edges_track_node_targets() {
         let g = indexed_graph();
         let b = g.nodes()[1];
-        let back = g.index().unwrap().edges_to_node(b);
+        let back = g.index().edges_to_node(b);
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].0, g.nodes()[0]);
     }
@@ -383,7 +392,7 @@ mod tests {
     #[test]
     fn schema_index_holds_collections_and_labels() {
         let g = indexed_graph();
-        let idx = g.index().unwrap();
+        let idx = g.index();
         assert_eq!(idx.label_count(), 2);
         let people = g.universe().interner().get("People").unwrap();
         assert_eq!(idx.collection_cardinality(people), Some(1));
@@ -393,14 +402,14 @@ mod tests {
     #[test]
     fn missing_label_has_empty_extension() {
         let g = indexed_graph();
-        assert!(g.index().unwrap().edges_with_label(Sym(4242)).is_empty());
-        assert!(g.index().unwrap().edges_to_value(&Value::Int(0)).is_empty());
+        assert!(g.index().edges_with_label(Sym(4242)).is_empty());
+        assert!(g.index().edges_to_value(&Value::Int(0)).is_empty());
     }
 
     #[test]
     fn degree_statistics_track_distinct_endpoints() {
         let g = indexed_graph();
-        let idx = g.index().unwrap();
+        let idx = g.index();
         let year = g.universe().interner().get("year").unwrap();
         // Three `year` edges from two sources onto two distinct values.
         assert_eq!(idx.label_cardinality(year), 3);
@@ -419,22 +428,22 @@ mod tests {
         let b = g.nodes()[1];
         g.remove_edge_str(b, "year", &Value::Int(1998)).unwrap();
         let year = g.universe().interner().get("year").unwrap();
-        assert_eq!(g.index().unwrap().label_distinct_sources(year), 2);
-        assert_eq!(g.index().unwrap().label_distinct_targets(year), 1);
+        assert_eq!(g.index().label_distinct_sources(year), 2);
+        assert_eq!(g.index().label_distinct_targets(year), 1);
         g.remove_edge_str(b, "year", &Value::Int(1997)).unwrap();
-        assert_eq!(g.index().unwrap().label_distinct_sources(year), 1);
+        assert_eq!(g.index().label_distinct_sources(year), 1);
         g.rebuild_index();
-        assert_eq!(g.index().unwrap().label_distinct_sources(year), 1);
-        assert_eq!(g.index().unwrap().label_distinct_targets(year), 1);
+        assert_eq!(g.index().label_distinct_sources(year), 1);
+        assert_eq!(g.index().label_distinct_targets(year), 1);
     }
 
     #[test]
     fn rebuild_matches_incremental_maintenance() {
         let mut g = indexed_graph();
         let year = g.universe().interner().get("year").unwrap();
-        let before = g.index().unwrap().edges_with_label(year).to_vec();
+        let before = g.index().edges_with_label(year).to_vec();
         g.rebuild_index();
-        assert_eq!(g.index().unwrap().edges_with_label(year), before.as_slice());
-        assert_eq!(g.index().unwrap().edge_count(), 4);
+        assert_eq!(g.index().edges_with_label(year), before.as_slice());
+        assert_eq!(g.index().edge_count(), 4);
     }
 }

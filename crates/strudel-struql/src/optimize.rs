@@ -16,10 +16,10 @@
 //!   heuristic beyond that), minimizing the estimated sum of intermediate
 //!   result sizes.
 //!
-//! Cardinality estimates come from the repository's indexes when present
-//! (collection extents, per-label edge counts); without indexes the model
-//! degrades to coarse whole-graph statistics — which is exactly the
-//! index-ablation experiment `A-OPT` measures.
+//! Cardinality estimates come from the repository's indexes (collection
+//! extents, per-label edge counts and, where the extents are built anyway,
+//! per-label degrees); what they cannot tell falls back to whole-graph
+//! averages.
 //!
 //! **A known label is a label** (`KnownLabels`; at click time a page's
 //! conjunction is the parent block's `Articles(a), a -> l -> v` and the nested
@@ -41,7 +41,6 @@
 //! stays on the arc operators, costed at its share of the edges.
 
 use crate::ast::{CmpOp, Condition, Literal, PathStep, Rpe, Term};
-use std::fmt::Write as _;
 use strudel_graph::fxhash::FxHashSet;
 use strudel_graph::{Graph, Value};
 use strudel_obs::{Counter, Reading, Signal};
@@ -102,10 +101,8 @@ pub struct GraphStats {
     pub nodes: f64,
     /// Number of edges.
     pub edges: f64,
-    /// Number of distinct labels (0 when unknown).
+    /// Number of distinct labels.
     pub labels: f64,
-    /// Whether indexes are available.
-    pub indexed: bool,
 }
 
 impl GraphStats {
@@ -114,8 +111,7 @@ impl GraphStats {
         GraphStats {
             nodes: graph.node_count() as f64,
             edges: graph.edge_count() as f64,
-            labels: graph.label_count().unwrap_or(0) as f64,
-            indexed: graph.is_indexed(),
+            labels: graph.label_count() as f64,
         }
     }
 
@@ -127,19 +123,22 @@ impl GraphStats {
         }
     }
 
-    /// Per-label degree statistics from the index, when available. These
-    /// replace the uniform [`GraphStats::avg_degree`] assumption for
-    /// single-label path steps: fan-out is averaged over the nodes that
-    /// actually carry the label, and fan-in over the values the label
-    /// actually reaches — so a probe into a low-cardinality hub target
+    /// Per-label degree statistics from the index, for a label the graph
+    /// carries. These replace the uniform [`GraphStats::avg_degree`]
+    /// assumption for single-label path steps: fan-out is averaged over the
+    /// nodes that actually carry the label, and fan-in over the values the
+    /// label actually reaches — so a probe into a low-cardinality hub target
     /// (five `section` values shared by hundreds of articles) is costed at
     /// its real fan-in instead of an optimistic whole-graph average.
     pub fn label_degrees(graph: &Graph, label: &str) -> Option<LabelDegrees> {
         let sym = graph.universe().interner().get(label)?;
         // A label the graph does not carry has no degrees to ask the full
         // index (and so its extents) for.
-        let card = graph.label_cardinality(sym).filter(|c| *c > 0)? as f64;
-        let idx = graph.index()?;
+        let card = match graph.label_cardinality(sym) {
+            0 => return None,
+            c => c as f64,
+        };
+        let idx = graph.index();
         let src = idx.label_distinct_sources(sym) as f64;
         let tgt = idx.label_distinct_targets(sym) as f64;
         if src <= 0.0 || tgt <= 0.0 {
@@ -167,10 +166,10 @@ pub struct LabelDegrees {
     pub fan_in: f64,
 }
 
-/// Cardinality of a label's extension, if the index can tell us.
+/// Cardinality of a label's extension, if the label was ever interned.
 fn label_card(graph: &Graph, label: &str) -> Option<f64> {
     let sym = graph.universe().interner().get(label)?;
-    graph.label_cardinality(sym).map(|c| c as f64)
+    Some(graph.label_cardinality(sym) as f64)
 }
 
 fn collection_card(graph: &Graph, name: &str) -> Option<f64> {
@@ -289,70 +288,48 @@ fn label_path(
     tb: bool,
     graph: &Graph,
     stats: &GraphStats,
-) -> (f64, &'static str) {
+) -> f64 {
     let card = label_card(graph, label).unwrap_or(stats.edges);
     // Whole-graph fallback when the index can't supply per-label degree
     // statistics.
     let uniform = (card / stats.nodes.max(1.0)).max(0.5);
     match (fb, tb) {
-        (true, true) => (0.3, "edge-probe"),
-        (true, false) => {
-            // Containment assumption: a bound source comes from the label's
-            // source set, so fan-out is the average out-degree among
-            // labeled sources.
-            let m = degrees.map(|d| d.out_degree).unwrap_or(uniform);
-            (m.max(0.5), "out-scan")
-        }
-        (false, true) => {
-            // Reverse probe: expected rows per bound target is the label's
-            // fan-in — card / distinct targets. A hub target (400 edges onto
-            // 5 section values) returns 80 rows per probe, not
-            // card/nodes ≈ 1. Unindexed, the probe goes to the cached
-            // materialized reverse adjacency.
-            let m = degrees.map(|d| d.fan_in).unwrap_or(uniform);
-            (
-                m.max(0.5),
-                if stats.indexed {
-                    "rev-index"
-                } else {
-                    "hash-join"
-                },
-            )
-        }
-        (false, false) if stats.indexed => (card.max(1.0), "label-index"),
-        (false, false) => (card.max(1.0), "cross-emit"),
+        (true, true) => 0.3,
+        // Containment assumption: a bound source comes from the label's
+        // source set, so fan-out is the average out-degree among labeled
+        // sources.
+        (true, false) => degrees.map_or(uniform, |d| d.out_degree).max(0.5),
+        // Reverse probe: expected rows per bound target is the label's
+        // fan-in — card / distinct targets. A hub target (400 edges onto 5
+        // section values) returns 80 rows per probe, not card/nodes ≈ 1.
+        (false, true) => degrees.map_or(uniform, |d| d.fan_in).max(0.5),
+        (false, false) => card.max(1.0),
     }
 }
 
 /// Estimated *result multiplier* of applying `cond` when `bound` variables
-/// are already bound: < 1 for filters, the fan-out for binders. Also returns
-/// a short access-method tag for plan explanations. `known` is the label an
-/// arc-variable edge condition is known to carry ([`KnownLabels::label`]).
+/// are already bound: < 1 for filters, the fan-out for binders. `known` is
+/// the label an arc-variable edge condition is known to carry
+/// ([`KnownLabels::label`]).
 pub(crate) fn multiplier(
     cond: &Condition,
     known: Option<&str>,
     bound: &FxHashSet<&str>,
     graph: &Graph,
     stats: &GraphStats,
-) -> (f64, &'static str) {
+) -> f64 {
     let is_bound = |t: &Term| match t {
         Term::Var(v) => bound.contains(v.as_str()),
         Term::Lit(_) => true,
         Term::Skolem(_) | Term::Agg(..) => false,
     };
     match cond {
-        Condition::Collection { name, arg, negated } => {
-            if is_bound(arg) {
-                (if *negated { 0.9 } else { 0.5 }, "member-filter")
-            } else if *negated {
-                (stats.nodes.max(1.0), "active-domain")
-            } else {
-                (
-                    collection_card(graph, name).unwrap_or(stats.nodes).max(1.0),
-                    "coll-scan",
-                )
-            }
-        }
+        Condition::Collection { name, arg, negated } => match (is_bound(arg), negated) {
+            (true, true) => 0.9,
+            (true, false) => 0.5,
+            (false, true) => stats.nodes.max(1.0),
+            (false, false) => collection_card(graph, name).unwrap_or(stats.nodes).max(1.0),
+        },
         Condition::Edge {
             from,
             step,
@@ -368,12 +345,9 @@ pub(crate) fn multiplier(
                         matches!(step, PathStep::ArcVar(v) if !bound.contains(v.as_str())),
                     );
                 return if unbound == 0 {
-                    (0.9, "neg-edge-filter")
+                    0.9
                 } else {
-                    (
-                        stats.nodes.max(1.0).powi(unbound as i32),
-                        "neg-active-domain",
-                    )
+                    stats.nodes.max(1.0).powi(unbound as i32)
                 };
             }
             let fb = is_bound(from);
@@ -393,15 +367,10 @@ pub(crate) fn multiplier(
                             false => edges.max(1.0),
                         };
                         match (fb, tb) {
-                            (true, true) => (if lb { 0.3 } else { 1.2 }, "edge-probe"),
-                            (true, false) => (per(stats.avg_degree()), "out-scan"),
-                            // Unindexed: a probe table over edge targets,
-                            // built once.
-                            (false, true) if stats.indexed => {
-                                (per(stats.avg_degree()), "rev-index")
-                            }
-                            (false, true) => (per(stats.avg_degree()), "hash-join"),
-                            (false, false) => (per(stats.edges), "cross-emit"),
+                            (true, true) if lb => 0.3,
+                            (true, true) => 1.2,
+                            (true, false) | (false, true) => per(stats.avg_degree()),
+                            (false, false) => per(stats.edges),
                         }
                     }
                 },
@@ -419,50 +388,38 @@ pub(crate) fn multiplier(
                             .min(stats.nodes.max(1.0))
                     };
                     match (fb, tb) {
-                        (true, true) => (0.5, "path-probe"),
-                        (true, false) => (reach, "path-traverse"),
-                        (false, true) if stats.indexed => (reach, "rev-path-traverse"),
-                        // Memoized backward traversal over the cached
-                        // materialized reverse adjacency.
-                        (false, true) => (reach * 1.5, "rev-path-hash"),
-                        (false, false) => (stats.nodes.max(1.0) * reach, "path-scan"),
+                        (true, true) => 0.5,
+                        (true, false) | (false, true) => reach,
+                        (false, false) => stats.nodes.max(1.0) * reach,
                     }
                 }
-                PathStep::Bare(_) => (stats.edges.max(1.0), "edge-scan"),
+                PathStep::Bare(_) => stats.edges.max(1.0),
             }
         }
-        Condition::Predicate { args, negated, .. } if args.iter().all(is_bound) => {
-            (if *negated { 0.7 } else { 0.5 }, "pred-filter")
-        }
+        Condition::Predicate { args, negated, .. } if args.iter().all(is_bound) => match negated {
+            true => 0.7,
+            false => 0.5,
+        },
         Condition::Predicate { args, .. } => {
             let unbound = args.iter().filter(|a| !is_bound(a)).count();
-            (stats.nodes.max(1.0).powi(unbound as i32), "active-domain")
+            stats.nodes.max(1.0).powi(unbound as i32)
         }
         Condition::Compare { lhs, op, rhs } => {
             let (lb, rb) = (is_bound(lhs), is_bound(rhs));
             match (lb, rb) {
-                (true, true) => (if *op == CmpOp::Eq { 0.1 } else { 0.4 }, "cmp-filter"),
+                (true, true) if *op == CmpOp::Eq => 0.1,
+                (true, true) => 0.4,
                 // `v = <bound>` is an assignment: one row out per row in.
-                (false, true) | (true, false) if *op == CmpOp::Eq => (1.0, "assign"),
-                _ => (stats.nodes.max(1.0), "active-domain"),
+                (false, true) | (true, false) if *op == CmpOp::Eq => 1.0,
+                _ => stats.nodes.max(1.0),
             }
         }
-        Condition::In { var, set, negated } => {
-            if bound.contains(var.as_str()) {
-                (
-                    if *negated {
-                        0.8
-                    } else {
-                        (set.len() as f64 / stats.labels.max(set.len() as f64)).min(0.8)
-                    },
-                    "in-filter",
-                )
-            } else if *negated {
-                (stats.labels.max(stats.nodes).max(1.0), "active-domain")
-            } else {
-                (set.len() as f64, "in-enum")
-            }
-        }
+        Condition::In { var, set, negated } => match (bound.contains(var.as_str()), negated) {
+            (true, true) => 0.8,
+            (true, false) => (set.len() as f64 / stats.labels.max(set.len() as f64)).min(0.8),
+            (false, true) => stats.labels.max(stats.nodes).max(1.0),
+            (false, false) => set.len() as f64,
+        },
     }
 }
 
@@ -596,14 +553,13 @@ pub(crate) fn eligible(
     })
 }
 
-/// An ordered plan: conditions in execution order plus a human-readable
-/// description (shown by `explain`).
+/// An ordered plan: conditions in execution order with their estimated
+/// multipliers ([`crate::plan::PhysicalPlan::compile`] fixes the operators
+/// and `explain` prints them).
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// Indices into the original condition slice, in execution order.
     pub order: Vec<usize>,
-    /// Access-method tags, parallel to `order`.
-    pub methods: Vec<&'static str>,
     /// Estimated per-step result multipliers, parallel to `order` (the
     /// physical-plan compiler turns these into per-node row estimates).
     pub mults: Vec<f64>,
@@ -612,18 +568,6 @@ pub struct Plan {
     /// Whether the cost-based planner fell back to the greedy heuristic
     /// because the block exceeded [`DP_LIMIT`] conditions.
     pub dp_fallback: bool,
-}
-
-impl Plan {
-    /// Renders the plan as one line per condition.
-    pub fn describe(&self, conditions: &[Condition]) -> String {
-        let mut s = String::new();
-        for (rank, (&i, method)) in self.order.iter().zip(&self.methods).enumerate() {
-            let _ = writeln!(s, "  {rank}. [{method}] {}", conditions[i]);
-        }
-        let _ = writeln!(s, "  est. cost: {:.1}", self.est_cost);
-        s
-    }
 }
 
 /// Orders `conditions` for evaluation starting from the `bound` variables.
@@ -690,7 +634,6 @@ fn plan_in_turn(
     let mut bound: FxHashSet<&str> = bound.clone();
     let mut remaining: Vec<usize> = (0..conditions.len()).collect();
     let mut order = Vec::with_capacity(conditions.len());
-    let mut methods = Vec::with_capacity(conditions.len());
     let mut mults = Vec::with_capacity(conditions.len());
     let mut rows = 1.0f64;
     let mut cost = 0.0f64;
@@ -701,9 +644,9 @@ fn plan_in_turn(
         };
         let i = pick_next(conditions, &remaining, &bound, |i| match written {
             true => i as f64,
-            false => mult(i).0,
+            false => mult(i),
         });
-        let (m, method) = mult(i);
+        let m = mult(i);
         remaining.retain(|&j| j != i);
         rows *= m;
         cost += rows;
@@ -711,12 +654,10 @@ fn plan_in_turn(
             bound.insert(v);
         }
         order.push(i);
-        methods.push(method);
         mults.push(m);
     }
     Plan {
         order,
-        methods,
         mults,
         est_cost: cost,
         dp_fallback: false,
@@ -730,7 +671,6 @@ fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Gr
     if n == 0 {
         return Plan {
             order: vec![],
-            methods: vec![],
             mults: vec![],
             est_cost: 0.0,
             dp_fallback: false,
@@ -808,7 +748,7 @@ fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Gr
         };
         for i in next_pool {
             let label = known.label(i, |j| mask & (1 << j) != 0);
-            let (m, _) = multiplier(&conditions[i], label, &bound, graph, &stats);
+            let m = multiplier(&conditions[i], label, &bound, graph, &stats);
             let new_rows = rows * m;
             let new_cost = cost + new_rows;
             let next = mask | (1 << i);
@@ -829,22 +769,18 @@ fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Gr
     }
     order.reverse();
 
-    // Recompute method tags and multipliers along the chosen order.
+    // Recompute the multipliers along the chosen order.
     let mut bound: FxHashSet<&str> = initial_bound.clone();
-    let mut methods = Vec::with_capacity(n);
     let mut mults = Vec::with_capacity(n);
     for (k, &i) in order.iter().enumerate() {
         let label = known.label(i, |j| order[..k].contains(&j));
-        let (m, method) = multiplier(&conditions[i], label, &bound, graph, &stats);
-        methods.push(method);
-        mults.push(m);
+        mults.push(multiplier(&conditions[i], label, &bound, graph, &stats));
         for v in vars_of(&conditions[i]) {
             bound.insert(v);
         }
     }
     Plan {
         order,
-        methods,
         mults,
         est_cost: final_cost,
         dp_fallback: false,
@@ -855,6 +791,7 @@ fn plan_dp(conditions: &[Condition], initial_bound: &FxHashSet<&str>, graph: &Gr
 mod tests {
     use super::*;
     use crate::parse::parse_query;
+    use crate::plan::{PhysOp, PhysicalPlan};
     use strudel_graph::Value;
 
     /// A graph where `Small` has 2 members and `Big` has 100, with `k`
@@ -885,7 +822,7 @@ mod tests {
         // Written big-first; the optimizer should flip the order.
         let cs = conds(r#"WHERE Big(x), Small(x) COLLECT Out(x)"#);
         let p = plan(&cs, &FxHashSet::default(), &g, Optimizer::Heuristic);
-        assert_eq!(p.order, vec![1, 0], "plan: {}", p.describe(&cs));
+        assert_eq!(p.order, vec![1, 0]);
         let naive = plan(&cs, &FxHashSet::default(), &g, Optimizer::Naive);
         assert_eq!(naive.order, vec![0, 1]);
         assert!(p.est_cost < naive.est_cost);
@@ -899,13 +836,18 @@ mod tests {
         // Whatever join order wins, the chosen plan must avoid active-domain
         // expansion (every condition runs with its inputs bound) and must
         // not cost more than naive left-to-right evaluation.
-        assert!(
-            !p.methods.iter().any(|m| m.contains("active-domain")),
-            "plan: {}",
-            p.describe(&cs)
-        );
+        let mut bound = FxHashSet::default();
+        for &i in &p.order {
+            assert_eq!(
+                expansion_vars(&cs[i], &bound),
+                Vec::<&str>::new(),
+                "{:?}",
+                p.order
+            );
+            bound.extend(vars_of(&cs[i]));
+        }
         let naive = plan(&cs, &FxHashSet::default(), &g, Optimizer::Naive);
-        assert!(p.est_cost <= naive.est_cost, "plan: {}", p.describe(&cs));
+        assert!(p.est_cost <= naive.est_cost, "{:?}", p.order);
     }
 
     #[test]
@@ -929,22 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_graph_changes_estimates() {
-        let mut g = skewed_graph();
-        let cs = conds(r#"WHERE x -> "k" -> v, v = 3 COLLECT Out(x)"#);
-        let with = plan(&cs, &FxHashSet::default(), &g, Optimizer::CostBased);
-        g.set_indexing(false);
-        let without = plan(&cs, &FxHashSet::default(), &g, Optimizer::CostBased);
-        // Both valid plans; the cost model must register the index loss.
-        assert!(
-            without.est_cost >= with.est_cost,
-            "{} vs {}",
-            without.est_cost,
-            with.est_cost
-        );
-    }
-
-    #[test]
     fn dp_handles_empty_and_unit() {
         let g = skewed_graph();
         let p = plan(&[], &FxHashSet::default(), &g, Optimizer::CostBased);
@@ -960,17 +886,17 @@ mod tests {
         let cs = conds("WHERE Big(x) COLLECT Out(x)");
         let mut bound = FxHashSet::default();
         bound.insert("x");
-        let p = plan(&cs, &bound, &g, Optimizer::CostBased);
-        assert_eq!(p.methods, vec!["member-filter"]);
+        let p = PhysicalPlan::compile(&cs, &bound, &g, Optimizer::CostBased).unwrap();
+        assert_eq!(p.nodes[0].op, PhysOp::CollectionSemijoin);
     }
 
     #[test]
     fn describe_mentions_methods() {
         let g = skewed_graph();
         let cs = conds(r#"WHERE Small(x), x -> "k" -> v COLLECT Out(x)"#);
-        let p = plan(&cs, &FxHashSet::default(), &g, Optimizer::Heuristic);
-        let desc = p.describe(&cs);
-        assert!(desc.contains("coll-scan"), "{desc}");
-        assert!(desc.contains("out-scan"), "{desc}");
+        let p = PhysicalPlan::compile(&cs, &FxHashSet::default(), &g, Optimizer::Heuristic);
+        let desc = p.unwrap().describe(&cs);
+        assert!(desc.contains("[collection-scan] Small(x)"), "{desc}");
+        assert!(desc.contains("[label-forward] x -> \"k\" -> v"), "{desc}");
     }
 }

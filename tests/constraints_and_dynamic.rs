@@ -301,14 +301,13 @@ fn click_path_browsing_without_materialization() {
 /// `l = "related"` too, and costing that label must not ask the index for
 /// degree tallies — that builds the extents (label, value and in-edge maps
 /// over every edge), which no leaf page reads. Planning and expanding every
-/// leaf page of an indexed graph leaves them unbuilt.
+/// leaf page leaves them unbuilt.
 #[test]
 fn leaf_pages_plan_and_expand_without_the_index_extents() {
     use strudel::graph::Value;
     use strudel::site::{DynamicSite, PageRef};
     use strudel::struql::EvalOptions;
     let data = strudel::graph::ddl::parse(&news::generate_ddl(300, 11)).unwrap();
-    assert!(data.is_indexed());
     let query = strudel::struql::parse_query(news::SITE_QUERY).unwrap();
     let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
     let mut related = 0;

@@ -198,24 +198,6 @@ proptest! {
         prop_assert_eq!(results[1], results[2]);
     }
 
-    /// Indexed and unindexed evaluation agree.
-    #[test]
-    fn index_is_transparent(rg in arb_graph()) {
-        let mut g = build(&rg);
-        let q = parse_query(
-            r#"WHERE y -> "b" -> z, x -> "a" -> y COLLECT Pairs(x), Ends(z)"#,
-        )
-        .unwrap();
-        let with = q.evaluate(&g, &EvalOptions::default()).unwrap();
-        g.set_indexing(false);
-        let without = q.evaluate(&g, &EvalOptions::default()).unwrap();
-        let count = |o: &strudel::struql::EvalOutput, c: &str| {
-            o.graph.collection_str(c).map(|x| x.len()).unwrap_or(0)
-        };
-        prop_assert_eq!(count(&with, "Pairs"), count(&without, "Pairs"));
-        prop_assert_eq!(count(&with, "Ends"), count(&without, "Ends"));
-    }
-
     /// The TextOnly-style copy query produces a graph whose nodes are
     /// exactly the reachable originals (Skolem image is injective).
     #[test]
@@ -515,7 +497,7 @@ fn one_insert_costs_the_same_at_any_corpus_size() {
 
 // ------------------------------------- reference-evaluator equivalence ----
 //
-// The vectorized engine (slab bindings, hash joins, memo caches) must be
+// The vectorized engine (slab bindings, index probes, memo caches) must be
 // *set-equal* to a naive tuple-at-a-time evaluator on every conjunctive
 // query it can express. The reference below shares nothing with the engine:
 // it walks the graph through the public read API, one partial assignment at
@@ -1239,7 +1221,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// The vectorized engine is set-equal to the tuple-at-a-time reference
-    /// under every optimizer, with indexes on and off.
+    /// under every optimizer.
     #[test]
     fn engine_matches_reference_evaluator(
         rg in arb_graph(),
@@ -1250,7 +1232,7 @@ proptest! {
         ),
     ) {
         use strudel::struql::evaluate_conditions;
-        let (mut g, la) = shaped(&rg, shape);
+        let (g, la) = shaped(&rg, shape);
         let (bound, first, start) = start_of(&la);
         let conds = lower_from(&specs, bound);
         let expect = reference::canon(reference::evaluate_from(&g, &conds, first).iter());
@@ -1259,9 +1241,6 @@ proptest! {
             let got = evaluate_conditions(&conds, &g, start.clone(), &opts).unwrap();
             prop_assert_eq!(engine_row_set(&got), expect.clone(), "optimizer {:?}", opt);
         }
-        g.set_indexing(false);
-        let got = evaluate_conditions(&conds, &g, start, &EvalOptions::default()).unwrap();
-        prop_assert_eq!(engine_row_set(&got), expect, "unindexed");
     }
 
     /// Grouped aggregates (COUNT/SUM/MAX over distinct bindings) match a
@@ -1941,14 +1920,15 @@ fn plan_validator_rejects_plans_the_operators_would_trip_over() {
         est_mult: 1.0,
         est_rows: 1.0,
     };
-    let refused = |nodes: Vec<PlanNode>| {
+    let refused_on = |conds: &[strudel::struql::Condition], nodes: Vec<PlanNode>| {
         let plan = PhysicalPlan {
             nodes,
             ..good.clone()
         };
-        let run = execute_plan(&conds, &plan, &g, Bindings::unit(), &EvalOptions::default());
+        let run = execute_plan(conds, &plan, &g, Bindings::unit(), &EvalOptions::default());
         run.expect_err("an invalid plan").to_string()
     };
+    let refused = |nodes| refused_on(&conds, nodes);
     // A single-label operator before the compare that makes its label known.
     let early = refused(vec![node(1, PhysOp::LabelScan, Some("a"))]);
     assert!(
@@ -1973,9 +1953,83 @@ fn plan_validator_rejects_plans_the_operators_would_trip_over() {
         node(1, PhysOp::LabelScan, None),
     ]);
     assert!(unlabelled.contains("does not apply"), "{unlabelled}");
+    // An edge scan onto a bound target: that target is the reverse index's.
+    let onto = where_of(r#"WHERE Nodes(y), x -> l -> y COLLECT Out(x)"#);
+    let bound_target = refused_on(
+        &onto,
+        vec![
+            node(0, PhysOp::CollectionScan, None),
+            node(1, PhysOp::ArcScan, None),
+        ],
+    );
+    assert!(
+        bound_target.contains("node 1 [arc-scan]")
+            && bound_target.contains("binds `y`, which is bound already"),
+        "{bound_target}"
+    );
     // And the compiler's own plan passes.
     let rows = execute_plan(&conds, &good, &g, Bindings::unit(), &EvalOptions::default()).unwrap();
     assert_eq!(rows.len(), 1);
+}
+
+/// The operator catalog in docs/OBSERVABILITY.md lists every physical
+/// operator's tag once, and no other: an operator added, renamed or deleted
+/// fails here until the document says the same.
+#[test]
+fn operator_catalog_in_the_docs_is_the_tag_list() {
+    use strudel::struql::PhysOp::{self, *};
+    const ALL: [PhysOp; 22] = [
+        CollectionSemijoin,
+        CollectionScan,
+        CollectionConst,
+        CompareBind,
+        CompareFilter,
+        InSemijoin,
+        InExpand,
+        PredicateFilter,
+        NegEdgeSemijoin,
+        ArcForward,
+        ArcReverseIndex,
+        ArcScan,
+        NegLabelSemijoin,
+        LabelForward,
+        LabelSemijoin,
+        LabelReverseIndex,
+        LabelScan,
+        NegRpeSemijoin,
+        RpeForward,
+        RpeReverse,
+        RpeScan,
+        BareEdge,
+    ];
+    // No wildcard arm: a variant added to `PhysOp` fails to compile here
+    // until it is listed, here and in `ALL`.
+    let listed = |op: PhysOp| match op {
+        CollectionSemijoin | CollectionScan | CollectionConst | CompareBind | CompareFilter
+        | InSemijoin | InExpand | PredicateFilter | NegEdgeSemijoin | ArcForward
+        | ArcReverseIndex | ArcScan | NegLabelSemijoin | LabelForward | LabelSemijoin
+        | LabelReverseIndex | LabelScan | NegRpeSemijoin | RpeForward | RpeReverse | RpeScan
+        | BareEdge => op.tag(),
+    };
+    let mut declared: Vec<&str> = ALL.map(listed).to_vec();
+    let mut documented: Vec<&str> = include_str!("../docs/OBSERVABILITY.md")
+        .lines()
+        .skip_while(|l| *l != "### Operator catalog")
+        .skip_while(|l| !l.starts_with("| tag |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .flat_map(|l| {
+            l.split('|')
+                .nth(1)
+                .unwrap_or("")
+                .split('`')
+                .skip(1)
+                .step_by(2)
+        })
+        .collect();
+    declared.sort_unstable();
+    documented.sort_unstable();
+    assert_eq!(documented, declared, "the catalog's tag column, sorted");
 }
 
 // ------------------------------------------------------------- templates ----
