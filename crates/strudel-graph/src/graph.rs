@@ -490,8 +490,9 @@ impl Graph {
         self.universe.interner.resolve(sym)
     }
 
-    /// The graph's index — the *full* index: the extents are built here, in
-    /// one pass over the member nodes, if no earlier call built them (see
+    /// The graph's index — the *full* index: its extents, the reverse map
+    /// from every edge target to the edges onto it, are built here in one
+    /// pass over the member nodes if no earlier call built them (see
     /// [`crate::index`]). The build takes the universe's read lock, so do
     /// not call this while holding a [`GraphReader`] of the same universe:
     /// a recursive read may deadlock behind a waiting writer. Planning
@@ -500,13 +501,28 @@ impl Graph {
     /// [`Graph::labels`], [`Graph::edge_count`] — do not come through here.
     pub fn index(&self) -> &GraphIndex {
         let idx = &self.own.index;
-        idx.ensure_extents(|add| {
-            let nodes = self.universe.read();
-            for &n in &self.own.member_list {
-                add(n, nodes.out(n));
-            }
-        });
+        idx.ensure_extents(|add| self.each_member(add));
         idx
+    }
+
+    /// A label's distinct sources and distinct targets: the planner's
+    /// out-degree and fan-in statistic. Builds the extents (through
+    /// [`Graph::index`]), then, the first time a label is asked for, its
+    /// tallies by walking the member out-lists; both are kept current under
+    /// writes from then on. The walk takes the universe's read lock, as the
+    /// extents build does: the same rule holds — not under a [`GraphReader`]
+    /// of the same universe.
+    pub fn label_degrees(&self, label: Sym) -> (usize, usize) {
+        (self.index()).label_degrees(label, |add| self.each_member(add))
+    }
+
+    /// Feeds `add` every member node with its out-edges, under the
+    /// universe's read lock.
+    fn each_member(&self, add: &mut crate::index::EachEdges) {
+        let nodes = self.universe.read();
+        for &n in &self.own.member_list {
+            add(n, nodes.out(n));
+        }
     }
 
     /// Whether the index's extents have been built — by a reverse lookup,
@@ -1328,7 +1344,8 @@ mod tests {
         assert!(g.remove_edge(p1, year, &Value::Int(1997)).unwrap());
         assert_ne!(g.cache_stamp(), stamp, "removal must invalidate caches");
         assert_eq!(g.edge_count(), 5);
-        assert_eq!(g.index().edges_with_label(year).len(), 1);
+        assert!(g.index().edges_to(&Value::Int(1997)).is_empty());
+        assert_eq!(g.label_degrees(year), (1, 1));
         assert!(!g.has_edge(p1, year, &Value::Int(1997)));
         // Removing again is a no-op, not an error.
         assert!(!g.remove_edge(p1, year, &Value::Int(1997)).unwrap());
@@ -1390,8 +1407,7 @@ mod tests {
         assert!(b.remove_member(n));
         assert!(!b.remove_member(n));
         assert_eq!((b.node_count(), b.edge_count()), (0, 0));
-        let k = uni.interner().get("k").unwrap();
-        assert!(b.index().edges_with_label(k).is_empty());
+        assert!(b.index().edges_to(&Value::Int(1)).is_empty());
         // The node and its edges are untouched in the owning graph.
         assert_eq!((a.node_count(), a.edge_count()), (1, 1));
     }
@@ -1440,7 +1456,8 @@ mod tests {
         assert_eq!((site.edge_count(), site.label_cardinality(k)), (2, 2));
         site.rebuild_index();
         assert_eq!((site.edge_count(), site.label_cardinality(k)), (1, 1));
-        assert_eq!(site.index().edges_with_label(k).len(), 1);
+        assert_eq!(site.index().edges_to(&Value::Int(3)).len(), 1);
+        assert_eq!(site.label_degrees(k), (1, 1));
     }
 
     #[test]
@@ -1452,11 +1469,11 @@ mod tests {
         assert_eq!((g.label_cardinality(year), g.label_count()), (2, 3));
         assert!(!g.extents_built());
         // …the full index does, once, and keeps them current afterwards.
-        assert_eq!(g.index().edges_to_value(&Value::Int(1997)).len(), 1);
+        assert_eq!(g.index().edges_to(&Value::Int(1997)).len(), 1);
         assert!(g.extents_built());
         let p2 = g.nodes()[1];
         g.add_edge_str(p2, "year", 1997i64).unwrap();
-        assert_eq!(g.index().edges_to_value(&Value::Int(1997)).len(), 2);
+        assert_eq!(g.index().edges_to(&Value::Int(1997)).len(), 2);
     }
 
     #[test]

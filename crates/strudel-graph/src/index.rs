@@ -11,9 +11,10 @@
 //! each, how many edges there are, how large each collection is — are kept on
 //! every write: they are what the *schema* queries (`scan all attribute
 //! names`) and the cost-based optimizer's cardinality statistics read, and
-//! they cost one small-key hash probe per edge. The *extents* — the edges of
-//! each label, the edges onto each atomic value, the edges into each node —
-//! cost a clone, two hash probes and most of a write's heap traffic per
+//! they cost one small-key hash probe per edge. The *extents* are one reverse
+//! map, global to the graph as the paper's value indexes are: every edge
+//! target, atomic value or node, to the `(from, label)` of the edges onto it.
+//! They cost a clone, a hash probe and most of a write's heap traffic per
 //! edge, and only reverse lookups read them; they are built in one pass over
 //! the member nodes the first time one is asked for
 //! ([`crate::graph::Graph::index`]) and maintained edge by edge from then
@@ -21,13 +22,16 @@
 //! graph during a build) never pays for them. The paper's full indexing is
 //! preserved — every lookup has the same answer it would have had with the
 //! extents kept from the first write; they are just not built before
-//! somebody asks.
+//! somebody asks. A label's edges are not kept a second time: the one
+//! statistic that needs them, a label's distinct endpoints
+//! ([`crate::graph::Graph::label_degrees`]), walks the member out-lists.
 
 use crate::fxhash::FxHashMap;
 use crate::graph::NodeId;
 use crate::symbol::Sym;
 use crate::value::Value;
-use std::sync::{Mutex, OnceLock};
+use parking_lot::Mutex;
+use std::sync::OnceLock;
 use strudel_obs::trace;
 
 /// The complete index set of one graph.
@@ -40,72 +44,42 @@ pub struct GraphIndex {
     /// Schema index: collection name → extent cardinality.
     coll_card: FxHashMap<Sym, usize>,
     edge_count: usize,
-    /// The extension indexes, unset until the first lookup that needs them.
+    /// The reverse map, unset until the first lookup that needs it.
     extents: OnceLock<Extents>,
     /// Degree statistics per label (see [`LabelDegreeStats`]), materialized
-    /// lazily: a label's tallies are first built by scanning its extension
-    /// when the planner asks for them, and kept up to date under add/remove
-    /// from then on (so there are none before there are extents). Behind a
-    /// mutex so the read-side accessors can materialize on a shared
-    /// reference.
+    /// lazily: a label's tallies are first built by walking the member
+    /// out-lists when the planner asks for them, and kept up to date under
+    /// add/remove from then on (so there are none before there are
+    /// extents). Behind a mutex so the read-side accessor can materialize
+    /// on a shared reference.
     degree: Mutex<FxHashMap<Sym, LabelDegreeStats>>,
 }
 
-/// The three extension indexes.
+/// The reverse map: every edge target to the `(from, label)` of each edge
+/// onto it.
 #[derive(Default, Debug)]
 struct Extents {
-    /// Attribute (label) extension index: label → all `(from, to)` edges.
-    label_ext: FxHashMap<Sym, Vec<(NodeId, Value)>>,
-    /// Global atomic-value index: value → `(from, label)` of every edge whose
-    /// target is that atomic value.
-    value_ext: FxHashMap<Value, Vec<(NodeId, Sym)>>,
-    /// Reverse adjacency for node targets: node → `(from, label)`.
-    in_edges: FxHashMap<NodeId, Vec<(NodeId, Sym)>>,
+    to: FxHashMap<Value, Vec<(NodeId, Sym)>>,
 }
 
 impl Extents {
     fn add(&mut self, from: NodeId, label: Sym, to: &Value) {
-        self.label_ext
-            .entry(label)
-            .or_default()
-            .push((from, to.clone()));
-        match to {
-            Value::Node(n) => self.in_edges.entry(*n).or_default().push((from, label)),
-            atomic => self
-                .value_ext
-                .entry(atomic.clone())
-                .or_default()
-                .push((from, label)),
-        }
+        self.to.entry(to.clone()).or_default().push((from, label));
     }
 
-    /// Removes one occurrence of an edge, reporting whether the label
-    /// extension held it.
+    /// Removes one occurrence of an edge, reporting whether the map held it.
     fn remove(&mut self, from: NodeId, label: Sym, to: &Value) -> bool {
-        fn take<K: std::hash::Hash + Eq, E>(
-            map: &mut FxHashMap<K, Vec<E>>,
-            key: &K,
-            is_edge: impl Fn(&E) -> bool,
-        ) -> bool {
-            let Some(entries) = map.get_mut(key) else {
-                return false;
-            };
-            let found = entries.iter().position(is_edge);
-            if let Some(pos) = found {
-                entries.remove(pos);
-                if entries.is_empty() {
-                    map.remove(key);
-                }
-            }
-            found.is_some()
-        }
-        match to {
-            Value::Node(n) => take(&mut self.in_edges, n, |(f, l)| *f == from && *l == label),
-            atomic => take(&mut self.value_ext, atomic, |(f, l)| {
-                *f == from && *l == label
-            }),
+        let Some(entries) = self.to.get_mut(to) else {
+            return false;
         };
-        take(&mut self.label_ext, &label, |(f, t)| *f == from && t == to)
+        let Some(pos) = entries.iter().position(|e| *e == (from, label)) else {
+            return false;
+        };
+        entries.remove(pos);
+        if entries.is_empty() {
+            self.to.remove(to);
+        }
+        true
     }
 }
 
@@ -168,7 +142,7 @@ impl GraphIndex {
         self.count_label(label, 1);
         if let Some(ext) = self.extents.get_mut() {
             ext.add(from, label, to);
-            if let Some(deg) = self.degree.get_mut().unwrap().get_mut(&label) {
+            if let Some(deg) = self.degree.get_mut().get_mut(&label) {
                 *deg.srcs.entry(from).or_insert(0) += 1;
                 *deg.tgts.entry(value_fingerprint(to)).or_insert(0) += 1;
             }
@@ -203,7 +177,7 @@ impl GraphIndex {
             return;
         };
         if ext.remove(from, label, to) {
-            let degree = self.degree.get_mut().unwrap();
+            let degree = self.degree.get_mut();
             if let Some(deg) = degree.get_mut(&label) {
                 untally(&mut deg.srcs, from);
                 untally(&mut deg.tgts, value_fingerprint(to));
@@ -226,20 +200,12 @@ impl GraphIndex {
     }
 
     /// Builds the extents unless they exist. `each_member` feeds the builder
-    /// every member node with its out-edges; the label extensions are sized
-    /// from the counts. The one builder: first use and `rebuild_index` both
-    /// come here.
-    pub(crate) fn ensure_extents(
-        &self,
-        each_member: impl FnOnce(&mut dyn FnMut(NodeId, &[(Sym, Value)])),
-    ) {
+    /// every member node with its out-edges. The one builder: first use and
+    /// `rebuild_index` both come here.
+    pub(crate) fn ensure_extents(&self, each_member: impl FnOnce(&mut EachEdges)) {
         self.extents.get_or_init(|| {
             let mut tspan = trace::span("graph.extents", trace::Layer::Store);
             let mut ext = Extents::default();
-            ext.label_ext.reserve(self.label_card.len());
-            for (&label, &card) in &self.label_card {
-                ext.label_ext.insert(label, Vec::with_capacity(card));
-            }
             each_member(&mut |from, out| {
                 for (label, to) in out {
                     ext.add(from, *label, to);
@@ -247,8 +213,7 @@ impl GraphIndex {
             });
             if tspan.is_live() {
                 tspan.attr_u64("edges", self.edge_count as u64);
-                tspan.attr_u64("labels", ext.label_ext.len() as u64);
-                tspan.attr_u64("values", ext.value_ext.len() as u64);
+                tspan.attr_u64("values", ext.to.len() as u64);
             }
             ext
         });
@@ -266,31 +231,11 @@ impl GraphIndex {
         self.label_order.clone()
     }
 
-    /// The extension of a label: every `(from, to)` edge carrying it.
-    pub fn edges_with_label(&self, label: Sym) -> &[(NodeId, Value)] {
-        let ext = &self.extents().label_ext;
-        ext.get(&label).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Every edge pointing at the atomic value `v` (the global value index).
-    pub fn edges_to_value(&self, v: &Value) -> &[(NodeId, Sym)] {
-        let ext = &self.extents().value_ext;
-        ext.get(v).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Every edge pointing at node `n` (reverse adjacency).
-    pub fn edges_to_node(&self, n: NodeId) -> &[(NodeId, Sym)] {
-        let ext = &self.extents().in_edges;
-        ext.get(&n).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Every edge pointing at `v`, node or atomic value: the reverse access
-    /// path of a backward step.
+    /// path of a backward step, one probe of the global reverse map.
     pub fn edges_to(&self, v: &Value) -> &[(NodeId, Sym)] {
-        match v {
-            Value::Node(n) => self.edges_to_node(*n),
-            atomic => self.edges_to_value(atomic),
-        }
+        let ext = &self.extents().to;
+        ext.get(v).map(Vec::as_slice).unwrap_or(&[])
     }
 
     // ---- statistics for the cost-based optimizer (§2.4, [FLO 97]) ----
@@ -315,36 +260,33 @@ impl GraphIndex {
         self.label_order.len()
     }
 
-    /// Number of distinct nodes with at least one outgoing `label` edge.
-    /// `label_cardinality / label_distinct_sources` is the average
-    /// out-degree among nodes carrying the label — a much sharper fan-out
-    /// estimate than the whole-graph average degree.
-    pub fn label_distinct_sources(&self, label: Sym) -> usize {
-        self.with_degree(label, |d| d.srcs.len())
-    }
-
-    /// Number of distinct values with at least one incoming `label` edge.
-    /// `label_cardinality / label_distinct_targets` is the average fan-in a
-    /// reverse-index probe on a bound target of this label returns.
-    pub fn label_distinct_targets(&self, label: Sym) -> usize {
-        self.with_degree(label, |d| d.tgts.len())
-    }
-
-    /// Runs `f` over the label's degree tallies, materializing them from
-    /// the extension index on first use.
-    fn with_degree<T>(&self, label: Sym, f: impl FnOnce(&LabelDegreeStats) -> T) -> T {
-        let mut deg = self.degree.lock().unwrap();
+    /// A label's distinct sources and distinct targets, from its degree
+    /// tallies; `each_member` feeds every member node with its out-edges
+    /// when the tallies are first built. The extents must exist, so that
+    /// [`GraphIndex::index_edge`] keeps the tallies current from here on.
+    pub(crate) fn label_degrees(
+        &self,
+        label: Sym,
+        each_member: impl FnOnce(&mut EachEdges),
+    ) -> (usize, usize) {
+        debug_assert!(self.extents_built());
+        let mut deg = self.degree.lock();
         let d = deg.entry(label).or_insert_with(|| {
             let mut d = LabelDegreeStats::default();
-            for (from, to) in self.edges_with_label(label) {
-                *d.srcs.entry(*from).or_insert(0) += 1;
-                *d.tgts.entry(value_fingerprint(to)).or_insert(0) += 1;
-            }
+            each_member(&mut |from, out| {
+                for (_, to) in out.iter().filter(|(l, _)| *l == label) {
+                    *d.srcs.entry(from).or_insert(0) += 1;
+                    *d.tgts.entry(value_fingerprint(to)).or_insert(0) += 1;
+                }
+            });
             d
         });
-        f(d)
+        (d.srcs.len(), d.tgts.len())
     }
 }
+
+/// The visitor a member walk feeds: one member node with its out-edges.
+pub(crate) type EachEdges<'a> = dyn FnMut(NodeId, &[(Sym, Value)]) + 'a;
 
 #[cfg(test)]
 mod tests {
@@ -364,27 +306,19 @@ mod tests {
     }
 
     #[test]
-    fn label_extension_lists_all_edges() {
-        let g = indexed_graph();
-        let year = g.universe().interner().get("year").unwrap();
-        assert_eq!(g.index().edges_with_label(year).len(), 3);
-        assert_eq!(g.index().label_cardinality(year), 3);
-    }
-
-    #[test]
     fn global_value_index_spans_labels_and_nodes() {
         let g = indexed_graph();
-        let hits = g.index().edges_to_value(&Value::Int(1997));
+        let hits = g.index().edges_to(&Value::Int(1997));
         assert_eq!(hits.len(), 2);
         let froms: Vec<_> = hits.iter().map(|(f, _)| *f).collect();
         assert!(froms.contains(&g.nodes()[0]) && froms.contains(&g.nodes()[1]));
     }
 
     #[test]
-    fn in_edges_track_node_targets() {
+    fn reverse_index_tracks_node_targets() {
         let g = indexed_graph();
         let b = g.nodes()[1];
-        let back = g.index().edges_to_node(b);
+        let back = g.index().edges_to(&Value::Node(b));
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].0, g.nodes()[0]);
     }
@@ -402,48 +336,43 @@ mod tests {
     #[test]
     fn missing_label_has_empty_extension() {
         let g = indexed_graph();
-        assert!(g.index().edges_with_label(Sym(4242)).is_empty());
-        assert!(g.index().edges_to_value(&Value::Int(0)).is_empty());
+        assert_eq!(g.index().label_cardinality(Sym(4242)), 0);
+        assert_eq!(g.label_degrees(Sym(4242)), (0, 0));
+        assert!(g.index().edges_to(&Value::Int(0)).is_empty());
+        assert!(g.index().edges_to(&Value::Node(NodeId(4242))).is_empty());
     }
 
     #[test]
     fn degree_statistics_track_distinct_endpoints() {
         let g = indexed_graph();
-        let idx = g.index();
         let year = g.universe().interner().get("year").unwrap();
         // Three `year` edges from two sources onto two distinct values.
-        assert_eq!(idx.label_cardinality(year), 3);
-        assert_eq!(idx.label_distinct_sources(year), 2);
-        assert_eq!(idx.label_distinct_targets(year), 2);
+        assert_eq!(g.index().label_cardinality(year), 3);
+        assert_eq!(g.label_degrees(year), (2, 2));
         let knows = g.universe().interner().get("knows").unwrap();
-        assert_eq!(idx.label_distinct_sources(knows), 1);
-        assert_eq!(idx.label_distinct_targets(knows), 1);
-        assert_eq!(idx.label_distinct_sources(Sym(4242)), 0);
-        assert_eq!(idx.label_distinct_targets(Sym(4242)), 0);
+        assert_eq!(g.label_degrees(knows), (1, 1));
     }
 
     #[test]
     fn degree_statistics_survive_removal_and_rebuild() {
         let mut g = indexed_graph();
         let b = g.nodes()[1];
-        g.remove_edge_str(b, "year", &Value::Int(1998)).unwrap();
         let year = g.universe().interner().get("year").unwrap();
-        assert_eq!(g.index().label_distinct_sources(year), 2);
-        assert_eq!(g.index().label_distinct_targets(year), 1);
+        assert_eq!(g.label_degrees(year), (2, 2));
+        g.remove_edge_str(b, "year", &Value::Int(1998)).unwrap();
+        assert_eq!(g.label_degrees(year), (2, 1));
         g.remove_edge_str(b, "year", &Value::Int(1997)).unwrap();
-        assert_eq!(g.index().label_distinct_sources(year), 1);
+        assert_eq!(g.label_degrees(year).0, 1);
         g.rebuild_index();
-        assert_eq!(g.index().label_distinct_sources(year), 1);
-        assert_eq!(g.index().label_distinct_targets(year), 1);
+        assert_eq!(g.label_degrees(year), (1, 1));
     }
 
     #[test]
     fn rebuild_matches_incremental_maintenance() {
         let mut g = indexed_graph();
-        let year = g.universe().interner().get("year").unwrap();
-        let before = g.index().edges_with_label(year).to_vec();
+        let before = g.index().edges_to(&Value::Int(1997)).to_vec();
         g.rebuild_index();
-        assert_eq!(g.index().edges_with_label(year), before.as_slice());
+        assert_eq!(g.index().edges_to(&Value::Int(1997)), before.as_slice());
         assert_eq!(g.index().edge_count(), 4);
     }
 }

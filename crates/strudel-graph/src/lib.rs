@@ -16,9 +16,10 @@
 //! Because semistructured data lacks a schema, the repository cannot rely on
 //! schema information to organize data; instead (per §2.2) it **fully indexes
 //! both the schema and the data**: one index holds the names of all
-//! collections and attributes in a graph, others hold the extension of each
-//! collection and each attribute, and indexes on atomic values are global to
-//! the graph. See [`index`].
+//! collections and attributes in a graph with their cardinalities, a
+//! collection holds its own extension, and one reverse index on edge
+//! targets — atomic values and nodes — is global to the graph. See
+//! [`index`].
 //!
 //! The crate also implements STRUDEL's data-definition language ([`ddl`]),
 //! the common exchange format between wrappers and the repository (the

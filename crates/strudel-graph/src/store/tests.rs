@@ -97,8 +97,8 @@ fn roundtrip_preserves_everything() {
 fn loaded_graph_is_fully_indexed() {
     let g2 = roundtrip(&sample());
     let year = g2.universe().interner().get("year").unwrap();
-    assert_eq!(g2.index().edges_with_label(year).len(), 1);
-    assert_eq!(g2.index().edges_to_value(&Value::Int(1997)).len(), 1);
+    assert_eq!(g2.label_degrees(year), (1, 1));
+    assert_eq!(g2.index().edges_to(&Value::Int(1997)).len(), 1);
 }
 
 #[test]

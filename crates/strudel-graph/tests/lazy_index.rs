@@ -1,13 +1,14 @@
 //! A lazily built index is the same index.
 //!
 //! `Graph` keeps its index's counts on every write and builds the extents
-//! (label extensions, global value index, reverse adjacency) the first time
-//! a lookup needs them. Whenever that first lookup happens — before the
-//! first write, somewhere in the middle, after the last, or never until the
-//! final inspection — every observable of the index must be what it is when
-//! the extents exist from the start and are maintained edge by edge (the
-//! only behaviour there used to be), and what `rebuild_index` computes from
-//! scratch.
+//! (one reverse map from every edge target to the edges onto it) the first
+//! time a lookup needs them, and a label's degree tallies by walking the
+//! member out-lists the first time the planner asks for them. Whenever that
+//! first lookup happens — before the first write, somewhere in the middle,
+//! after the last, or never until the final inspection — every observable
+//! of the index must be what it is when the extents and tallies exist from
+//! the start and are maintained edge by edge, and what `rebuild_index`
+//! computes from scratch.
 //!
 //! A batch is the same writes. The generator also decides, for every run of
 //! consecutive node, edge, adopt and collection writes to one graph, whether
@@ -131,7 +132,8 @@ fn value(code: u8, nodes: &[Oid]) -> Value {
 }
 
 /// Runs `ops` over two graphs of one universe, forcing both graphs' extents
-/// before op number `force_at` (`None`: never). With `batching`, the runs
+/// and every label's degree tallies before op number `force_at` (`None`:
+/// never). With `batching`, the runs
 /// the generator marked go through one `GraphBatch` each; without, every
 /// write is one at a time.
 ///
@@ -158,7 +160,9 @@ fn run(ops: &[Op], force_at: Option<usize>, batching: bool) -> (Vec<Oid>, [Graph
     let mut i = 0;
     while i < ops.len() {
         if force_at == Some(i) {
-            graphs.iter().for_each(|g| _ = g.index());
+            for g in &graphs {
+                LABELS.iter().for_each(|l| _ = g.label_degrees(g.sym(l)));
+            }
         }
         let (kind, who, n, l, v, batch) = ops[i];
         let (who, other) = (usize::from(who), 1 - usize::from(who));
@@ -226,9 +230,9 @@ fn run(ops: &[Op], force_at: Option<usize>, batching: bool) -> (Vec<Oid>, [Graph
     (nodes, graphs)
 }
 
-/// Everything the index answers, with the extents as sorted multisets
-/// (incremental maintenance lists a label's edges in the order they were
-/// written, a one-pass build in member order).
+/// Everything the index answers, with the reverse map's entries as sorted
+/// multisets (incremental maintenance lists a target's edges in the order
+/// they were written, a one-pass build in member order).
 #[derive(PartialEq, Debug)]
 struct Observed {
     labels: Vec<Sym>,
@@ -236,22 +240,18 @@ struct Observed {
     edge_count: usize,
     per_label: Vec<PerLabel>,
     collections: Vec<Option<usize>>,
-    to_value: Vec<Vec<(Oid, Sym)>>,
-    to_node: Vec<Vec<(Oid, Sym)>>,
+    /// The reverse map over every value the generator writes and every node.
+    edges_to: Vec<Vec<(Oid, Sym)>>,
 }
 
-/// A label's cardinality (from the index, from the graph), distinct
-/// sources, distinct targets, and sorted extension.
-type PerLabel = (usize, usize, usize, usize, Vec<String>);
+/// A label's cardinality (from the index, from the graph), and its distinct
+/// sources and targets.
+type PerLabel = (usize, usize, (usize, usize));
 
 fn observe(g: &Graph, nodes: &[Oid]) -> Observed {
     let idx = g.index();
     assert!(g.extents_built());
-    let sorted = |hits: &[(Oid, Sym)]| {
-        let mut hits = hits.to_vec();
-        hits.sort();
-        hits
-    };
+    let targets = (0..12u8).map(|v| value(v, &[]));
     Observed {
         labels: g.labels(),
         label_count: idx.label_count(),
@@ -260,18 +260,10 @@ fn observe(g: &Graph, nodes: &[Oid]) -> Observed {
             .iter()
             .map(|l| {
                 let l = g.sym(l);
-                let mut ext: Vec<String> = idx
-                    .edges_with_label(l)
-                    .iter()
-                    .map(|(from, to)| format!("{from} {to}"))
-                    .collect();
-                ext.sort();
                 (
                     idx.label_cardinality(l),
                     g.label_cardinality(l),
-                    idx.label_distinct_sources(l),
-                    idx.label_distinct_targets(l),
-                    ext,
+                    g.label_degrees(l),
                 )
             })
             .collect(),
@@ -279,13 +271,12 @@ fn observe(g: &Graph, nodes: &[Oid]) -> Observed {
             .iter()
             .map(|c| idx.collection_cardinality(g.sym(c)))
             .collect(),
-        to_value: (0..12u8)
-            .map(|v| value(v, &[]))
-            .map(|v| sorted(idx.edges_to_value(&v)))
-            .collect(),
-        to_node: nodes
-            .iter()
-            .map(|n| sorted(idx.edges_to_node(*n)))
+        edges_to: (targets.chain(nodes.iter().map(|n| Value::Node(*n))))
+            .map(|v| {
+                let mut hits = idx.edges_to(&v).to_vec();
+                hits.sort();
+                hits
+            })
             .collect(),
     }
 }

@@ -135,14 +135,18 @@ fn model_apply(model: &mut Model, op: &DeltaOp) {
     }
 }
 
-/// Applies one op to a graph through its one-at-a-time writers.
-fn graph_apply(g: &mut Graph, op: &DeltaOp) {
-    let val = |g: &Graph, v: &WireValue| match v {
+/// The inverse of [`wire`].
+fn val(g: &Graph, v: &WireValue) -> Value {
+    match v {
         WireValue::Node(i) => Value::Node(g.nodes()[*i as usize]),
         WireValue::Int(i) => Value::Int(*i),
         WireValue::Str(s) => Value::str(s.as_str()),
         _ => unreachable!(),
-    };
+    }
+}
+
+/// Applies one op to a graph through its one-at-a-time writers.
+fn graph_apply(g: &mut Graph, op: &DeltaOp) {
     match op {
         DeltaOp::AddNode { name } => drop(g.new_node(name.as_deref())),
         DeltaOp::AddEdge { node, label, value } => {
@@ -191,7 +195,7 @@ fn edges_of(model: &Model) -> Vec<(u32, String, WireValue)> {
 }
 
 /// One read against the reference — a node, a name, every edge, or the
-/// index's label extensions — that moves no cache stamp.
+/// index's reverse map over every target — that moves no cache stamp.
 fn read(rng: &mut Lcg, g: &Graph, model: &Model, what: &str) {
     let stamp = g.cache_stamp();
     let i = rng.below(model.len()) as u32;
@@ -215,22 +219,19 @@ fn read(rng: &mut Lcg, g: &Graph, model: &Model, what: &str) {
             assert_eq!(g.edge_count(), edges.len(), "{what}: edge count");
         }
         _ => {
+            let mut onto: BTreeMap<String, (WireValue, Vec<(u32, String)>)> = BTreeMap::new();
+            for (from, label, to) in edges_of(model) {
+                let entry = onto.entry(format!("{to:?}")).or_insert((to, vec![]));
+                entry.1.push((from, label));
+            }
             let idx = g.index();
-            for l in 0..5 {
-                let label = format!("l{l}");
-                let mut got: Vec<_> = g.universe().interner().get(&label).map_or(vec![], |s| {
-                    let ext = idx.edges_with_label(s);
-                    ext.iter()
-                        .map(|(f, v)| (f.0 - g.nodes()[0].0, wire(g, v)))
-                        .collect()
-                });
-                let mut want: Vec<_> = (edges_of(model).into_iter())
-                    .filter(|(_, l, _)| *l == label)
-                    .map(|(f, _, v)| (f, v))
+            for (to, mut want) in onto.into_values() {
+                let mut got: Vec<_> = (idx.edges_to(&val(g, &to)).iter())
+                    .map(|(f, l)| (f.0 - g.nodes()[0].0, g.resolve(*l).to_string()))
                     .collect();
-                got.sort_by_key(|e| format!("{e:?}"));
-                want.sort_by_key(|e| format!("{e:?}"));
-                assert_eq!(got, want, "{what}: extension of {label}");
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "{what}: edges onto {to:?}");
             }
         }
     }

@@ -3,7 +3,7 @@
 //! Evaluation walks the block tree. For each block, the optimizer orders the
 //! block's conditions ([`crate::optimize`]); each condition is then applied
 //! as a physical operator that transforms the bindings relation — scans of
-//! collection extents and label extensions, out-edge expansion, reverse-index
+//! collection extents and of a label's edges, out-edge expansion, reverse-index
 //! probes, product-automaton traversal for regular path expressions (forward
 //! *and* backward), filters for predicates and comparisons, and
 //! active-domain expansion for variables no positive condition binds (which

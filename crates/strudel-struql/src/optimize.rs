@@ -138,16 +138,14 @@ impl GraphStats {
             0 => return None,
             c => c as f64,
         };
-        let idx = graph.index();
-        let src = idx.label_distinct_sources(sym) as f64;
-        let tgt = idx.label_distinct_targets(sym) as f64;
-        if src <= 0.0 || tgt <= 0.0 {
+        let (src, tgt) = graph.label_degrees(sym);
+        if src == 0 || tgt == 0 {
             return None;
         }
         Some(LabelDegrees {
             cardinality: card,
-            out_degree: card / src,
-            fan_in: card / tgt,
+            out_degree: card / src as f64,
+            fan_in: card / tgt as f64,
         })
     }
 }

@@ -23,6 +23,14 @@
 //! at attach measured 0.89 / 84 (the image's bytes are the caller's, moved
 //! in, and counted in neither).
 //!
+//! The extents row is what a graph's full index keeps beside the graph: the
+//! live bytes, per data edge, that the DDL-loaded graph's first
+//! `Graph::index()` leaves allocated. One reverse map from every edge target
+//! to the edges onto it measures 41.4 at 2,000 articles and 41.7 at 8,000,
+//! the budget 43.8; with a second copy of every edge in a per-label
+//! extension beside it the same build left 77.4 / 77.6 — so a second
+//! per-edge copy cannot come back unnoticed.
+//!
 //! Rendering the site has a row of its own, per emitted link
 //! (`a_rendered_link_costs_no_more_on_a_larger_site`).
 
@@ -38,12 +46,21 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count(bytes: usize) {
+/// One `alloc` or `realloc` asking for `bytes`, of which `grown` are new.
+fn count(bytes: usize, grown: i64) {
     if COUNTING.with(Cell::get) {
         CALLS.with(|c| c.set(c.get() + 1));
         BYTES.with(|b| b.set(b.get() + bytes as u64));
+        LIVE.with(|l| l.set(l.get() + grown));
+    }
+}
+
+fn freed(bytes: usize) {
+    if COUNTING.with(Cell::get) {
+        LIVE.with(|l| l.set(l.get() - bytes as i64));
     }
 }
 
@@ -52,14 +69,15 @@ fn count(bytes: usize) {
 // destructors, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        freed(layout.size());
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -68,10 +86,11 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Runs `work` and returns its result with the `(calls, bytes)` it made on
-/// this thread.
+/// this thread; [`live`] is then what it allocated and did not free.
 fn counted<T>(work: impl FnOnce() -> T) -> (T, f64, f64) {
     CALLS.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
+    LIVE.with(|l| l.set(0));
     COUNTING.with(|c| c.set(true));
     let out = work();
     COUNTING.with(|c| c.set(false));
@@ -82,13 +101,24 @@ fn counted<T>(work: impl FnOnce() -> T) -> (T, f64, f64) {
     )
 }
 
+/// The bytes the last [`counted`] work left allocated.
+fn live() -> f64 {
+    LIVE.with(Cell::get) as f64
+}
+
 /// Per-edge `(allocations, bytes)` of loading the data graph from DDL, of
 /// loading it from a store's image and reading every node, and of
-/// `build_site`, for the news site over `articles` articles.
-fn per_edge(articles: usize) -> [(f64, f64); 3] {
+/// `build_site`, for the news site over `articles` articles; and the live
+/// bytes per data edge that the DDL-loaded graph's first `Graph::index()`
+/// leaves, which are its extents.
+fn per_edge(articles: usize) -> ([(f64, f64); 3], f64) {
     let mut s = news::system(articles, 7, false).unwrap();
     let (data_edges, calls, bytes) = counted(|| s.data_graph().unwrap().edge_count() as f64);
     let load = (calls / data_edges, bytes / data_edges);
+    let g = s.data_graph().unwrap();
+    assert!(!g.extents_built());
+    counted(|| g.index().edge_count());
+    let extents = live() / data_edges;
     let mut image = Vec::new();
     strudel::graph::store::save(s.data_graph().unwrap(), &mut image).unwrap();
     let (decoded, calls, bytes) = counted(|| {
@@ -109,7 +139,8 @@ fn per_edge(articles: usize) -> [(f64, f64); 3] {
         .map(|s| s.construct.edges_created)
         .sum::<u64>() as f64;
     assert!(data_edges > 8.0 * articles as f64 && site_edges > 2.0 * data_edges);
-    [load, decode, (calls / site_edges, bytes / site_edges)]
+    let build = (calls / site_edges, bytes / site_edges);
+    ([load, decode, build], extents)
 }
 
 // One test: the last assertion needs both sizes.
@@ -118,23 +149,26 @@ fn an_edge_costs_about_one_allocation_at_any_size() {
     let small = per_edge(2_000);
     let large = per_edge(8_000);
     eprintln!(
-        "allocations, bytes per edge (DDL load, image load, build): \
+        "allocations, bytes per edge (DDL load, image load, build, extents): \
          {small:?} at 2,000; {large:?} at 8,000"
     );
-    for [load, decode, build] in [small, large] {
+    for ([load, decode, build], extents) in [small, large] {
         assert!(load.0 <= 1.25 && load.1 <= 437.0, "data edge: {load:?}");
         assert!(
             decode.0 <= 0.94 && decode.1 <= 89.0,
             "image edge: {decode:?}"
         );
         assert!(build.0 <= 0.75 && build.1 <= 458.0, "site edge: {build:?}");
+        assert!(extents <= 43.8, "extents per data edge: {extents}");
     }
     // Per edge means per edge: four times the site, the same figures.
-    for (small, large) in small.iter().zip(&large) {
+    for (small, large) in small.0.iter().zip(&large.0) {
         for (small, large) in [(small.0, large.0), (small.1, large.1)] {
             assert!((large / small - 1.0).abs() <= 0.10, "{small} -> {large}");
         }
     }
+    let (small, large) = (small.1, large.1);
+    assert!((large / small - 1.0).abs() <= 0.10, "{small} -> {large}");
 }
 
 /// `(allocations per emitted link, bytes requested per byte of HTML)` of
