@@ -25,13 +25,22 @@
 //! address "may be a structure with address, city and zipcode fields"),
 //! written as an inline `{ … }` block, and object references written
 //! `&name`, which allow graphs with shared substructure and cycles.
+//!
+//! A source is read in one streaming pass: the parser pulls tokens from the
+//! lexer one ahead, so no token list is ever built. Each distinct string,
+//! URL or file text is allocated once per parse and shared by every value
+//! that repeats it, and each object body's edges are appended to its node
+//! in one write. The first error in source order is the one reported, with
+//! its line.
 
 use crate::error::{GraphError, Result};
 use crate::fxhash::FxHashMap;
 use crate::graph::{Graph, GraphBatch, NodeId};
+use crate::symbol::Sym;
 use crate::value::{FileKind, Value};
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Default value type declared by a `collection` directive.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,25 +56,17 @@ impl Directive {
         }
         FileKind::from_keyword(kw).map(Directive::File)
     }
-
-    fn apply(self, s: &str) -> Value {
-        match self {
-            Directive::File(kind) => Value::file(kind, s),
-            Directive::Url => Value::url(s),
-        }
-    }
 }
 
 // ---------------------------------------------------------------- lexer ----
 
-/// Tokens borrow from the source text; only string literals containing
-/// escapes own their (unescaped) content. This keeps lexing and parsing
-/// allocation-free on the hot path — DDL is the exchange format every
-/// wrapper and the mediator funnel data through.
-#[derive(Clone, Debug, PartialEq)]
+/// Tokens are slices of the source text (a string literal's text is the
+/// parser's to unescape and intern), so lexing allocates nothing but an
+/// error's message.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Tok<'a> {
     Ident(&'a str),
-    Str(Cow<'a, str>),
+    Str(Lit<'a>),
     Int(i64),
     Float(f64),
     Bool(bool),
@@ -75,10 +76,47 @@ enum Tok<'a> {
     Amp,
 }
 
+/// A string literal's source text between its quotes, escapes and all (the
+/// lexer has checked them). It prints as the text it stands for.
+#[derive(Clone, Copy, PartialEq)]
+struct Lit<'a>(&'a str);
+
+impl Lit<'_> {
+    /// The text the literal stands for: its source text unless it holds an
+    /// escape.
+    fn text(&self) -> Cow<'_, str> {
+        if !self.0.contains('\\') {
+            return Cow::Borrowed(self.0);
+        }
+        let mut out = String::with_capacity(self.0.len());
+        let mut chars = self.0.chars();
+        while let Some(c) = chars.next() {
+            out.push(match c {
+                '\\' => match chars.next() {
+                    Some('n') => '\n',
+                    Some('t') => '\t',
+                    Some(other) => other, // `\"` or `\\`: checked by the lexer
+                    None => break,
+                },
+                c => c,
+            });
+        }
+        Cow::Owned(out)
+    }
+}
+
+impl fmt::Debug for Lit<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.text(), f)
+    }
+}
+
 struct Lexer<'a> {
     src: &'a str,
     pos: usize,
     line: usize,
+    /// The line the last token lexed (or failed to lex) starts on.
+    tok_line: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -87,6 +125,7 @@ impl<'a> Lexer<'a> {
             src,
             pos: 0,
             line: 1,
+            tok_line: 1,
         }
     }
 
@@ -135,9 +174,10 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> Result<Option<(Tok<'a>, usize)>> {
+    /// The next token, `None` at the end of the source.
+    fn next_tok(&mut self) -> Result<Option<Tok<'a>>> {
         self.skip_trivia();
-        let line = self.line;
+        self.tok_line = self.line;
         let Some(b) = self.peek_byte() else {
             return Ok(None);
         };
@@ -161,50 +201,24 @@ impl<'a> Lexer<'a> {
             b'"' => {
                 self.bump();
                 let start = self.pos;
-                // Fast path: no escapes — borrow the slice between the
-                // quotes (quote bytes are ASCII, so the slice boundaries
-                // are char boundaries).
-                let mut escaped = false;
                 loop {
-                    match self.peek_byte() {
+                    match self.bump() {
                         None => return Err(self.err("unterminated string literal")),
                         Some(b'"') => break,
-                        Some(b'\\') => {
-                            escaped = true;
-                            break;
-                        }
-                        _ => {
-                            self.bump();
-                        }
+                        Some(b'\\') => match self.bump() {
+                            Some(b'n' | b't' | b'"' | b'\\') => {}
+                            other => {
+                                return Err(
+                                    self.err(format!("bad escape: \\{:?}", other.map(char::from)))
+                                )
+                            }
+                        },
+                        Some(_) => {}
                     }
                 }
-                if !escaped {
-                    let s = &self.src[start..self.pos];
-                    self.bump(); // closing quote
-                    Tok::Str(Cow::Borrowed(s))
-                } else {
-                    let mut bytes: Vec<u8> = self.src.as_bytes()[start..self.pos].to_vec();
-                    loop {
-                        match self.bump() {
-                            None => return Err(self.err("unterminated string literal")),
-                            Some(b'"') => break,
-                            Some(b'\\') => match self.bump() {
-                                Some(b'n') => bytes.push(b'\n'),
-                                Some(b't') => bytes.push(b'\t'),
-                                Some(b'"') => bytes.push(b'"'),
-                                Some(b'\\') => bytes.push(b'\\'),
-                                other => {
-                                    return Err(self
-                                        .err(format!("bad escape: \\{:?}", other.map(char::from))))
-                                }
-                            },
-                            Some(c) => bytes.push(c),
-                        }
-                    }
-                    let s = String::from_utf8(bytes)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    Tok::Str(Cow::Owned(s))
-                }
+                // Quote bytes are ASCII, so the slice boundaries are char
+                // boundaries.
+                Tok::Str(Lit(&self.src[start..self.pos - 1]))
             }
             b'-' | b'0'..=b'9' => {
                 let start = self.pos;
@@ -247,24 +261,20 @@ impl<'a> Lexer<'a> {
             }
             other => return Err(self.err(format!("unexpected character {:?}", other as char))),
         };
-        Ok(Some((tok, line)))
+        Ok(Some(tok))
     }
-}
-
-fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>> {
-    let mut lexer = Lexer::new(src);
-    let mut out = Vec::new();
-    while let Some(t) = lexer.next_tok()? {
-        out.push(t);
-    }
-    Ok(out)
 }
 
 // --------------------------------------------------------------- parser ----
 
 struct Parser<'a, 'g> {
-    toks: Vec<(Tok<'a>, usize)>,
-    pos: usize,
+    lexer: Lexer<'a>,
+    /// The one token of lookahead: `None` at the end of the source, or the
+    /// error lexing it met — raised only when the parser looks at it, so a
+    /// parse error earlier in the source is the one reported.
+    ahead: Result<Option<Tok<'a>>>,
+    /// The lookahead's line; at the end of the source, the last token's.
+    line: usize,
     /// One batch per parse: nested anonymous objects interleave the edges
     /// of several nodes, which a batch takes as they come.
     graph: GraphBatch<'g>,
@@ -272,46 +282,54 @@ struct Parser<'a, 'g> {
     directives: FxHashMap<&'a str, FxHashMap<&'a str, Directive>>,
     /// Named objects, created lazily so forward references work.
     named: FxHashMap<&'a str, NodeId>,
+    /// String, URL and file text by its literal's source text: a repeated
+    /// string is one allocation.
+    strings: FxHashMap<&'a str, Arc<str>>,
+    /// The edges of the body being parsed, not yet written to its node.
+    edges: Vec<(Sym, Value)>,
     anon_counter: usize,
 }
 
 impl<'a> Parser<'a, '_> {
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .or_else(|| self.toks.last())
-            .map(|(_, l)| *l)
-            .unwrap_or(1)
-    }
-
     fn err(&self, message: impl Into<String>) -> GraphError {
         GraphError::DdlParse {
-            line: self.line(),
+            line: self.line,
             message: message.into(),
         }
     }
 
-    fn peek(&self) -> Option<&Tok<'a>> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+    /// Lexes the next token into the lookahead.
+    fn advance(&mut self) {
+        self.ahead = self.lexer.next_tok();
+        if !matches!(self.ahead, Ok(None)) {
+            self.line = self.lexer.tok_line;
+        }
     }
 
-    fn next(&mut self) -> Option<Tok<'a>> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
+    fn peek(&mut self) -> Result<Option<Tok<'a>>> {
+        match &self.ahead {
+            Ok(tok) => Ok(*tok),
+            Err(_) => std::mem::replace(&mut self.ahead, Ok(None)),
         }
-        t
+    }
+
+    fn next(&mut self) -> Result<Option<Tok<'a>>> {
+        let tok = self.peek()?;
+        if tok.is_some() {
+            self.advance();
+        }
+        Ok(tok)
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<&'a str> {
-        match self.next() {
+        match self.next()? {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected {what}, found {other:?}"))),
         }
     }
 
     fn expect(&mut self, tok: Tok<'a>) -> Result<()> {
-        match self.next() {
+        match self.next()? {
             Some(t) if t == tok => Ok(()),
             other => Err(self.err(format!("expected {tok:?}, found {other:?}"))),
         }
@@ -326,11 +344,18 @@ impl<'a> Parser<'a, '_> {
         n
     }
 
+    /// The one shared allocation of a string literal's text.
+    fn intern(&mut self, lit: Lit<'a>) -> Arc<str> {
+        (self.strings.entry(lit.0))
+            .or_insert_with(|| Arc::from(lit.text().as_ref()))
+            .clone()
+    }
+
     fn parse(&mut self) -> Result<()> {
-        while let Some(tok) = self.peek() {
+        while let Some(tok) = self.peek()? {
             match tok {
-                Tok::Ident(kw) if *kw == "collection" => self.parse_collection()?,
-                Tok::Ident(kw) if *kw == "object" => self.parse_object()?,
+                Tok::Ident("collection") => self.parse_collection()?,
+                Tok::Ident("object") => self.parse_object()?,
                 other => {
                     return Err(self.err(format!(
                         "expected `collection` or `object`, found {other:?}"
@@ -342,11 +367,11 @@ impl<'a> Parser<'a, '_> {
     }
 
     fn parse_collection(&mut self) -> Result<()> {
-        self.next(); // `collection`
+        self.next()?; // `collection`
         let name = self.expect_ident("collection name")?;
         self.graph.ensure_collection(name);
         self.expect(Tok::LBrace)?;
-        while self.peek() != Some(&Tok::RBrace) {
+        while self.peek()? != Some(Tok::RBrace) {
             let attr = self.expect_ident("attribute name")?;
             let kind = self.expect_ident("type keyword")?;
             let dir = Directive::from_keyword(kind)
@@ -357,51 +382,68 @@ impl<'a> Parser<'a, '_> {
     }
 
     fn parse_object(&mut self) -> Result<()> {
-        self.next(); // `object`
+        self.next()?; // `object`
         let name = self.expect_ident("object name")?;
         let node = self.node_for(name);
         let mut colls = Vec::new();
-        if matches!(self.peek(), Some(Tok::Ident(kw)) if *kw == "in") {
-            self.next();
+        if self.peek()? == Some(Tok::Ident("in")) {
+            self.next()?;
             loop {
                 let coll = self.expect_ident("collection name")?;
                 let sym = self.graph.ensure_collection(coll);
                 self.graph.add_to_collection(sym, Value::Node(node));
                 colls.push(coll);
-                if self.peek() == Some(&Tok::Comma) {
-                    self.next();
+                if self.peek()? == Some(Tok::Comma) {
+                    self.next()?;
                 } else {
                     break;
                 }
             }
         }
+        self.expect(Tok::LBrace)?;
         self.parse_body(node, &colls)
     }
 
+    /// The attributes of `node` up to its body's closing brace (the opening
+    /// one read). Its edges are written when the body ends, on an error
+    /// too, and before a nested body's, so they land in source order.
     fn parse_body(&mut self, node: NodeId, colls: &[&'a str]) -> Result<()> {
-        self.expect(Tok::LBrace)?;
-        while self.peek() != Some(&Tok::RBrace) {
+        let parsed = self.parse_attrs(node, colls);
+        self.write_edges(node);
+        parsed
+    }
+
+    fn parse_attrs(&mut self, node: NodeId, colls: &[&'a str]) -> Result<()> {
+        while self.peek()? != Some(Tok::RBrace) {
             let attr = self.expect_ident("attribute name")?;
-            let value = self.parse_value(attr, colls)?;
+            let value = self.parse_value(node, attr, colls)?;
             let label = self.graph.sym(attr);
-            self.graph
-                .add_edge(node, label, value)
-                .expect("node is a member");
+            self.edges.push((label, value));
         }
         self.expect(Tok::RBrace)
     }
 
-    fn parse_value(&mut self, attr: &str, colls: &[&'a str]) -> Result<Value> {
-        match self.next() {
-            Some(Tok::Str(s)) => {
+    /// Appends the buffered edges to `node`'s out-list, grown once.
+    fn write_edges(&mut self, node: NodeId) {
+        (self.graph)
+            .add_edges(node, self.edges.drain(..))
+            .expect("node is a member");
+    }
+
+    fn parse_value(&mut self, node: NodeId, attr: &str, colls: &[&'a str]) -> Result<Value> {
+        match self.next()? {
+            Some(Tok::Str(lit)) => {
+                let text = self.intern(lit);
                 // Collection directives give string values their default
                 // type; first matching collection wins.
                 for coll in colls {
-                    if let Some(dir) = self.directives.get(coll).and_then(|m| m.get(attr)) {
-                        return Ok(dir.apply(&s));
+                    match self.directives.get(coll).and_then(|m| m.get(attr)) {
+                        Some(Directive::File(kind)) => return Ok(Value::File(*kind, text)),
+                        Some(Directive::Url) => return Ok(Value::Url(text)),
+                        None => {}
                     }
                 }
-                Ok(Value::str(s))
+                Ok(Value::Str(text))
             }
             Some(Tok::Int(i)) => Ok(Value::Int(i)),
             Some(Tok::Float(f)) => Ok(Value::Float(f)),
@@ -412,7 +454,7 @@ impl<'a> Parser<'a, '_> {
             }
             Some(Tok::LBrace) => {
                 // Nested structured value: an anonymous node.
-                self.pos -= 1; // parse_body expects the brace
+                self.write_edges(node);
                 self.anon_counter += 1;
                 let inner = self
                     .graph
@@ -429,15 +471,18 @@ impl<'a> Parser<'a, '_> {
 /// `graph`. Multiple inputs may be parsed into the same graph; object names
 /// are shared across calls only within a single `parse_into` invocation.
 pub fn parse_into(graph: &mut Graph, src: &str) -> Result<()> {
-    let toks = lex(src)?;
     let mut p = Parser {
-        toks,
-        pos: 0,
+        lexer: Lexer::new(src),
+        ahead: Ok(None),
+        line: 1,
         graph: graph.batch(),
         directives: FxHashMap::default(),
         named: FxHashMap::default(),
+        strings: FxHashMap::default(),
+        edges: Vec::new(),
         anon_counter: 0,
     };
+    p.advance();
     p.parse()
 }
 
@@ -603,7 +648,8 @@ mod tests {
     use super::*;
 
     fn toks(src: &str) -> Vec<Tok<'_>> {
-        lex(src).unwrap().into_iter().map(|(t, _)| t).collect()
+        let mut lexer = Lexer::new(src);
+        std::iter::from_fn(|| lexer.next_tok().unwrap()).collect()
     }
 
     #[test]
@@ -626,7 +672,7 @@ mod tests {
 
     #[test]
     fn lexer_rejects_double_sign() {
-        let err = lex("--3").unwrap_err().to_string();
+        let err = Lexer::new("--3").next_tok().unwrap_err().to_string();
         assert!(err.contains("bad integer"), "{err}");
     }
 
@@ -775,6 +821,27 @@ object mff {
             GraphError::DdlParse { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// A streamed parse meets errors in source order: the bad object name
+    /// on line 2 is reported, not the unterminated string on line 4 that a
+    /// lexer run over the whole source first would have found.
+    #[test]
+    fn the_first_error_in_source_order_is_reported() {
+        let err = parse("object x { y 1 }\nobject 7 {\n}\n\"never closed").unwrap_err();
+        match err {
+            GraphError::DdlParse { line, message } => {
+                assert_eq!(line, 2);
+                assert_eq!(message, "expected object name, found Some(Int(7))");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        // A lex error still wins over a parse error after it.
+        let err = parse("object x { s \"a\\q\" }\nobject 7").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r"DDL parse error at line 1: bad escape: \Some('q')"
+        );
     }
 
     #[test]

@@ -1074,6 +1074,27 @@ impl GraphBatch<'_> {
         Ok(())
     }
 
+    /// Appends `edges` to `from`'s out-list in order, as that many
+    /// [`GraphBatch::add_edge`] calls would, growing the list once.
+    pub(crate) fn add_edges(
+        &mut self,
+        from: NodeId,
+        edges: impl ExactSizeIterator<Item = (Sym, Value)>,
+    ) -> Result<()> {
+        if edges.len() == 0 {
+            return Ok(());
+        }
+        self.enter(from)?;
+        let data = (self.nodes.data_mut(from)).ok_or(GraphError::UnknownNode(from))?;
+        self.changed = true;
+        data.out.reserve_exact(edges.len());
+        for (label, to) in edges {
+            self.tally.edge(&mut self.own.index, from, label, &to);
+            data.out.push((label, to));
+        }
+        Ok(())
+    }
+
     /// Adopts an existing node of the universe, as [`Graph::adopt_node`].
     pub fn adopt(&mut self, n: NodeId) -> Result<()> {
         let out = &self.nodes.data(n).ok_or(GraphError::UnknownNode(n))?.out;

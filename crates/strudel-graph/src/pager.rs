@@ -30,7 +30,7 @@
 //! leaked and reclaimed by [`crate::store::PagedStore::compact`].
 
 use crate::error::{GraphError, Result};
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::{checksum, FxHashMap};
 use crate::stats::STORAGE;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -61,13 +61,12 @@ const KIND_SNAP: u8 = 1;
 const CHECKSUM_SEED: u64 = 0x5354_5255_4447_4531;
 
 fn fx(parts: &[&[u8]]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(CHECKSUM_SEED);
-    for p in parts {
-        h.write_u64(p.len() as u64);
-        h.write(p);
-    }
-    h.finish()
+    checksum(CHECKSUM_SEED, |h| {
+        for p in parts {
+            h.write_u64(p.len() as u64);
+            h.write(p);
+        }
+    })
 }
 
 /// The committed state a header slot describes.

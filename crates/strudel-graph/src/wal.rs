@@ -29,7 +29,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::fsio;
-use crate::fxhash::FxHasher;
+use crate::fxhash::checksum;
 use crate::stats::STORAGE;
 use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
@@ -52,12 +52,11 @@ const KIND_DELTA: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 
 fn header_checksum(base_revision: u64, created_at: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(CHECKSUM_SEED);
-    h.write(MAGIC);
-    h.write_u64(base_revision);
-    h.write_u64(created_at);
-    h.finish()
+    checksum(CHECKSUM_SEED, |h| {
+        h.write(MAGIC);
+        h.write_u64(base_revision);
+        h.write_u64(created_at);
+    })
 }
 
 fn unix_now_secs() -> u64 {
@@ -68,14 +67,13 @@ fn unix_now_secs() -> u64 {
 }
 
 fn frame_checksum(base_revision: u64, offset: u64, kind: u8, payload: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(CHECKSUM_SEED);
-    h.write_u64(base_revision);
-    h.write_u64(offset);
-    h.write_u8(kind);
-    h.write_u64(payload.len() as u64);
-    h.write(payload);
-    h.finish()
+    checksum(CHECKSUM_SEED, |h| {
+        h.write_u64(base_revision);
+        h.write_u64(offset);
+        h.write_u8(kind);
+        h.write_u64(payload.len() as u64);
+        h.write(payload);
+    })
 }
 
 /// One committed transaction replayed from the log.

@@ -2,6 +2,7 @@
 //! (HTML wrapper through the pipeline, GAV mappings through the facade,
 //! saving/loading data graphs across pipeline stages).
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use strudel::graph::{store, Graph, Value};
 use strudel::struql::{parse_query, EvalOptions};
@@ -501,4 +502,29 @@ fn a_segment_that_does_not_read_is_a_500_not_a_panic() {
     assert_eq!(corrupt() - before, 1);
     assert!(graph.check().is_err());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A DDL source allocates each distinct string once: among the string, URL
+/// and file atoms of the 8,000-article news graph, distinct `Arc`s are
+/// exactly distinct texts, and far fewer than the atoms.
+#[test]
+fn a_parsed_source_shares_one_allocation_per_distinct_string() {
+    let g = strudel::graph::ddl::parse(&strudel::synth::news::generate_ddl(8_000, 7)).unwrap();
+    let r = g.reader();
+    let (mut atoms, mut texts, mut allocations) = (0, HashSet::new(), HashSet::new());
+    for &n in g.nodes() {
+        for (_, v) in r.out(n) {
+            if let Value::Str(s) | Value::Url(s) | Value::File(_, s) = v {
+                atoms += 1;
+                texts.insert(&**s);
+                allocations.insert(Arc::as_ptr(s) as *const u8);
+            }
+        }
+    }
+    assert_eq!(allocations.len(), texts.len());
+    assert!(
+        2 * texts.len() < atoms,
+        "{} texts, {atoms} atoms",
+        texts.len()
+    );
 }
