@@ -283,7 +283,7 @@ fn cmd_build(spec_path: &Path, rest: &[String]) -> Result<(), AnyError> {
 
 fn cmd_schema(spec_path: &Path) -> Result<(), AnyError> {
     let (s, _) = load_system(spec_path)?;
-    print!("{}", s.site_schema().to_dot());
+    print!("{}", s.site_schema()?.to_dot());
     Ok(())
 }
 

@@ -5,11 +5,11 @@
 //! the root(s) of a Web site, then compute at click time the query that
 //! obtains the information required to display the next page."
 //!
-//! [`DynamicSite`] implements that decomposition. The site-definition query
-//! is split into one sub-query per `LINK` clause: when the user "clicks"
-//! into page `F(v̄)`, each clause `F(X) -> L -> T` is answered with `X`
-//! bound to `v̄`, yielding exactly that page's outgoing links. Clauses of
-//! one block with the same head arguments share their conjunction, which is
+//! [`DynamicSite`] implements that decomposition over the query's
+//! [`SiteProgram`]: when the user "clicks" into page `F(v̄)`, each link
+//! clause `F(X) -> L -> T` is answered with `X` bound to `v̄`, yielding
+//! exactly that page's outgoing links. Clauses of one stage with the same
+//! source arguments share the program's [`Conjunction`], which is
 //! evaluated at most once per click. Results are cached per clause — "our
 //! optimization techniques cache query results to reduce click time for
 //! future queries".
@@ -29,10 +29,10 @@ use crate::incremental::{seed_bindings, Delta};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::{Graph, Value};
 use strudel_obs::{trace, Scrape};
-use strudel_struql::analyze::analyze;
-use strudel_struql::ast::{Block, Condition, LabelTerm, PathStep, Rpe, Term};
+use strudel_struql::ast::{Condition, LabelTerm, LinkClause, PathStep, Rpe, SkolemTerm, Term};
 use strudel_struql::binding::Bindings;
-use strudel_struql::{evaluate_conditions, EvalOptions, Query, Result, StruqlError};
+use strudel_struql::program::{Conjunction, Head};
+use strudel_struql::{evaluate_conditions, EvalOptions, Query, Result, SiteProgram, StruqlError};
 
 /// A logical page: a Skolem function applied to argument values.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -166,35 +166,6 @@ impl Default for CacheConfig {
             max_bytes: 16 * 1024 * 1024,
         }
     }
-}
-
-/// A link clause lifted out of the query.
-#[derive(Clone, Debug)]
-struct ClauseInfo {
-    from_fn: String,
-    label: LabelTerm,
-    to: Term,
-    /// The variables the link head reads (see [`head_vars`]).
-    head_vars: Vec<String>,
-    /// Index of the governing [`Conjunction`].
-    conjunction: usize,
-}
-
-/// The conjunction governing the link clauses of one block that share their
-/// source arguments: for one page they all start from the same bindings, so
-/// one evaluation serves them all.
-#[derive(Clone, Debug)]
-struct Conjunction {
-    from_args: Vec<String>,
-    conditions: Vec<Condition>,
-}
-
-/// A create clause lifted out of the query (for page enumeration).
-#[derive(Clone, Debug)]
-struct CreateInfo {
-    name: String,
-    args: Vec<String>,
-    conditions: Vec<Condition>,
 }
 
 // ---- bounded LRU cache ----------------------------------------------------
@@ -412,19 +383,17 @@ pub struct CacheSnapshot {
 pub struct DynamicSite<'g> {
     data: &'g Graph,
     opts: EvalOptions,
-    clauses: Vec<ClauseInfo>,
-    conjunctions: Vec<Conjunction>,
-    /// The clauses of each page head, sorted by `(skolem, arity)`.
+    program: SiteProgram,
+    /// The link clauses of each page head, sorted by `(skolem, arity)`.
     heads: Vec<((String, usize), Vec<usize>)>,
-    creates: Vec<CreateInfo>,
     cache: Mutex<LruCache>,
     counters: Counters,
 }
 
 impl<'g> DynamicSite<'g> {
     /// Decomposes `query` over `data` with the default cache bounds. The
-    /// query is analyzed (so bare path steps resolve) but nothing is
-    /// evaluated yet.
+    /// query is compiled into its [`SiteProgram`] (so bare path steps
+    /// resolve) but nothing is evaluated yet.
     pub fn new(data: &'g Graph, query: &Query, opts: EvalOptions) -> Result<Self> {
         Self::with_cache(data, query, opts, CacheConfig::default())
     }
@@ -436,30 +405,20 @@ impl<'g> DynamicSite<'g> {
         opts: EvalOptions,
         cache: CacheConfig,
     ) -> Result<Self> {
-        let analyzed = analyze(query, &opts.predicates)?;
-        let mut lifted = Lifted::default();
-        collect(&analyzed.query.root, &mut Vec::new(), &mut lifted);
-        let Lifted {
-            clauses,
-            conjunctions,
-            creates,
-        } = lifted;
+        let program = SiteProgram::compile(query, &opts.predicates)?;
         let mut by_head: std::collections::BTreeMap<(String, usize), Vec<usize>> =
             Default::default();
-        for (i, c) in clauses.iter().enumerate() {
-            let arity = conjunctions[c.conjunction].from_args.len();
-            by_head
-                .entry((c.from_fn.clone(), arity))
-                .or_default()
-                .push(i);
+        for (i, c) in program.clauses().iter().enumerate() {
+            if let Head::Link { link, .. } = &c.head {
+                let head = (link.from.name.clone(), link.from.args.len());
+                by_head.entry(head).or_default().push(i);
+            }
         }
         Ok(DynamicSite {
             data,
             opts,
-            clauses,
-            conjunctions,
+            program,
             heads: by_head.into_iter().collect(),
-            creates,
             cache: Mutex::new(LruCache::new(cache)),
             counters: Counters::default(),
         })
@@ -524,10 +483,10 @@ impl<'g> DynamicSite<'g> {
     /// created under an unconditional (empty) conjunction.
     pub fn roots(&self) -> Vec<PageRef> {
         let mut out = Vec::new();
-        for c in &self.creates {
-            if c.args.is_empty() && c.conditions.is_empty() {
+        for (sk, conditions) in self.creates() {
+            if sk.args.is_empty() && conditions.is_empty() {
                 let page = PageRef {
-                    skolem: c.name.clone(),
+                    skolem: sk.name.clone(),
                     args: Vec::new(),
                 };
                 if !out.contains(&page) {
@@ -544,12 +503,12 @@ impl<'g> DynamicSite<'g> {
     pub fn pages_of(&self, skolem: &str) -> Result<Vec<PageRef>> {
         let mut out = Vec::new();
         let mut seen = FxHashSet::default();
-        for c in self.creates.iter().filter(|c| c.name == skolem) {
+        for (sk, conditions) in self.creates().filter(|(sk, _)| sk.name == skolem) {
             let bindings =
-                evaluate_conditions(&c.conditions, self.data, Bindings::unit(), &self.opts)?;
+                evaluate_conditions(conditions, self.data, Bindings::unit(), &self.opts)?;
             self.counters.clause_queries.inc();
             for row in bindings.rows() {
-                let args: Option<Vec<Value>> = c
+                let args: Option<Vec<Value>> = sk
                     .args
                     .iter()
                     .map(|a| bindings.get(row, a).cloned())
@@ -557,7 +516,7 @@ impl<'g> DynamicSite<'g> {
                 let Some(args) = args else {
                     return Err(StruqlError::Eval(format!(
                         "unbound Skolem argument in {}",
-                        c.name
+                        sk.name
                     )));
                 };
                 if seen.insert(args.clone()) {
@@ -569,6 +528,22 @@ impl<'g> DynamicSite<'g> {
             }
         }
         Ok(out)
+    }
+
+    /// Every `CREATE` term of the program with its governing conjunction.
+    fn creates(&self) -> impl Iterator<Item = (&SkolemTerm, &[Condition])> {
+        self.program.clauses().iter().filter_map(|c| match &c.head {
+            Head::Create(sk) => Some((sk, self.program.stages()[c.stage].prefix.as_slice())),
+            _ => None,
+        })
+    }
+
+    /// Link clause `i` of the program and its conjunction.
+    fn link(&self, i: usize) -> (&LinkClause, usize) {
+        match &self.program.clauses()[i].head {
+            Head::Link { link, conjunction } => (link, *conjunction),
+            _ => unreachable!("page heads index link clauses only"),
+        }
     }
 
     /// The link clauses of `page`'s head, in query order.
@@ -660,7 +635,7 @@ impl<'g> DynamicSite<'g> {
             // part, and concurrent misses on the same key are harmless
             // (both compute the same value; the second insert replaces).
             self.counters.cache_misses.inc();
-            let conjunction = self.clauses[i].conjunction;
+            let (link, conjunction) = self.link(i);
             let at = match relations.iter().position(|(c, _)| *c == conjunction) {
                 Some(at) => at,
                 None => {
@@ -668,7 +643,7 @@ impl<'g> DynamicSite<'g> {
                     relations.len() - 1
                 }
             };
-            let links: Arc<[OutLink]> = build_links(&self.clauses[i], &relations[at].1).into();
+            let links: Arc<[OutLink]> = build_links(link, &relations[at].1).into();
             // A stored segment that did not read — here or earlier — reads
             // as empty: fail the page rather than cache it.
             self.data.check().map_err(StruqlError::Graph)?;
@@ -707,13 +682,11 @@ impl<'g> DynamicSite<'g> {
     pub fn invalidate(&self, delta: &Delta) -> u64 {
         let mut tspan = trace::span("cache.invalidate", trace::Layer::Cache);
         // Clauses that share a conjunction are affected alike.
-        let affected: Vec<Affected> = self
-            .conjunctions
-            .iter()
-            .map(|c| conjunction_affected(self.data, c, delta))
+        let affected: Vec<Affected> = (self.program.conjunctions().iter())
+            .map(|c| conjunction_affected(self.data, &self.program, c, delta))
             .collect();
         let dropped = self.cache.lock().drop_matching(|(clause, args)| {
-            match &affected[self.clauses[*clause].conjunction] {
+            match &affected[self.link(*clause).1] {
                 Affected::No => false,
                 Affected::All => true,
                 Affected::Args(constraints) => constraints.iter().any(|cons| {
@@ -738,13 +711,14 @@ impl<'g> DynamicSite<'g> {
     }
 
     /// Imports entries from [`DynamicSite::cache_snapshot`], subject to
-    /// this site's bounds. Entries referencing clauses this site does not
-    /// have are skipped.
+    /// this site's bounds. Entries referencing link clauses this site does
+    /// not have are skipped.
     pub fn cache_restore(&self, snap: CacheSnapshot) {
         let mut cache = self.cache.lock();
         let mut evicted = 0;
         for (key, links) in snap.entries {
-            if key.0 < self.clauses.len() {
+            let clause = self.program.clauses().get(key.0);
+            if clause.is_some_and(|c| matches!(c.head, Head::Link { .. })) {
                 evicted += cache.insert(key, links);
             }
         }
@@ -758,10 +732,10 @@ impl<'g> DynamicSite<'g> {
     /// page's. The relation is empty when the page's arguments contradict a
     /// repeated source variable.
     fn eval_conjunction(&self, idx: usize, page: &PageRef) -> Result<Bindings> {
-        let conjunction = &self.conjunctions[idx];
+        let conjunction = &self.program.conjunctions()[idx];
         let mut start = Bindings::empty();
         let mut row: Vec<Value> = Vec::new();
-        for (var, val) in conjunction.from_args.iter().zip(&page.args) {
+        for (var, val) in conjunction.args.iter().zip(&page.args) {
             if let Some(col) = start.col(var) {
                 // Repeated variable: values must agree.
                 if &row[col] != val {
@@ -773,7 +747,8 @@ impl<'g> DynamicSite<'g> {
             }
         }
         start.push_row(&row);
-        let bindings = evaluate_conditions(&conjunction.conditions, self.data, start, &self.opts)?;
+        let conditions = &self.program.stages()[conjunction.stage].prefix;
+        let bindings = evaluate_conditions(conditions, self.data, start, &self.opts)?;
         self.counters.clause_queries.inc();
         Ok(bindings)
     }
@@ -783,9 +758,10 @@ impl<'g> DynamicSite<'g> {
 /// of first occurrence. The relation is projected onto the variables the
 /// link head reads before any link is built, so a conjunction that binds
 /// thousands of rows per distinct link materializes only the distinct ones.
-fn build_links(clause: &ClauseInfo, relation: &Bindings) -> Vec<OutLink> {
-    let rows = relation.project(&clause.head_vars);
-    if rows.width() < clause.head_vars.len() {
+fn build_links(clause: &LinkClause, relation: &Bindings) -> Vec<OutLink> {
+    let reads = head_vars(&clause.label, &clause.to);
+    let rows = relation.project(&reads);
+    if rows.width() < reads.len() {
         // A head variable the conjunction does not bind: no row has a link.
         return Vec::new();
     }
@@ -892,9 +868,14 @@ enum Affected {
     Args(Vec<Vec<Option<Value>>>),
 }
 
-fn conjunction_affected(data: &Graph, conjunction: &Conjunction, delta: &Delta) -> Affected {
+fn conjunction_affected(
+    data: &Graph,
+    program: &SiteProgram,
+    conjunction: &Conjunction,
+    delta: &Delta,
+) -> Affected {
     let mut constraints = Vec::new();
-    for cond in &conjunction.conditions {
+    for cond in &program.stages()[conjunction.stage].prefix {
         match cond {
             Condition::Edge { negated: true, .. } | Condition::Collection { negated: true, .. } => {
                 return Affected::All;
@@ -910,7 +891,7 @@ fn conjunction_affected(data: &Graph, conjunction: &Conjunction, delta: &Delta) 
                     // Restrict to cache keys whose Skolem arguments agree
                     // with what the seed binds.
                     let cons: Vec<Option<Value>> = conjunction
-                        .from_args
+                        .args
                         .iter()
                         .map(|a| seed.col(a).map(|col| seed.row(0)[col].clone()))
                         .collect();
@@ -945,54 +926,6 @@ fn head_vars(label: &LabelTerm, to: &Term) -> Vec<String> {
         }
     }
     vars
-}
-
-/// What [`collect`] lifts out of a query.
-#[derive(Default)]
-struct Lifted {
-    clauses: Vec<ClauseInfo>,
-    conjunctions: Vec<Conjunction>,
-    creates: Vec<CreateInfo>,
-}
-
-fn collect(block: &Block, path: &mut Vec<Condition>, out: &mut Lifted) {
-    let depth = path.len();
-    path.extend(block.where_.iter().cloned());
-    // Conjunctions of this block only: another block's path differs.
-    let first = out.conjunctions.len();
-    for link in &block.links {
-        let conjunction = match out.conjunctions[first..]
-            .iter()
-            .position(|c| c.from_args == link.from.args)
-        {
-            Some(at) => first + at,
-            None => {
-                out.conjunctions.push(Conjunction {
-                    from_args: link.from.args.clone(),
-                    conditions: path.clone(),
-                });
-                out.conjunctions.len() - 1
-            }
-        };
-        out.clauses.push(ClauseInfo {
-            from_fn: link.from.name.clone(),
-            label: link.label.clone(),
-            to: link.to.clone(),
-            head_vars: head_vars(&link.label, &link.to),
-            conjunction,
-        });
-    }
-    for sk in &block.creates {
-        out.creates.push(CreateInfo {
-            name: sk.name.clone(),
-            args: sk.args.clone(),
-            conditions: path.clone(),
-        });
-    }
-    for child in &block.children {
-        collect(child, path, out);
-    }
-    path.truncate(depth);
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //!   [`Verdict::Violated`] when the schema alone decides the constraint for
 //!   **every** possible data graph, and [`Verdict::Unknown`] otherwise
 //!   (e.g. an edge that exists only under a strictly stronger conjunction
-//!   than the page's creation condition may or may not materialize).
+//!   than one of the page's creation clauses, or out of pages of other
+//!   arguments, may or may not materialize).
 //! * [`verify_graph`] — an *exact* check on a materialized site graph,
 //!   using the Skolem table to find each function's extension.
 
@@ -63,11 +64,13 @@ pub enum Verdict {
     Unknown(String),
 }
 
-/// Whether governing conjunction `a` implies `b` syntactically: `b`'s block
-/// set is a subset of `a`'s (every condition governing `b` also governs
-/// `a`).
-fn implies(a: &[BlockId], b: &[BlockId]) -> bool {
-    b.iter().all(|x| a.contains(x))
+/// Whether an edge exists wherever a page is created: the edge's governing
+/// blocks all govern the creation (every condition of the edge's
+/// conjunction is one of the creation's), and the edge's end at the page
+/// carries the creation's argument variables, so it names that very page.
+fn guarantees(creation: (&[BlockId], &[String]), edge: &[BlockId], edge_args: &[String]) -> bool {
+    let (create_q, create_args) = creation;
+    edge.iter().all(|x| create_q.contains(x)) && edge_args == create_args
 }
 
 /// Statically verifies `constraint` against a site schema.
@@ -80,7 +83,8 @@ pub fn verify_schema(schema: &SiteSchema, constraint: &Constraint) -> Verdict {
             let reach: FxHashSet<usize> = schema.reachable_from(root_idx).into_iter().collect();
             let mut conditional = Vec::new();
             for (i, node) in schema.nodes().iter().enumerate() {
-                if i == 0 || schema.creation_queries(i).is_none() {
+                let creations = schema.creations(i);
+                if creations.is_empty() {
                     continue; // NS or never-created function
                 }
                 if !reach.contains(&i) {
@@ -90,15 +94,13 @@ pub fn verify_schema(schema: &SiteSchema, constraint: &Constraint) -> Verdict {
                     ));
                 }
                 // Reachable in the schema, but is every *instance* linked?
-                // Conservative: each schema edge into `i` must be governed by
-                // a conjunction no stronger than the node's creation
-                // conjunction, along some path. We only check the direct
-                // in-edges here.
-                let create_q = schema.creation_queries(i).expect("checked");
-                let guaranteed = schema
-                    .edges()
-                    .iter()
-                    .any(|e| e.to == i && implies(create_q, &e.queries));
+                // Conservative: under each of the node's creation clauses,
+                // some schema edge into `i` must be guaranteed. We only
+                // check the direct in-edges here.
+                let guaranteed = creations.iter().all(|&c| {
+                    (schema.edges().iter())
+                        .any(|e| e.to == i && guarantees(c, &e.queries, &e.to_args))
+                });
                 if !guaranteed && i != root_idx {
                     conditional.push(node.name().to_string());
                 }
@@ -119,24 +121,26 @@ pub fn verify_schema(schema: &SiteSchema, constraint: &Constraint) -> Verdict {
             let Some(to_idx) = schema.node_index(to) else {
                 return Verdict::Violated(format!("no Skolem function named {to}"));
             };
-            let create_q = schema.creation_queries(from_idx).unwrap_or(&[]);
-            let mut found_conditional = false;
-            for e in schema.edges() {
-                if e.from == from_idx && e.to == to_idx && e.label.as_deref() == Some(label) {
-                    if implies(create_q, &e.queries) {
-                        // The edge exists whenever the page exists.
-                        return Verdict::Satisfied;
-                    }
-                    found_conditional = true;
-                }
-            }
-            if found_conditional {
-                Verdict::Unknown(format!(
-                    "{from} -{label}-> {to} exists only under a stronger conjunction than {from}'s creation"
-                ))
-            } else {
+            let edges: Vec<_> = (schema.edges().iter())
+                .filter(|e| {
+                    e.from == from_idx && e.to == to_idx && e.label.as_deref() == Some(label)
+                })
+                .collect();
+            // The edge exists whenever the page exists, under each of its
+            // creation clauses.
+            let guaranteed = schema
+                .creations(from_idx)
+                .into_iter()
+                .all(|c| (edges.iter()).any(|e| guarantees(c, &e.queries, &e.from_args)));
+            if edges.is_empty() {
                 Verdict::Violated(format!(
                     "no link clause {from} -{label}-> {to} in the query"
+                ))
+            } else if guaranteed {
+                Verdict::Satisfied
+            } else {
+                Verdict::Unknown(format!(
+                    "{from} -{label}-> {to} is not linked under every creation of {from}"
                 ))
             }
         }
@@ -248,7 +252,11 @@ pub fn verify_graph(graph: &Graph, table: &SkolemTable, constraint: &Constraint)
 mod tests {
     use super::*;
     use strudel_graph::ddl;
-    use strudel_struql::{parse_query, EvalOptions};
+    use strudel_struql::{parse_query, EvalOptions, PredicateRegistry, Query, SiteProgram};
+
+    fn schema_of(q: &Query) -> SiteSchema {
+        SiteSchema::new(SiteProgram::compile(q, &PredicateRegistry::with_builtins()).unwrap())
+    }
 
     fn data() -> Graph {
         ddl::parse(
@@ -272,7 +280,7 @@ CREATE Root()
     #[test]
     fn schema_reachability_satisfied() {
         let q = parse_query(GOOD).unwrap();
-        let s = SiteSchema::from_query(&q);
+        let s = schema_of(&q);
         assert_eq!(
             verify_schema(
                 &s,
@@ -291,7 +299,7 @@ CREATE Root()
                { WHERE Publications(x) CREATE Orphan(x) LINK Orphan(x) -> "Up" -> Root() }"#,
         )
         .unwrap();
-        let s = SiteSchema::from_query(&q);
+        let s = schema_of(&q);
         match verify_schema(
             &s,
             &Constraint::AllReachableFrom {
@@ -313,7 +321,7 @@ CREATE Root()
                  { WHERE x -> "year" -> 1997 LINK Root() -> "Paper" -> Page(x) } }"#,
         )
         .unwrap();
-        let s = SiteSchema::from_query(&q);
+        let s = schema_of(&q);
         assert!(matches!(
             verify_schema(
                 &s,
@@ -343,7 +351,7 @@ CREATE Root()
     #[test]
     fn every_has_edge_schema_and_graph() {
         let q = parse_query(GOOD).unwrap();
-        let s = SiteSchema::from_query(&q);
+        let s = schema_of(&q);
         let c = Constraint::EveryHasEdge {
             from: "Page".into(),
             label: "Up".into(),
@@ -376,7 +384,7 @@ CREATE Root()
                  CREATE Secret(x) }"#,
         )
         .unwrap();
-        let s = SiteSchema::from_query(&external);
+        let s = schema_of(&external);
         let c = Constraint::NoneReachable {
             from: "Root".into(),
             forbidden: "Secret".into(),
@@ -394,7 +402,7 @@ CREATE Root()
                  CREATE Secret(x) LINK Root() -> "Paper" -> Secret(x) }"#,
         )
         .unwrap();
-        let s = SiteSchema::from_query(&leaky);
+        let s = schema_of(&leaky);
         let c = Constraint::NoneReachable {
             from: "Root".into(),
             forbidden: "Secret".into(),
@@ -410,7 +418,7 @@ CREATE Root()
     #[test]
     fn unknown_function_names() {
         let q = parse_query(GOOD).unwrap();
-        let s = SiteSchema::from_query(&q);
+        let s = schema_of(&q);
         assert!(matches!(
             verify_schema(
                 &s,

@@ -19,52 +19,41 @@
 //!    time (legal — "under the active-domain semantics, every StruQL query
 //!    has a well-defined meaning" — but worth a warning, since the paper
 //!    notes the semantics is sensitive to the choice of domain).
+//!
+//! Analysis runs inside [`SiteProgram::compile`]: names are resolved on the
+//! block tree, then the checks run over the lifted stages, each against its
+//! governing conjunction.
 
 use crate::ast::*;
 use crate::error::{Result, StruqlError};
+use crate::optimize::vars_of;
 use crate::pred::PredicateRegistry;
+use crate::program::{Head, SiteProgram, Stage};
 use strudel_graph::fxhash::FxHashSet;
 
-/// The result of analysis: a resolved copy of the query plus diagnostics.
-#[derive(Clone, Debug)]
-pub struct Analyzed {
-    /// The query with every [`PathStep::Bare`] and misclassified collection
-    /// resolved.
-    pub query: Query,
-    /// Non-fatal diagnostics (active-domain fallbacks, shadowed names, …).
-    pub warnings: Vec<String>,
+/// Pass 1: resolves names in every block of `query`. Returns the resolved
+/// root block, ready to be lifted into a [`SiteProgram`].
+pub(crate) fn resolve(query: &Query, preds: &PredicateRegistry) -> Result<Block> {
+    let mut root = query.root.clone();
+    resolve_block(&mut root, preds)?;
+    Ok(root)
 }
 
-/// Analyzes `query` against `preds`. Returns the resolved query or the
-/// first semantic error.
-pub fn analyze(query: &Query, preds: &PredicateRegistry) -> Result<Analyzed> {
-    let mut resolved = query.clone();
+/// Passes 2 and 3, over the lifted query: every Skolem term used is created
+/// somewhere, and each stage's clauses read only variables of its governing
+/// conjunction. Returns the warnings, or the first semantic error.
+pub(crate) fn check(program: &SiteProgram, preds: &PredicateRegistry) -> Result<Vec<String>> {
+    let created: FxHashSet<(&str, usize)> = (program.clauses().iter())
+        .filter_map(|c| match &c.head {
+            Head::Create(sk) => Some((sk.name.as_str(), sk.args.len())),
+            _ => None,
+        })
+        .collect();
     let mut warnings = Vec::new();
-
-    // Pass 1: resolve names in every block.
-    resolve_block(&mut resolved.root, preds)?;
-
-    // Pass 2: gather all created Skolem functions (name → arity).
-    let mut created: FxHashSet<(String, usize)> = FxHashSet::default();
-    for block in resolved.blocks() {
-        for sk in &block.creates {
-            created.insert((sk.name.clone(), sk.args.len()));
-        }
+    for stage in program.stages() {
+        check_stage(stage, &created, preds, &mut warnings)?;
     }
-
-    // Pass 3: per block, check scope and construction safety.
-    check_block(
-        &resolved.root,
-        &mut Vec::new(),
-        &created,
-        preds,
-        &mut warnings,
-    )?;
-
-    Ok(Analyzed {
-        query: resolved,
-        warnings,
-    })
+    Ok(warnings)
 }
 
 fn resolve_block(block: &mut Block, preds: &PredicateRegistry) -> Result<()> {
@@ -143,54 +132,27 @@ fn check_rpe_preds(rpe: &Rpe, preds: &PredicateRegistry) -> Result<()> {
     }
 }
 
-/// Variables mentioned by the conditions of one block (any position).
-fn block_vars(block: &Block, into: &mut FxHashSet<String>) {
-    for cond in &block.where_ {
-        match cond {
-            Condition::Collection { arg, .. } => collect_term(arg, into),
-            Condition::Edge { from, step, to, .. } => {
-                collect_term(from, into);
-                collect_term(to, into);
-                if let PathStep::ArcVar(v) = step {
-                    into.insert(v.clone());
-                }
-            }
-            Condition::Predicate { args, .. } => {
-                for a in args {
-                    collect_term(a, into);
-                }
-            }
-            Condition::Compare { lhs, rhs, .. } => {
-                collect_term(lhs, into);
-                collect_term(rhs, into);
-            }
-            Condition::In { var, .. } => {
-                into.insert(var.clone());
-            }
-        }
-    }
-}
-
-/// Variables *positively bound* by the conditions of one block: bound by a
-/// collection test, a positive edge, an `in`-set, or an `=` with a literal.
-fn positively_bound(block: &Block, into: &mut FxHashSet<String>) {
-    for cond in &block.where_ {
+/// Variables *positively bound* by `conds`: bound by a collection test, a
+/// positive edge, an `in`-set, or an `=` with a literal.
+fn positively_bound(conds: &[Condition]) -> FxHashSet<&str> {
+    let mut into = FxHashSet::default();
+    for cond in conds {
         match cond {
             Condition::Collection {
                 arg,
                 negated: false,
                 ..
-            } => collect_term(arg, into),
+            } => collect_term(arg, &mut into),
             Condition::Edge {
                 from,
                 step,
                 to,
                 negated: false,
             } => {
-                collect_term(from, into);
-                collect_term(to, into);
+                collect_term(from, &mut into);
+                collect_term(to, &mut into);
                 if let PathStep::ArcVar(v) = step {
-                    into.insert(v.clone());
+                    into.insert(v);
                 }
             }
             Condition::In {
@@ -198,28 +160,26 @@ fn positively_bound(block: &Block, into: &mut FxHashSet<String>) {
                 negated: false,
                 ..
             } => {
-                into.insert(var.clone());
+                into.insert(var);
             }
             Condition::Compare {
                 lhs,
                 op: CmpOp::Eq,
                 rhs,
             } => {
-                if let (Term::Var(v), Term::Lit(_)) = (lhs, rhs) {
-                    into.insert(v.clone());
-                }
-                if let (Term::Lit(_), Term::Var(v)) = (lhs, rhs) {
-                    into.insert(v.clone());
+                if let (Term::Var(v), Term::Lit(_)) | (Term::Lit(_), Term::Var(v)) = (lhs, rhs) {
+                    into.insert(v);
                 }
             }
             _ => {}
         }
     }
+    into
 }
 
-fn collect_term(t: &Term, into: &mut FxHashSet<String>) {
+fn collect_term<'a>(t: &'a Term, into: &mut FxHashSet<&'a str>) {
     if let Term::Var(v) = t {
-        into.insert(v.clone());
+        into.insert(v);
     }
 }
 
@@ -255,22 +215,16 @@ fn reject_agg_in_where(block: &Block) -> Result<()> {
     Ok(())
 }
 
-fn check_block(
-    block: &Block,
-    scope_stack: &mut Vec<(FxHashSet<String>, FxHashSet<String>)>,
-    created: &FxHashSet<(String, usize)>,
+fn check_stage(
+    stage: &Stage,
+    created: &FxHashSet<(&str, usize)>,
     preds: &PredicateRegistry,
     warnings: &mut Vec<String>,
 ) -> Result<()> {
+    let block = &stage.block;
     reject_agg_in_where(block)?;
-    let mut mentioned = FxHashSet::default();
-    let mut positive = FxHashSet::default();
-    for (m, p) in scope_stack.iter() {
-        mentioned.extend(m.iter().cloned());
-        positive.extend(p.iter().cloned());
-    }
-    block_vars(block, &mut mentioned);
-    positively_bound(block, &mut positive);
+    let mentioned: FxHashSet<&str> = stage.prefix.iter().flat_map(vars_of).collect();
+    let positive = positively_bound(&stage.prefix);
 
     // Planner diagnostics: a block this wide forces the cost-based planner
     // off the exhaustive DP join-order search and onto the greedy ordering.
@@ -294,7 +248,7 @@ fn check_block(
     }
 
     let check_skolem = |sk: &SkolemTerm, clause: &str| -> Result<()> {
-        if !created.contains(&(sk.name.clone(), sk.args.len())) {
+        if !created.contains(&(sk.name.as_str(), sk.args.len())) {
             return Err(StruqlError::semantic(format!(
                 "{}: Skolem term `{sk}` used in {clause} but `{}/{}` never appears in a CREATE clause",
                 block.id,
@@ -303,7 +257,7 @@ fn check_block(
             )));
         }
         for arg in &sk.args {
-            if !mentioned.contains(arg) {
+            if !mentioned.contains(arg.as_str()) {
                 return Err(StruqlError::semantic(format!(
                     "{}: Skolem argument `{arg}` of `{sk}` is not a variable of the governing WHERE conjunction",
                     block.id
@@ -327,7 +281,7 @@ fn check_block(
         match &link.to {
             Term::Skolem(sk) => check_skolem(sk, "LINK")?,
             Term::Var(v) => {
-                if !mentioned.contains(v) {
+                if !mentioned.contains(v.as_str()) {
                     return Err(StruqlError::semantic(format!(
                         "{}: LINK target variable `{v}` is not bound by the governing WHERE conjunction",
                         block.id
@@ -335,7 +289,7 @@ fn check_block(
                 }
             }
             Term::Agg(f, v) => {
-                if !mentioned.contains(v) {
+                if !mentioned.contains(v.as_str()) {
                     return Err(StruqlError::semantic(format!(
                         "{}: aggregate variable `{v}` of `{f}({v})` is not bound by the governing WHERE conjunction",
                         block.id
@@ -345,7 +299,7 @@ fn check_block(
             Term::Lit(_) => {}
         }
         if let LabelTerm::Var(v) = &link.label {
-            if !mentioned.contains(v) {
+            if !mentioned.contains(v.as_str()) {
                 return Err(StruqlError::semantic(format!(
                     "{}: LINK label variable `{v}` is not bound by the governing WHERE conjunction",
                     block.id
@@ -357,7 +311,7 @@ fn check_block(
         match &coll.arg {
             Term::Skolem(sk) => check_skolem(sk, "COLLECT")?,
             Term::Var(v) => {
-                if !mentioned.contains(v) {
+                if !mentioned.contains(v.as_str()) {
                     return Err(StruqlError::semantic(format!(
                         "{}: COLLECT argument `{v}` is not bound by the governing WHERE conjunction",
                         block.id
@@ -365,7 +319,7 @@ fn check_block(
                 }
             }
             Term::Agg(f, v) => {
-                if !mentioned.contains(v) {
+                if !mentioned.contains(v.as_str()) {
                     return Err(StruqlError::semantic(format!(
                         "{}: aggregate variable `{v}` of `{f}({v})` is not bound by the governing WHERE conjunction",
                         block.id
@@ -376,16 +330,6 @@ fn check_block(
         }
     }
 
-    // Recurse with this block's scope pushed.
-    let mut own_mentioned = FxHashSet::default();
-    let mut own_positive = FxHashSet::default();
-    block_vars(block, &mut own_mentioned);
-    positively_bound(block, &mut own_positive);
-    scope_stack.push((own_mentioned, own_positive));
-    for child in &block.children {
-        check_block(child, scope_stack, created, preds, warnings)?;
-    }
-    scope_stack.pop();
     Ok(())
 }
 
@@ -393,6 +337,10 @@ fn check_block(
 mod tests {
     use super::*;
     use crate::parse::parse_query;
+
+    fn analyze(query: &Query, preds: &PredicateRegistry) -> Result<SiteProgram> {
+        SiteProgram::compile(query, preds)
+    }
 
     fn builtin() -> PredicateRegistry {
         PredicateRegistry::with_builtins()
@@ -405,11 +353,11 @@ mod tests {
                 .unwrap();
         let a = analyze(&q, &builtin()).unwrap();
         assert!(matches!(
-            &a.query.root.where_[0],
+            &a.stages()[0].block.where_[0],
             Condition::Collection { .. }
         ));
         assert!(
-            matches!(&a.query.root.where_[2], Condition::Predicate { name, .. } if name == "isPostScript")
+            matches!(&a.stages()[0].block.where_[2], Condition::Predicate { name, .. } if name == "isPostScript")
         );
     }
 
@@ -420,10 +368,10 @@ mod tests {
         let q = parse_query("WHERE C(x), x -> l -> v, x -> isName -> w COLLECT Out(v)").unwrap();
         let a = analyze(&q, &preds).unwrap();
         assert!(
-            matches!(&a.query.root.where_[1], Condition::Edge { step: PathStep::ArcVar(v), .. } if v == "l")
+            matches!(&a.stages()[0].block.where_[1], Condition::Edge { step: PathStep::ArcVar(v), .. } if v == "l")
         );
         assert!(matches!(
-            &a.query.root.where_[2],
+            &a.stages()[0].block.where_[2],
             Condition::Edge { step: PathStep::Rpe(Rpe::Pred(p)), .. } if p == "isName"
         ));
     }
@@ -474,9 +422,9 @@ mod tests {
             .unwrap();
         let a = analyze(&q, &builtin()).unwrap();
         assert!(
-            a.warnings.iter().any(|w| w.contains("active-domain")),
+            a.warnings().iter().any(|w| w.contains("active-domain")),
             "{:?}",
-            a.warnings
+            a.warnings()
         );
     }
 
@@ -489,9 +437,9 @@ mod tests {
         let q = parse_query(&format!("WHERE C(x), {} COLLECT Out(x)", conds.join(", "))).unwrap();
         let a = analyze(&q, &builtin()).unwrap();
         assert!(
-            a.warnings.iter().any(|w| w.contains("greedy")),
+            a.warnings().iter().any(|w| w.contains("greedy")),
             "{:?}",
-            a.warnings
+            a.warnings()
         );
     }
 
@@ -512,6 +460,6 @@ mod tests {
     fn fig3_analyzes_clean() {
         let q = parse_query(crate::parse::tests::FIG3).unwrap();
         let a = analyze(&q, &builtin()).unwrap();
-        assert!(a.warnings.is_empty(), "{:?}", a.warnings);
+        assert!(a.warnings().is_empty(), "{:?}", a.warnings());
     }
 }

@@ -562,22 +562,6 @@ impl Block {
         }
         Ok(())
     }
-
-    /// Iterates this block and all descendants, depth-first, in document
-    /// order.
-    pub fn iter_blocks(&self) -> Vec<&Block> {
-        let mut out = vec![self];
-        let mut i = 0;
-        while i < out.len() {
-            // Manual worklist to avoid recursion; children are appended in
-            // order, giving document order because ids were assigned that way.
-            let children: Vec<&Block> = out[i].children.iter().collect();
-            out.extend(children);
-            i += 1;
-        }
-        out.sort_by_key(|b| b.id);
-        out
-    }
 }
 
 /// A complete StruQL query.
@@ -617,44 +601,6 @@ impl Query {
             input: None,
             output: None,
             root,
-        }
-    }
-
-    /// All blocks in document order (root first).
-    pub fn blocks(&self) -> Vec<&Block> {
-        self.root.iter_blocks()
-    }
-
-    /// Finds a block by id.
-    pub fn block(&self, id: BlockId) -> Option<&Block> {
-        self.blocks().into_iter().find(|b| b.id == id)
-    }
-
-    /// The conjunction of where-conditions governing `id`: the block's own
-    /// conditions preceded by all its ancestors'. Returns `None` for an
-    /// unknown id.
-    pub fn governing_conditions(&self, id: BlockId) -> Option<Vec<&Condition>> {
-        fn walk<'a>(block: &'a Block, id: BlockId, acc: &mut Vec<&'a Condition>) -> bool {
-            acc.extend(block.where_.iter());
-            if block.id == id {
-                return true;
-            }
-            for child in &block.children {
-                if walk(child, id, acc) {
-                    return true;
-                }
-            }
-            acc.truncate(acc.len() - block.where_.len());
-            false
-        }
-        let mut acc = Vec::new();
-        // The root's own conditions are pushed by walk.
-        let mut acc2 = Vec::new();
-        if walk(&self.root, id, &mut acc2) {
-            acc.extend(acc2);
-            Some(acc)
-        } else {
-            None
         }
     }
 }
@@ -719,21 +665,6 @@ mod tests {
                 children: vec![inner],
             },
         }
-    }
-
-    #[test]
-    fn blocks_in_document_order() {
-        let q = sample();
-        let ids: Vec<_> = q.blocks().iter().map(|b| b.id).collect();
-        assert_eq!(ids, vec![BlockId(0), BlockId(1)]);
-    }
-
-    #[test]
-    fn governing_conditions_conjoin_ancestors() {
-        let q = sample();
-        let conds = q.governing_conditions(BlockId(1)).unwrap();
-        assert_eq!(conds.len(), 3); // 2 from root + 1 own
-        assert!(q.governing_conditions(BlockId(9)).is_none());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The query stage: evaluating `WHERE` clauses over a graph.
 //!
-//! Evaluation walks the block tree. For each block, the optimizer orders the
+//! Evaluation runs the stages of a [`SiteProgram`] — the query's blocks,
+//! lifted once, in document order. For each stage, the optimizer orders the
 //! block's conditions ([`crate::optimize`]); each condition is then applied
 //! as a physical operator that transforms the bindings relation — scans of
 //! collection extents and of a label's edges, out-edge expansion, reverse-index
@@ -30,9 +31,10 @@
 //!   entirely: label matching is an interned-symbol comparison, so they run
 //!   as direct adjacency filters.
 //!
-//! A nested block starts from its parent's bindings, so the conjunction of
+//! A nested stage starts from its parent's bindings, so the conjunction of
 //! ancestor `WHERE` clauses is evaluated exactly once — the paper's nested
-//! blocks are both sugar and a shared-prefix optimization here.
+//! blocks are both sugar and a shared-prefix optimization here. A stage
+//! without a `WHERE` constructs from its parent's relation in place.
 //!
 //! Equality semantics: `Compare`/`In` conditions and *literals* use the data
 //! model's dynamic coercion ([`strudel_graph::Value::coerced_eq`]); joins of
@@ -47,14 +49,14 @@
 //! is a multigraph — and construction, aggregates and click-time links all
 //! read a relation as a set, so a plan may use either.
 
-use crate::analyze::analyze;
 use crate::ast::*;
 use crate::binding::Bindings;
 use crate::construct::{apply_block, ConstructStats, SkolemTable};
 use crate::error::{Result, StruqlError};
-use crate::optimize::{eligible, multiplier, vars_of, GraphStats, Optimizer};
+use crate::optimize::{eligible, multiplier, GraphStats, Optimizer};
 use crate::plan::{choose_op, replan_suffix, validate, PhysOp, PhysicalPlan, PlanCache, PlanNode};
 use crate::pred::PredicateRegistry;
+use crate::program::SiteProgram;
 use crate::rpe::Nfa;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -255,81 +257,48 @@ impl Query {
         table: &mut SkolemTable,
         opts: &EvalOptions,
     ) -> Result<EvalStats> {
-        let analyzed = analyze(self, &opts.predicates)?;
-        let mut ev = Ev::new(input, opts);
-        ev.stats.warnings = analyzed.warnings;
-        let arc_vars = arc_vars_of(&analyzed.query);
-        ev.eval_block(
-            &analyzed.query.root,
-            &Bindings::unit(),
-            out,
-            table,
-            &arc_vars,
-        )?;
-        Ok(ev.stats)
-    }
-
-    /// Evaluates only the *query stage* for the conjunction governing block
-    /// `id` (ancestors' conditions plus the block's own), returning the
-    /// bindings relation.
-    pub fn bindings_of_block(
-        &self,
-        id: BlockId,
-        input: &Graph,
-        opts: &EvalOptions,
-    ) -> Result<Bindings> {
-        let analyzed = analyze(self, &opts.predicates)?;
-        let conds: Vec<Condition> = analyzed
-            .query
-            .governing_conditions(id)
-            .ok_or_else(|| StruqlError::eval(format!("no block {id}")))?
-            .into_iter()
-            .cloned()
-            .collect();
-        let mut ev = Ev::new(input, opts);
-        let arc_vars = arc_vars_of(&analyzed.query);
-        let plan =
-            opts.plan_cache
-                .get_or_compile(&conds, &FxHashSet::default(), input, opts.optimizer)?;
-        ev.eval_conditions(&conds, &plan, Bindings::unit(), &arc_vars)
+        let program = SiteProgram::compile(self, &opts.predicates)?;
+        let mut stats = program.evaluate_into(0, input, out, table, opts)?;
+        stats.warnings = program.warnings().to_vec();
+        Ok(stats)
     }
 
     /// Returns the compiled physical plan for every block, without executing
     /// the query. Each block is compiled against the variables its ancestors
     /// bind, so the printed operators are the ones evaluation would execute.
     pub fn explain(&self, input: &Graph, opts: &EvalOptions) -> Result<String> {
-        fn walk<'q>(
-            block: &'q Block,
-            bound: &FxHashSet<&'q str>,
-            input: &Graph,
-            opts: &EvalOptions,
-            out: &mut String,
-        ) -> Result<()> {
-            if !block.where_.is_empty() {
-                let p = PhysicalPlan::compile(&block.where_, bound, input, opts.optimizer)?;
-                out.push_str(&format!("{}:\n{}", block.id, p.describe(&block.where_)));
-            }
-            let mut child_bound = bound.clone();
-            for cond in &block.where_ {
-                for v in vars_of(cond) {
-                    child_bound.insert(v);
-                }
-            }
-            for child in &block.children {
-                walk(child, &child_bound, input, opts, out)?;
-            }
-            Ok(())
-        }
-        let analyzed = analyze(self, &opts.predicates)?;
+        let program = SiteProgram::compile(self, &opts.predicates)?;
         let mut out = String::new();
-        walk(
-            &analyzed.query.root,
-            &FxHashSet::default(),
-            input,
-            opts,
-            &mut out,
-        )?;
+        for stage in program.stages() {
+            let (id, conds) = (stage.block.id, &stage.block.where_);
+            if !conds.is_empty() {
+                let bound = stage.bound.iter().map(String::as_str).collect();
+                let p = PhysicalPlan::compile(conds, &bound, input, opts.optimizer)?;
+                out.push_str(&format!("{id}:\n{}", p.describe(conds)));
+            }
+        }
         Ok(out)
+    }
+}
+
+impl SiteProgram {
+    /// Evaluates stage `stage` and the stages nested in it, from the unit
+    /// relation, writing construction results into `out` with the Skolem
+    /// table `table`. A site of several queries runs each query's stage in
+    /// turn with one table, so "different queries create different parts of
+    /// the same site" (§5.2). The statistics carry no warnings; those are
+    /// the program's ([`SiteProgram::warnings`]).
+    pub fn evaluate_into(
+        &self,
+        stage: usize,
+        input: &Graph,
+        out: &mut Graph,
+        table: &mut SkolemTable,
+        opts: &EvalOptions,
+    ) -> Result<EvalStats> {
+        let mut ev = Ev::new(input, opts);
+        ev.eval_block(self, stage, &Bindings::unit(), out, table)?;
+        Ok(ev.stats)
     }
 }
 
@@ -426,30 +395,6 @@ fn edge_arc_vars(conds: &[Condition]) -> impl Iterator<Item = &str> {
         } => Some(v.as_str()),
         _ => None,
     })
-}
-
-/// The set of arc variables of a query (variables appearing in arc position
-/// of some edge condition or as a link-label variable); used to pick the
-/// active domain (labels vs. nodes) when expanding an unbound variable.
-fn arc_vars_of(q: &Query) -> FxHashSet<String> {
-    let mut out = FxHashSet::default();
-    for block in q.blocks() {
-        for cond in &block.where_ {
-            if let Condition::Edge {
-                step: PathStep::ArcVar(v),
-                ..
-            } = cond
-            {
-                out.insert(v.clone());
-            }
-        }
-        for link in &block.links {
-            if let LabelTerm::Var(v) = &link.label {
-                out.insert(v.clone());
-            }
-        }
-    }
-    out
 }
 
 struct Ev<'g> {
@@ -577,22 +522,27 @@ impl<'g> Ev<'g> {
         labels.map(|s| self.label_value(s)).collect()
     }
 
+    /// Runs stage `s` of `program` from its parent's relation, then the
+    /// stages nested in it from its own. A stage without a `WHERE` reads its
+    /// parent's relation in place.
     fn eval_block(
         &mut self,
-        block: &Block,
+        program: &SiteProgram,
+        s: usize,
         parent: &Bindings,
         out: &mut Graph,
         table: &mut SkolemTable,
-        arc_vars: &FxHashSet<String>,
     ) -> Result<()> {
+        let block = &program.stages()[s].block;
         // Open until the block's children are done, so the span tree is the
         // block tree and each `eval.op` hangs off the block that ran it.
         let mut span = trace::span("eval.block", trace::Layer::Eval);
         if span.is_live() {
             span.attr_text("block", &block.id.to_string());
         }
+        let own;
         let bindings = if block.where_.is_empty() {
-            parent.clone()
+            parent
         } else {
             let bound: FxHashSet<&str> = parent.vars().iter().map(String::as_str).collect();
             let p = self.opts.plan_cache.get_or_compile(
@@ -602,15 +552,15 @@ impl<'g> Ev<'g> {
                 self.opts.optimizer,
             )?;
             let t = Timer::start();
-            let bindings = self.eval_conditions(&block.where_, &p, parent.clone(), arc_vars)?;
+            own = self.eval_conditions(&block.where_, &p, parent.clone(), program.arc_vars())?;
             self.stats.query_us += t.elapsed_us();
-            bindings
+            &own
         };
         let t = Timer::start();
-        apply_block(block, &bindings, out, table, &mut self.stats.construct)?;
+        apply_block(block, bindings, out, table, &mut self.stats.construct)?;
         self.stats.construct_us += t.elapsed_us();
-        for child in &block.children {
-            self.eval_block(child, &bindings, out, table, arc_vars)?;
+        for &child in &program.stages()[s].children {
+            self.eval_block(program, child, bindings, out, table)?;
         }
         Ok(())
     }

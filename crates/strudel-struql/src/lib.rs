@@ -35,7 +35,8 @@
 //! The crate contains a full pipeline: [`lex`]/[`parse`] → [`analyze`]
 //! (safety and range-restriction checks) → [`optimize`] (naive, heuristic,
 //! and cost-based condition orderings over the repository's indexes, per
-//! §2.4 and \[FLO 97\]) → [`eval`] (the query stage) → [`construct`] (the
+//! §2.4 and \[FLO 97\]) → [`program`] (the block tree lifted into stages
+//! and clauses, once) → [`eval`] (the query stage) → [`construct`] (the
 //! construction stage).
 //!
 //! ```
@@ -69,6 +70,7 @@ pub mod optimize;
 pub mod parse;
 pub mod plan;
 pub mod pred;
+pub mod program;
 pub mod rpe;
 
 pub use ast::{Block, BlockId, Condition, LabelTerm, Query, Rpe, SkolemTerm, Term};
@@ -83,3 +85,4 @@ pub use optimize::{planner_dp_fallbacks, Optimizer, PLANNER_SIGNALS};
 pub use parse::parse_query;
 pub use plan::{PhysOp, PhysicalPlan, PlanCache, PlanCacheStats};
 pub use pred::PredicateRegistry;
+pub use program::SiteProgram;

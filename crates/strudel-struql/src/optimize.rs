@@ -809,9 +809,9 @@ mod tests {
 
     fn conds(src: &str) -> Vec<Condition> {
         let q = parse_query(src).unwrap();
-        let a =
-            crate::analyze::analyze(&q, &crate::pred::PredicateRegistry::with_builtins()).unwrap();
-        a.query.root.where_.clone()
+        let preds = crate::pred::PredicateRegistry::with_builtins();
+        let program = crate::SiteProgram::compile(&q, &preds).unwrap();
+        program.stages()[0].block.where_.clone()
     }
 
     #[test]

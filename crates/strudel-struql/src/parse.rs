@@ -589,9 +589,13 @@ OUTPUT HomePage
 
     #[test]
     fn block_ids_in_document_order() {
-        let q = parse_query(FIG3).unwrap();
-        let ids: Vec<u32> = q.blocks().iter().map(|b| b.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        fn ids(b: &Block, out: &mut Vec<u32>) {
+            out.push(b.id.0);
+            b.children.iter().for_each(|c| ids(c, out));
+        }
+        let mut out = Vec::new();
+        ids(&parse_query(FIG3).unwrap().root, &mut out);
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]

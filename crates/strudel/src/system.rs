@@ -9,7 +9,7 @@ use strudel_obs::{Phases, Timer};
 use strudel_site::{
     verify_graph, verify_schema, CacheConfig, Constraint, DynamicSite, SiteSchema, Verdict,
 };
-use strudel_struql::{parse_query, EvalOptions, EvalStats, Query, SkolemTable};
+use strudel_struql::{parse_query, EvalOptions, EvalStats, Query, SiteProgram, SkolemTable};
 use strudel_template::gen::FileResolver;
 use strudel_template::{GeneratedSite, Generator, TemplateSet};
 use strudel_wrappers::mediator::FnSource;
@@ -28,7 +28,8 @@ pub struct SiteBuild {
     pub graph: Graph,
     /// Skolem applications → nodes.
     pub table: SkolemTable,
-    /// Accumulated evaluation statistics (one entry per site query).
+    /// Accumulated evaluation statistics, one entry per site query; the
+    /// analyzer's warnings about the whole site are the first entry's.
     pub stats: Vec<EvalStats>,
 }
 
@@ -238,9 +239,16 @@ impl Strudel {
         Query::merge(self.site_queries.iter())
     }
 
+    /// The site program compiled from the merged query: what the build,
+    /// the click-time site and the site schema all run.
+    fn site_program(&self) -> Result<SiteProgram> {
+        let merged = self.merged_query();
+        Ok(SiteProgram::compile(&merged, &self.opts.predicates)?)
+    }
+
     /// The site schema of the composed site-definition queries.
-    pub fn site_schema(&self) -> SiteSchema {
-        SiteSchema::from_query(&self.merged_query())
+    pub fn site_schema(&self) -> Result<SiteSchema> {
+        Ok(SiteSchema::new(self.site_program()?))
     }
 
     /// Evaluates every site query over the data graph, producing the site
@@ -255,15 +263,17 @@ impl Strudel {
         if self.mediator.is_stale() {
             self.mediator.refresh()?;
         }
-        let opts = self.opts.clone();
-        let queries = self.site_queries.clone();
+        let program = self.site_program()?;
         let data = self.mediator.data_graph().expect("refreshed");
         let mut site = Graph::new(Arc::clone(self.mediator.universe()));
         let mut table = SkolemTable::new();
-        let mut stats = Vec::with_capacity(queries.len());
-        for q in &queries {
-            stats.push(q.evaluate_into(data, &mut site, &mut table, &opts)?);
+        // Each site query is one stage under the merged root, run in turn
+        // with the one table.
+        let mut stats = Vec::with_capacity(self.site_queries.len());
+        for &query in &program.stages()[0].children {
+            stats.push(program.evaluate_into(query, data, &mut site, &mut table, &self.opts)?);
         }
+        stats[0].warnings = program.warnings().to_vec();
         // Register per-function collections for template selection, each
         // in creation order. The table iterates function by function, so a
         // name is interned once per function, not once per page.
@@ -389,7 +399,7 @@ impl Strudel {
     /// freshly built site graph). Returns `(static verdict, exact verdict)`;
     /// the exact verdict is `None` when the static check already decided.
     pub fn verify(&mut self, constraint: &Constraint) -> Result<(Verdict, Option<Verdict>)> {
-        let schema_verdict = verify_schema(&self.site_schema(), constraint);
+        let schema_verdict = verify_schema(&self.site_schema()?, constraint);
         if matches!(schema_verdict, Verdict::Unknown(_)) {
             let build = self.build_site()?;
             let exact = verify_graph(&build.graph, &build.table, constraint);

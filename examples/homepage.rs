@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut s = bib::system(owner, 30, 42)?;
 
     // Inspect the site schema before materializing anything (Fig. 5).
-    let schema = s.site_schema();
+    let schema = s.site_schema()?;
     println!(
         "site schema: {} node types, {} link kinds",
         schema.nodes().len(),

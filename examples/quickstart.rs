@@ -73,7 +73,7 @@ COLLECT Roots(HomePage())
     for name in site.pages.keys() {
         println!("  {name}");
     }
-    let schema = s.site_schema();
+    let schema = s.site_schema()?;
     println!("\nsite schema (DOT):\n{}", schema.to_dot());
     Ok(())
 }

@@ -374,19 +374,113 @@ object p2 in Projects { name "secret" proprietary true }
     assert!(exact.is_none(), "the schema alone decides");
 }
 
+// ---- one site program: what the schema guarantees, what build and click accept ----
+
+/// A system over two articles and one draft, defined by `query`.
+fn articles_and_drafts(query: &str) -> strudel::Strudel {
+    let mut s = strudel::Strudel::new();
+    s.add_ddl_source(
+        "pubs",
+        r#"
+object a1 in Articles { title "One" }
+object a2 in Articles { title "Two" }
+object d1 in Drafts { title "Three" }
+"#,
+    );
+    s.add_site_query(query).unwrap();
+    s
+}
+
+/// `P` is created under two conjunctions and only the `Articles` one links
+/// a page home: the schema cannot promise the edge, and the draft's page
+/// lacks it.
+#[test]
+fn an_edge_is_guaranteed_only_under_every_create_clause() {
+    let mut s = articles_and_drafts(
+        r#"CREATE Root()
+           { WHERE Articles(a) CREATE P(a) LINK P(a) -> "home" -> Root(), Root() -> "p" -> P(a) }
+           { WHERE Drafts(a) CREATE P(a) LINK Root() -> "p" -> P(a) }"#,
+    );
+    let (schema_v, exact) = s
+        .verify(&Constraint::EveryHasEdge {
+            from: "P".into(),
+            label: "home".into(),
+            to: "Root".into(),
+        })
+        .unwrap();
+    assert!(matches!(schema_v, Verdict::Unknown(_)), "{schema_v:?}");
+    assert!(matches!(exact, Some(Verdict::Violated(_))), "{exact:?}");
+}
+
+/// The same for reachability: the draft's page is created and never
+/// linked.
+#[test]
+fn a_page_is_reachable_only_if_every_create_clause_links_it() {
+    let mut s = articles_and_drafts(
+        r#"CREATE Root()
+           { WHERE Articles(a) CREATE P(a) LINK Root() -> "p" -> P(a) }
+           { WHERE Drafts(a) CREATE P(a) }"#,
+    );
+    let (schema_v, exact) = s
+        .verify(&Constraint::AllReachableFrom {
+            root: "Root".into(),
+        })
+        .unwrap();
+    assert!(matches!(schema_v, Verdict::Unknown(_)), "{schema_v:?}");
+    assert!(matches!(exact, Some(Verdict::Violated(_))), "{exact:?}");
+}
+
+/// An edge out of `P(b)` says nothing about the pages `P(a)`: the
+/// articles' pages have no home link.
+#[test]
+fn an_edge_guarantees_only_pages_of_its_own_arguments() {
+    let mut s = articles_and_drafts(
+        r#"CREATE Root()
+           { WHERE Articles(a), Drafts(b) CREATE P(a), P(b)
+             LINK P(b) -> "home" -> Root(), Root() -> "p" -> P(a), Root() -> "p" -> P(b) }"#,
+    );
+    let (schema_v, exact) = s
+        .verify(&Constraint::EveryHasEdge {
+            from: "P".into(),
+            label: "home".into(),
+            to: "Root".into(),
+        })
+        .unwrap();
+    assert!(matches!(schema_v, Verdict::Unknown(_)), "{schema_v:?}");
+    assert!(matches!(exact, Some(Verdict::Violated(_))), "{exact:?}");
+}
+
+/// One query links to pages another query creates. The build and the
+/// click-time site read one program compiled from both, so both accept
+/// the site, and they serve the same links.
+#[test]
+fn build_and_click_accept_a_link_to_a_page_another_query_creates() {
+    let mut s =
+        articles_and_drafts(r#"CREATE Root() { WHERE Articles(a) LINK Root() -> "p" -> P(a) }"#);
+    s.add_site_query(
+        r#"{ WHERE Articles(a), a -> "title" -> t CREATE P(a) LINK P(a) -> "title" -> t }"#,
+    )
+    .unwrap();
+    let build = s.build_site().unwrap();
+    assert_eq!(build.stats.len(), 2, "one entry per site query");
+    assert_eq!(build.pages_of("P").len(), 2);
+    assert_served_equals_built(&mut s);
+}
+
 // ---- recover_query over the realistic workload definitions ----
 
 #[test]
 fn recovered_queries_equivalent_for_workloads() {
     use strudel::graph::ddl;
     use strudel::site::SiteSchema;
-    use strudel::struql::{parse_query, EvalOptions};
+    use strudel::struql::{parse_query, EvalOptions, PredicateRegistry, SiteProgram};
 
     // News site, aggregate-free fragment (recovery covers the full AST, but
     // comparing output graphs is cleanest on the core fragment).
     let data = ddl::parse(&strudel::synth::news::generate_ddl(40, 12)).unwrap();
     let q = parse_query(strudel::synth::news::SITE_QUERY).unwrap();
-    let schema = SiteSchema::from_query(&q);
+    let program = SiteProgram::compile(&q, &PredicateRegistry::with_builtins()).unwrap();
+    let schema = SiteSchema::new(program);
     let recovered = schema.recover_query();
     let opts = EvalOptions::default();
     let a = q.evaluate(&data, &opts).unwrap();
@@ -398,9 +492,10 @@ fn recovered_queries_equivalent_for_workloads() {
 #[test]
 fn site_schema_dot_for_org_site_is_complete() {
     use strudel::site::SiteSchema;
-    use strudel::struql::parse_query;
+    use strudel::struql::{parse_query, PredicateRegistry, SiteProgram};
     let q = parse_query(strudel::synth::org::SITE_QUERY).unwrap();
-    let schema = SiteSchema::from_query(&q);
+    let program = SiteProgram::compile(&q, &PredicateRegistry::with_builtins()).unwrap();
+    let schema = SiteSchema::new(program);
     let dot = schema.to_dot();
     for page_type in [
         "RootPage",

@@ -1715,8 +1715,8 @@ fn adaptive_replanning_cuts_intermediate_rows_on_skew() {
 fn where_of(src: &str) -> Vec<strudel::struql::Condition> {
     let q = parse_query(src).unwrap();
     let registry = strudel::struql::PredicateRegistry::with_builtins();
-    let analyzed = strudel::struql::analyze::analyze(&q, &registry).unwrap();
-    analyzed.query.root.where_.clone()
+    let program = strudel::struql::SiteProgram::compile(&q, &registry).unwrap();
+    program.stages()[0].block.where_.clone()
 }
 
 proptest! {

@@ -87,8 +87,13 @@ COLLECT Roots(FrontPage())
 
 /// Number of link clauses at a level — the paper's complexity measure.
 pub fn link_clauses(level: usize) -> usize {
+    use strudel::struql::{program::Head, PredicateRegistry, SiteProgram};
     let q = strudel::struql::parse_query(&query(level)).expect("level query parses");
-    q.blocks().iter().map(|b| b.links.len()).sum()
+    let program = SiteProgram::compile(&q, &PredicateRegistry::with_builtins()).unwrap();
+    let links = program.clauses().iter();
+    links
+        .filter(|c| matches!(c.head, Head::Link { .. }))
+        .count()
 }
 
 /// The templates of a level as `(collection, source)` pairs: each
