@@ -69,18 +69,6 @@ pub struct CacheStamp {
     universe_revision: u64,
 }
 
-impl CacheStamp {
-    /// Whether two stamps name the same graph object in the same local
-    /// state, ignoring the universe revision. Caches whose contents depend
-    /// only on the graph's *own* members, edges and collections (the query
-    /// planner's statistics, for example) validate with this:
-    /// construction allocating output nodes in the shared universe must not
-    /// evict them mid-build.
-    pub fn same_graph(&self, other: &CacheStamp) -> bool {
-        self.graph_id == other.graph_id && self.graph_revision == other.graph_revision
-    }
-}
-
 /// A unique object identifier. Oids are allocated by a [`Universe`] and are
 /// unique across every graph of a database.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]

@@ -33,7 +33,7 @@ use strudel_graph::{Graph, Oid, Sym, Value};
 use strudel_struql::ast::{Condition, PathStep, Query, Rpe, Term};
 use strudel_struql::binding::Bindings;
 use strudel_struql::construct::{apply_block, retract_block, ConstructStats, SkolemTable};
-use strudel_struql::{evaluate_conditions, EvalOptions, SiteProgram, StruqlError};
+use strudel_struql::{evaluate_conditions, EvalOptions, PlanSlot, SiteProgram, StruqlError};
 
 /// Why a query cannot be maintained incrementally.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,7 +184,8 @@ impl IncrementalSite {
         // depends on.
         for &s in &stages {
             let conditions = &program.stages()[s].prefix;
-            let bindings = evaluate_conditions(conditions, data, Bindings::unit(), &opts)
+            let once = PlanSlot::default();
+            let bindings = evaluate_conditions(conditions, data, Bindings::unit(), &opts, &once)
                 .map_err(IncrementalError::from)?;
             apply_block(
                 &program.stages()[s].block,
@@ -244,7 +245,9 @@ impl IncrementalSite {
                     .filter(|(j, _)| *j != i)
                     .map(|(_, c)| c.clone())
                     .collect();
-                let mut bindings = evaluate_conditions(&rest, data, seed.clone(), &self.opts)?;
+                let once = PlanSlot::default();
+                let mut bindings =
+                    evaluate_conditions(&rest, data, seed.clone(), &self.opts, &once)?;
                 // Drop rows where an earlier condition is also matched by
                 // the delta: those rows belong to that earlier seed.
                 let earlier: Vec<Vec<(usize, Value)>> = seeds[..i]

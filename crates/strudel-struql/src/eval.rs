@@ -54,7 +54,7 @@ use crate::binding::Bindings;
 use crate::construct::{apply_block, ConstructStats, SkolemTable};
 use crate::error::{Result, StruqlError};
 use crate::optimize::{eligible, multiplier, GraphStats, Optimizer};
-use crate::plan::{choose_op, replan_suffix, validate, PhysOp, PhysicalPlan, PlanCache, PlanNode};
+use crate::plan::{choose_op, replan_suffix, validate, PhysOp, PhysicalPlan, PlanNode, PlanSlot};
 use crate::pred::PredicateRegistry;
 use crate::program::SiteProgram;
 use crate::rpe::Nfa;
@@ -81,10 +81,6 @@ pub struct EvalOptions {
     /// Memo caches for regular-path work, shared by every evaluation using
     /// (a clone of) these options and invalidated by graph mutation.
     pub path_cache: Arc<PathCache>,
-    /// Memo of compiled physical plans, shared like [`EvalOptions::path_cache`]
-    /// and validated against the graph revision
-    /// ([`strudel_graph::graph::CacheStamp::same_graph`]).
-    pub plan_cache: Arc<PlanCache>,
     /// Re-optimize the remaining plan suffix when an executed node produces
     /// more than 8× its estimated rows (and at least 128 rows, with ≥ 2
     /// conditions left; see [`crate::plan::replan_suffix`]).
@@ -98,7 +94,6 @@ impl Default for EvalOptions {
             predicates: PredicateRegistry::with_builtins(),
             max_rows: 10_000_000,
             path_cache: Arc::new(PathCache::default()),
-            plan_cache: Arc::new(PlanCache::default()),
             adaptive: true,
         }
     }
@@ -342,18 +337,18 @@ pub fn run_on_database(
 /// graph, starting from the given bindings. This is the query-stage entry
 /// point used by click-time/incremental evaluation ([FER 98c]): the dynamic
 /// evaluator binds a page's Skolem arguments and runs only the governing
-/// conjunction of one link clause.
+/// conjunction of one link clause. The plan is `slot`'s, compiled into it
+/// first if it is empty ([`PlanSlot::plan`]); an evaluation that runs once
+/// passes a fresh slot.
 pub fn evaluate_conditions(
     conds: &[Condition],
     input: &Graph,
     start: Bindings,
     opts: &EvalOptions,
+    slot: &PlanSlot,
 ) -> Result<Bindings> {
-    let bound: FxHashSet<&str> = start.vars().iter().map(String::as_str).collect();
-    let plan = opts
-        .plan_cache
-        .get_or_compile(conds, &bound, input, opts.optimizer)?;
-    run_plan(conds, &plan, input, start, opts)
+    let (plan, _) = slot.plan(conds, &start, input, opts.optimizer)?;
+    run_plan(conds, plan, input, start, opts)
 }
 
 /// Executes `plan` over `conds` from `start`, after validating it against
@@ -545,12 +540,7 @@ impl<'g> Ev<'g> {
             parent
         } else {
             let bound: FxHashSet<&str> = parent.vars().iter().map(String::as_str).collect();
-            let p = self.opts.plan_cache.get_or_compile(
-                &block.where_,
-                &bound,
-                self.graph,
-                self.opts.optimizer,
-            )?;
+            let p = PhysicalPlan::compile(&block.where_, &bound, self.graph, self.opts.optimizer)?;
             let t = Timer::start();
             own = self.eval_conditions(&block.where_, &p, parent.clone(), program.arc_vars())?;
             self.stats.query_us += t.elapsed_us();

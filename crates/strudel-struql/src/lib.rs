@@ -83,6 +83,6 @@ pub use eval::{
 };
 pub use optimize::{planner_dp_fallbacks, Optimizer, PLANNER_SIGNALS};
 pub use parse::parse_query;
-pub use plan::{PhysOp, PhysicalPlan, PlanCache, PlanCacheStats};
+pub use plan::{PhysOp, PhysicalPlan, PlanSlot};
 pub use pred::PredicateRegistry;
 pub use program::SiteProgram;

@@ -22,13 +22,10 @@
 //! once is valid for every evaluation of the same conjunction from the same
 //! starting schema against the same graph state.
 //!
-//! [`PlanCache`] memoizes compiled plans keyed by a query fingerprint and
-//! validated by [`CacheStamp::same_graph`] — graph identity and graph
-//! revision, deliberately ignoring the universe revision: constructing
-//! output nodes bumps the shared universe on every build, but plan validity
-//! only depends on the *input* graph's edges and collections, both covered
-//! by the graph revision. Dynamic page expansion, incremental delta rules
-//! and multi-block builds therefore stop re-planning the same conjunctions.
+//! A plan is compiled once per query, not per evaluation (§2.4): a build
+//! compiles each stage as it runs it, click time keeps one [`PlanSlot`] per
+//! program conjunction beside the graph it borrows, and an evaluation that
+//! runs once passes a fresh slot.
 //!
 //! A known label: a node over an arc-variable edge condition whose variable
 //! `l = "text"` has fixed by then (`optimize::KnownLabels`) carries that
@@ -37,25 +34,26 @@
 //! The validator ([`PlanNode::contract`], [`validate`]): every node states the
 //! variables its operator requires bound and the ones it provides, and the
 //! chain is checked from the start schema — once per
-//! [`PhysicalPlan::compile`] in every build profile (the plan cache amortizes
-//! it), as a debug assertion on every re-planned suffix, and before
-//! [`crate::eval::execute_plan`] runs a plan the compiler did not make. An
-//! operator run on the wrong schema trips an `expect` or widens a row.
+//! [`PhysicalPlan::compile`] in every build profile (a plan is compiled once
+//! per query, so the check is paid once), as a debug assertion on every
+//! re-planned suffix, and before [`crate::eval::execute_plan`] runs a plan
+//! the compiler did not make. An operator run on the wrong schema trips an
+//! `expect` or widens a row.
 //!
-//! Adaptivity: when an executed node's observed rows-out diverges from its
-//! estimate by more than a configurable factor, the evaluator calls
-//! [`replan_suffix`] with multipliers *measured* on a sample of the live
-//! bindings (see `eval.rs`). Re-planning with the same static cost model
-//! would reproduce the same order — the point of the runtime feedback loop
-//! is that sampled multipliers replace the estimates that were wrong.
+//! Adaptivity: when an executed node's observed rows-out exceeds its
+//! estimate by more than 8×, the evaluator calls [`replan_suffix`] with
+//! multipliers *measured* on a sample of the live bindings (see `eval.rs`).
+//! Re-planning with the same static cost model would reproduce the same
+//! order — the point of the runtime feedback loop is that sampled
+//! multipliers replace the estimates that were wrong.
 
 use crate::ast::{CmpOp, Condition, PathStep, Rpe, Term};
+use crate::binding::Bindings;
 use crate::error::{Result, StruqlError};
 use crate::optimize::{multiplier, pick_next, plan, vars_of, GraphStats, KnownLabels, Optimizer};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, OnceLock};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
-use strudel_graph::graph::CacheStamp;
 use strudel_graph::Graph;
 
 /// The concrete physical operator a plan node executes. One variant per
@@ -286,7 +284,8 @@ impl PhysicalPlan {
             });
             b.extend(vars_of(&conds[i]));
         }
-        // Once per compile, in release builds too: the plan cache amortizes it.
+        // Once per compile, in release builds too: a plan is compiled once
+        // per query, not per evaluation.
         validate(&nodes, conds, bound)?;
         Ok(PhysicalPlan {
             nodes,
@@ -480,124 +479,34 @@ pub fn validate<'c>(
     Ok(bound)
 }
 
-strudel_obs::signals! {
-    /// The cells behind [`PlanCacheStats`].
-    struct PlanCacheCounters;
-    /// A snapshot of [`PlanCache`] counters.
-    pub struct PlanCacheStats {}
-    hits: Counter, "plan_cache.hits", "strudel_plan_cache_hits_total",
-        "Evaluations answered with a cached compiled physical plan.";
-    misses: Counter, "plan_cache.misses", "strudel_plan_cache_misses_total",
-        "Conjunctions compiled into a physical plan for the first time.";
-    invalidations: Counter, "plan_cache.invalidations", "strudel_plan_cache_invalidations_total",
-        "Cached plans discarded because the graph changed.";
-}
+/// One conjunction's compiled plan: empty until an evaluation compiles it,
+/// then read with one atomic load. A plan is valid for every evaluation of
+/// the same conditions from the same start schema against the graph it was
+/// compiled on (see the module docs), so whoever holds a slot holds it
+/// beside that graph — a `DynamicSite` keeps one per program conjunction
+/// next to its borrow of the data graph — and an evaluation that runs once
+/// passes a fresh slot.
+#[derive(Debug, Default)]
+pub struct PlanSlot(OnceLock<PhysicalPlan>);
 
-/// A memo of compiled plans keyed by query fingerprint and validated against
-/// the graph's cache stamp. Shared through `EvalOptions` (cloning the
-/// options shares the cache), so dynamic page expansion, incremental delta
-/// rules, and repeated multi-block builds stop re-planning identical
-/// conjunctions. Thread-safe; the map lock is never held while compiling.
-#[derive(Default)]
-pub struct PlanCache {
-    inner: Mutex<FxHashMap<String, CachedPlan>>,
-    counters: PlanCacheCounters,
-}
-
-struct CachedPlan {
-    stamp: CacheStamp,
-    plan: Arc<PhysicalPlan>,
-}
-
-impl PlanCache {
-    fn lock(&self) -> MutexGuard<'_, FxHashMap<String, CachedPlan>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Hit/miss/invalidation counters over the cache's lifetime.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.counters.snapshot()
-    }
-
-    /// Drops all cached plans (counters are kept — they describe lifetime
-    /// behaviour, like the path cache's).
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
-    /// Number of currently cached plans.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the cache currently holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// The cache key for a conjunction: optimizer, start schema (sorted, so
-    /// hash-set iteration order cannot split identical queries), and the
-    /// conditions in written order. Graph state is *not* part of the key —
-    /// it is the validation stamp, so a mutated graph replaces the entry
-    /// instead of growing the map.
-    pub fn fingerprint(
-        conds: &[Condition],
-        bound: &FxHashSet<&str>,
-        optimizer: Optimizer,
-    ) -> String {
-        let mut key = String::from(optimizer.name());
-        let mut bv: Vec<&str> = bound.iter().copied().collect();
-        bv.sort_unstable();
-        for v in bv {
-            key.push('\u{1}');
-            key.push_str(v);
-        }
-        key.push('\u{2}');
-        for c in conds {
-            let _ = write!(key, "\u{1}{c}");
-        }
-        key
-    }
-
-    /// The compiled plan for this conjunction against this graph state:
-    /// from the cache when the stored stamp still matches
-    /// ([`CacheStamp::same_graph`] — graph id and graph revision; universe
-    /// churn from constructing output does not invalidate plans), compiled
-    /// and inserted otherwise.
-    pub fn get_or_compile(
+impl PlanSlot {
+    /// The plan in the slot, compiling it from `conds` and `start`'s schema
+    /// first if the slot is empty; `true` when this call compiled. The
+    /// compile runs outside any lock: evaluations that find the slot empty
+    /// at once each compile, and the first to finish fills it.
+    pub fn plan(
         &self,
         conds: &[Condition],
-        bound: &FxHashSet<&str>,
+        start: &Bindings,
         graph: &Graph,
         optimizer: Optimizer,
-    ) -> Result<Arc<PhysicalPlan>> {
-        let key = Self::fingerprint(conds, bound, optimizer);
-        let stamp = graph.cache_stamp();
-        let stale = {
-            let map = self.lock();
-            match map.get(&key) {
-                Some(c) if c.stamp.same_graph(&stamp) => {
-                    self.counters.hits.inc();
-                    return Ok(Arc::clone(&c.plan));
-                }
-                Some(_) => true,
-                None => false,
-            }
-        };
-        if stale {
-            self.counters.invalidations.inc();
-        } else {
-            self.counters.misses.inc();
+    ) -> Result<(&PhysicalPlan, bool)> {
+        if let Some(plan) = self.0.get() {
+            return Ok((plan, false));
         }
-        let plan = Arc::new(PhysicalPlan::compile(conds, bound, graph, optimizer)?);
-        self.lock().insert(
-            key,
-            CachedPlan {
-                stamp,
-                plan: Arc::clone(&plan),
-            },
-        );
-        Ok(plan)
+        let bound = start.vars().iter().map(String::as_str).collect();
+        let plan = PhysicalPlan::compile(conds, &bound, graph, optimizer)?;
+        Ok((self.0.get_or_init(|| plan), true))
     }
 }
 
@@ -675,49 +584,5 @@ mod tests {
             ops(&arc[0], true),
             [LabelScan, LabelSemijoin, LabelReverseIndex, LabelForward]
         );
-    }
-
-    #[test]
-    fn plan_cache_hits_then_invalidates_on_mutation() {
-        let mut g = graph();
-        let cs = conds(r#"WHERE Big(x) COLLECT Out(x)"#);
-        let cache = PlanCache::default();
-        let bound = FxHashSet::default();
-        let p1 = cache
-            .get_or_compile(&cs, &bound, &g, Optimizer::CostBased)
-            .unwrap();
-        let p2 = cache
-            .get_or_compile(&cs, &bound, &g, Optimizer::CostBased)
-            .unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(
-            cache.stats(),
-            PlanCacheStats {
-                hits: 1,
-                misses: 1,
-                invalidations: 0
-            }
-        );
-        let n = g.nodes()[0];
-        g.add_edge_str(n, "extra", 1i64).unwrap();
-        let _ = cache
-            .get_or_compile(&cs, &bound, &g, Optimizer::CostBased)
-            .unwrap();
-        assert_eq!(cache.stats().invalidations, 1);
-        assert_eq!(cache.len(), 1, "stale entry replaced, not duplicated");
-    }
-
-    #[test]
-    fn fingerprint_separates_optimizer_bound_set_and_conditions() {
-        let cs = conds(r#"WHERE Big(x) COLLECT Out(x)"#);
-        let empty = FxHashSet::default();
-        let mut with_x = FxHashSet::default();
-        with_x.insert("x");
-        let a = PlanCache::fingerprint(&cs, &empty, Optimizer::CostBased);
-        let b = PlanCache::fingerprint(&cs, &with_x, Optimizer::CostBased);
-        let c = PlanCache::fingerprint(&cs, &empty, Optimizer::Naive);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, PlanCache::fingerprint(&cs, &empty, Optimizer::CostBased));
     }
 }

@@ -491,7 +491,8 @@ fn bindings_of_block_computes_governing_conjunction() {
         let stage = stages.find(|s| s.block.id == strudel_struql::BlockId(id));
         let prefix = &stage.expect("a block of that id").prefix;
         let unit = strudel_struql::Bindings::unit();
-        strudel_struql::evaluate_conditions(prefix, &data, unit, &opts).unwrap()
+        let once = strudel_struql::PlanSlot::default();
+        strudel_struql::evaluate_conditions(prefix, &data, unit, &opts, &once).unwrap()
     };
     // Block Q2 (BlockId 1): Publications(x), x->l->v — one row per attribute.
     assert_eq!(bindings_of_block(1).len(), 22); // 12 attrs of pub1 + 10 of pub2
@@ -700,7 +701,7 @@ object a3 in Articles { headline "three" section "tech" }
 /// `n` out-edges and a sink with `n` in-edges: `label-forward` out of the
 /// hub, `label-reverse-index` onto the sink, `label-scan` over the label.
 fn hub_operator_times(n: usize) -> [std::time::Duration; 3] {
-    use strudel_struql::{evaluate_conditions, Bindings, PhysicalPlan};
+    use strudel_struql::{evaluate_conditions, Bindings, PhysicalPlan, PlanSlot};
     let mut g = Graph::standalone();
     let (hub, sink) = (g.new_node(None), g.new_node(None));
     g.add_to_collection_str("Hub", hub);
@@ -721,9 +722,10 @@ fn hub_operator_times(n: usize) -> [std::time::Duration; 3] {
             "{}",
             plan.describe(conds)
         );
+        let slot = PlanSlot::default();
         let run = || {
             let t = std::time::Instant::now();
-            let rows = evaluate_conditions(conds, &g, Bindings::unit(), &opts).unwrap();
+            let rows = evaluate_conditions(conds, &g, Bindings::unit(), &opts, &slot).unwrap();
             assert_eq!(rows.len(), n);
             t.elapsed()
         };

@@ -328,6 +328,58 @@ fn leaf_pages_plan_and_expand_without_the_index_extents() {
     assert!(!data.extents_built());
 }
 
+/// A data edit drops only the pages whose conjunctions can see it. A seed
+/// row from `a -> l -> v` that binds `l` to "body" cannot pass a prefix's
+/// `l = "section"` or `l = "editorial_rank"`, so a `body` edit leaves the
+/// front page and the article's section page cached, while the article's
+/// own two pages, whose links change, are dropped.
+#[test]
+fn a_body_edit_leaves_the_front_page_cached() {
+    use strudel::graph::Value;
+    use strudel::site::{Delta, DynamicSite, PageRef};
+    use strudel::struql::EvalOptions;
+    let data = strudel::graph::ddl::parse(&news::generate_ddl(200, 14)).unwrap();
+    let query = strudel::struql::parse_query(news::SITE_QUERY).unwrap();
+    let site = DynamicSite::new(&data, &query, EvalOptions::default()).unwrap();
+    let article = data.nodes()[0];
+    let edge = |label: &str| {
+        let label = data.sym(label);
+        let edges = data.out_edges(article).into_iter();
+        edges
+            .filter(|(l, _)| *l == label)
+            .map(|(_, to)| to)
+            .next()
+            .unwrap()
+    };
+    let page = |skolem: &str, arg: Option<Value>| PageRef {
+        skolem: skolem.into(),
+        args: arg.into_iter().collect(),
+    };
+    let of_article = Some(Value::Node(article));
+    let changed = [
+        page("ArticlePage", of_article.clone()),
+        page("Summary", of_article),
+    ];
+    let kept = [
+        page("FrontPage", None),
+        page("SectionPage", Some(edge("section"))),
+    ];
+    for p in changed.iter().chain(&kept) {
+        assert!(!site.expand(p).unwrap().is_empty(), "{p}");
+    }
+    site.invalidate(&Delta::EdgeRemoved {
+        from: article,
+        label: data.sym("body"),
+        to: edge("body"),
+    });
+    for p in &kept {
+        assert!(site.lookup(p).is_some(), "a body edit dropped {p}");
+    }
+    for p in &changed {
+        assert!(site.lookup(p).is_none(), "{p} kept its links");
+    }
+}
+
 #[test]
 fn repeated_clicks_are_cached() {
     let mut s = news::system(60, 23, false).unwrap();
