@@ -80,7 +80,7 @@ pub enum Optimizer {
 }
 
 impl Optimizer {
-    /// Short name, used in plan renderings and plan-cache fingerprints.
+    /// Short name, used in plan renderings.
     pub fn name(self) -> &'static str {
         match self {
             Optimizer::Naive => "naive",
