@@ -30,7 +30,7 @@
 //! * `--profile` runs the evaluation traced and prints its span tree, as
 //!   `trace` prints a request's: one `eval.block` span per block and one
 //!   `eval.op` span per executed plan operator (its estimated vs. observed
-//!   rows, path-cache hits/misses), then per-layer self-times. `query`
+//!   rows, path-memo hits/misses), then per-layer self-times. `query`
 //!   prints the tree to stderr so stdout stays pipeable DDL; `explain`
 //!   prints it after the plans. With `--json` the spans are printed to
 //!   stdout as `{"profile":[…]}` instead.

@@ -7,7 +7,7 @@
 //! writes, whole-graph scans, commits, checkpoints, snapshots and reopens
 //! come in, every answer is the one an eagerly built reference gives, a
 //! segment is decoded at most once — also under concurrent readers — and
-//! decoding one moves no cache stamp. Records that do not read fail typed
+//! decoding one moves no count. Records that do not read fail typed
 //! — at the attach, or at the working graph's first read of their segment,
 //! which then reads as empty and fails `Graph::check` — and nothing read
 //! afterwards can panic.
@@ -195,9 +195,9 @@ fn edges_of(model: &Model) -> Vec<(u32, String, WireValue)> {
 }
 
 /// One read against the reference — a node, a name, every edge, or the
-/// index's reverse map over every target — that moves no cache stamp.
+/// index's reverse map over every target — that changes no count.
 fn read(rng: &mut Lcg, g: &Graph, model: &Model, what: &str) {
-    let stamp = g.cache_stamp();
+    let counts = (g.node_count(), g.edge_count());
     let i = rng.below(model.len()) as u32;
     match rng.below(8) {
         0..=4 => assert_eq!(node_of(g, i), model[&i], "{what}: node {i}"),
@@ -235,7 +235,8 @@ fn read(rng: &mut Lcg, g: &Graph, model: &Model, what: &str) {
             }
         }
     }
-    assert_eq!(g.cache_stamp(), stamp, "{what}: a read moved the stamp");
+    let after = (g.node_count(), g.edge_count());
+    assert_eq!(after, counts, "{what}: a read moved a count");
 }
 
 /// Seeded interleavings of reads and writes over a store's working graph,

@@ -79,7 +79,7 @@ pub use construct::SkolemTable;
 pub use error::{Result, StruqlError};
 pub use eval::{
     evaluate_conditions, execute_plan, run_on_database, EvalOptions, EvalOutput, EvalStats,
-    PathCache, PathCacheStats,
+    PathMemoStats,
 };
 pub use optimize::{planner_dp_fallbacks, Optimizer, PLANNER_SIGNALS};
 pub use parse::parse_query;

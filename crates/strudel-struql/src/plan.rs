@@ -50,9 +50,10 @@
 use crate::ast::{CmpOp, Condition, PathStep, Rpe, Term};
 use crate::binding::Bindings;
 use crate::error::{Result, StruqlError};
+use crate::eval::{PathMemo, PathMemoCounters, PathMemoStats};
 use crate::optimize::{multiplier, pick_next, plan, vars_of, GraphStats, KnownLabels, Optimizer};
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use strudel_graph::fxhash::{FxHashMap, FxHashSet};
 use strudel_graph::Graph;
 
@@ -479,15 +480,22 @@ pub fn validate<'c>(
     Ok(bound)
 }
 
-/// One conjunction's compiled plan: empty until an evaluation compiles it,
-/// then read with one atomic load. A plan is valid for every evaluation of
-/// the same conditions from the same start schema against the graph it was
-/// compiled on (see the module docs), so whoever holds a slot holds it
+/// Everything compiled for one conjunction at one graph: its plan, empty
+/// until an evaluation compiles it and then read with one atomic load, and
+/// each regular-path condition's automata and reach memos
+/// ([`crate::eval`]). Both hold for every evaluation of the same
+/// conditions from the same start schema against the graph they were
+/// computed on (see the module docs), so whoever holds a slot holds it
 /// beside that graph — a `DynamicSite` keeps one per program conjunction
 /// next to its borrow of the data graph — and an evaluation that runs once
 /// passes a fresh slot.
-#[derive(Debug, Default)]
-pub struct PlanSlot(OnceLock<PhysicalPlan>);
+#[derive(Default)]
+pub struct PlanSlot {
+    plan: OnceLock<PhysicalPlan>,
+    /// Path memos by the condition's position in the conjunction.
+    pub(crate) paths: Mutex<FxHashMap<usize, Arc<PathMemo>>>,
+    pub(crate) path_counters: PathMemoCounters,
+}
 
 impl PlanSlot {
     /// The plan in the slot, compiling it from `conds` and `start`'s schema
@@ -501,12 +509,17 @@ impl PlanSlot {
         graph: &Graph,
         optimizer: Optimizer,
     ) -> Result<(&PhysicalPlan, bool)> {
-        if let Some(plan) = self.0.get() {
+        if let Some(plan) = self.plan.get() {
             return Ok((plan, false));
         }
         let bound = start.vars().iter().map(String::as_str).collect();
         let plan = PhysicalPlan::compile(conds, &bound, graph, optimizer)?;
-        Ok((self.0.get_or_init(|| plan), true))
+        Ok((self.plan.get_or_init(|| plan), true))
+    }
+
+    /// The slot's regular-path memo traffic so far.
+    pub fn path_stats(&self) -> PathMemoStats {
+        self.path_counters.snapshot()
     }
 }
 

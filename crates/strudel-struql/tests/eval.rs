@@ -642,9 +642,9 @@ fn profile_reports_strategies_rows_and_blocks() {
 }
 
 #[test]
-fn profile_sees_path_cache_and_strategy_shift() {
-    // An RPE over an indexed graph memoizes reach sets: repeated sources
-    // hit the PathCache. With the index off, the reverse strategies shift.
+fn profile_sees_path_memo_traffic() {
+    // An RPE memoizes its automaton and reach sets in the plan slot of its
+    // conjunction; the operator's span reports the lookups it made.
     let data = fig2_graph();
     let q = parse_query(r#"WHERE Publications(x), x -> * -> v COLLECT Reached(v)"#).unwrap();
     let (_, spans, _) = traced(&q, &data);
@@ -654,7 +654,7 @@ fn profile_sees_path_cache_and_strategy_shift() {
         .expect("rpe-forward");
     assert!(
         num(rpe, "path_hits") + num(rpe, "path_misses") > 0,
-        "path cache untouched: {rpe:?}"
+        "path memo untouched: {rpe:?}"
     );
 }
 

@@ -1381,6 +1381,11 @@ proptest! {
                  LINK P(x) -> l -> y
                  { WHERE l = "a"
                    CREATE Q(y) LINK P(x) -> "deep" -> Q(y), Q(y) -> "from" -> x } }"#,
+            r#"{ WHERE Nodes(x), x -> "a" . "b"* -> y
+                 CREATE P(x)
+                 LINK P(x) -> "via" -> y
+                 { WHERE y -> "c"+ -> z
+                   CREATE Q(z) LINK P(x) -> "deep" -> Q(z), Q(z) -> "from" -> y } }"#,
         ];
         // Replay the same construction script twice so node ids and interned
         // symbols align; the "new" graph additionally gets the inserted edge.
@@ -1549,6 +1554,23 @@ fn optimizer_and_plan_cache_are_byte_invisible() {
     }
 }
 
+/// Expands every page reachable from `site`'s roots; the number of pages.
+fn crawl(site: &strudel::site::DynamicSite<'_>) -> usize {
+    use strudel::site::{PageRef, Target};
+    let mut seen = std::collections::HashSet::new();
+    let mut todo: Vec<PageRef> = site.roots();
+    while let Some(page) = todo.pop() {
+        if seen.insert(page.clone()) {
+            let links = site.expand(&page).unwrap();
+            todo.extend(links.into_iter().filter_map(|l| match l.target {
+                Target::Page(p) => Some(p),
+                Target::Value(_) => None,
+            }));
+        }
+    }
+    seen.len()
+}
+
 /// Plan slots: a site's first crawl compiles one plan per conjunction it
 /// evaluates (a miss each) and runs it for every later evaluation (a hit
 /// each); after `cache_clear`, a second crawl evaluates every clause again
@@ -1556,7 +1578,7 @@ fn optimizer_and_plan_cache_are_byte_invisible() {
 /// plans and counts nothing at the site.
 #[test]
 fn site_plan_slots_compile_once_per_conjunction() {
-    use strudel::site::{DynamicSite, PageRef, Target};
+    use strudel::site::DynamicSite;
     use strudel::synth::news;
     let mut s = news::system(60, 7, false).unwrap();
     let data = ddl::parse(&news::generate_ddl(60, 7)).unwrap();
@@ -1565,20 +1587,7 @@ fn site_plan_slots_compile_once_per_conjunction() {
     let program = strudel::struql::SiteProgram::compile(&query, &opts.predicates).unwrap();
     let conjunctions = program.conjunctions().len();
     let site = DynamicSite::new(&data, &query, opts).unwrap();
-    let crawl = || {
-        let mut seen = std::collections::HashSet::new();
-        let mut todo: Vec<PageRef> = site.roots();
-        while let Some(page) = todo.pop() {
-            if seen.insert(page.clone()) {
-                let links = site.expand(&page).unwrap();
-                todo.extend(links.into_iter().filter_map(|l| match l.target {
-                    Target::Page(p) => Some(p),
-                    Target::Value(_) => None,
-                }));
-            }
-        }
-        seen.len()
-    };
+    let crawl = || crawl(&site);
 
     let pages = crawl();
     let first = site.plan_cache_stats();
@@ -1599,6 +1608,77 @@ fn site_plan_slots_compile_once_per_conjunction() {
 
     s.build_site().unwrap();
     assert_eq!(site.plan_cache_stats(), second);
+}
+
+/// A ring of `n` nodes in `Nodes`, each with a `next` edge to its successor.
+fn ring(n: usize) -> Graph {
+    let mut g = Graph::standalone();
+    let nodes: Vec<_> = (0..n).map(|i| g.new_node(Some(&format!("r{i}")))).collect();
+    for (i, &v) in nodes.iter().enumerate() {
+        g.add_to_collection_str("Nodes", Value::Node(v));
+        g.add_edge_str(v, "next", Value::Node(nodes[(i + 1) % n]))
+            .unwrap();
+    }
+    g
+}
+
+/// Path memos live in the plan slot of their conjunction: a ring site's
+/// first crawl misses once for the automaton and once per start node, and
+/// hits the automaton on every other page; after `cache_clear` a second
+/// crawl only hits. An evaluation with a clone of the site's options runs
+/// through slots of its own and leaves the site's counts as they were.
+#[test]
+fn site_path_memos_live_in_their_slots() {
+    use strudel::site::DynamicSite;
+    const NODES: u64 = 40;
+    let data = ring(NODES as usize);
+    let query = parse_query(
+        r#"CREATE Root()
+           { WHERE Nodes(x)
+             CREATE P(x)
+             LINK Root() -> "node" -> P(x)
+             { WHERE x -> * -> y LINK P(x) -> "reach" -> y } }"#,
+    )
+    .unwrap();
+    let opts = EvalOptions::default();
+    let site = DynamicSite::new(&data, &query, opts.clone()).unwrap();
+
+    assert_eq!(crawl(&site), NODES as usize + 1);
+    let first = site.path_cache_stats();
+    assert_eq!((first.hits, first.misses), (NODES - 1, NODES + 1));
+
+    site.cache_clear();
+    crawl(&site);
+    let second = site.path_cache_stats();
+    assert_eq!(second.misses, first.misses, "{second:?}");
+    assert_eq!(second.hits - first.hits, 2 * NODES, "{second:?}");
+
+    let out = query.evaluate(&data, &opts.clone()).unwrap();
+    assert_eq!(out.table.iter().count(), NODES as usize + 1);
+    assert_eq!(site.path_cache_stats(), second);
+}
+
+/// A reach set is never read against a later state of its graph: an edge
+/// that extends `p -> * -> q` shows on the next evaluation with the same
+/// (cloned) options.
+#[test]
+fn a_reach_memo_never_outlives_its_graph_state() {
+    let mut g = Graph::standalone();
+    let [p, q, r] = ["p", "q", "r"].map(|name| g.new_node(Some(name)));
+    g.add_to_collection_str("Start", Value::Node(p));
+    g.add_edge_str(p, "next", Value::Node(q)).unwrap();
+    let query = parse_query(r#"WHERE Start(p), p -> * -> q COLLECT Reached(q)"#).unwrap();
+    let opts = EvalOptions::default();
+    let reached = |g: &Graph| {
+        let out = query.evaluate(g, &opts.clone()).unwrap();
+        let coll = out.graph.collection_str("Reached").unwrap();
+        let mut got: Vec<_> = coll.items().iter().map(|v| v.as_node().unwrap()).collect();
+        got.sort();
+        got
+    };
+    assert_eq!(reached(&g), [p, q]);
+    g.add_edge_str(q, "next", Value::Node(r)).unwrap();
+    assert_eq!(reached(&g), [p, q, r]);
 }
 
 /// A hub-skewed graph whose per-label averages mislead the static planner.
